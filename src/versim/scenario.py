@@ -8,6 +8,7 @@ every level so a typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -78,6 +79,8 @@ def _fail(field_name: str, constraint: str) -> None:
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        _fail(where, "must be an object")
     unknown = sorted(set(obj) - allowed)
     if unknown:
         _fail(where, f"unknown keys {unknown}")
@@ -147,10 +150,12 @@ def _parse_strategy(obj: dict) -> StrategyConfig:
         )
 
     handshake = obj.get("handshake_period_ms")
-    if handshake is not None and (not isinstance(handshake, int) or handshake < 1):
+    if handshake is not None and (
+        not isinstance(handshake, int) or isinstance(handshake, bool) or handshake < 1
+    ):
         _fail("strategy.handshake_period_ms", "must be null or a positive integer")
     sync_period = obj.get("sync_table_period_ms", 1000)
-    if not isinstance(sync_period, int) or sync_period < 1:
+    if not isinstance(sync_period, int) or isinstance(sync_period, bool) or sync_period < 1:
         _fail("strategy.sync_table_period_ms", "must be a positive integer")
 
     return StrategyConfig(
@@ -255,7 +260,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         if (
             not isinstance(update_raw, list)
             or len(update_raw) != 2
-            or not all(isinstance(v, int) for v in update_raw)
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in update_raw)
             or not 0 <= update_raw[0] <= update_raw[1]
         ):
             _fail(f"{where}.server_update_ms", "must be [min_ms, max_ms] with 0 <= min <= max")
@@ -280,18 +285,26 @@ def scenario_from_dict(data: dict) -> Scenario:
         _fail("runtime_arrivals", "give exactly one of poisson_rate_per_user_per_s or explicit")
     if "poisson_rate_per_user_per_s" in raw_arrivals:
         rate = raw_arrivals["poisson_rate_per_user_per_s"]
-        if not isinstance(rate, (int, float)) or isinstance(rate, bool) or rate <= 0:
-            _fail("runtime_arrivals.poisson_rate_per_user_per_s", "must be a positive number")
+        if (
+            not isinstance(rate, (int, float))
+            or isinstance(rate, bool)
+            or not math.isfinite(rate)
+            or rate <= 0
+        ):
+            _fail("runtime_arrivals.poisson_rate_per_user_per_s", "must be a positive finite number")
         arrivals = ArrivalSpec(poisson_rate_per_user_per_s=float(rate))
     else:
+        raw_explicit = raw_arrivals["explicit"]
+        if not isinstance(raw_explicit, list):
+            _fail("runtime_arrivals.explicit", "must be a list")
         explicit = []
         valid_users = {f"u{i:03d}" for i in range(users)}
-        for i, raw in enumerate(raw_arrivals["explicit"]):
+        for i, raw in enumerate(raw_explicit):
             where = f"runtime_arrivals.explicit[{i}]"
             _require_keys(raw, {"time_ms", "user_id"}, where)
             t = _as_int(raw, "time_ms", 0, where)
             user = raw.get("user_id")
-            if user not in valid_users:
+            if not isinstance(user, str) or user not in valid_users:
                 _fail(f"{where}.user_id", f"unknown user {user!r} (users are u000..u{users - 1:03d})")
             explicit.append(ExplicitArrival(time_ms=t, user_id=user))
         explicit.sort(key=lambda a: (a.time_ms, a.user_id))

@@ -557,7 +557,8 @@ class WorldBase:
         device_ids = [f"d{i:02d}" for i in range(scenario.devices)]
         initial = storage.releases[0].version
         for j, device_id in enumerate(device_ids):
-            owners = [u for i, u in enumerate(self.user_ids) if i % scenario.devices == j]
+            # round-robin ownership: user i lives on device i % devices
+            owners = self.user_ids[j :: scenario.devices]
             self.devices[device_id] = DeviceNode(device_id, owners, initial)
             self.device_rng[device_id] = node_stream(scenario.seed, DEVICE_STREAM_BASE + j)
             for u in owners:
@@ -617,3 +618,84 @@ class WorldBase:
 
     def _begin_release(self, release: ModelRelease) -> None:
         raise NotImplementedError
+
+
+class CloudWorldBase(WorldBase):
+    """A world with a cloud fleet behind the frontend: the servers, their rng
+    streams, the served-version index and the staggered server update. By
+    default a release updates every server at once, each for its own drawn
+    duration, and finishes when the last one is done."""
+
+    def __init__(self, scenario: "Scenario", sim: Simulator, storage: ModelStorageNode, log: RunLog):
+        super().__init__(scenario, sim, storage, log)
+        server_ids = [f"s{i:02d}" for i in range(scenario.cloud_servers)]
+        self.clouds: dict[str, CloudServerNode] = {}
+        self.cloud_rng: dict[str, SimRng] = {}
+        for i, sid in enumerate(server_ids):
+            self.clouds[sid] = CloudServerNode(sid, self.engine_for(self._initial_version_for(i)))
+            self.cloud_rng[sid] = node_stream(scenario.seed, CLOUD_STREAM_BASE + i)
+        self.frontend = FrontendNode(
+            server_ids, self.cfg.dispatch, node_stream(scenario.seed, FRONTEND_STREAM)
+        )
+        self._update_remaining: set[str] = set()
+        self._index_served()
+        self.on("release", self._on_release)
+        self.on("server-update-done", self._on_server_update_done)
+
+    def _initial_version_for(self, index: int) -> VersionId:
+        return self.storage.releases[0].version
+
+    # -- served-version index; rebuilt whenever a server begins or completes
+    # an update, so readers never scan the fleet
+
+    def _index_served(self) -> None:
+        models: dict[int, VersionId] = {}
+        serving: dict[int, list[str]] = {}
+        for sid in self.frontend.server_ids:
+            server = self.clouds[sid]
+            if not server.updating:
+                model = server.engine.model
+                models[model.seq] = model
+                serving.setdefault(model.seq, []).append(sid)
+        # oldest first; the lists are shared with readers, who never mutate them
+        self.served_versions: list[VersionId] = [models[seq] for seq in sorted(models)]
+        self._serving = serving
+
+    def servers_serving(self, version: VersionId) -> list[str]:
+        """Servers not mid-update that run ``version``, in server-id order."""
+        return self._serving.get(version.seq, [])
+
+    # -- releases
+
+    def _on_release(self, target, msg: ReleasePayload):
+        release = self.storage.register(
+            msg.version_id, self.sim.now, msg.download_ms, msg.server_update_ms
+        )
+        self.on_release_registered(release)
+
+    def _begin_release(self, release: ModelRelease) -> None:
+        self._update_remaining = set(self.clouds)
+        for sid in self.frontend.server_ids:
+            self._start_server_update(sid, release)
+
+    def _start_server_update(self, server_id: str, release: ModelRelease) -> None:
+        duration = release.draw_update_duration(self.cloud_rng[server_id])
+        completes = self.sim.now + duration
+        self.clouds[server_id].begin_update(self.engine_for(release.version), completes)
+        self._index_served()
+        self.sim.schedule(
+            completes,
+            f"cloud:{server_id}",
+            ServerUpdateDone(server_id=server_id, version=release.version),
+        )
+
+    def _on_server_update_done(self, target, msg: ServerUpdateDone):
+        server = self.clouds[msg.server_id]
+        server.complete_update()
+        self._index_served()
+        self._update_remaining.discard(msg.server_id)
+        self._after_server_updated(server)
+
+    def _after_server_updated(self, server: CloudServerNode) -> None:
+        if not self._update_remaining:
+            self.finish_release()

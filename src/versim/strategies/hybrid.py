@@ -15,12 +15,10 @@ Two flavors:
 from __future__ import annotations
 
 from ..domain import Outcome, VersionId, result_from_score
-from ..kernel import node_stream
 from ..metrics import RequestKind
-from ..topology import CloudServerNode, FrontendNode, ModelRelease
+from ..topology import CloudServerNode, ModelRelease
 from .common import (
-    CLOUD_STREAM_BASE,
-    FRONTEND_STREAM,
+    CloudWorldBase,
     EnrollArrival,
     EnrollCtx,
     EnrollJob,
@@ -31,7 +29,6 @@ from .common import (
     HandshakeReply,
     HandshakeRequest,
     HandshakeTick,
-    ReleasePayload,
     RetryNeeded,
     RetrySignal,
     RuntimeArrival,
@@ -40,31 +37,17 @@ from .common import (
     RuntimeResponseMsg,
     RecognizeJob,
     RecognizeJobDone,
-    ServerUpdateDone,
-    WorldBase,
 )
-from .server import partition_groups
+from .server import double_initial_version, partition_groups
 
 REJECTED = result_from_score(0.0)
 
 
-class HybridWorldBase(WorldBase):
+class HybridWorldBase(CloudWorldBase):
     profile_cap = 1
 
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
-        sc = scenario
-        server_ids = [f"s{i:02d}" for i in range(sc.cloud_servers)]
-        self.clouds: dict[str, CloudServerNode] = {}
-        self.cloud_rng = {}
-        for i, sid in enumerate(server_ids):
-            self.clouds[sid] = CloudServerNode(sid, self.engine_for(self._initial_version_for(i)))
-            self.cloud_rng[sid] = node_stream(sc.seed, CLOUD_STREAM_BASE + i)
-        self.frontend = FrontendNode(
-            server_ids, self.cfg.dispatch, node_stream(sc.seed, FRONTEND_STREAM)
-        )
-        self._update_remaining: set[str] = set()
-
         self.on("enroll-arrival", self._on_enroll_arrival)
         self.on("runtime-arrival", self._on_runtime_arrival)
         self.on("enroll-request", self._on_enroll_request)
@@ -80,8 +63,6 @@ class HybridWorldBase(WorldBase):
         self.on("handshake-tick", self._on_handshake_tick)
         self.on("handshake-request", self._on_handshake_request)
         self.on("handshake-reply", self._on_handshake_reply)
-        self.on("release", self._on_release)
-        self.on("server-update-done", self._on_server_update_done)
 
         if self.cfg.handshake_period_ms is not None:
             for device_id in sorted(self.devices):
@@ -90,24 +71,6 @@ class HybridWorldBase(WorldBase):
                     self.device_target(device_id),
                     HandshakeTick(device_id=device_id),
                 )
-
-    def _initial_version_for(self, index: int) -> VersionId:
-        return self.storage.releases[0].version
-
-    def _served_versions(self) -> list[VersionId]:
-        versions = {}
-        for sid in self.frontend.server_ids:
-            server = self.clouds[sid]
-            if not server.updating:
-                versions[server.engine.model.seq] = server.engine.model
-        return [versions[seq] for seq in sorted(versions)]
-
-    def _servers_serving(self, version: VersionId) -> list[str]:
-        return [
-            sid
-            for sid in self.frontend.server_ids
-            if not self.clouds[sid].updating and self.clouds[sid].engine.model == version
-        ]
 
     # -- enrollment: device keeps the audio, profiles come back in the response
 
@@ -171,7 +134,7 @@ class HybridWorldBase(WorldBase):
             server_id = ctx.pinned_server
         else:
             eligible = (
-                self.frontend.server_ids if version is None else self._servers_serving(version)
+                self.frontend.server_ids if version is None else self.servers_serving(version)
             )
             if not eligible:
                 self._next_enroll_leg(ctx)
@@ -336,7 +299,7 @@ class HybridWorldBase(WorldBase):
             self.sc.latency.device_frontend,
             self.frontend.rng,
             self.device_target(msg.ctx.device_id),
-            HandshakeReply(ctx=msg.ctx, versions=tuple(self._served_versions())),
+            HandshakeReply(ctx=msg.ctx, versions=tuple(self.served_versions)),
         )
 
     def _on_handshake_reply(self, target, msg: HandshakeReply):
@@ -357,23 +320,6 @@ class HybridWorldBase(WorldBase):
 
     def _catchup_plan(self, served: tuple) -> list:
         return [served[-1]]
-
-    # -- releases
-
-    def _on_release(self, target, msg: ReleasePayload):
-        release = self.storage.register(
-            msg.version_id, self.sim.now, msg.download_ms, msg.server_update_ms
-        )
-        self.on_release_registered(release)
-
-    def _on_server_update_done(self, target, msg: ServerUpdateDone):
-        self.clouds[msg.server_id].complete_update()
-        self._update_remaining.discard(msg.server_id)
-        self._after_server_updated()
-
-    def _after_server_updated(self) -> None:
-        if not self._update_remaining:
-            self.finish_release()
 
 
 class HybridSingleWorld(HybridWorldBase):
@@ -417,17 +363,6 @@ class HybridSingleWorld(HybridWorldBase):
             extra_delay=server.engine.runtime_cost_ms,
         )
 
-    def _begin_release(self, release: ModelRelease) -> None:
-        engine = self.engine_for(release.version)
-        self._update_remaining = set(self.clouds)
-        for sid in self.frontend.server_ids:
-            duration = release.draw_update_duration(self.cloud_rng[sid])
-            completes = self.sim.now + duration
-            self.clouds[sid].begin_update(engine, completes)
-            self.sim.schedule(
-                completes, f"cloud:{sid}", ServerUpdateDone(server_id=sid, version=release.version)
-            )
-
 
 class HybridDoubleWorld(HybridWorldBase):
     """Two live versions in two fixed server groups. A request whose carried
@@ -438,22 +373,18 @@ class HybridDoubleWorld(HybridWorldBase):
 
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
-        ids = self.frontend.server_ids
-        group0, group1 = partition_groups(ids)
-        v0 = self.storage.releases[0].version
-        v1 = self.storage.releases[1].version
-        self.group_members = (group0, group1)
-        self.group_version = {0: v0, 1: v1}
-        for sid in group0:
-            self.clouds[sid].engine = self.engine_for(v0)
-            self.clouds[sid].group = 0
-        for sid in group1:
-            self.clouds[sid].engine = self.engine_for(v1)
-            self.clouds[sid].group = 1
+        self.group_members = partition_groups(self.frontend.server_ids)
+        self.group_version = {
+            0: self.storage.releases[0].version,
+            1: self.storage.releases[1].version,
+        }
         self._rolling_group: int | None = None
 
+    def _initial_version_for(self, index: int) -> VersionId:
+        return double_initial_version(self.storage, index, self.sc.cloud_servers)
+
     def _default_enroll_plan(self) -> list:
-        return list(self._served_versions()[-2:])
+        return self.served_versions[-2:]
 
     def _catchup_plan(self, served: tuple) -> list:
         return list(served[-2:])
@@ -461,13 +392,13 @@ class HybridDoubleWorld(HybridWorldBase):
     def _on_runtime_request(self, target, msg: RuntimeRequestMsg):
         ctx = msg.ctx
         carried = {p.version.seq for p in ctx.profiles[ctx.user_id]}
-        served = self._served_versions()
+        served = self.served_versions
         usable = carried & {v.seq for v in served}
         if not usable:
             self._respond_runtime(ctx, Outcome.STALE_PROFILES)
             return
         version = next(v for v in served if v.seq == max(usable))
-        server_id = self.frontend.choose(ctx.user_id, self._servers_serving(version))
+        server_id = self.frontend.choose(ctx.user_id, self.servers_serving(version))
         self.send(
             self.sc.latency.frontend_cloud,
             self.frontend.rng,
@@ -492,7 +423,7 @@ class HybridDoubleWorld(HybridWorldBase):
 
     def _after_runtime_response(self, ctx: RuntimeCtx, outcome: Outcome) -> None:
         if outcome is Outcome.STALE_PROFILES:
-            served = tuple(self._served_versions())
+            served = tuple(self.served_versions)
             if served:
                 self._start_background_enroll(
                     ctx.device_id, ctx.user_id, self._catchup_plan(served)
@@ -501,18 +432,12 @@ class HybridDoubleWorld(HybridWorldBase):
     def _begin_release(self, release: ModelRelease) -> None:
         target_group = min(self.group_version, key=lambda g: self.group_version[g].seq)
         self._rolling_group = target_group
-        engine = self.engine_for(release.version)
         members = self.group_members[target_group]
         self._update_remaining = set(members)
         for sid in members:
-            duration = release.draw_update_duration(self.cloud_rng[sid])
-            completes = self.sim.now + duration
-            self.clouds[sid].begin_update(engine, completes)
-            self.sim.schedule(
-                completes, f"cloud:{sid}", ServerUpdateDone(server_id=sid, version=release.version)
-            )
+            self._start_server_update(sid, release)
 
-    def _after_server_updated(self) -> None:
+    def _after_server_updated(self, server: CloudServerNode) -> None:
         if not self._update_remaining and self._rolling_group is not None:
             self.group_version[self._rolling_group] = self.active_release.version
             self._rolling_group = None

@@ -16,6 +16,9 @@ results. The controllers differ in what a model release does:
 
 from __future__ import annotations
 
+from collections import deque
+from heapq import heappop, heappush
+
 from ..domain import (
     NoCommonVersionError,
     Outcome,
@@ -25,11 +28,10 @@ from ..domain import (
 )
 from ..kernel import node_stream
 from ..metrics import RequestKind
-from ..topology import CloudServerNode, DatabaseNode, FrontendNode, ModelRelease
+from ..topology import CloudServerNode, DatabaseNode, ModelRelease, ModelStorageNode
 from .common import (
-    CLOUD_STREAM_BASE,
     DB_STREAM,
-    FRONTEND_STREAM,
+    CloudWorldBase,
     DbFetch,
     DbFetchReply,
     DbPutAck,
@@ -45,19 +47,16 @@ from .common import (
     EnrollResponseMsg,
     JobRejected,
     Mitigation,
-    ReleasePayload,
     RuntimeArrival,
     RuntimeCtx,
     RuntimeRequestMsg,
     RuntimeResponseMsg,
     RecognizeJob,
     RecognizeJobDone,
-    ServerUpdateDone,
     SweepStep,
     SyncProbe,
     SyncReply,
     SyncTick,
-    WorldBase,
 )
 
 REJECTED = result_from_score(0.0)
@@ -70,6 +69,12 @@ def partition_groups(server_ids: list[str]) -> tuple[list[str], list[str]]:
     return server_ids[:half], server_ids[half:]
 
 
+def double_initial_version(storage: ModelStorageNode, index: int, servers: int) -> VersionId:
+    """Initial version of server ``index`` in a double-version deployment:
+    the first group of ``partition_groups`` starts on the older one."""
+    return storage.releases[0 if index < (servers + 1) // 2 else 1].version
+
+
 class _RefreshRound:
     __slots__ = ("remaining", "waiters")
 
@@ -78,31 +83,17 @@ class _RefreshRound:
         self.waiters: list[tuple[object, str]] = []
 
 
-class ServerWorldBase(WorldBase):
+class ServerWorldBase(CloudWorldBase):
     _service_reenrolls = False
 
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
-        sc = scenario
         self.db = DatabaseNode()
-        self.db_rng = node_stream(sc.seed, DB_STREAM)
-        server_ids = [f"s{i:02d}" for i in range(sc.cloud_servers)]
-        self.clouds: dict[str, CloudServerNode] = {}
-        self.cloud_rng = {}
-        for i, sid in enumerate(server_ids):
-            self.clouds[sid] = CloudServerNode(
-                sid, self.engine_for(self._initial_version_for(i, sid)), group=0
-            )
-            self.cloud_rng[sid] = node_stream(sc.seed, CLOUD_STREAM_BASE + i)
-        table = None
+        self.db_rng = node_stream(scenario.seed, DB_STREAM)
         if self.cfg.mitigation is Mitigation.SYNC_TABLE:
-            table = {sid: {self.clouds[sid].engine.model} for sid in server_ids}
-        self.frontend = FrontendNode(
-            server_ids,
-            self.cfg.dispatch,
-            node_stream(sc.seed, FRONTEND_STREAM),
-            version_table=table,
-        )
+            self.frontend.version_table = {
+                sid: {server.engine.model} for sid, server in self.clouds.items()
+            }
         self.retain: int | None = 1
         self._inflight = 0
         self._rounds: dict[int, _RefreshRound] = {}
@@ -124,8 +115,6 @@ class ServerWorldBase(WorldBase):
         self.on("enroll-job-done", self._on_db_ack)
         self.on("recognize-job", self._on_recognize_job)
         self.on("recognize-job-done", self._on_recognize_done)
-        self.on("release", self._on_release)
-        self.on("server-update-done", self._on_server_update_done)
         self.on("job-rejected", self._on_job_rejected)
         self.on("sync-tick", self._on_sync_tick)
         self.on("sync-probe", self._on_sync_probe)
@@ -138,9 +127,6 @@ class ServerWorldBase(WorldBase):
             "runtime.fetched": self._runtime_fetched,
             "runtime.put": self._runtime_profiles_put,
         }
-
-    def _initial_version_for(self, index: int, server_id: str) -> VersionId:
-        return self.storage.releases[0].version
 
     # -- generic node handlers
 
@@ -527,22 +513,6 @@ class ServerWorldBase(WorldBase):
     def _on_dispatch_retry(self, target, msg: DispatchRetry):
         self._select_and_dispatch(msg.ctx, msg.flow)
 
-    # -- releases
-
-    def _on_release(self, target, msg: ReleasePayload):
-        release = self.storage.register(
-            msg.version_id, self.sim.now, msg.download_ms, msg.server_update_ms
-        )
-        self.on_release_registered(release)
-
-    def _on_server_update_done(self, target, msg: ServerUpdateDone):
-        server = self.clouds[msg.server_id]
-        server.complete_update()
-        self._after_server_updated(server)
-
-    def _after_server_updated(self, server: CloudServerNode) -> None:
-        raise NotImplementedError
-
     def _maintenance_check(self) -> None:
         pass
 
@@ -557,25 +527,8 @@ class OnlineServerWorld(ServerWorldBase):
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
         self.retain = None if self.cfg.mitigation is Mitigation.MULTI_PROFILE else 1
-        self._update_remaining: set[str] = set()
         if self.cfg.mitigation is Mitigation.SYNC_TABLE:
             self.sim.schedule(self.cfg.sync_table_period_ms, "frontend", SyncTick())
-
-    def _begin_release(self, release: ModelRelease) -> None:
-        engine = self.engine_for(release.version)
-        self._update_remaining = set(self.clouds)
-        for sid in self.frontend.server_ids:
-            duration = release.draw_update_duration(self.cloud_rng[sid])
-            completes = self.sim.now + duration
-            self.clouds[sid].begin_update(engine, completes)
-            self.sim.schedule(
-                completes, f"cloud:{sid}", ServerUpdateDone(server_id=sid, version=release.version)
-            )
-
-    def _after_server_updated(self, server: CloudServerNode) -> None:
-        self._update_remaining.discard(server.server_id)
-        if not self._update_remaining:
-            self.finish_release()
 
 
 class OfflineServerWorld(ServerWorldBase):
@@ -587,8 +540,7 @@ class OfflineServerWorld(ServerWorldBase):
         super().__init__(scenario, sim, storage, log)
         self._outstanding = {sid: 0 for sid in self.clouds}
         self._pending_update: dict[str, ModelRelease] = {}
-        self._update_remaining: set[str] = set()
-        self._bulk_queue: list[str] = []
+        self._bulk_queue: deque[str] = deque()
         self._bulk_active_lanes = 0
         self._bulk_phase = False
         self._conts["bulk.fetched"] = self._bulk_fetched
@@ -615,16 +567,6 @@ class OfflineServerWorld(ServerWorldBase):
             release = self._pending_update.pop(server_id)
             self._start_server_update(server_id, release)
 
-    def _start_server_update(self, server_id: str, release: ModelRelease) -> None:
-        duration = release.draw_update_duration(self.cloud_rng[server_id])
-        completes = self.sim.now + duration
-        self.clouds[server_id].begin_update(self.engine_for(release.version), completes)
-        self.sim.schedule(
-            completes,
-            f"cloud:{server_id}",
-            ServerUpdateDone(server_id=server_id, version=release.version),
-        )
-
     def _begin_release(self, release: ModelRelease) -> None:
         self.log.maintenance_begin(self.sim.now)
         self.frontend.maintenance = True
@@ -636,14 +578,13 @@ class OfflineServerWorld(ServerWorldBase):
                 self._pending_update[sid] = release
 
     def _after_server_updated(self, server: CloudServerNode) -> None:
-        self._update_remaining.discard(server.server_id)
         if not self._update_remaining:
             self._begin_bulk_reenroll()
 
     # bulk re-enrollment
 
     def _begin_bulk_reenroll(self) -> None:
-        self._bulk_queue = self._stale_users()
+        self._bulk_queue = deque(self._stale_users())
         if not self._bulk_queue:
             self._bulk_phase = False
             self._maintenance_check()
@@ -668,14 +609,14 @@ class OfflineServerWorld(ServerWorldBase):
             if self._bulk_active_lanes == 0:
                 leftovers = self._stale_users()
                 if leftovers:
-                    self._bulk_queue = leftovers
+                    self._bulk_queue = deque(leftovers)
                     self._bulk_active_lanes = 1
                     self._bulk_next(0)
                     return
                 self._bulk_phase = False
                 self._maintenance_check()
             return
-        user = self._bulk_queue.pop(0)
+        user = self._bulk_queue.popleft()
         bg = _BulkCtx(user, lane)
         self.send(
             self.sc.latency.frontend_db,
@@ -765,21 +706,16 @@ class DoubleServerWorld(ServerWorldBase):
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
         self.retain = 2
-        ids = self.frontend.server_ids
-        group0, group1 = partition_groups(ids)
-        v0 = self.storage.releases[0].version
-        v1 = self.storage.releases[1].version
-        self.group_members = (group0, group1)
-        self.group_version: dict[int, VersionId] = {0: v0, 1: v1}
-        for sid in group0:
-            self.clouds[sid].engine = self.engine_for(v0)
-            self.clouds[sid].group = 0
-        for sid in group1:
-            self.clouds[sid].engine = self.engine_for(v1)
-            self.clouds[sid].group = 1
-        self._update_remaining: set[str] = set()
+        self.group_members = partition_groups(self.frontend.server_ids)
+        self.group_version: dict[int, VersionId] = {
+            0: self.storage.releases[0].version,
+            1: self.storage.releases[1].version,
+        }
         self._rolling_group: int | None = None
-        self.sweep_pending: set[str] = set()
+        # users awaiting the sweep: a min-heap of ids plus the same ids as a
+        # set, so the sweep visits them in ascending id order, once each
+        self._sweep_heap: list[str] = []
+        self._sweep_queued: set[str] = set()
         self.sweep_active = False
         self._conts["enroll2.done"] = self._enroll_leg_done
         self._conts["enroll2.put"] = self._enroll_leg_put
@@ -788,27 +724,13 @@ class DoubleServerWorld(ServerWorldBase):
         self._conts["sweep.put"] = self._sweep_put
         self.on("sweep-step", self._on_sweep_step)
 
-    # availability helpers
-
-    def _served_versions(self) -> list[VersionId]:
-        versions = {}
-        for sid in self.frontend.server_ids:
-            server = self.clouds[sid]
-            if not server.updating:
-                versions[server.engine.model.seq] = server.engine.model
-        return [versions[seq] for seq in sorted(versions)]
-
-    def _servers_serving(self, version: VersionId) -> list[str]:
-        return [
-            sid
-            for sid in self.frontend.server_ids
-            if not self.clouds[sid].updating and self.clouds[sid].engine.model == version
-        ]
+    def _initial_version_for(self, index: int) -> VersionId:
+        return double_initial_version(self.storage, index, self.sc.cloud_servers)
 
     # enrollment: one leg per served version, oldest first
 
     def _dispatch_enroll(self, ctx: EnrollCtx) -> None:
-        ctx.plan = list(self._served_versions()[-2:])
+        ctx.plan = self.served_versions[-2:]
         self._next_enroll_leg(ctx)
 
     def _next_enroll_leg(self, ctx: EnrollCtx) -> None:
@@ -816,12 +738,12 @@ class DoubleServerWorld(ServerWorldBase):
             if len({p.version.seq for p in ctx.produced}) < 2:
                 # rolled-out version was not available yet; the sweep will
                 # produce the second profile
-                self.sweep_pending.add(ctx.user_id)
+                self._queue_sweep(ctx.user_id)
                 self._kick_sweep()
             self._respond_enroll(ctx, Outcome.OK)
             return
         version = ctx.plan.pop(0)
-        eligible = self._servers_serving(version)
+        eligible = self.servers_serving(version)
         if not eligible:
             # a release started between planning and this leg; the sweep
             # will supply the missing second profile
@@ -851,7 +773,7 @@ class DoubleServerWorld(ServerWorldBase):
     # runtime: version intersection, no inline repair
 
     def _dispatch_runtime(self, ctx: RuntimeCtx) -> None:
-        served = self._served_versions()
+        served = self.served_versions
         served_seqs = {v.seq for v in served}
         common: set[int] | None = None
         for user in ctx.candidate_ids:
@@ -869,7 +791,7 @@ class DoubleServerWorld(ServerWorldBase):
             )
         target = max(usable)
         version = next(v for v in served if v.seq == target)
-        server_id = self.frontend.choose(ctx.user_id, self._servers_serving(version))
+        server_id = self.frontend.choose(ctx.user_id, self.servers_serving(version))
         ctx.pinned_server = server_id
         self.send(
             self.sc.latency.frontend_cloud,
@@ -891,11 +813,11 @@ class DoubleServerWorld(ServerWorldBase):
         return engine.runtime_cost_ms
 
     def _after_runtime_service(self, ctx: RuntimeCtx) -> None:
-        newest_served = self._served_versions()[-1]
+        newest_served = self.served_versions[-1]
         for user in ctx.candidate_ids:
             plist = ctx.profiles.get(user) or []
             if plist and plist[-1].version.seq < newest_served.seq:
-                self.sweep_pending.add(user)
+                self._queue_sweep(user)
         self._kick_sweep()
 
     # release rollout
@@ -903,40 +825,24 @@ class DoubleServerWorld(ServerWorldBase):
     def _begin_release(self, release: ModelRelease) -> None:
         target_group = min(self.group_version, key=lambda g: self.group_version[g].seq)
         self._rolling_group = target_group
-        engine = self.engine_for(release.version)
         members = self.group_members[target_group]
         self._update_remaining = set(members)
         for sid in members:
-            duration = release.draw_update_duration(self.cloud_rng[sid])
-            completes = self.sim.now + duration
-            self.clouds[sid].begin_update(engine, completes)
-            self.sim.schedule(
-                completes, f"cloud:{sid}", ServerUpdateDone(server_id=sid, version=release.version)
-            )
+            self._start_server_update(sid, release)
 
     def _after_server_updated(self, server: CloudServerNode) -> None:
-        self._update_remaining.discard(server.server_id)
         # first finished server makes the new version available: start the
         # profile sweep
-        target = self.active_release.version
-        for user, row in sorted(self.db.rows.items()):
-            if row.profiles and row.profiles[-1].version.seq < target.seq:
-                self.sweep_pending.add(user)
+        self._queue_stale_users()
         self._kick_sweep()
         self._maybe_finish_rollout()
 
     def _maybe_finish_rollout(self) -> None:
         if self.active_release is None or self._rolling_group is None:
             return
-        if self._update_remaining or self.sweep_active or self.sweep_pending:
+        if self._update_remaining or self.sweep_active or self._sweep_heap:
             return
-        stale = [
-            user
-            for user, row in sorted(self.db.rows.items())
-            if row.profiles and row.profiles[-1].version.seq < self.active_release.version.seq
-        ]
-        if stale:
-            self.sweep_pending.update(stale)
+        if self._queue_stale_users():
             self._kick_sweep()
             return
         self.group_version[self._rolling_group] = self.active_release.version
@@ -945,18 +851,33 @@ class DoubleServerWorld(ServerWorldBase):
 
     # background sweep, one user at a time
 
+    def _queue_sweep(self, user: str) -> None:
+        if user not in self._sweep_queued:
+            self._sweep_queued.add(user)
+            heappush(self._sweep_heap, user)
+
+    def _queue_stale_users(self) -> bool:
+        """Queue every stored user whose newest profile predates the active
+        release; True when there was any."""
+        target = self.active_release.version.seq
+        stale = False
+        for user, row in self.db.rows.items():
+            if row.profiles and row.profiles[-1].version.seq < target:
+                self._queue_sweep(user)
+                stale = True
+        return stale
+
     def _kick_sweep(self) -> None:
-        if self.sweep_active or not self.sweep_pending:
+        if self.sweep_active or not self._sweep_heap:
             return
         self.sim.schedule_in(0, "frontend", SweepStep())
         self.sweep_active = True
 
     def _on_sweep_step(self, target, msg: SweepStep):
-        served = self._served_versions()
-        newest = served[-1]
-        while self.sweep_pending:
-            user = min(self.sweep_pending)
-            self.sweep_pending.discard(user)
+        newest = self.served_versions[-1]
+        while self._sweep_heap:
+            user = heappop(self._sweep_heap)
+            self._sweep_queued.discard(user)
             row = self.db.fetch(user)
             if row is None or not row.profiles:
                 continue
@@ -977,7 +898,7 @@ class DoubleServerWorld(ServerWorldBase):
         ctx: _SweepCtx = msg.ctx
         audio = msg.audio.get(ctx.user_id, ())
         profiles = msg.profiles.get(ctx.user_id, [])
-        newest_served = self._served_versions()[-1]
+        newest_served = self.served_versions[-1]
         if not audio or not profiles or profiles[-1].version.seq >= newest_served.seq:
             if not audio and profiles:
                 self.log.no_audio_events += 1
@@ -985,7 +906,7 @@ class DoubleServerWorld(ServerWorldBase):
             return
         ctx.from_version = profiles[-1].version
         # a version reported as served always has a live server behind it
-        server_id = self.frontend.choose(ctx.user_id, self._servers_serving(newest_served))
+        server_id = self.frontend.choose(ctx.user_id, self.servers_serving(newest_served))
         self.send(
             self.sc.latency.frontend_cloud,
             self.frontend.rng,
@@ -1010,7 +931,7 @@ class DoubleServerWorld(ServerWorldBase):
 
     def _sweep_advance(self) -> None:
         self.sweep_active = False
-        if self.sweep_pending:
+        if self._sweep_heap:
             self._kick_sweep()
         else:
             self._maybe_finish_rollout()

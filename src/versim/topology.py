@@ -113,14 +113,13 @@ class CloudServerNode:
     flight the old engine keeps running; the swap happens at the completion
     event."""
 
-    __slots__ = ("server_id", "engine", "updating_until", "pending_engine", "group")
+    __slots__ = ("server_id", "engine", "updating_until", "pending_engine")
 
-    def __init__(self, server_id: str, engine: EngineInstance, group: int = 0):
+    def __init__(self, server_id: str, engine: EngineInstance):
         self.server_id = server_id
         self.engine = engine
         self.updating_until: int | None = None
         self.pending_engine: EngineInstance | None = None
-        self.group = group
 
     @property
     def updating(self) -> bool:

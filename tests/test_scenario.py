@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import versim.cli as cli
 from versim.scenario import (
     Scenario,
     ScenarioParseError,
@@ -249,3 +250,42 @@ def test_load_scenario_round_trip(tmp_path):
     sc = load_scenario(path)
     assert isinstance(sc, Scenario)
     assert sc.releases[0].version_id == "V2"
+
+
+@pytest.mark.parametrize(
+    "data, field_name",
+    [
+        ({"latency": {"device_frontend": 5}}, "latency.device_frontend"),
+        ({"releases": [5]}, "releases[0]"),
+        ({"runtime_arrivals": {"explicit": 3}}, "runtime_arrivals.explicit"),
+        ({"strategy": "SERVER"}, "strategy"),
+        (
+            {"releases": [{"time_ms": 100, "version_id": "V2", "server_update_ms": [True, 5]}]},
+            "releases[0].server_update_ms",
+        ),
+        (
+            {"runtime_arrivals": {"explicit": [{"time_ms": 100, "user_id": ["u000"]}]}},
+            "runtime_arrivals.explicit[0].user_id",
+        ),
+        (
+            {"strategy": {"deployment": "HYBRID", "handshake_period_ms": True}},
+            "strategy.handshake_period_ms",
+        ),
+        (
+            {"strategy": {"mitigation": "SYNC_TABLE", "sync_table_period_ms": True}},
+            "strategy.sync_table_period_ms",
+        ),
+        (
+            {"runtime_arrivals": {"poisson_rate_per_user_per_s": float("inf")}},
+            "runtime_arrivals.poisson_rate_per_user_per_s",
+        ),
+    ],
+)
+def test_wrongly_shaped_field_is_named_and_exits_2(data, field_name, tmp_path, capsys):
+    with pytest.raises(ScenarioValidationError) as err:
+        scenario_from_dict(data)
+    assert str(err.value).startswith(f"{field_name}: ")
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert cli.main(["run", "--scenario", str(path)]) == 2
+    assert f"scenario error: {field_name}: " in capsys.readouterr().err

@@ -5,9 +5,11 @@ link costs and engine work, so the numbers below are computed from the
 scenario, not observed and pasted back.
 """
 
+import pytest
+
 from versim.domain import Outcome
 from versim.metrics import RequestKind
-from versim.runner import run
+from versim.runner import build, run
 from versim.scenario import scenario_from_dict
 
 
@@ -340,3 +342,122 @@ def test_sync_table_rollout_is_bounce_free():
     assert result.report.bounce_count == 0
     assert result.report.mismatch_violations == 0
     assert result.report.availability == 1.0
+
+
+# -- population-sized bookkeeping: owners, sweep order, served-version index
+
+
+def test_users_are_dealt_round_robin_to_devices():
+    users, devices = 1003, 7
+    _, world, _ = build(
+        scenario_from_dict(
+            {
+                "strategy": {"deployment": "DEVICE"},
+                "users": users,
+                "devices": devices,
+                "runtime_arrivals": {"explicit": []},
+            }
+        )
+    )
+    for j in range(devices):
+        device_id = f"d{j:02d}"
+        expected = [f"u{i:03d}" for i in range(users) if i % devices == j]
+        # list order, not id-string order: u993 comes before u1000 on d06
+        assert world.devices[device_id].owner_users == expected
+        assert all(world.user_device[u] == device_id for u in expected)
+    assert len(world.user_device) == users
+
+
+def test_double_sweep_visits_stale_users_in_id_string_order():
+    # Group 0 updates from 0 to 300 ms, so an enrollment dispatched before
+    # 300 ms gets only a V2 profile. Device jitter spreads the enrollments:
+    # the early ones are stale when the sweep starts at 300 ms, and those
+    # that finish after it join the sweep while it runs.
+    result = run(
+        scenario_from_dict(
+            {
+                "strategy": {"policy": "DOUBLE"},
+                "users": 1001,
+                "devices": 13,
+                "cloud_servers": 2,
+                "initial_versions": ["V1", "V2"],
+                "releases": [
+                    {"time_ms": 0, "version_id": "V3", "server_update_ms": [300, 300]}
+                ],
+                "latency": {"device_frontend": {"base_ms": 5, "jitter_ms": 300}},
+                "runtime_arrivals": {"explicit": []},
+                "duration_ms": 6000,
+                "seed": 1,
+            }
+        )
+    )
+    # the sweep handles one user at a time, so re-enrollments log in visit order
+    order = [e.user_id for e in result.reenrolls]
+    assert len(order) > 102
+    assert order == sorted(set(order))
+    at = order.index("u100")
+    assert order[at : at + 3] == ["u100", "u1000", "u101"]
+    first_put = {}
+    for t, user, _seq in result.profile_puts:
+        first_put.setdefault(user, t)
+    # users whose one-profile enrollment landed after the sweep began still
+    # take their id-order place in it
+    assert [u for u in order if first_put[u] > 300]
+
+
+def _served_by_scan(world):
+    """Reference for the served-version index: scan every server."""
+    live = [
+        (sid, world.clouds[sid].engine.model)
+        for sid in world.frontend.server_ids
+        if not world.clouds[sid].updating
+    ]
+    models = {model.seq: model for _, model in live}
+    versions = [models[seq] for seq in sorted(models)]
+    serving = {v.seq: [sid for sid, model in live if model == v] for v in versions}
+    return versions, serving
+
+
+@pytest.mark.parametrize(
+    "strategy, initial",
+    [
+        ({"policy": "DOUBLE"}, ["V1", "V2"]),
+        ({"deployment": "HYBRID", "policy": "DOUBLE", "handshake_period_ms": 600}, ["V1", "V2"]),
+        ({"policy": "SINGLE_OFFLINE"}, ["V1"]),
+        ({"deployment": "HYBRID", "handshake_period_ms": 600}, ["V1"]),
+    ],
+)
+def test_served_index_matches_a_scan_after_every_event(strategy, initial):
+    scenario = scenario_from_dict(
+        {
+            "strategy": strategy,
+            "users": 40,
+            "devices": 10,
+            "cloud_servers": 5,
+            "initial_versions": initial,
+            "releases": [
+                {"time_ms": t, "version_id": f"R{i}", "server_update_ms": [200, 3000]}
+                for i, t in enumerate((2000, 6000, 10000))
+            ],
+            "runtime_arrivals": {"poisson_rate_per_user_per_s": 0.5},
+            "duration_ms": 16000,
+            "seed": 5,
+        }
+    )
+    sim, world, _ = build(scenario)
+    handle = world.handle
+    updates_done = 0
+
+    def handle_and_check(target, payload):
+        nonlocal updates_done
+        handle(target, payload)
+        versions, serving = _served_by_scan(world)
+        assert world.served_versions == versions
+        for release in world.storage.releases:
+            seq = release.version.seq
+            assert world.servers_serving(release.version) == serving.get(seq, [])
+        updates_done += payload.kind == "server-update-done"
+
+    world.handle = handle_and_check
+    sim.run_until(scenario.duration_ms)
+    assert updates_done >= 2 * len(scenario.releases)
