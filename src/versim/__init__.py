@@ -9,10 +9,8 @@ from .domain import (
     AudioSample,
     EmptyAudioError,
     EmptyUserIdError,
-    InconsistentVersionError,
     NoCommonVersionError,
     NoEligibleServerError,
-    Ordering,
     Outcome,
     RecognitionResult,
     SimulationError,
@@ -20,7 +18,6 @@ from .domain import (
     UserProfile,
     VersionId,
     VersionMismatchError,
-    compare_versions,
 )
 from .engine import EngineInstance, fnv1a64, profile_digest
 from .kernel import LatencyModel, SimRng, Simulator, node_stream
@@ -55,13 +52,11 @@ __all__ = [
     "EmptyAudioError",
     "EmptyUserIdError",
     "EngineInstance",
-    "InconsistentVersionError",
     "LatencyModel",
     "LatencyStats",
     "Mitigation",
     "NoCommonVersionError",
     "NoEligibleServerError",
-    "Ordering",
     "Outcome",
     "RecognitionResult",
     "Report",
@@ -80,7 +75,6 @@ __all__ = [
     "UserProfile",
     "VersionId",
     "VersionMismatchError",
-    "compare_versions",
     "fnv1a64",
     "load_scenario",
     "nearest_rank",

@@ -63,13 +63,25 @@ def _write_text(path: str | None, text: str) -> None:
             f.write(text)
 
 
+class _LineWriter:
+    """Trace sink that writes each line to a text file as the run makes it."""
+
+    __slots__ = ("append",)
+
+    def __init__(self, file):
+        write = file.write
+        self.append = lambda line: write(line + "\n")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario, _resolve_seed(args))
-    result = run(scenario, trace=args.trace is not None)
-    if args.trace is not None:
+    if args.trace is None:
+        result = run(scenario)
+    else:
+        # opened only once the scenario is known good, so bad input leaves
+        # an existing trace file alone
         with open(args.trace, "w", encoding="utf-8") as f:
-            for line in result.trace:
-                f.write(line + "\n")
+            result = run(scenario, trace=_LineWriter(f))
     _write_text(args.out, report_to_json(result.report))
     return 0
 

@@ -23,10 +23,6 @@ class EmptyAudioError(SimulationError):
     pass
 
 
-class InconsistentVersionError(SimulationError):
-    """Two version values share a sequence number but not an id."""
-
-
 class VersionMismatchError(SimulationError):
     """Tripwire: recognition was attempted with a profile produced by a
     different model version. A correct strategy never lets this fire."""
@@ -49,12 +45,6 @@ class NoStoredAudioError(SimulationError):
     pass
 
 
-class Ordering(Enum):
-    LT = -1
-    EQ = 0
-    GT = 1
-
-
 class Outcome(Enum):
     OK = "OK"
     MAINTENANCE = "MAINTENANCE"
@@ -68,16 +58,6 @@ class VersionId:
 
     id: str
     seq: int
-
-
-def compare_versions(a: VersionId, b: VersionId) -> Ordering:
-    if a.seq == b.seq:
-        if a.id != b.id:
-            raise InconsistentVersionError(
-                f"versions {a.id!r} and {b.id!r} both claim seq {a.seq}"
-            )
-        return Ordering.EQ
-    return Ordering.LT if a.seq < b.seq else Ordering.GT
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,13 +5,18 @@ Determinism contract: a run is a pure function of (scenario, seed). Time is
 integer milliseconds. Events execute in (time, insertion sequence) order, so
 ties resolve by who scheduled first. Every random draw comes from a named
 SplitMix64 stream, and the trace is a pure function of the executed events.
+
+Trace lines go to a sink as each event executes. ``runner.run(trace=True)``
+passes a list and returns it as ``RunResult.trace``; given any other sink
+(the command line passes one that writes each line to the ``--trace`` file)
+it returns ``RunResult.trace = None``, so no line is kept in memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Protocol
+from typing import Protocol
 
 from .domain import SimulationError
 
@@ -70,57 +75,64 @@ class Payload(Protocol):
     def summary(self) -> str: ...
 
 
+class TraceSink(Protocol):
+    """Where trace lines go: a ``list[str]``, or any object whose
+    ``append`` takes one line (without its newline), such as a writer that
+    puts each line in a file as it arrives."""
+
+    def append(self, line: str) -> None: ...
+
+
 class Simulator:
     """Single event queue over a virtual clock.
 
-    The handler receives (target, payload) for every executed event. When a
-    trace list is supplied, one tab-separated line is appended per executed
-    event before its handler runs.
+    ``handler`` is either a callable taking (target, payload) or an object
+    with a ``handle(target, payload)`` method; it is resolved once at each
+    ``run_until`` entry, so a method patched after construction is honoured.
+    When a trace sink is supplied, one tab-separated line is appended per
+    executed event before its handler runs. If a handler raises, ``current``
+    holds the (time, seq) of that event.
     """
 
-    __slots__ = ("_handler", "_queue", "_seq", "_now", "trace", "current")
+    __slots__ = ("handler", "_queue", "_seq", "now", "trace", "current")
 
-    def __init__(
-        self,
-        handler: Callable[[str, Payload], None],
-        trace: list[str] | None = None,
-    ):
-        self._handler = handler
+    def __init__(self, handler, trace: TraceSink | None = None):
+        self.handler = handler
         self._queue: list[tuple[int, int, str, Payload]] = []
         self._seq = 0
-        self._now = 0
+        self.now = 0
         self.trace = trace
-        # (at, seq) of the event being executed; survives an exception so a
-        # failed run can report where it died.
         self.current: tuple[int, int] | None = None
 
-    @property
-    def now(self) -> int:
-        return self._now
-
     def schedule(self, at: int, target: str, payload: Payload) -> None:
-        if at < self._now:
+        if at < self.now:
             raise ScheduleInPastError(
-                f"event {payload.kind!r} scheduled at {at} but the clock is at {self._now}"
+                f"event {payload.kind!r} scheduled at {at} but the clock is at {self.now}"
             )
         heappush(self._queue, (at, self._seq, target, payload))
         self._seq += 1
 
     def schedule_in(self, delay: int, target: str, payload: Payload) -> None:
-        self.schedule(self._now + delay, target, payload)
+        self.schedule(self.now + delay, target, payload)
 
     def run_until(self, t_end: int) -> None:
         """Execute every event with time <= t_end, then set the clock to
         t_end. Later events stay queued."""
         queue = self._queue
         trace = self.trace
-        while queue and queue[0][0] <= t_end:
-            at, seq, target, payload = heappop(queue)
-            self._now = at
-            self.current = (at, seq)
-            if trace is not None:
-                trace.append(
-                    f"{at}\t{seq}\t{target}\t{payload.kind}\t{payload.summary()}"
-                )
-            self._handler(target, payload)
-        self._now = t_end
+        handle = getattr(self.handler, "handle", self.handler)
+        seq = -1
+        try:
+            while queue and queue[0][0] <= t_end:
+                at, seq, target, payload = heappop(queue)
+                self.now = at
+                if trace is not None:
+                    trace.append(
+                        f"{at}\t{seq}\t{target}\t{payload.kind}\t{payload.summary()}"
+                    )
+                handle(target, payload)
+        except BaseException:
+            if seq >= 0:
+                self.current = (self.now, seq)
+            raise
+        self.now = t_end

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .domain import AudioSample, SimulationError
-from .kernel import Simulator, node_stream
+from .kernel import Simulator, TraceSink, node_stream
 from .metrics import BounceEvent, Report, RequestRecord, summarize
 from .scenario import Scenario
 from .strategies import (
@@ -115,16 +115,21 @@ def _generate_workload(
     return enroll, arrivals
 
 
-def build(scenario: Scenario, trace: bool = False) -> tuple[Simulator, WorldBase, RunLog]:
+def build(
+    scenario: Scenario, trace: bool | TraceSink = False
+) -> tuple[Simulator, WorldBase, RunLog]:
+    """World, simulator and log with the whole workload queued. ``trace`` is
+    as for ``run``: True collects the lines in a fresh list (``sim.trace``),
+    a sink receives them, False traces nothing."""
     storage = ModelStorageNode()
     for version_id in scenario.initial_versions:
         storage.register(version_id, 0, 0, (0, 0))
     log = RunLog()
-    trace_lines: list[str] | None = [] if trace else None
-    world: WorldBase | None = None
-    sim = Simulator(lambda target, payload: world.handle(target, payload), trace=trace_lines)
+    sink: TraceSink | None = [] if trace is True else (None if trace is False else trace)
+    sim = Simulator(None, trace=sink)
     world_cls = _WORLDS[(scenario.strategy.deployment, scenario.strategy.policy)]
     world = world_cls(scenario, sim, storage, log)
+    sim.handler = world
 
     enroll, arrivals = _generate_workload(scenario)
     for user in world.user_ids:
@@ -152,7 +157,16 @@ def build(scenario: Scenario, trace: bool = False) -> tuple[Simulator, WorldBase
     return sim, world, log
 
 
-def run(scenario: Scenario, trace: bool = False) -> RunResult:
+def run(scenario: Scenario, trace: bool | TraceSink = False) -> RunResult:
+    """Simulate ``scenario`` to its horizon and fold the report.
+
+    ``trace`` selects the event trace. False (the default) records none.
+    True collects one line per executed event in a list, returned as
+    ``RunResult.trace``. Any other value is a sink whose ``append`` gets each
+    line as the event executes, so the trace never has to fit in memory; then
+    ``RunResult.trace`` is None. If the run fails, the sink already holds
+    every line up to and including the event that failed.
+    """
     sim, world, log = build(scenario, trace=trace)
     try:
         sim.run_until(scenario.duration_ms)
@@ -172,6 +186,6 @@ def run(scenario: Scenario, trace: bool = False) -> RunResult:
         bounces=log.bounces,
         reenrolls=log.reenrolls,
         profile_puts=log.profile_puts,
-        trace=sim.trace,
+        trace=sim.trace if trace is True else None,
         world=world,
     )

@@ -145,7 +145,6 @@ class EnrollCtx:
     record: bool = True
     background: bool = False
     parent: "RuntimeCtx | None" = None
-    rejected: set[str] = field(default_factory=set)
     refreshed_once: bool = False
 
 
@@ -162,7 +161,6 @@ class RuntimeCtx:
     refreshed: list[UserProfile] = field(default_factory=list)
     reenrolls: int = 0
     pinned_server: str | None = None
-    rejected: set[str] = field(default_factory=set)
     refreshed_once: bool = False
 
 
@@ -595,7 +593,8 @@ class WorldBase:
         payload,
         extra_delay: int = 0,
     ) -> None:
-        self.sim.schedule_in(extra_delay + link.sample(rng), target, payload)
+        sim = self.sim
+        sim.schedule(sim.now + extra_delay + link.sample(rng), target, payload)
 
     def device_target(self, device_id: str) -> str:
         return f"device:{device_id}"

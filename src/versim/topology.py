@@ -181,20 +181,6 @@ class FrontendNode:
                 return candidate
         raise NoEligibleServerError(f"no eligible server for {user_id!r}")
 
-    def dispatch(self, user_id: str, required_version: VersionId | None = None) -> str:
-        """Pick a server for a request. With a version table and a required
-        version, only servers whose table entry contains that version are
-        eligible."""
-        if self.version_table is not None and required_version is not None:
-            eligible = [
-                s
-                for s in self.server_ids
-                if required_version in self.version_table[s]
-            ]
-        else:
-            eligible = self.server_ids
-        return self.choose(user_id, eligible)
-
 
 class DeviceNode:
     """End-user device. Server-side deployments use it only as the request

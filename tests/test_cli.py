@@ -1,12 +1,20 @@
 """Command-line behavior: exit codes, output targets, seed resolution."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 import versim.cli as cli
-from versim.domain import SimulationError
+from versim.domain import SimulationError, VersionMismatchError
+from versim.engine import EngineInstance
+from versim.metrics import report_to_json
 from versim.runner import RunFailedError
+from versim.runner import run as lib_run
+from versim.scenario import load_scenario
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def _write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -132,12 +140,73 @@ def test_list_strategies_covers_the_matrix(capsys):
 
 
 def test_run_report_matches_library_run(tmp_path, capsys):
-    from versim.metrics import report_to_json
-    from versim.runner import run as lib_run
-    from versim.scenario import load_scenario
-
     path = _write_scenario(tmp_path)
     assert cli.main(["run", "--scenario", path]) == 0
     cli_text = capsys.readouterr().out
     lib_text = report_to_json(lib_run(load_scenario(path)).report)
     assert cli_text == lib_text
+
+
+def test_streamed_trace_file_matches_goldens(tmp_path):
+    from test_acceptance import GOLDENS, _golden_scenarios
+
+    for name, data in _golden_scenarios().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        trace = tmp_path / f"{name}.trace.tsv"
+        assert cli.main(
+            ["run", "--scenario", str(path), "--trace", str(trace), "--out", str(tmp_path / "r")]
+        ) == 0
+        assert trace.read_bytes() == (GOLDENS / f"{name}.trace.tsv").read_bytes(), name
+
+
+def test_streamed_trace_file_matches_the_in_memory_trace(tmp_path):
+    files = sorted(SCENARIOS.glob("*.json"))
+    assert files
+    for path in files:
+        trace = tmp_path / f"{path.stem}.trace.tsv"
+        assert cli.main(
+            ["run", "--scenario", str(path), "--trace", str(trace), "--out", str(tmp_path / "r")]
+        ) == 0
+        lines = lib_run(load_scenario(str(path)), trace=True).trace
+        assert trace.read_text(encoding="utf-8") == "\n".join(lines) + "\n", path.name
+        sink: list[str] = []
+        assert lib_run(load_scenario(str(path)), trace=sink).trace is None
+        assert sink == lines
+
+
+def test_tripwire_leaves_the_trace_up_to_the_failing_event(tmp_path, capsys, monkeypatch):
+    path = str(SCENARIOS / "online_random_bounce.json")
+    full = lib_run(load_scenario(path), trace=True).trace
+    original = EngineInstance.recognize
+    calls = 0
+
+    def recognize_then_trip(self, runtime_audio, profiles):
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            raise VersionMismatchError("injected mismatch")
+        return original(self, runtime_audio, profiles)
+
+    monkeypatch.setattr(EngineInstance, "recognize", recognize_then_trip)
+    trace = tmp_path / "trace.tsv"
+    assert cli.main(["run", "--scenario", path, "--trace", str(trace)]) == 1
+    err = capsys.readouterr().err
+    match = re.search(r"t=(\d+)ms, seq=(\d+)", err)
+    assert "injected mismatch" in err and match
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    assert lines[-1].split("\t")[:2] == [match.group(1), match.group(2)]
+    assert lines == full[: len(lines)]
+    assert len(lines) < len(full)
+
+
+def test_bad_scenario_leaves_the_trace_file_alone(tmp_path, capsys):
+    bad = _write_scenario(tmp_path, strategy={"deployment": "DEVICE", "policy": "DOUBLE"})
+    existing = tmp_path / "existing.tsv"
+    existing.write_text("kept\n", encoding="utf-8")
+    absent = tmp_path / "absent.tsv"
+    for trace in (existing, absent):
+        assert cli.main(["run", "--scenario", bad, "--trace", str(trace)]) == 2
+    assert "scenario error" in capsys.readouterr().err
+    assert existing.read_text(encoding="utf-8") == "kept\n"
+    assert not absent.exists()

@@ -1,4 +1,4 @@
-"""Value types: version ordering, result thresholds, request validation."""
+"""Value types: result thresholds, request validation."""
 
 import pytest
 
@@ -7,8 +7,6 @@ from versim.domain import (
     EmptyAudioError,
     EmptyUserIdError,
     EnrollmentRequest,
-    InconsistentVersionError,
-    Ordering,
     Outcome,
     RecognitionResult,
     RuntimeRequest,
@@ -16,32 +14,11 @@ from versim.domain import (
     SimulationError,
     UserProfile,
     VersionId,
-    compare_versions,
     result_from_score,
     validate_enrollment_request,
     validate_runtime_request,
     validate_runtime_response,
 )
-
-
-def test_compare_versions_orders_by_seq():
-    v1 = VersionId("V1", 1)
-    v2 = VersionId("V2", 2)
-    assert compare_versions(v1, v2) is Ordering.LT
-    assert compare_versions(v2, v1) is Ordering.GT
-    assert compare_versions(v1, VersionId("V1", 1)) is Ordering.EQ
-
-
-def test_compare_versions_ignores_id_spelling():
-    # ids are opaque labels; only seq orders
-    a = VersionId("zebra", 1)
-    b = VersionId("aardvark", 2)
-    assert compare_versions(a, b) is Ordering.LT
-
-
-def test_same_seq_different_id_is_corruption():
-    with pytest.raises(InconsistentVersionError):
-        compare_versions(VersionId("V1", 3), VersionId("V2", 3))
 
 
 def test_result_threshold_is_half():

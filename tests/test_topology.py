@@ -155,14 +155,6 @@ def test_choose_with_nothing_eligible_fails():
         fe.choose("u000", [])
 
 
-def test_dispatch_filters_by_version_table():
-    table = {"s00": {V1}, "s01": {V2}, "s02": set()}
-    fe = _frontend(DispatchPolicy.ROUND_ROBIN, table=table)
-    assert fe.dispatch("u000", required_version=V2) == "s01"
-    with pytest.raises(NoEligibleServerError):
-        fe.dispatch("u000", required_version=V3)
-
-
 def test_device_profile_cap_keeps_newest():
     device = DeviceNode("d00", ["u000"], V1)
     device.store_profile(_profile("u000", V1), cap=2)
