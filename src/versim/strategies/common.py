@@ -1,11 +1,19 @@
 """Shared machinery for the strategy controllers: configuration, the message
 vocabulary that travels on the event queue, the run log, and the world base
-class that wires nodes to the simulator.
+classes that wire nodes to the simulator.
 
 A "world" is one deployment wired up: nodes, their rng streams, and the
 handler table that routes every executed event. Request flows are chains of
 messages; each hop is one traced event, and each message carries its flow
 context object so node handlers stay stateless between hops.
+
+``WorldBase`` holds what every world has: devices, engines and handlers.
+``CloudWorldBase`` is the one cloud fleet of the SERVER and HYBRID worlds
+(``server.py``, ``hybrid.py``): the servers and frontend, the served-version
+index, release serialization, the rollout of one server group or of the two
+DOUBLE groups, the ``enroll-job`` and ``recognize-job`` handlers, the DOUBLE
+dispatch and the runtime response path. The worlds add only their request
+flows and what a release does beyond updating servers.
 """
 
 from __future__ import annotations
@@ -14,13 +22,19 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, ClassVar
 
-from ..domain import AudioSample, Outcome, RecognitionResult, UserProfile, VersionId
+from ..domain import (
+    AudioSample,
+    Outcome,
+    RecognitionResult,
+    UserProfile,
+    VersionId,
+    result_from_score,
+)
 from ..engine import EngineInstance
-from ..kernel import LatencyModel, SimRng, Simulator, node_stream
+from ..kernel import SimRng, Simulator, node_stream
 from ..metrics import BounceEvent, RequestKind, RequestRecord
 from ..topology import (
     CloudServerNode,
-    DatabaseNode,
     DeviceNode,
     DispatchPolicy,
     FrontendNode,
@@ -69,6 +83,9 @@ CLOUD_STREAM_BASE = 16
 DEVICE_STREAM_BASE = 4096
 USER_STREAM_BASE = 65536
 
+# the answer for a candidate with no profile: scored without engine work
+REJECTED = result_from_score(0.0)
+
 
 @dataclass(slots=True)
 class ReenrollEvent:
@@ -88,7 +105,6 @@ class RunLog:
         self.bounces: list[BounceEvent] = []
         self.reenrolls: list[ReenrollEvent] = []
         self.profile_puts: list[tuple[int, str, int]] = []
-        self.no_audio_events = 0
         self._maintenance_open: int | None = None
         self._maintenance_total = 0
 
@@ -523,21 +539,13 @@ class SweepStep:
         return "next-user"
 
 
-@dataclass(slots=True)
-class MaintenanceOver:
-    kind: ClassVar[str] = "maintenance-over"
-
-    def summary(self) -> str:
-        return "lifted"
-
-
 # ---------------------------------------------------------------------------
 
 
 class WorldBase:
     """One wired deployment. Subclasses register handlers per message kind
-    and implement the flows; this base owns node construction helpers, engine
-    caching, message sending and request bookkeeping."""
+    and implement the flows; this base owns the devices, engine caching and
+    the handler table."""
 
     def __init__(self, scenario: "Scenario", sim: Simulator, storage: ModelStorageNode, log: RunLog):
         self.sc = scenario
@@ -563,9 +571,6 @@ class WorldBase:
                 self.user_device[u] = device_id
         self.storage_rng = node_stream(scenario.seed, STORAGE_STREAM)
 
-        self.pending_releases: list[ModelRelease] = []
-        self.active_release: ModelRelease | None = None
-
     # -- wiring helpers
 
     def on(self, kind: str, handler: Callable) -> None:
@@ -585,64 +590,75 @@ class WorldBase:
             self._engines[version] = engine
         return engine
 
-    def send(
-        self,
-        link: LatencyModel,
-        rng: SimRng,
-        target: str,
-        payload,
-        extra_delay: int = 0,
-    ) -> None:
-        sim = self.sim
-        sim.schedule(sim.now + extra_delay + link.sample(rng), target, payload)
-
     def device_target(self, device_id: str) -> str:
         return f"device:{device_id}"
 
-    # -- release serialization; subclasses implement _begin_release
-
-    def on_release_registered(self, release: ModelRelease) -> None:
-        if self.active_release is not None:
-            self.pending_releases.append(release)
-            return
-        self.active_release = release
-        self._begin_release(release)
-
-    def finish_release(self) -> None:
-        self.active_release = None
-        if self.pending_releases:
-            nxt = self.pending_releases.pop(0)
-            self.active_release = nxt
-            self._begin_release(nxt)
-
-    def _begin_release(self, release: ModelRelease) -> None:
-        raise NotImplementedError
-
 
 class CloudWorldBase(WorldBase):
-    """A world with a cloud fleet behind the frontend: the servers, their rng
-    streams, the served-version index and the staggered server update. By
-    default a release updates every server at once, each for its own drawn
-    duration, and finishes when the last one is done."""
+    """A world with a cloud fleet behind the frontend; the one fleet that the
+    SERVER and HYBRID deployments share. It owns the servers and their rng
+    streams, the frontend, the served-version index, release serialization,
+    the rollout, the cloud job handlers and the runtime response path.
+
+    Single-version policies run one server group, all on the initial version,
+    and a release updates every server at once, each for its own drawn
+    duration. DOUBLE splits the fleet into two fixed groups that serve two
+    consecutive versions, and a release rolls the group on the older one.
+    Either way a release is done when its last server is, unless the world
+    holds it open (bulk re-enrollment, profile sweep).
+    """
 
     def __init__(self, scenario: "Scenario", sim: Simulator, storage: ModelStorageNode, log: RunLog):
         super().__init__(scenario, sim, storage, log)
         server_ids = [f"s{i:02d}" for i in range(scenario.cloud_servers)]
+        if self.cfg.policy is UpdatePolicy.DOUBLE:
+            # the first group, one larger when the count is odd, starts on the
+            # older initial version
+            half = (len(server_ids) + 1) // 2
+            self.groups = [server_ids[:half], server_ids[half:]]
+        else:
+            self.groups = [server_ids]
         self.clouds: dict[str, CloudServerNode] = {}
-        self.cloud_rng: dict[str, SimRng] = {}
-        for i, sid in enumerate(server_ids):
-            self.clouds[sid] = CloudServerNode(sid, self.engine_for(self._initial_version_for(i)))
-            self.cloud_rng[sid] = node_stream(scenario.seed, CLOUD_STREAM_BASE + i)
+        for g, members in enumerate(self.groups):
+            engine = self.engine_for(storage.releases[g].version)
+            for sid in members:
+                self.clouds[sid] = CloudServerNode(sid, engine)
+        self.cloud_rng: dict[str, SimRng] = {
+            sid: node_stream(scenario.seed, CLOUD_STREAM_BASE + i)
+            for i, sid in enumerate(server_ids)
+        }
         self.frontend = FrontendNode(
             server_ids, self.cfg.dispatch, node_stream(scenario.seed, FRONTEND_STREAM)
         )
+        self.pending_releases: list[ModelRelease] = []
+        self.active_release: ModelRelease | None = None
         self._update_remaining: set[str] = set()
         self._index_served()
         self.on("release", self._on_release)
         self.on("server-update-done", self._on_server_update_done)
+        self.on("enroll-job", self._on_enroll_job)
+        self.on("recognize-job", self._on_recognize_job)
+        self.on("recognize-job-done", self._on_recognize_done)
+        self.on("runtime-response", self._on_runtime_response)
 
-    def _initial_version_for(self, index: int) -> VersionId:
-        return self.storage.releases[0].version
+    # -- one-hop sends: each hop has its link's latency model and draws the
+    # latency from the sending node's stream
+
+    def _device_to_frontend(self, device_id: str, payload) -> None:
+        delay = self.sc.latency.device_frontend.sample(self.device_rng[device_id])
+        self.sim.schedule(self.sim.now + delay, "frontend", payload)
+
+    def _frontend_to_device(self, device_id: str, payload) -> None:
+        delay = self.sc.latency.device_frontend.sample(self.frontend.rng)
+        self.sim.schedule(self.sim.now + delay, self.device_target(device_id), payload)
+
+    def _frontend_to_cloud(self, server_id: str, payload) -> None:
+        delay = self.sc.latency.frontend_cloud.sample(self.frontend.rng)
+        self.sim.schedule(self.sim.now + delay, f"cloud:{server_id}", payload)
+
+    def _cloud_to_frontend(self, server_id: str, payload, extra_delay: int = 0) -> None:
+        delay = self.sc.latency.frontend_cloud.sample(self.cloud_rng[server_id])
+        self.sim.schedule(self.sim.now + extra_delay + delay, "frontend", payload)
 
     # -- served-version index; rebuilt whenever a server begins or completes
     # an update, so readers never scan the fleet
@@ -664,17 +680,30 @@ class CloudWorldBase(WorldBase):
         """Servers not mid-update that run ``version``, in server-id order."""
         return self._serving.get(version.seq, [])
 
-    # -- releases
+    # -- releases, rolled out one at a time in registration order
 
     def _on_release(self, target, msg: ReleasePayload):
         release = self.storage.register(
             msg.version_id, self.sim.now, msg.download_ms, msg.server_update_ms
         )
-        self.on_release_registered(release)
+        if self.active_release is not None:
+            self.pending_releases.append(release)
+            return
+        self.active_release = release
+        self._begin_release(release)
+
+    def finish_release(self) -> None:
+        self.active_release = None
+        if self.pending_releases:
+            self.active_release = self.pending_releases.pop(0)
+            self._begin_release(self.active_release)
 
     def _begin_release(self, release: ModelRelease) -> None:
-        self._update_remaining = set(self.clouds)
-        for sid in self.frontend.server_ids:
+        # releases are serialized, so no server is mid-update here and every
+        # server of a group runs the group's version: roll the older group
+        members = min(self.groups, key=lambda group: self.clouds[group[0]].engine.model.seq)
+        self._update_remaining = set(members)
+        for sid in members:
             self._start_server_update(sid, release)
 
     def _start_server_update(self, server_id: str, release: ModelRelease) -> None:
@@ -689,12 +718,117 @@ class CloudWorldBase(WorldBase):
         )
 
     def _on_server_update_done(self, target, msg: ServerUpdateDone):
-        server = self.clouds[msg.server_id]
-        server.complete_update()
+        self.clouds[msg.server_id].complete_update()
         self._index_served()
         self._update_remaining.discard(msg.server_id)
-        self._after_server_updated(server)
+        self._after_server_updated()
 
-    def _after_server_updated(self, server: CloudServerNode) -> None:
+    def _after_server_updated(self) -> None:
         if not self._update_remaining:
             self.finish_release()
+
+    # -- cloud jobs. Under SYNC_TABLE a server mid-update refuses work, which
+    # tells the frontend that its table entry is stale.
+
+    def _on_enroll_job(self, target, msg: EnrollJob):
+        if self.cfg.mitigation is Mitigation.SYNC_TABLE and self.clouds[msg.server_id].updating:
+            self._cloud_to_frontend(
+                msg.server_id, JobRejected(ctx=msg.ctx, server_id=msg.server_id, flow="enroll")
+            )
+            return
+        engine = self.clouds[msg.server_id].engine
+        profile = engine.enroll(msg.user_id, msg.samples)
+        self._cloud_to_frontend(
+            msg.server_id,
+            EnrollJobDone(ctx=msg.ctx, server_id=msg.server_id, profile=profile, token=msg.token),
+            extra_delay=engine.enroll_duration_ms(len(msg.samples)),
+        )
+
+    def _on_recognize_job(self, target, msg: RecognizeJob):
+        server_id, ctx = msg.server_id, msg.ctx
+        if self.cfg.mitigation is Mitigation.SYNC_TABLE and self.clouds[server_id].updating:
+            self._cloud_to_frontend(
+                server_id, JobRejected(ctx=ctx, server_id=server_id, flow="runtime")
+            )
+            return
+        work = self._service_runtime(self.clouds[server_id].engine, ctx)
+        if work is None:
+            self._cloud_to_frontend(server_id, RetrySignal(ctx=ctx, server_id=server_id))
+            return
+        self._cloud_to_frontend(
+            server_id, RecognizeJobDone(ctx=ctx, server_id=server_id), extra_delay=work
+        )
+
+    def _service_runtime(self, engine: EngineInstance, ctx: RuntimeCtx) -> int | None:
+        """Score the request on ``engine`` with each candidate's profile for
+        the engine's version; returns the compute time. A candidate without
+        such a profile goes through ``_stale_profile``, and None from there
+        sends the request back to the device."""
+        model = engine.model
+        work = 0
+        used: dict[str, UserProfile] = {}
+        for user in ctx.candidate_ids:
+            plist = ctx.profiles.get(user)
+            if not plist:
+                ctx.results[user] = REJECTED
+                continue
+            for profile in plist:
+                if profile.version == model:
+                    break
+            else:
+                repaired = self._stale_profile(engine, ctx, user, plist[-1])
+                if repaired is None:
+                    return None
+                profile, cost = repaired
+                work += cost
+            used[user] = profile
+        if used:
+            work += engine.runtime_cost_ms
+            ctx.results.update(engine.recognize(ctx.sample, used))
+        return work
+
+    def _stale_profile(
+        self, engine: EngineInstance, ctx: RuntimeCtx, user: str, newest: UserProfile
+    ) -> tuple[UserProfile, int] | None:
+        """``user`` holds no profile for ``engine``: return the profile to
+        score and the compute spent getting it, or None to bounce the request.
+        By default the newest profile goes through and the engine's version
+        check is the tripwire; dispatch keeps correct worlds from this."""
+        return newest, 0
+
+    def _dispatch_to_common_version(self, ctx: RuntimeCtx) -> bool:
+        """DOUBLE dispatch: send the request to a live server of the newest
+        served version that every candidate holding profiles has one for.
+        False when no served version qualifies."""
+        common: set[int] | None = None
+        for user in ctx.candidate_ids:
+            plist = ctx.profiles.get(user)
+            if plist:  # a candidate without profiles does not constrain the pick
+                seqs = {p.version.seq for p in plist}
+                common = seqs if common is None else common & seqs
+        assert common is not None
+        usable = [v for v in self.served_versions if v.seq in common]
+        if not usable:
+            return False
+        server_id = self.frontend.choose(ctx.user_id, self.servers_serving(usable[-1]))
+        self._frontend_to_cloud(server_id, RecognizeJob(ctx=ctx, server_id=server_id))
+        return True
+
+    # -- runtime responses
+
+    def _on_recognize_done(self, target, msg: RecognizeJobDone):
+        self._respond_runtime(msg.ctx, Outcome.OK)
+
+    def _respond_runtime(self, ctx: RuntimeCtx, outcome: Outcome) -> None:
+        self._frontend_to_device(ctx.device_id, RuntimeResponseMsg(ctx=ctx, outcome=outcome))
+
+    def _on_runtime_response(self, target, msg: RuntimeResponseMsg):
+        ctx = msg.ctx
+        self.log.record(
+            RequestKind.RUNTIME,
+            ctx.user_id,
+            ctx.submitted,
+            self.sim.now,
+            msg.outcome,
+            reenrollments_in_path=ctx.reenrolls,
+        )

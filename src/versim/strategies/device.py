@@ -10,7 +10,8 @@ every instant a request is served.
 
 from __future__ import annotations
 
-from ..domain import Outcome, RecognitionResult, VersionId
+from ..domain import Outcome, UserProfile, VersionId
+from ..engine import EngineInstance
 from ..metrics import RequestKind
 from ..topology import DeviceNode, ModelRelease
 from .common import (
@@ -69,27 +70,27 @@ class DeviceWorld(WorldBase):
                 RequestKind.RUNTIME, msg.user_id, submitted, self.sim.now, Outcome.OK
             )
             return
-        engine = self.engine_for(dev.local_model)
+        # the task scores with the engine and profile it starts with, even if
+        # the device switches models before it completes
+        task = _Task(msg.user_id, submitted, msg)
+        task.engine = self.engine_for(dev.local_model)
+        task.profile = dev.profiles_for(msg.user_id)[-1]
         self.sim.schedule_in(
-            engine.runtime_cost_ms,
-            target,
-            DeviceTaskDone(task="runtime", ctx=_Task(msg.user_id, submitted, msg)),
+            task.engine.runtime_cost_ms, target, DeviceTaskDone(task="runtime", ctx=task)
         )
 
     def _on_task_done(self, target: str, msg: DeviceTaskDone) -> None:
         dev = self._device(target)
         task: _Task = msg.ctx
-        engine = self.engine_for(dev.local_model)
         if msg.task == "enroll":
-            profile = engine.enroll(task.user_id, task.payload.samples)
+            profile = self.engine_for(dev.local_model).enroll(task.user_id, task.payload.samples)
             dev.store_profile(profile, cap=1)
             self.log.log_put(self.sim.now, task.user_id, profile.version)
             self.log.record(
                 RequestKind.ENROLL, task.user_id, task.submitted, self.sim.now, Outcome.OK
             )
         else:
-            profiles = {task.user_id: dev.profiles_for(task.user_id)[-1]}
-            engine.recognize(task.payload.sample, profiles)
+            task.engine.recognize(task.payload.sample, {task.user_id: task.profile})
             self.log.record(
                 RequestKind.RUNTIME, task.user_id, task.submitted, self.sim.now, Outcome.OK
             )
@@ -102,9 +103,9 @@ class DeviceWorld(WorldBase):
         )
         # push one notification per device; storage draws the link latency
         for device_id in sorted(self.devices):
-            self.send(
-                self.sc.latency.device_storage,
-                self.storage_rng,
+            delay = self.sc.latency.device_storage.sample(self.storage_rng)
+            self.sim.schedule(
+                self.sim.now + delay,
                 self.device_target(device_id),
                 NotifyRelease(version=release.version),
             )
@@ -130,28 +131,21 @@ class DeviceWorld(WorldBase):
     def _on_download_done(self, target: str, msg: DownloadDone) -> None:
         dev = self._device(target)
         dev.local_model = msg.version
-        queue = [u for u in dev.owner_users if u in dev.stored_profiles or u in dev.stored_audio]
-        self._reenroll_queue[dev.device_id] = queue
+        # audio is stored before any profile is made from it, and never removed
+        self._reenroll_queue[dev.device_id] = [u for u in dev.owner_users if u in dev.stored_audio]
         self._next_reenroll(target, dev)
 
     def _next_reenroll(self, target: str, dev: DeviceNode) -> None:
         queue = self._reenroll_queue[dev.device_id]
-        while queue:
-            user = queue[0]
-            if not dev.stored_audio.get(user):
-                # profile is unusable without audio to rebuild it from
-                queue.pop(0)
-                dev.stored_profiles.pop(user, None)
-                self.log.no_audio_events += 1
-                continue
-            engine = self.engine_for(dev.local_model)
-            self.sim.schedule_in(
-                engine.enroll_duration_ms(len(dev.stored_audio[user])),
-                target,
-                DeviceReenrollDone(user_id=user),
-            )
+        if not queue:
+            self._close_update_window(target, dev)
             return
-        self._close_update_window(target, dev)
+        engine = self.engine_for(dev.local_model)
+        self.sim.schedule_in(
+            engine.enroll_duration_ms(len(dev.stored_audio[queue[0]])),
+            target,
+            DeviceReenrollDone(user_id=queue[0]),
+        )
 
     def _on_reenroll_done(self, target: str, msg: DeviceReenrollDone) -> None:
         dev = self._device(target)
@@ -181,9 +175,11 @@ class DeviceWorld(WorldBase):
 
 
 class _Task:
-    __slots__ = ("user_id", "submitted", "payload")
+    __slots__ = ("user_id", "submitted", "payload", "engine", "profile")
 
     def __init__(self, user_id: str, submitted: int, payload):
         self.user_id = user_id
         self.submitted = submitted
         self.payload = payload
+        self.engine: EngineInstance | None = None  # runtime tasks only
+        self.profile: UserProfile | None = None

@@ -1,16 +1,21 @@
-"""Server-side strategy controllers.
+"""Server-side strategy controllers: audio and profiles live in the
+database, engines on the cloud fleet. The fleet itself, its rollout (one
+server group for the single-version policies, two for DOUBLE), the cloud
+job handlers and the runtime response path are ``CloudWorldBase``
+(``common.py``); this module adds the database and the request flows.
 
-Three controllers share one request plumbing. Enrollment stores audio in the
-database, produces the profile on a cloud server and writes it back; runtime
-requests fetch profiles (and audio, so a mismatch can be repaired on the
-engine without extra round trips), dispatch to a server, and return scored
-results. The controllers differ in what a model release does:
+The three controllers share the plumbing of ``ServerWorldBase``. Enrollment
+stores audio in the database, produces the profile on a cloud server and
+writes it back; runtime requests fetch profiles (and audio, so a mismatch
+can be repaired on the engine without extra round trips), dispatch to a
+server, and return scored results. The controllers differ in what a model
+release does:
 
 * SINGLE_OFFLINE freezes the frontend, updates every server, bulk re-enrolls
   every user, then lifts maintenance.
 * SINGLE_ONLINE updates servers in place (staggered) and repairs profiles
   lazily on the request path; mitigations shape the dispatch decision.
-* DOUBLE keeps two versions live in two fixed server groups, rolls the older
+* DOUBLE keeps two versions live in the two server groups, rolls the older
   group, and upgrades profiles in the background, never on the request path.
 """
 
@@ -19,18 +24,13 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 
-from ..domain import (
-    NoCommonVersionError,
-    Outcome,
-    UserProfile,
-    VersionId,
-    result_from_score,
-)
+from ..domain import NoCommonVersionError, Outcome, UserProfile
 from ..kernel import node_stream
 from ..metrics import RequestKind
-from ..topology import CloudServerNode, DatabaseNode, ModelRelease, ModelStorageNode
+from ..topology import DatabaseNode, ModelRelease
 from .common import (
     DB_STREAM,
+    REJECTED,
     CloudWorldBase,
     DbFetch,
     DbFetchReply,
@@ -59,21 +59,6 @@ from .common import (
     SyncTick,
 )
 
-REJECTED = result_from_score(0.0)
-
-
-def partition_groups(server_ids: list[str]) -> tuple[list[str], list[str]]:
-    """Fixed half split for double-version deployments; the first group gets
-    the extra server when the count is odd."""
-    half = (len(server_ids) + 1) // 2
-    return server_ids[:half], server_ids[half:]
-
-
-def double_initial_version(storage: ModelStorageNode, index: int, servers: int) -> VersionId:
-    """Initial version of server ``index`` in a double-version deployment:
-    the first group of ``partition_groups`` starts on the older one."""
-    return storage.releases[0 if index < (servers + 1) // 2 else 1].version
-
 
 class _RefreshRound:
     __slots__ = ("remaining", "waiters")
@@ -84,8 +69,6 @@ class _RefreshRound:
 
 
 class ServerWorldBase(CloudWorldBase):
-    _service_reenrolls = False
-
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
         self.db = DatabaseNode()
@@ -104,17 +87,13 @@ class ServerWorldBase(CloudWorldBase):
         self.on("enroll-request", self._on_enroll_request)
         self.on("runtime-request", self._on_runtime_request)
         self.on("enroll-response", self._on_enroll_response)
-        self.on("runtime-response", self._on_runtime_response)
         self.on("db-store-audio", self._on_db_store_audio)
         self.on("db-store-ack", self._on_db_ack)
         self.on("db-fetch", self._on_db_fetch)
         self.on("db-fetch-reply", self._on_db_ack)
         self.on("db-put-profile", self._on_db_put_profile)
         self.on("db-put-ack", self._on_db_ack)
-        self.on("enroll-job", self._on_enroll_job)
         self.on("enroll-job-done", self._on_db_ack)
-        self.on("recognize-job", self._on_recognize_job)
-        self.on("recognize-job-done", self._on_recognize_done)
         self.on("job-rejected", self._on_job_rejected)
         self.on("sync-tick", self._on_sync_tick)
         self.on("sync-probe", self._on_sync_probe)
@@ -128,16 +107,19 @@ class ServerWorldBase(CloudWorldBase):
             "runtime.put": self._runtime_profiles_put,
         }
 
-    # -- generic node handlers
+    # -- database hops and handlers
+
+    def _frontend_to_db(self, payload) -> None:
+        delay = self.sc.latency.frontend_db.sample(self.frontend.rng)
+        self.sim.schedule(self.sim.now + delay, "db", payload)
+
+    def _db_to_frontend(self, payload) -> None:
+        delay = self.sc.latency.frontend_db.sample(self.db_rng)
+        self.sim.schedule(self.sim.now + delay, "frontend", payload)
 
     def _on_db_store_audio(self, target, msg: DbStoreAudio):
         self.db.store_audio(msg.user_id, msg.samples)
-        self.send(
-            self.sc.latency.frontend_db,
-            self.db_rng,
-            "frontend",
-            DbStoreAudioAck(token=msg.token, ctx=msg.ctx),
-        )
+        self._db_to_frontend(DbStoreAudioAck(token=msg.token, ctx=msg.ctx))
 
     def _on_db_fetch(self, target, msg: DbFetch):
         profiles: dict[str, list[UserProfile]] = {}
@@ -147,46 +129,18 @@ class ServerWorldBase(CloudWorldBase):
             if row is not None:
                 profiles[user] = list(row.profiles)
                 audio[user] = row.audio
-        self.send(
-            self.sc.latency.frontend_db,
-            self.db_rng,
-            "frontend",
-            DbFetchReply(profiles=profiles, audio=audio, token=msg.token, ctx=msg.ctx),
+        self._db_to_frontend(
+            DbFetchReply(profiles=profiles, audio=audio, token=msg.token, ctx=msg.ctx)
         )
 
     def _on_db_put_profile(self, target, msg: DbPutProfile):
         for profile in msg.profiles:
             self.db.put_profile(profile, msg.retain)
             self.log.log_put(self.sim.now, profile.user_id, profile.version)
-        self.send(
-            self.sc.latency.frontend_db,
-            self.db_rng,
-            "frontend",
-            DbPutAck(token=msg.token, ctx=msg.ctx),
-        )
+        self._db_to_frontend(DbPutAck(token=msg.token, ctx=msg.ctx))
 
     def _on_db_ack(self, target, msg):
         self._conts[msg.token](msg)
-
-    def _on_enroll_job(self, target, msg: EnrollJob):
-        server = self.clouds[msg.server_id]
-        if self.cfg.mitigation is Mitigation.SYNC_TABLE and server.updating:
-            self.send(
-                self.sc.latency.frontend_cloud,
-                self.cloud_rng[msg.server_id],
-                "frontend",
-                JobRejected(ctx=msg.ctx, server_id=msg.server_id, flow="enroll"),
-            )
-            return
-        engine = server.engine
-        profile = engine.enroll(msg.user_id, msg.samples)
-        self.send(
-            self.sc.latency.frontend_cloud,
-            self.cloud_rng[msg.server_id],
-            "frontend",
-            EnrollJobDone(ctx=msg.ctx, server_id=msg.server_id, profile=profile, token=msg.token),
-            extra_delay=engine.enroll_duration_ms(len(msg.samples)),
-        )
 
     # -- enrollment flow
 
@@ -198,12 +152,7 @@ class ServerWorldBase(CloudWorldBase):
             submitted=self.sim.now,
             samples=msg.samples,
         )
-        self.send(
-            self.sc.latency.device_frontend,
-            self.device_rng[device_id],
-            "frontend",
-            EnrollRequestMsg(ctx=ctx),
-        )
+        self._device_to_frontend(device_id, EnrollRequestMsg(ctx=ctx))
 
     def _on_enroll_request(self, target, msg: EnrollRequestMsg):
         ctx = msg.ctx
@@ -211,11 +160,8 @@ class ServerWorldBase(CloudWorldBase):
             self._respond_enroll(ctx, Outcome.MAINTENANCE, counted=False)
             return
         self._inflight += 1
-        self.send(
-            self.sc.latency.frontend_db,
-            self.frontend.rng,
-            "db",
-            DbStoreAudio(user_id=ctx.user_id, samples=ctx.samples, token="enroll.stored", ctx=ctx),
+        self._frontend_to_db(
+            DbStoreAudio(user_id=ctx.user_id, samples=ctx.samples, token="enroll.stored", ctx=ctx)
         )
 
     def _enroll_audio_stored(self, msg):
@@ -227,11 +173,8 @@ class ServerWorldBase(CloudWorldBase):
     def _enroll_profile_done(self, msg: EnrollJobDone):
         ctx: EnrollCtx = msg.ctx
         ctx.produced.append(msg.profile)
-        self.send(
-            self.sc.latency.frontend_db,
-            self.frontend.rng,
-            "db",
-            DbPutProfile(profiles=(msg.profile,), retain=self.retain, token="enroll.put", ctx=ctx),
+        self._frontend_to_db(
+            DbPutProfile(profiles=(msg.profile,), retain=self.retain, token="enroll.put", ctx=ctx)
         )
 
     def _enroll_profile_put(self, msg):
@@ -240,12 +183,7 @@ class ServerWorldBase(CloudWorldBase):
     def _respond_enroll(self, ctx: EnrollCtx, outcome: Outcome, counted: bool = True):
         if counted:
             self._inflight -= 1
-        self.send(
-            self.sc.latency.device_frontend,
-            self.frontend.rng,
-            self.device_target(ctx.device_id),
-            EnrollResponseMsg(ctx=ctx, outcome=outcome),
-        )
+        self._frontend_to_device(ctx.device_id, EnrollResponseMsg(ctx=ctx, outcome=outcome))
         self._maintenance_check()
 
     def _on_enroll_response(self, target, msg: EnrollResponseMsg):
@@ -266,12 +204,7 @@ class ServerWorldBase(CloudWorldBase):
             sample=msg.sample,
             candidate_ids=(msg.user_id,),
         )
-        self.send(
-            self.sc.latency.device_frontend,
-            self.device_rng[device_id],
-            "frontend",
-            RuntimeRequestMsg(ctx=ctx),
-        )
+        self._device_to_frontend(device_id, RuntimeRequestMsg(ctx=ctx))
 
     def _on_runtime_request(self, target, msg: RuntimeRequestMsg):
         ctx = msg.ctx
@@ -279,12 +212,7 @@ class ServerWorldBase(CloudWorldBase):
             self._respond_runtime(ctx, Outcome.MAINTENANCE, counted=False)
             return
         self._inflight += 1
-        self.send(
-            self.sc.latency.frontend_db,
-            self.frontend.rng,
-            "db",
-            DbFetch(user_ids=ctx.candidate_ids, token="runtime.fetched", ctx=ctx),
-        )
+        self._frontend_to_db(DbFetch(user_ids=ctx.candidate_ids, token="runtime.fetched", ctx=ctx))
 
     def _runtime_fetched(self, msg: DbFetchReply):
         ctx: RuntimeCtx = msg.ctx
@@ -300,84 +228,19 @@ class ServerWorldBase(CloudWorldBase):
     def _dispatch_runtime(self, ctx: RuntimeCtx) -> None:
         self._select_and_dispatch(ctx, "runtime")
 
-    def _on_recognize_job(self, target, msg: RecognizeJob):
-        server = self.clouds[msg.server_id]
-        ctx = msg.ctx
-        if self.cfg.mitigation is Mitigation.SYNC_TABLE and server.updating:
-            self.send(
-                self.sc.latency.frontend_cloud,
-                self.cloud_rng[msg.server_id],
-                "frontend",
-                JobRejected(ctx=ctx, server_id=msg.server_id, flow="runtime"),
-            )
-            return
-        work = self._service_runtime(server, ctx)
-        self.send(
-            self.sc.latency.frontend_cloud,
-            self.cloud_rng[msg.server_id],
-            "frontend",
-            RecognizeJobDone(ctx=ctx, server_id=msg.server_id),
-            extra_delay=work,
-        )
-
-    def _service_runtime(self, server: CloudServerNode, ctx: RuntimeCtx) -> int:
-        """Run the engine for one runtime request; returns the compute time.
-        Single-version flavors repair mismatched profiles in place when the
-        world allows it; the engine's own version check is the tripwire."""
-        engine = server.engine
-        model = engine.model
-        multi = self.cfg.mitigation is Mitigation.MULTI_PROFILE
-        work = 0
-        used: dict[str, UserProfile] = {}
-        for user in ctx.candidate_ids:
-            plist = ctx.profiles.get(user) or []
-            if not plist:
-                ctx.results[user] = REJECTED
-                continue
-            if multi:
-                match = next((p for p in plist if p.version == model), None)
-            else:
-                match = plist[-1] if plist[-1].version == model else None
-            if match is not None:
-                used[user] = match
-                continue
-            if not self._service_reenrolls:
-                # offline worlds never repair on the request path; feed the
-                # stored profile through and let the tripwire judge it
-                used[user] = plist[-1]
-                continue
-            newest = plist[-1]
-            work += engine.enroll_duration_ms(len(ctx.audio[user]))
-            fresh = engine.enroll(user, ctx.audio[user])
-            self.log.log_reenroll(self.sim.now, user, newest.version, fresh.version)
-            ctx.refreshed.append(fresh)
-            ctx.reenrolls += 1
-            used[user] = fresh
-        if used:
-            work += engine.runtime_cost_ms
-            ctx.results.update(engine.recognize(ctx.sample, used))
-        return work
-
     def _on_recognize_done(self, target, msg: RecognizeJobDone):
         ctx = msg.ctx
-        self._after_runtime_service(ctx)
         if ctx.refreshed:
-            self.send(
-                self.sc.latency.frontend_db,
-                self.frontend.rng,
-                "db",
+            self._frontend_to_db(
                 DbPutProfile(
                     profiles=tuple(ctx.refreshed),
                     retain=self.retain,
                     token="runtime.put",
                     ctx=ctx,
-                ),
+                )
             )
             return
         self._respond_runtime(ctx, Outcome.OK)
-
-    def _after_runtime_service(self, ctx: RuntimeCtx) -> None:
-        pass
 
     def _runtime_profiles_put(self, msg):
         self._respond_runtime(msg.ctx, Outcome.OK)
@@ -385,24 +248,8 @@ class ServerWorldBase(CloudWorldBase):
     def _respond_runtime(self, ctx: RuntimeCtx, outcome: Outcome, counted: bool = True):
         if counted:
             self._inflight -= 1
-        self.send(
-            self.sc.latency.device_frontend,
-            self.frontend.rng,
-            self.device_target(ctx.device_id),
-            RuntimeResponseMsg(ctx=ctx, outcome=outcome),
-        )
+        self._frontend_to_device(ctx.device_id, RuntimeResponseMsg(ctx=ctx, outcome=outcome))
         self._maintenance_check()
-
-    def _on_runtime_response(self, target, msg: RuntimeResponseMsg):
-        ctx = msg.ctx
-        self.log.record(
-            RequestKind.RUNTIME,
-            ctx.user_id,
-            ctx.submitted,
-            self.sim.now,
-            msg.outcome,
-            reenrollments_in_path=ctx.reenrolls,
-        )
 
     # -- dispatch, with the sync-table machinery when enabled
 
@@ -455,14 +302,8 @@ class ServerWorldBase(CloudWorldBase):
                 token="enroll.done",
             )
         else:
-            ctx.pinned_server = server_id
             payload = RecognizeJob(ctx=ctx, server_id=server_id)
-        self.send(
-            self.sc.latency.frontend_cloud,
-            self.frontend.rng,
-            f"cloud:{server_id}",
-            payload,
-        )
+        self._frontend_to_cloud(server_id, payload)
 
     def _on_job_rejected(self, target, msg: JobRejected):
         # the table entry was stale; blank it and force a refresh before any
@@ -479,12 +320,7 @@ class ServerWorldBase(CloudWorldBase):
             rnd.waiters.append(waiter)
         self._rounds[round_id] = rnd
         for sid in self.frontend.server_ids:
-            self.send(
-                self.sc.latency.frontend_cloud,
-                self.frontend.rng,
-                f"cloud:{sid}",
-                SyncProbe(round_id=round_id, server_id=sid),
-            )
+            self._frontend_to_cloud(sid, SyncProbe(round_id=round_id, server_id=sid))
 
     def _on_sync_tick(self, target, msg: SyncTick):
         self._start_refresh(waiter=None)
@@ -493,10 +329,8 @@ class ServerWorldBase(CloudWorldBase):
     def _on_sync_probe(self, target, msg: SyncProbe):
         server = self.clouds[msg.server_id]
         versions = () if server.updating else (server.engine.model,)
-        self.send(
-            self.sc.latency.frontend_cloud,
-            self.cloud_rng[msg.server_id],
-            "frontend",
+        self._cloud_to_frontend(
+            msg.server_id,
             SyncReply(round_id=msg.round_id, server_id=msg.server_id, versions=versions),
         )
 
@@ -522,13 +356,34 @@ class OnlineServerWorld(ServerWorldBase):
     repaired on the request path. Mitigation decides how dispatch avoids (or
     does not avoid) the version skew."""
 
-    _service_reenrolls = True
-
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
         self.retain = None if self.cfg.mitigation is Mitigation.MULTI_PROFILE else 1
         if self.cfg.mitigation is Mitigation.SYNC_TABLE:
             self.sim.schedule(self.cfg.sync_table_period_ms, "frontend", SyncTick())
+
+    def _stale_profile(self, engine, ctx, user, newest):
+        # repair in place from the fetched audio; the new profile is written
+        # back before the response goes out
+        audio = ctx.audio[user]
+        fresh = engine.enroll(user, audio)
+        self.log.log_reenroll(self.sim.now, user, newest.version, fresh.version)
+        ctx.refreshed.append(fresh)
+        ctx.reenrolls += 1
+        return fresh, engine.enroll_duration_ms(len(audio))
+
+
+class _SweepCtx:
+    """One background re-enrollment: a DOUBLE sweep step or an offline bulk
+    lane's current user."""
+
+    __slots__ = ("user_id", "lane", "from_version", "profile")
+
+    def __init__(self, user_id: str, lane: int = 0):
+        self.user_id = user_id
+        self.lane = lane
+        self.from_version = None
+        self.profile = None
 
 
 class OfflineServerWorld(ServerWorldBase):
@@ -564,20 +419,20 @@ class OfflineServerWorld(ServerWorldBase):
     def _job_drained(self, server_id: str) -> None:
         self._outstanding[server_id] -= 1
         if self._outstanding[server_id] == 0 and server_id in self._pending_update:
-            release = self._pending_update.pop(server_id)
-            self._start_server_update(server_id, release)
+            self._start_server_update(server_id, self._pending_update.pop(server_id))
 
     def _begin_release(self, release: ModelRelease) -> None:
         self.log.maintenance_begin(self.sim.now)
         self.frontend.maintenance = True
-        self._update_remaining = set(self.clouds)
-        for sid in self.frontend.server_ids:
-            if self._outstanding[sid] == 0:
-                self._start_server_update(sid, release)
-            else:
-                self._pending_update[sid] = release
+        super()._begin_release(release)
 
-    def _after_server_updated(self, server: CloudServerNode) -> None:
+    def _start_server_update(self, server_id: str, release: ModelRelease) -> None:
+        if self._outstanding[server_id]:
+            self._pending_update[server_id] = release  # starts once drained
+        else:
+            super()._start_server_update(server_id, release)
+
+    def _after_server_updated(self) -> None:
         if not self._update_remaining:
             self._begin_bulk_reenroll()
 
@@ -617,49 +472,38 @@ class OfflineServerWorld(ServerWorldBase):
                 self._maintenance_check()
             return
         user = self._bulk_queue.popleft()
-        bg = _BulkCtx(user, lane)
-        self.send(
-            self.sc.latency.frontend_db,
-            self.frontend.rng,
-            "db",
-            DbFetch(user_ids=(user,), token="bulk.fetched", ctx=bg),
+        self._frontend_to_db(
+            DbFetch(user_ids=(user,), token="bulk.fetched", ctx=_SweepCtx(user, lane))
         )
 
     def _bulk_fetched(self, msg: DbFetchReply):
-        bg: _BulkCtx = msg.ctx
-        audio = msg.audio.get(bg.user_id, ())
-        if not audio:
-            # cannot rebuild this profile; drop it rather than serve a stale one
-            self.log.no_audio_events += 1
-            self.db.fetch(bg.user_id).profiles = []
-            self._bulk_next(bg.lane)
-            return
-        plist = msg.profiles.get(bg.user_id, [])
-        bg.from_version = plist[-1].version if plist else None
+        bg: _SweepCtx = msg.ctx
+        # a queued user holds a profile, and rows never lose audio or profiles
+        bg.from_version = msg.profiles[bg.user_id][-1].version
         server_id = self.frontend.server_ids[bg.lane % len(self.frontend.server_ids)]
         self._outstanding[server_id] += 1
-        self.send(
-            self.sc.latency.frontend_cloud,
-            self.frontend.rng,
-            f"cloud:{server_id}",
-            EnrollJob(ctx=bg, server_id=server_id, user_id=bg.user_id, samples=audio, token="bulk.done"),
+        self._frontend_to_cloud(
+            server_id,
+            EnrollJob(
+                ctx=bg,
+                server_id=server_id,
+                user_id=bg.user_id,
+                samples=msg.audio[bg.user_id],
+                token="bulk.done",
+            ),
         )
 
     def _bulk_enrolled(self, msg: EnrollJobDone):
         self._job_drained(msg.server_id)
-        bg: _BulkCtx = msg.ctx
+        bg: _SweepCtx = msg.ctx
         bg.profile = msg.profile
-        self.send(
-            self.sc.latency.frontend_db,
-            self.frontend.rng,
-            "db",
-            DbPutProfile(profiles=(msg.profile,), retain=self.retain, token="bulk.put", ctx=bg),
+        self._frontend_to_db(
+            DbPutProfile(profiles=(msg.profile,), retain=self.retain, token="bulk.put", ctx=bg)
         )
 
     def _bulk_put(self, msg):
-        bg: _BulkCtx = msg.ctx
-        if bg.from_version is not None:
-            self.log.log_reenroll(self.sim.now, bg.user_id, bg.from_version, bg.profile.version)
+        bg: _SweepCtx = msg.ctx
+        self.log.log_reenroll(self.sim.now, bg.user_id, bg.from_version, bg.profile.version)
         self._bulk_next(bg.lane)
 
     def _maintenance_check(self) -> None:
@@ -678,40 +522,16 @@ class OfflineServerWorld(ServerWorldBase):
         self.finish_release()
 
 
-class _BulkCtx:
-    __slots__ = ("user_id", "lane", "from_version", "profile")
-
-    def __init__(self, user_id: str, lane: int):
-        self.user_id = user_id
-        self.lane = lane
-        self.from_version = None
-        self.profile = None
-
-
-class _SweepCtx:
-    __slots__ = ("user_id", "from_version", "profile")
-
-    def __init__(self, user_id: str):
-        self.user_id = user_id
-        self.from_version = None
-        self.profile = None
-
-
 class DoubleServerWorld(ServerWorldBase):
-    """DOUBLE: two fixed server groups serve two consecutive versions. A
-    release rolls the group with the older version; enrollment produces a
-    profile per served version; runtime picks the newest version common to
-    the candidate and a fully updated server and never re-enrolls inline."""
+    """DOUBLE: the two server groups serve two consecutive versions.
+    Enrollment produces a profile per served version; runtime picks the
+    newest version common to the candidate and a fully updated server and
+    never re-enrolls inline. A release is done once its group is updated and
+    the background sweep has given every stored user a profile for it."""
 
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
         self.retain = 2
-        self.group_members = partition_groups(self.frontend.server_ids)
-        self.group_version: dict[int, VersionId] = {
-            0: self.storage.releases[0].version,
-            1: self.storage.releases[1].version,
-        }
-        self._rolling_group: int | None = None
         # users awaiting the sweep: a min-heap of ids plus the same ids as a
         # set, so the sweep visits them in ascending id order, once each
         self._sweep_heap: list[str] = []
@@ -723,9 +543,6 @@ class DoubleServerWorld(ServerWorldBase):
         self._conts["sweep.done"] = self._sweep_enrolled
         self._conts["sweep.put"] = self._sweep_put
         self.on("sweep-step", self._on_sweep_step)
-
-    def _initial_version_for(self, index: int) -> VersionId:
-        return double_initial_version(self.storage, index, self.sc.cloud_servers)
 
     # enrollment: one leg per served version, oldest first
 
@@ -750,21 +567,22 @@ class DoubleServerWorld(ServerWorldBase):
             self._next_enroll_leg(ctx)
             return
         server_id = self.frontend.choose(ctx.user_id, eligible)
-        self.send(
-            self.sc.latency.frontend_cloud,
-            self.frontend.rng,
-            f"cloud:{server_id}",
-            EnrollJob(ctx=ctx, server_id=server_id, user_id=ctx.user_id, samples=ctx.samples, token="enroll2.done"),
+        self._frontend_to_cloud(
+            server_id,
+            EnrollJob(
+                ctx=ctx,
+                server_id=server_id,
+                user_id=ctx.user_id,
+                samples=ctx.samples,
+                token="enroll2.done",
+            ),
         )
 
     def _enroll_leg_done(self, msg: EnrollJobDone):
         ctx: EnrollCtx = msg.ctx
         ctx.produced.append(msg.profile)
-        self.send(
-            self.sc.latency.frontend_db,
-            self.frontend.rng,
-            "db",
-            DbPutProfile(profiles=(msg.profile,), retain=self.retain, token="enroll2.put", ctx=ctx),
+        self._frontend_to_db(
+            DbPutProfile(profiles=(msg.profile,), retain=self.retain, token="enroll2.put", ctx=ctx)
         )
 
     def _enroll_leg_put(self, msg):
@@ -773,64 +591,25 @@ class DoubleServerWorld(ServerWorldBase):
     # runtime: version intersection, no inline repair
 
     def _dispatch_runtime(self, ctx: RuntimeCtx) -> None:
-        served = self.served_versions
-        served_seqs = {v.seq for v in served}
-        common: set[int] | None = None
-        for user in ctx.candidate_ids:
-            plist = ctx.profiles.get(user) or []
-            if not plist:
-                continue  # answered as rejected; does not constrain the pick
-            seqs = {p.version.seq for p in plist}
-            common = seqs if common is None else common & seqs
-        assert common is not None
-        usable = common & served_seqs
-        if not usable:
+        if not self._dispatch_to_common_version(ctx):
             raise NoCommonVersionError(
                 f"candidates {ctx.candidate_ids} share no served version "
-                f"(served: {[v.id for v in served]})"
+                f"(served: {[v.id for v in self.served_versions]})"
             )
-        target = max(usable)
-        version = next(v for v in served if v.seq == target)
-        server_id = self.frontend.choose(ctx.user_id, self.servers_serving(version))
-        ctx.pinned_server = server_id
-        self.send(
-            self.sc.latency.frontend_cloud,
-            self.frontend.rng,
-            f"cloud:{server_id}",
-            RecognizeJob(ctx=ctx, server_id=server_id),
-        )
 
-    def _service_runtime(self, server: CloudServerNode, ctx: RuntimeCtx) -> int:
-        engine = server.engine
-        used = {}
-        for user in ctx.candidate_ids:
-            plist = ctx.profiles.get(user) or []
-            if not plist:
-                ctx.results[user] = REJECTED
-                continue
-            used[user] = next(p for p in plist if p.version == engine.model)
-        ctx.results.update(engine.recognize(ctx.sample, used))
-        return engine.runtime_cost_ms
-
-    def _after_runtime_service(self, ctx: RuntimeCtx) -> None:
+    def _on_recognize_done(self, target, msg: RecognizeJobDone):
         newest_served = self.served_versions[-1]
-        for user in ctx.candidate_ids:
-            plist = ctx.profiles.get(user) or []
+        for user in msg.ctx.candidate_ids:
+            plist = msg.ctx.profiles.get(user) or []
             if plist and plist[-1].version.seq < newest_served.seq:
                 self._queue_sweep(user)
         self._kick_sweep()
+        super()._on_recognize_done(target, msg)
 
-    # release rollout
+    # release rollout: the base rolls the older group; the release stays open
+    # until the sweep is done
 
-    def _begin_release(self, release: ModelRelease) -> None:
-        target_group = min(self.group_version, key=lambda g: self.group_version[g].seq)
-        self._rolling_group = target_group
-        members = self.group_members[target_group]
-        self._update_remaining = set(members)
-        for sid in members:
-            self._start_server_update(sid, release)
-
-    def _after_server_updated(self, server: CloudServerNode) -> None:
+    def _after_server_updated(self) -> None:
         # first finished server makes the new version available: start the
         # profile sweep
         self._queue_stale_users()
@@ -838,15 +617,13 @@ class DoubleServerWorld(ServerWorldBase):
         self._maybe_finish_rollout()
 
     def _maybe_finish_rollout(self) -> None:
-        if self.active_release is None or self._rolling_group is None:
+        if self.active_release is None:
             return
         if self._update_remaining or self.sweep_active or self._sweep_heap:
             return
         if self._queue_stale_users():
             self._kick_sweep()
             return
-        self.group_version[self._rolling_group] = self.active_release.version
-        self._rolling_group = None
         self.finish_release()
 
     # background sweep, one user at a time
@@ -883,12 +660,8 @@ class DoubleServerWorld(ServerWorldBase):
                 continue
             if row.profiles[-1].version.seq >= newest.seq:
                 continue
-            ctx = _SweepCtx(user)
-            self.send(
-                self.sc.latency.frontend_db,
-                self.frontend.rng,
-                "db",
-                DbFetch(user_ids=(user,), token="sweep.fetched", ctx=ctx),
+            self._frontend_to_db(
+                DbFetch(user_ids=(user,), token="sweep.fetched", ctx=_SweepCtx(user))
             )
             return
         self.sweep_active = False
@@ -896,32 +669,31 @@ class DoubleServerWorld(ServerWorldBase):
 
     def _sweep_fetched(self, msg: DbFetchReply):
         ctx: _SweepCtx = msg.ctx
-        audio = msg.audio.get(ctx.user_id, ())
-        profiles = msg.profiles.get(ctx.user_id, [])
+        # the step saw a stored profile, and rows never lose audio or profiles
+        profiles = msg.profiles[ctx.user_id]
         newest_served = self.served_versions[-1]
-        if not audio or not profiles or profiles[-1].version.seq >= newest_served.seq:
-            if not audio and profiles:
-                self.log.no_audio_events += 1
+        if profiles[-1].version.seq >= newest_served.seq:
             self._sweep_advance()
             return
         ctx.from_version = profiles[-1].version
         # a version reported as served always has a live server behind it
         server_id = self.frontend.choose(ctx.user_id, self.servers_serving(newest_served))
-        self.send(
-            self.sc.latency.frontend_cloud,
-            self.frontend.rng,
-            f"cloud:{server_id}",
-            EnrollJob(ctx=ctx, server_id=server_id, user_id=ctx.user_id, samples=audio, token="sweep.done"),
+        self._frontend_to_cloud(
+            server_id,
+            EnrollJob(
+                ctx=ctx,
+                server_id=server_id,
+                user_id=ctx.user_id,
+                samples=msg.audio[ctx.user_id],
+                token="sweep.done",
+            ),
         )
 
     def _sweep_enrolled(self, msg: EnrollJobDone):
         ctx: _SweepCtx = msg.ctx
         ctx.profile = msg.profile
-        self.send(
-            self.sc.latency.frontend_db,
-            self.frontend.rng,
-            "db",
-            DbPutProfile(profiles=(msg.profile,), retain=self.retain, token="sweep.put", ctx=ctx),
+        self._frontend_to_db(
+            DbPutProfile(profiles=(msg.profile,), retain=self.retain, token="sweep.put", ctx=ctx)
         )
 
     def _sweep_put(self, msg):

@@ -146,12 +146,11 @@ class FrontendNode:
         server_ids: list[str],
         policy: DispatchPolicy,
         rng: SimRng,
-        version_table: dict[str, set[VersionId]] | None = None,
     ):
         self.server_ids = list(server_ids)
         self.policy = policy
         self.rng = rng
-        self.version_table = version_table
+        self.version_table: dict[str, set[VersionId]] | None = None
         self.maintenance = False
         self._rr_cursor = 0
 

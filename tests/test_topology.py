@@ -106,8 +106,8 @@ def test_server_keeps_old_engine_until_update_completes():
     assert server.engine.model == V2
 
 
-def _frontend(policy, table=None):
-    return FrontendNode(["s00", "s01", "s02"], policy, SimRng(1), version_table=table)
+def _frontend(policy):
+    return FrontendNode(["s00", "s01", "s02"], policy, SimRng(1))
 
 
 def test_round_robin_cycles_in_id_order():
