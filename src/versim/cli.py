@@ -7,7 +7,9 @@ Subcommands:
 * ``compare``: run several scenarios and print a summary table.
 * ``list-strategies``: show the supported strategy combinations.
 
-Exit codes: 0 success, 1 a run died on a correctness tripwire, 2 bad input.
+Exit codes: 0 success, 1 a run died on a correctness tripwire, 2 bad input
+(including a scenario path that cannot be read or an output path that cannot
+be written).
 """
 
 from __future__ import annotations
@@ -36,8 +38,35 @@ HYBRID      SINGLE_ONLINE   - (optional handshake)
 HYBRID      DOUBLE          - (optional handshake)"""
 
 
+class _PathError(Exception):
+    """A scenario path that cannot be read or an output path that cannot be
+    written; the message names the path."""
+
+
+def _reason(exc: OSError) -> str:
+    if isinstance(exc, FileNotFoundError):
+        return "not found"
+    return (exc.strerror or type(exc).__name__).lower()
+
+
+def _read_scenario(path: str) -> Scenario:
+    try:
+        return load_scenario(path)
+    except OSError as exc:
+        raise _PathError(f"cannot read {path}: {_reason(exc)}") from exc
+
+
+def _open_output(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise _PathError(f"cannot write {path}: no such directory") from exc
+    except OSError as exc:
+        raise _PathError(f"cannot write {path}: {_reason(exc)}") from exc
+
+
 def _load(path: str, seed_override: int | None) -> Scenario:
-    scenario = load_scenario(path)
+    scenario = _read_scenario(path)
     if seed_override is not None:
         scenario = replace(scenario, seed=seed_override)
     return scenario
@@ -59,7 +88,7 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as f:
+        with _open_output(path) as f:
             f.write(text)
 
 
@@ -80,14 +109,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         # opened only once the scenario is known good, so bad input leaves
         # an existing trace file alone
-        with open(args.trace, "w", encoding="utf-8") as f:
+        with _open_output(args.trace) as f:
             result = run(scenario, trace=_LineWriter(f))
     _write_text(args.out, report_to_json(result.report))
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario = _read_scenario(args.scenario)
     cfg = scenario.strategy
     parts = [cfg.deployment.value, cfg.policy.value]
     if cfg.mitigation.value != "NONE":
@@ -109,11 +138,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         try:
             scenario = _load(path, seed)
             result = run(scenario)
-        except (ScenarioParseError, ScenarioValidationError, OSError) as exc:
-            rows.append({"scenario": name, "error": str(exc)})
-            failed = True
-            continue
-        except RunFailedError as exc:
+        except (ScenarioParseError, ScenarioValidationError, _PathError, RunFailedError) as exc:
             rows.append({"scenario": name, "error": str(exc)})
             failed = True
             continue
@@ -193,8 +218,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioParseError, ScenarioValidationError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}: not found", file=sys.stderr)
+    except _PathError as exc:
+        print(exc, file=sys.stderr)
         return 2
     except RunFailedError as exc:
         print(f"run failed: {exc}", file=sys.stderr)

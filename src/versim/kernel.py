@@ -6,6 +6,20 @@ integer milliseconds. Events execute in (time, insertion sequence) order, so
 ties resolve by who scheduled first. Every random draw comes from a named
 SplitMix64 stream, and the trace is a pure function of the executed events.
 
+The queue has two parts. When ``Simulator.run_until`` starts with nothing
+left of an earlier run, every event already queued (the workload, releases,
+world-init ticks) is sorted once into a run that is consumed from its end;
+events scheduled after that go on a heap, which holds only what is in
+flight. Each step executes the smaller (time, seq) head of the two. Every
+event in the run was scheduled before every event on the heap, so a tie in
+time goes to the run, and the order is the one a single heap would give.
+
+A draw taken modulo 1 (``SimRng.randrange(1)``: a latency sample without
+jitter, an update duration with ``lo == hi``, a random pick among one
+server) has only one possible value, so it advances the stream by one
+SplitMix64 step and skips the output mix. The stream position afterwards is
+the same as after ``next_u64``.
+
 Trace lines go to a sink as each event executes. ``runner.run(trace=True)``
 passes a list and returns it as ``RunResult.trace``; given any other sink
 (the command line passes one that writes each line to the ``--trace`` file)
@@ -45,6 +59,11 @@ class SimRng:
         return z ^ (z >> 31)
 
     def randrange(self, n: int) -> int:
+        """Uniform in [0, n), one stream step. For n == 1 the value is fixed,
+        so the state steps without the mix."""
+        if n == 1:
+            self._state = (self._state + _GOLDEN) & _MASK64
+            return 0
         return self.next_u64() % n
 
     def uniform(self) -> float:
@@ -66,7 +85,7 @@ class LatencyModel:
     jitter_ms: int
 
     def sample(self, rng: SimRng) -> int:
-        return self.base_ms + rng.next_u64() % (self.jitter_ms + 1)
+        return self.base_ms + rng.randrange(self.jitter_ms + 1)
 
 
 class Payload(Protocol):
@@ -84,7 +103,11 @@ class TraceSink(Protocol):
 
 
 class Simulator:
-    """Single event queue over a virtual clock.
+    """Event queue over a virtual clock: a sorted run of the events queued
+    before ``run_until`` started, and a heap of those scheduled since (see
+    the module docstring). A leftover run is kept across ``run_until`` calls
+    and only refilled once it is empty, so stepping the clock does not
+    re-sort.
 
     ``handler`` is either a callable taking (target, payload) or an object
     with a ``handle(target, payload)`` method; it is resolved once at each
@@ -94,11 +117,14 @@ class Simulator:
     holds the (time, seq) of that event.
     """
 
-    __slots__ = ("handler", "_queue", "_seq", "now", "trace", "current")
+    __slots__ = ("handler", "_queue", "_run", "_seq", "now", "trace", "current")
 
     def __init__(self, handler, trace: TraceSink | None = None):
         self.handler = handler
+        # heap of scheduled events; every event in _run (sorted, descending)
+        # has a lower seq than every event here
         self._queue: list[tuple[int, int, str, Payload]] = []
+        self._run: list[tuple[int, int, str, Payload]] = []
         self._seq = 0
         self.now = 0
         self.trace = trace
@@ -118,13 +144,28 @@ class Simulator:
     def run_until(self, t_end: int) -> None:
         """Execute every event with time <= t_end, then set the clock to
         t_end. Later events stay queued."""
-        queue = self._queue
+        heap = self._queue
+        run = self._run
+        if heap and not run:
+            heap.sort(reverse=True)
+            run = self._run = heap
+            heap = self._queue = []
         trace = self.trace
         handle = getattr(self.handler, "handle", self.handler)
+        # heap events before ``cut`` run first: the run's head time, or
+        # t_end + 1 once the run is empty or past t_end; ties go to the run
+        stop = t_end + 1
+        cut = run[-1][0] if run and run[-1][0] < stop else stop
         seq = -1
         try:
-            while queue and queue[0][0] <= t_end:
-                at, seq, target, payload = heappop(queue)
+            while True:
+                if heap and heap[0][0] < cut:
+                    at, seq, target, payload = heappop(heap)
+                elif cut < stop:
+                    at, seq, target, payload = run.pop()
+                    cut = run[-1][0] if run and run[-1][0] < stop else stop
+                else:
+                    break
                 self.now = at
                 if trace is not None:
                     trace.append(

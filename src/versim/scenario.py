@@ -331,7 +331,10 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ScenarioParseError(f"{path}: not UTF-8 text (byte {err.start})") from err
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:

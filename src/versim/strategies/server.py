@@ -13,8 +13,11 @@ release does:
 
 * SINGLE_OFFLINE freezes the frontend, updates every server, bulk re-enrolls
   every user, then lifts maintenance.
-* SINGLE_ONLINE updates servers in place (staggered) and repairs profiles
-  lazily on the request path; mitigations shape the dispatch decision.
+* SINGLE_ONLINE updates servers in place: every server begins its update when
+  the release starts and swaps after its own drawn duration, serving on the
+  old engine meanwhile (refusing jobs under SYNC_TABLE). Profiles are
+  repaired lazily on the request path; mitigations shape the dispatch
+  decision.
 * DOUBLE keeps two versions live in the two server groups, rolls the older
   group, and upgrades profiles in the background, never on the request path.
 """

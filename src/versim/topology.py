@@ -37,7 +37,7 @@ class ModelRelease:
 
     def draw_update_duration(self, rng: SimRng) -> int:
         lo, hi = self.server_update_ms
-        return lo + rng.next_u64() % (hi - lo + 1)
+        return lo + rng.randrange(hi - lo + 1)
 
 
 class ModelStorageNode:

@@ -94,9 +94,32 @@ def test_validate_rejects_bad_strategy(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
-def test_missing_file_is_exit_2(capsys):
-    assert cli.main(["run", "--scenario", "/no/such/file.json"]) == 2
-    assert "not found" in capsys.readouterr().err
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"seed": 1, "note": "caf\xe9"}')
+    return str(path)
+
+
+def test_missing_file_is_exit_2(tmp_path, capsys):
+    good = _write_scenario(tmp_path)
+    folder = str(tmp_path)
+    latin1 = _not_utf8(tmp_path)
+    nowhere = str(tmp_path / "no-such-dir" / "file")
+    cases = [
+        (["run", "--scenario", "/no/such/file.json"], "cannot read /no/such/file.json: not found"),
+        (["run", "--scenario", folder], f"cannot read {folder}: is a directory"),
+        (["validate", "--scenario", folder], f"cannot read {folder}: is a directory"),
+        (["run", "--scenario", latin1], f"{latin1}: not UTF-8 text"),
+        (["validate", "--scenario", latin1], f"{latin1}: not UTF-8 text"),
+        (["run", "--scenario", good, "--trace", folder], f"cannot write {folder}: is a directory"),
+        (["run", "--scenario", good, "--out", folder], f"cannot write {folder}: is a directory"),
+        (["run", "--scenario", good, "--trace", nowhere], f"cannot write {nowhere}: no such directory"),
+        (["run", "--scenario", good, "--out", nowhere], f"cannot write {nowhere}: no such directory"),
+        (["compare", good, "--out", folder], f"cannot write {folder}: is a directory"),
+    ]
+    for argv, message in cases:
+        assert cli.main(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_tripwire_death_is_exit_1(tmp_path, capsys, monkeypatch):
@@ -127,9 +150,14 @@ def test_compare_keeps_going_past_bad_files(tmp_path, capsys):
     good = _write_scenario(tmp_path, "good.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")
-    assert cli.main(["compare", good, str(bad)]) == 1
+    folder = tmp_path / "folder.json"
+    folder.mkdir()
+    latin1 = _not_utf8(tmp_path)
+    assert cli.main(["compare", good, str(bad), str(folder), latin1]) == 1
     table = capsys.readouterr().out
-    assert "good.json" in table and "error:" in table
+    assert "good.json" in table
+    for name in ("bad.json", "folder.json", "latin1.json"):
+        assert f"{name:<28} error:" in table
 
 
 def test_list_strategies_covers_the_matrix(capsys):
@@ -201,12 +229,20 @@ def test_tripwire_leaves_the_trace_up_to_the_failing_event(tmp_path, capsys, mon
 
 
 def test_bad_scenario_leaves_the_trace_file_alone(tmp_path, capsys):
-    bad = _write_scenario(tmp_path, strategy={"deployment": "DEVICE", "policy": "DOUBLE"})
+    invalid = _write_scenario(tmp_path, strategy={"deployment": "DEVICE", "policy": "DOUBLE"})
+    folder = tmp_path / "folder"
+    folder.mkdir()
     existing = tmp_path / "existing.tsv"
     existing.write_text("kept\n", encoding="utf-8")
     absent = tmp_path / "absent.tsv"
-    for trace in (existing, absent):
-        assert cli.main(["run", "--scenario", bad, "--trace", str(trace)]) == 2
-    assert "scenario error" in capsys.readouterr().err
-    assert existing.read_text(encoding="utf-8") == "kept\n"
-    assert not absent.exists()
+    for bad, message in (
+        (invalid, "scenario error"),
+        (str(folder), "cannot read"),
+        (_not_utf8(tmp_path), "not UTF-8 text"),
+        (str(tmp_path / "missing.json"), "not found"),
+    ):
+        for trace in (existing, absent):
+            assert cli.main(["run", "--scenario", bad, "--trace", str(trace)]) == 2
+            assert message in capsys.readouterr().err
+        assert existing.read_text(encoding="utf-8") == "kept\n"
+        assert not absent.exists()

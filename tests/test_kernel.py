@@ -1,10 +1,14 @@
 """Event queue and randomness: the determinism substrate."""
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import ClassVar
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from versim.domain import VersionId
 from versim.kernel import (
     LatencyModel,
     ScheduleInPastError,
@@ -12,6 +16,7 @@ from versim.kernel import (
     Simulator,
     node_stream,
 )
+from versim.topology import DispatchPolicy, FrontendNode, ModelRelease
 
 
 @dataclass(slots=True)
@@ -47,14 +52,46 @@ def test_node_stream_is_seed_xor_index():
     assert [a.next_u64() for _ in range(4)] == [b.next_u64() for _ in range(4)]
 
 
+def _release(lo: int, hi: int) -> ModelRelease:
+    return ModelRelease(VersionId("V2", 2), 0, 0, (lo, hi))
+
+
+def _frontend(rng: SimRng) -> FrontendNode:
+    return FrontendNode(["s00", "s01", "s02"], DispatchPolicy.RANDOM, rng)
+
+
+# (draw, the same value computed from one next_u64 of an equal stream)
+_ONE_DRAW = [
+    (lambda rng: rng.randrange(7), lambda rng: rng.next_u64() % 7),
+    (lambda rng: rng.randrange(1), lambda rng: rng.next_u64() % 1),
+    (lambda rng: rng.uniform(), lambda rng: (rng.next_u64() >> 11) * 2.0**-53),
+    (
+        lambda rng: _release(200, 3000).draw_update_duration(rng),
+        lambda rng: 200 + rng.next_u64() % 2801,
+    ),
+    (
+        lambda rng: _release(400, 400).draw_update_duration(rng),
+        lambda rng: 400 + rng.next_u64() % 1,
+    ),
+    (
+        lambda rng: _frontend(rng).choose("u000", ["s00", "s01", "s02"]),
+        lambda rng: ["s00", "s01", "s02"][rng.next_u64() % 3],
+    ),
+    (
+        lambda rng: _frontend(rng).choose("u000", ["s01"]),
+        lambda rng: ["s01"][rng.next_u64() % 1],
+    ),
+]
+
+
 def test_randrange_and_uniform_consume_one_draw_each():
-    a = SimRng(42)
-    b = SimRng(42)
-    a.randrange(7)
-    a.uniform()
-    b.next_u64()
-    b.next_u64()
-    assert a.next_u64() == b.next_u64()
+    for draw, reference in _ONE_DRAW:
+        for seed in (0, 42, 2**64 - 1):
+            a = SimRng(seed)
+            b = SimRng(seed)
+            for _ in range(3):
+                assert draw(a) == reference(b)
+            assert a.next_u64() == b.next_u64()
 
 
 def test_uniform_range():
@@ -66,12 +103,13 @@ def test_uniform_range():
 
 def test_latency_sample_always_consumes_one_draw():
     # zero jitter must not change the stream position
-    flat = LatencyModel(base_ms=5, jitter_ms=0)
-    a = SimRng(7)
-    b = SimRng(7)
-    assert flat.sample(a) == 5
-    b.next_u64()
-    assert a.next_u64() == b.next_u64()
+    for jitter_ms in (0, 1, 3):
+        link = LatencyModel(base_ms=5, jitter_ms=jitter_ms)
+        a = SimRng(7)
+        b = SimRng(7)
+        for _ in range(3):
+            assert link.sample(a) == 5 + b.next_u64() % (jitter_ms + 1)
+        assert a.next_u64() == b.next_u64()
 
 
 def test_latency_jitter_bounds():
@@ -163,3 +201,95 @@ def test_identical_seeds_produce_identical_streams():
         a = SimRng(seed)
         b = SimRng(seed)
         assert [a.next_u64() for _ in range(50)] == [b.next_u64() for _ in range(50)]
+
+
+class _HeapSim:
+    """Reference queue: one heap of (time, seq) for every event."""
+
+    def __init__(self, handler, trace):
+        self.handler = handler
+        self.trace = trace
+        self.queue = []
+        self.seq = 0
+        self.now = 0
+        self.current = None
+
+    def schedule(self, at, target, payload):
+        if at < self.now:
+            raise ScheduleInPastError(f"{at} < {self.now}")
+        heappush(self.queue, (at, self.seq, target, payload))
+        self.seq += 1
+
+    def schedule_in(self, delay, target, payload):
+        self.schedule(self.now + delay, target, payload)
+
+    def run_until(self, t_end):
+        while self.queue and self.queue[0][0] <= t_end:
+            at, seq, target, payload = heappop(self.queue)
+            self.now = at
+            self.trace.append(f"{at}\t{seq}\t{target}\t{payload.kind}\t{payload.summary()}")
+            try:
+                self.handler(target, payload)
+            except BaseException:
+                self.current = (at, seq)
+                raise
+        self.now = t_end
+
+
+def _drive(make_sim, pre, followups, steps, boom):
+    """Run one schedule on a queue built by ``make_sim`` and return what was
+    observed: every trace line, handler call, clock and ``current`` value."""
+    trace = []
+    seen = []
+    made = [0]
+
+    def handler(target, payload):
+        seen.append((sim.now, payload.label))
+        label = int(payload.label)
+        for delay in followups[label] if label < len(followups) else ():
+            sim.schedule_in(delay, "n", Ping(str(made[0])))
+            made[0] += 1
+        if label == boom:
+            raise RuntimeError("boom")
+
+    sim = make_sim(handler, trace)
+    for at in pre:
+        sim.schedule(at, "n", Ping(str(made[0])))
+        made[0] += 1
+    for horizon, between in steps:
+        try:
+            sim.run_until(horizon)
+        except RuntimeError:
+            seen.append(("raised", sim.current))
+        seen.append(("clock", sim.now))
+        for delay in between:
+            sim.schedule_in(delay, "n", Ping(str(made[0])))
+            made[0] += 1
+    return trace, seen
+
+
+_delays = st.integers(min_value=0, max_value=15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pre=st.lists(st.integers(min_value=0, max_value=60), max_size=30),
+    followups=st.lists(st.lists(_delays, max_size=3), max_size=60),
+    steps=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=40), st.lists(_delays, max_size=3)),
+        min_size=1,
+        max_size=6,
+    ),
+    boom=st.none() | st.integers(min_value=0, max_value=60),
+)
+def test_two_part_queue_runs_the_single_heap_order(pre, followups, steps, boom):
+    # horizons climb by the drawn increments; in-run follow-ups with delay 0
+    # tie with preloaded events at the same time, and a raise part way leaves
+    # the rest queued for the next call
+    clock = 0
+    climbing = []
+    for step, between in steps:
+        clock += step
+        climbing.append((clock, between))
+    expected = _drive(_HeapSim, pre, followups, climbing, boom)
+    assert _drive(Simulator, pre, followups, climbing, boom) == expected
