@@ -175,30 +175,41 @@ def test_offline_swap_rejects_during_maintenance():
 
 def test_offline_window_length_is_update_plus_serial_reenrolls():
     zero = {"base_ms": 0, "jitter_ms": 0}
-    result = run(
-        scenario_from_dict(
-            {
-                "strategy": {"policy": "SINGLE_OFFLINE"},
-                "users": 10,
-                "devices": 2,
-                "cloud_servers": 1,
-                "latency": {
-                    "device_frontend": zero,
-                    "device_storage": zero,
-                    "frontend_cloud": zero,
-                    "frontend_db": zero,
-                },
-                "releases": [
-                    {"time_ms": 2000, "version_id": "V2", "server_update_ms": [200, 200]}
-                ],
-                "runtime_arrivals": _arrivals({"u000": [1000]}),
-                "duration_ms": 4000,
-            }
+    for lanes, servers, window_ms in ((1, 1, 500), (3, 1, 320), (4, 2, 290), (12, 3, 230)):
+        result = run(
+            scenario_from_dict(
+                {
+                    "strategy": {"policy": "SINGLE_OFFLINE"},
+                    "users": 10,
+                    "devices": 2,
+                    "cloud_servers": servers,
+                    "reenroll_parallelism": lanes,
+                    "latency": {
+                        "device_frontend": zero,
+                        "device_storage": zero,
+                        "frontend_cloud": zero,
+                        "frontend_db": zero,
+                    },
+                    "releases": [
+                        {"time_ms": 2000, "version_id": "V2", "server_update_ms": [200, 200]}
+                    ],
+                    "runtime_arrivals": _arrivals({"u000": [1000]}),
+                    "duration_ms": 4000,
+                }
+            ),
+            trace=True,
         )
-    )
-    # 200ms update, then 10 users x (30ms re-enroll) back to back
-    assert result.report.maintenance_ms == 500
-    assert len(result.reenrolls) == 10
+        # 200ms update, then 10 users x (30ms re-enroll), min(lanes, 10) at a time
+        assert window_ms == 200 + -(-10 // min(lanes, 10)) * 30
+        assert result.report.maintenance_ms == window_ms, (lanes, servers)
+        assert len(result.reenrolls) == 10
+        # lane i sends its jobs to server i modulo the fleet
+        bulk_servers = {
+            line.split("server=")[1].split()[0]
+            for line in result.trace
+            if "\tenroll-job\t" in line and "for=bulk" in line
+        }
+        assert bulk_servers == {f"s{i:02d}" for i in range(min(lanes, servers))}, (lanes, servers)
 
 
 # -- server, double version
