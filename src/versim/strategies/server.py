@@ -391,64 +391,44 @@ class _SweepCtx:
 
 class OfflineServerWorld(ServerWorldBase):
     """SINGLE_OFFLINE: a release opens a maintenance window. New requests are
-    refused, in-flight ones drain, every server updates, then every user is
-    re-enrolled (``reenroll_parallelism`` lanes) before the window lifts."""
+    refused, and once every admitted request has answered, every server
+    updates, then every user is re-enrolled (``reenroll_parallelism`` lanes)
+    before the window lifts."""
 
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
-        self._outstanding = {sid: 0 for sid in self.clouds}
-        self._pending_update: dict[str, ModelRelease] = {}
+        self._held: ModelRelease | None = None
         self._bulk_queue: deque[str] = deque()
         self._bulk_active_lanes = 0
-        self._bulk_phase = False
         self._conts["bulk.fetched"] = self._bulk_fetched
         self._conts["bulk.done"] = self._bulk_enrolled
         self._conts["bulk.put"] = self._bulk_put
 
-    # outstanding-job accounting so a server only updates once drained
-
-    def _send_job(self, ctx, flow: str, server_id: str) -> None:
-        self._outstanding[server_id] += 1
-        super()._send_job(ctx, flow, server_id)
-
-    def _enroll_profile_done(self, msg: EnrollJobDone):
-        self._job_drained(msg.server_id)
-        super()._enroll_profile_done(msg)
-
-    def _on_recognize_done(self, target, msg: RecognizeJobDone):
-        self._job_drained(msg.server_id)
-        super()._on_recognize_done(target, msg)
-
-    def _job_drained(self, server_id: str) -> None:
-        self._outstanding[server_id] -= 1
-        if self._outstanding[server_id] == 0 and server_id in self._pending_update:
-            self._start_server_update(server_id, self._pending_update.pop(server_id))
-
     def _begin_release(self, release: ModelRelease) -> None:
         self.log.maintenance_begin(self.sim.now)
         self.frontend.maintenance = True
-        super()._begin_release(release)
+        self._held = release
+        self._maintenance_check()
 
-    def _start_server_update(self, server_id: str, release: ModelRelease) -> None:
-        if self._outstanding[server_id]:
-            self._pending_update[server_id] = release  # starts once drained
-        else:
-            super()._start_server_update(server_id, release)
+    def _maintenance_check(self) -> None:
+        # the rollout waits for the last admitted request: a request that
+        # started before the window may still write an old-version profile
+        if self._held is not None and not self._inflight:
+            release, self._held = self._held, None
+            super()._begin_release(release)
 
     def _after_server_updated(self) -> None:
         if not self._update_remaining:
             self._begin_bulk_reenroll()
 
-    # bulk re-enrollment
+    # bulk re-enrollment; after the drain only this pass writes profiles
 
     def _begin_bulk_reenroll(self) -> None:
         self._bulk_queue = deque(self._stale_users())
-        if not self._bulk_queue:
-            self._bulk_phase = False
-            self._maintenance_check()
-            return
-        self._bulk_phase = True
         lanes = min(self.sc.reenroll_parallelism, len(self._bulk_queue))
+        if not lanes:
+            self._end_maintenance()
+            return
         self._bulk_active_lanes = lanes
         for lane in range(lanes):
             self._bulk_next(lane)
@@ -465,14 +445,7 @@ class OfflineServerWorld(ServerWorldBase):
         if not self._bulk_queue:
             self._bulk_active_lanes -= 1
             if self._bulk_active_lanes == 0:
-                leftovers = self._stale_users()
-                if leftovers:
-                    self._bulk_queue = deque(leftovers)
-                    self._bulk_active_lanes = 1
-                    self._bulk_next(0)
-                    return
-                self._bulk_phase = False
-                self._maintenance_check()
+                self._end_maintenance()
             return
         user = self._bulk_queue.popleft()
         self._frontend_to_db(
@@ -484,7 +457,6 @@ class OfflineServerWorld(ServerWorldBase):
         # a queued user holds a profile, and rows never lose audio or profiles
         bg.from_version = msg.profiles[bg.user_id][-1].version
         server_id = self.frontend.server_ids[bg.lane % len(self.frontend.server_ids)]
-        self._outstanding[server_id] += 1
         self._frontend_to_cloud(
             server_id,
             EnrollJob(
@@ -497,7 +469,6 @@ class OfflineServerWorld(ServerWorldBase):
         )
 
     def _bulk_enrolled(self, msg: EnrollJobDone):
-        self._job_drained(msg.server_id)
         bg: _SweepCtx = msg.ctx
         bg.profile = msg.profile
         self._frontend_to_db(
@@ -509,17 +480,7 @@ class OfflineServerWorld(ServerWorldBase):
         self.log.log_reenroll(self.sim.now, bg.user_id, bg.from_version, bg.profile.version)
         self._bulk_next(bg.lane)
 
-    def _maintenance_check(self) -> None:
-        """The window lifts only when servers are updated, the bulk pass found
-        nothing left to do, and no drained request chain is still in flight
-        (a drained enrollment can land an old-version profile late)."""
-        if not self.frontend.maintenance:
-            return
-        if self._update_remaining or self._bulk_phase or self._inflight:
-            return
-        if self._stale_users():
-            self._begin_bulk_reenroll()
-            return
+    def _end_maintenance(self) -> None:
         self.frontend.maintenance = False
         self.log.maintenance_end(self.sim.now)
         self.finish_release()

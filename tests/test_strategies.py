@@ -212,6 +212,32 @@ def test_offline_window_length_is_update_plus_serial_reenrolls():
         assert bulk_servers == {f"s{i:02d}" for i in range(min(lanes, servers))}, (lanes, servers)
 
 
+def test_offline_rollout_waits_for_requests_admitted_before_the_release():
+    # the 990 request is admitted at 995 and still fetching at the 1000
+    # release; the update waits until it answers at 1604, so its V1 job never
+    # meets a V2 engine. The window then runs the 10 ms update and one
+    # re-enrollment (four 300 ms db hops, 2 + 30 + 2 on the cloud) to 2848.
+    result = run(
+        scenario_from_dict(
+            {
+                "strategy": {"policy": "SINGLE_OFFLINE"},
+                "users": 1,
+                "devices": 1,
+                "cloud_servers": 1,
+                "latency": {"frontend_db": {"base_ms": 300, "jitter_ms": 0}},
+                "releases": [
+                    {"time_ms": 1000, "version_id": "V2", "server_update_ms": [10, 10]}
+                ],
+                "runtime_arrivals": _arrivals({"u000": [990]}),
+                "duration_ms": 4000,
+            }
+        )
+    )
+    assert result.report.maintenance_ms == 1848
+    assert [r.outcome for r in result.records] == [Outcome.OK, Outcome.OK]
+    assert [e.to_version.id for e in result.reenrolls] == ["V2"]
+
+
 # -- server, double version
 
 
