@@ -24,7 +24,6 @@ release does:
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop, heappush
 
 from ..domain import NoCommonVersionError, Outcome, UserProfile
@@ -71,6 +70,18 @@ class _RefreshRound:
         self.waiters: list[tuple[object, str]] = []
 
 
+class _SweepCtx:
+    """One re-enrollment from stored audio: the user a pump lane is on."""
+
+    __slots__ = ("user_id", "lane", "from_version", "profile")
+
+    def __init__(self, user_id: str, lane: int):
+        self.user_id = user_id
+        self.lane = lane
+        self.from_version = None
+        self.profile = None
+
+
 class ServerWorldBase(CloudWorldBase):
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
@@ -84,6 +95,12 @@ class ServerWorldBase(CloudWorldBase):
         self._inflight = 0
         self._rounds: dict[int, _RefreshRound] = {}
         self._round_seq = 0
+        # users awaiting the re-enrollment pump: a min-heap of ids plus the
+        # same ids as a set, so the pump visits them in ascending id order,
+        # once each; and the number of lanes still running
+        self._pump_heap: list[str] = []
+        self._pump_queued: set[str] = set()
+        self._pump_lanes = 0
 
         self.on("enroll-arrival", self._on_enroll_arrival)
         self.on("runtime-arrival", self._on_runtime_arrival)
@@ -108,6 +125,9 @@ class ServerWorldBase(CloudWorldBase):
             "enroll.put": self._enroll_profile_put,
             "runtime.fetched": self._runtime_fetched,
             "runtime.put": self._runtime_profiles_put,
+            f"{self.pump_token}.fetched": self._pump_fetched,
+            f"{self.pump_token}.done": self._pump_enrolled,
+            f"{self.pump_token}.put": self._pump_put,
         }
 
     # -- database hops and handlers
@@ -353,6 +373,98 @@ class ServerWorldBase(CloudWorldBase):
     def _maintenance_check(self) -> None:
         pass
 
+    # -- the re-enrollment pump: each lane takes queued users one at a time
+    # and does fetch, enroll-job on the newest served version, put. The
+    # offline bulk pass and the DOUBLE sweep that run it supply the trace
+    # token (``pump_token``), the lanes (``_pump_lanes``), the server pick
+    # (``_pump_server``), the step to a lane's next user (``_pump_advance``)
+    # and what happens once the last lane stops (``_pump_drained``).
+
+    pump_token = "pump"
+
+    def _queue_reenroll(self, user: str) -> None:
+        if user not in self._pump_queued:
+            self._pump_queued.add(user)
+            heappush(self._pump_heap, user)
+
+    def _queue_stale_users(self) -> bool:
+        """Queue every stored user whose newest profile predates the active
+        release; True when there was any."""
+        target = self.active_release.version.seq
+        stale = False
+        for user, row in self.db.rows.items():
+            if row.profiles and row.profiles[-1].version.seq < target:
+                self._queue_reenroll(user)
+                stale = True
+        return stale
+
+    def _pump(self, lane: int) -> None:
+        """Fetch the next queued user whose newest stored profile predates
+        the newest served version; with none left the lane stops."""
+        newest = self.served_versions[-1]
+        while self._pump_heap:
+            user = heappop(self._pump_heap)
+            self._pump_queued.discard(user)
+            row = self.db.fetch(user)
+            if row is None or not row.profiles:
+                continue
+            if row.profiles[-1].version.seq >= newest.seq:
+                continue
+            self._frontend_to_db(
+                DbFetch(
+                    user_ids=(user,),
+                    token=f"{self.pump_token}.fetched",
+                    ctx=_SweepCtx(user, lane),
+                )
+            )
+            return
+        self._pump_lanes -= 1
+        if not self._pump_lanes:
+            self._pump_drained()
+
+    def _pump_fetched(self, msg: DbFetchReply):
+        ctx: _SweepCtx = msg.ctx
+        # the lane saw a stored profile, and rows never lose audio or profiles
+        profiles = msg.profiles[ctx.user_id]
+        newest_served = self.served_versions[-1]
+        if profiles[-1].version.seq >= newest_served.seq:
+            self._pump_advance(ctx.lane)
+            return
+        ctx.from_version = profiles[-1].version
+        # a version reported as served always has a live server behind it
+        server_id = self._pump_server(ctx, self.servers_serving(newest_served))
+        self._frontend_to_cloud(
+            server_id,
+            EnrollJob(
+                ctx=ctx,
+                server_id=server_id,
+                user_id=ctx.user_id,
+                samples=msg.audio[ctx.user_id],
+                token=f"{self.pump_token}.done",
+            ),
+        )
+
+    def _pump_enrolled(self, msg: EnrollJobDone):
+        ctx: _SweepCtx = msg.ctx
+        ctx.profile = msg.profile
+        self._frontend_to_db(
+            DbPutProfile(
+                profiles=(msg.profile,),
+                retain=self.retain,
+                token=f"{self.pump_token}.put",
+                ctx=ctx,
+            )
+        )
+
+    def _pump_put(self, msg):
+        ctx: _SweepCtx = msg.ctx
+        self.log.log_reenroll(self.sim.now, ctx.user_id, ctx.from_version, ctx.profile.version)
+        self._pump_advance(ctx.lane)
+
+    def _pump_advance(self, lane: int) -> None:
+        """The lane is done with its user: go on to the next."""
+        self._pump(lane)
+
 
 class OnlineServerWorld(ServerWorldBase):
     """SINGLE_ONLINE: servers update in place while serving; profiles are
@@ -376,33 +488,17 @@ class OnlineServerWorld(ServerWorldBase):
         return fresh, engine.enroll_duration_ms(len(audio))
 
 
-class _SweepCtx:
-    """One background re-enrollment: a DOUBLE sweep step or an offline bulk
-    lane's current user."""
-
-    __slots__ = ("user_id", "lane", "from_version", "profile")
-
-    def __init__(self, user_id: str, lane: int = 0):
-        self.user_id = user_id
-        self.lane = lane
-        self.from_version = None
-        self.profile = None
-
-
 class OfflineServerWorld(ServerWorldBase):
     """SINGLE_OFFLINE: a release opens a maintenance window. New requests are
     refused, and once every admitted request has answered, every server
     updates, then every user is re-enrolled (``reenroll_parallelism`` lanes)
     before the window lifts."""
 
+    pump_token = "bulk"
+
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
         self._held: ModelRelease | None = None
-        self._bulk_queue: deque[str] = deque()
-        self._bulk_active_lanes = 0
-        self._conts["bulk.fetched"] = self._bulk_fetched
-        self._conts["bulk.done"] = self._bulk_enrolled
-        self._conts["bulk.put"] = self._bulk_put
 
     def _begin_release(self, release: ModelRelease) -> None:
         self.log.maintenance_begin(self.sim.now)
@@ -418,69 +514,21 @@ class OfflineServerWorld(ServerWorldBase):
             super()._begin_release(release)
 
     def _after_server_updated(self) -> None:
-        if not self._update_remaining:
-            self._begin_bulk_reenroll()
-
-    # bulk re-enrollment; after the drain only this pass writes profiles
-
-    def _begin_bulk_reenroll(self) -> None:
-        self._bulk_queue = deque(self._stale_users())
-        lanes = min(self.sc.reenroll_parallelism, len(self._bulk_queue))
-        if not lanes:
-            self._end_maintenance()
+        # after the drain only the bulk pass writes profiles, so one scan
+        # finds every user it has to re-enroll
+        if self._update_remaining:
             return
-        self._bulk_active_lanes = lanes
-        for lane in range(lanes):
-            self._bulk_next(lane)
+        self._queue_stale_users()
+        self._pump_lanes = min(self.sc.reenroll_parallelism, len(self._pump_heap))
+        if not self._pump_lanes:
+            self._pump_drained()
+        for lane in range(self._pump_lanes):
+            self._pump(lane)
 
-    def _stale_users(self) -> list[str]:
-        target = self.active_release.version
-        return [
-            user
-            for user, row in sorted(self.db.rows.items())
-            if row.profiles and row.profiles[-1].version != target
-        ]
+    def _pump_server(self, ctx: _SweepCtx, serving: list[str]) -> str:
+        return serving[ctx.lane % len(serving)]
 
-    def _bulk_next(self, lane: int) -> None:
-        if not self._bulk_queue:
-            self._bulk_active_lanes -= 1
-            if self._bulk_active_lanes == 0:
-                self._end_maintenance()
-            return
-        user = self._bulk_queue.popleft()
-        self._frontend_to_db(
-            DbFetch(user_ids=(user,), token="bulk.fetched", ctx=_SweepCtx(user, lane))
-        )
-
-    def _bulk_fetched(self, msg: DbFetchReply):
-        bg: _SweepCtx = msg.ctx
-        # a queued user holds a profile, and rows never lose audio or profiles
-        bg.from_version = msg.profiles[bg.user_id][-1].version
-        server_id = self.frontend.server_ids[bg.lane % len(self.frontend.server_ids)]
-        self._frontend_to_cloud(
-            server_id,
-            EnrollJob(
-                ctx=bg,
-                server_id=server_id,
-                user_id=bg.user_id,
-                samples=msg.audio[bg.user_id],
-                token="bulk.done",
-            ),
-        )
-
-    def _bulk_enrolled(self, msg: EnrollJobDone):
-        bg: _SweepCtx = msg.ctx
-        bg.profile = msg.profile
-        self._frontend_to_db(
-            DbPutProfile(profiles=(msg.profile,), retain=self.retain, token="bulk.put", ctx=bg)
-        )
-
-    def _bulk_put(self, msg):
-        bg: _SweepCtx = msg.ctx
-        self.log.log_reenroll(self.sim.now, bg.user_id, bg.from_version, bg.profile.version)
-        self._bulk_next(bg.lane)
-
-    def _end_maintenance(self) -> None:
+    def _pump_drained(self) -> None:
         self.frontend.maintenance = False
         self.log.maintenance_end(self.sim.now)
         self.finish_release()
@@ -493,19 +541,13 @@ class DoubleServerWorld(ServerWorldBase):
     never re-enrolls inline. A release is done once its group is updated and
     the background sweep has given every stored user a profile for it."""
 
+    pump_token = "sweep"
+
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
         self.retain = 2
-        # users awaiting the sweep: a min-heap of ids plus the same ids as a
-        # set, so the sweep visits them in ascending id order, once each
-        self._sweep_heap: list[str] = []
-        self._sweep_queued: set[str] = set()
-        self.sweep_active = False
         self._conts["enroll2.done"] = self._enroll_leg_done
         self._conts["enroll2.put"] = self._enroll_leg_put
-        self._conts["sweep.fetched"] = self._sweep_fetched
-        self._conts["sweep.done"] = self._sweep_enrolled
-        self._conts["sweep.put"] = self._sweep_put
         self.on("sweep-step", self._on_sweep_step)
 
     # enrollment: one leg per served version, oldest first
@@ -519,7 +561,7 @@ class DoubleServerWorld(ServerWorldBase):
             if len({p.version.seq for p in ctx.produced}) < 2:
                 # rolled-out version was not available yet; the sweep will
                 # produce the second profile
-                self._queue_sweep(ctx.user_id)
+                self._queue_reenroll(ctx.user_id)
                 self._kick_sweep()
             self._respond_enroll(ctx, Outcome.OK)
             return
@@ -566,7 +608,7 @@ class DoubleServerWorld(ServerWorldBase):
         for user in msg.ctx.candidate_ids:
             plist = msg.ctx.profiles.get(user) or []
             if plist and plist[-1].version.seq < newest_served.seq:
-                self._queue_sweep(user)
+                self._queue_reenroll(user)
         self._kick_sweep()
         super()._on_recognize_done(target, msg)
 
@@ -583,91 +625,32 @@ class DoubleServerWorld(ServerWorldBase):
     def _maybe_finish_rollout(self) -> None:
         if self.active_release is None:
             return
-        if self._update_remaining or self.sweep_active or self._sweep_heap:
+        if self._update_remaining or self._pump_lanes or self._pump_heap:
             return
         if self._queue_stale_users():
             self._kick_sweep()
             return
         self.finish_release()
 
-    # background sweep, one user at a time
-
-    def _queue_sweep(self, user: str) -> None:
-        if user not in self._sweep_queued:
-            self._sweep_queued.add(user)
-            heappush(self._sweep_heap, user)
-
-    def _queue_stale_users(self) -> bool:
-        """Queue every stored user whose newest profile predates the active
-        release; True when there was any."""
-        target = self.active_release.version.seq
-        stale = False
-        for user, row in self.db.rows.items():
-            if row.profiles and row.profiles[-1].version.seq < target:
-                self._queue_sweep(user)
-                stale = True
-        return stale
+    # background sweep: the pump with one lane, each user from its own event
 
     def _kick_sweep(self) -> None:
-        if self.sweep_active or not self._sweep_heap:
+        if self._pump_lanes or not self._pump_heap:
             return
         self.sim.schedule_in(0, "frontend", SweepStep())
-        self.sweep_active = True
+        self._pump_lanes = 1
 
     def _on_sweep_step(self, target, msg: SweepStep):
-        newest = self.served_versions[-1]
-        while self._sweep_heap:
-            user = heappop(self._sweep_heap)
-            self._sweep_queued.discard(user)
-            row = self.db.fetch(user)
-            if row is None or not row.profiles:
-                continue
-            if row.profiles[-1].version.seq >= newest.seq:
-                continue
-            self._frontend_to_db(
-                DbFetch(user_ids=(user,), token="sweep.fetched", ctx=_SweepCtx(user))
-            )
-            return
-        self.sweep_active = False
-        self._maybe_finish_rollout()
+        self._pump(0)
 
-    def _sweep_fetched(self, msg: DbFetchReply):
-        ctx: _SweepCtx = msg.ctx
-        # the step saw a stored profile, and rows never lose audio or profiles
-        profiles = msg.profiles[ctx.user_id]
-        newest_served = self.served_versions[-1]
-        if profiles[-1].version.seq >= newest_served.seq:
-            self._sweep_advance()
-            return
-        ctx.from_version = profiles[-1].version
-        # a version reported as served always has a live server behind it
-        server_id = self.frontend.choose(ctx.user_id, self.servers_serving(newest_served))
-        self._frontend_to_cloud(
-            server_id,
-            EnrollJob(
-                ctx=ctx,
-                server_id=server_id,
-                user_id=ctx.user_id,
-                samples=msg.audio[ctx.user_id],
-                token="sweep.done",
-            ),
-        )
+    def _pump_server(self, ctx: _SweepCtx, serving: list[str]) -> str:
+        return self.frontend.choose(ctx.user_id, serving)
 
-    def _sweep_enrolled(self, msg: EnrollJobDone):
-        ctx: _SweepCtx = msg.ctx
-        ctx.profile = msg.profile
-        self._frontend_to_db(
-            DbPutProfile(profiles=(msg.profile,), retain=self.retain, token="sweep.put", ctx=ctx)
-        )
-
-    def _sweep_put(self, msg):
-        ctx: _SweepCtx = msg.ctx
-        self.log.log_reenroll(self.sim.now, ctx.user_id, ctx.from_version, ctx.profile.version)
-        self._sweep_advance()
-
-    def _sweep_advance(self) -> None:
-        self.sweep_active = False
-        if self._sweep_heap:
-            self._kick_sweep()
+    def _pump_advance(self, lane: int) -> None:
+        if self._pump_heap:
+            self.sim.schedule_in(0, "frontend", SweepStep())
         else:
-            self._maybe_finish_rollout()
+            self._pump(lane)
+
+    def _pump_drained(self) -> None:
+        self._maybe_finish_rollout()
