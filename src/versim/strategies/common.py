@@ -796,6 +796,35 @@ class CloudWorldBase(WorldBase):
         check is the tripwire; dispatch keeps correct worlds from this."""
         return newest, 0
 
+    def _send_enroll_leg(self, ctx: EnrollCtx, token: str) -> bool:
+        """Send the enroll job for the next leg of ``ctx.plan``: to the pinned
+        server, else to a live server of the leg's version (of any version
+        for None). A leg whose version no server serves is skipped. False
+        once the plan is used up."""
+        while ctx.plan:
+            version = ctx.plan.pop(0)
+            if ctx.pinned_server is not None:
+                server_id = ctx.pinned_server
+            else:
+                eligible = (
+                    self.frontend.server_ids if version is None else self.servers_serving(version)
+                )
+                if not eligible:
+                    continue
+                server_id = self.frontend.choose(ctx.user_id, eligible)
+            self._frontend_to_cloud(
+                server_id,
+                EnrollJob(
+                    ctx=ctx,
+                    server_id=server_id,
+                    user_id=ctx.user_id,
+                    samples=ctx.samples,
+                    token=token,
+                ),
+            )
+            return True
+        return False
+
     def _dispatch_to_common_version(self, ctx: RuntimeCtx) -> bool:
         """DOUBLE dispatch: send the request to a live server of the newest
         served version that every candidate holding profiles has one for.

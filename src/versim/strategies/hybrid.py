@@ -23,7 +23,6 @@ from .common import (
     CloudWorldBase,
     EnrollArrival,
     EnrollCtx,
-    EnrollJob,
     EnrollJobDone,
     EnrollRequestMsg,
     EnrollResponseMsg,
@@ -105,33 +104,11 @@ class HybridWorldBase(CloudWorldBase):
         self._next_enroll_leg(ctx)
 
     def _next_enroll_leg(self, ctx: EnrollCtx) -> None:
-        if not ctx.plan:
+        if not self._send_enroll_leg(ctx, "leg"):
             self._frontend_to_device(
                 ctx.device_id,
                 EnrollResponseMsg(ctx=ctx, outcome=Outcome.OK, profiles=tuple(ctx.produced)),
             )
-            return
-        version = ctx.plan.pop(0)
-        if ctx.pinned_server is not None:
-            server_id = ctx.pinned_server
-        else:
-            eligible = (
-                self.frontend.server_ids if version is None else self.servers_serving(version)
-            )
-            if not eligible:
-                self._next_enroll_leg(ctx)
-                return
-            server_id = self.frontend.choose(ctx.user_id, eligible)
-        self._frontend_to_cloud(
-            server_id,
-            EnrollJob(
-                ctx=ctx,
-                server_id=server_id,
-                user_id=ctx.user_id,
-                samples=ctx.samples,
-                token="leg",
-            ),
-        )
 
     def _on_enroll_job_done(self, target, msg: EnrollJobDone):
         ctx: EnrollCtx = msg.ctx

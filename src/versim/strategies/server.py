@@ -24,9 +24,10 @@ release does:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from ..domain import NoCommonVersionError, Outcome, UserProfile
+from ..domain import NoCommonVersionError, Outcome, UserProfile, VersionId
 from ..kernel import node_stream
 from ..metrics import RequestKind
 from ..topology import DatabaseNode, ModelRelease
@@ -70,16 +71,14 @@ class _RefreshRound:
         self.waiters: list[tuple[object, str]] = []
 
 
+@dataclass(slots=True)
 class _SweepCtx:
     """One re-enrollment from stored audio: the user a pump lane is on."""
 
-    __slots__ = ("user_id", "lane", "from_version", "profile")
-
-    def __init__(self, user_id: str, lane: int):
-        self.user_id = user_id
-        self.lane = lane
-        self.from_version = None
-        self.profile = None
+    user_id: str
+    lane: int
+    from_version: VersionId | None = None
+    profile: UserProfile | None = None
 
 
 class ServerWorldBase(CloudWorldBase):
@@ -375,10 +374,9 @@ class ServerWorldBase(CloudWorldBase):
 
     # -- the re-enrollment pump: each lane takes queued users one at a time
     # and does fetch, enroll-job on the newest served version, put. The
-    # offline bulk pass and the DOUBLE sweep that run it supply the trace
-    # token (``pump_token``), the lanes (``_pump_lanes``), the server pick
-    # (``_pump_server``), the step to a lane's next user (``_pump_advance``)
-    # and what happens once the last lane stops (``_pump_drained``).
+    # offline bulk pass and the DOUBLE sweep set ``pump_token`` (printed in
+    # traces) and ``_pump_lanes``, and define ``_pump_server`` and
+    # ``_pump_drained`` (when the last lane stops).
 
     pump_token = "pump"
 
@@ -387,16 +385,13 @@ class ServerWorldBase(CloudWorldBase):
             self._pump_queued.add(user)
             heappush(self._pump_heap, user)
 
-    def _queue_stale_users(self) -> bool:
+    def _queue_stale_users(self) -> None:
         """Queue every stored user whose newest profile predates the active
-        release; True when there was any."""
+        release."""
         target = self.active_release.version.seq
-        stale = False
         for user, row in self.db.rows.items():
             if row.profiles and row.profiles[-1].version.seq < target:
                 self._queue_reenroll(user)
-                stale = True
-        return stale
 
     def _pump(self, lane: int) -> None:
         """Fetch the next queued user whose newest stored profile predates
@@ -406,18 +401,12 @@ class ServerWorldBase(CloudWorldBase):
             user = heappop(self._pump_heap)
             self._pump_queued.discard(user)
             row = self.db.fetch(user)
-            if row is None or not row.profiles:
-                continue
-            if row.profiles[-1].version.seq >= newest.seq:
-                continue
-            self._frontend_to_db(
-                DbFetch(
-                    user_ids=(user,),
-                    token=f"{self.pump_token}.fetched",
-                    ctx=_SweepCtx(user, lane),
+            if row is not None and row.profiles and row.profiles[-1].version.seq < newest.seq:
+                token = f"{self.pump_token}.fetched"
+                self._frontend_to_db(
+                    DbFetch(user_ids=(user,), token=token, ctx=_SweepCtx(user, lane))
                 )
-            )
-            return
+                return
         self._pump_lanes -= 1
         if not self._pump_lanes:
             self._pump_drained()
@@ -425,12 +414,11 @@ class ServerWorldBase(CloudWorldBase):
     def _pump_fetched(self, msg: DbFetchReply):
         ctx: _SweepCtx = msg.ctx
         # the lane saw a stored profile, and rows never lose audio or profiles
-        profiles = msg.profiles[ctx.user_id]
+        ctx.from_version = msg.profiles[ctx.user_id][-1].version
         newest_served = self.served_versions[-1]
-        if profiles[-1].version.seq >= newest_served.seq:
+        if ctx.from_version.seq >= newest_served.seq:
             self._pump_advance(ctx.lane)
             return
-        ctx.from_version = profiles[-1].version
         # a version reported as served always has a live server behind it
         server_id = self._pump_server(ctx, self.servers_serving(newest_served))
         self._frontend_to_cloud(
@@ -447,13 +435,9 @@ class ServerWorldBase(CloudWorldBase):
     def _pump_enrolled(self, msg: EnrollJobDone):
         ctx: _SweepCtx = msg.ctx
         ctx.profile = msg.profile
+        token = f"{self.pump_token}.put"
         self._frontend_to_db(
-            DbPutProfile(
-                profiles=(msg.profile,),
-                retain=self.retain,
-                token=f"{self.pump_token}.put",
-                ctx=ctx,
-            )
+            DbPutProfile(profiles=(msg.profile,), retain=self.retain, token=token, ctx=ctx)
         )
 
     def _pump_put(self, msg):
@@ -557,32 +541,14 @@ class DoubleServerWorld(ServerWorldBase):
         self._next_enroll_leg(ctx)
 
     def _next_enroll_leg(self, ctx: EnrollCtx) -> None:
-        if not ctx.plan:
-            if len({p.version.seq for p in ctx.produced}) < 2:
-                # rolled-out version was not available yet; the sweep will
-                # produce the second profile
-                self._queue_reenroll(ctx.user_id)
-                self._kick_sweep()
-            self._respond_enroll(ctx, Outcome.OK)
+        if self._send_enroll_leg(ctx, "enroll2.done"):
             return
-        version = ctx.plan.pop(0)
-        eligible = self.servers_serving(version)
-        if not eligible:
-            # a release started between planning and this leg; the sweep
-            # will supply the missing second profile
-            self._next_enroll_leg(ctx)
-            return
-        server_id = self.frontend.choose(ctx.user_id, eligible)
-        self._frontend_to_cloud(
-            server_id,
-            EnrollJob(
-                ctx=ctx,
-                server_id=server_id,
-                user_id=ctx.user_id,
-                samples=ctx.samples,
-                token="enroll2.done",
-            ),
-        )
+        if len({p.version.seq for p in ctx.produced}) < 2:
+            # one group was mid-update at planning, or a release took a leg's
+            # version out of service; the sweep will produce the second profile
+            self._queue_reenroll(ctx.user_id)
+            self._kick_sweep()
+        self._respond_enroll(ctx, Outcome.OK)
 
     def _enroll_leg_done(self, msg: EnrollJobDone):
         ctx: EnrollCtx = msg.ctx
@@ -627,7 +593,8 @@ class DoubleServerWorld(ServerWorldBase):
             return
         if self._update_remaining or self._pump_lanes or self._pump_heap:
             return
-        if self._queue_stale_users():
+        self._queue_stale_users()
+        if self._pump_heap:
             self._kick_sweep()
             return
         self.finish_release()
