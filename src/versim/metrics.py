@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .domain import Outcome, VersionId
+from .domain import Outcome
 
 
 class RequestKind(Enum):
@@ -34,17 +34,6 @@ class RequestRecord:
     @property
     def latency_ms(self) -> int:
         return self.completed - self.submitted
-
-
-@dataclass(frozen=True, slots=True)
-class BounceEvent:
-    """A re-enrollment that moved a user to an older version than the one
-    they already had."""
-
-    at: int
-    user_id: str
-    from_version: VersionId
-    to_version: VersionId
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,11 +74,10 @@ class Report:
 
 def summarize(
     records: Iterable[RequestRecord],
-    bounces: Sequence[BounceEvent],
     *,
+    bounce_count: int = 0,
     total_reenrollments: int = 0,
     maintenance_ms: int = 0,
-    mismatch_violations: int = 0,
 ) -> Report:
     records = list(records)
     counts: dict[str, dict[str, int]] = {
@@ -115,8 +103,9 @@ def summarize(
         },
         availability=availability,
         total_reenrollments=total_reenrollments,
-        bounce_count=len(bounces),
-        mismatch_violations=mismatch_violations,
+        bounce_count=bounce_count,
+        # a version mismatch ends the run instead of being counted
+        mismatch_violations=0,
         stale_profile_events=stale,
         maintenance_ms=maintenance_ms,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .domain import AudioSample, SimulationError
 from .kernel import Simulator, TraceSink, node_stream
-from .metrics import BounceEvent, Report, RequestRecord, summarize
+from .metrics import Report, RequestRecord, summarize
 from .scenario import Scenario
 from .strategies import (
     Deployment,
@@ -57,7 +57,6 @@ class RunResult:
     scenario: Scenario
     report: Report
     records: list[RequestRecord]
-    bounces: list[BounceEvent]
     reenrolls: list[ReenrollEvent]
     profile_puts: list[tuple[int, str, int]]
     trace: list[str] | None
@@ -175,7 +174,7 @@ def run(scenario: Scenario, trace: bool | TraceSink = False) -> RunResult:
         raise RunFailedError(exc, at, seq) from exc
     report = summarize(
         log.records,
-        log.bounces,
+        bounce_count=log.bounce_count,
         total_reenrollments=len(log.reenrolls),
         maintenance_ms=log.maintenance_ms(scenario.duration_ms),
     )
@@ -183,7 +182,6 @@ def run(scenario: Scenario, trace: bool | TraceSink = False) -> RunResult:
         scenario=scenario,
         report=report,
         records=log.records,
-        bounces=log.bounces,
         reenrolls=log.reenrolls,
         profile_puts=log.profile_puts,
         trace=sim.trace if trace is True else None,

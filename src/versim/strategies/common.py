@@ -32,7 +32,7 @@ from ..domain import (
 )
 from ..engine import EngineInstance
 from ..kernel import SimRng, Simulator, node_stream
-from ..metrics import BounceEvent, RequestKind, RequestRecord
+from ..metrics import RequestKind, RequestRecord
 from ..topology import (
     CloudServerNode,
     DeviceNode,
@@ -97,12 +97,12 @@ class ReenrollEvent:
 
 
 class RunLog:
-    """Everything a run observes: request records, re-enrollments, bounces,
+    """Everything a run observes: request records, re-enrollments, a bounce count,
     profile writes and maintenance windows. The Report is folded from this."""
 
     def __init__(self) -> None:
         self.records: list[RequestRecord] = []
-        self.bounces: list[BounceEvent] = []
+        self.bounce_count = 0
         self.reenrolls: list[ReenrollEvent] = []
         self.profile_puts: list[tuple[int, str, int]] = []
         self._maintenance_open: int | None = None
@@ -126,7 +126,7 @@ class RunLog:
             ReenrollEvent(at, user_id, from_version.seq, to_version.seq, to_version)
         )
         if to_version.seq < from_version.seq:
-            self.bounces.append(BounceEvent(at, user_id, from_version, to_version))
+            self.bounce_count += 1
 
     def log_put(self, at: int, user_id: str, version: VersionId) -> None:
         self.profile_puts.append((at, user_id, version.seq))

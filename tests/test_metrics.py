@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from versim.domain import Outcome, VersionId
+from versim.domain import Outcome
 from versim.metrics import (
-    BounceEvent,
     RequestKind,
     RequestRecord,
     latency_stats,
@@ -59,7 +58,7 @@ def test_latency_property():
 
 
 def test_summarize_counts_full_grid():
-    report = summarize([_runtime(Outcome.OK, 21)], [])
+    report = summarize([_runtime(Outcome.OK, 21)])
     # every kind/outcome cell exists even when zero
     assert set(report.total_requests) == {"ENROLL", "RUNTIME", "HANDSHAKE"}
     for grid in report.total_requests.values():
@@ -75,12 +74,12 @@ def test_availability_is_ok_share_of_runtime():
         _runtime(Outcome.MAINTENANCE, 8),
         _record(RequestKind.ENROLL, Outcome.OK, 0, 48),  # does not count
     ]
-    report = summarize(records, [])
+    report = summarize(records)
     assert report.availability == pytest.approx(2 / 3)
 
 
 def test_availability_none_without_runtime_traffic():
-    report = summarize([_record(RequestKind.ENROLL, Outcome.OK, 0, 48)], [])
+    report = summarize([_record(RequestKind.ENROLL, Outcome.OK, 0, 48)])
     assert report.availability is None
     assert report.latency_ms["RUNTIME"] is None
 
@@ -91,19 +90,15 @@ def test_stale_events_counted_from_records():
         _runtime(Outcome.STALE_PROFILES, 10),
         _runtime(Outcome.OK, 21),
     ]
-    assert summarize(records, []).stale_profile_events == 2
+    assert summarize(records).stale_profile_events == 2
 
 
 def test_bounce_count_and_passthroughs():
-    bounce = BounceEvent(
-        at=5000, user_id="u001", from_version=VersionId("R1", 2), to_version=VersionId("V1", 1)
-    )
     report = summarize(
         [_runtime(Outcome.OK, 21)],
-        [bounce],
+        bounce_count=1,
         total_reenrollments=7,
         maintenance_ms=376,
-        mismatch_violations=0,
     )
     assert report.bounce_count == 1
     assert report.total_reenrollments == 7
@@ -116,15 +111,15 @@ def test_summarize_is_order_free():
     records = [
         _runtime(Outcome.OK, 20 + i % 7, user=f"u{i % 5:03d}") for i in range(40)
     ] + [_runtime(Outcome.MAINTENANCE, 8) for _ in range(5)]
-    baseline = report_to_json(summarize(records, []))
+    baseline = report_to_json(summarize(records))
     for _ in range(20):
         shuffled = records[:]
         rng.shuffle(shuffled)
-        assert report_to_json(summarize(shuffled, [])) == baseline
+        assert report_to_json(summarize(shuffled)) == baseline
 
 
 def test_report_dict_keys_are_alphabetical():
-    report = summarize([_runtime(Outcome.OK, 21)], [])
+    report = summarize([_runtime(Outcome.OK, 21)])
     keys = list(report_to_dict(report))
     assert keys == sorted(keys)
 
@@ -136,7 +131,7 @@ def test_json_round_trip_is_byte_stable():
         _record(RequestKind.ENROLL, Outcome.OK, 0, 48),
         _record(RequestKind.HANDSHAKE, Outcome.OK, 600, 610, user="d00"),
     ]
-    report = summarize(records, [], total_reenrollments=2)
+    report = summarize(records, total_reenrollments=2)
     text = report_to_json(report)
     assert text.endswith("\n")
     import json
@@ -146,7 +141,7 @@ def test_json_round_trip_is_byte_stable():
 
 
 def test_absent_sections_encode_as_null():
-    report = summarize([], [])
+    report = summarize([])
     text = report_to_json(report)
     assert '"availability": null' in text
     assert '"ENROLL": null' in text
