@@ -143,7 +143,10 @@ class Simulator:
 
     def run_until(self, t_end: int) -> None:
         """Execute every event with time <= t_end, then set the clock to
-        t_end. Later events stay queued."""
+        t_end. Later events stay queued. A ``t_end`` before the clock raises
+        ValueError and changes nothing."""
+        if t_end < self.now:
+            raise ValueError(f"run_until({t_end}) is before the clock ({self.now})")
         heap = self._queue
         run = self._run
         if heap and not run:

@@ -166,6 +166,22 @@ def test_run_until_boundary_inclusive_and_clock_advances():
     assert sim.now == 9001
 
 
+def test_run_until_before_the_clock_raises_and_keeps_the_clock():
+    seen = []
+    sim = Simulator(lambda target, p: seen.append(p.label))
+    sim.schedule(10, "n", Ping("first"))
+    sim.schedule(20, "n", Ping("second"))
+    sim.run_until(10)
+    with pytest.raises(ValueError):
+        sim.run_until(5)
+    assert sim.now == 10
+    with pytest.raises(ScheduleInPastError):
+        sim.schedule(7, "n", Ping("late"))
+    sim.run_until(20)
+    assert seen == ["first", "second"]
+    assert sim.now == 20
+
+
 def test_scheduling_in_the_past_fails():
     sim = Simulator(lambda target, p: None)
     sim.schedule(10, "n", Ping("x"))
