@@ -65,6 +65,15 @@ def _open_output(path: str):
         raise _PathError(f"cannot write {path}: {_reason(exc)}") from exc
 
 
+def _check_output(path: str) -> None:
+    """Fail as ``_open_output`` would, but without creating or truncating
+    ``path``, so a run is not simulated for a report it cannot write."""
+    if os.path.isdir(path):
+        raise _PathError(f"cannot write {path}: is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise _PathError(f"cannot write {path}: no such directory")
+
+
 def _load(path: str, seed_override: int | None) -> Scenario:
     scenario = _read_scenario(path)
     if seed_override is not None:
@@ -104,6 +113,8 @@ class _LineWriter:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario, _resolve_seed(args))
+    if args.out is not None:
+        _check_output(args.out)
     if args.trace is None:
         result = run(scenario)
     else:

@@ -122,6 +122,22 @@ def test_missing_file_is_exit_2(tmp_path, capsys):
         assert message in capsys.readouterr().err, argv
 
 
+def test_bad_out_path_is_exit_2_before_the_run(tmp_path, capsys, monkeypatch):
+    good = _write_scenario(tmp_path)
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args))
+    trace = tmp_path / "existing.tsv"
+    trace.write_text("kept\n", encoding="utf-8")
+    nowhere = tmp_path / "no-such-dir" / "report.json"
+    for out, reason in ((tmp_path, "is a directory"), (nowhere, "no such directory")):
+        argv = ["run", "--scenario", good, "--out", str(out), "--trace", str(trace)]
+        assert cli.main(argv) == 2
+        assert f"cannot write {out}: {reason}" in capsys.readouterr().err
+    assert runs == []
+    assert trace.read_text(encoding="utf-8") == "kept\n"
+    assert not nowhere.parent.exists()
+
+
 def test_tripwire_death_is_exit_1(tmp_path, capsys, monkeypatch):
     path = _write_scenario(tmp_path)
 
