@@ -11,9 +11,9 @@ context object so node handlers stay stateless between hops.
 ``CloudWorldBase`` is the one cloud fleet of the SERVER and HYBRID worlds
 (``server.py``, ``hybrid.py``): the servers and frontend, the served-version
 index, release serialization, the rollout of one server group or of the two
-DOUBLE groups, the ``enroll-job`` and ``recognize-job`` handlers, the DOUBLE
-dispatch and the runtime response path. The worlds add only their request
-flows and what a release does beyond updating servers.
+DOUBLE groups, the cloud job handlers, the enroll-leg planner, the DOUBLE
+dispatch and the runtime response path. The worlds add their request flows,
+and the server-side re-enrollment pump is ``ServerWorldBase`` (``server.py``).
 """
 
 from __future__ import annotations

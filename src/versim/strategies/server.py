@@ -7,12 +7,13 @@ job handlers and the runtime response path are ``CloudWorldBase``
 The three controllers share the plumbing of ``ServerWorldBase``. Enrollment
 stores audio in the database, produces the profile on a cloud server and
 writes it back; runtime requests fetch profiles (and audio, so a mismatch
-can be repaired on the engine without extra round trips), dispatch to a
-server, and return scored results. The controllers differ in what a model
-release does:
+can be repaired without extra round trips), dispatch, and return scores.
+``ServerWorldBase`` also holds the one re-enrollment pump (fetch, enroll-job,
+put per stale user) that runs the offline bulk pass and the DOUBLE sweep.
+The controllers differ in what a model release does:
 
-* SINGLE_OFFLINE freezes the frontend, updates every server, bulk re-enrolls
-  every user, then lifts maintenance.
+* SINGLE_OFFLINE freezes the frontend, waits for every admitted request,
+  updates every server, bulk re-enrolls every user, then lifts maintenance.
 * SINGLE_ONLINE updates servers in place: every server begins its update when
   the release starts and swaps after its own drawn duration, serving on the
   old engine meanwhile (refusing jobs under SYNC_TABLE). Profiles are
@@ -386,8 +387,7 @@ class ServerWorldBase(CloudWorldBase):
             heappush(self._pump_heap, user)
 
     def _queue_stale_users(self) -> None:
-        """Queue every stored user whose newest profile predates the active
-        release."""
+        """Queue every stored user whose newest profile predates the active release."""
         target = self.active_release.version.seq
         for user, row in self.db.rows.items():
             if row.profiles and row.profiles[-1].version.seq < target:
