@@ -1,14 +1,21 @@
 """Core value types shared by every deployment flavor.
 
-Everything in this module is an immutable value or an error type: model
-versions, audio samples, user profiles and recognition results. None of it
-knows about the event queue or the clock.
+Everything in this module is an immutable value, an error type or a pure
+hash: model versions, audio samples, user profiles, recognition results and
+the FNV-1a profile digest. None of it knows about the event queue or the
+clock. The digest lives here, not in the engine, because a profile derives
+it from its own fields and the engine imports this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, NamedTuple
+
+FNV64_OFFSET = 14695981039346656037
+FNV64_PRIME = 1099511628211
+_MASK64 = (1 << 64) - 1
 
 
 class SimulationError(Exception):
@@ -66,14 +73,64 @@ class AudioSample:
     seed: int
 
 
-@dataclass(frozen=True, slots=True)
-class UserProfile:
+def fnv1a64(data: bytes) -> int:
+    """FNV-1a over ``data``, 64-bit."""
+    h = FNV64_OFFSET
+    for byte in data:
+        h ^= byte
+        h = (h * FNV64_PRIME) & _MASK64
+    return h
+
+
+def profile_digest(model_id: str, user_id: str, seeds: Iterable[int]) -> int:
+    """Digest of an enrollment: model id, NUL, user id, NUL, then every audio
+    seed as 8 big-endian bytes in ascending order. Seed order in the input
+    must not matter, hence the sort."""
+    payload = bytearray(model_id.encode("utf-8"))
+    payload.append(0)
+    payload += user_id.encode("utf-8")
+    payload.append(0)
+    for seed in sorted(s & _MASK64 for s in seeds):
+        payload += seed.to_bytes(8, "big")
+    return fnv1a64(bytes(payload))
+
+
+class UserProfile(NamedTuple):
     """Enrollment artifact. Only meaningful to the exact model version that
-    produced it, which is the whole point of this simulator."""
+    produced it, which is the whole point of this simulator.
+
+    A profile keeps a reference to the enrollment audio it was made from, not
+    a copy, and derives ``digest`` from it when read. No report, trace or log
+    reads the digest, so a run never pays for the pure-Python hash. Equality
+    and hash are those of ``(user_id, version, digest)``: the same audio set
+    enrolled in any order gives equal profiles.
+
+    A named tuple, not a frozen dataclass like its neighbours: every
+    enrollment makes one, and a frozen dataclass pays an ``object.__setattr__``
+    call per field to build it.
+    """
 
     user_id: str
     version: VersionId
-    digest: int
+    audio: tuple[AudioSample, ...]
+
+    @property
+    def digest(self) -> int:
+        return profile_digest(self.version.id, self.user_id, (s.seed for s in self.audio))
+
+    def _identity(self) -> tuple[str, VersionId, int]:
+        return (self.user_id, self.version, self.digest)
+
+    # tuple's own comparisons would compare the audio tuples, and would find
+    # a profile equal to a plain tuple of its fields
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, UserProfile) and self._identity() == other._identity()
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,17 +1,23 @@
 """Deterministic mock speech engine.
 
 The engine stands in for feature extraction plus a speaker encoder. Instead
-of computing an embedding it hashes the enrollment audio with FNV-1a, and it
+of computing an embedding, an enrollment yields a profile whose digest is an
+FNV-1a hash of the model id, the user id and the audio seeds, and the engine
 scores a candidate 1.0 exactly when the runtime audio was spoken by that
 candidate. What it models faithfully is the single property under study: a
 profile can only be consumed by the model version that produced it, and
 feeding it to any other version is a hard failure, not a degraded score.
+
+The simulated cost of an enrollment is charged as simulated time, so
+``enroll`` does no hashing: the profile keeps the audio and derives its
+digest when read (see ``UserProfile``). ``fnv1a64`` and ``profile_digest``
+live in ``domain`` and are re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .domain import (
     AudioSample,
@@ -21,34 +27,12 @@ from .domain import (
     UserProfile,
     VersionId,
     VersionMismatchError,
+    fnv1a64,
+    profile_digest,
     result_from_score,
 )
 
-FNV64_OFFSET = 14695981039346656037
-FNV64_PRIME = 1099511628211
-_MASK64 = (1 << 64) - 1
-
-
-def fnv1a64(data: bytes) -> int:
-    """FNV-1a over ``data``, 64-bit."""
-    h = FNV64_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * FNV64_PRIME) & _MASK64
-    return h
-
-
-def profile_digest(model_id: str, user_id: str, seeds: Iterable[int]) -> int:
-    """Digest of an enrollment: model id, NUL, user id, NUL, then every audio
-    seed as 8 big-endian bytes in ascending order. Seed order in the input
-    must not matter, hence the sort."""
-    payload = bytearray(model_id.encode("utf-8"))
-    payload.append(0)
-    payload += user_id.encode("utf-8")
-    payload.append(0)
-    for seed in sorted(s & _MASK64 for s in seeds):
-        payload += seed.to_bytes(8, "big")
-    return fnv1a64(bytes(payload))
+__all__ = ["EngineInstance", "fnv1a64", "profile_digest"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,8 +50,7 @@ class EngineInstance:
             raise EmptyUserIdError("enroll called with an empty user id")
         if not samples:
             raise EmptyAudioError(f"enroll for {user_id!r} called with no audio")
-        digest = profile_digest(self.model.id, user_id, (s.seed for s in samples))
-        return UserProfile(user_id=user_id, version=self.model, digest=digest)
+        return UserProfile(user_id, self.model, samples)
 
     def enroll_duration_ms(self, sample_count: int) -> int:
         return sample_count * self.enroll_cost_ms_per_sample

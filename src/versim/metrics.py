@@ -43,21 +43,21 @@ class LatencyStats:
     max: int
 
 
+def _rank(ordered: Sequence[int], q: float) -> int:
+    """The ceil(q * n)-th smallest of an ascending sequence, 1-indexed."""
+    if not ordered:
+        raise ValueError("percentile of an empty sequence")
+    return ordered[max(math.ceil(q * len(ordered)), 1) - 1]
+
+
 def nearest_rank(values: Sequence[int], q: float) -> int:
     """Nearest-rank percentile: the ceil(q * n)-th smallest, 1-indexed."""
-    if not values:
-        raise ValueError("percentile of an empty sequence")
-    ordered = sorted(values)
-    rank = max(math.ceil(q * len(ordered)), 1)
-    return ordered[rank - 1]
+    return _rank(sorted(values), q)
 
 
 def latency_stats(latencies: Sequence[int]) -> LatencyStats:
-    return LatencyStats(
-        p50=nearest_rank(latencies, 0.50),
-        p95=nearest_rank(latencies, 0.95),
-        max=max(latencies),
-    )
+    ordered = sorted(latencies)
+    return LatencyStats(p50=_rank(ordered, 0.50), p95=_rank(ordered, 0.95), max=ordered[-1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,26 +79,26 @@ def summarize(
     total_reenrollments: int = 0,
     maintenance_ms: int = 0,
 ) -> Report:
-    records = list(records)
-    counts: dict[str, dict[str, int]] = {
-        kind.value: {outcome.value: 0 for outcome in Outcome} for kind in RequestKind
-    }
-    latencies: dict[str, list[int]] = {kind.value: [] for kind in RequestKind}
+    # one pass keyed by the enum members; their ``.value`` strings are read
+    # once per cell at the end, not once per record
+    counts = {kind: {outcome: 0 for outcome in Outcome} for kind in RequestKind}
+    latencies: dict[RequestKind, list[int]] = {kind: [] for kind in RequestKind}
     for rec in records:
-        counts[rec.kind.value][rec.outcome.value] += 1
-        latencies[rec.kind.value].append(rec.latency_ms)
+        kind = rec.kind
+        counts[kind][rec.outcome] += 1
+        latencies[kind].append(rec.completed - rec.submitted)
 
-    runtime = counts[RequestKind.RUNTIME.value]
+    runtime = counts[RequestKind.RUNTIME]
     runtime_total = sum(runtime.values())
-    availability = runtime[Outcome.OK.value] / runtime_total if runtime_total else None
-
-    stale = sum(
-        1 for rec in records if rec.outcome is Outcome.STALE_PROFILES
-    )
+    availability = runtime[Outcome.OK] / runtime_total if runtime_total else None
+    stale = sum(grid[Outcome.STALE_PROFILES] for grid in counts.values())
     return Report(
-        total_requests=counts,
+        total_requests={
+            kind.value: {outcome.value: n for outcome, n in grid.items()}
+            for kind, grid in counts.items()
+        },
         latency_ms={
-            kind: latency_stats(vals) if vals else None
+            kind.value: latency_stats(vals) if vals else None
             for kind, vals in latencies.items()
         },
         availability=availability,

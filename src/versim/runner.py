@@ -10,6 +10,7 @@ arrivals skip the gap draw).
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
 
@@ -165,19 +166,32 @@ def run(scenario: Scenario, trace: bool | TraceSink = False) -> RunResult:
     line as the event executes, so the trace never has to fit in memory; then
     ``RunResult.trace`` is None. If the run fails, the sink already holds
     every line up to and including the event that failed.
+
+    The cyclic garbage collector is off for the build, the event loop and the
+    fold. The loop makes no reference cycles, so the collector would only
+    re-scan the growing live heap of events, records and profiles; on the
+    8,000-user bench scenarios that was 6-10% of the run. It is turned back
+    on at exit, success or failure, only if it was on at entry, so callers see
+    no global change.
     """
-    sim, world, log = build(scenario, trace=trace)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        sim.run_until(scenario.duration_ms)
-    except SimulationError as exc:
-        at, seq = sim.current if sim.current is not None else (sim.now, -1)
-        raise RunFailedError(exc, at, seq) from exc
-    report = summarize(
-        log.records,
-        bounce_count=log.bounce_count,
-        total_reenrollments=len(log.reenrolls),
-        maintenance_ms=log.maintenance_ms(scenario.duration_ms),
-    )
+        sim, world, log = build(scenario, trace=trace)
+        try:
+            sim.run_until(scenario.duration_ms)
+        except SimulationError as exc:
+            at, seq = sim.current if sim.current is not None else (sim.now, -1)
+            raise RunFailedError(exc, at, seq) from exc
+        report = summarize(
+            log.records,
+            bounce_count=log.bounce_count,
+            total_reenrollments=len(log.reenrolls),
+            maintenance_ms=log.maintenance_ms(scenario.duration_ms),
+        )
+    finally:
+        if collecting:
+            gc.enable()
     return RunResult(
         scenario=scenario,
         report=report,

@@ -561,6 +561,8 @@ class WorldBase:
         self.device_rng: dict[str, SimRng] = {}
         self.user_device: dict[str, str] = {}
         device_ids = [f"d{i:02d}" for i in range(scenario.devices)]
+        # event targets, built once so scheduled events share one string each
+        self._device_targets = {device_id: f"device:{device_id}" for device_id in device_ids}
         initial = storage.releases[0].version
         for j, device_id in enumerate(device_ids):
             # round-robin ownership: user i lives on device i % devices
@@ -591,7 +593,7 @@ class WorldBase:
         return engine
 
     def device_target(self, device_id: str) -> str:
-        return f"device:{device_id}"
+        return self._device_targets[device_id]
 
 
 class CloudWorldBase(WorldBase):
@@ -618,6 +620,7 @@ class CloudWorldBase(WorldBase):
             self.groups = [server_ids[:half], server_ids[half:]]
         else:
             self.groups = [server_ids]
+        self._cloud_targets = {sid: f"cloud:{sid}" for sid in server_ids}
         self.clouds: dict[str, CloudServerNode] = {}
         for g, members in enumerate(self.groups):
             engine = self.engine_for(storage.releases[g].version)
@@ -650,11 +653,11 @@ class CloudWorldBase(WorldBase):
 
     def _frontend_to_device(self, device_id: str, payload) -> None:
         delay = self.sc.latency.device_frontend.sample(self.frontend.rng)
-        self.sim.schedule(self.sim.now + delay, self.device_target(device_id), payload)
+        self.sim.schedule(self.sim.now + delay, self._device_targets[device_id], payload)
 
     def _frontend_to_cloud(self, server_id: str, payload) -> None:
         delay = self.sc.latency.frontend_cloud.sample(self.frontend.rng)
-        self.sim.schedule(self.sim.now + delay, f"cloud:{server_id}", payload)
+        self.sim.schedule(self.sim.now + delay, self._cloud_targets[server_id], payload)
 
     def _cloud_to_frontend(self, server_id: str, payload, extra_delay: int = 0) -> None:
         delay = self.sc.latency.frontend_cloud.sample(self.cloud_rng[server_id])
@@ -713,7 +716,7 @@ class CloudWorldBase(WorldBase):
         self._index_served()
         self.sim.schedule(
             completes,
-            f"cloud:{server_id}",
+            self._cloud_targets[server_id],
             ServerUpdateDone(server_id=server_id, version=release.version),
         )
 

@@ -2,7 +2,13 @@
 
 import pytest
 
-from versim.domain import RecognitionResult, UserProfile, VersionId, result_from_score
+from versim.domain import (
+    AudioSample,
+    RecognitionResult,
+    UserProfile,
+    VersionId,
+    result_from_score,
+)
 
 
 def test_result_threshold_is_half():
@@ -13,9 +19,11 @@ def test_result_threshold_is_half():
 
 
 def test_values_are_immutable():
-    profile = UserProfile("u000", VersionId("V1", 1), digest=7)
+    profile = UserProfile("u000", VersionId("V1", 1), audio=(AudioSample("u000", 1000, 7),))
     with pytest.raises(AttributeError):
         profile.digest = 8
+    with pytest.raises(AttributeError):
+        profile.audio = ()
     result = RecognitionResult(score=1.0, accepted=True)
     with pytest.raises(AttributeError):
         result.score = 0.0

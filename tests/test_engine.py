@@ -61,6 +61,23 @@ def test_enroll_produces_profile_at_engine_version():
     assert profile.digest == 10261338670014762554
 
 
+def test_enroll_keeps_the_audio_and_derives_the_digest():
+    samples = (_sample("u1", 9), _sample("u1", 7))
+    profile = _engine(V2).enroll("u1", samples)
+    assert profile.audio is samples
+    assert profile.digest == profile_digest("V2", "u1", [7, 9])
+
+
+def test_profiles_compare_by_user_version_and_digest():
+    a, b = _sample("u1", 7), _sample("u1", 9)
+    first = _engine(V2).enroll("u1", (a, b))
+    reordered = _engine(V2).enroll("u1", (b, a))
+    assert first == reordered and hash(first) == hash(reordered)
+    assert first != tuple(first) and tuple(first) != first
+    assert first != _engine(V2).enroll("u1", (a,))
+    assert first != _engine(V3).enroll("u1", (a, b))
+
+
 def test_enroll_rejects_empty_inputs():
     engine = _engine()
     with pytest.raises(EmptyUserIdError):

@@ -1,0 +1,73 @@
+"""runner.run pauses the cyclic collector and leaves it as it found it.
+
+The pause is sound only while the event loop makes no reference cycles, so
+the guard test runs every strategy combination with the collector off and
+checks that a full collection, with the world still alive, finds nothing.
+"""
+
+import gc
+from pathlib import Path
+
+import pytest
+
+from test_acceptance import _COMBOS, _sweep_scenario
+from versim.domain import VersionMismatchError
+from versim.engine import EngineInstance
+from versim.runner import RunFailedError, build, run
+from versim.scenario import load_scenario
+
+SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "online_random_bounce.json"
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector's state after the test, whatever it did."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _trip_on_first_recognize(monkeypatch):
+    def recognize(self, runtime_audio, profiles):
+        raise VersionMismatchError("injected mismatch")
+
+    monkeypatch.setattr(EngineInstance, "recognize", recognize)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_pauses_the_collector_and_restores_it(collector, monkeypatch, enabled):
+    original = EngineInstance.recognize
+    seen = []
+
+    def recognize(self, runtime_audio, profiles):
+        seen.append(gc.isenabled())
+        return original(self, runtime_audio, profiles)
+
+    monkeypatch.setattr(EngineInstance, "recognize", recognize)
+    (gc.enable if enabled else gc.disable)()
+    run(load_scenario(str(SCENARIO)))
+    assert seen and not any(seen)
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_failed_run_leaves_the_collector_as_it_found_it(collector, monkeypatch, enabled):
+    _trip_on_first_recognize(monkeypatch)
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(RunFailedError, match="injected mismatch"):
+        run(load_scenario(str(SCENARIO)))
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("name, strategy, initial", _COMBOS, ids=[c[0] for c in _COMBOS])
+def test_event_loop_makes_no_reference_cycles(collector, name, strategy, initial):
+    scenario = _sweep_scenario(strategy, initial, 1)
+    gc.collect()
+    gc.disable()
+    sim, world, log = build(scenario)
+    sim.run_until(scenario.duration_ms)
+    assert gc.collect() == 0
+    assert log.records and world.sim is sim

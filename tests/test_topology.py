@@ -25,8 +25,8 @@ V2 = VersionId("V2", 2)
 V3 = VersionId("V3", 3)
 
 
-def _profile(user, version):
-    return UserProfile(user_id=user, version=version, digest=0)
+def _profile(user, version, seed=0):
+    return UserProfile(user_id=user, version=version, audio=(AudioSample(user, 1000, seed),))
 
 
 def _engine(version):
@@ -80,11 +80,13 @@ def test_db_put_keeps_ascending_and_drops_oldest():
 def test_db_put_same_version_replaces():
     db = DatabaseNode()
     db.store_audio("u000", (AudioSample("u000", 1000, 1),))
-    db.put_profile(UserProfile("u000", V1, digest=10), retain=1)
-    db.put_profile(UserProfile("u000", V1, digest=20), retain=1)
+    first = _profile("u000", V1, seed=10)
+    second = _profile("u000", V1, seed=20)
+    db.put_profile(first, retain=1)
+    db.put_profile(second, retain=1)
     row = db.fetch("u000")
     assert len(row.profiles) == 1
-    assert row.profiles[0].digest == 20
+    assert row.profiles[0] is second
 
 
 def test_db_retain_none_is_unbounded():
@@ -166,10 +168,12 @@ def test_device_profile_cap_keeps_newest():
 
 def test_device_store_replaces_same_version():
     device = DeviceNode("d00", ["u000"], V1)
-    device.store_profile(UserProfile("u000", V1, digest=1), cap=1)
-    device.store_profile(UserProfile("u000", V1, digest=2), cap=1)
+    first = _profile("u000", V1, seed=1)
+    second = _profile("u000", V1, seed=2)
+    device.store_profile(first, cap=1)
+    device.store_profile(second, cap=1)
     profiles = device.profiles_for("u000")
-    assert len(profiles) == 1 and profiles[0].digest == 2
+    assert len(profiles) == 1 and profiles[0] is second
 
 
 def test_device_profiles_empty_for_strangers():
