@@ -6,10 +6,15 @@ event trace on and compares SHA-256 digests of the report JSON, the trace,
 the re-enrollment log and the profile writes against a committed table, so
 a refactor that moves one byte or one rng draw in any world fails here.
 
+The wide variant runs the same combinations and seeds at 16 servers and 4
+re-enrollment lanes, which the 3-server sweep never reaches: the offline bulk
+pass with several lanes, 16-probe sync rounds, and 8-server DOUBLE groups.
+
 Regenerate the table (only for an intended behaviour change) with
 ``PYTHONPATH=src python tests/test_output_digests.py``.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -22,14 +27,17 @@ from versim.runner import run
 
 TABLE = Path(__file__).parent / "goldens" / "sweep_digests.json"
 SEEDS = (1, 2)
+# suffix of the table key -> scenario fields that differ from the sweep
+VARIANTS = {"": {}, "/wide": {"cloud_servers": 16, "reenroll_parallelism": 4}}
 
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def digests(strategy, initial, seed) -> dict[str, str]:
-    result = run(_sweep_scenario(strategy, initial, seed), trace=True)
+def digests(strategy, initial, seed, variant="") -> dict[str, str]:
+    scenario = dataclasses.replace(_sweep_scenario(strategy, initial, seed), **VARIANTS[variant])
+    result = run(scenario, trace=True)
     reenrolls = [
         [e.at, e.user_id, e.from_seq, e.to_seq, e.to_version.id] for e in result.reenrolls
     ]
@@ -43,9 +51,10 @@ def digests(strategy, initial, seed) -> dict[str, str]:
 
 def _all_digests() -> dict[str, dict[str, str]]:
     return {
-        f"{name}/{seed}": digests(strategy, initial, seed)
+        f"{name}/{seed}{variant}": digests(strategy, initial, seed, variant)
         for name, strategy, initial in _COMBOS
         for seed in SEEDS
+        for variant in VARIANTS
     }
 
 
@@ -54,6 +63,13 @@ def _all_digests() -> dict[str, dict[str, str]]:
 def test_outputs_match_the_pinned_digests(name, strategy, initial, seed):
     table = json.loads(TABLE.read_text())
     assert digests(strategy, initial, seed) == table[f"{name}/{seed}"]
+
+
+@pytest.mark.parametrize("name,strategy,initial", _COMBOS, ids=[c[0] for c in _COMBOS])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_wide_outputs_match_the_pinned_digests(name, strategy, initial, seed):
+    table = json.loads(TABLE.read_text())
+    assert digests(strategy, initial, seed, "/wide") == table[f"{name}/{seed}/wide"]
 
 
 if __name__ == "__main__":
