@@ -72,6 +72,7 @@ __all__ = [
     "Simulator",
     "StrategyConfig",
     "UnknownUserError",
+    "UpdatePolicy",
     "UserProfile",
     "VersionId",
     "VersionMismatchError",
