@@ -24,10 +24,12 @@ from .strategies import (
     DoubleServerWorld,
     HybridDoubleWorld,
     HybridSingleWorld,
+    Mitigation,
     OfflineServerWorld,
     OnlineServerWorld,
     ReenrollEvent,
     RunLog,
+    SyncTableServerWorld,
     UpdatePolicy,
     WorldBase,
 )
@@ -127,7 +129,12 @@ def build(
     log = RunLog()
     sink: TraceSink | None = [] if trace is True else (None if trace is False else trace)
     sim = Simulator(None, trace=sink)
-    world_cls = _WORLDS[(scenario.strategy.deployment, scenario.strategy.policy)]
+    cfg = scenario.strategy
+    if cfg.mitigation is Mitigation.SYNC_TABLE:
+        # the validator admits SYNC_TABLE with SERVER SINGLE_ONLINE only
+        world_cls = SyncTableServerWorld
+    else:
+        world_cls = _WORLDS[(cfg.deployment, cfg.policy)]
     world = world_cls(scenario, sim, storage, log)
     sim.handler = world
 

@@ -12,7 +12,12 @@ from .common import (
 )
 from .device import DeviceWorld
 from .hybrid import HybridDoubleWorld, HybridSingleWorld
-from .server import DoubleServerWorld, OfflineServerWorld, OnlineServerWorld
+from .server import (
+    DoubleServerWorld,
+    OfflineServerWorld,
+    OnlineServerWorld,
+    SyncTableServerWorld,
+)
 
 __all__ = [
     "Deployment",
@@ -26,6 +31,7 @@ __all__ = [
     "ReenrollEvent",
     "RunLog",
     "StrategyConfig",
+    "SyncTableServerWorld",
     "UpdatePolicy",
     "WorldBase",
 ]

@@ -3,17 +3,23 @@ vocabulary that travels on the event queue, the run log, and the world base
 classes that wire nodes to the simulator.
 
 A "world" is one deployment wired up: nodes, their rng streams, and the
-handler table that routes every executed event. Request flows are chains of
-messages; each hop is one traced event, and each message carries its flow
-context object so node handlers stay stateless between hops.
+handler table that routes every executed event by its message ``kind``.
+Request flows are chains of messages; each hop is one traced event, and each
+message carries its flow context object so node handlers stay stateless
+between hops. There is one message class per hop shape. Where a shape serves
+several hops (``Request``, ``Response``, ``ServerHop``, ``DbAck``, ...) the
+kind is data, set when the message is built; the trace prints it as it is.
 
-``WorldBase`` holds what every world has: devices, engines and handlers.
-``CloudWorldBase`` is the one cloud fleet of the SERVER and HYBRID worlds
-(``server.py``, ``hybrid.py``): the servers and frontend, the served-version
-index, release serialization, the rollout of one server group or of the two
-DOUBLE groups, the cloud job handlers, the enroll-leg planner, the DOUBLE
-dispatch and the runtime response path. The worlds add their request flows,
-and the server-side re-enrollment pump is ``ServerWorldBase`` (``server.py``).
+``WorldBase`` holds what every world has: devices, engines and handlers
+(``DeviceWorld``, ``device.py``, needs no more). ``CloudWorldBase`` is the one
+cloud fleet of the SERVER and HYBRID worlds: the servers and frontend, the
+served-version index, release serialization, the rollout of one server group
+or of the two DOUBLE groups, the cloud job handlers, the enroll-leg planner
+that every cloud enrollment runs, the runtime dispatch and response path.
+``server.py`` adds the database and the re-enrollment pump
+(``ServerWorldBase``) and the worlds ``OfflineServerWorld``,
+``OnlineServerWorld``, ``SyncTableServerWorld`` and ``DoubleServerWorld``;
+``hybrid.py`` adds ``HybridSingleWorld`` and ``HybridDoubleWorld``.
 """
 
 from __future__ import annotations
@@ -156,7 +162,7 @@ class EnrollCtx:
     submitted: int
     samples: tuple[AudioSample, ...]
     produced: list[UserProfile] = field(default_factory=list)
-    plan: list[VersionId] = field(default_factory=list)
+    plan: list[VersionId | None] = field(default_factory=list)
     pinned_server: str | None = None
     record: bool = True
     background: bool = False
@@ -188,7 +194,9 @@ class HandshakeCtx:
 
 
 # ---------------------------------------------------------------------------
-# message payloads; one class per event kind that can appear in a trace
+# message payloads: one class per hop shape. ``kind`` routes the event and is
+# printed in its trace line; it is a field where one shape serves several
+# kinds and a class constant otherwise.
 
 @dataclass(slots=True)
 class EnrollArrival:
@@ -222,17 +230,10 @@ class ReleasePayload:
 
 
 @dataclass(slots=True)
-class NotifyRelease:
-    kind: ClassVar[str] = "notify-release"
-    version: VersionId
+class VersionNotice:
+    """notify-release (storage to device) or download-done (on the device)."""
 
-    def summary(self) -> str:
-        return f"version={self.version.id}"
-
-
-@dataclass(slots=True)
-class DownloadDone:
-    kind: ClassVar[str] = "download-done"
+    kind: str
     version: VersionId
 
     def summary(self) -> str:
@@ -241,15 +242,20 @@ class DownloadDone:
 
 @dataclass(slots=True)
 class DeviceTaskDone:
-    """Completion of a device-local engine task (enroll or recognize)."""
+    """Completion of a device-local engine task, ``task`` "enroll" or
+    "runtime". A runtime task scores with the ``engine`` and ``profile`` it
+    started with."""
 
     kind: ClassVar[str] = "device-task-done"
     task: str
-    ctx: object
+    user_id: str
+    submitted: int
+    payload: EnrollArrival | RuntimeArrival
+    engine: EngineInstance | None = None
+    profile: UserProfile | None = None
 
     def summary(self) -> str:
-        user = getattr(self.ctx, "user_id", "?")
-        return f"task={self.task} user={user}"
+        return f"task={self.task} user={self.user_id}"
 
 
 @dataclass(slots=True)
@@ -281,11 +287,18 @@ class HandshakeTick:
 
 
 @dataclass(slots=True)
-class SyncTick:
-    kind: ClassVar[str] = "sync-tick"
+class Tick:
+    """A step with no data: sync-tick or sweep-step; ``note`` is its summary."""
+
+    kind: str
+    note: str
 
     def summary(self) -> str:
-        return "periodic"
+        return self.note
+
+
+SYNC_TICK = Tick("sync-tick", "periodic")
+SWEEP_STEP = Tick("sweep-step", "next-user")
 
 
 @dataclass(slots=True)
@@ -317,43 +330,30 @@ class DispatchRetry:
     flow: str
 
     def summary(self) -> str:
-        return f"flow={self.flow} user={getattr(self.ctx, 'user_id', '?')}"
+        return f"flow={self.flow} user={self.ctx.user_id}"
 
 
 @dataclass(slots=True)
-class EnrollRequestMsg:
-    kind: ClassVar[str] = "enroll-request"
-    ctx: EnrollCtx
+class Request:
+    """A request from the device: enroll-request, runtime-request or
+    handshake-request."""
+
+    kind: str
+    ctx: EnrollCtx | RuntimeCtx | HandshakeCtx
 
     def summary(self) -> str:
         return f"user={self.ctx.user_id}"
 
 
 @dataclass(slots=True)
-class EnrollResponseMsg:
-    kind: ClassVar[str] = "enroll-response"
-    ctx: EnrollCtx
+class Response:
+    """enroll-response (with the profiles a hybrid device stores) or
+    runtime-response."""
+
+    kind: str
+    ctx: EnrollCtx | RuntimeCtx
     outcome: Outcome
     profiles: tuple[UserProfile, ...] = ()
-
-    def summary(self) -> str:
-        return f"user={self.ctx.user_id} outcome={self.outcome.value}"
-
-
-@dataclass(slots=True)
-class RuntimeRequestMsg:
-    kind: ClassVar[str] = "runtime-request"
-    ctx: RuntimeCtx
-
-    def summary(self) -> str:
-        return f"user={self.ctx.user_id}"
-
-
-@dataclass(slots=True)
-class RuntimeResponseMsg:
-    kind: ClassVar[str] = "runtime-response"
-    ctx: RuntimeCtx
-    outcome: Outcome
 
     def summary(self) -> str:
         return f"user={self.ctx.user_id} outcome={self.outcome.value}"
@@ -388,8 +388,12 @@ class EnrollJobDone:
 
 
 @dataclass(slots=True)
-class RecognizeJob:
-    kind: ClassVar[str] = "recognize-job"
+class ServerHop:
+    """A runtime request bound to one server: recognize-job, or the
+    retry-signal and retry-needed that send a stale hybrid profile back to
+    its device."""
+
+    kind: str
     ctx: RuntimeCtx
     server_id: str
 
@@ -422,35 +426,6 @@ class JobRejected:
 
 
 @dataclass(slots=True)
-class RetrySignal:
-    kind: ClassVar[str] = "retry-signal"
-    ctx: RuntimeCtx
-    server_id: str
-
-    def summary(self) -> str:
-        return f"user={self.ctx.user_id} server={self.server_id}"
-
-
-@dataclass(slots=True)
-class RetryNeeded:
-    kind: ClassVar[str] = "retry-needed"
-    ctx: RuntimeCtx
-    server_id: str
-
-    def summary(self) -> str:
-        return f"user={self.ctx.user_id} server={self.server_id}"
-
-
-@dataclass(slots=True)
-class HandshakeRequest:
-    kind: ClassVar[str] = "handshake-request"
-    ctx: HandshakeCtx
-
-    def summary(self) -> str:
-        return f"user={self.ctx.user_id}"
-
-
-@dataclass(slots=True)
 class HandshakeReply:
     kind: ClassVar[str] = "handshake-reply"
     ctx: HandshakeCtx
@@ -474,8 +449,11 @@ class DbStoreAudio:
 
 
 @dataclass(slots=True)
-class DbStoreAudioAck:
-    kind: ClassVar[str] = "db-store-ack"
+class DbAck:
+    """db-store-ack or db-put-ack: the database is done; ``token`` names the
+    flow step that continues."""
+
+    kind: str
     token: str
     ctx: object
 
@@ -519,24 +497,6 @@ class DbPutProfile:
             ",".join(f"{p.user_id}@{p.version.id}" for p in self.profiles)
             + f" for={self.token}"
         )
-
-
-@dataclass(slots=True)
-class DbPutAck:
-    kind: ClassVar[str] = "db-put-ack"
-    token: str
-    ctx: object
-
-    def summary(self) -> str:
-        return f"for={self.token}"
-
-
-@dataclass(slots=True)
-class SweepStep:
-    kind: ClassVar[str] = "sweep-step"
-
-    def summary(self) -> str:
-        return "next-user"
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +560,8 @@ class CloudWorldBase(WorldBase):
     """A world with a cloud fleet behind the frontend; the one fleet that the
     SERVER and HYBRID deployments share. It owns the servers and their rng
     streams, the frontend, the served-version index, release serialization,
-    the rollout, the cloud job handlers and the runtime response path.
+    the rollout, the cloud job handlers, the enroll legs, the runtime
+    dispatch (single-version and DOUBLE) and the runtime response path.
 
     Single-version policies run one server group, all on the initial version,
     and a release updates every server at once, each for its own drawn
@@ -637,6 +598,7 @@ class CloudWorldBase(WorldBase):
         self.active_release: ModelRelease | None = None
         self._update_remaining: set[str] = set()
         self._index_served()
+        self.on("enroll-arrival", self._on_enroll_arrival)
         self.on("release", self._on_release)
         self.on("server-update-done", self._on_server_update_done)
         self.on("enroll-job", self._on_enroll_job)
@@ -711,11 +673,10 @@ class CloudWorldBase(WorldBase):
 
     def _start_server_update(self, server_id: str, release: ModelRelease) -> None:
         duration = release.draw_update_duration(self.cloud_rng[server_id])
-        completes = self.sim.now + duration
-        self.clouds[server_id].begin_update(self.engine_for(release.version), completes)
+        self.clouds[server_id].begin_update(self.engine_for(release.version))
         self._index_served()
         self.sim.schedule(
-            completes,
+            self.sim.now + duration,
             self._cloud_targets[server_id],
             ServerUpdateDone(server_id=server_id, version=release.version),
         )
@@ -730,15 +691,9 @@ class CloudWorldBase(WorldBase):
         if not self._update_remaining:
             self.finish_release()
 
-    # -- cloud jobs. Under SYNC_TABLE a server mid-update refuses work, which
-    # tells the frontend that its table entry is stale.
+    # -- cloud jobs; a server mid-update still serves on its old engine
 
     def _on_enroll_job(self, target, msg: EnrollJob):
-        if self.cfg.mitigation is Mitigation.SYNC_TABLE and self.clouds[msg.server_id].updating:
-            self._cloud_to_frontend(
-                msg.server_id, JobRejected(ctx=msg.ctx, server_id=msg.server_id, flow="enroll")
-            )
-            return
         engine = self.clouds[msg.server_id].engine
         profile = engine.enroll(msg.user_id, msg.samples)
         self._cloud_to_frontend(
@@ -747,16 +702,11 @@ class CloudWorldBase(WorldBase):
             extra_delay=engine.enroll_duration_ms(len(msg.samples)),
         )
 
-    def _on_recognize_job(self, target, msg: RecognizeJob):
+    def _on_recognize_job(self, target, msg: ServerHop):
         server_id, ctx = msg.server_id, msg.ctx
-        if self.cfg.mitigation is Mitigation.SYNC_TABLE and self.clouds[server_id].updating:
-            self._cloud_to_frontend(
-                server_id, JobRejected(ctx=ctx, server_id=server_id, flow="runtime")
-            )
-            return
         work = self._service_runtime(self.clouds[server_id].engine, ctx)
         if work is None:
-            self._cloud_to_frontend(server_id, RetrySignal(ctx=ctx, server_id=server_id))
+            self._cloud_to_frontend(server_id, ServerHop("retry-signal", ctx, server_id))
             return
         self._cloud_to_frontend(
             server_id, RecognizeJobDone(ctx=ctx, server_id=server_id), extra_delay=work
@@ -799,6 +749,24 @@ class CloudWorldBase(WorldBase):
         check is the tripwire; dispatch keeps correct worlds from this."""
         return newest, 0
 
+    # -- enrollment: the device's request goes to the frontend, which sends
+    # one enroll job per leg of the plan
+
+    def _on_enroll_arrival(self, target, msg: EnrollArrival):
+        device_id = target.split(":", 1)[1]
+        ctx = EnrollCtx(
+            user_id=msg.user_id,
+            device_id=device_id,
+            submitted=self.sim.now,
+            samples=msg.samples,
+        )
+        self._device_to_frontend(device_id, Request("enroll-request", ctx))
+
+    def _enroll_plan(self) -> list[VersionId | None]:
+        """One leg on any server for the single-version policies; for DOUBLE
+        one leg per served version, oldest first."""
+        return self.served_versions[-2:] if self.cfg.policy is UpdatePolicy.DOUBLE else [None]
+
     def _send_enroll_leg(self, ctx: EnrollCtx, token: str) -> bool:
         """Send the enroll job for the next leg of ``ctx.plan``: to the pinned
         server, else to a live server of the leg's version (of any version
@@ -815,18 +783,22 @@ class CloudWorldBase(WorldBase):
                 if not eligible:
                     continue
                 server_id = self.frontend.choose(ctx.user_id, eligible)
-            self._frontend_to_cloud(
-                server_id,
-                EnrollJob(
-                    ctx=ctx,
-                    server_id=server_id,
-                    user_id=ctx.user_id,
-                    samples=ctx.samples,
-                    token=token,
-                ),
-            )
+            self._send_enroll_job(server_id, ctx, ctx.samples, token)
             return True
         return False
+
+    def _send_enroll_job(self, server_id: str, ctx, samples, token: str) -> None:
+        self._frontend_to_cloud(server_id, EnrollJob(ctx, server_id, ctx.user_id, samples, token))
+
+    # -- runtime dispatch
+
+    def _send_recognize_job(self, server_id: str, ctx: RuntimeCtx) -> None:
+        self._frontend_to_cloud(server_id, ServerHop("recognize-job", ctx, server_id))
+
+    def _dispatch_runtime(self, ctx: RuntimeCtx) -> None:
+        """Single-version dispatch: to the pinned server, else to any server."""
+        fe = self.frontend
+        self._send_recognize_job(ctx.pinned_server or fe.choose(ctx.user_id, fe.server_ids), ctx)
 
     def _dispatch_to_common_version(self, ctx: RuntimeCtx) -> bool:
         """DOUBLE dispatch: send the request to a live server of the newest
@@ -843,7 +815,7 @@ class CloudWorldBase(WorldBase):
         if not usable:
             return False
         server_id = self.frontend.choose(ctx.user_id, self.servers_serving(usable[-1]))
-        self._frontend_to_cloud(server_id, RecognizeJob(ctx=ctx, server_id=server_id))
+        self._send_recognize_job(server_id, ctx)
         return True
 
     # -- runtime responses
@@ -852,9 +824,9 @@ class CloudWorldBase(WorldBase):
         self._respond_runtime(msg.ctx, Outcome.OK)
 
     def _respond_runtime(self, ctx: RuntimeCtx, outcome: Outcome) -> None:
-        self._frontend_to_device(ctx.device_id, RuntimeResponseMsg(ctx=ctx, outcome=outcome))
+        self._frontend_to_device(ctx.device_id, Response("runtime-response", ctx, outcome))
 
-    def _on_runtime_response(self, target, msg: RuntimeResponseMsg):
+    def _on_runtime_response(self, target, msg: Response):
         ctx = msg.ctx
         self.log.record(
             RequestKind.RUNTIME,

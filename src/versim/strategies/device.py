@@ -10,18 +10,16 @@ every instant a request is served.
 
 from __future__ import annotations
 
-from ..domain import Outcome, UserProfile, VersionId
-from ..engine import EngineInstance
+from ..domain import Outcome, VersionId
 from ..metrics import RequestKind
 from ..topology import DeviceNode, ModelRelease
 from .common import (
     DeviceReenrollDone,
     DeviceTaskDone,
-    DownloadDone,
     EnrollArrival,
-    NotifyRelease,
     ReleasePayload,
     RuntimeArrival,
+    VersionNotice,
     WorldBase,
 )
 
@@ -55,7 +53,7 @@ class DeviceWorld(WorldBase):
         self.sim.schedule_in(
             engine.enroll_duration_ms(len(msg.samples)),
             target,
-            DeviceTaskDone(task="enroll", ctx=_Task(msg.user_id, submitted, msg)),
+            DeviceTaskDone("enroll", msg.user_id, submitted, msg),
         )
 
     def _on_runtime_arrival(self, target: str, msg: RuntimeArrival, submitted: int | None = None) -> None:
@@ -72,17 +70,14 @@ class DeviceWorld(WorldBase):
             return
         # the task scores with the engine and profile it starts with, even if
         # the device switches models before it completes
-        task = _Task(msg.user_id, submitted, msg)
-        task.engine = self.engine_for(dev.local_model)
-        task.profile = dev.profiles_for(msg.user_id)[-1]
-        self.sim.schedule_in(
-            task.engine.runtime_cost_ms, target, DeviceTaskDone(task="runtime", ctx=task)
-        )
+        engine = self.engine_for(dev.local_model)
+        profile = dev.profiles_for(msg.user_id)[-1]
+        task = DeviceTaskDone("runtime", msg.user_id, submitted, msg, engine, profile)
+        self.sim.schedule_in(engine.runtime_cost_ms, target, task)
 
-    def _on_task_done(self, target: str, msg: DeviceTaskDone) -> None:
+    def _on_task_done(self, target: str, task: DeviceTaskDone) -> None:
         dev = self._device(target)
-        task: _Task = msg.ctx
-        if msg.task == "enroll":
+        if task.task == "enroll":
             profile = self.engine_for(dev.local_model).enroll(task.user_id, task.payload.samples)
             dev.store_profile(profile, cap=1)
             self.log.log_put(self.sim.now, task.user_id, profile.version)
@@ -107,13 +102,13 @@ class DeviceWorld(WorldBase):
             self.sim.schedule(
                 self.sim.now + delay,
                 self.device_target(device_id),
-                NotifyRelease(version=release.version),
+                VersionNotice("notify-release", release.version),
             )
 
     def _release_for(self, version: VersionId) -> ModelRelease:
         return self.storage.releases[version.seq - 1]
 
-    def _on_notify(self, target: str, msg: NotifyRelease) -> None:
+    def _on_notify(self, target: str, msg: VersionNotice) -> None:
         dev = self._device(target)
         if dev.updating:
             dev.recheck_after_update = True
@@ -126,9 +121,9 @@ class DeviceWorld(WorldBase):
             return
         dev.updating = True
         release = self._release_for(latest)
-        self.sim.schedule_in(release.download_ms, target, DownloadDone(version=latest))
+        self.sim.schedule_in(release.download_ms, target, VersionNotice("download-done", latest))
 
-    def _on_download_done(self, target: str, msg: DownloadDone) -> None:
+    def _on_download_done(self, target: str, msg: VersionNotice) -> None:
         dev = self._device(target)
         dev.local_model = msg.version
         # audio is stored before any profile is made from it, and never removed
@@ -173,13 +168,3 @@ class DeviceWorld(WorldBase):
             dev.recheck_after_update = False
             self._maybe_download(target, dev)
 
-
-class _Task:
-    __slots__ = ("user_id", "submitted", "payload", "engine", "profile")
-
-    def __init__(self, user_id: str, submitted: int, payload):
-        self.user_id = user_id
-        self.submitted = submitted
-        self.payload = payload
-        self.engine: EngineInstance | None = None  # runtime tasks only
-        self.profile: UserProfile | None = None

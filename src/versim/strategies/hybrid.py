@@ -24,19 +24,14 @@ from .common import (
     EnrollArrival,
     EnrollCtx,
     EnrollJobDone,
-    EnrollRequestMsg,
-    EnrollResponseMsg,
     HandshakeCtx,
     HandshakeReply,
-    HandshakeRequest,
     HandshakeTick,
-    RetryNeeded,
-    RetrySignal,
+    Request,
+    Response,
     RuntimeArrival,
     RuntimeCtx,
-    RuntimeRequestMsg,
-    RuntimeResponseMsg,
-    RecognizeJob,
+    ServerHop,
 )
 
 
@@ -45,7 +40,6 @@ class HybridWorldBase(CloudWorldBase):
 
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
-        self.on("enroll-arrival", self._on_enroll_arrival)
         self.on("runtime-arrival", self._on_runtime_arrival)
         self.on("enroll-request", self._on_enroll_request)
         self.on("enroll-response", self._on_enroll_response)
@@ -68,16 +62,8 @@ class HybridWorldBase(CloudWorldBase):
     # -- enrollment: device keeps the audio, profiles come back in the response
 
     def _on_enroll_arrival(self, target, msg: EnrollArrival):
-        device_id = target.split(":", 1)[1]
-        device = self.devices[device_id]
-        device.stored_audio[msg.user_id] = msg.samples
-        ctx = EnrollCtx(
-            user_id=msg.user_id,
-            device_id=device_id,
-            submitted=self.sim.now,
-            samples=msg.samples,
-        )
-        self._device_to_frontend(device_id, EnrollRequestMsg(ctx=ctx))
+        self.devices[target.split(":", 1)[1]].stored_audio[msg.user_id] = msg.samples
+        super()._on_enroll_arrival(target, msg)
 
     def _start_background_enroll(self, device_id: str, user_id: str, plan: list) -> None:
         device = self.devices[device_id]
@@ -90,24 +76,21 @@ class HybridWorldBase(CloudWorldBase):
             submitted=self.sim.now,
             samples=device.stored_audio[user_id],
             background=True,
+            plan=plan,
         )
-        ctx.plan = plan
-        self._device_to_frontend(device_id, EnrollRequestMsg(ctx=ctx))
+        self._device_to_frontend(device_id, Request("enroll-request", ctx))
 
-    def _default_enroll_plan(self) -> list:
-        return [None]
-
-    def _on_enroll_request(self, target, msg: EnrollRequestMsg):
+    def _on_enroll_request(self, target, msg: Request):
         ctx = msg.ctx
         if not ctx.plan:
-            ctx.plan = self._default_enroll_plan()
+            ctx.plan = self._enroll_plan()
         self._next_enroll_leg(ctx)
 
     def _next_enroll_leg(self, ctx: EnrollCtx) -> None:
         if not self._send_enroll_leg(ctx, "leg"):
             self._frontend_to_device(
                 ctx.device_id,
-                EnrollResponseMsg(ctx=ctx, outcome=Outcome.OK, profiles=tuple(ctx.produced)),
+                Response("enroll-response", ctx, Outcome.OK, tuple(ctx.produced)),
             )
 
     def _on_enroll_job_done(self, target, msg: EnrollJobDone):
@@ -115,7 +98,7 @@ class HybridWorldBase(CloudWorldBase):
         ctx.produced.append(msg.profile)
         self._next_enroll_leg(ctx)
 
-    def _on_enroll_response(self, target, msg: EnrollResponseMsg):
+    def _on_enroll_response(self, target, msg: Response):
         ctx = msg.ctx
         device = self.devices[ctx.device_id]
         before = device.newest_profile(ctx.user_id)
@@ -135,7 +118,7 @@ class HybridWorldBase(CloudWorldBase):
             parent: RuntimeCtx = ctx.parent
             parent.reenrolls += 1
             parent.profiles = {ctx.user_id: list(device.profiles_for(ctx.user_id))}
-            self._device_to_frontend(ctx.device_id, RuntimeRequestMsg(ctx=parent))
+            self._device_to_frontend(ctx.device_id, Request("runtime-request", parent))
 
     # -- runtime
 
@@ -157,14 +140,17 @@ class HybridWorldBase(CloudWorldBase):
             candidate_ids=(msg.user_id,),
             profiles={msg.user_id: list(profiles)},
         )
-        self._device_to_frontend(device_id, RuntimeRequestMsg(ctx=ctx))
+        self._device_to_frontend(device_id, Request("runtime-request", ctx))
 
-    def _on_retry_signal(self, target, msg: RetrySignal):
+    def _on_runtime_request(self, target, msg: Request):
+        self._dispatch_runtime(msg.ctx)
+
+    def _on_retry_signal(self, target, msg: ServerHop):
         self._frontend_to_device(
-            msg.ctx.device_id, RetryNeeded(ctx=msg.ctx, server_id=msg.server_id)
+            msg.ctx.device_id, ServerHop("retry-needed", msg.ctx, msg.server_id)
         )
 
-    def _on_retry_needed(self, target, msg: RetryNeeded):
+    def _on_retry_needed(self, target, msg: ServerHop):
         ctx = msg.ctx
         ctx.pinned_server = msg.server_id
         device = self.devices[ctx.device_id]
@@ -176,9 +162,9 @@ class HybridWorldBase(CloudWorldBase):
             pinned_server=msg.server_id,
             record=False,
             parent=ctx,
+            plan=[None],
         )
-        enroll_ctx.plan = [None]
-        self._device_to_frontend(ctx.device_id, EnrollRequestMsg(ctx=enroll_ctx))
+        self._device_to_frontend(ctx.device_id, Request("enroll-request", enroll_ctx))
 
     # -- handshake
 
@@ -189,9 +175,9 @@ class HybridWorldBase(CloudWorldBase):
             HandshakeTick(device_id=msg.device_id),
         )
         ctx = HandshakeCtx(user_id=msg.device_id, device_id=msg.device_id, submitted=self.sim.now)
-        self._device_to_frontend(msg.device_id, HandshakeRequest(ctx=ctx))
+        self._device_to_frontend(msg.device_id, Request("handshake-request", ctx))
 
-    def _on_handshake_request(self, target, msg: HandshakeRequest):
+    def _on_handshake_request(self, target, msg: Request):
         self._frontend_to_device(
             msg.ctx.device_id, HandshakeReply(ctx=msg.ctx, versions=tuple(self.served_versions))
         )
@@ -221,13 +207,8 @@ class HybridSingleWorld(HybridWorldBase):
     mismatch signal, on-device re-enrollment pinned to the reporting server,
     then the retried request."""
 
-    def _on_runtime_request(self, target, msg: RuntimeRequestMsg):
-        ctx = msg.ctx
-        server_id = ctx.pinned_server or self.frontend.choose(ctx.user_id, self.frontend.server_ids)
-        self._frontend_to_cloud(server_id, RecognizeJob(ctx=ctx, server_id=server_id))
-
     def _stale_profile(self, engine, ctx, user, newest):
-        return None  # RetrySignal: the device re-enrolls on this server and retries
+        return None  # retry-signal: the device re-enrolls on this server and retries
 
 
 class HybridDoubleWorld(HybridWorldBase):
@@ -237,17 +218,14 @@ class HybridDoubleWorld(HybridWorldBase):
 
     profile_cap = 2
 
-    def _default_enroll_plan(self) -> list:
-        return self.served_versions[-2:]
-
     def _catchup_plan(self, served: tuple) -> list:
         return list(served[-2:])
 
-    def _on_runtime_request(self, target, msg: RuntimeRequestMsg):
-        if not self._dispatch_to_common_version(msg.ctx):
-            self._respond_runtime(msg.ctx, Outcome.STALE_PROFILES)
+    def _dispatch_runtime(self, ctx: RuntimeCtx) -> None:
+        if not self._dispatch_to_common_version(ctx):
+            self._respond_runtime(ctx, Outcome.STALE_PROFILES)
 
-    def _on_runtime_response(self, target, msg: RuntimeResponseMsg):
+    def _on_runtime_response(self, target, msg: Response):
         super()._on_runtime_response(target, msg)
         if msg.outcome is Outcome.STALE_PROFILES:
             served = tuple(self.served_versions)

@@ -1,26 +1,29 @@
 """Server-side strategy controllers: audio and profiles live in the
-database, engines on the cloud fleet. The fleet itself, its rollout (one
-server group for the single-version policies, two for DOUBLE), the cloud
-job handlers and the runtime response path are ``CloudWorldBase``
-(``common.py``); this module adds the database and the request flows.
+database, engines on the cloud fleet of ``CloudWorldBase`` (``common.py``),
+which also owns the rollout, the cloud job handlers, the enroll-leg planner
+and the runtime response path. ``ServerWorldBase`` adds the database, the
+request flows and the one re-enrollment pump (fetch, enroll-job, put per
+stale user) behind the offline bulk pass and the DOUBLE sweep. Enrollment
+stores the audio, then runs one enroll job and one put per leg of its plan;
+runtime requests fetch profiles (and audio, so a mismatch can be repaired
+without extra round trips), dispatch, and return scores. Messages are built
+with their kind as data, as in ``Request("runtime-request", ctx)``.
 
-The three controllers share the plumbing of ``ServerWorldBase``. Enrollment
-stores audio in the database, produces the profile on a cloud server and
-writes it back; runtime requests fetch profiles (and audio, so a mismatch
-can be repaired without extra round trips), dispatch, and return scores.
-``ServerWorldBase`` also holds the one re-enrollment pump (fetch, enroll-job,
-put per stale user) that runs the offline bulk pass and the DOUBLE sweep.
-The controllers differ in what a model release does:
+The worlds differ in what a model release does:
 
-* SINGLE_OFFLINE freezes the frontend, waits for every admitted request,
-  updates every server, bulk re-enrolls every user, then lifts maintenance.
-* SINGLE_ONLINE updates servers in place: every server begins its update when
-  the release starts and swaps after its own drawn duration, serving on the
-  old engine meanwhile (refusing jobs under SYNC_TABLE). Profiles are
-  repaired lazily on the request path; mitigations shape the dispatch
-  decision.
-* DOUBLE keeps two versions live in the two server groups, rolls the older
-  group, and upgrades profiles in the background, never on the request path.
+* ``OfflineServerWorld`` (SINGLE_OFFLINE) freezes the frontend, waits for
+  every admitted request, updates every server, bulk re-enrolls every user,
+  then lifts maintenance.
+* ``OnlineServerWorld`` (SINGLE_ONLINE) updates servers in place: each swaps
+  after its own drawn duration and serves on the old engine meanwhile.
+  Profiles are repaired on the request path; the HASH_LB and MULTI_PROFILE
+  mitigations act through the dispatch policy and profile retention.
+* ``SyncTableServerWorld`` is SINGLE_ONLINE with SYNC_TABLE: the frontend
+  dispatches from a table of served versions that probe rounds refresh, and
+  a server mid-update refuses jobs.
+* ``DoubleServerWorld`` (DOUBLE) keeps two versions live in the two server
+  groups, rolls the older group, and upgrades profiles in the background,
+  never on the request path.
 """
 
 from __future__ import annotations
@@ -35,41 +38,27 @@ from ..topology import DatabaseNode, ModelRelease
 from .common import (
     DB_STREAM,
     REJECTED,
+    SWEEP_STEP,
+    SYNC_TICK,
     CloudWorldBase,
+    DbAck,
     DbFetch,
     DbFetchReply,
-    DbPutAck,
     DbPutProfile,
     DbStoreAudio,
-    DbStoreAudioAck,
     DispatchRetry,
-    EnrollArrival,
     EnrollCtx,
-    EnrollJob,
     EnrollJobDone,
-    EnrollRequestMsg,
-    EnrollResponseMsg,
     JobRejected,
     Mitigation,
+    RecognizeJobDone,
+    Request,
+    Response,
     RuntimeArrival,
     RuntimeCtx,
-    RuntimeRequestMsg,
-    RuntimeResponseMsg,
-    RecognizeJob,
-    RecognizeJobDone,
-    SweepStep,
     SyncProbe,
     SyncReply,
-    SyncTick,
 )
-
-
-class _RefreshRound:
-    __slots__ = ("remaining", "waiters")
-
-    def __init__(self, remaining: int):
-        self.remaining = remaining
-        self.waiters: list[tuple[object, str]] = []
 
 
 @dataclass(slots=True)
@@ -83,18 +72,17 @@ class _SweepCtx:
 
 
 class ServerWorldBase(CloudWorldBase):
+    # profiles the database keeps per user
+    retain: int | None = 1
+    # the prefix of the enroll-leg continuations, printed in traces as
+    # ``for=enroll.done`` and ``for=enroll.put``
+    enroll_token = "enroll"
+
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
         self.db = DatabaseNode()
         self.db_rng = node_stream(scenario.seed, DB_STREAM)
-        if self.cfg.mitigation is Mitigation.SYNC_TABLE:
-            self.frontend.version_table = {
-                sid: {server.engine.model} for sid, server in self.clouds.items()
-            }
-        self.retain: int | None = 1
         self._inflight = 0
-        self._rounds: dict[int, _RefreshRound] = {}
-        self._round_seq = 0
         # users awaiting the re-enrollment pump: a min-heap of ids plus the
         # same ids as a set, so the pump visits them in ascending id order,
         # once each; and the number of lanes still running
@@ -102,7 +90,6 @@ class ServerWorldBase(CloudWorldBase):
         self._pump_queued: set[str] = set()
         self._pump_lanes = 0
 
-        self.on("enroll-arrival", self._on_enroll_arrival)
         self.on("runtime-arrival", self._on_runtime_arrival)
         self.on("enroll-request", self._on_enroll_request)
         self.on("runtime-request", self._on_runtime_request)
@@ -114,15 +101,10 @@ class ServerWorldBase(CloudWorldBase):
         self.on("db-put-profile", self._on_db_put_profile)
         self.on("db-put-ack", self._on_db_ack)
         self.on("enroll-job-done", self._on_db_ack)
-        self.on("job-rejected", self._on_job_rejected)
-        self.on("sync-tick", self._on_sync_tick)
-        self.on("sync-probe", self._on_sync_probe)
-        self.on("sync-reply", self._on_sync_reply)
-        self.on("dispatch-retry", self._on_dispatch_retry)
         self._conts = {
             "enroll.stored": self._enroll_audio_stored,
-            "enroll.done": self._enroll_profile_done,
-            "enroll.put": self._enroll_profile_put,
+            f"{self.enroll_token}.done": self._enroll_leg_done,
+            f"{self.enroll_token}.put": self._enroll_leg_put,
             "runtime.fetched": self._runtime_fetched,
             "runtime.put": self._runtime_profiles_put,
             f"{self.pump_token}.fetched": self._pump_fetched,
@@ -142,7 +124,7 @@ class ServerWorldBase(CloudWorldBase):
 
     def _on_db_store_audio(self, target, msg: DbStoreAudio):
         self.db.store_audio(msg.user_id, msg.samples)
-        self._db_to_frontend(DbStoreAudioAck(token=msg.token, ctx=msg.ctx))
+        self._db_to_frontend(DbAck("db-store-ack", msg.token, msg.ctx))
 
     def _on_db_fetch(self, target, msg: DbFetch):
         profiles: dict[str, list[UserProfile]] = {}
@@ -160,24 +142,15 @@ class ServerWorldBase(CloudWorldBase):
         for profile in msg.profiles:
             self.db.put_profile(profile, msg.retain)
             self.log.log_put(self.sim.now, profile.user_id, profile.version)
-        self._db_to_frontend(DbPutAck(token=msg.token, ctx=msg.ctx))
+        self._db_to_frontend(DbAck("db-put-ack", msg.token, msg.ctx))
 
     def _on_db_ack(self, target, msg):
         self._conts[msg.token](msg)
 
-    # -- enrollment flow
+    # -- enrollment flow: store the audio, then one enroll job and one put
+    # per leg of the plan
 
-    def _on_enroll_arrival(self, target, msg: EnrollArrival):
-        device_id = target.split(":", 1)[1]
-        ctx = EnrollCtx(
-            user_id=msg.user_id,
-            device_id=device_id,
-            submitted=self.sim.now,
-            samples=msg.samples,
-        )
-        self._device_to_frontend(device_id, EnrollRequestMsg(ctx=ctx))
-
-    def _on_enroll_request(self, target, msg: EnrollRequestMsg):
+    def _on_enroll_request(self, target, msg: Request):
         ctx = msg.ctx
         if self.frontend.maintenance:
             self._respond_enroll(ctx, Outcome.MAINTENANCE, counted=False)
@@ -187,29 +160,29 @@ class ServerWorldBase(CloudWorldBase):
             DbStoreAudio(user_id=ctx.user_id, samples=ctx.samples, token="enroll.stored", ctx=ctx)
         )
 
-    def _enroll_audio_stored(self, msg):
-        self._dispatch_enroll(msg.ctx)
+    def _enroll_audio_stored(self, msg: DbAck):
+        msg.ctx.plan = self._enroll_plan()
+        self._next_enroll_leg(msg.ctx)
 
-    def _dispatch_enroll(self, ctx: EnrollCtx) -> None:
-        self._select_and_dispatch(ctx, "enroll")
+    def _next_enroll_leg(self, ctx: EnrollCtx) -> None:
+        if not self._send_enroll_leg(ctx, f"{self.enroll_token}.done"):
+            self._respond_enroll(ctx, Outcome.OK)
 
-    def _enroll_profile_done(self, msg: EnrollJobDone):
-        ctx: EnrollCtx = msg.ctx
-        ctx.produced.append(msg.profile)
-        self._frontend_to_db(
-            DbPutProfile(profiles=(msg.profile,), retain=self.retain, token="enroll.put", ctx=ctx)
-        )
+    def _enroll_leg_done(self, msg: EnrollJobDone):
+        msg.ctx.produced.append(msg.profile)
+        put = DbPutProfile((msg.profile,), self.retain, f"{self.enroll_token}.put", msg.ctx)
+        self._frontend_to_db(put)
 
-    def _enroll_profile_put(self, msg):
-        self._respond_enroll(msg.ctx, Outcome.OK)
+    def _enroll_leg_put(self, msg: DbAck):
+        self._next_enroll_leg(msg.ctx)
 
     def _respond_enroll(self, ctx: EnrollCtx, outcome: Outcome, counted: bool = True):
         if counted:
             self._inflight -= 1
-        self._frontend_to_device(ctx.device_id, EnrollResponseMsg(ctx=ctx, outcome=outcome))
+        self._frontend_to_device(ctx.device_id, Response("enroll-response", ctx, outcome))
         self._maintenance_check()
 
-    def _on_enroll_response(self, target, msg: EnrollResponseMsg):
+    def _on_enroll_response(self, target, msg: Response):
         ctx = msg.ctx
         if ctx.record:
             self.log.record(
@@ -227,9 +200,9 @@ class ServerWorldBase(CloudWorldBase):
             sample=msg.sample,
             candidate_ids=(msg.user_id,),
         )
-        self._device_to_frontend(device_id, RuntimeRequestMsg(ctx=ctx))
+        self._device_to_frontend(device_id, Request("runtime-request", ctx))
 
-    def _on_runtime_request(self, target, msg: RuntimeRequestMsg):
+    def _on_runtime_request(self, target, msg: Request):
         ctx = msg.ctx
         if self.frontend.maintenance:
             self._respond_runtime(ctx, Outcome.MAINTENANCE, counted=False)
@@ -248,127 +221,22 @@ class ServerWorldBase(CloudWorldBase):
             return
         self._dispatch_runtime(ctx)
 
-    def _dispatch_runtime(self, ctx: RuntimeCtx) -> None:
-        self._select_and_dispatch(ctx, "runtime")
-
     def _on_recognize_done(self, target, msg: RecognizeJobDone):
         ctx = msg.ctx
         if ctx.refreshed:
-            self._frontend_to_db(
-                DbPutProfile(
-                    profiles=tuple(ctx.refreshed),
-                    retain=self.retain,
-                    token="runtime.put",
-                    ctx=ctx,
-                )
-            )
+            put = DbPutProfile(tuple(ctx.refreshed), self.retain, "runtime.put", ctx)
+            self._frontend_to_db(put)
             return
         self._respond_runtime(ctx, Outcome.OK)
 
-    def _runtime_profiles_put(self, msg):
+    def _runtime_profiles_put(self, msg: DbAck):
         self._respond_runtime(msg.ctx, Outcome.OK)
 
     def _respond_runtime(self, ctx: RuntimeCtx, outcome: Outcome, counted: bool = True):
         if counted:
             self._inflight -= 1
-        self._frontend_to_device(ctx.device_id, RuntimeResponseMsg(ctx=ctx, outcome=outcome))
+        super()._respond_runtime(ctx, outcome)
         self._maintenance_check()
-
-    # -- dispatch, with the sync-table machinery when enabled
-
-    def _select_and_dispatch(self, ctx, flow: str) -> None:
-        fe = self.frontend
-        if self.cfg.mitigation is not Mitigation.SYNC_TABLE:
-            server_id = fe.choose(ctx.user_id, fe.server_ids)
-            self._send_job(ctx, flow, server_id)
-            return
-        table = fe.version_table
-        required = None
-        if flow == "runtime":
-            newest = [
-                plist[-1].version
-                for plist in (ctx.profiles.get(u) or [] for u in ctx.candidate_ids)
-                if plist
-            ]
-            required = max(newest, key=lambda v: v.seq) if newest else None
-        eligible = [
-            s
-            for s in fe.server_ids
-            if table[s] and (required is None or required in table[s])
-        ]
-        if not eligible and ctx.refreshed_once:
-            # fresh table, required version served nowhere: the producer has
-            # moved past it, so the newest table entry is a strict upgrade
-            versions = [v for s in fe.server_ids for v in table[s]]
-            if versions:
-                newest_listed = max(versions, key=lambda v: v.seq)
-                eligible = [s for s in fe.server_ids if newest_listed in table[s]]
-        if eligible:
-            self._send_job(ctx, flow, fe.choose(ctx.user_id, eligible))
-            return
-        if not ctx.refreshed_once:
-            self._start_refresh(waiter=(ctx, flow))
-            return
-        # every server is mid-update; try again after one sync period
-        ctx.refreshed_once = False
-        self.sim.schedule_in(
-            self.cfg.sync_table_period_ms, "frontend", DispatchRetry(ctx=ctx, flow=flow)
-        )
-
-    def _send_job(self, ctx, flow: str, server_id: str) -> None:
-        if flow == "enroll":
-            payload = EnrollJob(
-                ctx=ctx,
-                server_id=server_id,
-                user_id=ctx.user_id,
-                samples=ctx.samples,
-                token="enroll.done",
-            )
-        else:
-            payload = RecognizeJob(ctx=ctx, server_id=server_id)
-        self._frontend_to_cloud(server_id, payload)
-
-    def _on_job_rejected(self, target, msg: JobRejected):
-        # the table entry was stale; blank it and force a refresh before any
-        # fallback decision
-        self.frontend.version_table[msg.server_id] = set()
-        msg.ctx.refreshed_once = False
-        self._select_and_dispatch(msg.ctx, msg.flow)
-
-    def _start_refresh(self, waiter: tuple[object, str] | None) -> None:
-        self._round_seq += 1
-        round_id = self._round_seq
-        rnd = _RefreshRound(remaining=len(self.frontend.server_ids))
-        if waiter is not None:
-            rnd.waiters.append(waiter)
-        self._rounds[round_id] = rnd
-        for sid in self.frontend.server_ids:
-            self._frontend_to_cloud(sid, SyncProbe(round_id=round_id, server_id=sid))
-
-    def _on_sync_tick(self, target, msg: SyncTick):
-        self._start_refresh(waiter=None)
-        self.sim.schedule_in(self.cfg.sync_table_period_ms, "frontend", SyncTick())
-
-    def _on_sync_probe(self, target, msg: SyncProbe):
-        server = self.clouds[msg.server_id]
-        versions = () if server.updating else (server.engine.model,)
-        self._cloud_to_frontend(
-            msg.server_id,
-            SyncReply(round_id=msg.round_id, server_id=msg.server_id, versions=versions),
-        )
-
-    def _on_sync_reply(self, target, msg: SyncReply):
-        self.frontend.version_table[msg.server_id] = set(msg.versions)
-        rnd = self._rounds[msg.round_id]
-        rnd.remaining -= 1
-        if rnd.remaining == 0:
-            del self._rounds[msg.round_id]
-            for ctx, flow in rnd.waiters:
-                ctx.refreshed_once = True
-                self._select_and_dispatch(ctx, flow)
-
-    def _on_dispatch_retry(self, target, msg: DispatchRetry):
-        self._select_and_dispatch(msg.ctx, msg.flow)
 
     def _maintenance_check(self) -> None:
         pass
@@ -421,16 +289,7 @@ class ServerWorldBase(CloudWorldBase):
             return
         # a version reported as served always has a live server behind it
         server_id = self._pump_server(ctx, self.servers_serving(newest_served))
-        self._frontend_to_cloud(
-            server_id,
-            EnrollJob(
-                ctx=ctx,
-                server_id=server_id,
-                user_id=ctx.user_id,
-                samples=msg.audio[ctx.user_id],
-                token=f"{self.pump_token}.done",
-            ),
-        )
+        self._send_enroll_job(server_id, ctx, msg.audio[ctx.user_id], f"{self.pump_token}.done")
 
     def _pump_enrolled(self, msg: EnrollJobDone):
         ctx: _SweepCtx = msg.ctx
@@ -440,7 +299,7 @@ class ServerWorldBase(CloudWorldBase):
             DbPutProfile(profiles=(msg.profile,), retain=self.retain, token=token, ctx=ctx)
         )
 
-    def _pump_put(self, msg):
+    def _pump_put(self, msg: DbAck):
         ctx: _SweepCtx = msg.ctx
         self.log.log_reenroll(self.sim.now, ctx.user_id, ctx.from_version, ctx.profile.version)
         self._pump_advance(ctx.lane)
@@ -457,9 +316,8 @@ class OnlineServerWorld(ServerWorldBase):
 
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
-        self.retain = None if self.cfg.mitigation is Mitigation.MULTI_PROFILE else 1
-        if self.cfg.mitigation is Mitigation.SYNC_TABLE:
-            self.sim.schedule(self.cfg.sync_table_period_ms, "frontend", SyncTick())
+        if self.cfg.mitigation is Mitigation.MULTI_PROFILE:
+            self.retain = None
 
     def _stale_profile(self, engine, ctx, user, newest):
         # repair in place from the fetched audio; the new profile is written
@@ -470,6 +328,149 @@ class OnlineServerWorld(ServerWorldBase):
         ctx.refreshed.append(fresh)
         ctx.reenrolls += 1
         return fresh, engine.enroll_duration_ms(len(audio))
+
+
+class _RefreshRound:
+    __slots__ = ("remaining", "waiters")
+
+    def __init__(self, remaining: int):
+        self.remaining = remaining
+        self.waiters: list[tuple[object, str]] = []
+
+
+class SyncTableServerWorld(OnlineServerWorld):
+    """SINGLE_ONLINE with the SYNC_TABLE mitigation. The frontend keeps a
+    table of the versions each server serves and dispatches only to servers
+    it lists with the version a request needs. A probe round every
+    ``sync_table_period_ms``, and one whenever no listed server fits,
+    refreshes the table. A server mid-update refuses jobs, which tells the
+    frontend that its entry is stale."""
+
+    def __init__(self, scenario, sim, storage, log):
+        super().__init__(scenario, sim, storage, log)
+        self.version_table: dict[str, set[VersionId]] = {
+            sid: {server.engine.model} for sid, server in self.clouds.items()
+        }
+        self._rounds: dict[int, _RefreshRound] = {}
+        self._round_seq = 0
+        self.on("job-rejected", self._on_job_rejected)
+        self.on("sync-tick", self._on_sync_tick)
+        self.on("sync-probe", self._on_sync_probe)
+        self.on("sync-reply", self._on_sync_reply)
+        self.on("dispatch-retry", self._on_dispatch_retry)
+        self.sim.schedule(self.cfg.sync_table_period_ms, "frontend", SYNC_TICK)
+
+    # -- a server mid-update refuses work
+
+    def _on_enroll_job(self, target, msg):
+        if not self._refused(msg, "enroll"):
+            super()._on_enroll_job(target, msg)
+
+    def _on_recognize_job(self, target, msg):
+        if not self._refused(msg, "runtime"):
+            super()._on_recognize_job(target, msg)
+
+    def _refused(self, msg, flow: str) -> bool:
+        if not self.clouds[msg.server_id].updating:
+            return False
+        self._cloud_to_frontend(
+            msg.server_id, JobRejected(ctx=msg.ctx, server_id=msg.server_id, flow=flow)
+        )
+        return True
+
+    # -- dispatch from the table: the enrollment's one leg and every runtime
+    # request go where the table says
+
+    def _enroll_audio_stored(self, msg: DbAck):
+        self._select_and_dispatch(msg.ctx, "enroll")
+
+    def _dispatch_runtime(self, ctx: RuntimeCtx) -> None:
+        self._select_and_dispatch(ctx, "runtime")
+
+    def _select_and_dispatch(self, ctx, flow: str) -> None:
+        fe = self.frontend
+        table = self.version_table
+        required = None
+        if flow == "runtime":
+            newest = [
+                plist[-1].version
+                for plist in (ctx.profiles.get(u) or [] for u in ctx.candidate_ids)
+                if plist
+            ]
+            required = max(newest, key=lambda v: v.seq) if newest else None
+        eligible = [
+            s
+            for s in fe.server_ids
+            if table[s] and (required is None or required in table[s])
+        ]
+        if not eligible and ctx.refreshed_once:
+            # fresh table, required version served nowhere: the producer has
+            # moved past it, so the newest table entry is a strict upgrade
+            versions = [v for s in fe.server_ids for v in table[s]]
+            if versions:
+                newest_listed = max(versions, key=lambda v: v.seq)
+                eligible = [s for s in fe.server_ids if newest_listed in table[s]]
+        if eligible:
+            self._send_job(ctx, flow, fe.choose(ctx.user_id, eligible))
+            return
+        if not ctx.refreshed_once:
+            self._start_refresh(waiter=(ctx, flow))
+            return
+        # every server is mid-update; try again after one sync period
+        ctx.refreshed_once = False
+        self.sim.schedule_in(
+            self.cfg.sync_table_period_ms, "frontend", DispatchRetry(ctx=ctx, flow=flow)
+        )
+
+    def _send_job(self, ctx, flow: str, server_id: str) -> None:
+        if flow == "enroll":
+            self._send_enroll_job(server_id, ctx, ctx.samples, f"{self.enroll_token}.done")
+        else:
+            self._send_recognize_job(server_id, ctx)
+
+    def _on_job_rejected(self, target, msg: JobRejected):
+        # the table entry was stale; blank it and force a refresh before any
+        # fallback decision
+        self.version_table[msg.server_id] = set()
+        msg.ctx.refreshed_once = False
+        self._select_and_dispatch(msg.ctx, msg.flow)
+
+    def _on_dispatch_retry(self, target, msg: DispatchRetry):
+        self._select_and_dispatch(msg.ctx, msg.flow)
+
+    # -- refresh rounds: probe every server, then dispatch the waiters
+
+    def _start_refresh(self, waiter: tuple[object, str] | None) -> None:
+        self._round_seq += 1
+        round_id = self._round_seq
+        rnd = _RefreshRound(remaining=len(self.frontend.server_ids))
+        if waiter is not None:
+            rnd.waiters.append(waiter)
+        self._rounds[round_id] = rnd
+        for sid in self.frontend.server_ids:
+            self._frontend_to_cloud(sid, SyncProbe(round_id=round_id, server_id=sid))
+
+    def _on_sync_tick(self, target, msg):
+        self._start_refresh(waiter=None)
+        self.sim.schedule_in(self.cfg.sync_table_period_ms, "frontend", SYNC_TICK)
+
+    def _on_sync_probe(self, target, msg: SyncProbe):
+        server = self.clouds[msg.server_id]
+        versions = () if server.updating else (server.engine.model,)
+        self._cloud_to_frontend(
+            msg.server_id,
+            SyncReply(round_id=msg.round_id, server_id=msg.server_id, versions=versions),
+        )
+
+    def _on_sync_reply(self, target, msg: SyncReply):
+        self.version_table[msg.server_id] = set(msg.versions)
+        rnd = self._rounds[msg.round_id]
+        rnd.remaining -= 1
+        if rnd.remaining == 0:
+            del self._rounds[msg.round_id]
+            for ctx, flow in rnd.waiters:
+                ctx.refreshed_once = True
+                self._select_and_dispatch(ctx, flow)
 
 
 class OfflineServerWorld(ServerWorldBase):
@@ -525,40 +526,21 @@ class DoubleServerWorld(ServerWorldBase):
     never re-enrolls inline. A release is done once its group is updated and
     the background sweep has given every stored user a profile for it."""
 
+    retain = 2
+    enroll_token = "enroll2"
     pump_token = "sweep"
 
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
-        self.retain = 2
-        self._conts["enroll2.done"] = self._enroll_leg_done
-        self._conts["enroll2.put"] = self._enroll_leg_put
         self.on("sweep-step", self._on_sweep_step)
 
-    # enrollment: one leg per served version, oldest first
-
-    def _dispatch_enroll(self, ctx: EnrollCtx) -> None:
-        ctx.plan = self.served_versions[-2:]
-        self._next_enroll_leg(ctx)
-
-    def _next_enroll_leg(self, ctx: EnrollCtx) -> None:
-        if self._send_enroll_leg(ctx, "enroll2.done"):
-            return
+    def _respond_enroll(self, ctx: EnrollCtx, outcome: Outcome, counted: bool = True):
         if len({p.version.seq for p in ctx.produced}) < 2:
             # one group was mid-update at planning, or a release took a leg's
             # version out of service; the sweep will produce the second profile
             self._queue_reenroll(ctx.user_id)
             self._kick_sweep()
-        self._respond_enroll(ctx, Outcome.OK)
-
-    def _enroll_leg_done(self, msg: EnrollJobDone):
-        ctx: EnrollCtx = msg.ctx
-        ctx.produced.append(msg.profile)
-        self._frontend_to_db(
-            DbPutProfile(profiles=(msg.profile,), retain=self.retain, token="enroll2.put", ctx=ctx)
-        )
-
-    def _enroll_leg_put(self, msg):
-        self._next_enroll_leg(msg.ctx)
+        super()._respond_enroll(ctx, outcome, counted)
 
     # runtime: version intersection, no inline repair
 
@@ -604,10 +586,10 @@ class DoubleServerWorld(ServerWorldBase):
     def _kick_sweep(self) -> None:
         if self._pump_lanes or not self._pump_heap:
             return
-        self.sim.schedule_in(0, "frontend", SweepStep())
+        self.sim.schedule_in(0, "frontend", SWEEP_STEP)
         self._pump_lanes = 1
 
-    def _on_sweep_step(self, target, msg: SweepStep):
+    def _on_sweep_step(self, target, msg):
         self._pump(0)
 
     def _pump_server(self, ctx: _SweepCtx, serving: list[str]) -> str:
@@ -615,7 +597,7 @@ class DoubleServerWorld(ServerWorldBase):
 
     def _pump_advance(self, lane: int) -> None:
         if self._pump_heap:
-            self.sim.schedule_in(0, "frontend", SweepStep())
+            self.sim.schedule_in(0, "frontend", SWEEP_STEP)
         else:
             self._pump(lane)
 

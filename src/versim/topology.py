@@ -75,6 +75,20 @@ class DbRow:
     profiles: list[UserProfile] = field(default_factory=list)
 
 
+def _retain(
+    profiles: list[UserProfile], profile: UserProfile, cap: int | None
+) -> list[UserProfile]:
+    """The one profile-retention rule of the database and the devices: a new
+    list with ``profile`` in place of any entry of its version, ascending by
+    seq, and the lowest seqs dropped beyond ``cap`` entries (None: unbounded)."""
+    kept = [p for p in profiles if p.version.seq != profile.version.seq]
+    kept.append(profile)
+    kept.sort(key=lambda p: p.version.seq)
+    if cap is not None and len(kept) > cap:
+        del kept[: len(kept) - cap]
+    return kept
+
+
 class DatabaseNode:
     """Backend profile store. Operations are free in simulated time; the
     network hops to reach it are not."""
@@ -90,21 +104,13 @@ class DatabaseNode:
         return self.rows.get(user_id)
 
     def put_profile(self, profile: UserProfile, retain: int | None) -> None:
-        """Insert or replace the profile for its version, keep the list
-        ascending by seq, then drop lowest-seq entries beyond ``retain``
-        (None means unbounded)."""
+        """Store ``profile`` under the retention rule of ``_retain``."""
         row = self.rows.get(profile.user_id)
         if row is None:
             raise UnknownUserError(
                 f"profile put for unknown user {profile.user_id!r}"
             )
-        kept = [p for p in row.profiles if p.version.seq != profile.version.seq]
-        kept.append(profile)
-        kept.sort(key=lambda p: p.version.seq)
-        if retain is not None:
-            while len(kept) > retain:
-                kept.pop(0)
-        row.profiles = kept
+        row.profiles = _retain(row.profiles, profile, retain)
 
 
 class CloudServerNode:
@@ -113,33 +119,31 @@ class CloudServerNode:
     flight the old engine keeps running; the swap happens at the completion
     event."""
 
-    __slots__ = ("server_id", "engine", "updating_until", "pending_engine")
+    __slots__ = ("server_id", "engine", "pending_engine")
 
     def __init__(self, server_id: str, engine: EngineInstance):
         self.server_id = server_id
         self.engine = engine
-        self.updating_until: int | None = None
         self.pending_engine: EngineInstance | None = None
 
     @property
     def updating(self) -> bool:
-        return self.updating_until is not None
+        return self.pending_engine is not None
 
-    def begin_update(self, new_engine: EngineInstance, completes_at: int) -> None:
+    def begin_update(self, new_engine: EngineInstance) -> None:
         self.pending_engine = new_engine
-        self.updating_until = completes_at
 
     def complete_update(self) -> None:
         assert self.pending_engine is not None
         self.engine = self.pending_engine
         self.pending_engine = None
-        self.updating_until = None
 
 
 class FrontendNode:
     """Reverse proxy and dispatcher. Owns the round-robin cursor, the random
-    stream used for RANDOM dispatch, and (when the sync-table mitigation is
-    on) the per-server served-version table."""
+    stream used for RANDOM dispatch and the maintenance flag. (The sync-table
+    mitigation's served-version table belongs to its world,
+    ``SyncTableServerWorld``.)"""
 
     def __init__(
         self,
@@ -150,7 +154,6 @@ class FrontendNode:
         self.server_ids = list(server_ids)
         self.policy = policy
         self.rng = rng
-        self.version_table: dict[str, set[VersionId]] | None = None
         self.maintenance = False
         self._rr_cursor = 0
 
@@ -217,15 +220,6 @@ class DeviceNode:
         return profiles[-1] if profiles else None
 
     def store_profile(self, profile: UserProfile, cap: int) -> None:
-        """Keep at most ``cap`` profiles per user, newest versions win, one
-        entry per distinct version, ascending by seq."""
-        kept = [
-            p
-            for p in self.stored_profiles.get(profile.user_id, [])
-            if p.version.seq != profile.version.seq
-        ]
-        kept.append(profile)
-        kept.sort(key=lambda p: p.version.seq)
-        while len(kept) > cap:
-            kept.pop(0)
-        self.stored_profiles[profile.user_id] = kept
+        """Store ``profile`` under the retention rule of ``_retain``."""
+        user = profile.user_id
+        self.stored_profiles[user] = _retain(self.stored_profiles.get(user, []), profile, cap)

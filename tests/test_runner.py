@@ -3,6 +3,9 @@
 The pause is sound only while the event loop makes no reference cycles, so
 the guard test runs every strategy combination with the collector off and
 checks that a full collection, with the world still alive, finds nothing.
+
+runner.build also picks the world, and only the SYNC_TABLE world carries the
+sync-table machinery.
 """
 
 import gc
@@ -15,6 +18,7 @@ from versim.domain import VersionMismatchError
 from versim.engine import EngineInstance
 from versim.runner import RunFailedError, build, run
 from versim.scenario import load_scenario
+from versim.strategies import SyncTableServerWorld
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "online_random_bounce.json"
 
@@ -71,3 +75,14 @@ def test_event_loop_makes_no_reference_cycles(collector, name, strategy, initial
     sim.run_until(scenario.duration_ms)
     assert gc.collect() == 0
     assert log.records and world.sim is sim
+
+
+SYNC_TABLE_KINDS = {"sync-tick", "sync-probe", "sync-reply", "job-rejected", "dispatch-retry"}
+
+
+@pytest.mark.parametrize("name, strategy, initial", _COMBOS, ids=[c[0] for c in _COMBOS])
+def test_only_sync_table_builds_the_sync_table_world(name, strategy, initial):
+    sync_table = strategy.get("mitigation") == "SYNC_TABLE"
+    sim, world, log = build(_sweep_scenario(strategy, initial, 1))
+    assert (type(world) is SyncTableServerWorld) is sync_table
+    assert SYNC_TABLE_KINDS & set(world._handlers) == (SYNC_TABLE_KINDS if sync_table else set())
