@@ -10,12 +10,12 @@ between hops. There is one message class per hop shape. Where a shape serves
 several hops (``Request``, ``Response``, ``ServerHop``, ``DbAck``, ...) the
 kind is data, set when the message is built; the trace prints it as it is.
 
-``WorldBase`` holds what every world has: devices, engines and handlers
-(``DeviceWorld``, ``device.py``, needs no more). ``CloudWorldBase`` is the one
+``WorldBase`` holds what every world has: devices, engines and handlers;
+``DeviceWorld`` (``device.py``) builds on it alone. ``CloudWorldBase`` is the one
 cloud fleet of the SERVER and HYBRID worlds: the servers and frontend, the
 served-version index, release serialization, the rollout of one server group
-or of the two DOUBLE groups, the cloud job handlers, the enroll-leg planner
-that every cloud enrollment runs, the runtime dispatch and response path.
+or of the two DOUBLE groups, the cloud job handlers, the enroll-leg planner,
+and the runtime dispatch and response path.
 ``server.py`` adds the database and the re-enrollment pump
 (``ServerWorldBase``) and the worlds ``OfflineServerWorld``,
 ``OnlineServerWorld``, ``SyncTableServerWorld`` and ``DoubleServerWorld``;
