@@ -10,6 +10,10 @@ The wide variant runs the same combinations and seeds at 16 servers and 4
 re-enrollment lanes, which the 3-server sweep never reaches: the offline bulk
 pass with several lanes, 16-probe sync rounds, and 8-server DOUBLE groups.
 
+The no-row case sends runtime requests at t=0, so their database fetches
+arrive before the user's row exists (``db-fetch-reply rows=0``) or before its
+first profile; the sweep's first runtime arrival comes long after enrollment.
+
 Regenerate the table (only for an intended behaviour change) with
 ``PYTHONPATH=src python tests/test_output_digests.py``.
 """
@@ -24,6 +28,7 @@ import pytest
 from test_acceptance import _COMBOS, _sweep_scenario
 from versim.metrics import report_to_json
 from versim.runner import run
+from versim.scenario import scenario_from_dict
 
 TABLE = Path(__file__).parent / "goldens" / "sweep_digests.json"
 SEEDS = (1, 2)
@@ -35,8 +40,26 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+NO_ROW_KEY = "server-online-no-row/1"
+NO_ROW = {
+    "strategy": {"deployment": "SERVER", "policy": "SINGLE_ONLINE"},
+    "users": 4,
+    "devices": 2,
+    "latency": {"device_frontend": {"base_ms": 5, "jitter_ms": 20}},
+    "runtime_arrivals": {
+        "explicit": [{"time_ms": 0, "user_id": f"u{i:03d}"} for i in range(4)]
+    },
+    "duration_ms": 2000,
+    "seed": 1,
+}
+
+
 def digests(strategy, initial, seed, variant="") -> dict[str, str]:
     scenario = dataclasses.replace(_sweep_scenario(strategy, initial, seed), **VARIANTS[variant])
+    return scenario_digests(scenario)
+
+
+def scenario_digests(scenario) -> dict[str, str]:
     result = run(scenario, trace=True)
     reenrolls = [
         [e.at, e.user_id, e.from_seq, e.to_seq, e.to_version.id] for e in result.reenrolls
@@ -50,12 +73,14 @@ def digests(strategy, initial, seed, variant="") -> dict[str, str]:
 
 
 def _all_digests() -> dict[str, dict[str, str]]:
-    return {
+    table = {
         f"{name}/{seed}{variant}": digests(strategy, initial, seed, variant)
         for name, strategy, initial in _COMBOS
         for seed in SEEDS
         for variant in VARIANTS
     }
+    table[NO_ROW_KEY] = scenario_digests(scenario_from_dict(NO_ROW))
+    return table
 
 
 @pytest.mark.parametrize("name,strategy,initial", _COMBOS, ids=[c[0] for c in _COMBOS])
@@ -70,6 +95,11 @@ def test_outputs_match_the_pinned_digests(name, strategy, initial, seed):
 def test_wide_outputs_match_the_pinned_digests(name, strategy, initial, seed):
     table = json.loads(TABLE.read_text())
     assert digests(strategy, initial, seed, "/wide") == table[f"{name}/{seed}/wide"]
+
+
+def test_no_row_outputs_match_the_pinned_digest():
+    table = json.loads(TABLE.read_text())
+    assert scenario_digests(scenario_from_dict(NO_ROW)) == table[NO_ROW_KEY]
 
 
 if __name__ == "__main__":
