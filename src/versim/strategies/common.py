@@ -15,7 +15,9 @@ kind is data, set when the message is built; the trace prints it as it is.
 cloud fleet of the SERVER and HYBRID worlds: the servers and frontend, the
 served-version index, release serialization, the rollout of one server group
 or of the two DOUBLE groups, the cloud job handlers, the enroll-leg planner,
-and the runtime dispatch and response path.
+and the runtime dispatch and response path. A runtime request names one
+user, as in the paper's runtime stage: its ``RuntimeCtx`` carries that
+user's profiles, and the database messages carry one user or one profile.
 ``server.py`` adds the database and the re-enrollment pump
 (``ServerWorldBase``) and the worlds ``OfflineServerWorld``,
 ``OnlineServerWorld``, ``SyncTableServerWorld`` and ``DoubleServerWorld``;
@@ -28,14 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, ClassVar
 
-from ..domain import (
-    AudioSample,
-    Outcome,
-    RecognitionResult,
-    UserProfile,
-    VersionId,
-    result_from_score,
-)
+from ..domain import AudioSample, Outcome, UserProfile, VersionId
 from ..engine import EngineInstance
 from ..kernel import SimRng, Simulator, node_stream
 from ..metrics import RequestKind, RequestRecord
@@ -89,16 +84,12 @@ CLOUD_STREAM_BASE = 16
 DEVICE_STREAM_BASE = 4096
 USER_STREAM_BASE = 65536
 
-# the answer for a candidate with no profile: scored without engine work
-REJECTED = result_from_score(0.0)
-
 
 @dataclass(slots=True)
 class ReenrollEvent:
     at: int
     user_id: str
     from_seq: int
-    to_seq: int
     to_version: VersionId
 
 
@@ -129,7 +120,7 @@ class RunLog:
 
     def log_reenroll(self, at: int, user_id: str, from_version: VersionId, to_version: VersionId) -> None:
         self.reenrolls.append(
-            ReenrollEvent(at, user_id, from_version.seq, to_version.seq, to_version)
+            ReenrollEvent(at, user_id, from_version.seq, to_version)
         )
         if to_version.seq < from_version.seq:
             self.bounce_count += 1
@@ -164,26 +155,26 @@ class EnrollCtx:
     produced: list[UserProfile] = field(default_factory=list)
     plan: list[VersionId | None] = field(default_factory=list)
     pinned_server: str | None = None
-    record: bool = True
     background: bool = False
+    # the runtime request this in-path re-enrollment serves; None for a
+    # request of its own, which is recorded
     parent: "RuntimeCtx | None" = None
-    refreshed_once: bool = False
 
 
 @dataclass(slots=True)
 class RuntimeCtx:
+    """One runtime request: the speaking user's profiles, oldest first, and
+    on the server side the stored audio and the profile repaired from it."""
+
     user_id: str
     device_id: str
     submitted: int
     sample: AudioSample
-    candidate_ids: tuple[str, ...]
-    profiles: dict[str, list[UserProfile]] = field(default_factory=dict)
-    audio: dict[str, tuple[AudioSample, ...]] = field(default_factory=dict)
-    results: dict[str, RecognitionResult] = field(default_factory=dict)
-    refreshed: list[UserProfile] = field(default_factory=list)
+    profiles: list[UserProfile] = field(default_factory=list)
+    audio: tuple[AudioSample, ...] = ()
+    refreshed: UserProfile | None = None
     reenrolls: int = 0
     pinned_server: str | None = None
-    refreshed_once: bool = False
 
 
 @dataclass(slots=True)
@@ -347,13 +338,12 @@ class Request:
 
 @dataclass(slots=True)
 class Response:
-    """enroll-response (with the profiles a hybrid device stores) or
-    runtime-response."""
+    """enroll-response (a hybrid device stores the ``produced`` profiles of
+    its ctx) or runtime-response."""
 
     kind: str
     ctx: EnrollCtx | RuntimeCtx
     outcome: Outcome
-    profiles: tuple[UserProfile, ...] = ()
 
     def summary(self) -> str:
         return f"user={self.ctx.user_id} outcome={self.outcome.value}"
@@ -364,12 +354,11 @@ class EnrollJob:
     kind: ClassVar[str] = "enroll-job"
     ctx: object
     server_id: str
-    user_id: str
     samples: tuple[AudioSample, ...]
     token: str
 
     def summary(self) -> str:
-        return f"user={self.user_id} server={self.server_id} for={self.token}"
+        return f"user={self.ctx.user_id} server={self.server_id} for={self.token}"
 
 
 @dataclass(slots=True)
@@ -410,7 +399,7 @@ class RecognizeJobDone:
     def summary(self) -> str:
         return (
             f"user={self.ctx.user_id} server={self.server_id} "
-            f"reenrolled={len(self.ctx.refreshed)}"
+            f"reenrolled={int(self.ctx.refreshed is not None)}"
         )
 
 
@@ -438,14 +427,14 @@ class HandshakeReply:
 
 @dataclass(slots=True)
 class DbStoreAudio:
+    """Store the enrollment audio of ``ctx``."""
+
     kind: ClassVar[str] = "db-store-audio"
-    user_id: str
-    samples: tuple[AudioSample, ...]
     token: str
-    ctx: object
+    ctx: EnrollCtx
 
     def summary(self) -> str:
-        return f"user={self.user_id} for={self.token}"
+        return f"user={self.ctx.user_id} for={self.token}"
 
 
 @dataclass(slots=True)
@@ -464,39 +453,40 @@ class DbAck:
 @dataclass(slots=True)
 class DbFetch:
     kind: ClassVar[str] = "db-fetch"
-    user_ids: tuple[str, ...]
+    user_id: str
     token: str
     ctx: object
 
     def summary(self) -> str:
-        return f"users={','.join(self.user_ids)} for={self.token}"
+        return f"users={self.user_id} for={self.token}"
 
 
 @dataclass(slots=True)
 class DbFetchReply:
+    """The fetched user's profiles and audio; both empty when the user has no
+    row yet. A row always has audio, so ``rows`` counts it by that."""
+
     kind: ClassVar[str] = "db-fetch-reply"
-    profiles: dict[str, list[UserProfile]]
-    audio: dict[str, tuple[AudioSample, ...]]
+    profiles: list[UserProfile]
+    audio: tuple[AudioSample, ...]
     token: str
     ctx: object
 
     def summary(self) -> str:
-        return f"rows={len(self.profiles)} for={self.token}"
+        return f"rows={int(bool(self.audio))} for={self.token}"
 
 
 @dataclass(slots=True)
 class DbPutProfile:
     kind: ClassVar[str] = "db-put-profile"
-    profiles: tuple[UserProfile, ...]
+    profile: UserProfile
     retain: int | None
     token: str
     ctx: object
 
     def summary(self) -> str:
-        return (
-            ",".join(f"{p.user_id}@{p.version.id}" for p in self.profiles)
-            + f" for={self.token}"
-        )
+        p = self.profile
+        return f"{p.user_id}@{p.version.id} for={self.token}"
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +685,7 @@ class CloudWorldBase(WorldBase):
 
     def _on_enroll_job(self, target, msg: EnrollJob):
         engine = self.clouds[msg.server_id].engine
-        profile = engine.enroll(msg.user_id, msg.samples)
+        profile = engine.enroll(msg.ctx.user_id, msg.samples)
         self._cloud_to_frontend(
             msg.server_id,
             EnrollJobDone(ctx=msg.ctx, server_id=msg.server_id, profile=profile, token=msg.token),
@@ -713,37 +703,26 @@ class CloudWorldBase(WorldBase):
         )
 
     def _service_runtime(self, engine: EngineInstance, ctx: RuntimeCtx) -> int | None:
-        """Score the request on ``engine`` with each candidate's profile for
-        the engine's version; returns the compute time. A candidate without
-        such a profile goes through ``_stale_profile``, and None from there
-        sends the request back to the device."""
-        model = engine.model
-        work = 0
-        used: dict[str, UserProfile] = {}
-        for user in ctx.candidate_ids:
-            plist = ctx.profiles.get(user)
-            if not plist:
-                ctx.results[user] = REJECTED
-                continue
-            for profile in plist:
-                if profile.version == model:
-                    break
-            else:
-                repaired = self._stale_profile(engine, ctx, user, plist[-1])
-                if repaired is None:
-                    return None
-                profile, cost = repaired
-                work += cost
-            used[user] = profile
-        if used:
-            work += engine.runtime_cost_ms
-            ctx.results.update(engine.recognize(ctx.sample, used))
+        """Score the request on ``engine`` with the user's profile for the
+        engine's version; returns the compute time. The user has profiles
+        (a request without any is answered before dispatch). Without one for
+        this version the request goes through ``_stale_profile``, and None
+        from there sends it back to the device."""
+        work = engine.runtime_cost_ms
+        profile = next((p for p in ctx.profiles if p.version == engine.model), None)
+        if profile is None:
+            repaired = self._stale_profile(engine, ctx, ctx.profiles[-1])
+            if repaired is None:
+                return None
+            profile, cost = repaired
+            work += cost
+        engine.recognize(ctx.sample, {ctx.user_id: profile})
         return work
 
     def _stale_profile(
-        self, engine: EngineInstance, ctx: RuntimeCtx, user: str, newest: UserProfile
+        self, engine: EngineInstance, ctx: RuntimeCtx, newest: UserProfile
     ) -> tuple[UserProfile, int] | None:
-        """``user`` holds no profile for ``engine``: return the profile to
+        """The user holds no profile for ``engine``: return the profile to
         score and the compute spent getting it, or None to bounce the request.
         By default the newest profile goes through and the engine's version
         check is the tripwire; dispatch keeps correct worlds from this."""
@@ -788,7 +767,7 @@ class CloudWorldBase(WorldBase):
         return False
 
     def _send_enroll_job(self, server_id: str, ctx, samples, token: str) -> None:
-        self._frontend_to_cloud(server_id, EnrollJob(ctx, server_id, ctx.user_id, samples, token))
+        self._frontend_to_cloud(server_id, EnrollJob(ctx, server_id, samples, token))
 
     # -- runtime dispatch
 
@@ -802,16 +781,10 @@ class CloudWorldBase(WorldBase):
 
     def _dispatch_to_common_version(self, ctx: RuntimeCtx) -> bool:
         """DOUBLE dispatch: send the request to a live server of the newest
-        served version that every candidate holding profiles has one for.
-        False when no served version qualifies."""
-        common: set[int] | None = None
-        for user in ctx.candidate_ids:
-            plist = ctx.profiles.get(user)
-            if plist:  # a candidate without profiles does not constrain the pick
-                seqs = {p.version.seq for p in plist}
-                common = seqs if common is None else common & seqs
-        assert common is not None
-        usable = [v for v in self.served_versions if v.seq in common]
+        served version the user has a profile for. False when no served
+        version qualifies."""
+        held = {p.version.seq for p in ctx.profiles}
+        usable = [v for v in self.served_versions if v.seq in held]
         if not usable:
             return False
         server_id = self.frontend.choose(ctx.user_id, self.servers_serving(usable[-1]))

@@ -88,10 +88,7 @@ class HybridWorldBase(CloudWorldBase):
 
     def _next_enroll_leg(self, ctx: EnrollCtx) -> None:
         if not self._send_enroll_leg(ctx, "leg"):
-            self._frontend_to_device(
-                ctx.device_id,
-                Response("enroll-response", ctx, Outcome.OK, tuple(ctx.produced)),
-            )
+            self._frontend_to_device(ctx.device_id, Response("enroll-response", ctx, Outcome.OK))
 
     def _on_enroll_job_done(self, target, msg: EnrollJobDone):
         ctx: EnrollCtx = msg.ctx
@@ -102,22 +99,22 @@ class HybridWorldBase(CloudWorldBase):
         ctx = msg.ctx
         device = self.devices[ctx.device_id]
         before = device.newest_profile(ctx.user_id)
-        for profile in sorted(msg.profiles, key=lambda p: p.version.seq):
+        produced = sorted(ctx.produced, key=lambda p: p.version.seq)
+        for profile in produced:
             device.store_profile(profile, self.profile_cap)
             self.log.log_put(self.sim.now, ctx.user_id, profile.version)
         if ctx.background:
             device.bg_enroll_inflight.discard(ctx.user_id)
-        if (ctx.background or ctx.parent is not None) and before is not None and msg.profiles:
-            newest = max(msg.profiles, key=lambda p: p.version.seq)
-            self.log.log_reenroll(self.sim.now, ctx.user_id, before.version, newest.version)
-        if ctx.record:
+        if (ctx.background or ctx.parent is not None) and before is not None and produced:
+            self.log.log_reenroll(self.sim.now, ctx.user_id, before.version, produced[-1].version)
+        if ctx.parent is None:
             self.log.record(
                 RequestKind.ENROLL, ctx.user_id, ctx.submitted, self.sim.now, msg.outcome
             )
-        if ctx.parent is not None:
+        else:
             parent: RuntimeCtx = ctx.parent
             parent.reenrolls += 1
-            parent.profiles = {ctx.user_id: list(device.profiles_for(ctx.user_id))}
+            parent.profiles = list(device.profiles_for(ctx.user_id))
             self._device_to_frontend(ctx.device_id, Request("runtime-request", parent))
 
     # -- runtime
@@ -137,8 +134,7 @@ class HybridWorldBase(CloudWorldBase):
             device_id=device_id,
             submitted=self.sim.now,
             sample=msg.sample,
-            candidate_ids=(msg.user_id,),
-            profiles={msg.user_id: list(profiles)},
+            profiles=list(profiles),
         )
         self._device_to_frontend(device_id, Request("runtime-request", ctx))
 
@@ -160,7 +156,6 @@ class HybridWorldBase(CloudWorldBase):
             submitted=self.sim.now,
             samples=device.stored_audio[ctx.user_id],
             pinned_server=msg.server_id,
-            record=False,
             parent=ctx,
             plan=[None],
         )
@@ -207,7 +202,7 @@ class HybridSingleWorld(HybridWorldBase):
     mismatch signal, on-device re-enrollment pinned to the reporting server,
     then the retried request."""
 
-    def _stale_profile(self, engine, ctx, user, newest):
+    def _stale_profile(self, engine, ctx, newest):
         return None  # retry-signal: the device re-enrolls on this server and retries
 
 

@@ -4,16 +4,18 @@ which also owns the rollout, the cloud job handlers, the enroll-leg planner
 and the runtime response path. ``ServerWorldBase`` adds the database, the
 request flows and the one re-enrollment pump (fetch, enroll-job, put per
 stale user) behind the offline bulk pass and the DOUBLE sweep. Enrollment
-stores the audio, then runs one enroll job and one put per leg of its plan;
-runtime requests fetch profiles (and audio, so a mismatch can be repaired
-without extra round trips), dispatch, and return scores. Messages are built
-with their kind as data, as in ``Request("runtime-request", ctx)``.
+stores the audio, then runs one enroll job and one put per leg of its plan.
+A runtime request names one user: it fetches that user's profiles (and
+audio, so a mismatch can be repaired without extra round trips), answers at
+once if there are none, else dispatches and returns the score. Messages are
+built with their kind as data, as in ``Request("runtime-request", ctx)``.
 
 The worlds differ in what a model release does:
 
-* ``OfflineServerWorld`` (SINGLE_OFFLINE) freezes the frontend, waits for
-  every admitted request, updates every server, bulk re-enrolls every user,
-  then lifts maintenance.
+* ``OfflineServerWorld`` (SINGLE_OFFLINE) opens a maintenance window: it
+  refuses new requests, waits for every admitted one, updates every server,
+  bulk re-enrolls every user, then lifts the window. The window and its count
+  of admitted requests are this world's alone.
 * ``OnlineServerWorld`` (SINGLE_ONLINE) updates servers in place: each swaps
   after its own drawn duration and serves on the old engine meanwhile.
   Profiles are repaired on the request path; the HASH_LB and MULTI_PROFILE
@@ -37,7 +39,6 @@ from ..metrics import RequestKind
 from ..topology import DatabaseNode, ModelRelease
 from .common import (
     DB_STREAM,
-    REJECTED,
     SWEEP_STEP,
     SYNC_TICK,
     CloudWorldBase,
@@ -82,7 +83,6 @@ class ServerWorldBase(CloudWorldBase):
         super().__init__(scenario, sim, storage, log)
         self.db = DatabaseNode()
         self.db_rng = node_stream(scenario.seed, DB_STREAM)
-        self._inflight = 0
         # users awaiting the re-enrollment pump: a min-heap of ids plus the
         # same ids as a set, so the pump visits them in ascending id order,
         # once each; and the number of lanes still running
@@ -123,25 +123,18 @@ class ServerWorldBase(CloudWorldBase):
         self.sim.schedule(self.sim.now + delay, "frontend", payload)
 
     def _on_db_store_audio(self, target, msg: DbStoreAudio):
-        self.db.store_audio(msg.user_id, msg.samples)
+        self.db.store_audio(msg.ctx.user_id, msg.ctx.samples)
         self._db_to_frontend(DbAck("db-store-ack", msg.token, msg.ctx))
 
     def _on_db_fetch(self, target, msg: DbFetch):
-        profiles: dict[str, list[UserProfile]] = {}
-        audio = {}
-        for user in msg.user_ids:
-            row = self.db.fetch(user)
-            if row is not None:
-                profiles[user] = list(row.profiles)
-                audio[user] = row.audio
-        self._db_to_frontend(
-            DbFetchReply(profiles=profiles, audio=audio, token=msg.token, ctx=msg.ctx)
-        )
+        row = self.db.fetch(msg.user_id)
+        profiles, audio = (list(row.profiles), row.audio) if row is not None else ([], ())
+        self._db_to_frontend(DbFetchReply(profiles, audio, msg.token, msg.ctx))
 
     def _on_db_put_profile(self, target, msg: DbPutProfile):
-        for profile in msg.profiles:
-            self.db.put_profile(profile, msg.retain)
-            self.log.log_put(self.sim.now, profile.user_id, profile.version)
+        profile = msg.profile
+        self.db.put_profile(profile, msg.retain)
+        self.log.log_put(self.sim.now, profile.user_id, profile.version)
         self._db_to_frontend(DbAck("db-put-ack", msg.token, msg.ctx))
 
     def _on_db_ack(self, target, msg):
@@ -151,14 +144,7 @@ class ServerWorldBase(CloudWorldBase):
     # per leg of the plan
 
     def _on_enroll_request(self, target, msg: Request):
-        ctx = msg.ctx
-        if self.frontend.maintenance:
-            self._respond_enroll(ctx, Outcome.MAINTENANCE, counted=False)
-            return
-        self._inflight += 1
-        self._frontend_to_db(
-            DbStoreAudio(user_id=ctx.user_id, samples=ctx.samples, token="enroll.stored", ctx=ctx)
-        )
+        self._frontend_to_db(DbStoreAudio(token="enroll.stored", ctx=msg.ctx))
 
     def _enroll_audio_stored(self, msg: DbAck):
         msg.ctx.plan = self._enroll_plan()
@@ -170,24 +156,18 @@ class ServerWorldBase(CloudWorldBase):
 
     def _enroll_leg_done(self, msg: EnrollJobDone):
         msg.ctx.produced.append(msg.profile)
-        put = DbPutProfile((msg.profile,), self.retain, f"{self.enroll_token}.put", msg.ctx)
+        put = DbPutProfile(msg.profile, self.retain, f"{self.enroll_token}.put", msg.ctx)
         self._frontend_to_db(put)
 
     def _enroll_leg_put(self, msg: DbAck):
         self._next_enroll_leg(msg.ctx)
 
-    def _respond_enroll(self, ctx: EnrollCtx, outcome: Outcome, counted: bool = True):
-        if counted:
-            self._inflight -= 1
+    def _respond_enroll(self, ctx: EnrollCtx, outcome: Outcome) -> None:
         self._frontend_to_device(ctx.device_id, Response("enroll-response", ctx, outcome))
-        self._maintenance_check()
 
     def _on_enroll_response(self, target, msg: Response):
         ctx = msg.ctx
-        if ctx.record:
-            self.log.record(
-                RequestKind.ENROLL, ctx.user_id, ctx.submitted, self.sim.now, msg.outcome
-            )
+        self.log.record(RequestKind.ENROLL, ctx.user_id, ctx.submitted, self.sim.now, msg.outcome)
 
     # -- runtime flow
 
@@ -198,48 +178,31 @@ class ServerWorldBase(CloudWorldBase):
             device_id=device_id,
             submitted=self.sim.now,
             sample=msg.sample,
-            candidate_ids=(msg.user_id,),
         )
         self._device_to_frontend(device_id, Request("runtime-request", ctx))
 
     def _on_runtime_request(self, target, msg: Request):
-        ctx = msg.ctx
-        if self.frontend.maintenance:
-            self._respond_runtime(ctx, Outcome.MAINTENANCE, counted=False)
-            return
-        self._inflight += 1
-        self._frontend_to_db(DbFetch(user_ids=ctx.candidate_ids, token="runtime.fetched", ctx=ctx))
+        self._frontend_to_db(DbFetch(msg.ctx.user_id, "runtime.fetched", msg.ctx))
 
     def _runtime_fetched(self, msg: DbFetchReply):
         ctx: RuntimeCtx = msg.ctx
         ctx.profiles = msg.profiles
         ctx.audio = msg.audio
-        if not any(ctx.profiles.get(u) for u in ctx.candidate_ids):
-            # nobody enrolled: reject without engine work
-            ctx.results = {u: REJECTED for u in ctx.candidate_ids}
+        if not ctx.profiles:
+            # not enrolled: reject without engine work
             self._respond_runtime(ctx, Outcome.OK)
             return
         self._dispatch_runtime(ctx)
 
     def _on_recognize_done(self, target, msg: RecognizeJobDone):
         ctx = msg.ctx
-        if ctx.refreshed:
-            put = DbPutProfile(tuple(ctx.refreshed), self.retain, "runtime.put", ctx)
-            self._frontend_to_db(put)
+        if ctx.refreshed is not None:
+            self._frontend_to_db(DbPutProfile(ctx.refreshed, self.retain, "runtime.put", ctx))
             return
         self._respond_runtime(ctx, Outcome.OK)
 
     def _runtime_profiles_put(self, msg: DbAck):
         self._respond_runtime(msg.ctx, Outcome.OK)
-
-    def _respond_runtime(self, ctx: RuntimeCtx, outcome: Outcome, counted: bool = True):
-        if counted:
-            self._inflight -= 1
-        super()._respond_runtime(ctx, outcome)
-        self._maintenance_check()
-
-    def _maintenance_check(self) -> None:
-        pass
 
     # -- the re-enrollment pump: each lane takes queued users one at a time
     # and does fetch, enroll-job on the newest served version, put. The
@@ -271,9 +234,7 @@ class ServerWorldBase(CloudWorldBase):
             row = self.db.fetch(user)
             if row is not None and row.profiles and row.profiles[-1].version.seq < newest.seq:
                 token = f"{self.pump_token}.fetched"
-                self._frontend_to_db(
-                    DbFetch(user_ids=(user,), token=token, ctx=_SweepCtx(user, lane))
-                )
+                self._frontend_to_db(DbFetch(user, token, _SweepCtx(user, lane)))
                 return
         self._pump_lanes -= 1
         if not self._pump_lanes:
@@ -282,22 +243,19 @@ class ServerWorldBase(CloudWorldBase):
     def _pump_fetched(self, msg: DbFetchReply):
         ctx: _SweepCtx = msg.ctx
         # the lane saw a stored profile, and rows never lose audio or profiles
-        ctx.from_version = msg.profiles[ctx.user_id][-1].version
+        ctx.from_version = msg.profiles[-1].version
         newest_served = self.served_versions[-1]
         if ctx.from_version.seq >= newest_served.seq:
             self._pump_advance(ctx.lane)
             return
         # a version reported as served always has a live server behind it
         server_id = self._pump_server(ctx, self.servers_serving(newest_served))
-        self._send_enroll_job(server_id, ctx, msg.audio[ctx.user_id], f"{self.pump_token}.done")
+        self._send_enroll_job(server_id, ctx, msg.audio, f"{self.pump_token}.done")
 
     def _pump_enrolled(self, msg: EnrollJobDone):
         ctx: _SweepCtx = msg.ctx
         ctx.profile = msg.profile
-        token = f"{self.pump_token}.put"
-        self._frontend_to_db(
-            DbPutProfile(profiles=(msg.profile,), retain=self.retain, token=token, ctx=ctx)
-        )
+        self._frontend_to_db(DbPutProfile(msg.profile, self.retain, f"{self.pump_token}.put", ctx))
 
     def _pump_put(self, msg: DbAck):
         ctx: _SweepCtx = msg.ctx
@@ -319,15 +277,14 @@ class OnlineServerWorld(ServerWorldBase):
         if self.cfg.mitigation is Mitigation.MULTI_PROFILE:
             self.retain = None
 
-    def _stale_profile(self, engine, ctx, user, newest):
+    def _stale_profile(self, engine, ctx, newest):
         # repair in place from the fetched audio; the new profile is written
         # back before the response goes out
-        audio = ctx.audio[user]
-        fresh = engine.enroll(user, audio)
-        self.log.log_reenroll(self.sim.now, user, newest.version, fresh.version)
-        ctx.refreshed.append(fresh)
+        fresh = engine.enroll(ctx.user_id, ctx.audio)
+        self.log.log_reenroll(self.sim.now, ctx.user_id, newest.version, fresh.version)
+        ctx.refreshed = fresh
         ctx.reenrolls += 1
-        return fresh, engine.enroll_duration_ms(len(audio))
+        return fresh, engine.enroll_duration_ms(len(ctx.audio))
 
 
 class _RefreshRound:
@@ -387,23 +344,20 @@ class SyncTableServerWorld(OnlineServerWorld):
     def _dispatch_runtime(self, ctx: RuntimeCtx) -> None:
         self._select_and_dispatch(ctx, "runtime")
 
-    def _select_and_dispatch(self, ctx, flow: str) -> None:
+    def _select_and_dispatch(self, ctx, flow: str, refreshed: bool = False) -> None:
+        """Send the job to a server the table lists with the version it
+        needs; ``refreshed`` when a probe round has just renewed the table
+        for this request."""
         fe = self.frontend
         table = self.version_table
-        required = None
-        if flow == "runtime":
-            newest = [
-                plist[-1].version
-                for plist in (ctx.profiles.get(u) or [] for u in ctx.candidate_ids)
-                if plist
-            ]
-            required = max(newest, key=lambda v: v.seq) if newest else None
+        # a runtime request needs the user's newest profile version
+        required = ctx.profiles[-1].version if flow == "runtime" else None
         eligible = [
             s
             for s in fe.server_ids
             if table[s] and (required is None or required in table[s])
         ]
-        if not eligible and ctx.refreshed_once:
+        if not eligible and refreshed:
             # fresh table, required version served nowhere: the producer has
             # moved past it, so the newest table entry is a strict upgrade
             versions = [v for s in fe.server_ids for v in table[s]]
@@ -413,11 +367,10 @@ class SyncTableServerWorld(OnlineServerWorld):
         if eligible:
             self._send_job(ctx, flow, fe.choose(ctx.user_id, eligible))
             return
-        if not ctx.refreshed_once:
+        if not refreshed:
             self._start_refresh(waiter=(ctx, flow))
             return
         # every server is mid-update; try again after one sync period
-        ctx.refreshed_once = False
         self.sim.schedule_in(
             self.cfg.sync_table_period_ms, "frontend", DispatchRetry(ctx=ctx, flow=flow)
         )
@@ -432,7 +385,6 @@ class SyncTableServerWorld(OnlineServerWorld):
         # the table entry was stale; blank it and force a refresh before any
         # fallback decision
         self.version_table[msg.server_id] = set()
-        msg.ctx.refreshed_once = False
         self._select_and_dispatch(msg.ctx, msg.flow)
 
     def _on_dispatch_retry(self, target, msg: DispatchRetry):
@@ -469,8 +421,7 @@ class SyncTableServerWorld(OnlineServerWorld):
         if rnd.remaining == 0:
             del self._rounds[msg.round_id]
             for ctx, flow in rnd.waiters:
-                ctx.refreshed_once = True
-                self._select_and_dispatch(ctx, flow)
+                self._select_and_dispatch(ctx, flow, refreshed=True)
 
 
 class OfflineServerWorld(ServerWorldBase):
@@ -483,15 +434,48 @@ class OfflineServerWorld(ServerWorldBase):
 
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
+        # the release held back until every admitted request, counted by
+        # ``_inflight``, has answered
         self._held: ModelRelease | None = None
+        self._inflight = 0
+
+    # -- the window is open while a release is active: it refuses new
+    # requests; an admitted one is counted until its answer
+
+    def _on_enroll_request(self, target, msg):
+        if self.active_release is not None:
+            self._respond_enroll(msg.ctx, Outcome.MAINTENANCE)
+            return
+        self._inflight += 1
+        super()._on_enroll_request(target, msg)
+
+    def _on_runtime_request(self, target, msg):
+        if self.active_release is not None:
+            self._respond_runtime(msg.ctx, Outcome.MAINTENANCE)
+            return
+        self._inflight += 1
+        super()._on_runtime_request(target, msg)
+
+    def _respond_enroll(self, ctx, outcome):
+        super()._respond_enroll(ctx, outcome)
+        self._answered(outcome)
+
+    def _respond_runtime(self, ctx, outcome):
+        super()._respond_runtime(ctx, outcome)
+        self._answered(outcome)
+
+    def _answered(self, outcome: Outcome) -> None:
+        # only a refused request is answered MAINTENANCE
+        if outcome is not Outcome.MAINTENANCE:
+            self._inflight -= 1
+            self._roll_out_if_drained()
 
     def _begin_release(self, release: ModelRelease) -> None:
         self.log.maintenance_begin(self.sim.now)
-        self.frontend.maintenance = True
         self._held = release
-        self._maintenance_check()
+        self._roll_out_if_drained()
 
-    def _maintenance_check(self) -> None:
+    def _roll_out_if_drained(self) -> None:
         # the rollout waits for the last admitted request: a request that
         # started before the window may still write an old-version profile
         if self._held is not None and not self._inflight:
@@ -514,7 +498,6 @@ class OfflineServerWorld(ServerWorldBase):
         return serving[ctx.lane % len(serving)]
 
     def _pump_drained(self) -> None:
-        self.frontend.maintenance = False
         self.log.maintenance_end(self.sim.now)
         self.finish_release()
 
@@ -522,7 +505,7 @@ class OfflineServerWorld(ServerWorldBase):
 class DoubleServerWorld(ServerWorldBase):
     """DOUBLE: the two server groups serve two consecutive versions.
     Enrollment produces a profile per served version; runtime picks the
-    newest version common to the candidate and a fully updated server and
+    newest version common to the user's profiles and a live server and
     never re-enrolls inline. A release is done once its group is updated and
     the background sweep has given every stored user a profile for it."""
 
@@ -534,29 +517,27 @@ class DoubleServerWorld(ServerWorldBase):
         super().__init__(scenario, sim, storage, log)
         self.on("sweep-step", self._on_sweep_step)
 
-    def _respond_enroll(self, ctx: EnrollCtx, outcome: Outcome, counted: bool = True):
+    def _respond_enroll(self, ctx: EnrollCtx, outcome: Outcome) -> None:
         if len({p.version.seq for p in ctx.produced}) < 2:
             # one group was mid-update at planning, or a release took a leg's
             # version out of service; the sweep will produce the second profile
             self._queue_reenroll(ctx.user_id)
             self._kick_sweep()
-        super()._respond_enroll(ctx, outcome, counted)
+        super()._respond_enroll(ctx, outcome)
 
     # runtime: version intersection, no inline repair
 
     def _dispatch_runtime(self, ctx: RuntimeCtx) -> None:
         if not self._dispatch_to_common_version(ctx):
             raise NoCommonVersionError(
-                f"candidates {ctx.candidate_ids} share no served version "
+                f"candidates {(ctx.user_id,)} share no served version "
                 f"(served: {[v.id for v in self.served_versions]})"
             )
 
     def _on_recognize_done(self, target, msg: RecognizeJobDone):
-        newest_served = self.served_versions[-1]
-        for user in msg.ctx.candidate_ids:
-            plist = msg.ctx.profiles.get(user) or []
-            if plist and plist[-1].version.seq < newest_served.seq:
-                self._queue_reenroll(user)
+        ctx = msg.ctx
+        if ctx.profiles[-1].version.seq < self.served_versions[-1].seq:
+            self._queue_reenroll(ctx.user_id)
         self._kick_sweep()
         super()._on_recognize_done(target, msg)
 

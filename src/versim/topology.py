@@ -140,10 +140,10 @@ class CloudServerNode:
 
 
 class FrontendNode:
-    """Reverse proxy and dispatcher. Owns the round-robin cursor, the random
-    stream used for RANDOM dispatch and the maintenance flag. (The sync-table
-    mitigation's served-version table belongs to its world,
-    ``SyncTableServerWorld``.)"""
+    """Reverse proxy and dispatcher. Owns the round-robin cursor and the
+    random stream used for RANDOM dispatch. (The SINGLE_OFFLINE maintenance
+    window and the sync-table mitigation's served-version table belong to
+    their worlds, ``OfflineServerWorld`` and ``SyncTableServerWorld``.)"""
 
     def __init__(
         self,
@@ -154,7 +154,6 @@ class FrontendNode:
         self.server_ids = list(server_ids)
         self.policy = policy
         self.rng = rng
-        self.maintenance = False
         self._rr_cursor = 0
 
     def choose(self, user_id: str, eligible: list[str]) -> str:

@@ -62,7 +62,7 @@ def digests(strategy, initial, seed, variant="") -> dict[str, str]:
 def scenario_digests(scenario) -> dict[str, str]:
     result = run(scenario, trace=True)
     reenrolls = [
-        [e.at, e.user_id, e.from_seq, e.to_seq, e.to_version.id] for e in result.reenrolls
+        [e.at, e.user_id, e.from_seq, e.to_version.seq, e.to_version.id] for e in result.reenrolls
     ]
     return {
         "report": _sha(report_to_json(result.report)),
