@@ -5,7 +5,8 @@ the guard test runs every strategy combination with the collector off and
 checks that a full collection, with the world still alive, finds nothing.
 
 runner.build also picks the world, and only the SYNC_TABLE world carries the
-sync-table machinery.
+sync-table machinery; only the SINGLE_OFFLINE world keeps a maintenance
+window and answers MAINTENANCE.
 """
 
 import gc
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from test_acceptance import _COMBOS, _sweep_scenario
-from versim.domain import VersionMismatchError
+from versim.domain import Outcome, VersionMismatchError
 from versim.engine import EngineInstance
 from versim.runner import RunFailedError, build, run
 from versim.scenario import load_scenario
@@ -86,3 +87,14 @@ def test_only_sync_table_builds_the_sync_table_world(name, strategy, initial):
     sim, world, log = build(_sweep_scenario(strategy, initial, 1))
     assert (type(world) is SyncTableServerWorld) is sync_table
     assert SYNC_TABLE_KINDS & set(world._handlers) == (SYNC_TABLE_KINDS if sync_table else set())
+
+
+@pytest.mark.parametrize("name,strategy,initial", _COMBOS, ids=[c[0] for c in _COMBOS])
+def test_only_the_offline_world_keeps_a_maintenance_window(name, strategy, initial):
+    offline = strategy.get("policy") == "SINGLE_OFFLINE"
+    result = run(_sweep_scenario(strategy, initial, 1))
+    world = result.world
+    assert not hasattr(getattr(world, "frontend", None), "maintenance")
+    assert hasattr(world, "_inflight") is offline
+    refused = [r for r in result.records if r.outcome is Outcome.MAINTENANCE]
+    assert bool(refused) is offline
