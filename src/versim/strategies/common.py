@@ -711,7 +711,7 @@ class CloudWorldBase(WorldBase):
         work = engine.runtime_cost_ms
         profile = next((p for p in ctx.profiles if p.version == engine.model), None)
         if profile is None:
-            repaired = self._stale_profile(engine, ctx, ctx.profiles[-1])
+            repaired = self._stale_profile(engine, ctx)
             if repaired is None:
                 return None
             profile, cost = repaired
@@ -720,13 +720,13 @@ class CloudWorldBase(WorldBase):
         return work
 
     def _stale_profile(
-        self, engine: EngineInstance, ctx: RuntimeCtx, newest: UserProfile
+        self, engine: EngineInstance, ctx: RuntimeCtx
     ) -> tuple[UserProfile, int] | None:
         """The user holds no profile for ``engine``: return the profile to
         score and the compute spent getting it, or None to bounce the request.
         By default the newest profile goes through and the engine's version
         check is the tripwire; dispatch keeps correct worlds from this."""
-        return newest, 0
+        return ctx.profiles[-1], 0
 
     # -- enrollment: the device's request goes to the frontend, which sends
     # one enroll job per leg of the plan

@@ -202,7 +202,7 @@ class HybridSingleWorld(HybridWorldBase):
     mismatch signal, on-device re-enrollment pinned to the reporting server,
     then the retried request."""
 
-    def _stale_profile(self, engine, ctx, newest):
+    def _stale_profile(self, engine, ctx):
         return None  # retry-signal: the device re-enrolls on this server and retries
 
 

@@ -277,11 +277,11 @@ class OnlineServerWorld(ServerWorldBase):
         if self.cfg.mitigation is Mitigation.MULTI_PROFILE:
             self.retain = None
 
-    def _stale_profile(self, engine, ctx, newest):
+    def _stale_profile(self, engine, ctx):
         # repair in place from the fetched audio; the new profile is written
         # back before the response goes out
         fresh = engine.enroll(ctx.user_id, ctx.audio)
-        self.log.log_reenroll(self.sim.now, ctx.user_id, newest.version, fresh.version)
+        self.log.log_reenroll(self.sim.now, ctx.user_id, ctx.profiles[-1].version, fresh.version)
         ctx.refreshed = fresh
         ctx.reenrolls += 1
         return fresh, engine.enroll_duration_ms(len(ctx.audio))
