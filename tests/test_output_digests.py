@@ -14,6 +14,14 @@ The no-row case sends runtime requests at t=0, so their database fetches
 arrive before the user's row exists (``db-fetch-reply rows=0``) or before its
 first profile; the sweep's first runtime arrival comes long after enrollment.
 
+The edge cases are small runs (4 users, 2 servers, fixed links) that reach
+branches no sweep run takes: a DOUBLE enrollment that ends with one leg and
+queues the user for the sweep, an offline enrollment refused MAINTENANCE,
+SYNC_TABLE job rejections, a release queued behind another, a hybrid
+background enrollment already in flight, a hybrid runtime request from a user
+with no profile, and an enroll leg skipped because no server serves its
+version by the time it reaches the frontend.
+
 Regenerate the table (only for an intended behaviour change) with
 ``PYTHONPATH=src python tests/test_output_digests.py``.
 """
@@ -54,6 +62,47 @@ NO_ROW = {
 }
 
 
+EDGE_LATENCY = {
+    "device_frontend": {"base_ms": 5, "jitter_ms": 0},
+    "frontend_cloud": {"base_ms": 3, "jitter_ms": 0},
+    "frontend_db": {"base_ms": 2, "jitter_ms": 0},
+}
+
+
+def _edge(strategy, initial=("V1",), release_times=(1, 2)):
+    return {
+        "strategy": strategy,
+        "users": 4,
+        "devices": 2,
+        "cloud_servers": 2,
+        "latency": EDGE_LATENCY,
+        "initial_versions": list(initial),
+        "releases": [
+            {"time_ms": t, "version_id": f"R{i + 1}", "server_update_ms": [50, 50]}
+            for i, t in enumerate(release_times)
+        ],
+        "runtime_arrivals": {
+            "explicit": [
+                {"time_ms": t, "user_id": f"u{i % 4:03d}"}
+                for i, t in enumerate((0, 30, 60, 200, 400))
+            ]
+        },
+        "duration_ms": 1000,
+        "seed": 1,
+    }
+
+
+_HYBRID_DOUBLE = {"deployment": "HYBRID", "policy": "DOUBLE", "handshake_period_ms": 10}
+EDGES = {
+    "edge-server-double/1": _edge({"policy": "DOUBLE"}, ("V1", "V2")),
+    "edge-server-offline/1": _edge({"policy": "SINGLE_OFFLINE"}),
+    "edge-server-online-sync/1": _edge({"mitigation": "SYNC_TABLE", "sync_table_period_ms": 20}),
+    "edge-hybrid-single-handshake/1": _edge({"deployment": "HYBRID", "handshake_period_ms": 10}),
+    "edge-hybrid-double-handshake/1": _edge(_HYBRID_DOUBLE, ("V1", "V2")),
+    "edge-hybrid-double-leg-skipped/1": _edge(_HYBRID_DOUBLE, ("V1", "V2"), (1, 56)),
+}
+
+
 def digests(strategy, initial, seed, variant="") -> dict[str, str]:
     scenario = dataclasses.replace(_sweep_scenario(strategy, initial, seed), **VARIANTS[variant])
     return scenario_digests(scenario)
@@ -80,6 +129,8 @@ def _all_digests() -> dict[str, dict[str, str]]:
         for variant in VARIANTS
     }
     table[NO_ROW_KEY] = scenario_digests(scenario_from_dict(NO_ROW))
+    for key, data in EDGES.items():
+        table[key] = scenario_digests(scenario_from_dict(data))
     return table
 
 
@@ -100,6 +151,13 @@ def test_wide_outputs_match_the_pinned_digests(name, strategy, initial, seed):
 def test_no_row_outputs_match_the_pinned_digest():
     table = json.loads(TABLE.read_text())
     assert scenario_digests(scenario_from_dict(NO_ROW)) == table[NO_ROW_KEY]
+
+
+
+@pytest.mark.parametrize("key", EDGES)
+def test_edge_outputs_match_the_pinned_digests(key):
+    table = json.loads(TABLE.read_text())
+    assert scenario_digests(scenario_from_dict(EDGES[key])) == table[key]
 
 
 if __name__ == "__main__":
