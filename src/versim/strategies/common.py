@@ -7,21 +7,21 @@ handler table that routes every executed event by its message ``kind``.
 Request flows are chains of messages; each hop is one traced event, and each
 message carries its flow context object so node handlers stay stateless
 between hops. There is one message class per hop shape. Where a shape serves
-several hops (``Request``, ``Response``, ``ServerHop``, ``DbAck``, ...) the
-kind is data, set when the message is built; the trace prints it as it is.
+several hops (``Request``, ``Response``, ``ServerHop``, ``DbAck``, ``Tick``,
+...) the kind is data, set when the message is built; the trace prints it.
 
-``WorldBase`` holds what every world has: devices, engines and handlers;
-``DeviceWorld`` (``device.py``) builds on it alone. ``CloudWorldBase`` is the one
-cloud fleet of the SERVER and HYBRID worlds: the servers and frontend, the
-served-version index, release serialization, the rollout of one server group
-or of the two DOUBLE groups, the cloud job handlers, the enroll-leg planner,
-and the runtime dispatch and response path. A runtime request names one
-user, as in the paper's runtime stage: its ``RuntimeCtx`` carries that
-user's profiles, and the database messages carry one user or one profile.
-``server.py`` adds the database and the re-enrollment pump
-(``ServerWorldBase``) and the worlds ``OfflineServerWorld``,
-``OnlineServerWorld``, ``SyncTableServerWorld`` and ``DoubleServerWorld``;
-``hybrid.py`` adds ``HybridSingleWorld`` and ``HybridDoubleWorld``.
+``WorldBase`` holds what every world has: devices, engines, handlers, and
+``_put``, the profile write into a store (``topology``'s database or device)
+under the world's one ``retain``; ``DeviceWorld`` (``device.py``) builds on
+it alone. ``CloudWorldBase`` is the cloud fleet of the SERVER and HYBRID
+worlds: servers and frontend, the served-version index, the rollout, the
+cloud jobs, runtime dispatch, and the one enrollment flow. That flow admits
+the device's request, plans its legs, sends one enroll job per leg, keeps
+each produced profile, answers enroll-response, and records the request or
+resumes the runtime request it re-enrolled for. The worlds differ only in
+where profiles are kept: ``server.py`` hops to the database (the audio
+first, then a put per leg), while in ``hybrid.py`` the device keeps the
+profiles when the response reaches it.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from ..kernel import SimRng, Simulator, node_stream
 from ..metrics import RequestKind, RequestRecord
 from ..topology import (
     CloudServerNode,
+    DatabaseNode,
     DeviceNode,
     DispatchPolicy,
     FrontendNode,
@@ -250,15 +251,6 @@ class DeviceTaskDone:
 
 
 @dataclass(slots=True)
-class DeviceReenrollDone:
-    kind: ClassVar[str] = "device-reenroll-done"
-    user_id: str
-
-    def summary(self) -> str:
-        return f"user={self.user_id}"
-
-
-@dataclass(slots=True)
 class ServerUpdateDone:
     kind: ClassVar[str] = "server-update-done"
     server_id: str
@@ -269,17 +261,10 @@ class ServerUpdateDone:
 
 
 @dataclass(slots=True)
-class HandshakeTick:
-    kind: ClassVar[str] = "handshake-tick"
-    device_id: str
-
-    def summary(self) -> str:
-        return f"device={self.device_id}"
-
-
-@dataclass(slots=True)
 class Tick:
-    """A step with no data: sync-tick or sweep-step; ``note`` is its summary."""
+    """A step whose only data is its summary ``note``: sync-tick, sweep-step,
+    handshake-tick (its target names the device) or device-reenroll-done (the
+    device's re-enroll queue names the user)."""
 
     kind: str
     note: str
@@ -480,7 +465,6 @@ class DbFetchReply:
 class DbPutProfile:
     kind: ClassVar[str] = "db-put-profile"
     profile: UserProfile
-    retain: int | None
     token: str
     ctx: object
 
@@ -494,8 +478,11 @@ class DbPutProfile:
 
 class WorldBase:
     """One wired deployment. Subclasses register handlers per message kind
-    and implement the flows; this base owns the devices, engine caching and
-    the handler table."""
+    and implement the flows; this base owns the devices, engine caching, the
+    handler table and the profile writes."""
+
+    # profiles the world's store keeps per user (None: unbounded)
+    retain: int | None = 1
 
     def __init__(self, scenario: "Scenario", sim: Simulator, storage: ModelStorageNode, log: RunLog):
         self.sc = scenario
@@ -545,12 +532,17 @@ class WorldBase:
     def device_target(self, device_id: str) -> str:
         return self._device_targets[device_id]
 
+    def _put(self, store: "DatabaseNode | DeviceNode", profile: UserProfile) -> None:
+        """Keep ``profile`` in the world's store under ``retain`` and log the write."""
+        store.put_profile(profile, self.retain)
+        self.log.log_put(self.sim.now, profile.user_id, profile.version)
+
 
 class CloudWorldBase(WorldBase):
     """A world with a cloud fleet behind the frontend; the one fleet that the
     SERVER and HYBRID deployments share. It owns the servers and their rng
     streams, the frontend, the served-version index, release serialization,
-    the rollout, the cloud job handlers, the enroll legs, the runtime
+    the rollout, the cloud job handlers, the enrollment flow, the runtime
     dispatch (single-version and DOUBLE) and the runtime response path.
 
     Single-version policies run one server group, all on the initial version,
@@ -588,7 +580,13 @@ class CloudWorldBase(WorldBase):
         self.active_release: ModelRelease | None = None
         self._update_remaining: set[str] = set()
         self._index_served()
+        self._conts: dict[str, Callable] = {self.leg_token: self._enroll_leg_done}
         self.on("enroll-arrival", self._on_enroll_arrival)
+        self.on("enroll-request", self._on_enroll_request)
+        self.on("enroll-job-done", self._continue)
+        self.on("enroll-response", self._on_enroll_response)
+        self.on("runtime-arrival", self._on_runtime_arrival)
+        self.on("runtime-request", self._on_runtime_request)
         self.on("release", self._on_release)
         self.on("server-update-done", self._on_server_update_done)
         self.on("enroll-job", self._on_enroll_job)
@@ -728,29 +726,47 @@ class CloudWorldBase(WorldBase):
         check is the tripwire; dispatch keeps correct worlds from this."""
         return ctx.profiles[-1], 0
 
-    # -- enrollment: the device's request goes to the frontend, which sends
-    # one enroll job per leg of the plan
+    # -- enrollment, one flow for every cloud world: the frontend admits the
+    # device's request, plans its legs and sends one enroll job per leg,
+    # keeps each produced profile, and answers enroll-response; the device
+    # records the request, or resumes the runtime request it re-enrolled for.
+    # A world names where its profiles are kept by the hops it takes there:
+    # ``_store_audio`` before the legs, ``_store_leg`` after each one, and
+    # ``_store_produced`` at the response. By default none of them has a hop.
+
+    leg_token = "leg"  # the continuation of an enroll job, printed as ``for=``
 
     def _on_enroll_arrival(self, target, msg: EnrollArrival):
-        device_id = target.split(":", 1)[1]
-        ctx = EnrollCtx(
-            user_id=msg.user_id,
-            device_id=device_id,
-            submitted=self.sim.now,
-            samples=msg.samples,
-        )
+        self._request_enroll(target.split(":", 1)[1], msg.user_id, msg.samples)
+
+    def _request_enroll(self, device_id: str, user_id: str, samples, **flow) -> None:
+        """The device sends an enroll-request; ``flow`` sets the ``EnrollCtx``
+        fields of a background or in-path re-enrollment."""
+        ctx = EnrollCtx(user_id, device_id, self.sim.now, samples, **flow)
         self._device_to_frontend(device_id, Request("enroll-request", ctx))
+
+    def _on_enroll_request(self, target, msg: Request):
+        self._store_audio(msg.ctx)
+
+    def _store_audio(self, ctx: EnrollCtx) -> None:
+        self._start_enroll(ctx)
+
+    def _start_enroll(self, ctx: EnrollCtx) -> None:
+        """Plan the legs, unless the request brought its plan, and send the first."""
+        if not ctx.plan:
+            ctx.plan = self._enroll_plan()
+        self._next_enroll_leg(ctx)
 
     def _enroll_plan(self) -> list[VersionId | None]:
         """One leg on any server for the single-version policies; for DOUBLE
         one leg per served version, oldest first."""
         return self.served_versions[-2:] if self.cfg.policy is UpdatePolicy.DOUBLE else [None]
 
-    def _send_enroll_leg(self, ctx: EnrollCtx, token: str) -> bool:
+    def _next_enroll_leg(self, ctx: EnrollCtx) -> None:
         """Send the enroll job for the next leg of ``ctx.plan``: to the pinned
         server, else to a live server of the leg's version (of any version
-        for None). A leg whose version no server serves is skipped. False
-        once the plan is used up."""
+        for None). A leg whose version no server serves is skipped. Once the
+        plan is used up, answer the device."""
         while ctx.plan:
             version = ctx.plan.pop(0)
             if ctx.pinned_server is not None:
@@ -762,14 +778,54 @@ class CloudWorldBase(WorldBase):
                 if not eligible:
                     continue
                 server_id = self.frontend.choose(ctx.user_id, eligible)
-            self._send_enroll_job(server_id, ctx, ctx.samples, token)
-            return True
-        return False
+            self._send_enroll_job(server_id, ctx, ctx.samples, self.leg_token)
+            return
+        self._respond_enroll(ctx, Outcome.OK)
 
     def _send_enroll_job(self, server_id: str, ctx, samples, token: str) -> None:
         self._frontend_to_cloud(server_id, EnrollJob(ctx, server_id, samples, token))
 
-    # -- runtime dispatch
+    def _continue(self, target, msg) -> None:
+        """A reply that goes on with the flow step its ``token`` names."""
+        self._conts[msg.token](msg)
+
+    def _enroll_leg_done(self, msg: EnrollJobDone) -> None:
+        msg.ctx.produced.append(msg.profile)
+        self._store_leg(msg.ctx, msg.profile)
+
+    def _store_leg(self, ctx: EnrollCtx, profile: UserProfile) -> None:
+        self._next_enroll_leg(ctx)
+
+    def _respond_enroll(self, ctx: EnrollCtx, outcome: Outcome) -> None:
+        self._frontend_to_device(ctx.device_id, Response("enroll-response", ctx, outcome))
+
+    def _on_enroll_response(self, target, msg: Response):
+        ctx = msg.ctx
+        self._store_produced(ctx)
+        if ctx.parent is None:
+            now = self.sim.now
+            self.log.record(RequestKind.ENROLL, ctx.user_id, ctx.submitted, now, msg.outcome)
+            return
+        parent = ctx.parent
+        parent.reenrolls += 1
+        parent.profiles = list(self.devices[ctx.device_id].profiles_for(ctx.user_id))
+        self._device_to_frontend(ctx.device_id, Request("runtime-request", parent))
+
+    def _store_produced(self, ctx: EnrollCtx) -> None:
+        """Keep the produced profiles at the response; the legs kept them here."""
+
+    # -- runtime requests: the device sends the profiles it holds, which are
+    # none outside HYBRID; a world that keeps them elsewhere fetches them
+    # before dispatch
+
+    def _on_runtime_arrival(self, target, msg: RuntimeArrival):
+        device_id = target.split(":", 1)[1]
+        profiles = list(self.devices[device_id].profiles_for(msg.user_id))
+        ctx = RuntimeCtx(msg.user_id, device_id, self.sim.now, msg.sample, profiles)
+        self._device_to_frontend(device_id, Request("runtime-request", ctx))
+
+    def _on_runtime_request(self, target, msg: Request):
+        self._dispatch_runtime(msg.ctx)
 
     def _send_recognize_job(self, server_id: str, ctx: RuntimeCtx) -> None:
         self._frontend_to_cloud(server_id, ServerHop("recognize-job", ctx, server_id))

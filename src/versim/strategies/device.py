@@ -14,11 +14,11 @@ from ..domain import Outcome, VersionId
 from ..metrics import RequestKind
 from ..topology import DeviceNode, ModelRelease
 from .common import (
-    DeviceReenrollDone,
     DeviceTaskDone,
     EnrollArrival,
     ReleasePayload,
     RuntimeArrival,
+    Tick,
     VersionNotice,
     WorldBase,
 )
@@ -79,8 +79,7 @@ class DeviceWorld(WorldBase):
         dev = self._device(target)
         if task.task == "enroll":
             profile = self.engine_for(dev.local_model).enroll(task.user_id, task.payload.samples)
-            dev.store_profile(profile, cap=1)
-            self.log.log_put(self.sim.now, task.user_id, profile.version)
+            self._put(dev, profile)
             self.log.record(
                 RequestKind.ENROLL, task.user_id, task.submitted, self.sim.now, Outcome.OK
             )
@@ -139,21 +138,17 @@ class DeviceWorld(WorldBase):
         self.sim.schedule_in(
             engine.enroll_duration_ms(len(dev.stored_audio[queue[0]])),
             target,
-            DeviceReenrollDone(user_id=queue[0]),
+            Tick("device-reenroll-done", f"user={queue[0]}"),
         )
 
-    def _on_reenroll_done(self, target: str, msg: DeviceReenrollDone) -> None:
+    def _on_reenroll_done(self, target: str, msg: Tick) -> None:
         dev = self._device(target)
-        queue = self._reenroll_queue[dev.device_id]
-        assert queue and queue[0] == msg.user_id
-        queue.pop(0)
-        engine = self.engine_for(dev.local_model)
-        old = dev.newest_profile(msg.user_id)
-        profile = engine.enroll(msg.user_id, dev.stored_audio[msg.user_id])
-        dev.store_profile(profile, cap=1)
-        self.log.log_put(self.sim.now, msg.user_id, profile.version)
-        if old is not None:
-            self.log.log_reenroll(self.sim.now, msg.user_id, old.version, profile.version)
+        user = self._reenroll_queue[dev.device_id].pop(0)
+        old = dev.profiles_for(user)[-1:]
+        profile = self.engine_for(dev.local_model).enroll(user, dev.stored_audio[user])
+        self._put(dev, profile)
+        if old:
+            self.log.log_reenroll(self.sim.now, user, old[0].version, profile.version)
         self._next_reenroll(target, dev)
 
     def _close_update_window(self, target: str, dev: DeviceNode) -> None:

@@ -1,14 +1,13 @@
 """Server-side strategy controllers: audio and profiles live in the
 database, engines on the cloud fleet of ``CloudWorldBase`` (``common.py``),
-which also owns the rollout, the cloud job handlers, the enroll-leg planner
-and the runtime response path. ``ServerWorldBase`` adds the database, the
-request flows and the one re-enrollment pump (fetch, enroll-job, put per
-stale user) behind the offline bulk pass and the DOUBLE sweep. Enrollment
-stores the audio, then runs one enroll job and one put per leg of its plan.
-A runtime request names one user: it fetches that user's profiles (and
-audio, so a mismatch can be repaired without extra round trips), answers at
-once if there are none, else dispatches and returns the score. Messages are
-built with their kind as data, as in ``Request("runtime-request", ctx)``.
+which also runs the rollout, the cloud jobs and the one enrollment flow.
+``ServerWorldBase`` adds the database and names the flow's hops to it: the
+enrollment audio is stored before the legs, and each leg's profile is put
+after its job. It also adds the runtime fetch and the one re-enrollment pump
+(fetch, enroll-job, put per stale user) behind the offline bulk pass and the
+DOUBLE sweep. A runtime request fetches its user's profiles (and audio, so a
+mismatch can be repaired without extra round trips), answers at once if
+there are none, else dispatches and returns the score.
 
 The worlds differ in what a model release does:
 
@@ -19,7 +18,7 @@ The worlds differ in what a model release does:
 * ``OnlineServerWorld`` (SINGLE_ONLINE) updates servers in place: each swaps
   after its own drawn duration and serves on the old engine meanwhile.
   Profiles are repaired on the request path; the HASH_LB and MULTI_PROFILE
-  mitigations act through the dispatch policy and profile retention.
+  mitigations act through the dispatch policy and ``retain``.
 * ``SyncTableServerWorld`` is SINGLE_ONLINE with SYNC_TABLE: the frontend
   dispatches from a table of served versions that probe rounds refresh, and
   a server mid-update refuses jobs.
@@ -35,7 +34,6 @@ from heapq import heappop, heappush
 
 from ..domain import NoCommonVersionError, Outcome, UserProfile, VersionId
 from ..kernel import node_stream
-from ..metrics import RequestKind
 from ..topology import DatabaseNode, ModelRelease
 from .common import (
     DB_STREAM,
@@ -54,8 +52,6 @@ from .common import (
     Mitigation,
     RecognizeJobDone,
     Request,
-    Response,
-    RuntimeArrival,
     RuntimeCtx,
     SyncProbe,
     SyncReply,
@@ -73,11 +69,8 @@ class _SweepCtx:
 
 
 class ServerWorldBase(CloudWorldBase):
-    # profiles the database keeps per user
-    retain: int | None = 1
-    # the prefix of the enroll-leg continuations, printed in traces as
-    # ``for=enroll.done`` and ``for=enroll.put``
-    enroll_token = "enroll"
+    # the enroll-leg continuations, printed in traces as ``for=``
+    leg_token, put_token = "enroll.done", "enroll.put"
 
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
@@ -90,27 +83,21 @@ class ServerWorldBase(CloudWorldBase):
         self._pump_queued: set[str] = set()
         self._pump_lanes = 0
 
-        self.on("runtime-arrival", self._on_runtime_arrival)
-        self.on("enroll-request", self._on_enroll_request)
-        self.on("runtime-request", self._on_runtime_request)
-        self.on("enroll-response", self._on_enroll_response)
         self.on("db-store-audio", self._on_db_store_audio)
-        self.on("db-store-ack", self._on_db_ack)
+        self.on("db-store-ack", self._continue)
         self.on("db-fetch", self._on_db_fetch)
-        self.on("db-fetch-reply", self._on_db_ack)
+        self.on("db-fetch-reply", self._continue)
         self.on("db-put-profile", self._on_db_put_profile)
-        self.on("db-put-ack", self._on_db_ack)
-        self.on("enroll-job-done", self._on_db_ack)
-        self._conts = {
-            "enroll.stored": self._enroll_audio_stored,
-            f"{self.enroll_token}.done": self._enroll_leg_done,
-            f"{self.enroll_token}.put": self._enroll_leg_put,
+        self.on("db-put-ack", self._continue)
+        self._conts.update({
+            "enroll.stored": lambda msg: self._start_enroll(msg.ctx),
+            self.put_token: lambda msg: self._next_enroll_leg(msg.ctx),
             "runtime.fetched": self._runtime_fetched,
             "runtime.put": self._runtime_profiles_put,
             f"{self.pump_token}.fetched": self._pump_fetched,
             f"{self.pump_token}.done": self._pump_enrolled,
             f"{self.pump_token}.put": self._pump_put,
-        }
+        })
 
     # -- database hops and handlers
 
@@ -132,54 +119,19 @@ class ServerWorldBase(CloudWorldBase):
         self._db_to_frontend(DbFetchReply(profiles, audio, msg.token, msg.ctx))
 
     def _on_db_put_profile(self, target, msg: DbPutProfile):
-        profile = msg.profile
-        self.db.put_profile(profile, msg.retain)
-        self.log.log_put(self.sim.now, profile.user_id, profile.version)
+        self._put(self.db, msg.profile)
         self._db_to_frontend(DbAck("db-put-ack", msg.token, msg.ctx))
 
-    def _on_db_ack(self, target, msg):
-        self._conts[msg.token](msg)
+    # -- the enrollment's hops to the database: the audio before the legs,
+    # one put after each leg
 
-    # -- enrollment flow: store the audio, then one enroll job and one put
-    # per leg of the plan
+    def _store_audio(self, ctx: EnrollCtx) -> None:
+        self._frontend_to_db(DbStoreAudio(token="enroll.stored", ctx=ctx))
 
-    def _on_enroll_request(self, target, msg: Request):
-        self._frontend_to_db(DbStoreAudio(token="enroll.stored", ctx=msg.ctx))
-
-    def _enroll_audio_stored(self, msg: DbAck):
-        msg.ctx.plan = self._enroll_plan()
-        self._next_enroll_leg(msg.ctx)
-
-    def _next_enroll_leg(self, ctx: EnrollCtx) -> None:
-        if not self._send_enroll_leg(ctx, f"{self.enroll_token}.done"):
-            self._respond_enroll(ctx, Outcome.OK)
-
-    def _enroll_leg_done(self, msg: EnrollJobDone):
-        msg.ctx.produced.append(msg.profile)
-        put = DbPutProfile(msg.profile, self.retain, f"{self.enroll_token}.put", msg.ctx)
-        self._frontend_to_db(put)
-
-    def _enroll_leg_put(self, msg: DbAck):
-        self._next_enroll_leg(msg.ctx)
-
-    def _respond_enroll(self, ctx: EnrollCtx, outcome: Outcome) -> None:
-        self._frontend_to_device(ctx.device_id, Response("enroll-response", ctx, outcome))
-
-    def _on_enroll_response(self, target, msg: Response):
-        ctx = msg.ctx
-        self.log.record(RequestKind.ENROLL, ctx.user_id, ctx.submitted, self.sim.now, msg.outcome)
+    def _store_leg(self, ctx: EnrollCtx, profile: UserProfile) -> None:
+        self._frontend_to_db(DbPutProfile(profile, self.put_token, ctx))
 
     # -- runtime flow
-
-    def _on_runtime_arrival(self, target, msg: RuntimeArrival):
-        device_id = target.split(":", 1)[1]
-        ctx = RuntimeCtx(
-            user_id=msg.user_id,
-            device_id=device_id,
-            submitted=self.sim.now,
-            sample=msg.sample,
-        )
-        self._device_to_frontend(device_id, Request("runtime-request", ctx))
 
     def _on_runtime_request(self, target, msg: Request):
         self._frontend_to_db(DbFetch(msg.ctx.user_id, "runtime.fetched", msg.ctx))
@@ -197,7 +149,7 @@ class ServerWorldBase(CloudWorldBase):
     def _on_recognize_done(self, target, msg: RecognizeJobDone):
         ctx = msg.ctx
         if ctx.refreshed is not None:
-            self._frontend_to_db(DbPutProfile(ctx.refreshed, self.retain, "runtime.put", ctx))
+            self._frontend_to_db(DbPutProfile(ctx.refreshed, "runtime.put", ctx))
             return
         self._respond_runtime(ctx, Outcome.OK)
 
@@ -255,7 +207,7 @@ class ServerWorldBase(CloudWorldBase):
     def _pump_enrolled(self, msg: EnrollJobDone):
         ctx: _SweepCtx = msg.ctx
         ctx.profile = msg.profile
-        self._frontend_to_db(DbPutProfile(msg.profile, self.retain, f"{self.pump_token}.put", ctx))
+        self._frontend_to_db(DbPutProfile(msg.profile, f"{self.pump_token}.put", ctx))
 
     def _pump_put(self, msg: DbAck):
         ctx: _SweepCtx = msg.ctx
@@ -338,8 +290,8 @@ class SyncTableServerWorld(OnlineServerWorld):
     # -- dispatch from the table: the enrollment's one leg and every runtime
     # request go where the table says
 
-    def _enroll_audio_stored(self, msg: DbAck):
-        self._select_and_dispatch(msg.ctx, "enroll")
+    def _start_enroll(self, ctx: EnrollCtx) -> None:
+        self._select_and_dispatch(ctx, "enroll")
 
     def _dispatch_runtime(self, ctx: RuntimeCtx) -> None:
         self._select_and_dispatch(ctx, "runtime")
@@ -377,7 +329,7 @@ class SyncTableServerWorld(OnlineServerWorld):
 
     def _send_job(self, ctx, flow: str, server_id: str) -> None:
         if flow == "enroll":
-            self._send_enroll_job(server_id, ctx, ctx.samples, f"{self.enroll_token}.done")
+            self._send_enroll_job(server_id, ctx, ctx.samples, self.leg_token)
         else:
             self._send_recognize_job(server_id, ctx)
 
@@ -510,7 +462,7 @@ class DoubleServerWorld(ServerWorldBase):
     the background sweep has given every stored user a profile for it."""
 
     retain = 2
-    enroll_token = "enroll2"
+    leg_token, put_token = "enroll2.done", "enroll2.put"
     pump_token = "sweep"
 
     def __init__(self, scenario, sim, storage, log):

@@ -4,6 +4,12 @@ Topology is a star centered on the frontend: devices, cloud servers and the
 database all talk through it. Model storage is the release registry. Nodes
 hold state and local rules only; the multi-hop request flows live in
 ``strategies``.
+
+The database and the devices are the two profile stores, with one
+interface: ``put_profile(profile, retain)`` keeps a profile under the one
+retention rule, ``_retain``, and ``profiles_for(user_id)`` reads one user's
+profiles, oldest first. A world keeps its profiles in one of them and passes
+its own ``retain``.
 """
 
 from __future__ import annotations
@@ -104,13 +110,16 @@ class DatabaseNode:
         return self.rows.get(user_id)
 
     def put_profile(self, profile: UserProfile, retain: int | None) -> None:
-        """Store ``profile`` under the retention rule of ``_retain``."""
+        """Store ``profile`` under the retention rule of ``_retain``; the
+        user's row, made by its audio, must exist."""
         row = self.rows.get(profile.user_id)
         if row is None:
-            raise UnknownUserError(
-                f"profile put for unknown user {profile.user_id!r}"
-            )
+            raise UnknownUserError(f"profile put for unknown user {profile.user_id!r}")
         row.profiles = _retain(row.profiles, profile, retain)
+
+    def profiles_for(self, user_id: str) -> list[UserProfile]:
+        row = self.rows.get(user_id)
+        return row.profiles if row is not None else []
 
 
 class CloudServerNode:
@@ -211,14 +220,14 @@ class DeviceNode:
         self.recheck_after_update = False
         self.bg_enroll_inflight: set[str] = set()
 
-    def profiles_for(self, user_id: str) -> list[UserProfile]:
-        return self.stored_profiles.get(user_id, [])
+    def put_profile(self, profile: UserProfile, retain: int | None) -> None:
+        # the store itself keeps the name ``store_profile``, which bench/child.py times
+        self.store_profile(profile, retain)
 
-    def newest_profile(self, user_id: str) -> UserProfile | None:
-        profiles = self.stored_profiles.get(user_id)
-        return profiles[-1] if profiles else None
-
-    def store_profile(self, profile: UserProfile, cap: int) -> None:
+    def store_profile(self, profile: UserProfile, retain: int | None) -> None:
         """Store ``profile`` under the retention rule of ``_retain``."""
         user = profile.user_id
-        self.stored_profiles[user] = _retain(self.stored_profiles.get(user, []), profile, cap)
+        self.stored_profiles[user] = _retain(self.profiles_for(user), profile, retain)
+
+    def profiles_for(self, user_id: str) -> list[UserProfile]:
+        return self.stored_profiles.get(user_id, [])

@@ -159,19 +159,19 @@ def test_choose_with_nothing_eligible_fails():
 
 def test_device_profile_cap_keeps_newest():
     device = DeviceNode("d00", ["u000"], V1)
-    device.store_profile(_profile("u000", V1), cap=2)
-    device.store_profile(_profile("u000", V3), cap=2)
-    device.store_profile(_profile("u000", V2), cap=2)
+    device.put_profile(_profile("u000", V1), retain=2)
+    device.put_profile(_profile("u000", V3), retain=2)
+    device.put_profile(_profile("u000", V2), retain=2)
     assert [p.version for p in device.profiles_for("u000")] == [V2, V3]
-    assert device.newest_profile("u000").version == V3
+    assert device.profiles_for("u000")[-1].version == V3
 
 
 def test_device_store_replaces_same_version():
     device = DeviceNode("d00", ["u000"], V1)
     first = _profile("u000", V1, seed=1)
     second = _profile("u000", V1, seed=2)
-    device.store_profile(first, cap=1)
-    device.store_profile(second, cap=1)
+    device.put_profile(first, retain=1)
+    device.put_profile(second, retain=1)
     profiles = device.profiles_for("u000")
     assert len(profiles) == 1 and profiles[0] is second
 
@@ -179,4 +179,15 @@ def test_device_store_replaces_same_version():
 def test_device_profiles_empty_for_strangers():
     device = DeviceNode("d00", ["u000"], V1)
     assert device.profiles_for("u999") == []
-    assert device.newest_profile("u999") is None
+
+
+@pytest.mark.parametrize("retain", [1, 2, None])
+def test_database_and_devices_keep_profiles_by_one_rule(retain):
+    db = DatabaseNode()
+    db.store_audio("u000", (AudioSample("u000", 1000, 1),))
+    device = DeviceNode("d00", ["u000"], V1)
+    for version in (V2, V1, V3, V2):
+        for store in (db, device):
+            store.put_profile(_profile("u000", version), retain)
+        assert db.profiles_for("u000") == device.profiles_for("u000")
+    assert db.profiles_for("nobody") == [] == device.profiles_for("nobody")
