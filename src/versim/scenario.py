@@ -95,6 +95,15 @@ def _as_int(obj: dict, key: str, default: int, where: str, minimum: int = 0) -> 
     return value
 
 
+def _is_user_id(user: object, users: int) -> bool:
+    """Whether ``user`` is one of u000 .. u{users - 1:03d}, checked without
+    building that set, since a scenario may declare any number of users."""
+    digits = user[1:] if isinstance(user, str) and user[:1] == "u" else ""
+    if not (digits.isascii() and digits.isdigit()) or len(digits) > 4000:
+        return False
+    return int(digits) < users and f"u{int(digits):03d}" == user
+
+
 def _parse_latency(obj: dict) -> LinkLatencies:
     _require_keys(
         obj,
@@ -298,13 +307,12 @@ def scenario_from_dict(data: dict) -> Scenario:
         if not isinstance(raw_explicit, list):
             _fail("runtime_arrivals.explicit", "must be a list")
         explicit = []
-        valid_users = {f"u{i:03d}" for i in range(users)}
         for i, raw in enumerate(raw_explicit):
             where = f"runtime_arrivals.explicit[{i}]"
             _require_keys(raw, {"time_ms", "user_id"}, where)
             t = _as_int(raw, "time_ms", 0, where)
             user = raw.get("user_id")
-            if not isinstance(user, str) or user not in valid_users:
+            if not _is_user_id(user, users):
                 _fail(f"{where}.user_id", f"unknown user {user!r} (users are u000..u{users - 1:03d})")
             explicit.append(ExplicitArrival(time_ms=t, user_id=user))
         explicit.sort(key=lambda a: (a.time_ms, a.user_id))

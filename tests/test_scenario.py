@@ -1,8 +1,11 @@
 """Scenario parsing and the strategy compatibility rules."""
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import versim.cli as cli
 from versim.scenario import (
@@ -289,3 +292,80 @@ def test_wrongly_shaped_field_is_named_and_exits_2(data, field_name, tmp_path, c
     path.write_text(json.dumps(data), encoding="utf-8")
     assert cli.main(["run", "--scenario", str(path)]) == 2
     assert f"scenario error: {field_name}: " in capsys.readouterr().err
+
+
+# -- the parser on arbitrary input: a Scenario or a ScenarioValidationError,
+# never any other exception
+
+SCENARIO_FILES = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
+
+
+def _children(node):
+    if isinstance(node, dict):
+        return node.items()
+    return enumerate(node) if isinstance(node, list) else ()
+
+
+def _paths(node, prefix=()):
+    """Every position below the top of a JSON value, as a key/index path."""
+    for key, child in _children(node):
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+# the keys the parser knows, so that drawn objects get past its key checks:
+# every key the scenario files use, and the optional ones they leave out
+_KEYS = sorted(
+    {
+        path[-1]
+        for file in SCENARIO_FILES
+        for path in _paths(json.loads(file.read_text()))
+        if isinstance(path[-1], str)
+    }
+    | {"devices", "samples_per_user", "enroll_cost_ms_per_sample", "runtime_cost_ms"}
+    | {"reenroll_parallelism", "download_ms", "poisson_rate_per_user_per_s", "seed"}
+)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=6), inner, max_size=4),
+    max_leaves=6,
+)
+
+
+def _parses_or_names_a_field(data) -> None:
+    try:
+        scenario = scenario_from_dict(data)
+    except ScenarioValidationError:
+        return
+    assert isinstance(scenario, Scenario)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=6), _json, max_size=6))
+def test_parser_takes_any_json_object(data):
+    _parses_or_names_a_field(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_parser_takes_a_valid_file_with_one_field_replaced(data):
+    path = data.draw(st.sampled_from(SCENARIO_FILES))
+    scenario = json.loads(path.read_text())
+    where = data.draw(st.sampled_from(list(_paths(scenario))))
+    node = scenario
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = data.draw(_json)
+    _parses_or_names_a_field(scenario)
+
+
+def test_explicit_user_ids_are_checked_without_listing_every_user():
+    # a scenario may declare any number of users; the check must not build
+    # a set of all their ids
+    arrival = {"time_ms": 0, "user_id": "u999999999999"}
+    sc = scenario_from_dict({"users": 10**12, "runtime_arrivals": {"explicit": [arrival]}})
+    assert sc.runtime_arrivals.explicit[0].user_id == "u999999999999"
+    arrival["user_id"] = "u1000000000000"
+    with pytest.raises(ScenarioValidationError, match="unknown user 'u1000000000000'"):
+        scenario_from_dict({"users": 10**12, "runtime_arrivals": {"explicit": [arrival]}})
