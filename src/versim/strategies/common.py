@@ -732,7 +732,8 @@ class CloudWorldBase(WorldBase):
     # records the request, or resumes the runtime request it re-enrolled for.
     # A world names where its profiles are kept by the hops it takes there:
     # ``_store_audio`` before the legs, ``_store_leg`` after each one, and
-    # ``_store_produced`` at the response. By default none of them has a hop.
+    # ``_store_produced`` at the response. By default each keeps nothing and
+    # the flow goes straight on.
 
     leg_token = "leg"  # the continuation of an enroll job, printed as ``for=``
 
@@ -812,7 +813,7 @@ class CloudWorldBase(WorldBase):
         self._device_to_frontend(ctx.device_id, Request("runtime-request", parent))
 
     def _store_produced(self, ctx: EnrollCtx) -> None:
-        """Keep the produced profiles at the response; the legs kept them here."""
+        """Keep the produced profiles when the response reaches the device."""
 
     # -- runtime requests: the device sends the profiles it holds, which are
     # none outside HYBRID; a world that keeps them elsewhere fetches them
