@@ -753,15 +753,13 @@ class CloudWorldBase(WorldBase):
         self._start_enroll(ctx)
 
     def _start_enroll(self, ctx: EnrollCtx) -> None:
-        """Plan the legs, unless the request brought its plan, and send the first."""
+        """Plan the legs, unless the request brought its plan, and send the
+        first. The plan is one leg on any server for the single-version
+        policies, and one leg per served version, oldest first, for DOUBLE."""
         if not ctx.plan:
-            ctx.plan = self._enroll_plan()
+            double = self.cfg.policy is UpdatePolicy.DOUBLE
+            ctx.plan = self.served_versions[-2:] if double else [None]
         self._next_enroll_leg(ctx)
-
-    def _enroll_plan(self) -> list[VersionId | None]:
-        """One leg on any server for the single-version policies; for DOUBLE
-        one leg per served version, oldest first."""
-        return self.served_versions[-2:] if self.cfg.policy is UpdatePolicy.DOUBLE else [None]
 
     def _next_enroll_leg(self, ctx: EnrollCtx) -> None:
         """Send the enroll job for the next leg of ``ctx.plan``: to the pinned

@@ -10,9 +10,9 @@ every instant a request is served.
 
 from __future__ import annotations
 
-from ..domain import Outcome, VersionId
+from ..domain import Outcome
 from ..metrics import RequestKind
-from ..topology import DeviceNode, ModelRelease
+from ..topology import DeviceNode
 from .common import (
     DeviceTaskDone,
     EnrollArrival,
@@ -104,9 +104,6 @@ class DeviceWorld(WorldBase):
                 VersionNotice("notify-release", release.version),
             )
 
-    def _release_for(self, version: VersionId) -> ModelRelease:
-        return self.storage.releases[version.seq - 1]
-
     def _on_notify(self, target: str, msg: VersionNotice) -> None:
         dev = self._device(target)
         if dev.updating:
@@ -119,7 +116,7 @@ class DeviceWorld(WorldBase):
         if latest == dev.local_model:
             return
         dev.updating = True
-        release = self._release_for(latest)
+        release = self.storage.releases[latest.seq - 1]
         self.sim.schedule_in(release.download_ms, target, VersionNotice("download-done", latest))
 
     def _on_download_done(self, target: str, msg: VersionNotice) -> None:

@@ -93,7 +93,7 @@ class ServerWorldBase(CloudWorldBase):
             "enroll.stored": lambda msg: self._start_enroll(msg.ctx),
             self.put_token: lambda msg: self._next_enroll_leg(msg.ctx),
             "runtime.fetched": self._runtime_fetched,
-            "runtime.put": self._runtime_profiles_put,
+            "runtime.put": lambda msg: self._respond_runtime(msg.ctx, Outcome.OK),
             f"{self.pump_token}.fetched": self._pump_fetched,
             f"{self.pump_token}.done": self._pump_enrolled,
             f"{self.pump_token}.put": self._pump_put,
@@ -152,9 +152,6 @@ class ServerWorldBase(CloudWorldBase):
             self._frontend_to_db(DbPutProfile(ctx.refreshed, "runtime.put", ctx))
             return
         self._respond_runtime(ctx, Outcome.OK)
-
-    def _runtime_profiles_put(self, msg: DbAck):
-        self._respond_runtime(msg.ctx, Outcome.OK)
 
     # -- the re-enrollment pump: each lane takes queued users one at a time
     # and does fetch, enroll-job on the newest served version, put. The

@@ -3,13 +3,10 @@
 Topology is a star centered on the frontend: devices, cloud servers and the
 database all talk through it. Model storage is the release registry. Nodes
 hold state and local rules only; the multi-hop request flows live in
-``strategies``.
-
-The database and the devices are the two profile stores, with one
-interface: ``put_profile(profile, retain)`` keeps a profile under the one
-retention rule, ``_retain``, and ``profiles_for(user_id)`` reads one user's
-profiles, oldest first. A world keeps its profiles in one of them and passes
-its own ``retain``.
+``strategies``. The database and the devices are the two profile stores,
+with one interface: ``put_profile(profile, retain)`` keeps a profile under
+the one retention rule, ``_retain``, and ``profiles_for(user_id)`` reads
+one user's profiles, oldest first.
 """
 
 from __future__ import annotations
