@@ -785,7 +785,7 @@ class CloudWorldBase(WorldBase):
         self._frontend_to_cloud(server_id, EnrollJob(ctx, server_id, samples, token))
 
     def _continue(self, target, msg) -> None:
-        """A reply that goes on with the flow step its ``token`` names."""
+        """Go on with the flow step that the reply's ``token`` names."""
         self._conts[msg.token](msg)
 
     def _enroll_leg_done(self, msg: EnrollJobDone) -> None:

@@ -110,7 +110,8 @@ class HybridWorldBase(CloudWorldBase):
 
     def _on_handshake_tick(self, target, msg: Tick):
         self.sim.schedule_in(self.cfg.handshake_period_ms, target, msg)
-        device_id = target.split(":", 1)[1]
+        # the node's id string, so that the handshake records share it
+        device_id = self.devices[target.split(":", 1)[1]].device_id
         ctx = HandshakeCtx(user_id=device_id, device_id=device_id, submitted=self.sim.now)
         self._device_to_frontend(device_id, Request("handshake-request", ctx))
 
