@@ -58,7 +58,9 @@ class HybridWorldBase(CloudWorldBase):
         self.devices[target.split(":", 1)[1]].stored_audio[msg.user_id] = msg.samples
         super()._on_enroll_arrival(target, msg)
 
-    def _start_background_enroll(self, device_id: str, user_id: str, served: Sequence[VersionId]) -> None:
+    def _start_background_enroll(
+        self, device_id: str, user_id: str, served: Sequence[VersionId]
+    ) -> None:
         """Enroll the newest served versions the device keeps profiles for,
         unless the user's background enrollment is in flight."""
         device = self.devices[device_id]
@@ -122,7 +124,9 @@ class HybridWorldBase(CloudWorldBase):
 
     def _on_handshake_reply(self, target, msg: HandshakeReply):
         ctx = msg.ctx
-        self.log.record(RequestKind.HANDSHAKE, ctx.user_id, ctx.submitted, self.sim.now, Outcome.OK)
+        self.log.record(
+            RequestKind.HANDSHAKE, ctx.user_id, ctx.submitted, self.sim.now, Outcome.OK
+        )
         if not msg.versions:
             return
         newest = msg.versions[-1]
