@@ -6,19 +6,21 @@ integer milliseconds. Events execute in (time, insertion sequence) order, so
 ties resolve by who scheduled first. Every random draw comes from a named
 SplitMix64 stream, and the trace is a pure function of the executed events.
 
-The queue has two parts. When ``Simulator.run_until`` starts with nothing
-left of an earlier run, every event already queued (the workload, releases,
-world-init ticks) is sorted once into a run that is consumed from its end;
-events scheduled after that go on a heap, which holds only what is in
-flight. Each step executes the smaller (time, seq) head of the two. Every
-event in the run was scheduled before every event on the heap, so a tie in
-time goes to the run, and the order is the one a single heap would give.
+The queue has two parts. The events queued before the first
+``Simulator.run_until`` (the workload, releases, world-init ticks) are sorted
+once into a run that is consumed from its end. Every event scheduled after
+that goes into a bucket for its millisecond: a dict from time to a list of
+events in seq order, plus a heap of the distinct bucket times. Appending keeps
+a bucket in seq order, and a burst of events at one time costs one heap push
+and pop, not one per event. Each step executes the earlier head of the two
+parts. Every event in the run was scheduled before every bucketed event, so a
+tie in time goes to the run, and the order is the one a single heap of
+(time, seq) would give. A bucket entry is dropped as soon as its event runs.
 
-A draw taken modulo 1 (``SimRng.randrange(1)``: a latency sample without
-jitter, an update duration with ``lo == hi``, a random pick among one
-server) has only one possible value, so it advances the stream by one
-SplitMix64 step and skips the output mix. The stream position afterwards is
-the same as after ``next_u64``.
+A draw with only one possible value (a latency sample without jitter, an
+update duration with ``lo == hi``, a random pick among one server) advances
+the stream by one SplitMix64 step and skips the output mix. The stream
+position afterwards is the same as after ``next_u64``.
 
 Trace lines go to a sink as each event executes. ``runner.run(trace=True)``
 passes a list and returns it as ``RunResult.trace``; given any other sink
@@ -85,7 +87,10 @@ class LatencyModel:
     jitter_ms: int
 
     def sample(self, rng: SimRng) -> int:
-        return self.base_ms + rng.randrange(self.jitter_ms + 1)
+        if self.jitter_ms:
+            return self.base_ms + rng.next_u64() % (self.jitter_ms + 1)
+        rng._state = (rng._state + _GOLDEN) & _MASK64
+        return self.base_ms
 
 
 class Payload(Protocol):
@@ -104,27 +109,33 @@ class TraceSink(Protocol):
 
 class Simulator:
     """Event queue over a virtual clock: a sorted run of the events queued
-    before ``run_until`` started, and a heap of those scheduled since (see
-    the module docstring). A leftover run is kept across ``run_until`` calls
-    and only refilled once it is empty, so stepping the clock does not
-    re-sort.
+    before the first ``run_until``, and per-millisecond buckets of those
+    scheduled since (see the module docstring).
 
     ``handler`` is either a callable taking (target, payload) or an object
     with a ``handle(target, payload)`` method; it is resolved once at each
     ``run_until`` entry, so a method patched after construction is honoured.
     When a trace sink is supplied, one tab-separated line is appended per
     executed event before its handler runs. If a handler raises, ``current``
-    holds the (time, seq) of that event.
+    holds the (time, seq) of that event, and the next ``run_until`` goes on
+    with the events after it.
     """
 
-    __slots__ = ("handler", "_queue", "_run", "_seq", "now", "trace", "current")
+    __slots__ = (
+        "handler", "_preload", "_run", "_buckets", "_times", "_seq", "now", "trace", "current"
+    )  # fmt: skip
 
     def __init__(self, handler, trace: TraceSink | None = None):
         self.handler = handler
-        # heap of scheduled events; every event in _run (sorted, descending)
-        # has a lower seq than every event here
-        self._queue: list[tuple[int, int, str, Payload]] = []
+        # events queued before the first run_until; None from then on
+        self._preload: list[tuple[int, int, str, Payload]] | None = []
+        # the preload sorted descending; every event in it has a lower seq
+        # than every bucketed event
         self._run: list[tuple[int, int, str, Payload]] = []
+        # time -> (seq, target, payload) entries in seq order, and a heap of
+        # those times
+        self._buckets: dict[int, list[tuple[int, str, Payload] | None]] = {}
+        self._times: list[int] = []
         self._seq = 0
         self.now = 0
         self.trace = trace
@@ -135,8 +146,17 @@ class Simulator:
             raise ScheduleInPastError(
                 f"event {payload.kind!r} scheduled at {at} but the clock is at {self.now}"
             )
-        heappush(self._queue, (at, self._seq, target, payload))
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
+        if self._preload is not None:
+            self._preload.append((at, seq, target, payload))
+            return
+        bucket = self._buckets.get(at)
+        if bucket is None:
+            self._buckets[at] = [(seq, target, payload)]
+            heappush(self._times, at)
+        else:
+            bucket.append((seq, target, payload))
 
     def schedule_in(self, delay: int, target: str, payload: Payload) -> None:
         self.schedule(self.now + delay, target, payload)
@@ -147,35 +167,55 @@ class Simulator:
         ValueError and changes nothing."""
         if t_end < self.now:
             raise ValueError(f"run_until({t_end}) is before the clock ({self.now})")
-        heap = self._queue
+        if self._preload is not None:
+            self._preload.sort(reverse=True)
+            self._run, self._preload = self._preload, None
         run = self._run
-        if heap and not run:
-            heap.sort(reverse=True)
-            run = self._run = heap
-            heap = self._queue = []
+        buckets = self._buckets
+        times = self._times
         trace = self.trace
         handle = getattr(self.handler, "handle", self.handler)
-        # heap events before ``cut`` run first: the run's head time, or
+        # a bucket before ``cut`` runs first: the run's head time, or
         # t_end + 1 once the run is empty or past t_end; ties go to the run
         stop = t_end + 1
         cut = run[-1][0] if run and run[-1][0] < stop else stop
         seq = -1
+        bucket = None
+        done = 0
         try:
             while True:
-                if heap and heap[0][0] < cut:
-                    at, seq, target, payload = heappop(heap)
+                if times and times[0] < cut:
+                    at = self.now = times[0]
+                    bucket = buckets[at]
+                    # handlers may append to the bucket while it drains
+                    while done < len(bucket):
+                        seq, target, payload = bucket[done]
+                        bucket[done] = None
+                        done += 1
+                        if trace is not None:
+                            trace.append(
+                                f"{at}\t{seq}\t{target}\t{payload.kind}\t{payload.summary()}"
+                            )
+                        handle(target, payload)
+                    del buckets[at]
+                    heappop(times)
+                    bucket = None
+                    done = 0
                 elif cut < stop:
                     at, seq, target, payload = run.pop()
                     cut = run[-1][0] if run and run[-1][0] < stop else stop
+                    self.now = at
+                    if trace is not None:
+                        trace.append(
+                            f"{at}\t{seq}\t{target}\t{payload.kind}\t{payload.summary()}"
+                        )
+                    handle(target, payload)
                 else:
                     break
-                self.now = at
-                if trace is not None:
-                    trace.append(
-                        f"{at}\t{seq}\t{target}\t{payload.kind}\t{payload.summary()}"
-                    )
-                handle(target, payload)
         except BaseException:
+            if bucket is not None:
+                # keep what the bucket has left for the next call
+                del bucket[:done]
             if seq >= 0:
                 self.current = (self.now, seq)
             raise

@@ -1,5 +1,6 @@
 """Event queue and randomness: the determinism substrate."""
 
+import weakref
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import ClassVar
@@ -210,6 +211,51 @@ def test_trace_written_before_handler_runs():
         sim.run_until(5)
     assert len(trace) == 1
     assert sim.current == (1, 0)
+
+
+class Note:
+    """A payload that a weak reference can watch."""
+
+    kind = "note"
+
+    def __init__(self, label: str):
+        self.label = label
+
+    def summary(self) -> str:
+        return self.label
+
+
+def test_a_raise_mid_burst_leaves_the_rest_of_the_burst_queued():
+    trace = []
+    seen = []
+    burst = []  # weak references to the t=10 burst, in schedule order
+
+    def handler(target, payload):
+        label = payload.label
+        seen.append(label)
+        if label == "start":
+            for i in range(5):
+                note = Note(f"b{i}")
+                burst.append(weakref.ref(note))
+                sim.schedule(10, "n", note)
+        elif label == "b1":
+            # b0 ran; only the queue held it, and it has let it go
+            seen.append(burst[0]() is None)
+        elif label == "b2":
+            raise RuntimeError("boom")
+
+    sim = Simulator(handler, trace=trace)
+    sim.schedule(5, "n", Note("start"))
+    sim.schedule(10, "n", Note("pre"))
+    with pytest.raises(RuntimeError):
+        sim.run_until(20)
+    assert seen == ["start", "pre", "b0", "b1", True, "b2"]
+    assert sim.current == (10, 4)
+    sim.schedule_in(0, "n", Note("late"))
+    sim.run_until(20)
+    assert seen[6:] == ["b3", "b4", "late"]
+    assert [line.split("\t")[1] for line in trace] == ["0", "1", "2", "3", "4", "5", "6", "7"]
+    assert sim.now == 20
 
 
 def test_identical_seeds_produce_identical_streams():
