@@ -5,11 +5,16 @@ hash: model versions, audio samples, user profiles, recognition results and
 the FNV-1a profile digest. None of it knows about the event queue or the
 clock. The digest lives here, not in the engine, because a profile derives
 it from its own fields and the engine imports this module.
+
+The four value types are named tuples: a run builds one per sample,
+enrollment and score, and a named tuple is built, compared and hashed in C.
+``VersionId``, ``AudioSample`` and ``RecognitionResult`` hash as the plain
+tuple of their fields, so a set or dict of them iterates in the order a set
+of those tuples would; ``UserProfile`` defines its own equality and hash.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
@@ -54,17 +59,23 @@ class Outcome(Enum):
     STALE_PROFILES = "STALE_PROFILES"
 
 
-@dataclass(frozen=True, slots=True)
-class VersionId:
+class VersionId(NamedTuple):
     """A model release identity. ``seq`` is the global release order; ids are
     opaque labels. Equal seq with unequal id means the registry is corrupt."""
 
     id: str
     seq: int
 
+    # releases are ordered by ``seq`` alone, never by tuple order, which
+    # would compare the ids first: ``<`` between two VersionIds raises
+    # TypeError
+    def __lt__(self, other: object):
+        return NotImplemented
 
-@dataclass(frozen=True, slots=True)
-class AudioSample:
+    __le__ = __gt__ = __ge__ = __lt__
+
+
+class AudioSample(NamedTuple):
     """Stand-in for a recorded utterance. ``seed`` is the only content; the
     engine hashes it instead of extracting features."""
 
@@ -104,10 +115,6 @@ class UserProfile(NamedTuple):
     reads the digest, so a run never pays for the pure-Python hash. Equality
     and hash are those of ``(user_id, version, digest)``: the same audio set
     enrolled in any order gives equal profiles.
-
-    A named tuple, not a frozen dataclass like its neighbours: every
-    enrollment makes one, and a frozen dataclass pays an ``object.__setattr__``
-    call per field to build it.
     """
 
     user_id: str
@@ -133,11 +140,10 @@ class UserProfile(NamedTuple):
         return hash(self._identity())
 
 
-@dataclass(frozen=True, slots=True)
-class RecognitionResult:
+class RecognitionResult(NamedTuple):
     score: float
     accepted: bool
 
 
 def result_from_score(score: float) -> RecognitionResult:
-    return RecognitionResult(score=score, accepted=score >= 0.5)
+    return RecognitionResult(score, score >= 0.5)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .domain import AudioSample, SimulationError
 from .kernel import Simulator, TraceSink, node_stream
@@ -90,30 +91,24 @@ def _generate_workload(
             explicit_by_user.setdefault(a.user_id, []).append(a.time_ms)
     for index in range(scenario.users):
         user = f"u{index:03d}"
-        rng = node_stream(scenario.seed, USER_STREAM_BASE + index)
+        draw = node_stream(scenario.seed, USER_STREAM_BASE + index).next_u64
         enroll[user] = tuple(
-            AudioSample(speaker_id=user, duration_ms=ENROLL_SAMPLE_MS, seed=rng.next_u64())
-            for _ in range(scenario.samples_per_user)
+            AudioSample(user, ENROLL_SAMPLE_MS, draw()) for _ in range(scenario.samples_per_user)
         )
         if spec.explicit is not None:
             for t in explicit_by_user.get(user, []):
-                sample = AudioSample(
-                    speaker_id=user, duration_ms=RUNTIME_SAMPLE_MS, seed=rng.next_u64()
-                )
-                arrivals.append((t, user, sample))
+                arrivals.append((t, user, AudioSample(user, RUNTIME_SAMPLE_MS, draw())))
         else:
             rate = spec.poisson_rate_per_user_per_s
             t = 0
             while True:
-                u = 1.0 - rng.uniform()  # (0, 1]
+                # 1 - SimRng.uniform(), in (0, 1]
+                u = 1.0 - (draw() >> 11) * (2.0 ** -53)
                 t += int(-math.log(u) / rate * 1000.0)
                 if t > scenario.duration_ms:
                     break
-                sample = AudioSample(
-                    speaker_id=user, duration_ms=RUNTIME_SAMPLE_MS, seed=rng.next_u64()
-                )
-                arrivals.append((t, user, sample))
-    arrivals.sort(key=lambda a: (a[0], a[1]))
+                arrivals.append((t, user, AudioSample(user, RUNTIME_SAMPLE_MS, draw())))
+    arrivals.sort(key=itemgetter(0, 1))
     return enroll, arrivals
 
 

@@ -707,8 +707,11 @@ class CloudWorldBase(WorldBase):
         this version the request goes through ``_stale_profile``, and None
         from there sends it back to the device."""
         work = engine.runtime_cost_ms
-        profile = next((p for p in ctx.profiles if p.version == engine.model), None)
-        if profile is None:
+        model = engine.model
+        for profile in ctx.profiles:
+            if profile.version == model:
+                break
+        else:
             repaired = self._stale_profile(engine, ctx)
             if repaired is None:
                 return None

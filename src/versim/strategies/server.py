@@ -90,10 +90,10 @@ class ServerWorldBase(CloudWorldBase):
         self.on("db-put-profile", self._on_db_put_profile)
         self.on("db-put-ack", self._continue)
         self._conts.update({
-            "enroll.stored": lambda msg: self._start_enroll(msg.ctx),
-            self.put_token: lambda msg: self._next_enroll_leg(msg.ctx),
+            "enroll.stored": self._audio_stored,
+            self.put_token: self._leg_put,
             "runtime.fetched": self._runtime_fetched,
-            "runtime.put": lambda msg: self._respond_runtime(msg.ctx, Outcome.OK),
+            "runtime.put": self._runtime_put,
             f"{self.pump_token}.fetched": self._pump_fetched,
             f"{self.pump_token}.done": self._pump_enrolled,
             f"{self.pump_token}.put": self._pump_put,
@@ -131,6 +131,12 @@ class ServerWorldBase(CloudWorldBase):
     def _store_leg(self, ctx: EnrollCtx, profile: UserProfile) -> None:
         self._frontend_to_db(DbPutProfile(profile, self.put_token, ctx))
 
+    def _audio_stored(self, msg: DbAck) -> None:
+        self._start_enroll(msg.ctx)
+
+    def _leg_put(self, msg: DbAck) -> None:
+        self._next_enroll_leg(msg.ctx)
+
     # -- runtime flow
 
     def _on_runtime_request(self, target, msg: Request):
@@ -152,6 +158,9 @@ class ServerWorldBase(CloudWorldBase):
             self._frontend_to_db(DbPutProfile(ctx.refreshed, "runtime.put", ctx))
             return
         self._respond_runtime(ctx, Outcome.OK)
+
+    def _runtime_put(self, msg: DbAck) -> None:
+        self._respond_runtime(msg.ctx, Outcome.OK)
 
     # -- the re-enrollment pump: each lane takes queued users one at a time
     # and does fetch, enroll-job on the newest served version, put. The
