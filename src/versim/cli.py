@@ -25,6 +25,7 @@ from .scenario import (
     Scenario,
     ScenarioParseError,
     ScenarioValidationError,
+    check_seed,
     load_scenario,
 )
 
@@ -82,14 +83,17 @@ def _load(path: str, seed_override: int | None) -> Scenario:
 
 
 def _resolve_seed(args: argparse.Namespace) -> int | None:
+    """The seed override: ``--seed``, else ``SIM_SEED``, checked by the
+    scenario file's seed rule."""
     if args.seed is not None:
-        return args.seed
+        return check_seed(args.seed, f"--seed {args.seed}")
     env = os.environ.get("SIM_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ScenarioValidationError(f"SIM_SEED must be an integer, got {env!r}")
+        return check_seed(seed, f"SIM_SEED={env}")
     return None
 
 
@@ -142,6 +146,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
+    if args.out is not None:
+        _check_output(args.out)
     rows = []
     failed = False
     for path in args.scenarios:

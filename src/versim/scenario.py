@@ -78,6 +78,14 @@ def _fail(field_name: str, constraint: str) -> None:
     raise ScenarioValidationError(f"{field_name}: {constraint}")
 
 
+def check_seed(seed: object, name: str) -> int:
+    """``seed`` if it is an unsigned 64-bit integer, the one rule for a seed
+    from a file or from the command line; ``name`` says where it came from."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+        _fail(name, "must be an unsigned 64-bit integer")
+    return seed
+
+
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
     if not isinstance(obj, dict):
         _fail(where, "must be an object")
@@ -241,9 +249,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     runtime_cost = _as_int(data, "runtime_cost_ms", 5, "")
     duration = _as_int(data, "duration_ms", 10_000, "", minimum=1)
     parallelism = _as_int(data, "reenroll_parallelism", 1, "", minimum=1)
-    seed = data.get("seed", 1)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        _fail("seed", "must be an unsigned 64-bit integer")
+    seed = check_seed(data.get("seed", 1), "seed")
 
     initial = data.get("initial_versions", ["V1"])
     if (

@@ -78,6 +78,26 @@ def test_seed_flag_beats_env_beats_file(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", "--scenario", path]) == 2
 
 
+def test_seed_override_takes_the_file_seed_rule(tmp_path, capsys, monkeypatch):
+    path = _write_scenario(tmp_path)
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args))
+    for bad in ("-3", str(2**64 + 5), str(2**64)):
+        for argv in (["run", "--scenario", path, "--seed", bad], ["compare", path, "--seed", bad]):
+            assert cli.main(argv) == 2, argv
+            assert f"--seed {bad}: must be an unsigned 64-bit integer" in capsys.readouterr().err
+        monkeypatch.setenv("SIM_SEED", bad)
+        for argv in (["run", "--scenario", path], ["compare", path]):
+            assert cli.main(argv) == 2, argv
+            assert f"SIM_SEED={bad}: must be an unsigned 64-bit integer" in capsys.readouterr().err
+        monkeypatch.delenv("SIM_SEED")
+    assert runs == []
+    monkeypatch.undo()
+    for edge in ("0", str(2**64 - 1)):
+        assert cli.main(["run", "--scenario", path, "--seed", edge]) == 0
+        assert json.loads(capsys.readouterr().out)["mismatch_violations"] == 0
+
+
 def test_validate_accepts_and_describes(tmp_path, capsys):
     path = _write_scenario(tmp_path)
     assert cli.main(["validate", "--scenario", path]) == 0
@@ -130,9 +150,12 @@ def test_bad_out_path_is_exit_2_before_the_run(tmp_path, capsys, monkeypatch):
     trace.write_text("kept\n", encoding="utf-8")
     nowhere = tmp_path / "no-such-dir" / "report.json"
     for out, reason in ((tmp_path, "is a directory"), (nowhere, "no such directory")):
-        argv = ["run", "--scenario", good, "--out", str(out), "--trace", str(trace)]
-        assert cli.main(argv) == 2
-        assert f"cannot write {out}: {reason}" in capsys.readouterr().err
+        for argv in (
+            ["run", "--scenario", good, "--out", str(out), "--trace", str(trace)],
+            ["compare", good, good, "--out", str(out)],
+        ):
+            assert cli.main(argv) == 2
+            assert f"cannot write {out}: {reason}" in capsys.readouterr().err
     assert runs == []
     assert trace.read_text(encoding="utf-8") == "kept\n"
     assert not nowhere.parent.exists()
