@@ -204,6 +204,15 @@ def test_list_strategies_covers_the_matrix(capsys):
     out = capsys.readouterr().out
     for token in ("DEVICE", "SINGLE_OFFLINE", "DOUBLE", "HYBRID", "SYNC_TABLE"):
         assert token in out
+    assert out == (
+        "deployment  policy          mitigations\n"
+        "DEVICE      SINGLE_ONLINE   -\n"
+        "SERVER      SINGLE_OFFLINE  -\n"
+        "SERVER      SINGLE_ONLINE   NONE, SYNC_TABLE, HASH_LB, MULTI_PROFILE\n"
+        "SERVER      DOUBLE          -\n"
+        "HYBRID      SINGLE_ONLINE   - (optional handshake)\n"
+        "HYBRID      DOUBLE          - (optional handshake)\n"
+    )
 
 
 def test_run_report_matches_library_run(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import versim.cli as cli
+from versim.runner import build
 from versim.scenario import (
     Scenario,
     ScenarioParseError,
@@ -15,7 +16,18 @@ from versim.scenario import (
     load_scenario,
     scenario_from_dict,
 )
-from versim.strategies import Deployment, Mitigation, UpdatePolicy
+from versim.strategies import (
+    Deployment,
+    DeviceWorld,
+    DoubleServerWorld,
+    HybridDoubleWorld,
+    HybridSingleWorld,
+    Mitigation,
+    OfflineServerWorld,
+    OnlineServerWorld,
+    SyncTableServerWorld,
+    UpdatePolicy,
+)
 from versim.topology import DispatchPolicy
 
 
@@ -141,6 +153,53 @@ def test_sync_table_period_default():
     sc = scenario_from_dict({"strategy": {"mitigation": "SYNC_TABLE"}})
     assert sc.strategy.mitigation is Mitigation.SYNC_TABLE
     assert sc.strategy.sync_table_period_ms == 1000
+
+
+# -- the supported strategy set: every deployment x policy x mitigation,
+# with and without a handshake. The rows that parse, their world classes and
+# the profiles the world keeps per user are written out here, not read from
+# the code under test.
+
+D, P, M = Deployment, UpdatePolicy, Mitigation
+SUPPORTED = {
+    (D.DEVICE, P.SINGLE_ONLINE, M.NONE): (DeviceWorld, 1),
+    (D.SERVER, P.SINGLE_OFFLINE, M.NONE): (OfflineServerWorld, 1),
+    (D.SERVER, P.SINGLE_ONLINE, M.NONE): (OnlineServerWorld, 1),
+    (D.SERVER, P.SINGLE_ONLINE, M.SYNC_TABLE): (SyncTableServerWorld, 1),
+    (D.SERVER, P.SINGLE_ONLINE, M.HASH_LB): (OnlineServerWorld, 1),
+    (D.SERVER, P.SINGLE_ONLINE, M.MULTI_PROFILE): (OnlineServerWorld, None),
+    (D.SERVER, P.DOUBLE, M.NONE): (DoubleServerWorld, 2),
+    (D.HYBRID, P.SINGLE_ONLINE, M.NONE): (HybridSingleWorld, 1),
+    (D.HYBRID, P.DOUBLE, M.NONE): (HybridDoubleWorld, 2),
+}
+ROWS = [(d, p, m) for d in Deployment for p in UpdatePolicy for m in Mitigation]
+
+
+@pytest.mark.parametrize("handshake", [None, 500])
+@pytest.mark.parametrize("row", ROWS, ids=["/".join(e.value for e in row) for row in ROWS])
+def test_only_the_supported_strategy_rows_parse(row, handshake):
+    deployment, policy, mitigation = row
+    data = {
+        "strategy": {
+            "deployment": deployment.value,
+            "policy": policy.value,
+            "mitigation": mitigation.value,
+            "handshake_period_ms": handshake,
+        },
+        "initial_versions": ["V1", "V2"] if policy is P.DOUBLE else ["V1"],
+    }
+    if row not in SUPPORTED or (handshake is not None and deployment is not D.HYBRID):
+        with pytest.raises(ScenarioValidationError) as err:
+            scenario_from_dict(data)
+        assert str(err.value).startswith("strategy.")
+        return
+    scenario = scenario_from_dict(data)
+    world_cls, retain = SUPPORTED[row]
+    _, world, _ = build(scenario)
+    assert isinstance(world, world_cls)
+    # SyncTableServerWorld is the one world class that subclasses another here
+    assert isinstance(world, SyncTableServerWorld) == (mitigation is M.SYNC_TABLE)
+    assert world.retain == retain
 
 
 def test_releases_must_be_time_sorted():
