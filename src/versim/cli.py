@@ -22,22 +22,14 @@ from dataclasses import replace
 from .metrics import report_to_json
 from .runner import RunFailedError, run
 from .scenario import (
+    STRATEGIES,
     Scenario,
     ScenarioParseError,
     ScenarioValidationError,
     check_seed,
     load_scenario,
+    strategy_label,
 )
-
-_STRATEGY_MATRIX = """\
-deployment  policy          mitigations
-DEVICE      SINGLE_ONLINE   -
-SERVER      SINGLE_OFFLINE  -
-SERVER      SINGLE_ONLINE   NONE, SYNC_TABLE, HASH_LB, MULTI_PROFILE
-SERVER      DOUBLE          -
-HYBRID      SINGLE_ONLINE   - (optional handshake)
-HYBRID      DOUBLE          - (optional handshake)"""
-
 
 class _PathError(Exception):
     """A scenario path that cannot be read or an output path that cannot be
@@ -132,12 +124,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     scenario = _read_scenario(args.scenario)
-    cfg = scenario.strategy
-    parts = [cfg.deployment.value, cfg.policy.value]
-    if cfg.mitigation.value != "NONE":
-        parts.append(cfg.mitigation.value)
     print(
-        f"ok: {'/'.join(parts)}, {scenario.users} users, "
+        f"ok: {strategy_label(scenario.strategy)}, {scenario.users} users, "
         f"{scenario.cloud_servers} servers, {len(scenario.releases)} releases, "
         f"{scenario.duration_ms} ms"
     )
@@ -194,7 +182,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_list_strategies(args: argparse.Namespace) -> int:
-    print(_STRATEGY_MATRIX)
+    print(f"{'deployment':<12}{'policy':<16}mitigations")
+    for pair in dict.fromkeys(key[:2] for key in STRATEGIES):
+        rows = {key[2].value: row for key, row in STRATEGIES.items() if key[:2] == pair}
+        text = "-" if list(rows) == ["NONE"] else ", ".join(rows)
+        if any(row.handshake for row in rows.values()):
+            text += " (optional handshake)"
+        print(f"{pair[0].value:<12}{pair[1].value:<16}{text}")
     return 0
 
 

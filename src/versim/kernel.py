@@ -83,8 +83,8 @@ class LatencyModel:
     """One network link class. A sample always consumes exactly one draw, so
     stream positions do not depend on whether jitter happens to be zero."""
 
-    base_ms: int
-    jitter_ms: int
+    base_ms: int = 0
+    jitter_ms: int = 0
 
     def sample(self, rng: SimRng) -> int:
         if self.jitter_ms:

@@ -1,5 +1,6 @@
-"""Builds a world from a scenario, feeds it the precomputed workload, runs
-the clock, and folds the log into a report.
+"""Builds the world that the scenario's row of ``scenario.STRATEGIES``
+names, feeds it the precomputed workload, runs the clock, and folds the log
+into a report.
 
 All request arrivals are generated up front from per-user rng streams, so the
 workload a user produces is independent of anything the strategies do during
@@ -18,22 +19,8 @@ from operator import itemgetter
 from .domain import AudioSample, SimulationError
 from .kernel import Simulator, TraceSink, node_stream
 from .metrics import Report, RequestRecord, summarize
-from .scenario import Scenario
-from .strategies import (
-    Deployment,
-    DeviceWorld,
-    DoubleServerWorld,
-    HybridDoubleWorld,
-    HybridSingleWorld,
-    Mitigation,
-    OfflineServerWorld,
-    OnlineServerWorld,
-    ReenrollEvent,
-    RunLog,
-    SyncTableServerWorld,
-    UpdatePolicy,
-    WorldBase,
-)
+from .scenario import Scenario, strategy_row
+from .strategies import ReenrollEvent, RunLog, WorldBase
 from .strategies.common import (
     USER_STREAM_BASE,
     EnrollArrival,
@@ -65,16 +52,6 @@ class RunResult:
     profile_puts: list[tuple[int, str, int]]
     trace: list[str] | None
     world: WorldBase
-
-
-_WORLDS = {
-    (Deployment.DEVICE, UpdatePolicy.SINGLE_ONLINE): DeviceWorld,
-    (Deployment.SERVER, UpdatePolicy.SINGLE_OFFLINE): OfflineServerWorld,
-    (Deployment.SERVER, UpdatePolicy.SINGLE_ONLINE): OnlineServerWorld,
-    (Deployment.SERVER, UpdatePolicy.DOUBLE): DoubleServerWorld,
-    (Deployment.HYBRID, UpdatePolicy.SINGLE_ONLINE): HybridSingleWorld,
-    (Deployment.HYBRID, UpdatePolicy.DOUBLE): HybridDoubleWorld,
-}
 
 
 def _generate_workload(
@@ -124,13 +101,7 @@ def build(
     log = RunLog()
     sink: TraceSink | None = [] if trace is True else (None if trace is False else trace)
     sim = Simulator(None, trace=sink)
-    cfg = scenario.strategy
-    if cfg.mitigation is Mitigation.SYNC_TABLE:
-        # the validator admits SYNC_TABLE with SERVER SINGLE_ONLINE only
-        world_cls = SyncTableServerWorld
-    else:
-        world_cls = _WORLDS[(cfg.deployment, cfg.policy)]
-    world = world_cls(scenario, sim, storage, log)
+    world = strategy_row(scenario.strategy).world(scenario, sim, storage, log)
     sim.handler = world
 
     enroll, arrivals = _generate_workload(scenario)

@@ -1,20 +1,33 @@
 """Scenario files: the single input that, together with a seed, fully
 determines a run.
 
-The on-disk form is JSON with alphabetical keys. Unknown keys are rejected at
-every level so a typo cannot silently fall back to a default.
+The on-disk form is JSON with alphabetical keys. Each level's keys are the
+fields of one dataclass below, and an absent key takes the field's default.
+Unknown keys are rejected at every level so a typo cannot silently fall back
+to a default. ``STRATEGIES`` is the one list of supported strategies: the
+validator, ``runner.build`` and ``versim list-strategies`` all read it.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from enum import Enum
 from pathlib import Path
+from typing import Iterable, NoReturn
 
 from .domain import SimulationError
 from .kernel import LatencyModel
-from .strategies.common import Deployment, Mitigation, StrategyConfig, UpdatePolicy
+from .strategies import Deployment, Mitigation, StrategyConfig, UpdatePolicy, WorldBase
+from .strategies.device import DeviceWorld
+from .strategies.hybrid import HybridDoubleWorld, HybridSingleWorld
+from .strategies.server import (
+    DoubleServerWorld,
+    MultiProfileServerWorld,
+    OfflineServerWorld,
+    OnlineServerWorld,
+    SyncTableServerWorld,
+)
 from .topology import DispatchPolicy
 
 
@@ -27,6 +40,37 @@ class ScenarioValidationError(SimulationError):
 
 
 @dataclass(frozen=True, slots=True)
+class StrategyRow:
+    """A supported strategy: the world that runs it, the dispatch policies it
+    admits (the first is the default), and whether its devices may handshake."""
+
+    world: type[WorldBase]
+    dispatch: tuple[DispatchPolicy, ...] = tuple(DispatchPolicy)
+    handshake: bool = False
+
+
+_D, _P, _M = Deployment, UpdatePolicy, Mitigation
+# a hash pick need not serve the version a request needs: under DOUBLE or
+# SYNC_TABLE the run would die on it
+_UNHASHED = (DispatchPolicy.ROUND_ROBIN, DispatchPolicy.RANDOM)
+
+# every supported (deployment, policy, mitigation), in list-strategies order
+STRATEGIES: dict[tuple[Deployment, UpdatePolicy, Mitigation], StrategyRow] = {
+    (_D.DEVICE, _P.SINGLE_ONLINE, _M.NONE): StrategyRow(DeviceWorld),
+    (_D.SERVER, _P.SINGLE_OFFLINE, _M.NONE): StrategyRow(OfflineServerWorld),
+    (_D.SERVER, _P.SINGLE_ONLINE, _M.NONE): StrategyRow(OnlineServerWorld),
+    (_D.SERVER, _P.SINGLE_ONLINE, _M.SYNC_TABLE): StrategyRow(SyncTableServerWorld, _UNHASHED),
+    (_D.SERVER, _P.SINGLE_ONLINE, _M.HASH_LB): StrategyRow(
+        OnlineServerWorld, (DispatchPolicy.HASH_BY_USER,)
+    ),
+    (_D.SERVER, _P.SINGLE_ONLINE, _M.MULTI_PROFILE): StrategyRow(MultiProfileServerWorld),
+    (_D.SERVER, _P.DOUBLE, _M.NONE): StrategyRow(DoubleServerWorld, _UNHASHED),
+    (_D.HYBRID, _P.SINGLE_ONLINE, _M.NONE): StrategyRow(HybridSingleWorld, handshake=True),
+    (_D.HYBRID, _P.DOUBLE, _M.NONE): StrategyRow(HybridDoubleWorld, _UNHASHED, handshake=True),
+}
+
+
+@dataclass(frozen=True, slots=True)
 class ReleaseSpec:
     time_ms: int
     version_id: str
@@ -36,8 +80,8 @@ class ReleaseSpec:
 
 @dataclass(frozen=True, slots=True)
 class ExplicitArrival:
-    time_ms: int
     user_id: str
+    time_ms: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,9 +100,7 @@ class LinkLatencies:
 
 @dataclass(frozen=True, slots=True)
 class Scenario:
-    strategy: StrategyConfig = StrategyConfig(
-        deployment=Deployment.SERVER, policy=UpdatePolicy.SINGLE_ONLINE
-    )
+    strategy: StrategyConfig = StrategyConfig()
     users: int = 4
     devices: int = 2
     cloud_servers: int = 2
@@ -74,7 +116,34 @@ class Scenario:
     reenroll_parallelism: int = 1
 
 
-def _fail(field_name: str, constraint: str) -> None:
+_DEFAULT = Scenario()
+
+# the least value of every integer key, at any level of the file; the seed
+# has its own rule (check_seed), and a key whose default is None may be null
+_MINIMUM = {
+    "base_ms": 0,
+    "cloud_servers": 1,
+    "devices": 1,
+    "download_ms": 1,
+    "duration_ms": 1,
+    "enroll_cost_ms_per_sample": 0,
+    "handshake_period_ms": 1,
+    "jitter_ms": 0,
+    "reenroll_parallelism": 1,
+    "runtime_cost_ms": 0,
+    "samples_per_user": 1,
+    "sync_table_period_ms": 1,
+    "time_ms": 0,
+    "users": 1,
+}
+
+# Poisson arrival rates per user per second. Above one request per user per
+# millisecond, the clock's resolution, gaps truncate to 0 ms (from about
+# 36,737 all of them, so the workload never ends); far lower, a gap overflows.
+_RATES = (1e-9, 1000)
+
+
+def _fail(field_name: str, constraint: str) -> NoReturn:
     raise ScenarioValidationError(f"{field_name}: {constraint}")
 
 
@@ -86,21 +155,32 @@ def check_seed(seed: object, name: str) -> int:
     return seed
 
 
-def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
+def _given(obj: object, cls: type, where: str) -> dict:
+    """The keys ``obj`` gives, each a field of the dataclass ``cls``: integers
+    checked against ``_MINIMUM``, enum members looked up by value, other
+    values as they are. An absent key is left to the field's default."""
+    names = {f.name for f in fields(cls)}
     if not isinstance(obj, dict):
-        _fail(where, "must be an object")
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        _fail(where, f"unknown keys {unknown}")
-
-
-def _as_int(obj: dict, key: str, default: int, where: str, minimum: int = 0) -> int:
-    value = obj.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        _fail(f"{where}.{key}" if where else key, "must be an integer")
-    if value < minimum:
-        _fail(f"{where}.{key}" if where else key, f"must be >= {minimum}")
-    return value
+        _fail(where or "scenario", "must be an object")
+    if set(obj) - names:
+        _fail(where or "scenario", f"unknown keys {sorted(set(obj) - names)}")
+    given = {}
+    for f in fields(cls):
+        if f.name not in obj:
+            continue
+        name, value = f"{where}.{f.name}" if where else f.name, obj[f.name]
+        if f.name in _MINIMUM and not (value is None and f.default is None):
+            if not isinstance(value, int) or isinstance(value, bool):
+                _fail(name, "must be an integer")
+            if value < _MINIMUM[f.name]:
+                _fail(name, f"must be >= {_MINIMUM[f.name]}")
+        elif isinstance(f.default, Enum):
+            try:
+                value = type(f.default)(value)
+            except ValueError:
+                _fail(name, f"must be one of {[e.value for e in type(f.default)]}")
+        given[f.name] = value
+    return given
 
 
 def _is_user_id(user: object, users: int) -> bool:
@@ -112,235 +192,162 @@ def _is_user_id(user: object, users: int) -> bool:
     return int(digits) < users and f"u{int(digits):03d}" == user
 
 
-def _parse_latency(obj: dict) -> LinkLatencies:
-    _require_keys(
-        obj,
-        {"device_frontend", "device_storage", "frontend_cloud", "frontend_db"},
-        "latency",
+def _parse_latency(obj: object) -> LinkLatencies:
+    return LinkLatencies(
+        **{
+            name: LatencyModel(**_given(raw, LatencyModel, f"latency.{name}"))
+            for name, raw in _given(obj, LinkLatencies, "latency").items()
+            # a null link keeps its default
+            if raw is not None
+        }
     )
-    defaults = LinkLatencies()
-    links = {}
-    for name in ("device_frontend", "device_storage", "frontend_cloud", "frontend_db"):
-        raw = obj.get(name)
-        if raw is None:
-            links[name] = getattr(defaults, name)
-            continue
-        _require_keys(raw, {"base_ms", "jitter_ms"}, f"latency.{name}")
-        links[name] = LatencyModel(
-            base_ms=_as_int(raw, "base_ms", 0, f"latency.{name}"),
-            jitter_ms=_as_int(raw, "jitter_ms", 0, f"latency.{name}"),
+
+
+def _join(values: Iterable[str]) -> str:
+    """The distinct ``values`` in first-seen order, comma-separated."""
+    return ", ".join(dict.fromkeys(values))
+
+
+def strategy_label(cfg: StrategyConfig) -> str:
+    """DEPLOYMENT/POLICY, plus /MITIGATION when there is one."""
+    parts = [cfg.deployment, cfg.policy, cfg.mitigation]
+    return "/".join(e.value for e in parts if e is not Mitigation.NONE)
+
+
+def strategy_row(cfg: StrategyConfig) -> StrategyRow:
+    """The row of ``cfg`` in ``STRATEGIES``. Without one, the policy is at
+    fault if no row pairs it with the deployment, else the mitigation."""
+    d, p, m = key = (cfg.deployment, cfg.policy, cfg.mitigation)
+    if key in STRATEGIES:
+        return STRATEGIES[key]
+    if not any(row[:2] == (d, p) for row in STRATEGIES):
+        policies = _join(row[1].value for row in STRATEGIES if row[0] is d)
+        deployments = _join(row[0].value for row in STRATEGIES if row[1] is p)
+        _fail(
+            "strategy.policy",
+            f"{d.value} deployment supports {policies} only; "
+            f"{p.value} runs on {deployments} only",
         )
-    return LinkLatencies(**links)
-
-
-def _parse_strategy(obj: dict) -> StrategyConfig:
-    _require_keys(
-        obj,
-        {
-            "deployment",
-            "policy",
-            "mitigation",
-            "dispatch",
-            "handshake_period_ms",
-            "sync_table_period_ms",
-        },
-        "strategy",
+    mitigations = _join(
+        row[2].value for row in STRATEGIES if row[:2] == (d, p) and row[2] is not Mitigation.NONE
+    )
+    pairs = _join(f"{row[0].value} {row[1].value}" for row in STRATEGIES if row[2] is m)
+    _fail(
+        "strategy.mitigation",
+        f"{d.value} {p.value} admits {mitigations or 'no mitigation'}; "
+        f"{m.value} applies to {pairs} only",
     )
 
-    def _enum(enum_cls, key, default):
-        raw = obj.get(key, default)
-        try:
-            return enum_cls(raw)
-        except ValueError:
-            _fail(f"strategy.{key}", f"must be one of {[e.value for e in enum_cls]}")
 
-    deployment = _enum(Deployment, "deployment", "SERVER")
-    policy = _enum(UpdatePolicy, "policy", "SINGLE_ONLINE")
-    mitigation = _enum(Mitigation, "mitigation", "NONE")
-    if "dispatch" in obj:
-        dispatch = _enum(DispatchPolicy, "dispatch", "ROUND_ROBIN")
-    else:
-        dispatch = (
-            DispatchPolicy.HASH_BY_USER
-            if mitigation is Mitigation.HASH_LB
-            else DispatchPolicy.ROUND_ROBIN
+def _parse_strategy(obj: object) -> StrategyConfig:
+    given = _given(obj, StrategyConfig, "strategy")
+    cfg = StrategyConfig(**given)
+    row = strategy_row(cfg)
+    if "dispatch" not in given:
+        cfg = replace(cfg, dispatch=row.dispatch[0])
+    elif cfg.dispatch not in row.dispatch:
+        _fail(
+            "strategy.dispatch",
+            f"{strategy_label(cfg)} admits {_join(d.value for d in row.dispatch)} dispatch only",
         )
-
-    handshake = obj.get("handshake_period_ms")
-    if handshake is not None and (
-        not isinstance(handshake, int) or isinstance(handshake, bool) or handshake < 1
-    ):
-        _fail("strategy.handshake_period_ms", "must be null or a positive integer")
-    sync_period = obj.get("sync_table_period_ms", 1000)
-    if not isinstance(sync_period, int) or isinstance(sync_period, bool) or sync_period < 1:
-        _fail("strategy.sync_table_period_ms", "must be a positive integer")
-
-    return StrategyConfig(
-        deployment=deployment,
-        policy=policy,
-        mitigation=mitigation,
-        dispatch=dispatch,
-        handshake_period_ms=handshake,
-        sync_table_period_ms=sync_period,
-    )
+    if cfg.handshake_period_ms is not None and not row.handshake:
+        deployments = _join(d.value for (d, _, _), r in STRATEGIES.items() if r.handshake)
+        _fail("strategy.handshake_period_ms", f"only {deployments} deployments handshake")
+    return cfg
 
 
-def _validate_strategy(cfg: StrategyConfig, sc: Scenario) -> None:
-    if cfg.deployment is Deployment.DEVICE:
-        if cfg.policy is not UpdatePolicy.SINGLE_ONLINE:
-            _fail("strategy.policy", "DEVICE deployment supports SINGLE_ONLINE only")
-        if cfg.mitigation is not Mitigation.NONE:
-            _fail("strategy.mitigation", "DEVICE deployment admits no mitigation")
-        if cfg.handshake_period_ms is not None:
-            _fail("strategy.handshake_period_ms", "only HYBRID deployments handshake")
-    if cfg.policy is UpdatePolicy.SINGLE_OFFLINE:
-        if cfg.deployment is not Deployment.SERVER:
-            _fail("strategy.policy", "SINGLE_OFFLINE is a SERVER deployment policy")
-        if cfg.mitigation is not Mitigation.NONE:
-            _fail("strategy.mitigation", "SINGLE_OFFLINE admits no mitigation")
-    if cfg.policy is UpdatePolicy.DOUBLE:
-        if cfg.deployment is Deployment.DEVICE:
-            _fail("strategy.policy", "DOUBLE requires SERVER or HYBRID deployment")
-        if cfg.mitigation is not Mitigation.NONE:
-            _fail("strategy.mitigation", "DOUBLE admits no mitigation")
-        if sc.cloud_servers < 2:
-            _fail("cloud_servers", "DOUBLE policy needs at least 2 servers")
-        if len(sc.initial_versions) != 2:
-            _fail("initial_versions", "DOUBLE policy needs exactly 2 initial versions")
-    else:
-        if len(sc.initial_versions) != 1:
-            _fail("initial_versions", "single-version policies need exactly 1 initial version")
-    if cfg.mitigation is not Mitigation.NONE:
-        if cfg.deployment is not Deployment.SERVER or cfg.policy is not UpdatePolicy.SINGLE_ONLINE:
-            _fail("strategy.mitigation", "mitigations apply to SERVER SINGLE_ONLINE only")
-    if cfg.mitigation is Mitigation.HASH_LB and cfg.dispatch is not DispatchPolicy.HASH_BY_USER:
-        _fail("strategy.dispatch", "HASH_LB mitigation requires HASH_BY_USER dispatch")
-    if cfg.handshake_period_ms is not None and cfg.deployment is not Deployment.HYBRID:
-        _fail("strategy.handshake_period_ms", "only HYBRID deployments handshake")
-
-
-def scenario_from_dict(data: dict) -> Scenario:
-    _require_keys(
-        data,
-        {
-            "cloud_servers",
-            "devices",
-            "duration_ms",
-            "enroll_cost_ms_per_sample",
-            "initial_versions",
-            "latency",
-            "reenroll_parallelism",
-            "releases",
-            "runtime_arrivals",
-            "runtime_cost_ms",
-            "samples_per_user",
-            "seed",
-            "strategy",
-            "users",
-        },
-        "scenario",
-    )
-
-    users = _as_int(data, "users", 4, "", minimum=1)
-    devices = _as_int(data, "devices", 2, "", minimum=1)
-    cloud_servers = _as_int(data, "cloud_servers", 2, "", minimum=1)
-    samples = _as_int(data, "samples_per_user", 3, "", minimum=1)
-    enroll_cost = _as_int(data, "enroll_cost_ms_per_sample", 10, "")
-    runtime_cost = _as_int(data, "runtime_cost_ms", 5, "")
-    duration = _as_int(data, "duration_ms", 10_000, "", minimum=1)
-    parallelism = _as_int(data, "reenroll_parallelism", 1, "", minimum=1)
-    seed = check_seed(data.get("seed", 1), "seed")
-
-    initial = data.get("initial_versions", ["V1"])
-    if (
-        not isinstance(initial, list)
-        or not initial
-        or not all(isinstance(v, str) and v for v in initial)
-    ):
-        _fail("initial_versions", "must be a non-empty list of version id strings")
-
-    raw_releases = data.get("releases", [])
+def _parse_releases(raw_releases: object) -> tuple[ReleaseSpec, ...]:
     if not isinstance(raw_releases, list):
         _fail("releases", "must be a list")
     releases = []
     for i, raw in enumerate(raw_releases):
         where = f"releases[{i}]"
-        _require_keys(raw, {"download_ms", "server_update_ms", "time_ms", "version_id"}, where)
-        if "time_ms" not in raw or "version_id" not in raw:
+        given = _given(raw, ReleaseSpec, where)
+        if "time_ms" not in given or "version_id" not in given:
             _fail(where, "time_ms and version_id are required")
-        version_id = raw["version_id"]
+        version_id = given["version_id"]
         if not isinstance(version_id, str) or not version_id:
             _fail(f"{where}.version_id", "must be a non-empty string")
-        update_raw = raw.get("server_update_ms", [200, 200])
-        if (
-            not isinstance(update_raw, list)
-            or len(update_raw) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in update_raw)
-            or not 0 <= update_raw[0] <= update_raw[1]
-        ):
-            _fail(f"{where}.server_update_ms", "must be [min_ms, max_ms] with 0 <= min <= max")
-        releases.append(
-            ReleaseSpec(
-                time_ms=_as_int(raw, "time_ms", 0, where),
-                version_id=version_id,
-                download_ms=_as_int(raw, "download_ms", 1000, where, minimum=1),
-                server_update_ms=(update_raw[0], update_raw[1]),
-            )
-        )
+        if "server_update_ms" in given:
+            update = given["server_update_ms"]
+            if (
+                not isinstance(update, list)
+                or len(update) != 2
+                or not all(isinstance(v, int) and not isinstance(v, bool) for v in update)
+                or not 0 <= update[0] <= update[1]
+            ):
+                _fail(f"{where}.server_update_ms", "must be [min_ms, max_ms] with 0 <= min <= max")
+            given["server_update_ms"] = tuple(update)
+        releases.append(ReleaseSpec(**given))
     for a, b in zip(releases, releases[1:]):
         if b.time_ms < a.time_ms:
             _fail("releases", "must be sorted by time_ms")
-    all_versions = list(initial) + [r.version_id for r in releases]
+    return tuple(releases)
+
+
+def _parse_arrivals(obj: object, users: int) -> ArrivalSpec:
+    given = _given(obj, ArrivalSpec, "runtime_arrivals")
+    if len(given) != 1:
+        _fail("runtime_arrivals", "give exactly one of poisson_rate_per_user_per_s or explicit")
+    if "poisson_rate_per_user_per_s" in given:
+        rate, (low, high) = given["poisson_rate_per_user_per_s"], _RATES
+        if not isinstance(rate, (int, float)) or isinstance(rate, bool) or not low <= rate <= high:
+            name = "runtime_arrivals.poisson_rate_per_user_per_s"
+            _fail(name, f"must be a number in [{low:g}, {high:g}]")
+        return ArrivalSpec(poisson_rate_per_user_per_s=float(rate))
+    raw_explicit = given["explicit"]
+    if not isinstance(raw_explicit, list):
+        _fail("runtime_arrivals.explicit", "must be a list")
+    explicit = []
+    for i, raw in enumerate(raw_explicit):
+        where = f"runtime_arrivals.explicit[{i}]"
+        arrival = _given(raw, ExplicitArrival, where)
+        user = arrival.get("user_id")
+        if not _is_user_id(user, users):
+            _fail(f"{where}.user_id", f"unknown user {user!r} (users are u000..u{users - 1:03d})")
+        explicit.append(ExplicitArrival(**arrival))
+    explicit.sort(key=lambda a: (a.time_ms, a.user_id))
+    return ArrivalSpec(explicit=tuple(explicit))
+
+
+def _validate(sc: Scenario) -> None:
+    """The rules that tie fields of different levels together."""
+    all_versions = sc.initial_versions + tuple(r.version_id for r in sc.releases)
     if len(set(all_versions)) != len(all_versions):
         _fail("releases", "version ids must be unique across initial versions and releases")
+    if sc.strategy.policy is UpdatePolicy.DOUBLE:
+        if sc.cloud_servers < 2:
+            _fail("cloud_servers", "DOUBLE policy needs at least 2 servers")
+        if len(sc.initial_versions) != 2:
+            _fail("initial_versions", "DOUBLE policy needs exactly 2 initial versions")
+    elif len(sc.initial_versions) != 1:
+        _fail("initial_versions", "single-version policies need exactly 1 initial version")
 
-    raw_arrivals = data.get("runtime_arrivals", {"poisson_rate_per_user_per_s": 0.5})
-    _require_keys(raw_arrivals, {"poisson_rate_per_user_per_s", "explicit"}, "runtime_arrivals")
-    if ("poisson_rate_per_user_per_s" in raw_arrivals) == ("explicit" in raw_arrivals):
-        _fail("runtime_arrivals", "give exactly one of poisson_rate_per_user_per_s or explicit")
-    if "poisson_rate_per_user_per_s" in raw_arrivals:
-        rate = raw_arrivals["poisson_rate_per_user_per_s"]
+
+def scenario_from_dict(data: dict) -> Scenario:
+    given = _given(data, Scenario, "")
+    if "seed" in given:
+        check_seed(given["seed"], "seed")
+    if "initial_versions" in given:
+        initial = given["initial_versions"]
         if (
-            not isinstance(rate, (int, float))
-            or isinstance(rate, bool)
-            or not math.isfinite(rate)
-            or rate <= 0
+            not isinstance(initial, list)
+            or not initial
+            or not all(isinstance(v, str) and v for v in initial)
         ):
-            _fail("runtime_arrivals.poisson_rate_per_user_per_s", "must be a positive finite number")
-        arrivals = ArrivalSpec(poisson_rate_per_user_per_s=float(rate))
-    else:
-        raw_explicit = raw_arrivals["explicit"]
-        if not isinstance(raw_explicit, list):
-            _fail("runtime_arrivals.explicit", "must be a list")
-        explicit = []
-        for i, raw in enumerate(raw_explicit):
-            where = f"runtime_arrivals.explicit[{i}]"
-            _require_keys(raw, {"time_ms", "user_id"}, where)
-            t = _as_int(raw, "time_ms", 0, where)
-            user = raw.get("user_id")
-            if not _is_user_id(user, users):
-                _fail(f"{where}.user_id", f"unknown user {user!r} (users are u000..u{users - 1:03d})")
-            explicit.append(ExplicitArrival(time_ms=t, user_id=user))
-        explicit.sort(key=lambda a: (a.time_ms, a.user_id))
-        arrivals = ArrivalSpec(explicit=tuple(explicit))
-
-    scenario = Scenario(
-        strategy=_parse_strategy(data.get("strategy", {})),
-        users=users,
-        devices=devices,
-        cloud_servers=cloud_servers,
-        samples_per_user=samples,
-        enroll_cost_ms_per_sample=enroll_cost,
-        runtime_cost_ms=runtime_cost,
-        latency=_parse_latency(data.get("latency", {})),
-        initial_versions=tuple(initial),
-        releases=tuple(releases),
-        runtime_arrivals=arrivals,
-        duration_ms=duration,
-        seed=seed,
-        reenroll_parallelism=parallelism,
-    )
-    _validate_strategy(scenario.strategy, scenario)
+            _fail("initial_versions", "must be a non-empty list of version id strings")
+        given["initial_versions"] = tuple(initial)
+    if "releases" in given:
+        given["releases"] = _parse_releases(given["releases"])
+    if "runtime_arrivals" in given:
+        users = given.get("users", _DEFAULT.users)
+        given["runtime_arrivals"] = _parse_arrivals(given["runtime_arrivals"], users)
+    if "strategy" in given:
+        given["strategy"] = _parse_strategy(given["strategy"])
+    if "latency" in given:
+        given["latency"] = _parse_latency(given["latency"])
+    scenario = Scenario(**given)
+    _validate(scenario)
     return scenario
 
 

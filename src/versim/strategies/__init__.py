@@ -1,5 +1,4 @@
-"""Version-control strategies for the recognition fleet, one world per
-deployment/update-policy combination."""
+"""The worlds that run the version-control strategies of ``scenario.STRATEGIES``."""
 
 from .common import (
     Deployment,
@@ -14,6 +13,7 @@ from .device import DeviceWorld
 from .hybrid import HybridDoubleWorld, HybridSingleWorld
 from .server import (
     DoubleServerWorld,
+    MultiProfileServerWorld,
     OfflineServerWorld,
     OnlineServerWorld,
     SyncTableServerWorld,
@@ -26,6 +26,7 @@ __all__ = [
     "HybridDoubleWorld",
     "HybridSingleWorld",
     "Mitigation",
+    "MultiProfileServerWorld",
     "OfflineServerWorld",
     "OnlineServerWorld",
     "ReenrollEvent",

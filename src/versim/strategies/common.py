@@ -69,12 +69,12 @@ class Mitigation(Enum):
 
 @dataclass(frozen=True, slots=True)
 class StrategyConfig:
-    deployment: Deployment
-    policy: UpdatePolicy
+    deployment: Deployment = Deployment.SERVER
+    policy: UpdatePolicy = UpdatePolicy.SINGLE_ONLINE
     mitigation: Mitigation = Mitigation.NONE
     dispatch: DispatchPolicy = DispatchPolicy.ROUND_ROBIN
     handshake_period_ms: int | None = None
-    sync_table_period_ms: int | None = None
+    sync_table_period_ms: int = 1000
 
 
 # node stream indices; every node's randomness is root_seed XOR one of these
@@ -545,18 +545,19 @@ class CloudWorldBase(WorldBase):
     the rollout, the cloud job handlers, the enrollment flow, the runtime
     dispatch (single-version and DOUBLE) and the runtime response path.
 
-    Single-version policies run one server group, all on the initial version,
-    and a release updates every server at once, each for its own drawn
-    duration. DOUBLE splits the fleet into two fixed groups that serve two
-    consecutive versions, and a release rolls the group on the older one.
-    Either way a release is done when its last server is, unless the world
-    holds it open (bulk re-enrollment, profile sweep).
+    A single-version world runs one server group on the initial version, and
+    a release updates every server at once, each for its own drawn duration.
+    A ``double`` world (DOUBLE) splits the fleet into two fixed groups that
+    serve two consecutive versions, and a release rolls the older group. A
+    release is done when its last server is, unless the world holds it open.
     """
+
+    double = False
 
     def __init__(self, scenario: "Scenario", sim: Simulator, storage: ModelStorageNode, log: RunLog):
         super().__init__(scenario, sim, storage, log)
         server_ids = [f"s{i:02d}" for i in range(scenario.cloud_servers)]
-        if self.cfg.policy is UpdatePolicy.DOUBLE:
+        if self.double:
             # the first group, one larger when the count is odd, starts on the
             # older initial version
             half = (len(server_ids) + 1) // 2
@@ -760,8 +761,7 @@ class CloudWorldBase(WorldBase):
         first. The plan is one leg on any server for the single-version
         policies, and one leg per served version, oldest first, for DOUBLE."""
         if not ctx.plan:
-            double = self.cfg.policy is UpdatePolicy.DOUBLE
-            ctx.plan = self.served_versions[-2:] if double else [None]
+            ctx.plan = self.served_versions[-2:] if self.double else [None]
         self._next_enroll_leg(ctx)
 
     def _next_enroll_leg(self, ctx: EnrollCtx) -> None:

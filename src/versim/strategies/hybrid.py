@@ -152,6 +152,7 @@ class HybridDoubleWorld(HybridWorldBase):
     engine work, and the device re-enrolls in the background."""
 
     retain = 2
+    double = True
 
     def _dispatch_runtime(self, ctx: RuntimeCtx) -> None:
         if not self._dispatch_to_common_version(ctx):

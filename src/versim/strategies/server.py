@@ -17,8 +17,8 @@ The worlds differ in what a model release does:
   of admitted requests are this world's alone.
 * ``OnlineServerWorld`` (SINGLE_ONLINE) updates servers in place: each swaps
   after its own drawn duration and serves on the old engine meanwhile.
-  Profiles are repaired on the request path; the HASH_LB and MULTI_PROFILE
-  mitigations act through the dispatch policy and ``retain``.
+  Profiles are repaired on the request path. ``MultiProfileServerWorld``
+  (MULTI_PROFILE) keeps every profile; HASH_LB is a dispatch policy.
 * ``SyncTableServerWorld`` is SINGLE_ONLINE with SYNC_TABLE: the frontend
   dispatches from a table of served versions that probe rounds refresh, and
   a server mid-update refuses jobs.
@@ -49,7 +49,6 @@ from .common import (
     EnrollCtx,
     EnrollJobDone,
     JobRejected,
-    Mitigation,
     RecognizeJobDone,
     Request,
     RuntimeCtx,
@@ -227,13 +226,7 @@ class ServerWorldBase(CloudWorldBase):
 
 class OnlineServerWorld(ServerWorldBase):
     """SINGLE_ONLINE: servers update in place while serving; profiles are
-    repaired on the request path. Mitigation decides how dispatch avoids (or
-    does not avoid) the version skew."""
-
-    def __init__(self, scenario, sim, storage, log):
-        super().__init__(scenario, sim, storage, log)
-        if self.cfg.mitigation is Mitigation.MULTI_PROFILE:
-            self.retain = None
+    repaired on the request path, on whichever server dispatch picks."""
 
     def _stale_profile(self, engine, ctx):
         # repair in place from the fetched audio; the new profile is written
@@ -243,6 +236,10 @@ class OnlineServerWorld(ServerWorldBase):
         ctx.refreshed = fresh
         ctx.reenrolls += 1
         return fresh, engine.enroll_duration_ms(len(ctx.audio))
+
+
+class MultiProfileServerWorld(OnlineServerWorld):
+    retain = None  # MULTI_PROFILE: the database keeps every profile
 
 
 class _RefreshRound:
@@ -468,6 +465,7 @@ class DoubleServerWorld(ServerWorldBase):
     the background sweep has given every stored user a profile for it."""
 
     retain = 2
+    double = True
     leg_token, put_token = "enroll2.done", "enroll2.put"
     pump_token = "sweep"
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import versim.cli as cli
-from versim.runner import build
+from versim.runner import build, run
 from versim.scenario import (
     Scenario,
     ScenarioParseError,
@@ -341,6 +341,36 @@ def test_load_scenario_round_trip(tmp_path):
             {"runtime_arrivals": {"poisson_rate_per_user_per_s": float("inf")}},
             "runtime_arrivals.poisson_rate_per_user_per_s",
         ),
+        # a hash pick can be a server that cannot take the request: DOUBLE
+        # runs died on the first enrollment, SYNC_TABLE runs at the release
+        (
+            {
+                "strategy": {"policy": "DOUBLE", "dispatch": "HASH_BY_USER"},
+                "initial_versions": ["V1", "V2"],
+            },
+            "strategy.dispatch",
+        ),
+        (
+            {
+                "strategy": {"deployment": "HYBRID", "policy": "DOUBLE", "dispatch": "HASH_BY_USER"},
+                "initial_versions": ["V1", "V2"],
+            },
+            "strategy.dispatch",
+        ),
+        (
+            {"strategy": {"mitigation": "SYNC_TABLE", "dispatch": "HASH_BY_USER"}},
+            "strategy.dispatch",
+        ),
+        # the first gap overflows; every gap truncates to 0 ms and the
+        # workload never ends
+        (
+            {"runtime_arrivals": {"poisson_rate_per_user_per_s": 5e-324}},
+            "runtime_arrivals.poisson_rate_per_user_per_s",
+        ),
+        (
+            {"users": 1, "duration_ms": 1, "runtime_arrivals": {"poisson_rate_per_user_per_s": 1e6}},
+            "runtime_arrivals.poisson_rate_per_user_per_s",
+        ),
     ],
 )
 def test_wrongly_shaped_field_is_named_and_exits_2(data, field_name, tmp_path, capsys):
@@ -351,6 +381,12 @@ def test_wrongly_shaped_field_is_named_and_exits_2(data, field_name, tmp_path, c
     path.write_text(json.dumps(data), encoding="utf-8")
     assert cli.main(["run", "--scenario", str(path)]) == 2
     assert f"scenario error: {field_name}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", [1e-9, 1000])
+def test_poisson_rates_at_the_ends_of_the_range_run(rate):
+    arrivals = {"poisson_rate_per_user_per_s": rate}
+    run(scenario_from_dict({"users": 2, "duration_ms": 50, "runtime_arrivals": arrivals}))
 
 
 # -- the parser on arbitrary input: a Scenario or a ScenarioValidationError,
