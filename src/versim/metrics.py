@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -36,11 +36,12 @@ class RequestRecord:
         return self.completed - self.submitted
 
 
+# fields in alphabetical order, the key order of the dict form (so for Report)
 @dataclass(frozen=True, slots=True)
 class LatencyStats:
+    max: int
     p50: int
     p95: int
-    max: int
 
 
 def _rank(ordered: Sequence[int], q: float) -> int:
@@ -62,14 +63,14 @@ def latency_stats(latencies: Sequence[int]) -> LatencyStats:
 
 @dataclass(frozen=True, slots=True)
 class Report:
-    total_requests: dict[str, dict[str, int]]
-    latency_ms: dict[str, LatencyStats | None]
     availability: float | None
-    total_reenrollments: int
     bounce_count: int
+    latency_ms: dict[str, LatencyStats | None]
+    maintenance_ms: int
     mismatch_violations: int
     stale_profile_events: int
-    maintenance_ms: int
+    total_reenrollments: int
+    total_requests: dict[str, dict[str, int]]
 
 
 def summarize(
@@ -112,23 +113,7 @@ def summarize(
 
 
 def report_to_dict(report: Report) -> dict:
-    return {
-        "availability": report.availability,
-        "bounce_count": report.bounce_count,
-        "latency_ms": {
-            kind: (
-                None
-                if stats is None
-                else {"max": stats.max, "p50": stats.p50, "p95": stats.p95}
-            )
-            for kind, stats in report.latency_ms.items()
-        },
-        "maintenance_ms": report.maintenance_ms,
-        "mismatch_violations": report.mismatch_violations,
-        "stale_profile_events": report.stale_profile_events,
-        "total_reenrollments": report.total_reenrollments,
-        "total_requests": report.total_requests,
-    }
+    return asdict(report)
 
 
 def report_to_json(report: Report) -> str:
@@ -138,18 +123,8 @@ def report_to_json(report: Report) -> str:
 
 
 def report_from_dict(data: dict) -> Report:
-    return Report(
-        total_requests=data["total_requests"],
-        latency_ms={
-            kind: None if stats is None else LatencyStats(
-                p50=stats["p50"], p95=stats["p95"], max=stats["max"]
-            )
-            for kind, stats in data["latency_ms"].items()
-        },
-        availability=data["availability"],
-        total_reenrollments=data["total_reenrollments"],
-        bounce_count=data["bounce_count"],
-        mismatch_violations=data["mismatch_violations"],
-        stale_profile_events=data["stale_profile_events"],
-        maintenance_ms=data["maintenance_ms"],
-    )
+    latency = {
+        kind: None if stats is None else LatencyStats(**stats)
+        for kind, stats in data["latency_ms"].items()
+    }
+    return Report(**{**data, "latency_ms": latency})
