@@ -2,7 +2,8 @@
 
 ``summarize`` is a pure fold over the records: any permutation of its inputs
 produces the identical Report, and the JSON form is byte-stable (sorted keys,
-fixed key set, absent values encoded as null).
+fixed key set, absent values encoded as null). ``Report`` and ``LatencyStats``
+declare their fields in alphabetical order, so their dict form is sorted too.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class RequestRecord:
         return self.completed - self.submitted
 
 
-# fields in alphabetical order, the key order of the dict form (so for Report)
 @dataclass(frozen=True, slots=True)
 class LatencyStats:
     max: int
