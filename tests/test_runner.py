@@ -6,7 +6,8 @@ checks that a full collection, with the world still alive, finds nothing.
 
 runner.build also picks the world, and only the SYNC_TABLE world carries the
 sync-table machinery; only the SINGLE_OFFLINE world keeps a maintenance
-window and answers MAINTENANCE.
+window and answers MAINTENANCE. Each world class handles exactly the
+message kinds written out here.
 """
 
 import gc
@@ -87,6 +88,59 @@ def test_only_sync_table_builds_the_sync_table_world(name, strategy, initial):
     sim, world, log = build(_sweep_scenario(strategy, initial, 1))
     assert (type(world) is SyncTableServerWorld) is sync_table
     assert SYNC_TABLE_KINDS & set(world._handlers) == (SYNC_TABLE_KINDS if sync_table else set())
+
+
+# the message kinds each world handles, written out: a renamed or lost handler
+# changes its world's set
+_CLOUD_KINDS = {
+    "enroll-arrival", "enroll-request", "enroll-job", "enroll-job-done", "enroll-response",
+    "runtime-arrival", "runtime-request", "recognize-job", "recognize-job-done",
+    "runtime-response", "release", "server-update-done",
+}
+_SERVER_KINDS = _CLOUD_KINDS | {
+    "db-store-audio", "db-store-ack", "db-fetch", "db-fetch-reply", "db-put-profile", "db-put-ack",
+}
+_HYBRID_KINDS = _CLOUD_KINDS | {
+    "retry-signal", "retry-needed", "handshake-tick", "handshake-request", "handshake-reply",
+}
+HANDLED_KINDS = {
+    "DeviceWorld": {
+        "enroll-arrival", "runtime-arrival", "release", "notify-release", "download-done",
+        "device-task-done", "device-reenroll-done",
+    },
+    "HybridSingleWorld": _HYBRID_KINDS,
+    "HybridDoubleWorld": _HYBRID_KINDS,
+    "OnlineServerWorld": _SERVER_KINDS,
+    "MultiProfileServerWorld": _SERVER_KINDS,
+    "OfflineServerWorld": _SERVER_KINDS,
+    "DoubleServerWorld": _SERVER_KINDS | {"sweep-step"},
+    "SyncTableServerWorld": _SERVER_KINDS | SYNC_TABLE_KINDS,
+}
+
+
+def test_handled_kind_counts_are_pinned():
+    counts = {name: len(kinds) for name, kinds in HANDLED_KINDS.items()}
+    assert counts == {
+        "DeviceWorld": 7,
+        "HybridSingleWorld": 17,
+        "HybridDoubleWorld": 17,
+        "OnlineServerWorld": 18,
+        "MultiProfileServerWorld": 18,
+        "OfflineServerWorld": 18,
+        "DoubleServerWorld": 19,
+        "SyncTableServerWorld": 23,
+    }
+
+
+@pytest.mark.parametrize("name, strategy, initial", _COMBOS, ids=[c[0] for c in _COMBOS])
+def test_each_world_handles_its_pinned_kinds(name, strategy, initial):
+    sim, world, log = build(_sweep_scenario(strategy, initial, 1))
+    assert set(world._handlers) == HANDLED_KINDS[type(world).__name__]
+
+
+def test_the_combinations_build_every_world_class():
+    built = {type(build(_sweep_scenario(s, i, 1))[1]).__name__ for _, s, i in _COMBOS}
+    assert built == set(HANDLED_KINDS)
 
 
 @pytest.mark.parametrize("name,strategy,initial", _COMBOS, ids=[c[0] for c in _COMBOS])
