@@ -3,7 +3,9 @@ vocabulary that travels on the event queue, the run log, and the world base
 classes that wire nodes to the simulator.
 
 A "world" is one deployment wired up: nodes, their rng streams, and the
-handler table that routes every executed event by its message ``kind``.
+handler table that routes every executed event by its message ``kind`` to
+the world's method named for it, dashes written as underscores: kind
+``recognize-job-done`` goes to ``_on_recognize_job_done``.
 Request flows are chains of messages; each hop is one traced event, and each
 message carries its flow context object so node handlers stay stateless
 between hops. There is one message class per hop shape. Where a shape serves
@@ -26,6 +28,7 @@ profiles when the response reaches it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, ClassVar
@@ -477,9 +480,11 @@ class DbPutProfile:
 
 
 class WorldBase:
-    """One wired deployment. Subclasses register handlers per message kind
-    and implement the flows; this base owns the devices, engine caching, the
-    handler table and the profile writes."""
+    """One wired deployment. Subclasses implement the flows and handle each
+    message kind ``K`` in a method ``_on_K`` (dashes written as underscores,
+    as ``ast.NodeVisitor`` names its ``visit_<Name>`` methods); this base
+    owns the devices, engine caching, the handler table it derives from those
+    names, and the profile writes."""
 
     # profiles the world's store keeps per user (None: unbounded)
     retain: int | None = 1
@@ -491,7 +496,11 @@ class WorldBase:
         self.log = log
         self.cfg = scenario.strategy
         self._engines: dict[VersionId, EngineInstance] = {}
-        self._handlers: dict[str, Callable[[str, object], None]] = {}
+        # interned, so a kind literal that Python interns finds its key by identity
+        self._handlers: dict[str, Callable[[str, object], None]] = {
+            sys.intern(name[4:].replace("_", "-")): getattr(self, name)
+            for name in dir(type(self)) if name.startswith("_on_")
+        }
 
         self.user_ids = [f"u{i:03d}" for i in range(scenario.users)]
         self.devices: dict[str, DeviceNode] = {}
@@ -511,9 +520,6 @@ class WorldBase:
         self.storage_rng = node_stream(scenario.seed, STORAGE_STREAM)
 
     # -- wiring helpers
-
-    def on(self, kind: str, handler: Callable) -> None:
-        self._handlers[kind] = handler
 
     def handle(self, target: str, payload) -> None:
         self._handlers[payload.kind](target, payload)
@@ -582,18 +588,6 @@ class CloudWorldBase(WorldBase):
         self._update_remaining: set[str] = set()
         self._index_served()
         self._conts: dict[str, Callable] = {self.leg_token: self._enroll_leg_done}
-        self.on("enroll-arrival", self._on_enroll_arrival)
-        self.on("enroll-request", self._on_enroll_request)
-        self.on("enroll-job-done", self._continue)
-        self.on("enroll-response", self._on_enroll_response)
-        self.on("runtime-arrival", self._on_runtime_arrival)
-        self.on("runtime-request", self._on_runtime_request)
-        self.on("release", self._on_release)
-        self.on("server-update-done", self._on_server_update_done)
-        self.on("enroll-job", self._on_enroll_job)
-        self.on("recognize-job", self._on_recognize_job)
-        self.on("recognize-job-done", self._on_recognize_done)
-        self.on("runtime-response", self._on_runtime_response)
 
     # -- one-hop sends: each hop has its link's latency model and draws the
     # latency from the sending node's stream
@@ -791,6 +785,8 @@ class CloudWorldBase(WorldBase):
         """Go on with the flow step that the reply's ``token`` names."""
         self._conts[msg.token](msg)
 
+    _on_enroll_job_done = _continue
+
     def _enroll_leg_done(self, msg: EnrollJobDone) -> None:
         msg.ctx.produced.append(msg.profile)
         self._store_leg(msg.ctx, msg.profile)
@@ -851,7 +847,7 @@ class CloudWorldBase(WorldBase):
 
     # -- runtime responses
 
-    def _on_recognize_done(self, target, msg: RecognizeJobDone):
+    def _on_recognize_job_done(self, target, msg: RecognizeJobDone):
         self._respond_runtime(msg.ctx, Outcome.OK)
 
     def _respond_runtime(self, ctx: RuntimeCtx, outcome: Outcome) -> None:

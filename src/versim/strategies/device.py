@@ -3,9 +3,10 @@ requests need no network at all. A model release is pushed from storage, the
 device downloads it, switches, and re-enrolls every owner from stored audio.
 
 While the switch-and-re-enroll window is open the device queues incoming
-requests and answers them when the window closes; that wait is the strategy's
-downtime, and it is what keeps profiles and engine version in lockstep at
-every instant a request is served.
+runtime requests and answers them when the window closes; that wait is the
+strategy's downtime, and it is what keeps profiles and engine version in
+lockstep at every instant a request is served. Only runtime requests wait
+out the window: every enrollment arrives at t=0, ahead of any release.
 """
 
 from __future__ import annotations
@@ -29,31 +30,21 @@ class DeviceWorld(WorldBase):
         super().__init__(scenario, sim, storage, log)
         # per-device re-enroll cursor while an update window is open
         self._reenroll_queue: dict[str, list[str]] = {}
-        self.on("enroll-arrival", self._on_enroll_arrival)
-        self.on("runtime-arrival", self._on_runtime_arrival)
-        self.on("release", self._on_release)
-        self.on("notify-release", self._on_notify)
-        self.on("download-done", self._on_download_done)
-        self.on("device-task-done", self._on_task_done)
-        self.on("device-reenroll-done", self._on_reenroll_done)
 
     def _device(self, target: str) -> DeviceNode:
         return self.devices[target.split(":", 1)[1]]
 
     # -- local requests
 
-    def _on_enroll_arrival(self, target: str, msg: EnrollArrival, submitted: int | None = None) -> None:
+    def _on_enroll_arrival(self, target: str, msg: EnrollArrival) -> None:
+        # every enrollment arrives at t=0, before any release, so never mid-update
         dev = self._device(target)
-        submitted = self.sim.now if submitted is None else submitted
-        if dev.updating:
-            dev.deferred.append((target, msg, submitted))
-            return
         dev.stored_audio[msg.user_id] = msg.samples
         engine = self.engine_for(dev.local_model)
         self.sim.schedule_in(
             engine.enroll_duration_ms(len(msg.samples)),
             target,
-            DeviceTaskDone("enroll", msg.user_id, submitted, msg),
+            DeviceTaskDone("enroll", msg.user_id, self.sim.now, msg),
         )
 
     def _on_runtime_arrival(self, target: str, msg: RuntimeArrival, submitted: int | None = None) -> None:
@@ -75,7 +66,7 @@ class DeviceWorld(WorldBase):
         task = DeviceTaskDone("runtime", msg.user_id, submitted, msg, engine, profile)
         self.sim.schedule_in(engine.runtime_cost_ms, target, task)
 
-    def _on_task_done(self, target: str, task: DeviceTaskDone) -> None:
+    def _on_device_task_done(self, target: str, task: DeviceTaskDone) -> None:
         dev = self._device(target)
         if task.task == "enroll":
             profile = self.engine_for(dev.local_model).enroll(task.user_id, task.payload.samples)
@@ -104,7 +95,7 @@ class DeviceWorld(WorldBase):
                 VersionNotice("notify-release", release.version),
             )
 
-    def _on_notify(self, target: str, msg: VersionNotice) -> None:
+    def _on_notify_release(self, target: str, msg: VersionNotice) -> None:
         dev = self._device(target)
         if dev.updating:
             dev.recheck_after_update = True
@@ -138,7 +129,7 @@ class DeviceWorld(WorldBase):
             Tick("device-reenroll-done", f"user={queue[0]}"),
         )
 
-    def _on_reenroll_done(self, target: str, msg: Tick) -> None:
+    def _on_device_reenroll_done(self, target: str, msg: Tick) -> None:
         dev = self._device(target)
         user = self._reenroll_queue[dev.device_id].pop(0)
         old = dev.profiles_for(user)[-1:]
@@ -152,10 +143,7 @@ class DeviceWorld(WorldBase):
         dev.updating = False
         deferred, dev.deferred = dev.deferred, []
         for tgt, msg, submitted in deferred:
-            if msg.kind == "enroll-arrival":
-                self._on_enroll_arrival(tgt, msg, submitted)
-            else:
-                self._on_runtime_arrival(tgt, msg, submitted)
+            self._on_runtime_arrival(tgt, msg, submitted)
         if dev.recheck_after_update:
             dev.recheck_after_update = False
             self._maybe_download(target, dev)

@@ -40,12 +40,6 @@ from .common import (
 class HybridWorldBase(CloudWorldBase):
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
-        self.on("retry-signal", self._on_retry_signal)
-        self.on("retry-needed", self._on_retry_needed)
-        self.on("handshake-tick", self._on_handshake_tick)
-        self.on("handshake-request", self._on_handshake_request)
-        self.on("handshake-reply", self._on_handshake_reply)
-
         if self.cfg.handshake_period_ms is not None:
             for device_id in sorted(self.devices):
                 tick = Tick("handshake-tick", f"device={device_id}")

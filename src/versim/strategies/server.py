@@ -81,13 +81,6 @@ class ServerWorldBase(CloudWorldBase):
         self._pump_heap: list[str] = []
         self._pump_queued: set[str] = set()
         self._pump_lanes = 0
-
-        self.on("db-store-audio", self._on_db_store_audio)
-        self.on("db-store-ack", self._continue)
-        self.on("db-fetch", self._on_db_fetch)
-        self.on("db-fetch-reply", self._continue)
-        self.on("db-put-profile", self._on_db_put_profile)
-        self.on("db-put-ack", self._continue)
         self._conts.update({
             "enroll.stored": self._audio_stored,
             self.put_token: self._leg_put,
@@ -121,6 +114,8 @@ class ServerWorldBase(CloudWorldBase):
         self._put(self.db, msg.profile)
         self._db_to_frontend(DbAck("db-put-ack", msg.token, msg.ctx))
 
+    _on_db_store_ack = _on_db_fetch_reply = _on_db_put_ack = CloudWorldBase._continue
+
     # -- the enrollment's hops to the database: the audio before the legs,
     # one put after each leg
 
@@ -151,7 +146,7 @@ class ServerWorldBase(CloudWorldBase):
             return
         self._dispatch_runtime(ctx)
 
-    def _on_recognize_done(self, target, msg: RecognizeJobDone):
+    def _on_recognize_job_done(self, target, msg: RecognizeJobDone):
         ctx = msg.ctx
         if ctx.refreshed is not None:
             self._frontend_to_db(DbPutProfile(ctx.refreshed, "runtime.put", ctx))
@@ -265,11 +260,6 @@ class SyncTableServerWorld(OnlineServerWorld):
         }
         self._rounds: dict[int, _RefreshRound] = {}
         self._round_seq = 0
-        self.on("job-rejected", self._on_job_rejected)
-        self.on("sync-tick", self._on_sync_tick)
-        self.on("sync-probe", self._on_sync_probe)
-        self.on("sync-reply", self._on_sync_reply)
-        self.on("dispatch-retry", self._on_dispatch_retry)
         self.sim.schedule(self.cfg.sync_table_period_ms, "frontend", SYNC_TICK)
 
     # -- a server mid-update refuses work
@@ -469,10 +459,6 @@ class DoubleServerWorld(ServerWorldBase):
     leg_token, put_token = "enroll2.done", "enroll2.put"
     pump_token = "sweep"
 
-    def __init__(self, scenario, sim, storage, log):
-        super().__init__(scenario, sim, storage, log)
-        self.on("sweep-step", self._on_sweep_step)
-
     def _respond_enroll(self, ctx: EnrollCtx, outcome: Outcome) -> None:
         if len({p.version.seq for p in ctx.produced}) < 2:
             # one group was mid-update at planning, or a release took a leg's
@@ -490,12 +476,12 @@ class DoubleServerWorld(ServerWorldBase):
                 f"(served: {[v.id for v in self.served_versions]})"
             )
 
-    def _on_recognize_done(self, target, msg: RecognizeJobDone):
+    def _on_recognize_job_done(self, target, msg: RecognizeJobDone):
         ctx = msg.ctx
         if ctx.profiles[-1].version.seq < self.served_versions[-1].seq:
             self._queue_reenroll(ctx.user_id)
         self._kick_sweep()
-        super()._on_recognize_done(target, msg)
+        super()._on_recognize_job_done(target, msg)
 
     # release rollout: the base rolls the older group; the release stays open
     # until the sweep is done

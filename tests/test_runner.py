@@ -118,20 +118,6 @@ HANDLED_KINDS = {
 }
 
 
-def test_handled_kind_counts_are_pinned():
-    counts = {name: len(kinds) for name, kinds in HANDLED_KINDS.items()}
-    assert counts == {
-        "DeviceWorld": 7,
-        "HybridSingleWorld": 17,
-        "HybridDoubleWorld": 17,
-        "OnlineServerWorld": 18,
-        "MultiProfileServerWorld": 18,
-        "OfflineServerWorld": 18,
-        "DoubleServerWorld": 19,
-        "SyncTableServerWorld": 23,
-    }
-
-
 @pytest.mark.parametrize("name, strategy, initial", _COMBOS, ids=[c[0] for c in _COMBOS])
 def test_each_world_handles_its_pinned_kinds(name, strategy, initial):
     sim, world, log = build(_sweep_scenario(strategy, initial, 1))
