@@ -183,6 +183,14 @@ def _given(obj: object, cls: type, where: str) -> dict:
     return given
 
 
+def _check_version_id(version_id: str, name: str) -> None:
+    """A version id is printed in trace summaries (``version=V2``,
+    ``serves=V1,V2``), so it must print as one token there: printable, with
+    no whitespace and no comma."""
+    if not version_id.isprintable() or any(c.isspace() or c == "," for c in version_id):
+        _fail(name, "must be printable, with no whitespace and no comma")
+
+
 def _is_user_id(user: object, users: int) -> bool:
     """Whether ``user`` is one of u000 .. u{users - 1:03d}, checked without
     building that set, since a scenario may declare any number of users."""
@@ -268,6 +276,7 @@ def _parse_releases(raw_releases: object) -> tuple[ReleaseSpec, ...]:
         version_id = given["version_id"]
         if not isinstance(version_id, str) or not version_id:
             _fail(f"{where}.version_id", "must be a non-empty string")
+        _check_version_id(version_id, f"{where}.version_id")
         if "server_update_ms" in given:
             update = given["server_update_ms"]
             if (
@@ -336,6 +345,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             or not all(isinstance(v, str) and v for v in initial)
         ):
             _fail("initial_versions", "must be a non-empty list of version id strings")
+        for i, version_id in enumerate(initial):
+            _check_version_id(version_id, f"initial_versions[{i}]")
         given["initial_versions"] = tuple(initial)
     if "releases" in given:
         given["releases"] = _parse_releases(given["releases"])

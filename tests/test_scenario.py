@@ -371,6 +371,19 @@ def test_load_scenario_round_trip(tmp_path):
             {"users": 1, "duration_ms": 1, "runtime_arrivals": {"poisson_rate_per_user_per_s": 1e6}},
             "runtime_arrivals.poisson_rate_per_user_per_s",
         ),
+        # a version id is printed in trace summaries: one with a tab or a
+        # newline broke the 5-field trace lines, one with a comma or a space
+        # made ``serves=`` ambiguous
+        ({"releases": [{"time_ms": 1, "version_id": "V\t2\nx"}]}, "releases[0].version_id"),
+        ({"releases": [{"time_ms": 1, "version_id": "V 2"}]}, "releases[0].version_id"),
+        ({"releases": [{"time_ms": 1, "version_id": "V2,V3"}]}, "releases[0].version_id"),
+        ({"releases": [{"time_ms": 1, "version_id": "V\u00a02"}]}, "releases[0].version_id"),
+        ({"releases": [{"time_ms": 1, "version_id": "V\x002"}]}, "releases[0].version_id"),
+        ({"initial_versions": ["V\n1"]}, "initial_versions[0]"),
+        (
+            {"strategy": {"policy": "DOUBLE"}, "initial_versions": ["V1", "V,2"]},
+            "initial_versions[1]",
+        ),
     ],
 )
 def test_wrongly_shaped_field_is_named_and_exits_2(data, field_name, tmp_path, capsys):
