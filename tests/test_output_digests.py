@@ -19,8 +19,10 @@ branches no sweep run takes: a DOUBLE enrollment that ends with one leg and
 queues the user for the sweep, an offline enrollment refused MAINTENANCE,
 SYNC_TABLE job rejections, a release queued behind another, a hybrid
 background enrollment already in flight, a hybrid runtime request from a user
-with no profile, and an enroll leg skipped because no server serves its
-version by the time it reaches the frontend.
+with no profile, an enroll leg skipped because no server serves its
+version by the time it reaches the frontend, a DEVICE update window that
+takes a second release notice and holds a runtime request, and a maintenance
+window still open when the run ends.
 
 Regenerate the table (only for an intended behaviour change) with
 ``PYTHONPATH=src python tests/test_output_digests.py``.
@@ -100,6 +102,29 @@ EDGES = {
     "edge-hybrid-single-handshake/1": _edge({"deployment": "HYBRID", "handshake_period_ms": 10}),
     "edge-hybrid-double-handshake/1": _edge(_HYBRID_DOUBLE, ("V1", "V2")),
     "edge-hybrid-double-leg-skipped/1": _edge(_HYBRID_DOUBLE, ("V1", "V2"), (1, 56)),
+    "edge-device-update-window/1": {
+        "strategy": {"deployment": "DEVICE"},
+        "users": 4,
+        "devices": 2,
+        "releases": [
+            {"time_ms": t, "version_id": v, "download_ms": 200} for v, t in (("R1", 100), ("R2", 101))
+        ],
+        "runtime_arrivals": {
+            "explicit": [
+                {"time_ms": t, "user_id": u} for u, t in (("u000", 0), ("u001", 150), ("u002", 400))
+            ]
+        },
+        "duration_ms": 1000,
+        "seed": 1,
+    },
+    "edge-server-offline-open-at-horizon/1": {
+        "strategy": {"policy": "SINGLE_OFFLINE"},
+        "users": 4,
+        "releases": [{"time_ms": 900, "version_id": "R1", "server_update_ms": [500, 500]}],
+        "runtime_arrivals": {"explicit": [{"time_ms": 950, "user_id": "u001"}]},
+        "duration_ms": 1000,
+        "seed": 1,
+    },
 }
 
 

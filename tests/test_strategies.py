@@ -7,6 +7,7 @@ scenario, not observed and pasted back.
 
 import pytest
 
+from test_output_digests import EDGES
 from versim.domain import Outcome
 from versim.metrics import RequestKind
 from versim.runner import build, run
@@ -100,6 +101,28 @@ def test_device_runtime_task_straddling_the_model_switch_is_clean():
     (runtime,) = _runtime_records(result)
     assert runtime.latency_ms == 50
     assert [e.to_version.id for e in result.reenrolls] == ["V2"]
+
+
+def test_device_update_window_takes_a_second_notice_and_holds_a_request():
+    # R1 and R2 are registered by 101, so the R1 notice at 105 starts a
+    # download of R2 itself (to 305). The R2 notice at 106 lands mid-update,
+    # and the recheck when the window closes finds the device current. Each
+    # device re-enrolls its two owners (30 ms each) to 365, so u001's 150
+    # request is held to 365 plus 5 ms work. u000's t=0 request comes before
+    # its enrollment is done, so the device answers it at once.
+    result = run(scenario_from_dict(EDGES["edge-device-update-window/1"]), trace=True)
+    records = sorted(_runtime_records(result), key=lambda r: r.submitted)
+    assert [(r.user_id, r.submitted, r.completed) for r in records] == [
+        ("u000", 0, 0),
+        ("u001", 150, 370),
+        ("u002", 400, 405),
+    ]
+    assert all(r.outcome is Outcome.OK for r in result.records)
+    kinds = [line.split("\t")[3:] for line in result.trace]
+    assert kinds.count(["notify-release", "version=R1"]) == 2
+    assert kinds.count(["notify-release", "version=R2"]) == 2
+    assert [k for k in kinds if k[0] == "download-done"] == [["download-done", "version=R2"]] * 2
+    assert [(e.from_seq, e.to_version.id) for e in result.reenrolls] == [(1, "R2")] * 4
 
 
 # -- server, single version, online swap
@@ -236,6 +259,15 @@ def test_offline_rollout_waits_for_requests_admitted_before_the_release():
     assert result.report.maintenance_ms == 1848
     assert [r.outcome for r in result.records] == [Outcome.OK, Outcome.OK]
     assert [e.to_version.id for e in result.reenrolls] == ["V2"]
+
+
+def test_offline_window_open_at_the_horizon_counts_to_the_horizon():
+    # the window opens at 900 and the 500 ms update runs past the 1000 ms
+    # horizon: maintenance_ms counts 1000 - 900, and the 950 request is refused
+    result = run(scenario_from_dict(EDGES["edge-server-offline-open-at-horizon/1"]))
+    assert result.report.maintenance_ms == 100
+    assert [r.outcome for r in _runtime_records(result)] == [Outcome.MAINTENANCE]
+    assert result.reenrolls == []
 
 
 # -- server, double version
