@@ -141,13 +141,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for path in args.scenarios:
         name = os.path.basename(path)
         try:
-            scenario = _load(path, seed)
-            result = run(scenario)
+            # only the report is kept, so one run's world is freed before the next
+            report = run(_load(path, seed)).report
         except (ScenarioParseError, ScenarioValidationError, _PathError, RunFailedError) as exc:
             rows.append({"scenario": name, "error": str(exc)})
             failed = True
             continue
-        report = result.report
         runtime_stats = report.latency_ms.get("RUNTIME")
         rows.append(
             {

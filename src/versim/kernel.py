@@ -187,6 +187,8 @@ class Simulator:
                 if times and times[0] < cut:
                     at = self.now = times[0]
                     bucket = buckets[at]
+                    if trace is not None:
+                        stamp = f"{at}\t"  # formatted once for the whole bucket
                     # handlers may append to the bucket while it drains
                     while done < len(bucket):
                         seq, target, payload = bucket[done]
@@ -194,7 +196,7 @@ class Simulator:
                         done += 1
                         if trace is not None:
                             trace.append(
-                                f"{at}\t{seq}\t{target}\t{payload.kind}\t{payload.summary()}"
+                                f"{stamp}{seq}\t{target}\t{payload.kind}\t{payload.summary()}"
                             )
                         handle(target, payload)
                     del buckets[at]

@@ -1,17 +1,25 @@
-"""Request records and run reports.
+"""Request records, the report fold and run reports.
 
-``summarize`` is a pure fold over the records: any permutation of its inputs
-produces the identical Report, and the JSON form is byte-stable (sorted keys,
-fixed key set, absent values encoded as null). ``Report`` and ``LatencyStats``
-declare their fields in alphabetical order, so their dict form is sorted too.
+``ReportFold`` folds the report one completed request at a time: per
+``RequestKind`` it counts outcomes and keeps an exact latency histogram
+(latency in ms -> count). Latencies are integer ms, so the nearest-rank p50
+and p95 read off the histogram's cumulative counts, and the max off its
+largest key, equal what ``latency_stats`` gives over the sorted values; a run
+keeps no record list to report. ``summarize`` is the same fold over a record
+iterable: any permutation of its inputs produces the identical Report, and
+the JSON form is byte-stable (sorted keys, fixed key set, absent values
+encoded as null). ``Report`` and ``LatencyStats`` declare their fields in
+alphabetical order, so their dict form is sorted too.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .domain import Outcome
@@ -73,6 +81,59 @@ class Report:
     total_requests: dict[str, dict[str, int]]
 
 
+class ReportFold:
+    """The report's request counts and latency histograms, updated as each
+    request completes."""
+
+    __slots__ = ("_tallies",)
+
+    def __init__(self) -> None:
+        # kind -> (outcome -> count, latency ms -> count), keyed by the
+        # members' ``_value_`` strings: a dict keyed by the members would call
+        # ``Enum.__hash__``, a Python function, on every request
+        self._tallies: dict[str, tuple[dict[str, int], dict[int, int]]] = {
+            kind.value: ({outcome.value: 0 for outcome in Outcome}, {}) for kind in RequestKind
+        }
+
+    def add(self, kind: RequestKind, outcome: Outcome, latency_ms: int) -> None:
+        counts, histogram = self._tallies[kind._value_]
+        counts[outcome._value_] += 1
+        histogram[latency_ms] = histogram.get(latency_ms, 0) + 1
+
+    def report(
+        self, *, bounce_count: int = 0, total_reenrollments: int = 0, maintenance_ms: int = 0
+    ) -> Report:
+        runtime = self._tallies[RequestKind.RUNTIME.value][0]
+        runtime_total = sum(runtime.values())
+        stale = Outcome.STALE_PROFILES.value
+        return Report(
+            total_requests={kind: dict(counts) for kind, (counts, _) in self._tallies.items()},
+            latency_ms={
+                kind: _histogram_stats(histogram) if histogram else None
+                for kind, (_, histogram) in self._tallies.items()
+            },
+            availability=runtime[Outcome.OK.value] / runtime_total if runtime_total else None,
+            total_reenrollments=total_reenrollments,
+            bounce_count=bounce_count,
+            # a version mismatch ends the run instead of being counted
+            mismatch_violations=0,
+            stale_profile_events=sum(counts[stale] for counts, _ in self._tallies.values()),
+            maintenance_ms=maintenance_ms,
+        )
+
+
+def _histogram_stats(histogram: dict[int, int]) -> LatencyStats:
+    """``latency_stats`` of the latencies a non-empty histogram counts: each
+    nearest rank is found in the cumulative counts of the ascending keys."""
+    keys = sorted(histogram)
+    cumulative = list(accumulate(histogram[ms] for ms in keys))
+
+    def rank(q: float) -> int:
+        return keys[bisect_left(cumulative, max(math.ceil(q * cumulative[-1]), 1))]
+
+    return LatencyStats(p50=rank(0.50), p95=rank(0.95), max=keys[-1])
+
+
 def summarize(
     records: Iterable[RequestRecord],
     *,
@@ -80,34 +141,13 @@ def summarize(
     total_reenrollments: int = 0,
     maintenance_ms: int = 0,
 ) -> Report:
-    # one pass keyed by the enum members; their ``.value`` strings are read
-    # once per cell at the end, not once per record
-    counts = {kind: {outcome: 0 for outcome in Outcome} for kind in RequestKind}
-    latencies: dict[RequestKind, list[int]] = {kind: [] for kind in RequestKind}
+    """The report of ``records``: ``ReportFold`` applied to each in turn."""
+    fold = ReportFold()
     for rec in records:
-        kind = rec.kind
-        counts[kind][rec.outcome] += 1
-        latencies[kind].append(rec.completed - rec.submitted)
-
-    runtime = counts[RequestKind.RUNTIME]
-    runtime_total = sum(runtime.values())
-    availability = runtime[Outcome.OK] / runtime_total if runtime_total else None
-    stale = sum(grid[Outcome.STALE_PROFILES] for grid in counts.values())
-    return Report(
-        total_requests={
-            kind.value: {outcome.value: n for outcome, n in grid.items()}
-            for kind, grid in counts.items()
-        },
-        latency_ms={
-            kind.value: latency_stats(vals) if vals else None
-            for kind, vals in latencies.items()
-        },
-        availability=availability,
-        total_reenrollments=total_reenrollments,
+        fold.add(rec.kind, rec.outcome, rec.completed - rec.submitted)
+    return fold.report(
         bounce_count=bounce_count,
-        # a version mismatch ends the run instead of being counted
-        mismatch_violations=0,
-        stale_profile_events=stale,
+        total_reenrollments=total_reenrollments,
         maintenance_ms=maintenance_ms,
     )
 

@@ -1,12 +1,17 @@
 """Builds the world that the scenario's row of ``scenario.STRATEGIES``
-names, feeds it the precomputed workload, runs the clock, and folds the log
-into a report.
+names, feeds it the precomputed workload, runs the clock, and takes the
+report from the log's fold.
 
 All request arrivals are generated up front from per-user rng streams, so the
 workload a user produces is independent of anything the strategies do during
 the run. Each user stream is consumed in a fixed order: enrollment sample
 seeds first, then one gap plus one sample seed per runtime arrival (explicit
 arrivals skip the gap draw).
+
+The report is folded while the run goes (``RunLog.fold``), so a run keeps no
+per-request state for it. The request records, re-enrollments and profile
+writes are kept only with ``logs=True``; otherwise those ``RunResult`` fields
+are None, as ``trace`` is without ``trace=True``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from operator import itemgetter
 
 from .domain import AudioSample, SimulationError
 from .kernel import Simulator, TraceSink, node_stream
-from .metrics import Report, RequestRecord, summarize
+from .metrics import Report, RequestRecord
 from .scenario import Scenario, strategy_row
 from .strategies import ReenrollEvent, RunLog, WorldBase
 from .strategies.common import (
@@ -47,9 +52,9 @@ class RunFailedError(Exception):
 class RunResult:
     scenario: Scenario
     report: Report
-    records: list[RequestRecord]
-    reenrolls: list[ReenrollEvent]
-    profile_puts: list[tuple[int, str, int]]
+    records: list[RequestRecord] | None
+    reenrolls: list[ReenrollEvent] | None
+    profile_puts: list[tuple[int, str, int]] | None
     trace: list[str] | None
     world: WorldBase
 
@@ -90,15 +95,15 @@ def _generate_workload(
 
 
 def build(
-    scenario: Scenario, trace: bool | TraceSink = False
+    scenario: Scenario, trace: bool | TraceSink = False, logs: bool = False
 ) -> tuple[Simulator, WorldBase, RunLog]:
-    """World, simulator and log with the whole workload queued. ``trace`` is
-    as for ``run``: True collects the lines in a fresh list (``sim.trace``),
-    a sink receives them, False traces nothing."""
+    """World, simulator and log with the whole workload queued. ``trace`` and
+    ``logs`` are as for ``run``: for ``trace``, True collects the lines in a
+    fresh list (``sim.trace``), a sink receives them, False traces nothing."""
     storage = ModelStorageNode()
     for version_id in scenario.initial_versions:
         storage.register(version_id, 0, 0, (0, 0))
-    log = RunLog()
+    log = RunLog(keep=logs)
     sink: TraceSink | None = [] if trace is True else (None if trace is False else trace)
     sim = Simulator(None, trace=sink)
     world = strategy_row(scenario.strategy).world(scenario, sim, storage, log)
@@ -130,8 +135,8 @@ def build(
     return sim, world, log
 
 
-def run(scenario: Scenario, trace: bool | TraceSink = False) -> RunResult:
-    """Simulate ``scenario`` to its horizon and fold the report.
+def run(scenario: Scenario, trace: bool | TraceSink = False, logs: bool = False) -> RunResult:
+    """Simulate ``scenario`` to its horizon and return the report.
 
     ``trace`` selects the event trace. False (the default) records none.
     True collects one line per executed event in a list, returned as
@@ -140,31 +145,38 @@ def run(scenario: Scenario, trace: bool | TraceSink = False) -> RunResult:
     ``RunResult.trace`` is None. If the run fails, the sink already holds
     every line up to and including the event that failed.
 
-    The cyclic garbage collector is off for the build, the event loop and the
-    fold. The loop makes no reference cycles, so the collector would only
-    re-scan the growing live heap of events, records and profiles; on the
-    8,000-user bench scenarios that was 6-10% of the run. It is turned back
-    on at exit, success or failure, only if it was on at entry, so callers see
-    no global change.
+    ``logs=True`` keeps every request record, re-enrollment and profile write
+    in ``RunResult.records``, ``.reenrolls`` and ``.profile_puts``. By default
+    they are None: the report is folded as requests complete and needs none
+    of them.
+
+    The cyclic garbage collector is off for the build and the event loop.
+    The loop makes no reference cycles, so the collector would only re-scan
+    the growing live heap of events and profiles; on the 8,000-user bench
+    scenarios that was 6-10% of the run. It is turned back on at exit,
+    success or failure, only if it was on at entry, so callers see no global
+    change. The simulator lets go of the world after the loop, so a world
+    holds no reference cycle and is freed as soon as its result is dropped.
     """
     collecting = gc.isenabled()
     gc.disable()
     try:
-        sim, world, log = build(scenario, trace=trace)
+        sim, world, log = build(scenario, trace=trace, logs=logs)
         try:
             sim.run_until(scenario.duration_ms)
         except SimulationError as exc:
             at, seq = sim.current if sim.current is not None else (sim.now, -1)
             raise RunFailedError(exc, at, seq) from exc
-        report = summarize(
-            log.records,
-            bounce_count=log.bounce_count,
-            total_reenrollments=len(log.reenrolls),
-            maintenance_ms=log.maintenance_ms(scenario.duration_ms),
-        )
+        finally:
+            sim.handler = None
     finally:
         if collecting:
             gc.enable()
+    report = log.fold.report(
+        bounce_count=log.bounce_count,
+        total_reenrollments=log.reenroll_count,
+        maintenance_ms=log.maintenance_ms(scenario.duration_ms),
+    )
     return RunResult(
         scenario=scenario,
         report=report,

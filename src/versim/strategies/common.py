@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, ClassVar
 from ..domain import AudioSample, Outcome, UserProfile, VersionId
 from ..engine import EngineInstance
 from ..kernel import SimRng, Simulator, node_stream
-from ..metrics import RequestKind, RequestRecord
+from ..metrics import ReportFold, RequestKind, RequestRecord
 from ..topology import (
     CloudServerNode,
     DatabaseNode,
@@ -98,14 +98,18 @@ class ReenrollEvent:
 
 
 class RunLog:
-    """Everything a run observes: request records, re-enrollments, a bounce count,
-    profile writes and maintenance windows. The Report is folded from this."""
+    """Everything a run observes. Each completed request feeds the report
+    ``fold``; re-enrollments, bounces and maintenance windows are counted. Only
+    with ``keep`` does the log also keep the request records, re-enrollments
+    and profile writes (``records``, ``reenrolls``, ``profile_puts``, else None)."""
 
-    def __init__(self) -> None:
-        self.records: list[RequestRecord] = []
+    def __init__(self, keep: bool = False) -> None:
+        self.fold = ReportFold()
+        self.reenroll_count = 0
         self.bounce_count = 0
-        self.reenrolls: list[ReenrollEvent] = []
-        self.profile_puts: list[tuple[int, str, int]] = []
+        self.records: list[RequestRecord] | None = [] if keep else None
+        self.reenrolls: list[ReenrollEvent] | None = [] if keep else None
+        self.profile_puts: list[tuple[int, str, int]] | None = [] if keep else None
         self._maintenance_open: int | None = None
         self._maintenance_total = 0
 
@@ -118,19 +122,22 @@ class RunLog:
         outcome: Outcome,
         reenrollments_in_path: int = 0,
     ) -> None:
-        self.records.append(
-            RequestRecord(kind, user_id, submitted, completed, outcome, reenrollments_in_path)
-        )
+        self.fold.add(kind, outcome, completed - submitted)
+        if self.records is not None:
+            self.records.append(
+                RequestRecord(kind, user_id, submitted, completed, outcome, reenrollments_in_path)
+            )
 
     def log_reenroll(self, at: int, user_id: str, from_version: VersionId, to_version: VersionId) -> None:
-        self.reenrolls.append(
-            ReenrollEvent(at, user_id, from_version.seq, to_version)
-        )
+        self.reenroll_count += 1
         if to_version.seq < from_version.seq:
             self.bounce_count += 1
+        if self.reenrolls is not None:
+            self.reenrolls.append(ReenrollEvent(at, user_id, from_version.seq, to_version))
 
     def log_put(self, at: int, user_id: str, version: VersionId) -> None:
-        self.profile_puts.append((at, user_id, version.seq))
+        if self.profile_puts is not None:
+            self.profile_puts.append((at, user_id, version.seq))
 
     def maintenance_begin(self, at: int) -> None:
         self._maintenance_open = at
@@ -298,7 +305,7 @@ class SyncReply:
     versions: tuple[VersionId, ...]
 
     def summary(self) -> str:
-        served = ",".join(v.id for v in self.versions) or "-"
+        served = ",".join([v.id for v in self.versions]) or "-"
         return f"round={self.round_id} server={self.server_id} serves={served}"
 
 
@@ -334,7 +341,8 @@ class Response:
     outcome: Outcome
 
     def summary(self) -> str:
-        return f"user={self.ctx.user_id} outcome={self.outcome.value}"
+        # ``_value_`` is a plain attribute; ``Enum.value`` is a slower property
+        return f"user={self.ctx.user_id} outcome={self.outcome._value_}"
 
 
 @dataclass(slots=True)
@@ -387,7 +395,7 @@ class RecognizeJobDone:
     def summary(self) -> str:
         return (
             f"user={self.ctx.user_id} server={self.server_id} "
-            f"reenrolled={int(self.ctx.refreshed is not None)}"
+            f"reenrolled={'0' if self.ctx.refreshed is None else '1'}"
         )
 
 
@@ -409,7 +417,7 @@ class HandshakeReply:
     versions: tuple[VersionId, ...]
 
     def summary(self) -> str:
-        served = ",".join(v.id for v in self.versions) or "-"
+        served = ",".join([v.id for v in self.versions]) or "-"
         return f"user={self.ctx.user_id} serves={served}"
 
 
@@ -461,7 +469,7 @@ class DbFetchReply:
     ctx: object
 
     def summary(self) -> str:
-        return f"rows={int(bool(self.audio))} for={self.token}"
+        return f"rows={'1' if self.audio else '0'} for={self.token}"
 
 
 @dataclass(slots=True)
@@ -488,6 +496,16 @@ class WorldBase:
 
     # profiles the world's store keeps per user (None: unbounded)
     retain: int | None = 1
+    # message kind -> handler function, one table per class; plain functions,
+    # so no world refers to itself and a finished one is freed by refcount
+    _handlers: ClassVar[dict[str, Callable[["WorldBase", str, object], None]]] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._handlers = {
+            sys.intern(name[4:].replace("_", "-")): getattr(cls, name)
+            for name in dir(cls) if name.startswith("_on_")
+        }
 
     def __init__(self, scenario: "Scenario", sim: Simulator, storage: ModelStorageNode, log: RunLog):
         self.sc = scenario
@@ -496,11 +514,6 @@ class WorldBase:
         self.log = log
         self.cfg = scenario.strategy
         self._engines: dict[VersionId, EngineInstance] = {}
-        # interned, so a kind literal that Python interns finds its key by identity
-        self._handlers: dict[str, Callable[[str, object], None]] = {
-            sys.intern(name[4:].replace("_", "-")): getattr(self, name)
-            for name in dir(type(self)) if name.startswith("_on_")
-        }
 
         self.user_ids = [f"u{i:03d}" for i in range(scenario.users)]
         self.devices: dict[str, DeviceNode] = {}
@@ -522,7 +535,7 @@ class WorldBase:
     # -- wiring helpers
 
     def handle(self, target: str, payload) -> None:
-        self._handlers[payload.kind](target, payload)
+        self._handlers[payload.kind](self, target, payload)
 
     def engine_for(self, version: VersionId) -> EngineInstance:
         engine = self._engines.get(version)
@@ -587,7 +600,8 @@ class CloudWorldBase(WorldBase):
         self.active_release: ModelRelease | None = None
         self._update_remaining: set[str] = set()
         self._index_served()
-        self._conts: dict[str, Callable] = {self.leg_token: self._enroll_leg_done}
+        # token -> step function, unbound for the same reason as ``_handlers``
+        self._conts: dict[str, Callable] = {self.leg_token: type(self)._enroll_leg_done}
 
     # -- one-hop sends: each hop has its link's latency model and draws the
     # latency from the sending node's stream
@@ -783,7 +797,7 @@ class CloudWorldBase(WorldBase):
 
     def _continue(self, target, msg) -> None:
         """Go on with the flow step that the reply's ``token`` names."""
-        self._conts[msg.token](msg)
+        self._conts[msg.token](self, msg)
 
     _on_enroll_job_done = _continue
 

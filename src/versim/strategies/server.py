@@ -81,14 +81,15 @@ class ServerWorldBase(CloudWorldBase):
         self._pump_heap: list[str] = []
         self._pump_queued: set[str] = set()
         self._pump_lanes = 0
+        cls = type(self)
         self._conts.update({
-            "enroll.stored": self._audio_stored,
-            self.put_token: self._leg_put,
-            "runtime.fetched": self._runtime_fetched,
-            "runtime.put": self._runtime_put,
-            f"{self.pump_token}.fetched": self._pump_fetched,
-            f"{self.pump_token}.done": self._pump_enrolled,
-            f"{self.pump_token}.put": self._pump_put,
+            "enroll.stored": cls._audio_stored,
+            self.put_token: cls._leg_put,
+            "runtime.fetched": cls._runtime_fetched,
+            "runtime.put": cls._runtime_put,
+            f"{self.pump_token}.fetched": cls._pump_fetched,
+            f"{self.pump_token}.done": cls._pump_enrolled,
+            f"{self.pump_token}.put": cls._pump_put,
         })
 
     # -- database hops and handlers

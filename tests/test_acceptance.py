@@ -98,7 +98,7 @@ def sweep():
         per_seed = {}
         for seed in _SEEDS:
             try:
-                per_seed[seed] = run(_sweep_scenario(strategy, initial, seed))
+                per_seed[seed] = run(_sweep_scenario(strategy, initial, seed), logs=True)
             except RunFailedError as exc:
                 errors.append((name, seed, exc))
         results[name] = per_seed
@@ -208,7 +208,8 @@ def test_criterion_4_offline_window_is_update_plus_serial_reenrolls():
                 },
                 "duration_ms": 10000,
             }
-        )
+        ),
+        logs=True,
     )
     by_time = sorted(
         (r for r in result.records if r.kind is RequestKind.RUNTIME),
@@ -257,7 +258,8 @@ def test_criterion_5_online_spike_once_per_user():
                 },
                 "duration_ms": 9000,
             }
-        )
+        ),
+        logs=True,
     )
     by_user = {}
     for rec in result.records:
@@ -300,7 +302,8 @@ def test_criterion_6_double_rollout_uninterrupted():
                 },
                 "duration_ms": 10000,
             }
-        )
+        ),
+        logs=True,
     )
     final_ok = all(
         {p.version.id for p in result.world.db.rows[f"u{i:03d}"].profiles} == {"V2", "V3"}

@@ -2,6 +2,7 @@
 
 import json
 import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,22 @@ def test_compare_tabulates_and_dumps_rows(tmp_path, capsys):
     rows = json.loads(out.read_text(encoding="utf-8"))
     assert [row["scenario"] for row in rows] == ["a.json", "b.json"]
     assert all("availability" in row for row in rows)
+
+
+def test_compare_frees_each_world_before_the_next_run(tmp_path, monkeypatch, capsys):
+    paths = [_write_scenario(tmp_path, f"{name}.json") for name in "abc"]
+    worlds = []
+
+    def run(scenario):
+        # every world an earlier run built is gone before this run starts
+        assert all(world() is None for world in worlds)
+        result = lib_run(scenario)
+        worlds.append(weakref.ref(result.world))
+        return result
+
+    monkeypatch.setattr(cli, "run", run)
+    assert cli.main(["compare", *paths]) == 0
+    assert len(worlds) == 3
 
 
 def test_compare_keeps_going_past_bad_files(tmp_path, capsys):

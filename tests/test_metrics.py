@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from versim.domain import Outcome
 from versim.metrics import (
+    ReportFold,
     RequestKind,
     RequestRecord,
     latency_stats,
@@ -145,3 +148,18 @@ def test_absent_sections_encode_as_null():
     text = report_to_json(report)
     assert '"availability": null' in text
     assert '"ENROLL": null' in text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 30) | st.integers(0, 100_000), min_size=1))
+@example([0])
+@example([7, 7, 7, 7])
+@example([3, 1, 3, 2, 1, 3])
+def test_the_fold_equals_the_sorted_reference(latencies):
+    fold = ReportFold()
+    for ms in latencies:
+        fold.add(RequestKind.RUNTIME, Outcome.OK, ms)
+    report = fold.report()
+    assert report.latency_ms["RUNTIME"] == latency_stats(sorted(latencies))
+    assert report.total_requests["RUNTIME"]["OK"] == len(latencies)
+    assert report.latency_ms["ENROLL"] is None

@@ -134,7 +134,7 @@ def digests(strategy, initial, seed, variant="") -> dict[str, str]:
 
 
 def scenario_digests(scenario) -> dict[str, str]:
-    result = run(scenario, trace=True)
+    result = run(scenario, trace=True, logs=True)
     reenrolls = [
         [e.at, e.user_id, e.from_seq, e.to_version.seq, e.to_version.id] for e in result.reenrolls
     ]

@@ -3,6 +3,12 @@
 The pause is sound only while the event loop makes no reference cycles, so
 the guard test runs every strategy combination with the collector off and
 checks that a full collection, with the world still alive, finds nothing.
+A finished world is no cycle either: it is freed as soon as its result is
+dropped, with no collection at all.
+
+The report is folded as requests complete. The request records,
+re-enrollments and profile writes are kept only with ``logs=True``, and
+keeping them changes no report byte.
 
 runner.build also picks the world, and only the SYNC_TABLE world carries the
 sync-table machinery; only the SINGLE_OFFLINE world keeps a maintenance
@@ -11,6 +17,7 @@ message kinds written out here.
 """
 
 import gc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -18,9 +25,10 @@ import pytest
 from test_acceptance import _COMBOS, _sweep_scenario
 from versim.domain import Outcome, VersionMismatchError
 from versim.engine import EngineInstance
+from versim.metrics import report_to_json
 from versim.runner import RunFailedError, build, run
 from versim.scenario import load_scenario
-from versim.strategies import SyncTableServerWorld
+from versim.strategies import SyncTableServerWorld, common
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "online_random_bounce.json"
 
@@ -73,7 +81,7 @@ def test_event_loop_makes_no_reference_cycles(collector, name, strategy, initial
     scenario = _sweep_scenario(strategy, initial, 1)
     gc.collect()
     gc.disable()
-    sim, world, log = build(scenario)
+    sim, world, log = build(scenario, logs=True)
     sim.run_until(scenario.duration_ms)
     assert gc.collect() == 0
     assert log.records and world.sim is sim
@@ -132,9 +140,38 @@ def test_the_combinations_build_every_world_class():
 @pytest.mark.parametrize("name,strategy,initial", _COMBOS, ids=[c[0] for c in _COMBOS])
 def test_only_the_offline_world_keeps_a_maintenance_window(name, strategy, initial):
     offline = strategy.get("policy") == "SINGLE_OFFLINE"
-    result = run(_sweep_scenario(strategy, initial, 1))
+    result = run(_sweep_scenario(strategy, initial, 1), logs=True)
     world = result.world
     assert not hasattr(getattr(world, "frontend", None), "maintenance")
     assert hasattr(world, "_inflight") is offline
     refused = [r for r in result.records if r.outcome is Outcome.MAINTENANCE]
     assert bool(refused) is offline
+
+
+@pytest.mark.parametrize("name, strategy, initial", _COMBOS, ids=[c[0] for c in _COMBOS])
+def test_a_dropped_result_frees_its_world_without_a_collection(collector, name, strategy, initial):
+    gc.disable()
+    result = run(_sweep_scenario(strategy, initial, 1))
+    world = weakref.ref(result.world)
+    del result
+    assert world() is None
+
+
+@pytest.mark.parametrize("name, strategy, initial", _COMBOS, ids=[c[0] for c in _COMBOS])
+def test_keeping_the_logs_changes_no_report_byte(name, strategy, initial):
+    scenario = _sweep_scenario(strategy, initial, 1)
+    kept = run(scenario, logs=True)
+    assert kept.records and kept.profile_puts is not None and kept.reenrolls is not None
+    assert report_to_json(run(scenario).report) == report_to_json(kept.report)
+
+
+def test_a_default_run_keeps_no_logs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a default run built a log entry")
+
+    monkeypatch.setattr(common, "RequestRecord", refuse)
+    monkeypatch.setattr(common, "ReenrollEvent", refuse)
+    # one combination that re-enrolls, so each kind of log entry would be made
+    result = run(load_scenario(str(SCENARIO)))
+    assert result.report.total_reenrollments > 0
+    assert (result.records, result.reenrolls, result.profile_puts) == (None, None, None)

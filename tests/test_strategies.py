@@ -45,7 +45,8 @@ def test_device_requests_are_local():
                 "runtime_arrivals": _arrivals({"u000": [1000]}),
                 "duration_ms": 2000,
             }
-        )
+        ),
+        logs=True,
     )
     (enroll,) = _enroll_records(result)
     (runtime,) = _runtime_records(result)
@@ -67,7 +68,8 @@ def test_device_defers_requests_during_update_window():
                 "runtime_arrivals": _arrivals({"u000": [1000, 2500, 4000]}),
                 "duration_ms": 5000,
             }
-        )
+        ),
+        logs=True,
     )
     latencies = sorted(r.latency_ms for r in _runtime_records(result))
     # notify lands at 2005 (device_storage 5), download runs to 3005, the one
@@ -96,7 +98,8 @@ def test_device_runtime_task_straddling_the_model_switch_is_clean():
                 "runtime_arrivals": _arrivals({"u000": [1990]}),
                 "duration_ms": 5000,
             }
-        )
+        ),
+        logs=True,
     )
     (runtime,) = _runtime_records(result)
     assert runtime.latency_ms == 50
@@ -110,7 +113,7 @@ def test_device_update_window_takes_a_second_notice_and_holds_a_request():
     # device re-enrolls its two owners (30 ms each) to 365, so u001's 150
     # request is held to 365 plus 5 ms work. u000's t=0 request comes before
     # its enrollment is done, so the device answers it at once.
-    result = run(scenario_from_dict(EDGES["edge-device-update-window/1"]), trace=True)
+    result = run(scenario_from_dict(EDGES["edge-device-update-window/1"]), trace=True, logs=True)
     records = sorted(_runtime_records(result), key=lambda r: r.submitted)
     assert [(r.user_id, r.submitted, r.completed) for r in records] == [
         ("u000", 0, 0),
@@ -136,7 +139,8 @@ def test_server_baseline_latencies():
                 "runtime_arrivals": _arrivals({"u000": [1000], "u001": [1200]}),
                 "duration_ms": 3000,
             }
-        )
+        ),
+        logs=True,
     )
     assert [r.latency_ms for r in _enroll_records(result)] == [48, 48]
     assert [r.latency_ms for r in _runtime_records(result)] == [21, 21]
@@ -156,7 +160,8 @@ def test_online_swap_spikes_first_request_per_user_once():
                 "runtime_arrivals": _arrivals(times),
                 "duration_ms": 9000,
             }
-        )
+        ),
+        logs=True,
     )
     by_user = {}
     for rec in _runtime_records(result):
@@ -186,7 +191,8 @@ def test_offline_swap_rejects_during_maintenance():
                 "runtime_arrivals": _arrivals({"u000": [1000, 2100, 3000]}),
                 "duration_ms": 4000,
             }
-        )
+        ),
+        logs=True,
     )
     records = sorted(_runtime_records(result), key=lambda r: r.submitted)
     assert [r.outcome for r in records] == [Outcome.OK, Outcome.MAINTENANCE, Outcome.OK]
@@ -221,6 +227,7 @@ def test_offline_window_length_is_update_plus_serial_reenrolls():
                 }
             ),
             trace=True,
+            logs=True,
         )
         # 200ms update, then 10 users x (30ms re-enroll), min(lanes, 10) at a time
         assert window_ms == 200 + -(-10 // min(lanes, 10)) * 30
@@ -254,7 +261,8 @@ def test_offline_rollout_waits_for_requests_admitted_before_the_release():
                 "runtime_arrivals": _arrivals({"u000": [990]}),
                 "duration_ms": 4000,
             }
-        )
+        ),
+        logs=True,
     )
     assert result.report.maintenance_ms == 1848
     assert [r.outcome for r in result.records] == [Outcome.OK, Outcome.OK]
@@ -264,7 +272,7 @@ def test_offline_rollout_waits_for_requests_admitted_before_the_release():
 def test_offline_window_open_at_the_horizon_counts_to_the_horizon():
     # the window opens at 900 and the 500 ms update runs past the 1000 ms
     # horizon: maintenance_ms counts 1000 - 900, and the 950 request is refused
-    result = run(scenario_from_dict(EDGES["edge-server-offline-open-at-horizon/1"]))
+    result = run(scenario_from_dict(EDGES["edge-server-offline-open-at-horizon/1"]), logs=True)
     assert result.report.maintenance_ms == 100
     assert [r.outcome for r in _runtime_records(result)] == [Outcome.MAINTENANCE]
     assert result.reenrolls == []
@@ -288,7 +296,8 @@ def test_double_rollout_stays_available_with_no_inline_reenrolls():
                 "runtime_arrivals": _arrivals(times),
                 "duration_ms": 9000,
             }
-        )
+        ),
+        logs=True,
     )
     assert result.report.availability == 1.0
     assert result.report.total_requests["RUNTIME"]["MAINTENANCE"] == 0
@@ -317,7 +326,8 @@ def test_hybrid_baseline_and_retry_after_swap():
                 "runtime_arrivals": _arrivals({"u000": [1000, 6000, 7000]}),
                 "duration_ms": 9000,
             }
-        )
+        ),
+        logs=True,
     )
     records = sorted(_runtime_records(result), key=lambda r: r.submitted)
     # 19 = 2x5 device-frontend + 2x2 frontend-cloud + 5ms work (profiles ride
@@ -343,7 +353,8 @@ def test_hybrid_handshake_refreshes_device_before_traffic():
                 "runtime_arrivals": _arrivals({"u000": [1000, 5000]}),
                 "duration_ms": 6000,
             }
-        )
+        ),
+        logs=True,
     )
     records = sorted(_runtime_records(result), key=lambda r: r.submitted)
     # the 3600 handshake sees V2 and rebuilds in the background, so the 5000
@@ -375,7 +386,8 @@ def test_hybrid_double_goes_stale_after_two_releases():
                 "runtime_arrivals": _arrivals({"u000": [1000, 4000, 8000, 9000]}),
                 "duration_ms": 10000,
             }
-        )
+        ),
+        logs=True,
     )
     records = sorted(_runtime_records(result), key=lambda r: r.submitted)
     outcomes = [r.outcome for r in records]
@@ -404,7 +416,8 @@ def test_hybrid_double_dedupes_concurrent_stale_rebuilds():
                 "runtime_arrivals": _arrivals({"u000": [8000, 8005]}),
                 "duration_ms": 10000,
             }
-        )
+        ),
+        logs=True,
     )
     stale = [r for r in _runtime_records(result) if r.outcome is Outcome.STALE_PROFILES]
     assert len(stale) == 2
@@ -483,7 +496,8 @@ def test_double_sweep_visits_stale_users_in_id_string_order():
                 "duration_ms": 6000,
                 "seed": 1,
             }
-        )
+        ),
+        logs=True,
     )
     # the sweep handles one user at a time, so re-enrollments log in visit order
     order = [e.user_id for e in result.reenrolls]
