@@ -30,6 +30,7 @@ it returns ``RunResult.trace = None``, so no line is kept in memory.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Protocol
@@ -42,6 +43,11 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 class ScheduleInPastError(SimulationError):
     pass
+
+
+class StalledClockError(SimulationError):
+    """One millisecond ran more events than ``Simulator.stall_bound``: a flow
+    that keeps scheduling itself at the same time never lets the clock move."""
 
 
 class SimRng:
@@ -119,14 +125,20 @@ class Simulator:
     executed event before its handler runs. If a handler raises, ``current``
     holds the (time, seq) of that event, and the next ``run_until`` goes on
     with the events after it.
+
+    ``stall_bound`` is the progress tripwire: a millisecond's bucket may run
+    that many events, and one more raises ``StalledClockError``. The
+    preloaded run is not counted. By default there is no bound.
     """
 
     __slots__ = (
-        "handler", "_preload", "_run", "_buckets", "_times", "_seq", "now", "trace", "current"
+        "handler", "_preload", "_run", "_buckets", "_times", "_seq", "now", "trace", "current",
+        "stall_bound",
     )  # fmt: skip
 
-    def __init__(self, handler, trace: TraceSink | None = None):
+    def __init__(self, handler, trace: TraceSink | None = None, stall_bound: int = sys.maxsize):
         self.handler = handler
+        self.stall_bound = stall_bound
         # events queued before the first run_until; None from then on
         self._preload: list[tuple[int, int, str, Payload]] | None = []
         # the preload sorted descending; every event in it has a lower seq
@@ -175,6 +187,7 @@ class Simulator:
         times = self._times
         trace = self.trace
         handle = getattr(self.handler, "handle", self.handler)
+        bound = self.stall_bound
         # a bucket before ``cut`` runs first: the run's head time, or
         # t_end + 1 once the run is empty or past t_end; ties go to the run
         stop = t_end + 1
@@ -191,6 +204,11 @@ class Simulator:
                         stamp = f"{at}\t"  # formatted once for the whole bucket
                     # handlers may append to the bucket while it drains
                     while done < len(bucket):
+                        if done == bound:
+                            raise StalledClockError(
+                                f"the clock stalled at t={at}ms: {done} events ran there and "
+                                f"more are queued; the last was {payload.kind!r}"
+                            )
                         seq, target, payload = bucket[done]
                         bucket[done] = None
                         done += 1

@@ -1,15 +1,16 @@
-"""Request records, the report fold and run reports.
+"""The run log, its records and run reports.
 
-``ReportFold`` folds the report one completed request at a time: per
-``RequestKind`` it counts outcomes and keeps an exact latency histogram
-(latency in ms -> count). Latencies are integer ms, so the nearest-rank p50
-and p95 read off the histogram's cumulative counts, and the max off its
-largest key, equal what ``latency_stats`` gives over the sorted values; a run
-keeps no record list to report. ``summarize`` is the same fold over a record
-iterable: any permutation of its inputs produces the identical Report, and
-the JSON form is byte-stable (sorted keys, fixed key set, absent values
-encoded as null). ``Report`` and ``LatencyStats`` declare their fields in
-alphabetical order, so their dict form is sorted too.
+``RunLog`` is the one observer of a run: the worlds tell it each fact as it
+happens, and it folds the report one fact at a time. Per ``RequestKind`` it
+counts outcomes and keeps an exact latency histogram (latency in ms ->
+count). Latencies are integer ms, so the nearest-rank p50 and p95 read off
+the histogram's cumulative counts, and the max off its largest key, equal
+what ``latency_stats`` gives over the sorted values; a run keeps no record
+list to report. ``summarize`` is the same fold over a record iterable: any
+permutation of its inputs produces the identical Report, and the JSON form
+is byte-stable (sorted keys, fixed key set, absent values encoded as null).
+``Report`` and ``LatencyStats`` declare their fields in alphabetical order,
+so their dict form is sorted too.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from enum import Enum
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .domain import Outcome
+from .domain import Outcome, VersionId
 
 
 class RequestKind(Enum):
@@ -43,6 +44,14 @@ class RequestRecord:
     @property
     def latency_ms(self) -> int:
         return self.completed - self.submitted
+
+
+@dataclass(slots=True)
+class ReenrollEvent:
+    at: int
+    user_id: str
+    from_seq: int
+    to_version: VersionId
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,28 +90,71 @@ class Report:
     total_requests: dict[str, dict[str, int]]
 
 
-class ReportFold:
-    """The report's request counts and latency histograms, updated as each
-    request completes."""
+class RunLog:
+    """The one observer of a run. The worlds report each fact through its
+    method, and ``report(horizon)`` builds the whole ``Report`` from them.
+    Only with ``keep`` does the log also keep the request records,
+    re-enrollments and profile writes (``records``, ``reenrolls``,
+    ``profile_puts``, else None)."""
 
-    __slots__ = ("_tallies",)
+    __slots__ = (
+        "_tallies", "_reenrolled", "_bounced", "_window", "_maintenance_ms",
+        "records", "reenrolls", "profile_puts",
+    )  # fmt: skip
 
-    def __init__(self) -> None:
+    def __init__(self, keep: bool = False) -> None:
         # kind -> (outcome -> count, latency ms -> count), keyed by the
         # members' ``_value_`` strings: a dict keyed by the members would call
         # ``Enum.__hash__``, a Python function, on every request
         self._tallies: dict[str, tuple[dict[str, int], dict[int, int]]] = {
             kind.value: ({outcome.value: 0 for outcome in Outcome}, {}) for kind in RequestKind
         }
+        self._reenrolled = 0
+        self._bounced = 0
+        self._window: int | None = None
+        self._maintenance_ms = 0
+        self.records: list[RequestRecord] | None = [] if keep else None
+        self.reenrolls: list[ReenrollEvent] | None = [] if keep else None
+        self.profile_puts: list[tuple[int, str, int]] | None = [] if keep else None
 
-    def add(self, kind: RequestKind, outcome: Outcome, latency_ms: int) -> None:
-        counts, histogram = self._tallies[kind._value_]
+    def request_done(
+        self, kind: str, user_id: str, submitted: int, completed: int, outcome: Outcome,
+        reenrollments_in_path: int = 0,
+    ) -> None:  # fmt: skip
+        """A request of ``kind`` (a ``RequestKind`` value) was answered."""
+        counts, histogram = self._tallies[kind]
         counts[outcome._value_] += 1
-        histogram[latency_ms] = histogram.get(latency_ms, 0) + 1
+        latency = completed - submitted
+        histogram[latency] = histogram.get(latency, 0) + 1
+        if self.records is not None:
+            fields = (user_id, submitted, completed, outcome, reenrollments_in_path)
+            self.records.append(RequestRecord(RequestKind(kind), *fields))
 
-    def report(
-        self, *, bounce_count: int = 0, total_reenrollments: int = 0, maintenance_ms: int = 0
-    ) -> Report:
+    def reenrolled(self, at: int, user_id: str, from_version: VersionId, to_version: VersionId) -> None:
+        """A profile at ``from_version`` was re-enrolled at ``to_version``; to
+        an older version, that is a bounce."""
+        self._reenrolled += 1
+        if to_version.seq < from_version.seq:
+            self._bounced += 1
+        if self.reenrolls is not None:
+            self.reenrolls.append(ReenrollEvent(at, user_id, from_version.seq, to_version))
+
+    def profile_stored(self, at: int, user_id: str, version: VersionId) -> None:
+        if self.profile_puts is not None:
+            self.profile_puts.append((at, user_id, version.seq))
+
+    def window_open(self, at: int) -> None:
+        """A maintenance window opened: requests are refused until it closes."""
+        self._window = at
+
+    def window_close(self, at: int) -> None:
+        assert self._window is not None
+        self._maintenance_ms += at - self._window
+        self._window = None
+
+    def report(self, horizon: int) -> Report:
+        """The report so far; a window still open counts up to ``horizon``."""
+        window = 0 if self._window is None else horizon - self._window
         runtime = self._tallies[RequestKind.RUNTIME.value][0]
         runtime_total = sum(runtime.values())
         stale = Outcome.STALE_PROFILES.value
@@ -113,12 +165,12 @@ class ReportFold:
                 for kind, (_, histogram) in self._tallies.items()
             },
             availability=runtime[Outcome.OK.value] / runtime_total if runtime_total else None,
-            total_reenrollments=total_reenrollments,
-            bounce_count=bounce_count,
+            total_reenrollments=self._reenrolled,
+            bounce_count=self._bounced,
             # a version mismatch ends the run instead of being counted
             mismatch_violations=0,
             stale_profile_events=sum(counts[stale] for counts, _ in self._tallies.values()),
-            maintenance_ms=maintenance_ms,
+            maintenance_ms=self._maintenance_ms + window,
         )
 
 
@@ -134,22 +186,13 @@ def _histogram_stats(histogram: dict[int, int]) -> LatencyStats:
     return LatencyStats(p50=rank(0.50), p95=rank(0.95), max=keys[-1])
 
 
-def summarize(
-    records: Iterable[RequestRecord],
-    *,
-    bounce_count: int = 0,
-    total_reenrollments: int = 0,
-    maintenance_ms: int = 0,
-) -> Report:
-    """The report of ``records``: ``ReportFold`` applied to each in turn."""
-    fold = ReportFold()
+def summarize(records: Iterable[RequestRecord]) -> Report:
+    """The report of ``records`` alone: a ``RunLog`` told of each in turn,
+    with no re-enrollment and no maintenance window."""
+    log = RunLog()
     for rec in records:
-        fold.add(rec.kind, rec.outcome, rec.completed - rec.submitted)
-    return fold.report(
-        bounce_count=bounce_count,
-        total_reenrollments=total_reenrollments,
-        maintenance_ms=maintenance_ms,
-    )
+        log.request_done(rec.kind._value_, rec.user_id, rec.submitted, rec.completed, rec.outcome)
+    return log.report(0)
 
 
 def report_to_dict(report: Report) -> dict:

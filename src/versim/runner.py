@@ -1,6 +1,6 @@
 """Builds the world that the scenario's row of ``scenario.STRATEGIES``
 names, feeds it the precomputed workload, runs the clock, and takes the
-report from the log's fold.
+report from the run's log (``metrics.RunLog``).
 
 All request arrivals are generated up front from per-user rng streams, so the
 workload a user produces is independent of anything the strategies do during
@@ -8,10 +8,10 @@ the run. Each user stream is consumed in a fixed order: enrollment sample
 seeds first, then one gap plus one sample seed per runtime arrival (explicit
 arrivals skip the gap draw).
 
-The report is folded while the run goes (``RunLog.fold``), so a run keeps no
-per-request state for it. The request records, re-enrollments and profile
-writes are kept only with ``logs=True``; otherwise those ``RunResult`` fields
-are None, as ``trace`` is without ``trace=True``.
+The log folds the report while the run goes, so a run keeps no per-request
+state for it. The request records, re-enrollments and profile writes are
+kept only with ``logs=True``; otherwise those ``RunResult`` fields are None,
+as ``trace`` is without ``trace=True``.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from operator import itemgetter
 
 from .domain import AudioSample, SimulationError
 from .kernel import Simulator, TraceSink, node_stream
-from .metrics import Report, RequestRecord
+from .metrics import ReenrollEvent, Report, RequestRecord, RunLog
 from .scenario import Scenario, strategy_row
-from .strategies import ReenrollEvent, RunLog, WorldBase
+from .strategies import WorldBase
 from .strategies.common import (
     USER_STREAM_BASE,
     EnrollArrival,
@@ -36,6 +36,8 @@ from .topology import ModelStorageNode
 
 ENROLL_SAMPLE_MS = 1000
 RUNTIME_SAMPLE_MS = 1000
+# events one simulated millisecond may run, per user, server and device
+STALL_EVENTS_PER_NODE = 64
 
 
 class RunFailedError(Exception):
@@ -105,7 +107,10 @@ def build(
         storage.register(version_id, 0, 0, (0, 0))
     log = RunLog(keep=logs)
     sink: TraceSink | None = [] if trace is True else (None if trace is False else trace)
-    sim = Simulator(None, trace=sink)
+    # the progress tripwire: healthy runs peak under a fifth of this many
+    # events in one millisecond, and a run whose clock stalls reaches it
+    scale = scenario.users + scenario.cloud_servers + scenario.devices
+    sim = Simulator(None, trace=sink, stall_bound=STALL_EVENTS_PER_NODE * scale)
     world = strategy_row(scenario.strategy).world(scenario, sim, storage, log)
     sim.handler = world
 
@@ -148,7 +153,8 @@ def run(scenario: Scenario, trace: bool | TraceSink = False, logs: bool = False)
     ``logs=True`` keeps every request record, re-enrollment and profile write
     in ``RunResult.records``, ``.reenrolls`` and ``.profile_puts``. By default
     they are None: the report is folded as requests complete and needs none
-    of them.
+    of them. A run whose clock stops moving trips the progress bound and
+    raises ``RunFailedError``, like any other tripwire.
 
     The cyclic garbage collector is off for the build and the event loop.
     The loop makes no reference cycles, so the collector would only re-scan
@@ -172,14 +178,9 @@ def run(scenario: Scenario, trace: bool | TraceSink = False, logs: bool = False)
     finally:
         if collecting:
             gc.enable()
-    report = log.fold.report(
-        bounce_count=log.bounce_count,
-        total_reenrollments=log.reenroll_count,
-        maintenance_ms=log.maintenance_ms(scenario.duration_ms),
-    )
     return RunResult(
         scenario=scenario,
-        report=report,
+        report=log.report(scenario.duration_ms),
         records=log.records,
         reenrolls=log.reenrolls,
         profile_puts=log.profile_puts,

@@ -3,8 +3,6 @@
 from .common import (
     Deployment,
     Mitigation,
-    ReenrollEvent,
-    RunLog,
     StrategyConfig,
     UpdatePolicy,
     WorldBase,
@@ -29,8 +27,6 @@ __all__ = [
     "MultiProfileServerWorld",
     "OfflineServerWorld",
     "OnlineServerWorld",
-    "ReenrollEvent",
-    "RunLog",
     "StrategyConfig",
     "SyncTableServerWorld",
     "UpdatePolicy",

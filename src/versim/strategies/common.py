@@ -1,6 +1,7 @@
 """Shared machinery for the strategy controllers: configuration, the message
-vocabulary that travels on the event queue, the run log, and the world base
-classes that wire nodes to the simulator.
+vocabulary that travels on the event queue, and the world base classes
+that wire nodes to the simulator. The worlds tell ``metrics.RunLog`` what
+happens; what is counted or kept is decided there.
 
 A "world" is one deployment wired up: nodes, their rng streams, and the
 handler table that routes every executed event by its message ``kind`` to
@@ -36,7 +37,7 @@ from typing import TYPE_CHECKING, Callable, ClassVar
 from ..domain import AudioSample, Outcome, UserProfile, VersionId
 from ..engine import EngineInstance
 from ..kernel import SimRng, Simulator, node_stream
-from ..metrics import ReportFold, RequestKind, RequestRecord
+from ..metrics import RunLog
 from ..topology import (
     CloudServerNode,
     DatabaseNode,
@@ -87,71 +88,6 @@ STORAGE_STREAM = 3
 CLOUD_STREAM_BASE = 16
 DEVICE_STREAM_BASE = 4096
 USER_STREAM_BASE = 65536
-
-
-@dataclass(slots=True)
-class ReenrollEvent:
-    at: int
-    user_id: str
-    from_seq: int
-    to_version: VersionId
-
-
-class RunLog:
-    """Everything a run observes. Each completed request feeds the report
-    ``fold``; re-enrollments, bounces and maintenance windows are counted. Only
-    with ``keep`` does the log also keep the request records, re-enrollments
-    and profile writes (``records``, ``reenrolls``, ``profile_puts``, else None)."""
-
-    def __init__(self, keep: bool = False) -> None:
-        self.fold = ReportFold()
-        self.reenroll_count = 0
-        self.bounce_count = 0
-        self.records: list[RequestRecord] | None = [] if keep else None
-        self.reenrolls: list[ReenrollEvent] | None = [] if keep else None
-        self.profile_puts: list[tuple[int, str, int]] | None = [] if keep else None
-        self._maintenance_open: int | None = None
-        self._maintenance_total = 0
-
-    def record(
-        self,
-        kind: RequestKind,
-        user_id: str,
-        submitted: int,
-        completed: int,
-        outcome: Outcome,
-        reenrollments_in_path: int = 0,
-    ) -> None:
-        self.fold.add(kind, outcome, completed - submitted)
-        if self.records is not None:
-            self.records.append(
-                RequestRecord(kind, user_id, submitted, completed, outcome, reenrollments_in_path)
-            )
-
-    def log_reenroll(self, at: int, user_id: str, from_version: VersionId, to_version: VersionId) -> None:
-        self.reenroll_count += 1
-        if to_version.seq < from_version.seq:
-            self.bounce_count += 1
-        if self.reenrolls is not None:
-            self.reenrolls.append(ReenrollEvent(at, user_id, from_version.seq, to_version))
-
-    def log_put(self, at: int, user_id: str, version: VersionId) -> None:
-        if self.profile_puts is not None:
-            self.profile_puts.append((at, user_id, version.seq))
-
-    def maintenance_begin(self, at: int) -> None:
-        self._maintenance_open = at
-
-    def maintenance_end(self, at: int) -> None:
-        assert self._maintenance_open is not None
-        self._maintenance_total += at - self._maintenance_open
-        self._maintenance_open = None
-
-    def maintenance_ms(self, horizon: int) -> int:
-        total = self._maintenance_total
-        if self._maintenance_open is not None:
-            total += horizon - self._maintenance_open
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +181,16 @@ class VersionNotice:
 @dataclass(slots=True)
 class DeviceTaskDone:
     """Completion of a device-local engine task, ``task`` "enroll" or
-    "runtime". A runtime task scores with the ``engine`` and ``profile`` it
-    started with."""
+    "runtime". Either task uses the ``engine`` it started with, even if the
+    device switched models since; a runtime task also scores the ``profile``
+    it started with."""
 
     kind: ClassVar[str] = "device-task-done"
     task: str
     user_id: str
     submitted: int
     payload: EnrollArrival | RuntimeArrival
-    engine: EngineInstance | None = None
+    engine: EngineInstance
     profile: UserProfile | None = None
 
     def summary(self) -> str:
@@ -554,7 +491,7 @@ class WorldBase:
     def _put(self, store: "DatabaseNode | DeviceNode", profile: UserProfile) -> None:
         """Keep ``profile`` in the world's store under ``retain`` and log the write."""
         store.put_profile(profile, self.retain)
-        self.log.log_put(self.sim.now, profile.user_id, profile.version)
+        self.log.profile_stored(self.sim.now, profile.user_id, profile.version)
 
 
 class CloudWorldBase(WorldBase):
@@ -815,8 +752,7 @@ class CloudWorldBase(WorldBase):
         ctx = msg.ctx
         self._store_produced(ctx)
         if ctx.parent is None:
-            now = self.sim.now
-            self.log.record(RequestKind.ENROLL, ctx.user_id, ctx.submitted, now, msg.outcome)
+            self.log.request_done("ENROLL", ctx.user_id, ctx.submitted, self.sim.now, msg.outcome)
             return
         parent = ctx.parent
         parent.reenrolls += 1
@@ -869,11 +805,6 @@ class CloudWorldBase(WorldBase):
 
     def _on_runtime_response(self, target, msg: Response):
         ctx = msg.ctx
-        self.log.record(
-            RequestKind.RUNTIME,
-            ctx.user_id,
-            ctx.submitted,
-            self.sim.now,
-            msg.outcome,
-            reenrollments_in_path=ctx.reenrolls,
+        self.log.request_done(
+            "RUNTIME", ctx.user_id, ctx.submitted, self.sim.now, msg.outcome, ctx.reenrolls
         )

@@ -12,7 +12,6 @@ out the window: every enrollment arrives at t=0, ahead of any release.
 from __future__ import annotations
 
 from ..domain import Outcome
-from ..metrics import RequestKind
 from ..topology import DeviceNode
 from .common import (
     DeviceTaskDone,
@@ -44,7 +43,7 @@ class DeviceWorld(WorldBase):
         self.sim.schedule_in(
             engine.enroll_duration_ms(len(msg.samples)),
             target,
-            DeviceTaskDone("enroll", msg.user_id, self.sim.now, msg),
+            DeviceTaskDone("enroll", msg.user_id, self.sim.now, msg, engine),
         )
 
     def _on_runtime_arrival(self, target: str, msg: RuntimeArrival, submitted: int | None = None) -> None:
@@ -55,12 +54,8 @@ class DeviceWorld(WorldBase):
             return
         if not dev.profiles_for(msg.user_id):
             # nothing enrolled: reject on the spot, no engine work
-            self.log.record(
-                RequestKind.RUNTIME, msg.user_id, submitted, self.sim.now, Outcome.OK
-            )
+            self.log.request_done("RUNTIME", msg.user_id, submitted, self.sim.now, Outcome.OK)
             return
-        # the task scores with the engine and profile it starts with, even if
-        # the device switches models before it completes
         engine = self.engine_for(dev.local_model)
         profile = dev.profiles_for(msg.user_id)[-1]
         task = DeviceTaskDone("runtime", msg.user_id, submitted, msg, engine, profile)
@@ -69,16 +64,11 @@ class DeviceWorld(WorldBase):
     def _on_device_task_done(self, target: str, task: DeviceTaskDone) -> None:
         dev = self._device(target)
         if task.task == "enroll":
-            profile = self.engine_for(dev.local_model).enroll(task.user_id, task.payload.samples)
-            self._put(dev, profile)
-            self.log.record(
-                RequestKind.ENROLL, task.user_id, task.submitted, self.sim.now, Outcome.OK
-            )
+            self._put(dev, task.engine.enroll(task.user_id, task.payload.samples))
+            self.log.request_done("ENROLL", task.user_id, task.submitted, self.sim.now, Outcome.OK)
         else:
             task.engine.recognize(task.payload.sample, {task.user_id: task.profile})
-            self.log.record(
-                RequestKind.RUNTIME, task.user_id, task.submitted, self.sim.now, Outcome.OK
-            )
+            self.log.request_done("RUNTIME", task.user_id, task.submitted, self.sim.now, Outcome.OK)
 
     # -- releases
 
@@ -136,7 +126,7 @@ class DeviceWorld(WorldBase):
         profile = self.engine_for(dev.local_model).enroll(user, dev.stored_audio[user])
         self._put(dev, profile)
         if old:
-            self.log.log_reenroll(self.sim.now, user, old[0].version, profile.version)
+            self.log.reenrolled(self.sim.now, user, old[0].version, profile.version)
         self._next_reenroll(target, dev)
 
     def _close_update_window(self, target: str, dev: DeviceNode) -> None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..domain import Outcome, VersionId
-from ..metrics import RequestKind
 from .common import (
     CloudWorldBase,
     EnrollArrival,
@@ -76,7 +75,7 @@ class HybridWorldBase(CloudWorldBase):
             device.bg_enroll_inflight.discard(ctx.user_id)
         if (ctx.background or ctx.parent is not None) and before and produced:
             newest = produced[-1].version
-            self.log.log_reenroll(self.sim.now, ctx.user_id, before[0].version, newest)
+            self.log.reenrolled(self.sim.now, ctx.user_id, before[0].version, newest)
 
     # -- runtime: the request carries the device's profiles
 
@@ -84,7 +83,7 @@ class HybridWorldBase(CloudWorldBase):
         if not self.devices[target.split(":", 1)[1]].profiles_for(msg.user_id):
             # not enrolled: the device can answer by itself
             now = self.sim.now
-            self.log.record(RequestKind.RUNTIME, msg.user_id, now, now, Outcome.OK)
+            self.log.request_done("RUNTIME", msg.user_id, now, now, Outcome.OK)
             return
         super()._on_runtime_arrival(target, msg)
 
@@ -118,9 +117,7 @@ class HybridWorldBase(CloudWorldBase):
 
     def _on_handshake_reply(self, target, msg: HandshakeReply):
         ctx = msg.ctx
-        self.log.record(
-            RequestKind.HANDSHAKE, ctx.user_id, ctx.submitted, self.sim.now, Outcome.OK
-        )
+        self.log.request_done("HANDSHAKE", ctx.user_id, ctx.submitted, self.sim.now, Outcome.OK)
         if not msg.versions:
             return
         newest = msg.versions[-1]

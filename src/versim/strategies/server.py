@@ -212,7 +212,7 @@ class ServerWorldBase(CloudWorldBase):
 
     def _pump_put(self, msg: DbAck):
         ctx: _SweepCtx = msg.ctx
-        self.log.log_reenroll(self.sim.now, ctx.user_id, ctx.from_version, ctx.profile.version)
+        self.log.reenrolled(self.sim.now, ctx.user_id, ctx.from_version, ctx.profile.version)
         self._pump_advance(ctx.lane)
 
     def _pump_advance(self, lane: int) -> None:
@@ -228,7 +228,7 @@ class OnlineServerWorld(ServerWorldBase):
         # repair in place from the fetched audio; the new profile is written
         # back before the response goes out
         fresh = engine.enroll(ctx.user_id, ctx.audio)
-        self.log.log_reenroll(self.sim.now, ctx.user_id, ctx.profiles[-1].version, fresh.version)
+        self.log.reenrolled(self.sim.now, ctx.user_id, ctx.profiles[-1].version, fresh.version)
         ctx.refreshed = fresh
         ctx.reenrolls += 1
         return fresh, engine.enroll_duration_ms(len(ctx.audio))
@@ -417,7 +417,7 @@ class OfflineServerWorld(ServerWorldBase):
             self._roll_out_if_drained()
 
     def _begin_release(self, release: ModelRelease) -> None:
-        self.log.maintenance_begin(self.sim.now)
+        self.log.window_open(self.sim.now)
         self._held = release
         self._roll_out_if_drained()
 
@@ -444,7 +444,7 @@ class OfflineServerWorld(ServerWorldBase):
         return serving[ctx.lane % len(serving)]
 
     def _pump_drained(self) -> None:
-        self.log.maintenance_end(self.sim.now)
+        self.log.window_close(self.sim.now)
         self.finish_release()
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from test_runner import zero_link_scenario
 import versim.cli as cli
 from versim.domain import SimulationError, VersionMismatchError
 from versim.engine import EngineInstance
@@ -172,6 +173,14 @@ def test_tripwire_death_is_exit_1(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", "--scenario", path]) == 1
     err = capsys.readouterr().err
     assert "run failed" in err and "t=123ms" in err
+
+
+def test_a_stalled_clock_is_exit_1(tmp_path, capsys):
+    data = zero_link_scenario({"deployment": "HYBRID"}, ["V1"], 20, 2)
+    path = _write_scenario(tmp_path, **data)
+    assert cli.main(["run", "--scenario", path]) == 1
+    err = capsys.readouterr().err
+    assert "run failed" in err and "the clock stalled at t=" in err
 
 
 def test_compare_tabulates_and_dumps_rows(tmp_path, capsys):

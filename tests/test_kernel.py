@@ -15,6 +15,7 @@ from versim.kernel import (
     ScheduleInPastError,
     SimRng,
     Simulator,
+    StalledClockError,
     node_stream,
 )
 from versim.topology import DispatchPolicy, FrontendNode, ModelRelease
@@ -256,6 +257,44 @@ def test_a_raise_mid_burst_leaves_the_rest_of_the_burst_queued():
     assert seen[6:] == ["b3", "b4", "late"]
     assert [line.split("\t")[1] for line in trace] == ["0", "1", "2", "3", "4", "5", "6", "7"]
     assert sim.now == 20
+
+
+def test_a_clock_that_stops_moving_trips_after_the_bound():
+    seen = []
+
+    def handler(target, payload):
+        seen.append(sim.now)
+        sim.schedule_in(0, "n", Ping("again"))
+
+    sim = Simulator(handler, stall_bound=10)
+    sim.schedule(5, "n", Ping("start"))
+    with pytest.raises(StalledClockError, match=r"t=5ms: 10 events .* 'ping'"):
+        sim.run_until(100)
+    # the preloaded event is not counted; its bucket ran 10 and queued an 11th
+    assert seen == [5] * 11
+    assert sim.current == (5, 10)
+
+
+@pytest.mark.parametrize("burst, trips", [(10, False), (11, True)])
+def test_a_bucket_may_run_exactly_the_bound(burst, trips):
+    order = []
+
+    def handler(target, payload):
+        order.append(payload.label)
+        if payload.label == "start":
+            for i in range(burst):
+                sim.schedule_in(0, "n", Ping(f"b{i}"))
+            sim.schedule_in(1, "n", Ping("next"))
+
+    sim = Simulator(handler, stall_bound=10)
+    sim.schedule(5, "n", Ping("start"))
+    if trips:
+        with pytest.raises(StalledClockError):
+            sim.run_until(100)
+        assert order == ["start"] + [f"b{i}" for i in range(10)]
+    else:
+        sim.run_until(100)
+        assert order == ["start"] + [f"b{i}" for i in range(burst)] + ["next"]
 
 
 def test_identical_seeds_produce_identical_streams():

@@ -1,4 +1,5 @@
-"""Report folding: percentiles, availability, and the canonical JSON form."""
+"""The run log's report fold: percentiles, availability, the re-enrollment,
+bounce and maintenance counts, and the canonical JSON form."""
 
 import random
 
@@ -6,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from versim.domain import Outcome
+from versim.domain import Outcome, VersionId
 from versim.metrics import (
-    ReportFold,
     RequestKind,
     RequestRecord,
+    RunLog,
     latency_stats,
     nearest_rank,
     report_from_dict,
@@ -96,17 +97,27 @@ def test_stale_events_counted_from_records():
     assert summarize(records).stale_profile_events == 2
 
 
-def test_bounce_count_and_passthroughs():
-    report = summarize(
-        [_runtime(Outcome.OK, 21)],
-        bounce_count=1,
-        total_reenrollments=7,
-        maintenance_ms=376,
-    )
+def test_the_log_counts_reenrollments_bounces_and_windows():
+    v1, v2 = VersionId("V1", 1), VersionId("V2", 2)
+    log = RunLog(keep=True)
+    log.request_done("RUNTIME", "u000", 1000, 1021, Outcome.OK)
+    log.reenrolled(1100, "u000", v1, v2)
+    log.reenrolled(1200, "u001", v2, v1)  # back to an older version: a bounce
+    log.reenrolled(1300, "u001", v1, v1)
+    log.profile_stored(1300, "u001", v1)
+    log.window_open(2000)
+    log.window_close(2300)
+    log.window_open(9924)  # still open at the horizon
+    report = log.report(10_000)
     assert report.bounce_count == 1
-    assert report.total_reenrollments == 7
+    assert report.total_reenrollments == 3
     assert report.maintenance_ms == 376
     assert report.mismatch_violations == 0
+    assert [(e.user_id, e.from_seq, e.to_version.id) for e in log.reenrolls] == [
+        ("u000", 1, "V2"), ("u001", 2, "V1"), ("u001", 1, "V1")
+    ]
+    assert log.profile_puts == [(1300, "u001", 1)]
+    assert log.records == [_runtime(Outcome.OK, 21)]
 
 
 def test_summarize_is_order_free():
@@ -134,7 +145,7 @@ def test_json_round_trip_is_byte_stable():
         _record(RequestKind.ENROLL, Outcome.OK, 0, 48),
         _record(RequestKind.HANDSHAKE, Outcome.OK, 600, 610, user="d00"),
     ]
-    report = summarize(records, total_reenrollments=2)
+    report = summarize(records)
     text = report_to_json(report)
     assert text.endswith("\n")
     import json
@@ -156,10 +167,10 @@ def test_absent_sections_encode_as_null():
 @example([7, 7, 7, 7])
 @example([3, 1, 3, 2, 1, 3])
 def test_the_fold_equals_the_sorted_reference(latencies):
-    fold = ReportFold()
+    log = RunLog()
     for ms in latencies:
-        fold.add(RequestKind.RUNTIME, Outcome.OK, ms)
-    report = fold.report()
+        log.request_done("RUNTIME", "u000", 0, ms, Outcome.OK)
+    report = log.report(0)
     assert report.latency_ms["RUNTIME"] == latency_stats(sorted(latencies))
     assert report.total_requests["RUNTIME"]["OK"] == len(latencies)
     assert report.latency_ms["ENROLL"] is None

@@ -10,6 +10,12 @@ The report is folded as requests complete. The request records,
 re-enrollments and profile writes are kept only with ``logs=True``, and
 keeping them changes no report byte.
 
+A run whose clock stops moving (a flow that keeps rescheduling itself in
+the same millisecond) trips the progress bound that runner.build derives
+from the scenario, and fails instead of hanging; every healthy combination
+stays under it on zero-latency links. The report agrees with the logs it
+was folded from.
+
 runner.build also picks the world, and only the SYNC_TABLE world carries the
 sync-table machinery; only the SINGLE_OFFLINE world keeps a maintenance
 window and answers MAINTENANCE. Each world class handles exactly the
@@ -25,10 +31,12 @@ import pytest
 from test_acceptance import _COMBOS, _sweep_scenario
 from versim.domain import Outcome, VersionMismatchError
 from versim.engine import EngineInstance
-from versim.metrics import report_to_json
+from versim.kernel import StalledClockError
+from versim.metrics import report_to_json, summarize
 from versim.runner import RunFailedError, build, run
-from versim.scenario import load_scenario
-from versim.strategies import SyncTableServerWorld, common
+from versim.scenario import load_scenario, scenario_from_dict
+from versim import metrics
+from versim.strategies import SyncTableServerWorld
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "online_random_bounce.json"
 
@@ -169,9 +177,67 @@ def test_a_default_run_keeps_no_logs(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a default run built a log entry")
 
-    monkeypatch.setattr(common, "RequestRecord", refuse)
-    monkeypatch.setattr(common, "ReenrollEvent", refuse)
+    monkeypatch.setattr(metrics, "RequestRecord", refuse)
+    monkeypatch.setattr(metrics, "ReenrollEvent", refuse)
     # one combination that re-enrolls, so each kind of log entry would be made
     result = run(load_scenario(str(SCENARIO)))
     assert result.report.total_reenrollments > 0
     assert (result.records, result.reenrolls, result.profile_puts) == (None, None, None)
+
+
+@pytest.mark.parametrize("name, strategy, initial", _COMBOS, ids=[c[0] for c in _COMBOS])
+def test_the_report_agrees_with_the_kept_logs(name, strategy, initial):
+    result = run(_sweep_scenario(strategy, initial, 1), logs=True)
+    report, reenrolls = result.report, result.reenrolls
+    assert report.total_reenrollments == len(reenrolls)
+    assert report.bounce_count == sum(e.to_version.seq < e.from_seq for e in reenrolls)
+    from_records = summarize(result.records)
+    assert from_records.total_requests == report.total_requests
+    assert from_records.latency_ms == report.latency_ms
+
+
+def zero_link_scenario(strategy, initial, users, servers):
+    """Every link at 0 ms and no engine cost, so a flow that goes round
+    without waiting keeps the clock where it is."""
+    zero = {"base_ms": 0, "jitter_ms": 0}
+    return {
+        "strategy": dict(strategy),
+        "users": users,
+        "devices": 2,
+        "cloud_servers": servers,
+        "enroll_cost_ms_per_sample": 0,
+        "runtime_cost_ms": 0,
+        "initial_versions": list(initial),
+        "latency": {
+            link: zero
+            for link in ("device_frontend", "device_storage", "frontend_cloud", "frontend_db")
+        },
+        "releases": [
+            {"time_ms": t, "version_id": v, "download_ms": 1, "server_update_ms": [200, 3000]}
+            for t, v in ((2000, "R2"), (5000, "R3"))
+        ],
+        "runtime_arrivals": {"poisson_rate_per_user_per_s": 1.0},
+        "duration_ms": 10_000,
+        "seed": 1,
+    }
+
+
+_STALLING = [c for c in _COMBOS if c[0] in ("hybrid-single", "hybrid-single-handshake")]
+_HEALTHY = [c for c in _COMBOS if c not in _STALLING]
+
+
+@pytest.mark.parametrize("name, strategy, initial", _STALLING, ids=[c[0] for c in _STALLING])
+def test_a_stalled_clock_fails_the_run(name, strategy, initial):
+    # HYBRID single's retry loop re-enrolls and retries at one millisecond
+    # forever on zero-latency links; the bound, 64 x (20 + 2 + 2), ends it
+    scenario = scenario_from_dict(zero_link_scenario(strategy, initial, 20, 2))
+    with pytest.raises(RunFailedError, match="clock stalled") as failed:
+        run(scenario)
+    assert isinstance(failed.value.cause, StalledClockError)
+    assert "1536 events ran there" in str(failed.value)
+
+
+@pytest.mark.parametrize("name, strategy, initial", _HEALTHY, ids=[c[0] for c in _HEALTHY])
+def test_healthy_runs_on_zero_latency_links_stay_under_the_bound(name, strategy, initial):
+    result = run(scenario_from_dict(zero_link_scenario(strategy, initial, 200, 16)))
+    assert result.report.total_requests["RUNTIME"]["OK"] > 0

@@ -128,6 +128,31 @@ def test_device_update_window_takes_a_second_notice_and_holds_a_request():
     assert [(e.from_seq, e.to_version.id) for e in result.reenrolls] == [(1, "R2")] * 4
 
 
+def test_device_enroll_task_keeps_the_engine_it_started_with():
+    # the t=0 enroll tasks run to 30 on V1; R1 and R2 land at 0 and the 1 ms
+    # download switches both devices to R2 at 1, mid-task. Each task still
+    # makes a V1 profile, so the re-enroll pass moves every user V1 -> R2.
+    result = run(
+        scenario_from_dict(
+            {
+                "strategy": {"deployment": "DEVICE"},
+                "users": 6,
+                "devices": 2,
+                "latency": {"device_storage": {"base_ms": 0, "jitter_ms": 0}},
+                "releases": [
+                    {"time_ms": 0, "version_id": "R1", "download_ms": 1},
+                    {"time_ms": 0, "version_id": "R2", "download_ms": 1},
+                ],
+                "runtime_arrivals": _arrivals({}),
+                "duration_ms": 1000,
+            }
+        ),
+        logs=True,
+    )
+    assert [(e.from_seq, e.to_version.id) for e in result.reenrolls] == [(1, "R2")] * 6
+    assert [seq for _, _, seq in result.profile_puts] == [1] * 6 + [3] * 6
+
+
 # -- server, single version, online swap
 
 
