@@ -39,6 +39,8 @@ from .domain import SimulationError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# events a millisecond may run per event queued for it (and per node, in runner)
+STALL_FACTOR = 64
 
 
 class ScheduleInPastError(SimulationError):
@@ -46,8 +48,8 @@ class ScheduleInPastError(SimulationError):
 
 
 class StalledClockError(SimulationError):
-    """One millisecond ran more events than ``Simulator.stall_bound``: a flow
-    that keeps scheduling itself at the same time never lets the clock move."""
+    """One millisecond ran more events than its progress bound: a flow that
+    keeps scheduling itself at the same time never lets the clock move."""
 
 
 class SimRng:
@@ -127,7 +129,8 @@ class Simulator:
     with the events after it.
 
     ``stall_bound`` is the progress tripwire: a millisecond's bucket may run
-    that many events, and one more raises ``StalledClockError``. The
+    that many events plus ``STALL_FACTOR`` per event queued there when the
+    clock reaches it, and one more raises ``StalledClockError``. The
     preloaded run is not counted. By default there is no bound.
     """
 
@@ -202,9 +205,10 @@ class Simulator:
                     bucket = buckets[at]
                     if trace is not None:
                         stamp = f"{at}\t"  # formatted once for the whole bucket
+                    limit = bound + STALL_FACTOR * len(bucket)
                     # handlers may append to the bucket while it drains
                     while done < len(bucket):
-                        if done == bound:
+                        if done == limit:
                             raise StalledClockError(
                                 f"the clock stalled at t={at}ms: {done} events ran there and "
                                 f"more are queued; the last was {payload.kind!r}"

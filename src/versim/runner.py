@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .domain import AudioSample, SimulationError
-from .kernel import Simulator, TraceSink, node_stream
+from .kernel import STALL_FACTOR, Simulator, TraceSink, node_stream
 from .metrics import ReenrollEvent, Report, RequestRecord, RunLog
 from .scenario import Scenario, strategy_row
 from .strategies import WorldBase
@@ -36,8 +36,6 @@ from .topology import ModelStorageNode
 
 ENROLL_SAMPLE_MS = 1000
 RUNTIME_SAMPLE_MS = 1000
-# events one simulated millisecond may run, per user, server and device
-STALL_EVENTS_PER_NODE = 64
 
 
 class RunFailedError(Exception):
@@ -107,10 +105,10 @@ def build(
         storage.register(version_id, 0, 0, (0, 0))
     log = RunLog(keep=logs)
     sink: TraceSink | None = [] if trace is True else (None if trace is False else trace)
-    # the progress tripwire: healthy runs peak under a fifth of this many
-    # events in one millisecond, and a run whose clock stalls reaches it
-    scale = scenario.users + scenario.cloud_servers + scenario.devices
-    sim = Simulator(None, trace=sink, stall_bound=STALL_EVENTS_PER_NODE * scale)
+    # the progress tripwire: 64 events a millisecond per user, server and
+    # device, so a release or sweep that reaches every node stays under it
+    nodes = scenario.users + scenario.cloud_servers + scenario.devices
+    sim = Simulator(None, trace=sink, stall_bound=STALL_FACTOR * nodes)
     world = strategy_row(scenario.strategy).world(scenario, sim, storage, log)
     sim.handler = world
 

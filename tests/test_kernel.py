@@ -268,33 +268,42 @@ def test_a_clock_that_stops_moving_trips_after_the_bound():
 
     sim = Simulator(handler, stall_bound=10)
     sim.schedule(5, "n", Ping("start"))
-    with pytest.raises(StalledClockError, match=r"t=5ms: 10 events .* 'ping'"):
+    with pytest.raises(StalledClockError, match=r"t=5ms: 74 events .* 'ping'"):
         sim.run_until(100)
-    # the preloaded event is not counted; its bucket ran 10 and queued an 11th
-    assert seen == [5] * 11
-    assert sim.current == (5, 10)
+    # the preloaded event is not counted; it queued one event at t=5, so the
+    # bucket may run 10 + 64 x 1 and it queued a 75th
+    assert seen == [5] * 75
+    assert sim.current == (5, 74)
 
 
-@pytest.mark.parametrize("burst, trips", [(10, False), (11, True)])
-def test_a_bucket_may_run_exactly_the_bound(burst, trips):
+@pytest.mark.parametrize(
+    "queued, burst, trips", [(1, 73, False), (1, 74, True), (3, 199, False), (3, 200, True)]
+)
+def test_a_bucket_may_run_the_bound_plus_64_per_queued_event(queued, burst, trips):
+    # ``queued`` events wait at t=5 when the clock gets there; the first adds
+    # ``burst`` more at the same time, so the bucket runs queued + burst
     order = []
 
     def handler(target, payload):
         order.append(payload.label)
         if payload.label == "start":
+            for i in range(queued):
+                sim.schedule_in(1, "n", Ping(f"q{i}"))
+            sim.schedule_in(2, "n", Ping("next"))
+        elif payload.label == "q0":
             for i in range(burst):
                 sim.schedule_in(0, "n", Ping(f"b{i}"))
-            sim.schedule_in(1, "n", Ping("next"))
 
     sim = Simulator(handler, stall_bound=10)
-    sim.schedule(5, "n", Ping("start"))
+    sim.schedule(4, "n", Ping("start"))
+    ran = ["start"] + [f"q{i}" for i in range(queued)] + [f"b{i}" for i in range(burst)]
     if trips:
-        with pytest.raises(StalledClockError):
+        with pytest.raises(StalledClockError, match=f"{10 + 64 * queued} events"):
             sim.run_until(100)
-        assert order == ["start"] + [f"b{i}" for i in range(10)]
+        assert order == ran[:-1]
     else:
         sim.run_until(100)
-        assert order == ["start"] + [f"b{i}" for i in range(burst)] + ["next"]
+        assert order == ran + ["next"]
 
 
 def test_identical_seeds_produce_identical_streams():

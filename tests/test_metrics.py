@@ -1,6 +1,7 @@
 """The run log's report fold: percentiles, availability, the re-enrollment,
 bounce and maintenance counts, and the canonical JSON form."""
 
+import dataclasses
 import random
 
 import pytest
@@ -145,7 +146,10 @@ def test_json_round_trip_is_byte_stable():
         _record(RequestKind.ENROLL, Outcome.OK, 0, 48),
         _record(RequestKind.HANDSHAKE, Outcome.OK, 600, 610, user="d00"),
     ]
-    report = summarize(records)
+    # the counts a run's log adds, nonzero so the round trip covers them
+    report = dataclasses.replace(
+        summarize(records), total_reenrollments=2, bounce_count=1, maintenance_ms=350
+    )
     text = report_to_json(report)
     assert text.endswith("\n")
     import json

@@ -13,7 +13,8 @@ keeping them changes no report byte.
 A run whose clock stops moving (a flow that keeps rescheduling itself in
 the same millisecond) trips the progress bound that runner.build derives
 from the scenario, and fails instead of hanging; every healthy combination
-stays under it on zero-latency links. The report agrees with the logs it
+stays under it on zero-latency links, and a burst of arrivals or releases at
+one millisecond raises the bound with the events it queues there. The report agrees with the logs it
 was folded from.
 
 runner.build also picks the world, and only the SYNC_TABLE world carries the
@@ -229,15 +230,40 @@ _HEALTHY = [c for c in _COMBOS if c not in _STALLING]
 @pytest.mark.parametrize("name, strategy, initial", _STALLING, ids=[c[0] for c in _STALLING])
 def test_a_stalled_clock_fails_the_run(name, strategy, initial):
     # HYBRID single's retry loop re-enrolls and retries at one millisecond
-    # forever on zero-latency links; the bound, 64 x (20 + 2 + 2), ends it
+    # forever on zero-latency links; the bound, 64 x (20 + 2 + 2) plus 64
+    # for the one event queued there, ends it
     scenario = scenario_from_dict(zero_link_scenario(strategy, initial, 20, 2))
     with pytest.raises(RunFailedError, match="clock stalled") as failed:
         run(scenario)
     assert isinstance(failed.value.cause, StalledClockError)
-    assert "1536 events ran there" in str(failed.value)
+    assert "1600 events ran there" in str(failed.value)
 
 
 @pytest.mark.parametrize("name, strategy, initial", _HEALTHY, ids=[c[0] for c in _HEALTHY])
 def test_healthy_runs_on_zero_latency_links_stay_under_the_bound(name, strategy, initial):
     result = run(scenario_from_dict(zero_link_scenario(strategy, initial, 200, 16)))
     assert result.report.total_requests["RUNTIME"]["OK"] > 0
+
+
+@pytest.mark.parametrize("name, strategy, initial", _COMBOS, ids=[c[0] for c in _COMBOS])
+def test_a_burst_at_one_millisecond_raises_its_own_bound(name, strategy, initial):
+    # 600 arrivals for one user at t=1000 and 300 releases at t=2000 put far
+    # more than 64 x (4 + 2 + 2) events in one millisecond; the events queued
+    # there raise the bound, so the run finishes
+    scenario = scenario_from_dict(
+        {
+            "strategy": dict(strategy),
+            "users": 4,
+            "devices": 2,
+            "cloud_servers": 2,
+            "initial_versions": list(initial),
+            "releases": [
+                {"time_ms": 2000, "version_id": f"R{i}", "download_ms": 5,
+                 "server_update_ms": [200, 200]}
+                for i in range(2, 302)
+            ],  # fmt: skip
+            "runtime_arrivals": {"explicit": [{"time_ms": 1000, "user_id": "u000"}] * 600},
+            "duration_ms": 60_000,
+        }
+    )
+    assert run(scenario).report.total_requests["RUNTIME"]["OK"] == 600
