@@ -24,6 +24,11 @@ version by the time it reaches the frontend, a DEVICE update window that
 takes a second release notice and holds a runtime request, and a maintenance
 window still open when the run ends.
 
+The arrival-order case pins how runtime arrivals at one millisecond are
+ordered and numbered: by user id as a string (``u1000`` before ``u999``),
+then in the user's own draw order, with 1,001 users so that a sort by the
+numeric user index would differ.
+
 Regenerate the table (only for an intended behaviour change) with
 ``PYTHONPATH=src python tests/test_output_digests.py``.
 """
@@ -115,6 +120,20 @@ EDGES = {
             ]
         },
         "duration_ms": 1000,
+        "seed": 1,
+    },
+    "edge-arrival-order/1": {
+        "users": 1001,
+        "devices": 4,
+        "runtime_arrivals": {
+            "explicit": [
+                {"time_ms": t, "user_id": u}
+                for u, t in (
+                    ("u999", 5), ("u1000", 5), ("u100", 5), ("u042", 9), ("u042", 5), ("u042", 5)
+                )
+            ]
+        },
+        "duration_ms": 50,
         "seed": 1,
     },
     "edge-server-offline-open-at-horizon/1": {
