@@ -7,15 +7,20 @@ ties resolve by who scheduled first. Every random draw comes from a named
 SplitMix64 stream, and the trace is a pure function of the executed events.
 
 The queue has two parts. The events queued before the first
-``Simulator.run_until`` (the workload, releases, world-init ticks) are sorted
-once into a run that is consumed from its end. Every event scheduled after
-that goes into a bucket for its millisecond: a dict from time to a list of
-events in seq order, plus a heap of the distinct bucket times. Appending keeps
-a bucket in seq order, and a burst of events at one time costs one heap push
-and pop, not one per event. Each step executes the earlier head of the two
-parts. Every event in the run was scheduled before every bucketed event, so a
-tie in time goes to the run, and the order is the one a single heap of
-(time, seq) would give. A bucket entry is dropped as soon as its event runs.
+``Simulator.run_until`` form the run: the events scheduled then (enrollment
+arrivals, releases, world-init ticks) are sorted once, and merged by
+(time, seq) with at most one fed stream. A fed stream (``Simulator.feed``,
+the runtime arrivals) is a time-ordered iterator of events that reserves a
+block of seqs when it is fed and yields each event only when the run
+reaches it, so its events are not held in memory before they are due. Every
+event scheduled after the first ``run_until`` goes into a bucket for its
+millisecond: a dict from time to a list of events in seq order, plus a heap
+of the distinct bucket times. Appending keeps a bucket in seq order, and a
+burst of events at one time costs one heap push and pop, not one per event.
+Each step executes the earlier head of the two parts. Every event in the run
+was queued before every bucketed event, so a tie in time goes to the run, and
+the order is the one a single heap of (time, seq) would give. A run or bucket
+entry is dropped as soon as its event runs.
 
 A draw with only one possible value (a latency sample without jitter, an
 update duration with ``lo == hi``, a random pick among one server) advances
@@ -33,7 +38,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Protocol
+from typing import Iterable, Iterator, Protocol
 
 from .domain import SimulationError
 
@@ -116,9 +121,9 @@ class TraceSink(Protocol):
 
 
 class Simulator:
-    """Event queue over a virtual clock: a sorted run of the events queued
-    before the first ``run_until``, and per-millisecond buckets of those
-    scheduled since (see the module docstring).
+    """Event queue over a virtual clock: a run of the events queued before
+    the first ``run_until`` (scheduled or fed), and per-millisecond buckets
+    of those scheduled since (see the module docstring).
 
     ``handler`` is either a callable taking (target, payload) or an object
     with a ``handle(target, payload)`` method; it is resolved once at each
@@ -135,18 +140,22 @@ class Simulator:
     """
 
     __slots__ = (
-        "handler", "_preload", "_run", "_buckets", "_times", "_seq", "now", "trace", "current",
-        "stall_bound",
+        "handler", "_preload", "_fed", "_run", "_head", "_buckets", "_times", "_seq", "now",
+        "trace", "current", "stall_bound",
     )  # fmt: skip
 
     def __init__(self, handler, trace: TraceSink | None = None, stall_bound: int = sys.maxsize):
         self.handler = handler
         self.stall_bound = stall_bound
-        # events queued before the first run_until; None from then on
+        # events scheduled before the first run_until; None from then on
         self._preload: list[tuple[int, int, str, Payload]] | None = []
-        # the preload sorted descending; every event in it has a lower seq
-        # than every bucketed event
-        self._run: list[tuple[int, int, str, Payload]] = []
+        # the fed stream, the first seq of its block and its event count
+        self._fed: tuple[Iterable[tuple[int, str, Payload]], int, int] | None = None
+        # the preload merged with the fed stream, and its next event (None
+        # once it is empty); every event in it has a lower seq than every
+        # bucketed event
+        self._run: Iterator[tuple[int, int, str, Payload]] = iter(())
+        self._head: tuple[int, int, str, Payload] | None = None
         # time -> (seq, target, payload) entries in seq order, and a heap of
         # those times
         self._buckets: dict[int, list[tuple[int, str, Payload] | None]] = {}
@@ -176,6 +185,20 @@ class Simulator:
     def schedule_in(self, delay: int, target: str, payload: Payload) -> None:
         self.schedule(self.now + delay, target, payload)
 
+    def feed(self, events: Iterable[tuple[int, str, Payload]], count: int) -> None:
+        """Queue ``count`` events that ``events`` yields as (at, target,
+        payload) in time order. They take the next ``count`` seqs, as if each
+        were scheduled here in turn, but each is drawn from ``events`` only
+        when the run reaches it. One stream per simulator, fed before the
+        first ``run_until``; a stream out of time order, or of another
+        length, raises ValueError when the run finds it out."""
+        if self._preload is None:
+            raise ValueError("feed() after the first run_until")
+        if self._fed is not None:
+            raise ValueError("the simulator already has a fed stream")
+        self._fed = (events, self._seq, count)
+        self._seq += count
+
     def run_until(self, t_end: int) -> None:
         """Execute every event with time <= t_end, then set the clock to
         t_end. Later events stay queued. A ``t_end`` before the clock raises
@@ -184,8 +207,11 @@ class Simulator:
             raise ValueError(f"run_until({t_end}) is before the clock ({self.now})")
         if self._preload is not None:
             self._preload.sort(reverse=True)
-            self._run, self._preload = self._preload, None
+            self._run = _merge(self._preload, *(self._fed or ((), 0, 0)))
+            self._head = next(self._run, None)
+            self._preload = self._fed = None
         run = self._run
+        head = self._head
         buckets = self._buckets
         times = self._times
         trace = self.trace
@@ -194,7 +220,7 @@ class Simulator:
         # a bucket before ``cut`` runs first: the run's head time, or
         # t_end + 1 once the run is empty or past t_end; ties go to the run
         stop = t_end + 1
-        cut = run[-1][0] if run and run[-1][0] < stop else stop
+        cut = head[0] if head is not None and head[0] < stop else stop
         seq = -1
         bucket = None
         done = 0
@@ -226,8 +252,9 @@ class Simulator:
                     bucket = None
                     done = 0
                 elif cut < stop:
-                    at, seq, target, payload = run.pop()
-                    cut = run[-1][0] if run and run[-1][0] < stop else stop
+                    at, seq, target, payload = head
+                    head = next(run, None)
+                    cut = head[0] if head is not None and head[0] < stop else stop
                     self.now = at
                     if trace is not None:
                         trace.append(
@@ -243,4 +270,36 @@ class Simulator:
             if seq >= 0:
                 self.current = (self.now, seq)
             raise
+        finally:
+            self._head = head
         self.now = t_end
+
+
+def _merge(
+    run: list[tuple[int, int, str, Payload]],
+    fed: Iterable[tuple[int, str, Payload]],
+    first: int,
+    count: int,
+) -> Iterator[tuple[int, int, str, Payload]]:
+    """The events of ``run`` (sorted descending, consumed from its end) and
+    the ``count`` events of ``fed``, numbered from seq ``first``, in
+    (time, seq) order."""
+    # the run's head goes before a fed event at ``at`` when ``at >= due``: a
+    # head at the same time goes first only if it was scheduled before the
+    # stream was fed
+    due = run[-1][0] + (run[-1][1] >= first) if run else sys.maxsize
+    seq = first
+    last = 0
+    for at, target, payload in fed:
+        if at < last:
+            raise ValueError(f"fed event {seq - first} at t={at}ms is out of time order")
+        while at >= due:
+            yield run.pop()
+            due = run[-1][0] + (run[-1][1] >= first) if run else sys.maxsize
+        yield at, seq, target, payload
+        last = at
+        seq += 1
+    if seq != first + count:
+        raise ValueError(f"the fed stream yielded {seq - first} events, not {count}")
+    while run:
+        yield run.pop()

@@ -2,11 +2,14 @@
 names, feeds it the precomputed workload, runs the clock, and takes the
 report from the run's log (``metrics.RunLog``).
 
-All request arrivals are generated up front from per-user rng streams, so the
-workload a user produces is independent of anything the strategies do during
-the run. Each user stream is consumed in a fixed order: enrollment sample
-seeds first, then one gap plus one sample seed per runtime arrival (explicit
-arrivals skip the gap draw).
+Every request arrival is drawn before the run from per-user rng streams, so
+the workload a user produces is independent of anything the strategies do
+during the run. Each user stream is consumed in a fixed order: enrollment
+sample seeds first, then one gap plus one sample seed per runtime arrival
+(explicit arrivals skip the gap draw). The enrollment arrivals are scheduled
+as events. A runtime arrival is kept as one packed int (time, user, draw
+order, seed). The simulator is fed the sorted ints as a stream, and the
+stream builds each arrival's payload only when the clock reaches it.
 
 The log folds the report while the run goes, so a run keeps no per-request
 state for it. The request records, re-enrollments and profile writes are
@@ -18,8 +21,8 @@ from __future__ import annotations
 
 import gc
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .domain import AudioSample, SimulationError
 from .kernel import STALL_FACTOR, Simulator, TraceSink, node_stream
@@ -36,6 +39,12 @@ from .topology import ModelStorageNode
 
 ENROLL_SAMPLE_MS = 1000
 RUNTIME_SAMPLE_MS = 1000
+# bit offsets of the fields of a packed runtime arrival (see _generate_workload)
+_INDEX_SHIFT = 64
+_RANK_SHIFT = 96
+_TIME_SHIFT = 128
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
 
 
 class RunFailedError(Exception):
@@ -61,45 +70,74 @@ class RunResult:
 
 def _generate_workload(
     scenario: Scenario,
-) -> tuple[dict[str, tuple[AudioSample, ...]], list[tuple[int, str, AudioSample]]]:
-    """Per-user enrollment samples plus the full (time, user, sample) arrival
-    list, sorted by (time, user)."""
+) -> tuple[dict[str, tuple[AudioSample, ...]], list[int], list[str]]:
+    """Per-user enrollment samples, the runtime arrivals as packed ints
+    sorted by (time, user id), and the user ids in string order.
+
+    One arrival is one int, high bits to low: its time, the user's rank in
+    user-id string order (``u1000`` before ``u999``), the user's arrival
+    index, and the 64-bit sample seed. Sorting the ints sorts by (time, user
+    id, the user's draw order). 32 bits each for the rank and the index hold
+    more users and arrivals than memory could, and an int of at most 180 bits
+    takes the same 48-byte block."""
+    # each user draws from a stream of its own, so the users can go in rank order
+    users = sorted(f"u{index:03d}" for index in range(scenario.users))
     enroll: dict[str, tuple[AudioSample, ...]] = {}
-    arrivals: list[tuple[int, str, AudioSample]] = []
+    arrivals: list[int] = []
     spec = scenario.runtime_arrivals
     explicit_by_user: dict[str, list[int]] = {}
     if spec.explicit is not None:
         for a in spec.explicit:
             explicit_by_user.setdefault(a.user_id, []).append(a.time_ms)
-    for index in range(scenario.users):
-        user = f"u{index:03d}"
-        draw = node_stream(scenario.seed, USER_STREAM_BASE + index).next_u64
+    for rank, user in enumerate(users):
+        draw = node_stream(scenario.seed, USER_STREAM_BASE + int(user[1:])).next_u64
         enroll[user] = tuple(
             AudioSample(user, ENROLL_SAMPLE_MS, draw()) for _ in range(scenario.samples_per_user)
         )
+        key = rank << _RANK_SHIFT
         if spec.explicit is not None:
-            for t in explicit_by_user.get(user, []):
-                arrivals.append((t, user, AudioSample(user, RUNTIME_SAMPLE_MS, draw())))
+            for i, t in enumerate(explicit_by_user.get(user, [])):
+                arrivals.append(t << _TIME_SHIFT | key | i << _INDEX_SHIFT | draw())
         else:
             rate = spec.poisson_rate_per_user_per_s
             t = 0
+            i = 0
             while True:
                 # 1 - SimRng.uniform(), in (0, 1]
                 u = 1.0 - (draw() >> 11) * (2.0 ** -53)
                 t += int(-math.log(u) / rate * 1000.0)
                 if t > scenario.duration_ms:
                     break
-                arrivals.append((t, user, AudioSample(user, RUNTIME_SAMPLE_MS, draw())))
-    arrivals.sort(key=itemgetter(0, 1))
-    return enroll, arrivals
+                arrivals.append(t << _TIME_SHIFT | key | i << _INDEX_SHIFT | draw())
+                i += 1
+    arrivals.sort()
+    return enroll, arrivals, users
+
+
+def _runtime_arrivals(
+    arrivals: list[int], users: list[str], targets: list[str]
+) -> Iterator[tuple[int, str, RuntimeArrival]]:
+    """The packed arrivals in order as (time, target, payload), with the
+    users and their devices' targets listed by rank. Each payload is built
+    only when the simulator reaches it, and each int is let go of then."""
+    arrivals.reverse()
+    pop = arrivals.pop
+    for _ in range(len(arrivals)):
+        packed = pop()
+        r = packed >> _RANK_SHIFT & _MASK32
+        user = users[r]
+        sample = AudioSample(user, RUNTIME_SAMPLE_MS, packed & _MASK64)
+        yield packed >> _TIME_SHIFT, targets[r], RuntimeArrival(user, sample)
 
 
 def build(
     scenario: Scenario, trace: bool | TraceSink = False, logs: bool = False
 ) -> tuple[Simulator, WorldBase, RunLog]:
-    """World, simulator and log with the whole workload queued. ``trace`` and
-    ``logs`` are as for ``run``: for ``trace``, True collects the lines in a
-    fresh list (``sim.trace``), a sink receives them, False traces nothing."""
+    """World, simulator and log with the whole workload queued: the
+    enrollment arrivals and releases scheduled, and the runtime arrivals fed
+    as a stream. ``trace`` and ``logs`` are as for ``run``: for ``trace``,
+    True collects the lines in a fresh list (``sim.trace``), a sink receives
+    them, False traces nothing."""
     storage = ModelStorageNode()
     for version_id in scenario.initial_versions:
         storage.register(version_id, 0, 0, (0, 0))
@@ -112,19 +150,15 @@ def build(
     world = strategy_row(scenario.strategy).world(scenario, sim, storage, log)
     sim.handler = world
 
-    enroll, arrivals = _generate_workload(scenario)
+    enroll, arrivals, by_rank = _generate_workload(scenario)
     for user in world.user_ids:
         sim.schedule(
             0,
             world.device_target(world.user_device[user]),
             EnrollArrival(user_id=user, samples=enroll[user]),
         )
-    for t, user, sample in arrivals:
-        sim.schedule(
-            t,
-            world.device_target(world.user_device[user]),
-            RuntimeArrival(user_id=user, sample=sample),
-        )
+    targets = [world.device_target(world.user_device[user]) for user in by_rank]
+    sim.feed(_runtime_arrivals(arrivals, by_rank, targets), len(arrivals))
     for release in scenario.releases:
         sim.schedule(
             release.time_ms,

@@ -89,6 +89,12 @@ CLOUD_STREAM_BASE = 16
 DEVICE_STREAM_BASE = 4096
 USER_STREAM_BASE = 65536
 
+# outcomes bound once as module names: a read through the enum class goes
+# through ``EnumType``'s attribute hook and costs about 10x a plain name
+OK = Outcome.OK
+MAINTENANCE = Outcome.MAINTENANCE
+STALE_PROFILES = Outcome.STALE_PROFILES
+
 
 # ---------------------------------------------------------------------------
 # flow contexts
@@ -727,7 +733,7 @@ class CloudWorldBase(WorldBase):
                 server_id = self.frontend.choose(ctx.user_id, eligible)
             self._send_enroll_job(server_id, ctx, ctx.samples, self.leg_token)
             return
-        self._respond_enroll(ctx, Outcome.OK)
+        self._respond_enroll(ctx, OK)
 
     def _send_enroll_job(self, server_id: str, ctx, samples, token: str) -> None:
         self._frontend_to_cloud(server_id, EnrollJob(ctx, server_id, samples, token))
@@ -798,7 +804,7 @@ class CloudWorldBase(WorldBase):
     # -- runtime responses
 
     def _on_recognize_job_done(self, target, msg: RecognizeJobDone):
-        self._respond_runtime(msg.ctx, Outcome.OK)
+        self._respond_runtime(msg.ctx, OK)
 
     def _respond_runtime(self, ctx: RuntimeCtx, outcome: Outcome) -> None:
         self._frontend_to_device(ctx.device_id, Response("runtime-response", ctx, outcome))

@@ -11,9 +11,9 @@ out the window: every enrollment arrives at t=0, ahead of any release.
 
 from __future__ import annotations
 
-from ..domain import Outcome
 from ..topology import DeviceNode
 from .common import (
+    OK,
     DeviceTaskDone,
     EnrollArrival,
     ReleasePayload,
@@ -54,7 +54,7 @@ class DeviceWorld(WorldBase):
             return
         if not dev.profiles_for(msg.user_id):
             # nothing enrolled: reject on the spot, no engine work
-            self.log.request_done("RUNTIME", msg.user_id, submitted, self.sim.now, Outcome.OK)
+            self.log.request_done("RUNTIME", msg.user_id, submitted, self.sim.now, OK)
             return
         engine = self.engine_for(dev.local_model)
         profile = dev.profiles_for(msg.user_id)[-1]
@@ -65,10 +65,10 @@ class DeviceWorld(WorldBase):
         dev = self._device(target)
         if task.task == "enroll":
             self._put(dev, task.engine.enroll(task.user_id, task.payload.samples))
-            self.log.request_done("ENROLL", task.user_id, task.submitted, self.sim.now, Outcome.OK)
+            self.log.request_done("ENROLL", task.user_id, task.submitted, self.sim.now, OK)
         else:
             task.engine.recognize(task.payload.sample, {task.user_id: task.profile})
-            self.log.request_done("RUNTIME", task.user_id, task.submitted, self.sim.now, Outcome.OK)
+            self.log.request_done("RUNTIME", task.user_id, task.submitted, self.sim.now, OK)
 
     # -- releases
 

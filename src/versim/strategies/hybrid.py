@@ -20,8 +20,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..domain import Outcome, VersionId
+from ..domain import VersionId
 from .common import (
+    OK,
+    STALE_PROFILES,
     CloudWorldBase,
     EnrollArrival,
     EnrollCtx,
@@ -83,7 +85,7 @@ class HybridWorldBase(CloudWorldBase):
         if not self.devices[target.split(":", 1)[1]].profiles_for(msg.user_id):
             # not enrolled: the device can answer by itself
             now = self.sim.now
-            self.log.request_done("RUNTIME", msg.user_id, now, now, Outcome.OK)
+            self.log.request_done("RUNTIME", msg.user_id, now, now, OK)
             return
         super()._on_runtime_arrival(target, msg)
 
@@ -117,7 +119,7 @@ class HybridWorldBase(CloudWorldBase):
 
     def _on_handshake_reply(self, target, msg: HandshakeReply):
         ctx = msg.ctx
-        self.log.request_done("HANDSHAKE", ctx.user_id, ctx.submitted, self.sim.now, Outcome.OK)
+        self.log.request_done("HANDSHAKE", ctx.user_id, ctx.submitted, self.sim.now, OK)
         if not msg.versions:
             return
         newest = msg.versions[-1]
@@ -147,9 +149,9 @@ class HybridDoubleWorld(HybridWorldBase):
 
     def _dispatch_runtime(self, ctx: RuntimeCtx) -> None:
         if not self._dispatch_to_common_version(ctx):
-            self._respond_runtime(ctx, Outcome.STALE_PROFILES)
+            self._respond_runtime(ctx, STALE_PROFILES)
 
     def _on_runtime_response(self, target, msg: Response):
         super()._on_runtime_response(target, msg)
-        if msg.outcome is Outcome.STALE_PROFILES and self.served_versions:
+        if msg.outcome is STALE_PROFILES and self.served_versions:
             self._start_background_enroll(msg.ctx.device_id, msg.ctx.user_id, self.served_versions)

@@ -37,6 +37,8 @@ from ..kernel import node_stream
 from ..topology import DatabaseNode, ModelRelease
 from .common import (
     DB_STREAM,
+    MAINTENANCE,
+    OK,
     SWEEP_STEP,
     SYNC_TICK,
     CloudWorldBase,
@@ -143,7 +145,7 @@ class ServerWorldBase(CloudWorldBase):
         ctx.audio = msg.audio
         if not ctx.profiles:
             # not enrolled: reject without engine work
-            self._respond_runtime(ctx, Outcome.OK)
+            self._respond_runtime(ctx, OK)
             return
         self._dispatch_runtime(ctx)
 
@@ -152,10 +154,10 @@ class ServerWorldBase(CloudWorldBase):
         if ctx.refreshed is not None:
             self._frontend_to_db(DbPutProfile(ctx.refreshed, "runtime.put", ctx))
             return
-        self._respond_runtime(ctx, Outcome.OK)
+        self._respond_runtime(ctx, OK)
 
     def _runtime_put(self, msg: DbAck) -> None:
-        self._respond_runtime(msg.ctx, Outcome.OK)
+        self._respond_runtime(msg.ctx, OK)
 
     # -- the re-enrollment pump: each lane takes queued users one at a time
     # and does fetch, enroll-job on the newest served version, put. The
@@ -390,14 +392,14 @@ class OfflineServerWorld(ServerWorldBase):
 
     def _on_enroll_request(self, target, msg):
         if self.active_release is not None:
-            self._respond_enroll(msg.ctx, Outcome.MAINTENANCE)
+            self._respond_enroll(msg.ctx, MAINTENANCE)
             return
         self._inflight += 1
         super()._on_enroll_request(target, msg)
 
     def _on_runtime_request(self, target, msg):
         if self.active_release is not None:
-            self._respond_runtime(msg.ctx, Outcome.MAINTENANCE)
+            self._respond_runtime(msg.ctx, MAINTENANCE)
             return
         self._inflight += 1
         super()._on_runtime_request(target, msg)
@@ -412,7 +414,7 @@ class OfflineServerWorld(ServerWorldBase):
 
     def _answered(self, outcome: Outcome) -> None:
         # only a refused request is answered MAINTENANCE
-        if outcome is not Outcome.MAINTENANCE:
+        if outcome is not MAINTENANCE:
             self._inflight -= 1
             self._roll_out_if_drained()
 

@@ -31,6 +31,13 @@ class DispatchPolicy(Enum):
     HASH_BY_USER = "HASH_BY_USER"
 
 
+# the members FrontendNode.choose tests, bound once as module names: a read
+# through the enum class goes through ``EnumType``'s attribute hook and costs
+# about 10x a plain name
+RANDOM = DispatchPolicy.RANDOM
+HASH_BY_USER = DispatchPolicy.HASH_BY_USER
+
+
 @dataclass(frozen=True, slots=True)
 class ModelRelease:
     version: VersionId
@@ -168,7 +175,7 @@ class FrontendNode:
         by definition, so a filtered-out hash pick is a dispatch failure."""
         if not eligible:
             raise NoEligibleServerError(f"no eligible server for {user_id!r}")
-        if self.policy is DispatchPolicy.HASH_BY_USER:
+        if self.policy is HASH_BY_USER:
             pick = self.server_ids[
                 fnv1a64(user_id.encode("utf-8")) % len(self.server_ids)
             ]
@@ -177,7 +184,7 @@ class FrontendNode:
                     f"hash pick {pick!r} is not eligible for {user_id!r}"
                 )
             return pick
-        if self.policy is DispatchPolicy.RANDOM:
+        if self.policy is RANDOM:
             return eligible[self.rng.randrange(len(eligible))]
         # ROUND_ROBIN: cycle the full id order, skip ineligible entries
         n = len(self.server_ids)

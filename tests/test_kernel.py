@@ -306,6 +306,95 @@ def test_a_bucket_may_run_the_bound_plus_64_per_queued_event(queued, burst, trip
         assert order == ran + ["next"]
 
 
+def _fed(times, drawn=None):
+    """A fed stream of Pings labelled f<i>, noting each one as it is drawn."""
+    for i, at in enumerate(times):
+        if drawn is not None:
+            drawn.append(f"f{i}")
+        yield at, "n", Ping(f"f{i}")
+
+
+def test_fed_and_scheduled_events_at_one_millisecond_run_in_seq_order():
+    trace = []
+
+    def handler(target, payload):
+        if payload.label == "early":
+            sim.schedule_in(1, "n", Ping("in-run"))
+
+    sim = Simulator(handler, trace=trace)
+    sim.schedule(5, "n", Ping("before"))
+    sim.feed(_fed([5, 5]), 2)
+    sim.schedule(5, "n", Ping("after"))
+    sim.schedule(4, "n", Ping("early"))
+    sim.run_until(10)
+    assert trace == [
+        "4\t4\tn\tping\tearly",
+        "5\t0\tn\tping\tbefore",
+        "5\t1\tn\tping\tf0",
+        "5\t2\tn\tping\tf1",
+        "5\t3\tn\tping\tafter",
+        "5\t5\tn\tping\tin-run",
+    ]
+
+
+def test_a_fed_stream_is_drawn_as_the_clock_reaches_it_across_calls():
+    seen = []
+    drawn = []
+    sim = Simulator(lambda target, p: seen.append((sim.now, p.label)))
+    sim.feed(_fed([1, 3, 5, 7], drawn), 4)
+    sim.run_until(3)
+    assert seen == [(1, "f0"), (3, "f1")]
+    assert sim.now == 3
+    # at most the next event is drawn ahead of the clock
+    assert drawn in (["f0", "f1"], ["f0", "f1", "f2"])
+    sim.run_until(6)
+    assert seen[2:] == [(5, "f2")]
+    sim.run_until(100)
+    assert seen[3:] == [(7, "f3")]
+    assert drawn == ["f0", "f1", "f2", "f3"]
+
+
+def test_a_raising_fed_event_sets_current_and_the_next_call_goes_on():
+    seen = []
+
+    def handler(target, payload):
+        seen.append(payload.label)
+        if payload.label == "f1":
+            raise RuntimeError("boom")
+
+    sim = Simulator(handler)
+    sim.schedule(0, "n", Ping("pre"))
+    sim.feed(_fed([2, 4, 6]), 3)
+    with pytest.raises(RuntimeError):
+        sim.run_until(10)
+    assert sim.current == (4, 2)
+    sim.run_until(10)
+    assert seen == ["pre", "f0", "f1", "f2"]
+    assert sim.now == 10
+
+
+def test_feeding_twice_or_after_the_first_run_until_raises():
+    sim = Simulator(lambda target, p: None)
+    sim.feed(_fed([1]), 1)
+    with pytest.raises(ValueError, match="already"):
+        sim.feed(_fed([2]), 1)
+    late = Simulator(lambda target, p: None)
+    late.run_until(0)
+    with pytest.raises(ValueError, match="after the first run_until"):
+        late.feed(_fed([1]), 1)
+
+
+@pytest.mark.parametrize(
+    "times, count, message",
+    [([3, 2], 2, "out of time order"), ([1, 2], 1, "yielded 2 events, not 1"), ([1], 2, "not 2")],
+)
+def test_a_fed_stream_out_of_order_or_of_another_length_raises(times, count, message):
+    sim = Simulator(lambda target, p: None)
+    sim.feed(_fed(times), count)
+    with pytest.raises(ValueError, match=message):
+        sim.run_until(10)
+
+
 def test_identical_seeds_produce_identical_streams():
     for seed in (0, 1, 2**63, 2**64 - 1):
         a = SimRng(seed)
@@ -333,6 +422,10 @@ class _HeapSim:
     def schedule_in(self, delay, target, payload):
         self.schedule(self.now + delay, target, payload)
 
+    def feed(self, events, count):
+        for at, target, payload in events:
+            self.schedule(at, target, payload)
+
     def run_until(self, t_end):
         while self.queue and self.queue[0][0] <= t_end:
             at, seq, target, payload = heappop(self.queue)
@@ -346,9 +439,10 @@ class _HeapSim:
         self.now = t_end
 
 
-def _drive(make_sim, pre, followups, steps, boom):
+def _drive(make_sim, pre, fed, followups, steps, boom):
     """Run one schedule on a queue built by ``make_sim`` and return what was
-    observed: every trace line, handler call, clock and ``current`` value."""
+    observed: every trace line, handler call, clock and ``current`` value.
+    The ``fed`` times are fed as a stream between the two halves of ``pre``."""
     trace = []
     seen = []
     made = [0]
@@ -363,7 +457,14 @@ def _drive(make_sim, pre, followups, steps, boom):
             raise RuntimeError("boom")
 
     sim = make_sim(handler, trace)
-    for at in pre:
+    half = len(pre) // 2
+    for at in pre[:half]:
+        sim.schedule(at, "n", Ping(str(made[0])))
+        made[0] += 1
+    first = made[0]
+    sim.feed(((at, "n", Ping(str(first + i))) for i, at in enumerate(fed)), len(fed))
+    made[0] += len(fed)
+    for at in pre[half:]:
         sim.schedule(at, "n", Ping(str(made[0])))
         made[0] += 1
     for horizon, between in steps:
@@ -384,6 +485,7 @@ _delays = st.integers(min_value=0, max_value=15)
 @settings(max_examples=300, deadline=None)
 @given(
     pre=st.lists(st.integers(min_value=0, max_value=60), max_size=30),
+    fed=st.lists(st.integers(min_value=0, max_value=60), max_size=20).map(sorted),
     followups=st.lists(st.lists(_delays, max_size=3), max_size=60),
     steps=st.lists(
         st.tuples(st.integers(min_value=0, max_value=40), st.lists(_delays, max_size=3)),
@@ -392,14 +494,14 @@ _delays = st.integers(min_value=0, max_value=15)
     ),
     boom=st.none() | st.integers(min_value=0, max_value=60),
 )
-def test_two_part_queue_runs_the_single_heap_order(pre, followups, steps, boom):
+def test_two_part_queue_runs_the_single_heap_order(pre, fed, followups, steps, boom):
     # horizons climb by the drawn increments; in-run follow-ups with delay 0
-    # tie with preloaded events at the same time, and a raise part way leaves
-    # the rest queued for the next call
+    # tie with preloaded and fed events at the same time, and a raise part
+    # way leaves the rest queued for the next call
     clock = 0
     climbing = []
     for step, between in steps:
         clock += step
         climbing.append((clock, between))
-    expected = _drive(_HeapSim, pre, followups, climbing, boom)
-    assert _drive(Simulator, pre, followups, climbing, boom) == expected
+    expected = _drive(_HeapSim, pre, fed, followups, climbing, boom)
+    assert _drive(Simulator, pre, fed, followups, climbing, boom) == expected

@@ -17,6 +17,11 @@ stays under it on zero-latency links, and a burst of arrivals or releases at
 one millisecond raises the bound with the events it queues there. The report agrees with the logs it
 was folded from.
 
+runner.build queues the runtime arrivals as a stream fed to the simulator:
+it builds no arrival payload, and the run builds one per arrival as the
+clock reaches it, ordered by user id as a string and carrying each user's
+own draws in order.
+
 runner.build also picks the world, and only the SYNC_TABLE world carries the
 sync-table machinery; only the SINGLE_OFFLINE world keeps a maintenance
 window and answers MAINTENANCE. Each world class handles exactly the
@@ -30,14 +35,16 @@ from pathlib import Path
 import pytest
 
 from test_acceptance import _COMBOS, _sweep_scenario
+from test_output_digests import EDGES
 from versim.domain import Outcome, VersionMismatchError
 from versim.engine import EngineInstance
-from versim.kernel import StalledClockError
+from versim.kernel import StalledClockError, node_stream
 from versim.metrics import report_to_json, summarize
 from versim.runner import RunFailedError, build, run
 from versim.scenario import load_scenario, scenario_from_dict
-from versim import metrics
+from versim import metrics, runner
 from versim.strategies import SyncTableServerWorld
+from versim.strategies.common import USER_STREAM_BASE, RuntimeArrival
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "online_random_bounce.json"
 
@@ -184,6 +191,55 @@ def test_a_default_run_keeps_no_logs(monkeypatch):
     result = run(load_scenario(str(SCENARIO)))
     assert result.report.total_reenrollments > 0
     assert (result.records, result.reenrolls, result.profile_puts) == (None, None, None)
+
+
+def test_runtime_arrivals_are_built_when_the_clock_reaches_them(monkeypatch):
+    made = []
+
+    def counting(user_id, sample):
+        made.append(user_id)
+        return RuntimeArrival(user_id, sample)
+
+    monkeypatch.setattr(runner, "RuntimeArrival", counting)
+    scenario = load_scenario(str(SCENARIO))
+    sim, world, log = build(scenario, trace=True)
+    assert made == []
+    sim.run_until(scenario.duration_ms)
+    ran = [line.split("\t")[4] for line in sim.trace if "\truntime-arrival\t" in line]
+    assert len(ran) > 0
+    assert [f"user={user}" for user in made] == ran
+
+
+def test_runtime_arrivals_run_in_user_id_order_with_each_users_draws():
+    scenario = scenario_from_dict(EDGES["edge-arrival-order/1"])
+    sim, world, log = build(scenario)
+    seen = []
+
+    def handler(target, payload):
+        if payload.kind == "runtime-arrival":
+            seen.append((sim.now, payload.user_id, payload.sample))
+        world.handle(target, payload)
+
+    sim.handler = handler
+    sim.run_until(scenario.duration_ms)
+    # a user's stream draws its enrollment samples, then one seed per explicit
+    # arrival in time order
+    draws = {}
+    for user in ("u042", "u100", "u1000", "u999"):
+        draw = node_stream(scenario.seed, USER_STREAM_BASE + int(user[1:])).next_u64
+        draws[user] = [draw() for _ in range(scenario.samples_per_user + 3)][scenario.samples_per_user :]
+    expected = [
+        (5, "u042", draws["u042"][0]),
+        (5, "u042", draws["u042"][1]),
+        (5, "u100", draws["u100"][0]),
+        (5, "u1000", draws["u1000"][0]),
+        (5, "u999", draws["u999"][0]),
+        (9, "u042", draws["u042"][2]),
+    ]
+    assert [(at, user, sample.seed) for at, user, sample in seen] == expected
+    assert {(sample.speaker_id, sample.duration_ms) for _, user, sample in seen} == {
+        (user, runner.RUNTIME_SAMPLE_MS) for _, user, _ in expected
+    }
 
 
 @pytest.mark.parametrize("name, strategy, initial", _COMBOS, ids=[c[0] for c in _COMBOS])
