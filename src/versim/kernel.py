@@ -135,8 +135,9 @@ class Simulator:
 
     ``stall_bound`` is the progress tripwire: a millisecond's bucket may run
     that many events plus ``STALL_FACTOR`` per event queued there when the
-    clock reaches it, and one more raises ``StalledClockError``. The
-    preloaded run is not counted. By default there is no bound.
+    clock reaches it, and one more raises ``StalledClockError``. The run's
+    events, scheduled or fed before the first ``run_until``, are not
+    counted. By default there is no bound.
     """
 
     __slots__ = (
