@@ -12,7 +12,6 @@ from .domain import (
     NoCommonVersionError,
     NoEligibleServerError,
     Outcome,
-    RecognitionResult,
     SimulationError,
     UnknownUserError,
     UserProfile,
@@ -58,7 +57,6 @@ __all__ = [
     "NoCommonVersionError",
     "NoEligibleServerError",
     "Outcome",
-    "RecognitionResult",
     "Report",
     "RequestKind",
     "RequestRecord",

@@ -1,16 +1,17 @@
 """Core value types shared by every deployment flavor.
 
 Everything in this module is an immutable value, an error type or a pure
-hash: model versions, audio samples, user profiles, recognition results and
-the FNV-1a profile digest. None of it knows about the event queue or the
-clock. The digest lives here, not in the engine, because a profile derives
-it from its own fields and the engine imports this module.
+hash: model versions, enrollment audio samples, user profiles and the FNV-1a
+profile digest. Recognition has no value type of its own: it is the engine's
+version check and returns nothing. None of it knows about the event queue or
+the clock. The digest lives here, not in the engine, because a profile
+derives it from its own fields and the engine imports this module.
 
-The four value types are named tuples: a run builds one per sample,
-enrollment and score, and a named tuple is built, compared and hashed in C.
-``VersionId``, ``AudioSample`` and ``RecognitionResult`` hash as the plain
-tuple of their fields, so a set or dict of them iterates in the order a set
-of those tuples would; ``UserProfile`` defines its own equality and hash.
+The three value types are named tuples: a run builds one per enrollment
+sample and per enrollment, and a named tuple is built, compared and hashed
+in C. ``VersionId`` and ``AudioSample`` hash as the plain tuple of their
+fields, so a set or dict of them iterates in the order a set of those tuples
+would; ``UserProfile`` defines its own equality and hash.
 """
 
 from __future__ import annotations
@@ -139,11 +140,3 @@ class UserProfile(NamedTuple):
     def __hash__(self) -> int:
         return hash(self._identity())
 
-
-class RecognitionResult(NamedTuple):
-    score: float
-    accepted: bool
-
-
-def result_from_score(score: float) -> RecognitionResult:
-    return RecognitionResult(score, score >= 0.5)

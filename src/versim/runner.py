@@ -5,11 +5,13 @@ report from the run's log (``metrics.RunLog``).
 Every request arrival is drawn before the run from per-user rng streams, so
 the workload a user produces is independent of anything the strategies do
 during the run. Each user stream is consumed in a fixed order: enrollment
-sample seeds first, then one gap plus one sample seed per runtime arrival
-(explicit arrivals skip the gap draw). The enrollment arrivals are scheduled
-as events. A runtime arrival is kept as one packed int (time, user, draw
-order, seed). The simulator is fed the sorted ints as a stream, and the
-stream builds each arrival's payload only when the clock reaches it.
+sample seeds first, then, for Poisson arrivals, one gap and one discarded
+draw per runtime arrival; explicit arrivals draw nothing after the seeds. A
+runtime request carries no audio: recognition is the engine's version check.
+The enrollment arrivals are scheduled as events. A runtime arrival is kept
+as one packed int (time, user, draw order). The simulator is fed the sorted
+ints as a stream, and the stream builds each arrival's payload only when the
+clock reaches it.
 
 The log folds the report while the run goes, so a run keeps no per-request
 state for it. The request records, re-enrollments and profile writes are
@@ -38,13 +40,10 @@ from .strategies.common import (
 from .topology import ModelStorageNode
 
 ENROLL_SAMPLE_MS = 1000
-RUNTIME_SAMPLE_MS = 1000
 # bit offsets of the fields of a packed runtime arrival (see _generate_workload)
-_INDEX_SHIFT = 64
-_RANK_SHIFT = 96
-_TIME_SHIFT = 128
+_RANK_SHIFT = 32
+_TIME_SHIFT = 64
 _MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
 
 
 class RunFailedError(Exception):
@@ -59,7 +58,6 @@ class RunFailedError(Exception):
 
 @dataclass(slots=True)
 class RunResult:
-    scenario: Scenario
     report: Report
     records: list[RequestRecord] | None
     reenrolls: list[ReenrollEvent] | None
@@ -69,19 +67,19 @@ class RunResult:
 
 
 def _generate_workload(
-    scenario: Scenario,
+    scenario: Scenario, user_ids: list[str]
 ) -> tuple[dict[str, tuple[AudioSample, ...]], list[int], list[str]]:
     """Per-user enrollment samples, the runtime arrivals as packed ints
-    sorted by (time, user id), and the user ids in string order.
+    sorted by (time, user id), and ``user_ids`` (the world's, so one string
+    per user serves the run) in string order.
 
     One arrival is one int, high bits to low: its time, the user's rank in
-    user-id string order (``u1000`` before ``u999``), the user's arrival
-    index, and the 64-bit sample seed. Sorting the ints sorts by (time, user
-    id, the user's draw order). 32 bits each for the rank and the index hold
-    more users and arrivals than memory could, and an int of at most 180 bits
-    takes the same 48-byte block."""
+    user-id string order (``u1000`` before ``u999``) and the user's arrival
+    index. Sorting the ints sorts by (time, user id, the user's draw order).
+    32 bits each for the rank and the index hold more users and arrivals
+    than memory could."""
     # each user draws from a stream of its own, so the users can go in rank order
-    users = sorted(f"u{index:03d}" for index in range(scenario.users))
+    users = sorted(user_ids)
     enroll: dict[str, tuple[AudioSample, ...]] = {}
     arrivals: list[int] = []
     spec = scenario.runtime_arrivals
@@ -97,7 +95,7 @@ def _generate_workload(
         key = rank << _RANK_SHIFT
         if spec.explicit is not None:
             for i, t in enumerate(explicit_by_user.get(user, [])):
-                arrivals.append(t << _TIME_SHIFT | key | i << _INDEX_SHIFT | draw())
+                arrivals.append(t << _TIME_SHIFT | key | i)
         else:
             rate = spec.poisson_rate_per_user_per_s
             t = 0
@@ -108,7 +106,10 @@ def _generate_workload(
                 t += int(-math.log(u) / rate * 1000.0)
                 if t > scenario.duration_ms:
                     break
-                arrivals.append(t << _TIME_SHIFT | key | i << _INDEX_SHIFT | draw())
+                arrivals.append(t << _TIME_SHIFT | key | i)
+                # a draw that nothing reads: dropping it would move every later
+                # gap to another place in the stream, and so every later time
+                draw()
                 i += 1
     arrivals.sort()
     return enroll, arrivals, users
@@ -125,9 +126,7 @@ def _runtime_arrivals(
     for _ in range(len(arrivals)):
         packed = pop()
         r = packed >> _RANK_SHIFT & _MASK32
-        user = users[r]
-        sample = AudioSample(user, RUNTIME_SAMPLE_MS, packed & _MASK64)
-        yield packed >> _TIME_SHIFT, targets[r], RuntimeArrival(user, sample)
+        yield packed >> _TIME_SHIFT, targets[r], RuntimeArrival(users[r])
 
 
 def build(
@@ -150,7 +149,7 @@ def build(
     world = strategy_row(scenario.strategy).world(scenario, sim, storage, log)
     sim.handler = world
 
-    enroll, arrivals, by_rank = _generate_workload(scenario)
+    enroll, arrivals, by_rank = _generate_workload(scenario, world.user_ids)
     for user in world.user_ids:
         sim.schedule(
             0,
@@ -211,7 +210,6 @@ def run(scenario: Scenario, trace: bool | TraceSink = False, logs: bool = False)
         if collecting:
             gc.enable()
     return RunResult(
-        scenario=scenario,
         report=log.report(scenario.duration_ms),
         records=log.records,
         reenrolls=log.reenrolls,

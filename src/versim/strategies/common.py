@@ -122,7 +122,6 @@ class RuntimeCtx:
     user_id: str
     device_id: str
     submitted: int
-    sample: AudioSample
     profiles: list[UserProfile] = field(default_factory=list)
     audio: tuple[AudioSample, ...] = ()
     refreshed: UserProfile | None = None
@@ -156,7 +155,6 @@ class EnrollArrival:
 class RuntimeArrival:
     kind: ClassVar[str] = "runtime-arrival"
     user_id: str
-    sample: AudioSample
 
     def summary(self) -> str:
         return f"user={self.user_id}"
@@ -188,15 +186,15 @@ class VersionNotice:
 class DeviceTaskDone:
     """Completion of a device-local engine task, ``task`` "enroll" or
     "runtime". Either task uses the ``engine`` it started with, even if the
-    device switched models since; a runtime task also scores the ``profile``
-    it started with."""
+    device switched models since: an enroll task enrolls its ``samples``,
+    and a runtime task checks the ``profile`` it started with."""
 
     kind: ClassVar[str] = "device-task-done"
     task: str
     user_id: str
     submitted: int
-    payload: EnrollArrival | RuntimeArrival
     engine: EngineInstance
+    samples: tuple[AudioSample, ...] = ()
     profile: UserProfile | None = None
 
     def summary(self) -> str:
@@ -531,7 +529,7 @@ class CloudWorldBase(WorldBase):
         for g, members in enumerate(self.groups):
             engine = self.engine_for(storage.releases[g].version)
             for sid in members:
-                self.clouds[sid] = CloudServerNode(sid, engine)
+                self.clouds[sid] = CloudServerNode(engine)
         self.cloud_rng: dict[str, SimRng] = {
             sid: node_stream(scenario.seed, CLOUD_STREAM_BASE + i)
             for i, sid in enumerate(server_ids)
@@ -653,7 +651,7 @@ class CloudWorldBase(WorldBase):
         )
 
     def _service_runtime(self, engine: EngineInstance, ctx: RuntimeCtx) -> int | None:
-        """Score the request on ``engine`` with the user's profile for the
+        """Recognize the request on ``engine`` with the user's profile for the
         engine's version; returns the compute time. The user has profiles
         (a request without any is answered before dispatch). Without one for
         this version the request goes through ``_stale_profile``, and None
@@ -669,14 +667,14 @@ class CloudWorldBase(WorldBase):
                 return None
             profile, cost = repaired
             work += cost
-        engine.recognize(ctx.sample, {ctx.user_id: profile})
+        engine.recognize(profile)
         return work
 
     def _stale_profile(
         self, engine: EngineInstance, ctx: RuntimeCtx
     ) -> tuple[UserProfile, int] | None:
         """The user holds no profile for ``engine``: return the profile to
-        score and the compute spent getting it, or None to bounce the request.
+        recognize and the compute spent getting it, or None to bounce the request.
         By default the newest profile goes through and the engine's version
         check is the tripwire; dispatch keeps correct worlds from this."""
         return ctx.profiles[-1], 0
@@ -775,7 +773,7 @@ class CloudWorldBase(WorldBase):
     def _on_runtime_arrival(self, target, msg: RuntimeArrival):
         device_id = target.split(":", 1)[1]
         profiles = list(self.devices[device_id].profiles_for(msg.user_id))
-        ctx = RuntimeCtx(msg.user_id, device_id, self.sim.now, msg.sample, profiles)
+        ctx = RuntimeCtx(msg.user_id, device_id, self.sim.now, profiles)
         self._device_to_frontend(device_id, Request("runtime-request", ctx))
 
     def _on_runtime_request(self, target, msg: Request):

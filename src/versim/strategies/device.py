@@ -43,7 +43,7 @@ class DeviceWorld(WorldBase):
         self.sim.schedule_in(
             engine.enroll_duration_ms(len(msg.samples)),
             target,
-            DeviceTaskDone("enroll", msg.user_id, self.sim.now, msg, engine),
+            DeviceTaskDone("enroll", msg.user_id, self.sim.now, engine, msg.samples),
         )
 
     def _on_runtime_arrival(self, target: str, msg: RuntimeArrival, submitted: int | None = None) -> None:
@@ -58,16 +58,16 @@ class DeviceWorld(WorldBase):
             return
         engine = self.engine_for(dev.local_model)
         profile = dev.profiles_for(msg.user_id)[-1]
-        task = DeviceTaskDone("runtime", msg.user_id, submitted, msg, engine, profile)
+        task = DeviceTaskDone("runtime", msg.user_id, submitted, engine, profile=profile)
         self.sim.schedule_in(engine.runtime_cost_ms, target, task)
 
     def _on_device_task_done(self, target: str, task: DeviceTaskDone) -> None:
         dev = self._device(target)
         if task.task == "enroll":
-            self._put(dev, task.engine.enroll(task.user_id, task.payload.samples))
+            self._put(dev, task.engine.enroll(task.user_id, task.samples))
             self.log.request_done("ENROLL", task.user_id, task.submitted, self.sim.now, OK)
         else:
-            task.engine.recognize(task.payload.sample, {task.user_id: task.profile})
+            task.engine.recognize(task.profile)
             self.log.request_done("RUNTIME", task.user_id, task.submitted, self.sim.now, OK)
 
     # -- releases

@@ -7,7 +7,7 @@ after its job. It also adds the runtime fetch and the one re-enrollment pump
 (fetch, enroll-job, put per stale user) behind the offline bulk pass and the
 DOUBLE sweep. A runtime request fetches its user's profiles (and audio, so a
 mismatch can be repaired without extra round trips), answers at once if
-there are none, else dispatches and returns the score.
+there are none, else dispatches it.
 
 The worlds differ in what a model release does:
 

@@ -130,12 +130,12 @@ class CloudServerNode:
     """One cloud machine running one engine (double-version deployments give
     each of the two fixed groups its own version). While an update is in
     flight the old engine keeps running; the swap happens at the completion
-    event."""
+    event. A server's id is its key in the world's ``clouds``, and every
+    server hop carries it."""
 
-    __slots__ = ("server_id", "engine", "pending_engine")
+    __slots__ = ("engine", "pending_engine")
 
-    def __init__(self, server_id: str, engine: EngineInstance):
-        self.server_id = server_id
+    def __init__(self, engine: EngineInstance):
         self.engine = engine
         self.pending_engine: EngineInstance | None = None
 

@@ -283,12 +283,12 @@ def test_tripwire_leaves_the_trace_up_to_the_failing_event(tmp_path, capsys, mon
     original = EngineInstance.recognize
     calls = 0
 
-    def recognize_then_trip(self, runtime_audio, profiles):
+    def recognize_then_trip(self, profile):
         nonlocal calls
         calls += 1
         if calls == 3:
             raise VersionMismatchError("injected mismatch")
-        return original(self, runtime_audio, profiles)
+        return original(self, profile)
 
     monkeypatch.setattr(EngineInstance, "recognize", recognize_then_trip)
     trace = tmp_path / "trace.tsv"

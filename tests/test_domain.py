@@ -1,21 +1,8 @@
-"""Value types: result thresholds, immutability, order and hash."""
+"""Value types: immutability, order and hash."""
 
 import pytest
 
-from versim.domain import (
-    AudioSample,
-    RecognitionResult,
-    UserProfile,
-    VersionId,
-    result_from_score,
-)
-
-
-def test_result_threshold_is_half():
-    assert result_from_score(0.5).accepted
-    assert result_from_score(1.0).accepted
-    assert not result_from_score(0.49999).accepted
-    assert not result_from_score(0.0).accepted
+from versim.domain import AudioSample, UserProfile, VersionId
 
 
 def test_values_are_immutable():
@@ -27,7 +14,6 @@ def test_values_are_immutable():
     values = [
         (VersionId("V1", 1), ("id", "seq")),
         (AudioSample("u000", 1000, 7), ("speaker_id", "duration_ms", "seed")),
-        (RecognitionResult(score=1.0, accepted=True), ("score", "accepted")),
     ]
     for value, fields in values:
         for name in fields:

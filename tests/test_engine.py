@@ -1,4 +1,5 @@
-"""Mock engine: hashing, enrollment, scoring, and the mismatch tripwire.
+"""Mock engine: hashing, enrollment, and recognition, which is the
+mismatch tripwire and nothing else.
 
 The digest reference values below were computed with an independent FNV-1a
 implementation before this engine existed, so these tests are the anchor the
@@ -92,34 +93,11 @@ def test_enroll_duration_scales_with_samples():
     assert engine.enroll_duration_ms(3) == 30
 
 
-def test_recognize_scores_speaker_match_only():
-    engine = _engine()
-    profiles = {
-        "u1": engine.enroll("u1", (_sample("u1", 1),)),
-        "u2": engine.enroll("u2", (_sample("u2", 2),)),
-    }
-    results = engine.recognize(_sample("u1", 99), profiles)
-    assert results["u1"].score == 1.0 and results["u1"].accepted
-    assert results["u2"].score == 0.0 and not results["u2"].accepted
-
-
-def test_recognize_requires_profiles():
-    with pytest.raises(EmptyAudioError):
-        _engine().recognize(_sample("u1", 1), {})
-
-
 def test_version_mismatch_is_a_hard_failure():
     old = _engine(V1).enroll("u1", (_sample("u1", 7),))
-    with pytest.raises(VersionMismatchError):
-        _engine(V2).recognize(_sample("u1", 8), {"u1": old})
-
-
-def test_mismatch_checked_before_any_scoring():
-    engine = _engine(V2)
-    good = engine.enroll("u1", (_sample("u1", 1),))
-    stale = _engine(V1).enroll("u2", (_sample("u2", 2),))
-    with pytest.raises(VersionMismatchError):
-        engine.recognize(_sample("u1", 3), {"u1": good, "u2": stale})
+    assert _engine(V1).recognize(old) is None
+    with pytest.raises(VersionMismatchError, match="'u1' is at 'V1' but the engine runs 'V2'"):
+        _engine(V2).recognize(old)
 
 
 def test_enrollment_is_pure_and_order_free():

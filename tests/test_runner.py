@@ -19,8 +19,8 @@ was folded from.
 
 runner.build queues the runtime arrivals as a stream fed to the simulator:
 it builds no arrival payload, and the run builds one per arrival as the
-clock reaches it, ordered by user id as a string and carrying each user's
-own draws in order.
+clock reaches it, ordered by user id as a string, at the times that each
+user's own stream draws.
 
 runner.build also picks the world, and only the SYNC_TABLE world carries the
 sync-table machinery; only the SINGLE_OFFLINE world keeps a maintenance
@@ -29,6 +29,7 @@ message kinds written out here.
 """
 
 import gc
+import math
 import weakref
 from pathlib import Path
 
@@ -61,7 +62,7 @@ def collector():
 
 
 def _trip_on_first_recognize(monkeypatch):
-    def recognize(self, runtime_audio, profiles):
+    def recognize(self, profile):
         raise VersionMismatchError("injected mismatch")
 
     monkeypatch.setattr(EngineInstance, "recognize", recognize)
@@ -72,9 +73,9 @@ def test_run_pauses_the_collector_and_restores_it(collector, monkeypatch, enable
     original = EngineInstance.recognize
     seen = []
 
-    def recognize(self, runtime_audio, profiles):
+    def recognize(self, profile):
         seen.append(gc.isenabled())
-        return original(self, runtime_audio, profiles)
+        return original(self, profile)
 
     monkeypatch.setattr(EngineInstance, "recognize", recognize)
     (gc.enable if enabled else gc.disable)()
@@ -196,9 +197,9 @@ def test_a_default_run_keeps_no_logs(monkeypatch):
 def test_runtime_arrivals_are_built_when_the_clock_reaches_them(monkeypatch):
     made = []
 
-    def counting(user_id, sample):
+    def counting(user_id):
         made.append(user_id)
-        return RuntimeArrival(user_id, sample)
+        return RuntimeArrival(user_id)
 
     monkeypatch.setattr(runner, "RuntimeArrival", counting)
     scenario = load_scenario(str(SCENARIO))
@@ -210,36 +211,63 @@ def test_runtime_arrivals_are_built_when_the_clock_reaches_them(monkeypatch):
     assert [f"user={user}" for user in made] == ran
 
 
-def test_runtime_arrivals_run_in_user_id_order_with_each_users_draws():
-    scenario = scenario_from_dict(EDGES["edge-arrival-order/1"])
+def test_one_user_id_string_serves_the_whole_run():
+    scenario = load_scenario(str(SCENARIO))
+    sim, world, log = build(scenario)
+    ids = {id(user) for user in world.user_ids}
+    seen = []
+
+    def handler(target, payload):
+        if payload.kind == "enroll-arrival":
+            seen.extend(sample.speaker_id for sample in payload.samples)
+        if payload.kind in ("enroll-arrival", "runtime-arrival"):
+            seen.append(payload.user_id)
+        world.handle(target, payload)
+
+    sim.handler = handler
+    sim.run_until(scenario.duration_ms)
+    assert len(seen) > scenario.users * (scenario.samples_per_user + 2)
+    assert {id(user) for user in seen} == ids
+
+
+def _runtime_arrivals_seen(scenario):
+    """(time, user) of each runtime arrival, in the order the run takes them."""
     sim, world, log = build(scenario)
     seen = []
 
     def handler(target, payload):
         if payload.kind == "runtime-arrival":
-            seen.append((sim.now, payload.user_id, payload.sample))
+            seen.append((sim.now, payload.user_id))
         world.handle(target, payload)
 
     sim.handler = handler
     sim.run_until(scenario.duration_ms)
-    # a user's stream draws its enrollment samples, then one seed per explicit
-    # arrival in time order
-    draws = {}
-    for user in ("u042", "u100", "u1000", "u999"):
-        draw = node_stream(scenario.seed, USER_STREAM_BASE + int(user[1:])).next_u64
-        draws[user] = [draw() for _ in range(scenario.samples_per_user + 3)][scenario.samples_per_user :]
-    expected = [
-        (5, "u042", draws["u042"][0]),
-        (5, "u042", draws["u042"][1]),
-        (5, "u100", draws["u100"][0]),
-        (5, "u1000", draws["u1000"][0]),
-        (5, "u999", draws["u999"][0]),
-        (9, "u042", draws["u042"][2]),
+    return seen
+
+
+def test_runtime_arrivals_run_in_user_id_order_with_each_users_draws():
+    explicit = _runtime_arrivals_seen(scenario_from_dict(EDGES["edge-arrival-order/1"]))
+    assert explicit == [
+        (5, "u042"), (5, "u042"), (5, "u100"), (5, "u1000"), (5, "u999"), (9, "u042"),
     ]
-    assert [(at, user, sample.seed) for at, user, sample in seen] == expected
-    assert {(sample.speaker_id, sample.duration_ms) for _, user, sample in seen} == {
-        (user, runner.RUNTIME_SAMPLE_MS) for _, user, _ in expected
-    }
+    # a Poisson user's stream draws its enrollment samples, then per arrival
+    # one gap and one draw that nothing reads
+    scenario = load_scenario(str(SCENARIO))
+    poisson = _runtime_arrivals_seen(scenario)
+    assert poisson == sorted(poisson)
+    rate = scenario.runtime_arrivals.poisson_rate_per_user_per_s
+    draw = node_stream(scenario.seed, USER_STREAM_BASE + 1).next_u64
+    for _ in range(scenario.samples_per_user):
+        draw()
+    expected, t = [], 0
+    while True:
+        t += int(-math.log(1.0 - (draw() >> 11) * 2.0**-53) / rate * 1000.0)
+        if t > scenario.duration_ms:
+            break
+        expected.append(t)
+        draw()
+    assert len(expected) > 2
+    assert [at for at, user in poisson if user == "u001"] == expected
 
 
 @pytest.mark.parametrize("name, strategy, initial", _COMBOS, ids=[c[0] for c in _COMBOS])

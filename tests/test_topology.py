@@ -98,7 +98,7 @@ def test_db_retain_none_is_unbounded():
 
 
 def test_server_keeps_old_engine_until_update_completes():
-    server = CloudServerNode("s00", _engine(V1))
+    server = CloudServerNode(_engine(V1))
     assert not server.updating
     server.begin_update(_engine(V2))
     assert server.updating
