@@ -7,17 +7,17 @@ version check and returns nothing. None of it knows about the event queue or
 the clock. The digest lives here, not in the engine, because a profile
 derives it from its own fields and the engine imports this module.
 
-The three value types are named tuples: a run builds one per enrollment
-sample and per enrollment, and a named tuple is built, compared and hashed
-in C. ``VersionId`` and ``AudioSample`` hash as the plain tuple of their
-fields, so a set or dict of them iterates in the order a set of those tuples
-would; ``UserProfile`` defines its own equality and hash.
+The three value types are named tuples, built, compared and hashed in C. A
+run builds one per enrollment, and no ``AudioSample``: ``engine``'s
+``EnrollmentAudio`` derives them. ``VersionId`` and ``AudioSample`` hash as
+the plain tuple of their fields, so a set or dict of them iterates in the
+order a set of those tuples would; ``UserProfile`` has its own eq and hash.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 FNV64_OFFSET = 14695981039346656037
 FNV64_PRIME = 1099511628211
@@ -111,16 +111,16 @@ class UserProfile(NamedTuple):
     """Enrollment artifact. Only meaningful to the exact model version that
     produced it, which is the whole point of this simulator.
 
-    A profile keeps a reference to the enrollment audio it was made from, not
-    a copy, and derives ``digest`` from it when read. No report, trace or log
-    reads the digest, so a run never pays for the pure-Python hash. Equality
-    and hash are those of ``(user_id, version, digest)``: the same audio set
-    enrolled in any order gives equal profiles.
+    A profile keeps a reference to the enrollment audio it was made from (in a
+    run, the user's ``EnrollmentAudio``) and derives ``digest`` from it when
+    read. No report, trace or log reads the digest, so a run never pays for
+    the pure-Python hash. Equality and hash are those of ``(user_id, version,
+    digest)``: the same audio set enrolled in any order gives equal profiles.
     """
 
     user_id: str
     version: VersionId
-    audio: tuple[AudioSample, ...]
+    audio: Collection[AudioSample]
 
     @property
     def digest(self) -> int:
@@ -129,7 +129,7 @@ class UserProfile(NamedTuple):
     def _identity(self) -> tuple[str, VersionId, int]:
         return (self.user_id, self.version, self.digest)
 
-    # tuple's own comparisons would compare the audio tuples, and would find
+    # tuple's own comparisons would compare the audio values, and would find
     # a profile equal to a plain tuple of its fields
     def __eq__(self, other: object) -> bool:
         return isinstance(other, UserProfile) and self._identity() == other._identity()

@@ -10,12 +10,13 @@ and feeding it to any other version is a hard failure, not a degraded score.
 
 The simulated cost of an enrollment is charged as simulated time, so
 ``enroll`` does no hashing: the profile keeps the audio and derives its
-digest when read (see ``UserProfile``). ``fnv1a64`` and ``profile_digest``
-live in ``domain`` and are re-exported here.
+digest when read (see ``UserProfile``); the audio derives its samples (see
+``EnrollmentAudio``). ``fnv1a64`` and ``profile_digest`` are re-exported.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 
 from .domain import (
@@ -28,8 +29,27 @@ from .domain import (
     fnv1a64,
     profile_digest,
 )
+from .kernel import SimRng
 
-__all__ = ["EngineInstance", "fnv1a64", "profile_digest"]
+__all__ = ["EngineInstance", "EnrollmentAudio", "fnv1a64", "profile_digest"]
+
+
+@dataclass(slots=True)
+class EnrollmentAudio:
+    """A user's ``count`` enrollment samples of 1 s, kept as the SplitMix64
+    stream ``state`` that draws their seeds: iterating derives the samples,
+    so the stores, the flows and the profiles share this one small value."""
+
+    speaker_id: str
+    state: int
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[AudioSample]:
+        draw = SimRng(self.state).next_u64
+        return (AudioSample(self.speaker_id, 1000, draw()) for _ in range(self.count))
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,7 +62,7 @@ class EngineInstance:
     enroll_cost_ms_per_sample: int
     runtime_cost_ms: int
 
-    def enroll(self, user_id: str, samples: tuple[AudioSample, ...]) -> UserProfile:
+    def enroll(self, user_id: str, samples: Collection[AudioSample]) -> UserProfile:
         if not user_id:
             raise EmptyUserIdError("enroll called with an empty user id")
         if not samples:

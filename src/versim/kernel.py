@@ -23,9 +23,9 @@ the order is the one a single heap of (time, seq) would give. A run or bucket
 entry is dropped as soon as its event runs.
 
 A draw with only one possible value (a latency sample without jitter, an
-update duration with ``lo == hi``, a random pick among one server) advances
-the stream by one SplitMix64 step and skips the output mix. The stream
-position afterwards is the same as after ``next_u64``.
+update duration with ``lo == hi``, a random pick among one server) or that
+nothing reads (``SimRng.skip``) steps the SplitMix64 state without the
+output mix, to the position ``next_u64`` would leave it at.
 
 Trace lines go to a sink as each event executes. ``runner.run(trace=True)``
 passes a list and returns it as ``RunResult.trace``; given any other sink
@@ -61,23 +61,27 @@ class SimRng:
     """SplitMix64 stream. Small, fast, and easy to reproduce in any language,
     which is what keeps golden traces portable."""
 
-    __slots__ = ("_state",)
+    __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
+        self.state = (self.state + _GOLDEN) & _MASK64
+        z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
+
+    def skip(self, n: int) -> None:
+        """Step past ``n`` draws without the mix, as ``n`` calls of ``next_u64`` would."""
+        self.state = (self.state + n * _GOLDEN) & _MASK64
 
     def randrange(self, n: int) -> int:
         """Uniform in [0, n), one stream step. For n == 1 the value is fixed,
         so the state steps without the mix."""
         if n == 1:
-            self._state = (self._state + _GOLDEN) & _MASK64
+            self.state = (self.state + _GOLDEN) & _MASK64
             return 0
         return self.next_u64() % n
 
@@ -102,7 +106,7 @@ class LatencyModel:
     def sample(self, rng: SimRng) -> int:
         if self.jitter_ms:
             return self.base_ms + rng.next_u64() % (self.jitter_ms + 1)
-        rng._state = (rng._state + _GOLDEN) & _MASK64
+        rng.state = (rng.state + _GOLDEN) & _MASK64
         return self.base_ms
 
 

@@ -6,12 +6,14 @@ Every request arrival is drawn before the run from per-user rng streams, so
 the workload a user produces is independent of anything the strategies do
 during the run. Each user stream is consumed in a fixed order: enrollment
 sample seeds first, then, for Poisson arrivals, one gap and one discarded
-draw per runtime arrival; explicit arrivals draw nothing after the seeds. A
-runtime request carries no audio: recognition is the engine's version check.
-The enrollment arrivals are scheduled as events. A runtime arrival is kept
-as one packed int (time, user, draw order). The simulator is fed the sorted
-ints as a stream, and the stream builds each arrival's payload only when the
-clock reaches it.
+draw per runtime arrival; explicit arrivals draw nothing after the seeds.
+The seeds are the user's ``EnrollmentAudio``, which derives them when
+iterated, so the workload skips over them and over each discarded draw
+(``SimRng.skip``) instead of mixing them. A runtime request carries no
+audio: recognition is the engine's version check. The enrollment arrivals
+are scheduled as events. A runtime arrival is kept as one packed int (time,
+user, draw order). The simulator is fed the sorted ints as a stream, and the
+stream builds each arrival's payload only when the clock reaches it.
 
 The log folds the report while the run goes, so a run keeps no per-request
 state for it. The request records, re-enrollments and profile writes are
@@ -26,20 +28,15 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .domain import AudioSample, SimulationError
+from .domain import SimulationError
+from .engine import EnrollmentAudio
 from .kernel import STALL_FACTOR, Simulator, TraceSink, node_stream
 from .metrics import ReenrollEvent, Report, RequestRecord, RunLog
 from .scenario import Scenario, strategy_row
 from .strategies import WorldBase
-from .strategies.common import (
-    USER_STREAM_BASE,
-    EnrollArrival,
-    ReleasePayload,
-    RuntimeArrival,
-)
+from .strategies.common import USER_STREAM_BASE, EnrollArrival, ReleasePayload, RuntimeArrival
 from .topology import ModelStorageNode
 
-ENROLL_SAMPLE_MS = 1000
 # bit offsets of the fields of a packed runtime arrival (see _generate_workload)
 _RANK_SHIFT = 32
 _TIME_SHIFT = 64
@@ -66,12 +63,10 @@ class RunResult:
     world: WorldBase
 
 
-def _generate_workload(
-    scenario: Scenario, user_ids: list[str]
-) -> tuple[dict[str, tuple[AudioSample, ...]], list[int], list[str]]:
-    """Per-user enrollment samples, the runtime arrivals as packed ints
-    sorted by (time, user id), and ``user_ids`` (the world's, so one string
-    per user serves the run) in string order.
+def _generate_workload(scenario: Scenario, user_ids: list[str]) -> tuple[list[int], list[str]]:
+    """The runtime arrivals as packed ints sorted by (time, user id), and
+    ``user_ids`` (the world's, so one string per user serves the run) in
+    string order.
 
     One arrival is one int, high bits to low: its time, the user's rank in
     user-id string order (``u1000`` before ``u999``) and the user's arrival
@@ -80,7 +75,6 @@ def _generate_workload(
     than memory could."""
     # each user draws from a stream of its own, so the users can go in rank order
     users = sorted(user_ids)
-    enroll: dict[str, tuple[AudioSample, ...]] = {}
     arrivals: list[int] = []
     spec = scenario.runtime_arrivals
     explicit_by_user: dict[str, list[int]] = {}
@@ -88,18 +82,16 @@ def _generate_workload(
         for a in spec.explicit:
             explicit_by_user.setdefault(a.user_id, []).append(a.time_ms)
     for rank, user in enumerate(users):
-        draw = node_stream(scenario.seed, USER_STREAM_BASE + int(user[1:])).next_u64
-        enroll[user] = tuple(
-            AudioSample(user, ENROLL_SAMPLE_MS, draw()) for _ in range(scenario.samples_per_user)
-        )
         key = rank << _RANK_SHIFT
         if spec.explicit is not None:
             for i, t in enumerate(explicit_by_user.get(user, [])):
                 arrivals.append(t << _TIME_SHIFT | key | i)
         else:
+            stream = node_stream(scenario.seed, USER_STREAM_BASE + int(user[1:]))
+            stream.skip(scenario.samples_per_user)  # the EnrollmentAudio's seeds
+            draw, skip = stream.next_u64, stream.skip
             rate = spec.poisson_rate_per_user_per_s
-            t = 0
-            i = 0
+            t = i = 0
             while True:
                 # 1 - SimRng.uniform(), in (0, 1]
                 u = 1.0 - (draw() >> 11) * (2.0 ** -53)
@@ -109,10 +101,10 @@ def _generate_workload(
                 arrivals.append(t << _TIME_SHIFT | key | i)
                 # a draw that nothing reads: dropping it would move every later
                 # gap to another place in the stream, and so every later time
-                draw()
+                skip(1)
                 i += 1
     arrivals.sort()
-    return enroll, arrivals, users
+    return arrivals, users
 
 
 def _runtime_arrivals(
@@ -149,25 +141,16 @@ def build(
     world = strategy_row(scenario.strategy).world(scenario, sim, storage, log)
     sim.handler = world
 
-    enroll, arrivals, by_rank = _generate_workload(scenario, world.user_ids)
+    arrivals, by_rank = _generate_workload(scenario, world.user_ids)
     for user in world.user_ids:
-        sim.schedule(
-            0,
-            world.device_target(world.user_device[user]),
-            EnrollArrival(user_id=user, samples=enroll[user]),
-        )
+        state = node_stream(scenario.seed, USER_STREAM_BASE + int(user[1:])).state
+        audio = EnrollmentAudio(user, state, scenario.samples_per_user)
+        sim.schedule(0, world.device_target(world.user_device[user]), EnrollArrival(user, audio))
     targets = [world.device_target(world.user_device[user]) for user in by_rank]
     sim.feed(_runtime_arrivals(arrivals, by_rank, targets), len(arrivals))
-    for release in scenario.releases:
-        sim.schedule(
-            release.time_ms,
-            "storage",
-            ReleasePayload(
-                version_id=release.version_id,
-                download_ms=release.download_ms,
-                server_update_ms=release.server_update_ms,
-            ),
-        )
+    for r in scenario.releases:
+        payload = ReleasePayload(r.version_id, r.download_ms, r.server_update_ms)
+        sim.schedule(r.time_ms, "storage", payload)
     return sim, world, log
 
 

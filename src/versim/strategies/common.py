@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, ClassVar
 
-from ..domain import AudioSample, Outcome, UserProfile, VersionId
-from ..engine import EngineInstance
+from ..domain import Outcome, UserProfile, VersionId
+from ..engine import EngineInstance, EnrollmentAudio
 from ..kernel import SimRng, Simulator, node_stream
 from ..metrics import RunLog
 from ..topology import (
@@ -104,7 +104,7 @@ class EnrollCtx:
     user_id: str
     device_id: str
     submitted: int
-    samples: tuple[AudioSample, ...]
+    samples: EnrollmentAudio
     produced: list[UserProfile] = field(default_factory=list)
     plan: list[VersionId | None] = field(default_factory=list)
     pinned_server: str | None = None
@@ -123,7 +123,7 @@ class RuntimeCtx:
     device_id: str
     submitted: int
     profiles: list[UserProfile] = field(default_factory=list)
-    audio: tuple[AudioSample, ...] = ()
+    audio: EnrollmentAudio | tuple[()] = ()
     refreshed: UserProfile | None = None
     reenrolls: int = 0
     pinned_server: str | None = None
@@ -145,7 +145,7 @@ class HandshakeCtx:
 class EnrollArrival:
     kind: ClassVar[str] = "enroll-arrival"
     user_id: str
-    samples: tuple[AudioSample, ...]
+    samples: EnrollmentAudio
 
     def summary(self) -> str:
         return f"user={self.user_id} samples={len(self.samples)}"
@@ -194,7 +194,7 @@ class DeviceTaskDone:
     user_id: str
     submitted: int
     engine: EngineInstance
-    samples: tuple[AudioSample, ...] = ()
+    samples: EnrollmentAudio | tuple[()] = ()
     profile: UserProfile | None = None
 
     def summary(self) -> str:
@@ -291,7 +291,7 @@ class EnrollJob:
     kind: ClassVar[str] = "enroll-job"
     ctx: object
     server_id: str
-    samples: tuple[AudioSample, ...]
+    samples: EnrollmentAudio
     token: str
 
     def summary(self) -> str:
@@ -405,7 +405,7 @@ class DbFetchReply:
 
     kind: ClassVar[str] = "db-fetch-reply"
     profiles: list[UserProfile]
-    audio: tuple[AudioSample, ...]
+    audio: EnrollmentAudio | tuple[()]
     token: str
     ctx: object
 

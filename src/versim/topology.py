@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .domain import (
-    AudioSample,
     NoEligibleServerError,
     UnknownUserError,
     UserProfile,
     VersionId,
 )
-from .engine import EngineInstance, fnv1a64
+from .engine import EngineInstance, EnrollmentAudio, fnv1a64
 from .kernel import SimRng
 
 
@@ -80,7 +79,7 @@ class ModelStorageNode:
 
 @dataclass(slots=True)
 class DbRow:
-    audio: tuple[AudioSample, ...] = ()
+    audio: EnrollmentAudio | tuple[()] = ()
     # ascending by version seq, one entry per distinct version
     profiles: list[UserProfile] = field(default_factory=list)
 
@@ -106,7 +105,7 @@ class DatabaseNode:
     def __init__(self) -> None:
         self.rows: dict[str, DbRow] = {}
 
-    def store_audio(self, user_id: str, samples: tuple[AudioSample, ...]) -> None:
+    def store_audio(self, user_id: str, samples: EnrollmentAudio) -> None:
         row = self.rows.setdefault(user_id, DbRow())
         row.audio = samples
 
@@ -217,7 +216,7 @@ class DeviceNode:
         self.device_id = device_id
         self.owner_users = list(owner_users)
         self.local_model = local_model
-        self.stored_audio: dict[str, tuple[AudioSample, ...]] = {}
+        self.stored_audio: dict[str, EnrollmentAudio] = {}
         self.stored_profiles: dict[str, list[UserProfile]] = {}
         self.updating = False
         self.deferred: list = []

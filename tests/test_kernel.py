@@ -96,6 +96,18 @@ def test_randrange_and_uniform_consume_one_draw_each():
             assert a.next_u64() == b.next_u64()
 
 
+@pytest.mark.parametrize("n", [0, 1, 3, 10_000])
+def test_skip_leaves_the_stream_where_n_draws_would(n):
+    for seed in (0, 42, 2**64 - 1):
+        skipped = SimRng(seed)
+        drawn = SimRng(seed)
+        skipped.skip(n)
+        for _ in range(n):
+            drawn.next_u64()
+        assert skipped.state == drawn.state
+        assert [skipped.next_u64() for _ in range(3)] == [drawn.next_u64() for _ in range(3)]
+
+
 def test_uniform_range():
     rng = SimRng(99)
     for _ in range(1000):

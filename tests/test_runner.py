@@ -20,7 +20,9 @@ was folded from.
 runner.build queues the runtime arrivals as a stream fed to the simulator:
 it builds no arrival payload, and the run builds one per arrival as the
 clock reaches it, ordered by user id as a string, at the times that each
-user's own stream draws.
+user's own stream draws. Each user's enrollment audio is derived from that
+stream, not drawn: it yields the samples that drawing every value gave, and
+the arrivals are those of a generator that mixes every draw.
 
 runner.build also picks the world, and only the SYNC_TABLE world carries the
 sync-table machinery; only the SINGLE_OFFLINE world keeps a maintenance
@@ -31,14 +33,15 @@ message kinds written out here.
 import gc
 import math
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from test_acceptance import _COMBOS, _sweep_scenario
 from test_output_digests import EDGES
-from versim.domain import Outcome, VersionMismatchError
-from versim.engine import EngineInstance
+from versim.domain import AudioSample, Outcome, UserProfile, VersionId, VersionMismatchError
+from versim.engine import EngineInstance, EnrollmentAudio
 from versim.kernel import StalledClockError, node_stream
 from versim.metrics import report_to_json, summarize
 from versim.runner import RunFailedError, build, run
@@ -268,6 +271,89 @@ def test_runtime_arrivals_run_in_user_id_order_with_each_users_draws():
         draw()
     assert len(expected) > 2
     assert [at for at, user in poisson if user == "u001"] == expected
+
+
+def _drawn_workload(scenario):
+    """Reference for ``runner._generate_workload`` and the enrollment audio:
+    every value of each user's stream is drawn through the full mix, the
+    discarded ones included. The users' enrollment samples as tuples, and the
+    packed arrival ints, sorted."""
+    users = sorted(f"u{i:03d}" for i in range(scenario.users))
+    spec = scenario.runtime_arrivals
+    samples, arrivals = {}, []
+    for rank, user in enumerate(users):
+        draw = node_stream(scenario.seed, USER_STREAM_BASE + int(user[1:])).next_u64
+        samples[user] = tuple(
+            AudioSample(user, 1000, draw()) for _ in range(scenario.samples_per_user)
+        )
+        if spec.explicit is not None:
+            times = [a.time_ms for a in spec.explicit if a.user_id == user]
+        else:
+            times, t = [], 0
+            while True:
+                u = 1.0 - (draw() >> 11) * 2.0**-53
+                t += int(-math.log(u) / spec.poisson_rate_per_user_per_s * 1000.0)
+                if t > scenario.duration_ms:
+                    break
+                times.append(t)
+                draw()
+        arrivals += [t << 64 | rank << 32 | i for i, t in enumerate(times)]
+    return samples, sorted(arrivals)
+
+
+def _enrollment_audio(scenario):
+    """The world, and user -> the audio its enrollment arrival carries."""
+    sim, world, log = build(scenario)
+    audio = {}
+
+    def handler(target, payload):
+        if payload.kind == "enroll-arrival":
+            audio[payload.user_id] = payload.samples
+
+    sim.handler = handler
+    sim.run_until(0)
+    return world, audio
+
+
+_DERIVED = [
+    replace(load_scenario(str(SCENARIO)), seed=seed, users=40, devices=8) for seed in (7, 2**64 - 3)
+] + [scenario_from_dict(EDGES["edge-arrival-order/1"])]
+
+
+@pytest.mark.parametrize("scenario", _DERIVED, ids=["poisson-7", "poisson-max", "explicit"])
+def test_derived_enrollment_audio_is_what_drawing_every_value_gave(scenario):
+    drawn, arrivals = _drawn_workload(scenario)
+    world, audio = _enrollment_audio(scenario)
+    assert set(audio) == set(drawn) == set(world.user_ids)
+    version = VersionId("V9", 9)
+    for user, samples in drawn.items():
+        value = audio[user]
+        assert isinstance(value, EnrollmentAudio)
+        assert len(value) == scenario.samples_per_user
+        assert tuple(value) == tuple(value) == samples
+        derived, explicit = UserProfile(user, version, value), UserProfile(user, version, samples)
+        assert derived.digest == explicit.digest
+        assert derived == explicit
+        assert hash(derived) == hash(explicit)
+    assert runner._generate_workload(scenario, world.user_ids)[0] == arrivals
+
+
+def test_every_store_and_profile_shares_the_users_one_audio_value():
+    scenario = load_scenario(str(SCENARIO))
+    sim, world, log = build(scenario)
+    audio = {}
+
+    def handler(target, payload):
+        if payload.kind == "enroll-arrival":
+            audio[payload.user_id] = payload.samples
+        world.handle(target, payload)
+
+    sim.handler = handler
+    sim.run_until(scenario.duration_ms)
+    assert set(world.db.rows) == set(audio) == set(world.user_ids)
+    for user, row in world.db.rows.items():
+        assert row.audio is audio[user]
+        assert row.profiles and all(p.audio is audio[user] for p in row.profiles)
 
 
 @pytest.mark.parametrize("name, strategy, initial", _COMBOS, ids=[c[0] for c in _COMBOS])
