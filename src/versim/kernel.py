@@ -22,10 +22,14 @@ was queued before every bucketed event, so a tie in time goes to the run, and
 the order is the one a single heap of (time, seq) would give. A run or bucket
 entry is dropped as soon as its event runs.
 
-A draw with only one possible value (a latency sample without jitter, an
-update duration with ``lo == hi``, a random pick among one server) or that
-nothing reads (``SimRng.skip``) steps the SplitMix64 state without the
-output mix, to the position ``next_u64`` would leave it at.
+An event is queued at a time (``Simulator.schedule``) or one message hop
+from now (``Simulator.send``): at ``now + extra + latency``, the link's
+latency drawn from the sender's stream, ``base + next_u64() % (jitter + 1)``
+on a jittered link. A draw with only one possible value (a link without
+jitter, an update duration with ``lo == hi``, a random pick among one
+server) or that nothing reads (``SimRng.skip``) steps the SplitMix64 state
+without the output mix, to the position ``next_u64`` would leave it at, so
+stream positions never depend on whether a link has jitter.
 
 Trace lines go to a sink as each event executes. ``runner.run(trace=True)``
 passes a list and returns it as ``RunResult.trace``; given any other sink
@@ -85,10 +89,6 @@ class SimRng:
             return 0
         return self.next_u64() % n
 
-    def uniform(self) -> float:
-        """Uniform in [0, 1), 53 usable bits."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
-
 
 def node_stream(root_seed: int, node_index: int) -> SimRng:
     """Per-node stream: SplitMix64 seeded with root_seed XOR node_index."""
@@ -97,17 +97,16 @@ def node_stream(root_seed: int, node_index: int) -> SimRng:
 
 @dataclass(frozen=True, slots=True)
 class LatencyModel:
-    """One network link class. A sample always consumes exactly one draw, so
-    stream positions do not depend on whether jitter happens to be zero."""
+    """One network link class: a fixed base latency plus uniform jitter in
+    [0, jitter], drawn by ``Simulator.send``. Neither may be negative, so a
+    hop never lands before the clock."""
 
     base_ms: int = 0
     jitter_ms: int = 0
 
-    def sample(self, rng: SimRng) -> int:
-        if self.jitter_ms:
-            return self.base_ms + rng.next_u64() % (self.jitter_ms + 1)
-        rng.state = (rng.state + _GOLDEN) & _MASK64
-        return self.base_ms
+    def __post_init__(self) -> None:
+        if self.base_ms < 0 or self.jitter_ms < 0:
+            raise ValueError(f"negative latency: base {self.base_ms}, jitter {self.jitter_ms} ms")
 
 
 class Payload(Protocol):
@@ -126,8 +125,10 @@ class TraceSink(Protocol):
 
 class Simulator:
     """Event queue over a virtual clock: a run of the events queued before
-    the first ``run_until`` (scheduled or fed), and per-millisecond buckets
-    of those scheduled since (see the module docstring).
+    the first ``run_until`` (scheduled, sent or fed), and per-millisecond
+    buckets of those queued since (see the module docstring). Events enter
+    through ``schedule`` at a time, ``send`` one link hop from now, or
+    ``feed`` as one stream.
 
     ``handler`` is either a callable taking (target, payload) or an object
     with a ``handle(target, payload)`` method; it is resolved once at each
@@ -189,6 +190,30 @@ class Simulator:
 
     def schedule_in(self, delay: int, target: str, payload: Payload) -> None:
         self.schedule(self.now + delay, target, payload)
+
+    def send(
+        self, link: LatencyModel, rng: SimRng, target: str, payload: Payload, extra: int = 0
+    ) -> None:
+        """Queue ``payload`` for ``target`` at ``now + extra + latency``, the
+        latency drawn on ``link`` from the sender's ``rng`` in one step. The
+        queueing is ``schedule``'s, inline so that a hop costs one call;
+        ``extra`` and latencies are never negative: no past-time check."""
+        if link.jitter_ms:
+            at = self.now + extra + link.base_ms + rng.next_u64() % (link.jitter_ms + 1)
+        else:
+            rng.state = (rng.state + _GOLDEN) & _MASK64
+            at = self.now + extra + link.base_ms
+        seq = self._seq
+        self._seq = seq + 1
+        if self._preload is not None:
+            self._preload.append((at, seq, target, payload))
+            return
+        bucket = self._buckets.get(at)
+        if bucket is None:
+            self._buckets[at] = [(seq, target, payload)]
+            heappush(self._times, at)
+        else:
+            bucket.append((seq, target, payload))
 
     def feed(self, events: Iterable[tuple[int, str, Payload]], count: int) -> None:
         """Queue ``count`` events that ``events`` yields as (at, target,

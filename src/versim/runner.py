@@ -93,7 +93,7 @@ def _generate_workload(scenario: Scenario, user_ids: list[str]) -> tuple[list[in
             rate = spec.poisson_rate_per_user_per_s
             t = i = 0
             while True:
-                # 1 - SimRng.uniform(), in (0, 1]
+                # uniform in (0, 1]: 1 - the top 53 bits of one draw over 2**53
                 u = 1.0 - (draw() >> 11) * (2.0 ** -53)
                 t += int(-math.log(u) / rate * 1000.0)
                 if t > scenario.duration_ms:
@@ -131,7 +131,7 @@ def build(
     them, False traces nothing."""
     storage = ModelStorageNode()
     for version_id in scenario.initial_versions:
-        storage.register(version_id, 0, 0, (0, 0))
+        storage.register(version_id, 0, (0, 0))
     log = RunLog(keep=logs)
     sink: TraceSink | None = [] if trace is True else (None if trace is False else trace)
     # the progress tripwire: 64 events a millisecond per user, server and

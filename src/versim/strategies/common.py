@@ -7,11 +7,13 @@ A "world" is one deployment wired up: nodes, their rng streams, and the
 handler table that routes every executed event by its message ``kind`` to
 the world's method named for it, dashes written as underscores: kind
 ``recognize-job-done`` goes to ``_on_recognize_job_done``.
-Request flows are chains of messages; each hop is one traced event, and each
-message carries its flow context object so node handlers stay stateless
-between hops. There is one message class per hop shape. Where a shape serves
-several hops (``Request``, ``Response``, ``ServerHop``, ``DbAck``, ``Tick``,
-...) the kind is data, set when the message is built; the trace prints it.
+Request flows are chains of messages. Each hop is one traced event that
+``Simulator.send`` queues on its link, with the latency drawn from the
+sending node's stream; each message carries its flow context object so node
+handlers stay stateless between hops. There is one message class per hop
+shape. Where a shape serves several hops (``Request``, ``Response``,
+``ServerHop``, ``DbAck``, ``Tick``, ...) the kind is data, set when the
+message is built; the trace prints it.
 
 ``WorldBase`` holds what every world has: devices, engines, handlers, and
 ``_put``, the profile write into a store (``topology``'s database or device)
@@ -105,13 +107,13 @@ class EnrollCtx:
     device_id: str
     submitted: int
     samples: EnrollmentAudio
-    produced: list[UserProfile] = field(default_factory=list)
     plan: list[VersionId | None] = field(default_factory=list)
-    pinned_server: str | None = None
     background: bool = False
+    pinned_server: str | None = None
     # the runtime request this in-path re-enrollment serves; None for a
     # request of its own, which is recorded
     parent: "RuntimeCtx | None" = None
+    produced: list[UserProfile] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -463,6 +465,8 @@ class WorldBase:
         device_ids = [f"d{i:02d}" for i in range(scenario.devices)]
         # event targets, built once so scheduled events share one string each
         self._device_targets = {device_id: f"device:{device_id}" for device_id in device_ids}
+        # and back, so that every flow of a device shares its one id string
+        self._device_ids = {target: d for d, target in self._device_targets.items()}
         initial = storage.releases[0].version
         for j, device_id in enumerate(device_ids):
             # round-robin ownership: user i lives on device i % devices
@@ -537,6 +541,8 @@ class CloudWorldBase(WorldBase):
         self.frontend = FrontendNode(
             server_ids, self.cfg.dispatch, node_stream(scenario.seed, FRONTEND_STREAM)
         )
+        self._device_link = scenario.latency.device_frontend
+        self._cloud_link = scenario.latency.frontend_cloud
         self.pending_releases: list[ModelRelease] = []
         self.active_release: ModelRelease | None = None
         self._update_remaining: set[str] = set()
@@ -544,24 +550,23 @@ class CloudWorldBase(WorldBase):
         # token -> step function, unbound for the same reason as ``_handlers``
         self._conts: dict[str, Callable] = {self.leg_token: type(self)._enroll_leg_done}
 
-    # -- one-hop sends: each hop has its link's latency model and draws the
-    # latency from the sending node's stream
+    # -- one-hop sends: each hop goes out on its link through
+    # ``Simulator.send``, which draws the latency from the sending node's
+    # stream; ``extra`` is the sender's compute time before it sends
 
     def _device_to_frontend(self, device_id: str, payload) -> None:
-        delay = self.sc.latency.device_frontend.sample(self.device_rng[device_id])
-        self.sim.schedule(self.sim.now + delay, "frontend", payload)
+        self.sim.send(self._device_link, self.device_rng[device_id], "frontend", payload)
 
     def _frontend_to_device(self, device_id: str, payload) -> None:
-        delay = self.sc.latency.device_frontend.sample(self.frontend.rng)
-        self.sim.schedule(self.sim.now + delay, self._device_targets[device_id], payload)
+        target = self._device_targets[device_id]
+        self.sim.send(self._device_link, self.frontend.rng, target, payload)
 
     def _frontend_to_cloud(self, server_id: str, payload) -> None:
-        delay = self.sc.latency.frontend_cloud.sample(self.frontend.rng)
-        self.sim.schedule(self.sim.now + delay, self._cloud_targets[server_id], payload)
+        target = self._cloud_targets[server_id]
+        self.sim.send(self._cloud_link, self.frontend.rng, target, payload)
 
-    def _cloud_to_frontend(self, server_id: str, payload, extra_delay: int = 0) -> None:
-        delay = self.sc.latency.frontend_cloud.sample(self.cloud_rng[server_id])
-        self.sim.schedule(self.sim.now + extra_delay + delay, "frontend", payload)
+    def _cloud_to_frontend(self, server_id: str, payload, extra: int = 0) -> None:
+        self.sim.send(self._cloud_link, self.cloud_rng[server_id], "frontend", payload, extra)
 
     # -- served-version index; rebuilt whenever a server begins or completes
     # an update, so readers never scan the fleet
@@ -586,9 +591,7 @@ class CloudWorldBase(WorldBase):
     # -- releases, rolled out one at a time in registration order
 
     def _on_release(self, target, msg: ReleasePayload):
-        release = self.storage.register(
-            msg.version_id, self.sim.now, msg.download_ms, msg.server_update_ms
-        )
+        release = self.storage.register(msg.version_id, msg.download_ms, msg.server_update_ms)
         if self.active_release is not None:
             self.pending_releases.append(release)
             return
@@ -616,7 +619,7 @@ class CloudWorldBase(WorldBase):
         self.sim.schedule(
             self.sim.now + duration,
             self._cloud_targets[server_id],
-            ServerUpdateDone(server_id=server_id, version=release.version),
+            ServerUpdateDone(server_id, release.version),
         )
 
     def _on_server_update_done(self, target, msg: ServerUpdateDone):
@@ -634,11 +637,8 @@ class CloudWorldBase(WorldBase):
     def _on_enroll_job(self, target, msg: EnrollJob):
         engine = self.clouds[msg.server_id].engine
         profile = engine.enroll(msg.ctx.user_id, msg.samples)
-        self._cloud_to_frontend(
-            msg.server_id,
-            EnrollJobDone(ctx=msg.ctx, server_id=msg.server_id, profile=profile, token=msg.token),
-            extra_delay=engine.enroll_duration_ms(len(msg.samples)),
-        )
+        done = EnrollJobDone(msg.ctx, msg.server_id, profile, msg.token)
+        self._cloud_to_frontend(msg.server_id, done, engine.enroll_duration_ms(len(msg.samples)))
 
     def _on_recognize_job(self, target, msg: ServerHop):
         server_id, ctx = msg.server_id, msg.ctx
@@ -646,9 +646,7 @@ class CloudWorldBase(WorldBase):
         if work is None:
             self._cloud_to_frontend(server_id, ServerHop("retry-signal", ctx, server_id))
             return
-        self._cloud_to_frontend(
-            server_id, RecognizeJobDone(ctx=ctx, server_id=server_id), extra_delay=work
-        )
+        self._cloud_to_frontend(server_id, RecognizeJobDone(ctx, server_id), work)
 
     def _service_runtime(self, engine: EngineInstance, ctx: RuntimeCtx) -> int | None:
         """Recognize the request on ``engine`` with the user's profile for the
@@ -691,13 +689,13 @@ class CloudWorldBase(WorldBase):
     leg_token = "leg"  # the continuation of an enroll job, printed as ``for=``
 
     def _on_enroll_arrival(self, target, msg: EnrollArrival):
-        self._request_enroll(target.split(":", 1)[1], msg.user_id, msg.samples)
+        device_id = self._device_ids[target]
+        self._request_enroll(EnrollCtx(msg.user_id, device_id, self.sim.now, msg.samples))
 
-    def _request_enroll(self, device_id: str, user_id: str, samples, **flow) -> None:
-        """The device sends an enroll-request; ``flow`` sets the ``EnrollCtx``
-        fields of a background or in-path re-enrollment."""
-        ctx = EnrollCtx(user_id, device_id, self.sim.now, samples, **flow)
-        self._device_to_frontend(device_id, Request("enroll-request", ctx))
+    def _request_enroll(self, ctx: EnrollCtx) -> None:
+        """The device sends an enroll-request: a request of its own, or a
+        background or in-path re-enrollment."""
+        self._device_to_frontend(ctx.device_id, Request("enroll-request", ctx))
 
     def _on_enroll_request(self, target, msg: Request):
         self._store_audio(msg.ctx)
@@ -771,7 +769,7 @@ class CloudWorldBase(WorldBase):
     # before dispatch
 
     def _on_runtime_arrival(self, target, msg: RuntimeArrival):
-        device_id = target.split(":", 1)[1]
+        device_id = self._device_ids[target]
         profiles = list(self.devices[device_id].profiles_for(msg.user_id))
         ctx = RuntimeCtx(msg.user_id, device_id, self.sim.now, profiles)
         self._device_to_frontend(device_id, Request("runtime-request", ctx))

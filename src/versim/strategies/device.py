@@ -31,7 +31,7 @@ class DeviceWorld(WorldBase):
         self._reenroll_queue: dict[str, list[str]] = {}
 
     def _device(self, target: str) -> DeviceNode:
-        return self.devices[target.split(":", 1)[1]]
+        return self.devices[self._device_ids[target]]
 
     # -- local requests
 
@@ -58,7 +58,7 @@ class DeviceWorld(WorldBase):
             return
         engine = self.engine_for(dev.local_model)
         profile = dev.profiles_for(msg.user_id)[-1]
-        task = DeviceTaskDone("runtime", msg.user_id, submitted, engine, profile=profile)
+        task = DeviceTaskDone("runtime", msg.user_id, submitted, engine, (), profile)
         self.sim.schedule_in(engine.runtime_cost_ms, target, task)
 
     def _on_device_task_done(self, target: str, task: DeviceTaskDone) -> None:
@@ -73,17 +73,12 @@ class DeviceWorld(WorldBase):
     # -- releases
 
     def _on_release(self, target: str, msg: ReleasePayload) -> None:
-        release = self.storage.register(
-            msg.version_id, self.sim.now, msg.download_ms, msg.server_update_ms
-        )
+        release = self.storage.register(msg.version_id, msg.download_ms, msg.server_update_ms)
         # push one notification per device; storage draws the link latency
+        link = self.sc.latency.device_storage
         for device_id in sorted(self.devices):
-            delay = self.sc.latency.device_storage.sample(self.storage_rng)
-            self.sim.schedule(
-                self.sim.now + delay,
-                self.device_target(device_id),
-                VersionNotice("notify-release", release.version),
-            )
+            notice = VersionNotice("notify-release", release.version)
+            self.sim.send(link, self.storage_rng, self.device_target(device_id), notice)
 
     def _on_notify_release(self, target: str, msg: VersionNotice) -> None:
         dev = self._device(target)

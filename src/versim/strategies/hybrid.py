@@ -50,7 +50,7 @@ class HybridWorldBase(CloudWorldBase):
     # back in the enroll-response
 
     def _on_enroll_arrival(self, target, msg: EnrollArrival):
-        self.devices[target.split(":", 1)[1]].stored_audio[msg.user_id] = msg.samples
+        self.devices[self._device_ids[target]].stored_audio[msg.user_id] = msg.samples
         super()._on_enroll_arrival(target, msg)
 
     def _start_background_enroll(
@@ -63,7 +63,7 @@ class HybridWorldBase(CloudWorldBase):
             return
         device.bg_enroll_inflight.add(user_id)
         samples, plan = device.stored_audio[user_id], list(served[-self.retain :])
-        self._request_enroll(device_id, user_id, samples, background=True, plan=plan)
+        self._request_enroll(EnrollCtx(user_id, device_id, self.sim.now, samples, plan, True))
 
     def _store_produced(self, ctx: EnrollCtx) -> None:
         # the device keeps the profiles; a background or in-path enrollment
@@ -82,7 +82,7 @@ class HybridWorldBase(CloudWorldBase):
     # -- runtime: the request carries the device's profiles
 
     def _on_runtime_arrival(self, target, msg: RuntimeArrival):
-        if not self.devices[target.split(":", 1)[1]].profiles_for(msg.user_id):
+        if not self.devices[self._device_ids[target]].profiles_for(msg.user_id):
             # not enrolled: the device can answer by itself
             now = self.sim.now
             self.log.request_done("RUNTIME", msg.user_id, now, now, OK)
@@ -99,23 +99,22 @@ class HybridWorldBase(CloudWorldBase):
         ctx = msg.ctx
         pin = ctx.pinned_server = msg.server_id
         samples = self.devices[ctx.device_id].stored_audio[ctx.user_id]
+        # one leg, not in the background, pinned, for ``ctx``
         self._request_enroll(
-            ctx.device_id, ctx.user_id, samples, parent=ctx, pinned_server=pin, plan=[None]
+            EnrollCtx(ctx.user_id, ctx.device_id, self.sim.now, samples, [None], False, pin, ctx)
         )
 
     # -- handshake
 
     def _on_handshake_tick(self, target, msg: Tick):
         self.sim.schedule_in(self.cfg.handshake_period_ms, target, msg)
-        # the node's id string, so that the handshake records share it
-        device_id = self.devices[target.split(":", 1)[1]].device_id
-        ctx = HandshakeCtx(user_id=device_id, device_id=device_id, submitted=self.sim.now)
+        device_id = self._device_ids[target]
+        ctx = HandshakeCtx(device_id, device_id, self.sim.now)
         self._device_to_frontend(device_id, Request("handshake-request", ctx))
 
     def _on_handshake_request(self, target, msg: Request):
-        self._frontend_to_device(
-            msg.ctx.device_id, HandshakeReply(ctx=msg.ctx, versions=tuple(self.served_versions))
-        )
+        reply = HandshakeReply(msg.ctx, tuple(self.served_versions))
+        self._frontend_to_device(msg.ctx.device_id, reply)
 
     def _on_handshake_reply(self, target, msg: HandshakeReply):
         ctx = msg.ctx

@@ -77,6 +77,7 @@ class ServerWorldBase(CloudWorldBase):
         super().__init__(scenario, sim, storage, log)
         self.db = DatabaseNode()
         self.db_rng = node_stream(scenario.seed, DB_STREAM)
+        self._db_link = scenario.latency.frontend_db
         # users awaiting the re-enrollment pump: a min-heap of ids plus the
         # same ids as a set, so the pump visits them in ascending id order,
         # once each; and the number of lanes still running
@@ -97,12 +98,10 @@ class ServerWorldBase(CloudWorldBase):
     # -- database hops and handlers
 
     def _frontend_to_db(self, payload) -> None:
-        delay = self.sc.latency.frontend_db.sample(self.frontend.rng)
-        self.sim.schedule(self.sim.now + delay, "db", payload)
+        self.sim.send(self._db_link, self.frontend.rng, "db", payload)
 
     def _db_to_frontend(self, payload) -> None:
-        delay = self.sc.latency.frontend_db.sample(self.db_rng)
-        self.sim.schedule(self.sim.now + delay, "frontend", payload)
+        self.sim.send(self._db_link, self.db_rng, "frontend", payload)
 
     def _on_db_store_audio(self, target, msg: DbStoreAudio):
         self.db.store_audio(msg.ctx.user_id, msg.ctx.samples)
@@ -123,7 +122,7 @@ class ServerWorldBase(CloudWorldBase):
     # one put after each leg
 
     def _store_audio(self, ctx: EnrollCtx) -> None:
-        self._frontend_to_db(DbStoreAudio(token="enroll.stored", ctx=ctx))
+        self._frontend_to_db(DbStoreAudio("enroll.stored", ctx))
 
     def _store_leg(self, ctx: EnrollCtx, profile: UserProfile) -> None:
         self._frontend_to_db(DbPutProfile(profile, self.put_token, ctx))
@@ -278,9 +277,7 @@ class SyncTableServerWorld(OnlineServerWorld):
     def _refused(self, msg, flow: str) -> bool:
         if not self.clouds[msg.server_id].updating:
             return False
-        self._cloud_to_frontend(
-            msg.server_id, JobRejected(ctx=msg.ctx, server_id=msg.server_id, flow=flow)
-        )
+        self._cloud_to_frontend(msg.server_id, JobRejected(msg.ctx, msg.server_id, flow))
         return True
 
     # -- dispatch from the table: the enrollment's one leg and every runtime
@@ -319,9 +316,7 @@ class SyncTableServerWorld(OnlineServerWorld):
             self._start_refresh(waiter=(ctx, flow))
             return
         # every server is mid-update; try again after one sync period
-        self.sim.schedule_in(
-            self.cfg.sync_table_period_ms, "frontend", DispatchRetry(ctx=ctx, flow=flow)
-        )
+        self.sim.schedule_in(self.cfg.sync_table_period_ms, "frontend", DispatchRetry(ctx, flow))
 
     def _send_job(self, ctx, flow: str, server_id: str) -> None:
         if flow == "enroll":
@@ -343,12 +338,12 @@ class SyncTableServerWorld(OnlineServerWorld):
     def _start_refresh(self, waiter: tuple[object, str] | None) -> None:
         self._round_seq += 1
         round_id = self._round_seq
-        rnd = _RefreshRound(remaining=len(self.frontend.server_ids))
+        rnd = _RefreshRound(len(self.frontend.server_ids))
         if waiter is not None:
             rnd.waiters.append(waiter)
         self._rounds[round_id] = rnd
         for sid in self.frontend.server_ids:
-            self._frontend_to_cloud(sid, SyncProbe(round_id=round_id, server_id=sid))
+            self._frontend_to_cloud(sid, SyncProbe(round_id, sid))
 
     def _on_sync_tick(self, target, msg):
         self._start_refresh(waiter=None)
@@ -357,10 +352,7 @@ class SyncTableServerWorld(OnlineServerWorld):
     def _on_sync_probe(self, target, msg: SyncProbe):
         server = self.clouds[msg.server_id]
         versions = () if server.updating else (server.engine.model,)
-        self._cloud_to_frontend(
-            msg.server_id,
-            SyncReply(round_id=msg.round_id, server_id=msg.server_id, versions=versions),
-        )
+        self._cloud_to_frontend(msg.server_id, SyncReply(msg.round_id, msg.server_id, versions))
 
     def _on_sync_reply(self, target, msg: SyncReply):
         self.version_table[msg.server_id] = set(msg.versions)

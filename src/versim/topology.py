@@ -40,7 +40,6 @@ HASH_BY_USER = DispatchPolicy.HASH_BY_USER
 @dataclass(frozen=True, slots=True)
 class ModelRelease:
     version: VersionId
-    release_time: int
     download_ms: int
     server_update_ms: tuple[int, int]
 
@@ -57,18 +56,10 @@ class ModelStorageNode:
         self.releases: list[ModelRelease] = []
 
     def register(
-        self,
-        version_id: str,
-        release_time: int,
-        download_ms: int,
-        server_update_ms: tuple[int, int],
+        self, version_id: str, download_ms: int, server_update_ms: tuple[int, int]
     ) -> ModelRelease:
-        release = ModelRelease(
-            version=VersionId(id=version_id, seq=len(self.releases) + 1),
-            release_time=release_time,
-            download_ms=download_ms,
-            server_update_ms=server_update_ms,
-        )
+        version = VersionId(version_id, len(self.releases) + 1)
+        release = ModelRelease(version, download_ms, server_update_ms)
         self.releases.append(release)
         return release
 

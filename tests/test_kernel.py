@@ -55,7 +55,7 @@ def test_node_stream_is_seed_xor_index():
 
 
 def _release(lo: int, hi: int) -> ModelRelease:
-    return ModelRelease(VersionId("V2", 2), 0, 0, (lo, hi))
+    return ModelRelease(VersionId("V2", 2), 0, (lo, hi))
 
 
 def _frontend(rng: SimRng) -> FrontendNode:
@@ -66,7 +66,6 @@ def _frontend(rng: SimRng) -> FrontendNode:
 _ONE_DRAW = [
     (lambda rng: rng.randrange(7), lambda rng: rng.next_u64() % 7),
     (lambda rng: rng.randrange(1), lambda rng: rng.next_u64() % 1),
-    (lambda rng: rng.uniform(), lambda rng: (rng.next_u64() >> 11) * 2.0**-53),
     (
         lambda rng: _release(200, 3000).draw_update_duration(rng),
         lambda rng: 200 + rng.next_u64() % 2801,
@@ -86,7 +85,7 @@ _ONE_DRAW = [
 ]
 
 
-def test_randrange_and_uniform_consume_one_draw_each():
+def test_randrange_and_update_draws_consume_one_draw_each():
     for draw, reference in _ONE_DRAW:
         for seed in (0, 42, 2**64 - 1):
             a = SimRng(seed)
@@ -108,29 +107,50 @@ def test_skip_leaves_the_stream_where_n_draws_would(n):
         assert [skipped.next_u64() for _ in range(3)] == [drawn.next_u64() for _ in range(3)]
 
 
-def test_uniform_range():
-    rng = SimRng(99)
-    for _ in range(1000):
-        u = rng.uniform()
-        assert 0.0 <= u < 1.0
+def _arrivals() -> tuple[Simulator, dict[str, int]]:
+    """A simulator that records the time each Ping arrives, by label."""
+    arrived: dict[str, int] = {}
+    sim = Simulator(lambda target, p: arrived.__setitem__(p.label, sim.now))
+    return sim, arrived
 
 
-def test_latency_sample_always_consumes_one_draw():
-    # zero jitter must not change the stream position
-    for jitter_ms in (0, 1, 3):
-        link = LatencyModel(base_ms=5, jitter_ms=jitter_ms)
-        a = SimRng(7)
-        b = SimRng(7)
-        for _ in range(3):
-            assert link.sample(a) == 5 + b.next_u64() % (jitter_ms + 1)
-        assert a.next_u64() == b.next_u64()
+def test_send_on_a_jittered_link_queues_at_now_extra_and_one_draw():
+    # each hop lands at now + extra + base + next_u64() % (jitter + 1) of a
+    # twin stream, and leaves the stream where that one draw does
+    for jitter_ms in (1, 3, 1000):
+        link = LatencyModel(5, jitter_ms)
+        for seed in (0, 42, 2**64 - 1):
+            rng, twin = SimRng(seed), SimRng(seed)
+            sim, arrived = _arrivals()
+            sim.run_until(10)
+            expected = {}
+            for i, extra in enumerate((0, 0, 7, 30, 0)):
+                sim.send(link, rng, "n", Ping(str(i)), extra)
+                expected[str(i)] = 10 + extra + 5 + twin.next_u64() % (jitter_ms + 1)
+            assert rng.state == twin.state
+            sim.run_until(10_000)
+            assert arrived == expected
 
 
-def test_latency_jitter_bounds():
-    link = LatencyModel(base_ms=10, jitter_ms=3)
-    rng = SimRng(123)
-    seen = {link.sample(rng) for _ in range(500)}
-    assert seen == {10, 11, 12, 13}
+def test_send_on_a_fixed_link_steps_the_stream_as_one_draw():
+    # sent before the first run_until, so the hops join the preloaded run
+    link = LatencyModel(4, 0)
+    for seed in (0, 42, 2**64 - 1):
+        rng, twin = SimRng(seed), SimRng(seed)
+        sim, arrived = _arrivals()
+        for i in range(3):
+            sim.send(link, rng, "n", Ping(str(i)), i)
+            twin.next_u64()
+            assert rng.state == twin.state
+        sim.run_until(100)
+        assert arrived == {"0": 4, "1": 5, "2": 6}
+        assert rng.next_u64() == twin.next_u64()
+
+
+@pytest.mark.parametrize("base_ms, jitter_ms", [(-1, 0), (0, -1)])
+def test_a_negative_latency_is_refused(base_ms, jitter_ms):
+    with pytest.raises(ValueError, match="negative latency"):
+        LatencyModel(base_ms, jitter_ms)
 
 
 def test_events_run_in_time_order():
@@ -517,3 +537,65 @@ def test_two_part_queue_runs_the_single_heap_order(pre, fed, followups, steps, b
         climbing.append((clock, between))
     expected = _drive(_HeapSim, pre, fed, followups, climbing, boom)
     assert _drive(Simulator, pre, fed, followups, climbing, boom) == expected
+
+
+_LINKS = [LatencyModel(0, 0), LatencyModel(3, 0), LatencyModel(1, 4)]
+
+
+def _hops(sim_class, pre, followups, horizons):
+    """Run a mix of hops and scheduled events and return what was observed:
+    every trace line, handler call and clock, and the final state of each
+    stream. A call is ("send" or "schedule", link, stream, extra). On a
+    ``Simulator`` a send goes through ``send``; on the reference it is
+    scheduled at now + extra + a latency drawn by the one-draw rule."""
+    trace, seen = [], []
+    rngs = [SimRng(1), SimRng(2**64 - 1)]
+    made = [0]
+
+    def call(how, link_index, rng_index, extra):
+        payload = Ping(str(made[0]))
+        made[0] += 1
+        link, rng = _LINKS[link_index], rngs[rng_index]
+        if how == "schedule":
+            sim.schedule_in(extra, "n", payload)
+        elif sim_class is Simulator:
+            sim.send(link, rng, "n", payload, extra)
+        else:
+            latency = link.base_ms + rng.next_u64() % (link.jitter_ms + 1)
+            sim.schedule(sim.now + extra + latency, "n", payload)
+
+    def handler(target, payload):
+        seen.append((sim.now, payload.label))
+        label = int(payload.label)
+        for args in followups[label] if label < len(followups) else ():
+            call(*args)
+
+    sim = sim_class(handler, trace)
+    for args in pre:
+        call(*args)
+    for horizon in horizons:
+        sim.run_until(horizon)
+        seen.append(("clock", sim.now))
+    return trace, seen, [rng.state for rng in rngs]
+
+
+_calls = st.tuples(
+    st.sampled_from(["send", "schedule"]),
+    st.integers(min_value=0, max_value=len(_LINKS) - 1),
+    st.integers(min_value=0, max_value=1),
+    _delays,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pre=st.lists(_calls, max_size=12),
+    followups=st.lists(st.lists(_calls, max_size=3), max_size=50),
+    steps=st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=5),
+)
+def test_send_runs_as_scheduling_at_now_plus_extra_plus_one_draw(pre, followups, steps):
+    # some calls come before the first run_until (the preloaded run), the
+    # rest from handlers (the buckets); sends and schedules share one seq count
+    horizons = [sum(steps[: i + 1]) for i in range(len(steps))]
+    expected = _hops(_HeapSim, pre, followups, horizons)
+    assert _hops(Simulator, pre, followups, horizons) == expected

@@ -1,8 +1,8 @@
 """``src/versim/`` stays within its line budgets.
 
 The strategy controllers hold the most code in the package and the most
-duplication to remove. Their budget is 1,700 lines counted as ``wc -l``
-counts them, 28% below the 2,374 of the first version; the run log, which
+duplication to remove. Their budget is 1,660 lines counted as ``wc -l``
+counts them, 30% below the 2,374 of the first version; the run log, which
 counts what the worlds report, lives in ``metrics.py``. The whole package
 is capped at 3,570 lines, so that code moved out of ``strategies/`` still
 counts. A change that adds behaviour pays for its lines by removing others.
@@ -12,7 +12,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "versim"
 STRATEGIES = PACKAGE / "strategies"
-BUDGET = 1_700
+BUDGET = 1_660
 PACKAGE_BUDGET = 3_570
 
 

@@ -35,8 +35,8 @@ def _engine(version):
 
 def test_storage_assigns_release_order():
     storage = ModelStorageNode()
-    a = storage.register("V1", 0, 1000, (0, 0))
-    b = storage.register("R1", 5000, 1000, (100, 200))
+    a = storage.register("V1", 1000, (0, 0))
+    b = storage.register("R1", 1000, (100, 200))
     assert a.version == VersionId("V1", 1)
     assert b.version == VersionId("R1", 2)
     assert storage.latest == b.version
@@ -44,7 +44,7 @@ def test_storage_assigns_release_order():
 
 def test_update_duration_draw_stays_in_bounds():
     storage = ModelStorageNode()
-    release = storage.register("V1", 0, 0, (100, 105))
+    release = storage.register("V1", 0, (100, 105))
     rng = SimRng(3)
     seen = {release.draw_update_duration(rng) for _ in range(300)}
     assert seen == {100, 101, 102, 103, 104, 105}
