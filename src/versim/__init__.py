@@ -25,7 +25,6 @@ from .metrics import (
     Report,
     RequestKind,
     RequestRecord,
-    nearest_rank,
     report_from_dict,
     report_to_dict,
     report_to_json,
@@ -76,7 +75,6 @@ __all__ = [
     "VersionMismatchError",
     "fnv1a64",
     "load_scenario",
-    "nearest_rank",
     "node_stream",
     "profile_digest",
     "report_from_dict",

@@ -3,10 +3,10 @@
 ``RunLog`` is the one observer of a run: the worlds tell it each fact as it
 happens, and it folds the report one fact at a time. Per ``RequestKind`` it
 counts outcomes and keeps an exact latency histogram (latency in ms ->
-count). Latencies are integer ms, so the nearest-rank p50 and p95 read off
-the histogram's cumulative counts, and the max off its largest key, equal
-what ``latency_stats`` gives over the sorted values; a run keeps no record
-list to report. ``summarize`` is the same fold over a record iterable: any
+count). Latencies are integer ms, so the nearest-rank p50 and p95 (the
+ceil(q * n)-th smallest, 1-indexed) read off the histogram's cumulative
+counts, and the max off its largest key; a run keeps no record list to
+report. ``summarize`` is the same fold over a record iterable: any
 permutation of its inputs produces the identical Report, and the JSON form
 is byte-stable (sorted keys, fixed key set, absent values encoded as null).
 ``Report`` and ``LatencyStats`` declare their fields in alphabetical order,
@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .domain import Outcome, VersionId
 
@@ -59,23 +59,6 @@ class LatencyStats:
     max: int
     p50: int
     p95: int
-
-
-def _rank(ordered: Sequence[int], q: float) -> int:
-    """The ceil(q * n)-th smallest of an ascending sequence, 1-indexed."""
-    if not ordered:
-        raise ValueError("percentile of an empty sequence")
-    return ordered[max(math.ceil(q * len(ordered)), 1) - 1]
-
-
-def nearest_rank(values: Sequence[int], q: float) -> int:
-    """Nearest-rank percentile: the ceil(q * n)-th smallest, 1-indexed."""
-    return _rank(sorted(values), q)
-
-
-def latency_stats(latencies: Sequence[int]) -> LatencyStats:
-    ordered = sorted(latencies)
-    return LatencyStats(p50=_rank(ordered, 0.50), p95=_rank(ordered, 0.95), max=ordered[-1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,8 +158,9 @@ class RunLog:
 
 
 def _histogram_stats(histogram: dict[int, int]) -> LatencyStats:
-    """``latency_stats`` of the latencies a non-empty histogram counts: each
-    nearest rank is found in the cumulative counts of the ascending keys."""
+    """The nearest-rank p50 and p95 and the max of the latencies a non-empty
+    histogram counts: each rank is found in the cumulative counts of the
+    ascending keys."""
     keys = sorted(histogram)
     cumulative = list(accumulate(histogram[ms] for ms in keys))
 

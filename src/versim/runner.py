@@ -145,8 +145,8 @@ def build(
     for user in world.user_ids:
         state = node_stream(scenario.seed, USER_STREAM_BASE + int(user[1:])).state
         audio = EnrollmentAudio(user, state, scenario.samples_per_user)
-        sim.schedule(0, world.device_target(world.user_device[user]), EnrollArrival(user, audio))
-    targets = [world.device_target(world.user_device[user]) for user in by_rank]
+        sim.schedule(0, world.device_targets[world.user_device[user]], EnrollArrival(user, audio))
+    targets = [world.device_targets[world.user_device[user]] for user in by_rank]
     sim.feed(_runtime_arrivals(arrivals, by_rank, targets), len(arrivals))
     for r in scenario.releases:
         payload = ReleasePayload(r.version_id, r.download_ms, r.server_update_ms)

@@ -32,7 +32,7 @@ profiles when the response reaches it.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, ClassVar
 
@@ -103,28 +103,32 @@ STALE_PROFILES = Outcome.STALE_PROFILES
 
 @dataclass(slots=True)
 class EnrollCtx:
+    """One enrollment flow: the versions of its legs still to send (None:
+    any server), and the profiles made so far; tuples that a leg replaces."""
+
     user_id: str
     device_id: str
     submitted: int
     samples: EnrollmentAudio
-    plan: list[VersionId | None] = field(default_factory=list)
+    plan: tuple[VersionId | None, ...] = ()
     background: bool = False
     pinned_server: str | None = None
     # the runtime request this in-path re-enrollment serves; None for a
     # request of its own, which is recorded
     parent: "RuntimeCtx | None" = None
-    produced: list[UserProfile] = field(default_factory=list)
+    produced: tuple[UserProfile, ...] = ()
 
 
 @dataclass(slots=True)
 class RuntimeCtx:
     """One runtime request: the speaking user's profiles, oldest first, and
-    on the server side the stored audio and the profile repaired from it."""
+    on the server side the stored audio and the profile repaired from it.
+    The profiles are the store's own tuple, shared and never changed."""
 
     user_id: str
     device_id: str
     submitted: int
-    profiles: list[UserProfile] = field(default_factory=list)
+    profiles: tuple[UserProfile, ...] = ()
     audio: EnrollmentAudio | tuple[()] = ()
     refreshed: UserProfile | None = None
     reenrolls: int = 0
@@ -406,7 +410,7 @@ class DbFetchReply:
     row yet. A row always has audio, so ``rows`` counts it by that."""
 
     kind: ClassVar[str] = "db-fetch-reply"
-    profiles: list[UserProfile]
+    profiles: tuple[UserProfile, ...]
     audio: EnrollmentAudio | tuple[()]
     token: str
     ctx: object
@@ -439,6 +443,7 @@ class WorldBase:
 
     # profiles the world's store keeps per user (None: unbounded)
     retain: int | None = 1
+    devices_store = True  # whether the devices keep audio and profiles
     # message kind -> handler function, one table per class; plain functions,
     # so no world refers to itself and a finished one is freed by refcount
     _handlers: ClassVar[dict[str, Callable[["WorldBase", str, object], None]]] = {}
@@ -464,14 +469,14 @@ class WorldBase:
         self.user_device: dict[str, str] = {}
         device_ids = [f"d{i:02d}" for i in range(scenario.devices)]
         # event targets, built once so scheduled events share one string each
-        self._device_targets = {device_id: f"device:{device_id}" for device_id in device_ids}
+        self.device_targets = {device_id: f"device:{device_id}" for device_id in device_ids}
         # and back, so that every flow of a device shares its one id string
-        self._device_ids = {target: d for d, target in self._device_targets.items()}
+        self._device_ids = {target: d for d, target in self.device_targets.items()}
         initial = storage.releases[0].version
         for j, device_id in enumerate(device_ids):
             # round-robin ownership: user i lives on device i % devices
             owners = self.user_ids[j :: scenario.devices]
-            self.devices[device_id] = DeviceNode(device_id, owners, initial)
+            self.devices[device_id] = DeviceNode(device_id, owners, initial, self.devices_store)
             self.device_rng[device_id] = node_stream(scenario.seed, DEVICE_STREAM_BASE + j)
             for u in owners:
                 self.user_device[u] = device_id
@@ -492,9 +497,6 @@ class WorldBase:
             )
             self._engines[version] = engine
         return engine
-
-    def device_target(self, device_id: str) -> str:
-        return self._device_targets[device_id]
 
     def _put(self, store: "DatabaseNode | DeviceNode", profile: UserProfile) -> None:
         """Keep ``profile`` in the world's store under ``retain`` and log the write."""
@@ -558,7 +560,7 @@ class CloudWorldBase(WorldBase):
         self.sim.send(self._device_link, self.device_rng[device_id], "frontend", payload)
 
     def _frontend_to_device(self, device_id: str, payload) -> None:
-        target = self._device_targets[device_id]
+        target = self.device_targets[device_id]
         self.sim.send(self._device_link, self.frontend.rng, target, payload)
 
     def _frontend_to_cloud(self, server_id: str, payload) -> None:
@@ -581,7 +583,7 @@ class CloudWorldBase(WorldBase):
                 models[model.seq] = model
                 serving.setdefault(model.seq, []).append(sid)
         # oldest first; the lists are shared with readers, who never mutate them
-        self.served_versions: list[VersionId] = [models[seq] for seq in sorted(models)]
+        self.served_versions = tuple(models[seq] for seq in sorted(models))
         self._serving = serving
 
     def servers_serving(self, version: VersionId) -> list[str]:
@@ -708,7 +710,7 @@ class CloudWorldBase(WorldBase):
         first. The plan is one leg on any server for the single-version
         policies, and one leg per served version, oldest first, for DOUBLE."""
         if not ctx.plan:
-            ctx.plan = self.served_versions[-2:] if self.double else [None]
+            ctx.plan = self.served_versions[-2:] if self.double else (None,)
         self._next_enroll_leg(ctx)
 
     def _next_enroll_leg(self, ctx: EnrollCtx) -> None:
@@ -717,7 +719,7 @@ class CloudWorldBase(WorldBase):
         for None). A leg whose version no server serves is skipped. Once the
         plan is used up, answer the device."""
         while ctx.plan:
-            version = ctx.plan.pop(0)
+            version, ctx.plan = ctx.plan[0], ctx.plan[1:]
             if ctx.pinned_server is not None:
                 server_id = ctx.pinned_server
             else:
@@ -741,7 +743,7 @@ class CloudWorldBase(WorldBase):
     _on_enroll_job_done = _continue
 
     def _enroll_leg_done(self, msg: EnrollJobDone) -> None:
-        msg.ctx.produced.append(msg.profile)
+        msg.ctx.produced += (msg.profile,)
         self._store_leg(msg.ctx, msg.profile)
 
     def _store_leg(self, ctx: EnrollCtx, profile: UserProfile) -> None:
@@ -758,7 +760,7 @@ class CloudWorldBase(WorldBase):
             return
         parent = ctx.parent
         parent.reenrolls += 1
-        parent.profiles = list(self.devices[ctx.device_id].profiles_for(ctx.user_id))
+        parent.profiles = self.devices[ctx.device_id].profiles_for(ctx.user_id)
         self._device_to_frontend(ctx.device_id, Request("runtime-request", parent))
 
     def _store_produced(self, ctx: EnrollCtx) -> None:
@@ -770,7 +772,7 @@ class CloudWorldBase(WorldBase):
 
     def _on_runtime_arrival(self, target, msg: RuntimeArrival):
         device_id = self._device_ids[target]
-        profiles = list(self.devices[device_id].profiles_for(msg.user_id))
+        profiles = self.devices[device_id].profiles_for(msg.user_id)
         ctx = RuntimeCtx(msg.user_id, device_id, self.sim.now, profiles)
         self._device_to_frontend(device_id, Request("runtime-request", ctx))
 

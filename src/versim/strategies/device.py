@@ -27,8 +27,10 @@ from .common import (
 class DeviceWorld(WorldBase):
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
-        # per-device re-enroll cursor while an update window is open
+        # per-device re-enroll cursor, and per device target the deferred
+        # runtime requests, while an update window is open
         self._reenroll_queue: dict[str, list[str]] = {}
+        self._deferred: dict[str, list[tuple[RuntimeArrival, int]]] = {}
 
     def _device(self, target: str) -> DeviceNode:
         return self.devices[self._device_ids[target]]
@@ -50,7 +52,7 @@ class DeviceWorld(WorldBase):
         dev = self._device(target)
         submitted = self.sim.now if submitted is None else submitted
         if dev.updating:
-            dev.deferred.append((target, msg, submitted))
+            self._deferred.setdefault(target, []).append((msg, submitted))
             return
         if not dev.profiles_for(msg.user_id):
             # nothing enrolled: reject on the spot, no engine work
@@ -78,7 +80,7 @@ class DeviceWorld(WorldBase):
         link = self.sc.latency.device_storage
         for device_id in sorted(self.devices):
             notice = VersionNotice("notify-release", release.version)
-            self.sim.send(link, self.storage_rng, self.device_target(device_id), notice)
+            self.sim.send(link, self.storage_rng, self.device_targets[device_id], notice)
 
     def _on_notify_release(self, target: str, msg: VersionNotice) -> None:
         dev = self._device(target)
@@ -126,9 +128,8 @@ class DeviceWorld(WorldBase):
 
     def _close_update_window(self, target: str, dev: DeviceNode) -> None:
         dev.updating = False
-        deferred, dev.deferred = dev.deferred, []
-        for tgt, msg, submitted in deferred:
-            self._on_runtime_arrival(tgt, msg, submitted)
+        for msg, submitted in self._deferred.pop(target, ()):
+            self._on_runtime_arrival(target, msg, submitted)
         if dev.recheck_after_update:
             dev.recheck_after_update = False
             self._maybe_download(target, dev)

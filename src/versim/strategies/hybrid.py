@@ -18,8 +18,6 @@ Two flavors:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from ..domain import VersionId
 from .common import (
     OK,
@@ -41,10 +39,11 @@ from .common import (
 class HybridWorldBase(CloudWorldBase):
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
-        if self.cfg.handshake_period_ms is not None:
-            for device_id in sorted(self.devices):
-                tick = Tick("handshake-tick", f"device={device_id}")
-                self.sim.schedule(self.cfg.handshake_period_ms, self.device_target(device_id), tick)
+        self._bg_enrolling: set[str] = set()  # users whose background enrollment is in flight
+        period = self.cfg.handshake_period_ms
+        if period is not None:
+            for device_id, target in sorted(self.device_targets.items()):
+                self.sim.schedule(period, target, Tick("handshake-tick", f"device={device_id}"))
 
     # -- enrollment: the device keeps the audio, and the profiles that come
     # back in the enroll-response
@@ -54,15 +53,14 @@ class HybridWorldBase(CloudWorldBase):
         super()._on_enroll_arrival(target, msg)
 
     def _start_background_enroll(
-        self, device_id: str, user_id: str, served: Sequence[VersionId]
+        self, device_id: str, user_id: str, served: tuple[VersionId, ...]
     ) -> None:
         """Enroll the newest served versions the device keeps profiles for,
         unless the user's background enrollment is in flight."""
-        device = self.devices[device_id]
-        if user_id in device.bg_enroll_inflight:
+        if user_id in self._bg_enrolling:
             return
-        device.bg_enroll_inflight.add(user_id)
-        samples, plan = device.stored_audio[user_id], list(served[-self.retain :])
+        self._bg_enrolling.add(user_id)
+        samples, plan = self.devices[device_id].stored_audio[user_id], served[-self.retain :]
         self._request_enroll(EnrollCtx(user_id, device_id, self.sim.now, samples, plan, True))
 
     def _store_produced(self, ctx: EnrollCtx) -> None:
@@ -74,7 +72,7 @@ class HybridWorldBase(CloudWorldBase):
         for profile in produced:
             self._put(device, profile)
         if ctx.background:
-            device.bg_enroll_inflight.discard(ctx.user_id)
+            self._bg_enrolling.discard(ctx.user_id)
         if (ctx.background or ctx.parent is not None) and before and produced:
             newest = produced[-1].version
             self.log.reenrolled(self.sim.now, ctx.user_id, before[0].version, newest)
@@ -101,7 +99,7 @@ class HybridWorldBase(CloudWorldBase):
         samples = self.devices[ctx.device_id].stored_audio[ctx.user_id]
         # one leg, not in the background, pinned, for ``ctx``
         self._request_enroll(
-            EnrollCtx(ctx.user_id, ctx.device_id, self.sim.now, samples, [None], False, pin, ctx)
+            EnrollCtx(ctx.user_id, ctx.device_id, self.sim.now, samples, (None,), False, pin, ctx)
         )
 
     # -- handshake
@@ -113,8 +111,7 @@ class HybridWorldBase(CloudWorldBase):
         self._device_to_frontend(device_id, Request("handshake-request", ctx))
 
     def _on_handshake_request(self, target, msg: Request):
-        reply = HandshakeReply(msg.ctx, tuple(self.served_versions))
-        self._frontend_to_device(msg.ctx.device_id, reply)
+        self._frontend_to_device(msg.ctx.device_id, HandshakeReply(msg.ctx, self.served_versions))
 
     def _on_handshake_reply(self, target, msg: HandshakeReply):
         ctx = msg.ctx

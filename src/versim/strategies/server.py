@@ -34,7 +34,7 @@ from heapq import heappop, heappush
 
 from ..domain import NoCommonVersionError, Outcome, UserProfile, VersionId
 from ..kernel import node_stream
-from ..topology import DatabaseNode, ModelRelease
+from ..topology import DatabaseNode, DbRow, ModelRelease
 from .common import (
     DB_STREAM,
     MAINTENANCE,
@@ -72,6 +72,7 @@ class _SweepCtx:
 class ServerWorldBase(CloudWorldBase):
     # the enroll-leg continuations, printed in traces as ``for=``
     leg_token, put_token = "enroll.done", "enroll.put"
+    devices_store = False  # the database keeps the audio and profiles
 
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
@@ -108,9 +109,8 @@ class ServerWorldBase(CloudWorldBase):
         self._db_to_frontend(DbAck("db-store-ack", msg.token, msg.ctx))
 
     def _on_db_fetch(self, target, msg: DbFetch):
-        row = self.db.fetch(msg.user_id)
-        profiles, audio = (list(row.profiles), row.audio) if row is not None else ([], ())
-        self._db_to_frontend(DbFetchReply(profiles, audio, msg.token, msg.ctx))
+        row = self.db.fetch(msg.user_id) or DbRow()
+        self._db_to_frontend(DbFetchReply(row.profiles, row.audio, msg.token, msg.ctx))
 
     def _on_db_put_profile(self, target, msg: DbPutProfile):
         self._put(self.db, msg.profile)

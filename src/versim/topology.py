@@ -6,13 +6,16 @@ hold state and local rules only; the multi-hop request flows live in
 ``strategies``. The database and the devices are the two profile stores,
 with one interface: ``put_profile(profile, retain)`` keeps a profile under
 the one retention rule, ``_retain``, and ``profiles_for(user_id)`` reads
-one user's profiles, oldest first.
+one user's profiles, oldest first. The profiles are an exact-size tuple,
+``()`` for a user with none, that a put replaces and never changes, so a
+reader may keep the store's own tuple without a copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 from .domain import (
     NoEligibleServerError,
@@ -70,23 +73,23 @@ class ModelStorageNode:
 
 @dataclass(slots=True)
 class DbRow:
+    """One user's database row: the enrollment audio, and the profiles that
+    ``_retain`` kept, ascending by version seq with one per version."""
+
     audio: EnrollmentAudio | tuple[()] = ()
-    # ascending by version seq, one entry per distinct version
-    profiles: list[UserProfile] = field(default_factory=list)
+    profiles: tuple[UserProfile, ...] = ()
 
 
 def _retain(
-    profiles: list[UserProfile], profile: UserProfile, cap: int | None
-) -> list[UserProfile]:
+    profiles: tuple[UserProfile, ...], profile: UserProfile, cap: int | None
+) -> tuple[UserProfile, ...]:
     """The one profile-retention rule of the database and the devices: a new
-    list with ``profile`` in place of any entry of its version, ascending by
-    seq, and the lowest seqs dropped beyond ``cap`` entries (None: unbounded)."""
+    exact-size tuple with ``profile`` in place of any entry of its version,
+    ascending by seq, the lowest seqs dropped beyond ``cap`` (None: no cap)."""
     kept = [p for p in profiles if p.version.seq != profile.version.seq]
     kept.append(profile)
     kept.sort(key=lambda p: p.version.seq)
-    if cap is not None and len(kept) > cap:
-        del kept[: len(kept) - cap]
-    return kept
+    return tuple(kept if cap is None else kept[-cap:])
 
 
 class DatabaseNode:
@@ -111,9 +114,9 @@ class DatabaseNode:
             raise UnknownUserError(f"profile put for unknown user {profile.user_id!r}")
         row.profiles = _retain(row.profiles, profile, retain)
 
-    def profiles_for(self, user_id: str) -> list[UserProfile]:
+    def profiles_for(self, user_id: str) -> tuple[UserProfile, ...]:
         row = self.rows.get(user_id)
-        return row.profiles if row is not None else []
+        return row.profiles if row is not None else ()
 
 
 class CloudServerNode:
@@ -186,10 +189,16 @@ class FrontendNode:
         raise NoEligibleServerError(f"no eligible server for {user_id!r}")
 
 
+# the stores of every device that keeps nothing: one empty, read-only mapping
+_NOTHING = MappingProxyType({})
+
+
 class DeviceNode:
-    """End-user device. Server-side deployments use it only as the request
-    origin; device and hybrid deployments also store audio, profiles and (for
-    the on-device strategy) the local engine's model."""
+    """End-user device; it keeps the owner list it is given, unchanged.
+    Server-side deployments use it only as the request origin and build it
+    with ``stores`` off, so that its audio and profile stores are one shared
+    empty mapping. Device and hybrid deployments store audio and profiles on
+    it; the on-device strategy also keeps its model and update window there."""
 
     __slots__ = (
         "device_id",
@@ -198,21 +207,19 @@ class DeviceNode:
         "stored_audio",
         "stored_profiles",
         "updating",
-        "deferred",
         "recheck_after_update",
-        "bg_enroll_inflight",
     )
 
-    def __init__(self, device_id: str, owner_users: list[str], local_model: VersionId):
+    def __init__(
+        self, device_id: str, owner_users: list[str], local_model: VersionId, stores: bool = True
+    ):
         self.device_id = device_id
-        self.owner_users = list(owner_users)
+        self.owner_users = owner_users
         self.local_model = local_model
-        self.stored_audio: dict[str, EnrollmentAudio] = {}
-        self.stored_profiles: dict[str, list[UserProfile]] = {}
+        self.stored_audio: dict[str, EnrollmentAudio] = {} if stores else _NOTHING
+        self.stored_profiles: dict[str, tuple[UserProfile, ...]] = {} if stores else _NOTHING
         self.updating = False
-        self.deferred: list = []
         self.recheck_after_update = False
-        self.bg_enroll_inflight: set[str] = set()
 
     def put_profile(self, profile: UserProfile, retain: int | None) -> None:
         # the store itself keeps the name ``store_profile``, which bench/child.py times
@@ -223,5 +230,5 @@ class DeviceNode:
         user = profile.user_id
         self.stored_profiles[user] = _retain(self.profiles_for(user), profile, retain)
 
-    def profiles_for(self, user_id: str) -> list[UserProfile]:
-        return self.stored_profiles.get(user_id, [])
+    def profiles_for(self, user_id: str) -> tuple[UserProfile, ...]:
+        return self.stored_profiles.get(user_id, ())

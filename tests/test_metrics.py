@@ -1,8 +1,12 @@
 """The run log's report fold: percentiles, availability, the re-enrollment,
-bounce and maintenance counts, and the canonical JSON form."""
+bounce and maintenance counts, and the canonical JSON form. The nearest-rank
+percentiles of sorted values below are the reference that the report's
+histogram fold is checked against."""
 
 import dataclasses
+import math
 import random
+from typing import Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,16 +14,32 @@ from hypothesis import strategies as st
 
 from versim.domain import Outcome, VersionId
 from versim.metrics import (
+    LatencyStats,
     RequestKind,
     RequestRecord,
     RunLog,
-    latency_stats,
-    nearest_rank,
     report_from_dict,
     report_to_dict,
     report_to_json,
     summarize,
 )
+
+
+def _rank(ordered: Sequence[int], q: float) -> int:
+    """The ceil(q * n)-th smallest of an ascending sequence, 1-indexed."""
+    if not ordered:
+        raise ValueError("percentile of an empty sequence")
+    return ordered[max(math.ceil(q * len(ordered)), 1) - 1]
+
+
+def nearest_rank(values: Sequence[int], q: float) -> int:
+    """Nearest-rank percentile: the ceil(q * n)-th smallest, 1-indexed."""
+    return _rank(sorted(values), q)
+
+
+def latency_stats(latencies: Sequence[int]) -> LatencyStats:
+    ordered = sorted(latencies)
+    return LatencyStats(p50=_rank(ordered, 0.50), p95=_rank(ordered, 0.95), max=ordered[-1])
 
 
 def _record(kind, outcome, submitted, completed, user="u000", reenr=0):

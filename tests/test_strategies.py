@@ -12,6 +12,7 @@ from versim.domain import Outcome
 from versim.metrics import RequestKind
 from versim.runner import build, run
 from versim.scenario import scenario_from_dict
+from versim.strategies.common import EnrollCtx, RuntimeCtx
 
 
 def _runtime_records(result):
@@ -450,6 +451,79 @@ def test_hybrid_double_dedupes_concurrent_stale_rebuilds():
     assert len(_enroll_records(result)) == 2  # initial enrollment plus one rebuild
 
 
+def test_hybrid_background_enrollment_starts_once_per_user_while_in_flight():
+    sim, world, _ = build(
+        scenario_from_dict(
+            {
+                "strategy": {"deployment": "HYBRID", "policy": "DOUBLE"},
+                "users": 2,
+                "devices": 2,
+                "cloud_servers": 2,
+                "initial_versions": ["V1", "V2"],
+                "runtime_arrivals": {"explicit": []},
+                "duration_ms": 1000,
+            }
+        )
+    )
+    sim.run_until(1000)  # both users have enrolled
+    started = []
+    world._request_enroll = started.append
+    served = world.served_versions
+    for _ in range(2):
+        for user in ("u000", "u001"):
+            world._start_background_enroll(world.user_device[user], user, served)
+    assert [ctx.user_id for ctx in started] == ["u000", "u001"]
+    assert started[0].plan is served  # the two served versions, not a copy
+    # the response reaches the device and ends the flight; the next start goes out
+    world._store_produced(started[0])
+    world._start_background_enroll("d00", "u000", served)
+    assert [ctx.user_id for ctx in started] == ["u000", "u001", "u000"]
+
+
+# -- flows share the stores' tuples
+
+
+def test_flow_contexts_start_with_empty_tuples():
+    ctx = EnrollCtx("u000", "d00", 0, ())
+    assert ctx.plan == () and ctx.produced == ()
+    assert RuntimeCtx("u000", "d00", 0).profiles == ()
+
+
+@pytest.mark.parametrize(
+    "strategy, kind",
+    [({}, "db-fetch-reply"), ({"deployment": "HYBRID"}, "runtime-request")],
+)
+def test_a_runtime_request_holds_the_store_tuple_itself(strategy, kind):
+    """A fetch reply, and the runtime ctx it fills, hold the database row's
+    own tuple; a hybrid request holds the device's."""
+    sim, world, _ = build(
+        scenario_from_dict(
+            {
+                "strategy": strategy,
+                "users": 1,
+                "devices": 1,
+                "runtime_arrivals": _arrivals({"u000": [1000, 2000]}),
+                "duration_ms": 3000,
+            }
+        )
+    )
+    store = world.db if kind == "db-fetch-reply" else world.devices["d00"]
+    handle, checked = world.handle, []
+
+    def handle_and_check(target, payload):
+        handle(target, payload)
+        if payload.kind == kind:
+            stored = store.profiles_for("u000")
+            assert type(stored) is tuple and len(stored) == 1
+            assert payload.ctx.profiles is stored
+            assert getattr(payload, "profiles", stored) is stored
+            checked.append(payload)
+
+    world.handle = handle_and_check
+    sim.run_until(3000)
+    assert len(checked) == 2
+
+
 # -- sync-table mitigation
 
 
@@ -546,7 +620,7 @@ def _served_by_scan(world):
         if not world.clouds[sid].updating
     ]
     models = {model.seq: model for _, model in live}
-    versions = [models[seq] for seq in sorted(models)]
+    versions = tuple(models[seq] for seq in sorted(models))
     serving = {v.seq: [sid for sid, model in live if model == v] for v in versions}
     return versions, serving
 

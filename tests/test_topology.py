@@ -18,6 +18,7 @@ from versim.topology import (
     DispatchPolicy,
     FrontendNode,
     ModelStorageNode,
+    _retain,
 )
 
 V1 = VersionId("V1", 1)
@@ -56,7 +57,7 @@ def test_db_store_then_fetch():
     db.store_audio("u000", samples)
     row = db.fetch("u000")
     assert row.audio == samples
-    assert row.profiles == []
+    assert row.profiles == ()
     assert db.fetch("nobody") is None
 
 
@@ -95,6 +96,18 @@ def test_db_retain_none_is_unbounded():
     for version in (V1, V2, V3):
         db.put_profile(_profile("u000", version), retain=None)
     assert [p.version for p in db.fetch("u000").profiles] == [V1, V2, V3]
+
+
+def test_retain_returns_a_new_tuple_of_exactly_the_kept_profiles():
+    p1, p2, p3 = (_profile("u000", v) for v in (V1, V2, V3))
+    stored = (p1, p3)
+    kept = _retain(stored, p2, 2)
+    assert type(kept) is tuple and kept == (p2, p3)
+    assert stored == (p1, p3)  # a put replaces the stored tuple, never changes it
+    assert _retain(kept, p1, 1) == (p3,)
+    assert _retain(kept, p1, None) == (p1, p2, p3)
+    again = _profile("u000", V2, seed=9)
+    assert _retain(kept, again, 2) == (again, p3)
 
 
 def test_server_keeps_old_engine_until_update_completes():
@@ -178,7 +191,16 @@ def test_device_store_replaces_same_version():
 
 def test_device_profiles_empty_for_strangers():
     device = DeviceNode("d00", ["u000"], V1)
-    assert device.profiles_for("u999") == []
+    assert device.profiles_for("u999") == ()
+
+
+def test_a_device_without_stores_reads_empty_and_refuses_a_put():
+    owners = ["u000", "u001"]
+    device = DeviceNode("d00", owners, V1, stores=False)
+    assert device.owner_users is owners
+    assert device.profiles_for("u000") == ()
+    with pytest.raises(TypeError):
+        device.put_profile(_profile("u000", V1), retain=1)
 
 
 @pytest.mark.parametrize("retain", [1, 2, None])
@@ -190,4 +212,4 @@ def test_database_and_devices_keep_profiles_by_one_rule(retain):
         for store in (db, device):
             store.put_profile(_profile("u000", version), retain)
         assert db.profiles_for("u000") == device.profiles_for("u000")
-    assert db.profiles_for("nobody") == [] == device.profiles_for("nobody")
+    assert db.profiles_for("nobody") == () == device.profiles_for("nobody")
