@@ -9,11 +9,17 @@ the world's method named for it, dashes written as underscores: kind
 ``recognize-job-done`` goes to ``_on_recognize_job_done``.
 Request flows are chains of messages. Each hop is one traced event that
 ``Simulator.send`` queues on its link, with the latency drawn from the
-sending node's stream; each message carries its flow context object so node
-handlers stay stateless between hops. There is one message class per hop
-shape. Where a shape serves several hops (``Request``, ``Response``,
-``ServerHop``, ``DbAck``, ``Tick``, ...) the kind is data, set when the
-message is built; the trace prints it.
+sending node's stream. A flow's context object (``EnrollCtx``,
+``RuntimeCtx``, ``HandshakeCtx``) is itself the message of the flow's
+request, response and server hops: just before it sends, the sender sets
+the ``kind``, and the server id or outcome the hop carries, on the context.
+That is sound because a flow has at most one message queued at a time, and
+its trace line is printed before the handler moves the context on to its
+next hop. The other hops have one message class per shape, and carry the
+flow context as ``ctx`` where they continue a flow, so node handlers stay
+stateless between hops. Where a shape serves several hops (``DbAck``,
+``Tick``, ...) the kind is data, set when the message is built; the trace
+prints it.
 
 ``WorldBase`` holds what every world has: devices, engines, handlers, and
 ``_put``, the profile write into a store (``topology``'s database or device)
@@ -104,7 +110,9 @@ STALE_PROFILES = Outcome.STALE_PROFILES
 @dataclass(slots=True)
 class EnrollCtx:
     """One enrollment flow: the versions of its legs still to send (None:
-    any server), and the profiles made so far; tuples that a leg replaces."""
+    any server), and the profiles made so far; tuples that a leg replaces.
+    It is the flow's message on the enroll-request and enroll-response
+    hops, the latter with the ``outcome`` answered."""
 
     user_id: str
     device_id: str
@@ -112,18 +120,29 @@ class EnrollCtx:
     samples: EnrollmentAudio
     plan: tuple[VersionId | None, ...] = ()
     background: bool = False
-    pinned_server: str | None = None
-    # the runtime request this in-path re-enrollment serves; None for a
-    # request of its own, which is recorded
+    # the runtime request this in-path re-enrollment serves, whose pinned
+    # server its leg goes to; None for a request of its own, which is recorded
     parent: "RuntimeCtx | None" = None
     produced: tuple[UserProfile, ...] = ()
+    kind: str = ""
+    outcome: Outcome | None = None
+
+    def summary(self) -> str:
+        if self.kind == "enroll-request":
+            return f"user={self.user_id}"
+        # ``_value_`` is a plain attribute; ``Enum.value`` is a slower property
+        return f"user={self.user_id} outcome={self.outcome._value_}"
 
 
 @dataclass(slots=True)
 class RuntimeCtx:
     """One runtime request: the speaking user's profiles, oldest first, and
     on the server side the stored audio and the profile repaired from it.
-    The profiles are the store's own tuple, shared and never changed."""
+    The profiles are the store's own tuple, shared and never changed. It is
+    the flow's message on the runtime-request and runtime-response hops, the
+    latter with the ``outcome`` answered, and on the hops bound to
+    ``server_id``: recognize-job, recognize-job-done, and the retry-signal
+    and retry-needed that send a stale hybrid profile back to its device."""
 
     user_id: str
     device_id: str
@@ -133,19 +152,41 @@ class RuntimeCtx:
     refreshed: UserProfile | None = None
     reenrolls: int = 0
     pinned_server: str | None = None
+    kind: str = ""
+    server_id: str | None = None
+    outcome: Outcome | None = None
+
+    def summary(self) -> str:
+        kind = self.kind
+        if kind == "runtime-request":
+            return f"user={self.user_id}"
+        if kind == "runtime-response":
+            return f"user={self.user_id} outcome={self.outcome._value_}"
+        if kind == "recognize-job-done":
+            return (
+                f"user={self.user_id} server={self.server_id} "
+                f"reenrolled={'0' if self.refreshed is None else '1'}"
+            )
+        return f"user={self.user_id} server={self.server_id}"
 
 
 @dataclass(slots=True)
 class HandshakeCtx:
+    """One handshake, and its message on the handshake-request hop."""
+
+    kind: ClassVar[str] = "handshake-request"
     user_id: str
     device_id: str
     submitted: int
 
+    def summary(self) -> str:
+        return f"user={self.user_id}"
+
 
 # ---------------------------------------------------------------------------
-# message payloads: one class per hop shape. ``kind`` routes the event and is
-# printed in its trace line; it is a field where one shape serves several
-# kinds and a class constant otherwise.
+# the other message payloads: one class per hop shape. ``kind`` routes the
+# event and is printed in its trace line; it is a field where one shape
+# serves several kinds and a class constant otherwise.
 
 @dataclass(slots=True)
 class EnrollArrival:
@@ -267,32 +308,6 @@ class DispatchRetry:
 
 
 @dataclass(slots=True)
-class Request:
-    """A request from the device: enroll-request, runtime-request or
-    handshake-request."""
-
-    kind: str
-    ctx: EnrollCtx | RuntimeCtx | HandshakeCtx
-
-    def summary(self) -> str:
-        return f"user={self.ctx.user_id}"
-
-
-@dataclass(slots=True)
-class Response:
-    """enroll-response (a hybrid device stores the ``produced`` profiles of
-    its ctx) or runtime-response."""
-
-    kind: str
-    ctx: EnrollCtx | RuntimeCtx
-    outcome: Outcome
-
-    def summary(self) -> str:
-        # ``_value_`` is a plain attribute; ``Enum.value`` is a slower property
-        return f"user={self.ctx.user_id} outcome={self.outcome._value_}"
-
-
-@dataclass(slots=True)
 class EnrollJob:
     kind: ClassVar[str] = "enroll-job"
     ctx: object
@@ -316,33 +331,6 @@ class EnrollJobDone:
         return (
             f"user={self.profile.user_id} server={self.server_id} "
             f"version={self.profile.version.id} for={self.token}"
-        )
-
-
-@dataclass(slots=True)
-class ServerHop:
-    """A runtime request bound to one server: recognize-job, or the
-    retry-signal and retry-needed that send a stale hybrid profile back to
-    its device."""
-
-    kind: str
-    ctx: RuntimeCtx
-    server_id: str
-
-    def summary(self) -> str:
-        return f"user={self.ctx.user_id} server={self.server_id}"
-
-
-@dataclass(slots=True)
-class RecognizeJobDone:
-    kind: ClassVar[str] = "recognize-job-done"
-    ctx: RuntimeCtx
-    server_id: str
-
-    def summary(self) -> str:
-        return (
-            f"user={self.ctx.user_id} server={self.server_id} "
-            f"reenrolled={'0' if self.ctx.refreshed is None else '1'}"
         )
 
 
@@ -642,13 +630,10 @@ class CloudWorldBase(WorldBase):
         done = EnrollJobDone(msg.ctx, msg.server_id, profile, msg.token)
         self._cloud_to_frontend(msg.server_id, done, engine.enroll_duration_ms(len(msg.samples)))
 
-    def _on_recognize_job(self, target, msg: ServerHop):
-        server_id, ctx = msg.server_id, msg.ctx
-        work = self._service_runtime(self.clouds[server_id].engine, ctx)
-        if work is None:
-            self._cloud_to_frontend(server_id, ServerHop("retry-signal", ctx, server_id))
-            return
-        self._cloud_to_frontend(server_id, RecognizeJobDone(ctx, server_id), work)
+    def _on_recognize_job(self, target, ctx: RuntimeCtx):
+        work = self._service_runtime(self.clouds[ctx.server_id].engine, ctx)
+        ctx.kind = "retry-signal" if work is None else "recognize-job-done"
+        self._cloud_to_frontend(ctx.server_id, ctx, work or 0)
 
     def _service_runtime(self, engine: EngineInstance, ctx: RuntimeCtx) -> int | None:
         """Recognize the request on ``engine`` with the user's profile for the
@@ -697,10 +682,11 @@ class CloudWorldBase(WorldBase):
     def _request_enroll(self, ctx: EnrollCtx) -> None:
         """The device sends an enroll-request: a request of its own, or a
         background or in-path re-enrollment."""
-        self._device_to_frontend(ctx.device_id, Request("enroll-request", ctx))
+        ctx.kind = "enroll-request"
+        self._device_to_frontend(ctx.device_id, ctx)
 
-    def _on_enroll_request(self, target, msg: Request):
-        self._store_audio(msg.ctx)
+    def _on_enroll_request(self, target, ctx: EnrollCtx):
+        self._store_audio(ctx)
 
     def _store_audio(self, ctx: EnrollCtx) -> None:
         self._start_enroll(ctx)
@@ -714,14 +700,14 @@ class CloudWorldBase(WorldBase):
         self._next_enroll_leg(ctx)
 
     def _next_enroll_leg(self, ctx: EnrollCtx) -> None:
-        """Send the enroll job for the next leg of ``ctx.plan``: to the pinned
-        server, else to a live server of the leg's version (of any version
-        for None). A leg whose version no server serves is skipped. Once the
-        plan is used up, answer the device."""
+        """Send the enroll job for the next leg of ``ctx.plan``: to the server
+        the runtime request it serves is pinned to, else to a live server of
+        the leg's version (of any version for None). A leg whose version no
+        server serves is skipped. Once the plan is used up, answer the device."""
         while ctx.plan:
             version, ctx.plan = ctx.plan[0], ctx.plan[1:]
-            if ctx.pinned_server is not None:
-                server_id = ctx.pinned_server
+            if ctx.parent is not None:
+                server_id = ctx.parent.pinned_server
             else:
                 eligible = (
                     self.frontend.server_ids if version is None else self.servers_serving(version)
@@ -750,18 +736,20 @@ class CloudWorldBase(WorldBase):
         self._next_enroll_leg(ctx)
 
     def _respond_enroll(self, ctx: EnrollCtx, outcome: Outcome) -> None:
-        self._frontend_to_device(ctx.device_id, Response("enroll-response", ctx, outcome))
+        ctx.kind = "enroll-response"
+        ctx.outcome = outcome
+        self._frontend_to_device(ctx.device_id, ctx)
 
-    def _on_enroll_response(self, target, msg: Response):
-        ctx = msg.ctx
+    def _on_enroll_response(self, target, ctx: EnrollCtx):
         self._store_produced(ctx)
         if ctx.parent is None:
-            self.log.request_done("ENROLL", ctx.user_id, ctx.submitted, self.sim.now, msg.outcome)
+            self.log.request_done("ENROLL", ctx.user_id, ctx.submitted, self.sim.now, ctx.outcome)
             return
         parent = ctx.parent
         parent.reenrolls += 1
         parent.profiles = self.devices[ctx.device_id].profiles_for(ctx.user_id)
-        self._device_to_frontend(ctx.device_id, Request("runtime-request", parent))
+        parent.kind = "runtime-request"
+        self._device_to_frontend(ctx.device_id, parent)
 
     def _store_produced(self, ctx: EnrollCtx) -> None:
         """Keep the produced profiles when the response reaches the device."""
@@ -774,13 +762,16 @@ class CloudWorldBase(WorldBase):
         device_id = self._device_ids[target]
         profiles = self.devices[device_id].profiles_for(msg.user_id)
         ctx = RuntimeCtx(msg.user_id, device_id, self.sim.now, profiles)
-        self._device_to_frontend(device_id, Request("runtime-request", ctx))
+        ctx.kind = "runtime-request"
+        self._device_to_frontend(device_id, ctx)
 
-    def _on_runtime_request(self, target, msg: Request):
-        self._dispatch_runtime(msg.ctx)
+    def _on_runtime_request(self, target, ctx: RuntimeCtx):
+        self._dispatch_runtime(ctx)
 
     def _send_recognize_job(self, server_id: str, ctx: RuntimeCtx) -> None:
-        self._frontend_to_cloud(server_id, ServerHop("recognize-job", ctx, server_id))
+        ctx.kind = "recognize-job"
+        ctx.server_id = server_id
+        self._frontend_to_cloud(server_id, ctx)
 
     def _dispatch_runtime(self, ctx: RuntimeCtx) -> None:
         """Single-version dispatch: to the pinned server, else to any server."""
@@ -801,14 +792,15 @@ class CloudWorldBase(WorldBase):
 
     # -- runtime responses
 
-    def _on_recognize_job_done(self, target, msg: RecognizeJobDone):
-        self._respond_runtime(msg.ctx, OK)
+    def _on_recognize_job_done(self, target, ctx: RuntimeCtx):
+        self._respond_runtime(ctx, OK)
 
     def _respond_runtime(self, ctx: RuntimeCtx, outcome: Outcome) -> None:
-        self._frontend_to_device(ctx.device_id, Response("runtime-response", ctx, outcome))
+        ctx.kind = "runtime-response"
+        ctx.outcome = outcome
+        self._frontend_to_device(ctx.device_id, ctx)
 
-    def _on_runtime_response(self, target, msg: Response):
-        ctx = msg.ctx
+    def _on_runtime_response(self, target, ctx: RuntimeCtx):
         self.log.request_done(
-            "RUNTIME", ctx.user_id, ctx.submitted, self.sim.now, msg.outcome, ctx.reenrolls
+            "RUNTIME", ctx.user_id, ctx.submitted, self.sim.now, ctx.outcome, ctx.reenrolls
         )

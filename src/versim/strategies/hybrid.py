@@ -27,11 +27,8 @@ from .common import (
     EnrollCtx,
     HandshakeCtx,
     HandshakeReply,
-    Request,
-    Response,
     RuntimeArrival,
     RuntimeCtx,
-    ServerHop,
     Tick,
 )
 
@@ -87,19 +84,17 @@ class HybridWorldBase(CloudWorldBase):
             return
         super()._on_runtime_arrival(target, msg)
 
-    def _on_retry_signal(self, target, msg: ServerHop):
-        self._frontend_to_device(
-            msg.ctx.device_id, ServerHop("retry-needed", msg.ctx, msg.server_id)
-        )
+    def _on_retry_signal(self, target, ctx: RuntimeCtx):
+        ctx.kind = "retry-needed"
+        self._frontend_to_device(ctx.device_id, ctx)
 
-    def _on_retry_needed(self, target, msg: ServerHop):
+    def _on_retry_needed(self, target, ctx: RuntimeCtx):
         # re-enroll on the server that reported the mismatch, then retry there
-        ctx = msg.ctx
-        pin = ctx.pinned_server = msg.server_id
+        ctx.pinned_server = ctx.server_id
         samples = self.devices[ctx.device_id].stored_audio[ctx.user_id]
-        # one leg, not in the background, pinned, for ``ctx``
+        # one leg, not in the background, on the server ``ctx`` is pinned to
         self._request_enroll(
-            EnrollCtx(ctx.user_id, ctx.device_id, self.sim.now, samples, (None,), False, pin, ctx)
+            EnrollCtx(ctx.user_id, ctx.device_id, self.sim.now, samples, (None,), False, ctx)
         )
 
     # -- handshake
@@ -108,10 +103,10 @@ class HybridWorldBase(CloudWorldBase):
         self.sim.schedule_in(self.cfg.handshake_period_ms, target, msg)
         device_id = self._device_ids[target]
         ctx = HandshakeCtx(device_id, device_id, self.sim.now)
-        self._device_to_frontend(device_id, Request("handshake-request", ctx))
+        self._device_to_frontend(device_id, ctx)
 
-    def _on_handshake_request(self, target, msg: Request):
-        self._frontend_to_device(msg.ctx.device_id, HandshakeReply(msg.ctx, self.served_versions))
+    def _on_handshake_request(self, target, ctx: HandshakeCtx):
+        self._frontend_to_device(ctx.device_id, HandshakeReply(ctx, self.served_versions))
 
     def _on_handshake_reply(self, target, msg: HandshakeReply):
         ctx = msg.ctx
@@ -147,7 +142,7 @@ class HybridDoubleWorld(HybridWorldBase):
         if not self._dispatch_to_common_version(ctx):
             self._respond_runtime(ctx, STALE_PROFILES)
 
-    def _on_runtime_response(self, target, msg: Response):
-        super()._on_runtime_response(target, msg)
-        if msg.outcome is STALE_PROFILES and self.served_versions:
-            self._start_background_enroll(msg.ctx.device_id, msg.ctx.user_id, self.served_versions)
+    def _on_runtime_response(self, target, ctx: RuntimeCtx):
+        super()._on_runtime_response(target, ctx)
+        if ctx.outcome is STALE_PROFILES and self.served_versions:
+            self._start_background_enroll(ctx.device_id, ctx.user_id, self.served_versions)

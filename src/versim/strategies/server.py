@@ -51,8 +51,6 @@ from .common import (
     EnrollCtx,
     EnrollJobDone,
     JobRejected,
-    RecognizeJobDone,
-    Request,
     RuntimeCtx,
     SyncProbe,
     SyncReply,
@@ -135,8 +133,8 @@ class ServerWorldBase(CloudWorldBase):
 
     # -- runtime flow
 
-    def _on_runtime_request(self, target, msg: Request):
-        self._frontend_to_db(DbFetch(msg.ctx.user_id, "runtime.fetched", msg.ctx))
+    def _on_runtime_request(self, target, ctx: RuntimeCtx):
+        self._frontend_to_db(DbFetch(ctx.user_id, "runtime.fetched", ctx))
 
     def _runtime_fetched(self, msg: DbFetchReply):
         ctx: RuntimeCtx = msg.ctx
@@ -148,8 +146,7 @@ class ServerWorldBase(CloudWorldBase):
             return
         self._dispatch_runtime(ctx)
 
-    def _on_recognize_job_done(self, target, msg: RecognizeJobDone):
-        ctx = msg.ctx
+    def _on_recognize_job_done(self, target, ctx: RuntimeCtx):
         if ctx.refreshed is not None:
             self._frontend_to_db(DbPutProfile(ctx.refreshed, "runtime.put", ctx))
             return
@@ -267,17 +264,17 @@ class SyncTableServerWorld(OnlineServerWorld):
     # -- a server mid-update refuses work
 
     def _on_enroll_job(self, target, msg):
-        if not self._refused(msg, "enroll"):
+        if not self._refused(msg.server_id, msg.ctx, "enroll"):
             super()._on_enroll_job(target, msg)
 
-    def _on_recognize_job(self, target, msg):
-        if not self._refused(msg, "runtime"):
-            super()._on_recognize_job(target, msg)
+    def _on_recognize_job(self, target, ctx):
+        if not self._refused(ctx.server_id, ctx, "runtime"):
+            super()._on_recognize_job(target, ctx)
 
-    def _refused(self, msg, flow: str) -> bool:
-        if not self.clouds[msg.server_id].updating:
+    def _refused(self, server_id: str, ctx, flow: str) -> bool:
+        if not self.clouds[server_id].updating:
             return False
-        self._cloud_to_frontend(msg.server_id, JobRejected(msg.ctx, msg.server_id, flow))
+        self._cloud_to_frontend(server_id, JobRejected(ctx, server_id, flow))
         return True
 
     # -- dispatch from the table: the enrollment's one leg and every runtime
@@ -382,19 +379,19 @@ class OfflineServerWorld(ServerWorldBase):
     # -- the window is open while a release is active: it refuses new
     # requests; an admitted one is counted until its answer
 
-    def _on_enroll_request(self, target, msg):
+    def _on_enroll_request(self, target, ctx):
         if self.active_release is not None:
-            self._respond_enroll(msg.ctx, MAINTENANCE)
+            self._respond_enroll(ctx, MAINTENANCE)
             return
         self._inflight += 1
-        super()._on_enroll_request(target, msg)
+        super()._on_enroll_request(target, ctx)
 
-    def _on_runtime_request(self, target, msg):
+    def _on_runtime_request(self, target, ctx):
         if self.active_release is not None:
-            self._respond_runtime(msg.ctx, MAINTENANCE)
+            self._respond_runtime(ctx, MAINTENANCE)
             return
         self._inflight += 1
-        super()._on_runtime_request(target, msg)
+        super()._on_runtime_request(target, ctx)
 
     def _respond_enroll(self, ctx, outcome):
         super()._respond_enroll(ctx, outcome)
@@ -471,12 +468,11 @@ class DoubleServerWorld(ServerWorldBase):
                 f"(served: {[v.id for v in self.served_versions]})"
             )
 
-    def _on_recognize_job_done(self, target, msg: RecognizeJobDone):
-        ctx = msg.ctx
+    def _on_recognize_job_done(self, target, ctx: RuntimeCtx):
         if ctx.profiles[-1].version.seq < self.served_versions[-1].seq:
             self._queue_reenroll(ctx.user_id)
         self._kick_sweep()
-        super()._on_recognize_job_done(target, msg)
+        super()._on_recognize_job_done(target, ctx)
 
     # release rollout: the base rolls the older group; the release stays open
     # until the sweep is done

@@ -5,14 +5,21 @@ link costs and engine work, so the numbers below are computed from the
 scenario, not observed and pasted back.
 """
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+from test_acceptance import _COMBOS, _sweep_scenario
 from test_output_digests import EDGES
 from versim.domain import Outcome
+from versim.kernel import Simulator
 from versim.metrics import RequestKind
 from versim.runner import build, run
-from versim.scenario import scenario_from_dict
-from versim.strategies.common import EnrollCtx, RuntimeCtx
+from versim.scenario import load_scenario, scenario_from_dict
+from versim.strategies.common import EnrollCtx, HandshakeCtx, RuntimeCtx
+
+SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
 
 
 def _runtime_records(result):
@@ -511,17 +518,90 @@ def test_a_runtime_request_holds_the_store_tuple_itself(strategy, kind):
     handle, checked = world.handle, []
 
     def handle_and_check(target, payload):
+        # read before the handler runs: a flow context that is its own
+        # message carries its next hop's kind once the handler sends it on
+        hop, ctx = payload.kind, getattr(payload, "ctx", payload)
         handle(target, payload)
-        if payload.kind == kind:
+        if hop == kind:
             stored = store.profiles_for("u000")
             assert type(stored) is tuple and len(stored) == 1
-            assert payload.ctx.profiles is stored
+            assert ctx.profiles is stored
             assert getattr(payload, "profiles", stored) is stored
             checked.append(payload)
 
     world.handle = handle_and_check
     sim.run_until(3000)
     assert len(checked) == 2
+
+
+_FLOW_CONTEXTS = (EnrollCtx, RuntimeCtx, HandshakeCtx)
+
+
+def _flow_of(payload):
+    """The flow context an event moves: the payload itself on a request,
+    response or server hop, else the ``ctx`` the payload carries."""
+    for ctx in (payload, getattr(payload, "ctx", None)):
+        if type(ctx) in _FLOW_CONTEXTS:
+            return ctx
+    return None
+
+
+_QUEUE_RUNS = [
+    pytest.param(strategy, initial, servers, seed, id=f"{name}-{servers}s-seed{seed}")
+    for name, strategy, initial in _COMBOS
+    for servers in (3, 16)
+    for seed in (1, 2)
+]
+
+
+def _flows_queued_twice(monkeypatch, scenario) -> list[str]:
+    """Run ``scenario`` and return the kind of every event that queued a
+    flow context already queued for another event."""
+    sim, world, _ = build(scenario)
+    queued, twice = set(), []
+    send, schedule, handle = Simulator.send, Simulator.schedule, world.handle
+
+    def note(payload):
+        ctx = _flow_of(payload)
+        if ctx is not None:
+            if id(ctx) in queued:
+                twice.append(payload.kind)
+            queued.add(id(ctx))
+
+    def note_send(self, link, rng, target, payload, extra=0):
+        note(payload)
+        send(self, link, rng, target, payload, extra)
+
+    def note_schedule(self, at, target, payload):
+        note(payload)
+        schedule(self, at, target, payload)
+
+    def handle_and_clear(target, payload):
+        queued.discard(id(_flow_of(payload)))
+        handle(target, payload)
+
+    monkeypatch.setattr(Simulator, "send", note_send)
+    monkeypatch.setattr(Simulator, "schedule", note_schedule)
+    world.handle = handle_and_clear
+    sim.run_until(scenario.duration_ms)
+    return twice
+
+
+@pytest.mark.parametrize("strategy, initial, servers, seed", _QUEUE_RUNS)
+def test_no_flow_context_is_queued_for_two_events_at_once(
+    monkeypatch, strategy, initial, servers, seed
+):
+    """A flow context is the message of its request, response and server
+    hops, and a handler sets its next hop's kind on it; that is sound only
+    while each flow has at most one event queued, as the message or as the
+    ``ctx`` of one."""
+    scenario = replace(_sweep_scenario(strategy, initial, seed), cloud_servers=servers)
+    assert _flows_queued_twice(monkeypatch, scenario) == []
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
+def test_no_flow_context_is_queued_twice_in_the_shipped_scenarios(monkeypatch, path):
+    assert _flows_queued_twice(monkeypatch, load_scenario(path)) == []
 
 
 # -- sync-table mitigation
