@@ -10,16 +10,16 @@ the world's method named for it, dashes written as underscores: kind
 Request flows are chains of messages. Each hop is one traced event that
 ``Simulator.send`` queues on its link, with the latency drawn from the
 sending node's stream. A flow's context object (``EnrollCtx``,
-``RuntimeCtx``, ``HandshakeCtx``) is itself the message of the flow's
-request, response and server hops: just before it sends, the sender sets
-the ``kind``, and the server id or outcome the hop carries, on the context.
-That is sound because a flow has at most one message queued at a time, and
-its trace line is printed before the handler moves the context on to its
-next hop. The other hops have one message class per shape, and carry the
-flow context as ``ctx`` where they continue a flow, so node handlers stay
-stateless between hops. Where a shape serves several hops (``DbAck``,
-``Tick``, ...) the kind is data, set when the message is built; the trace
-prints it.
+``RuntimeCtx``, ``HandshakeCtx``, and the re-enrollment pump's
+``server._SweepCtx``) is itself the message of every hop of the flow, so
+node handlers stay stateless between hops: just before it sends, the
+sender sets the hop's ``kind`` on the context, with the server id, the
+continuation ``token`` or the outcome the hop carries, and a handler writes
+what its node produced (a fetched row, an enrolled profile) onto it. That is
+sound because a flow has at most one message queued at a time, and its
+trace line is printed before the handler moves the context on to its next
+hop. The hops outside a flow (arrivals, releases, ticks, sync probes) have
+one message class per shape.
 
 ``WorldBase`` holds what every world has: devices, engines, handlers, and
 ``_put``, the profile write into a store (``topology``'s database or device)
@@ -105,88 +105,137 @@ STALE_PROFILES = Outcome.STALE_PROFILES
 
 
 # ---------------------------------------------------------------------------
-# flow contexts
+# flow contexts. Each is the message of every hop of its flow: the sender
+# sets the hop's ``kind`` on it, with the ``server_id`` and the continuation
+# ``token`` the hop carries, and the trace prints the summary that
+# ``_SUMMARIES`` gives for the kind.
+
+
+def _user(ctx) -> str:
+    return f"user={ctx.user_id}"
+
+
+def _answered(ctx) -> str:
+    # ``_value_`` is a plain attribute; ``Enum.value`` is a slower property
+    return f"user={ctx.user_id} outcome={ctx.outcome._value_}"
+
+
+def _on_server(ctx) -> str:
+    return f"user={ctx.user_id} server={ctx.server_id}"
+
+
+def _acked(ctx) -> str:
+    return f"for={ctx.token}"
+
+
+_SUMMARIES: dict[str, Callable[..., str]] = {
+    "enroll-request": _user,
+    "runtime-request": _user,
+    "handshake-request": _user,
+    "enroll-response": _answered,
+    "runtime-response": _answered,
+    "recognize-job": _on_server,
+    "retry-signal": _on_server,
+    "retry-needed": _on_server,
+    "recognize-job-done": lambda c: (
+        f"user={c.user_id} server={c.server_id} reenrolled={'1' if c.produced else '0'}"
+    ),
+    "handshake-reply": lambda c: (
+        f"user={c.user_id} serves={','.join([v.id for v in c.versions]) or '-'}"
+    ),
+    "dispatch-retry": lambda c: f"flow={c.flow} user={c.user_id}",
+    "job-rejected": lambda c: f"flow={c.flow} server={c.server_id}",
+    "enroll-job": lambda c: f"user={c.user_id} server={c.server_id} for={c.token}",
+    "enroll-job-done": lambda c: (
+        f"user={c.user_id} server={c.server_id} "
+        f"version={c.produced[-1].version.id} for={c.token}"
+    ),
+    "db-store-audio": lambda c: f"user={c.user_id} for={c.token}",
+    "db-store-ack": _acked,
+    "db-put-ack": _acked,
+    "db-fetch": lambda c: f"users={c.user_id} for={c.token}",
+    # a row always has audio, so ``rows`` counts it by that
+    "db-fetch-reply": lambda c: f"rows={'1' if c.audio else '0'} for={c.token}",
+    "db-put-profile": lambda c: f"{c.user_id}@{c.produced[-1].version.id} for={c.token}",
+}
+
+
+class FlowCtx:
+    """A flow context, traced by the summary of its hop's kind."""
+
+    __slots__ = ()
+
+    def summary(self) -> str:
+        return _SUMMARIES[self.kind](self)
+
 
 @dataclass(slots=True)
-class EnrollCtx:
-    """One enrollment flow: the versions of its legs still to send (None:
-    any server), and the profiles made so far; tuples that a leg replaces.
-    It is the flow's message on the enroll-request and enroll-response
-    hops, the latter with the ``outcome`` answered."""
+class EnrollCtx(FlowCtx):
+    """One enrollment flow: its ``audio``, the versions of its legs still to
+    send (None: any server), and the profiles made so far; tuples that a leg
+    replaces. It is the message of enroll-request, enroll-job and
+    enroll-job-done, job-rejected and dispatch-retry, the database's
+    store-audio and put hops and their acks, and enroll-response, the last
+    with the ``outcome`` answered."""
 
+    flow: ClassVar[str] = "enroll"
     user_id: str
     device_id: str
     submitted: int
-    samples: EnrollmentAudio
+    audio: EnrollmentAudio
     plan: tuple[VersionId | None, ...] = ()
     background: bool = False
-    # the runtime request this in-path re-enrollment serves, whose pinned
-    # server its leg goes to; None for a request of its own, which is recorded
+    # the runtime request this in-path re-enrollment serves, whose server its
+    # leg goes to; None for a request of its own, which is recorded
     parent: "RuntimeCtx | None" = None
     produced: tuple[UserProfile, ...] = ()
     kind: str = ""
+    server_id: str | None = None
+    token: str = ""
     outcome: Outcome | None = None
-
-    def summary(self) -> str:
-        if self.kind == "enroll-request":
-            return f"user={self.user_id}"
-        # ``_value_`` is a plain attribute; ``Enum.value`` is a slower property
-        return f"user={self.user_id} outcome={self.outcome._value_}"
 
 
 @dataclass(slots=True)
-class RuntimeCtx:
+class RuntimeCtx(FlowCtx):
     """One runtime request: the speaking user's profiles, oldest first, and
-    on the server side the stored audio and the profile repaired from it.
-    The profiles are the store's own tuple, shared and never changed. It is
-    the flow's message on the runtime-request and runtime-response hops, the
-    latter with the ``outcome`` answered, and on the hops bound to
-    ``server_id``: recognize-job, recognize-job-done, and the retry-signal
-    and retry-needed that send a stale hybrid profile back to its device."""
+    on the server side the fetched audio and the profile ``produced`` from
+    it by a repair. The profiles are the store's own tuple, shared and never
+    changed. It is the message of runtime-request, the database's fetch and
+    put hops and their replies, recognize-job and recognize-job-done,
+    job-rejected and dispatch-retry, the retry-signal and retry-needed that
+    send a stale hybrid profile back to its device, and runtime-response,
+    the last with the ``outcome`` answered."""
 
+    flow: ClassVar[str] = "runtime"
     user_id: str
     device_id: str
     submitted: int
     profiles: tuple[UserProfile, ...] = ()
     audio: EnrollmentAudio | tuple[()] = ()
-    refreshed: UserProfile | None = None
+    produced: tuple[UserProfile, ...] = ()
     reenrolls: int = 0
-    pinned_server: str | None = None
     kind: str = ""
     server_id: str | None = None
+    token: str = ""
     outcome: Outcome | None = None
-
-    def summary(self) -> str:
-        kind = self.kind
-        if kind == "runtime-request":
-            return f"user={self.user_id}"
-        if kind == "runtime-response":
-            return f"user={self.user_id} outcome={self.outcome._value_}"
-        if kind == "recognize-job-done":
-            return (
-                f"user={self.user_id} server={self.server_id} "
-                f"reenrolled={'0' if self.refreshed is None else '1'}"
-            )
-        return f"user={self.user_id} server={self.server_id}"
 
 
 @dataclass(slots=True)
-class HandshakeCtx:
-    """One handshake, and its message on the handshake-request hop."""
+class HandshakeCtx(FlowCtx):
+    """One handshake: the message of handshake-request, and of the
+    handshake-reply that brings the served ``versions`` back."""
 
-    kind: ClassVar[str] = "handshake-request"
     user_id: str
     device_id: str
     submitted: int
-
-    def summary(self) -> str:
-        return f"user={self.user_id}"
+    kind: str = "handshake-request"
+    versions: tuple[VersionId, ...] = ()
 
 
 # ---------------------------------------------------------------------------
-# the other message payloads: one class per hop shape. ``kind`` routes the
-# event and is printed in its trace line; it is a field where one shape
-# serves several kinds and a class constant otherwise.
+# the messages of the hops outside a flow: one class per hop shape. ``kind``
+# routes the event and is printed in its trace line; it is a field where one
+# shape serves several kinds and a class constant otherwise.
 
 @dataclass(slots=True)
 class EnrollArrival:
@@ -295,128 +344,6 @@ class SyncReply:
     def summary(self) -> str:
         served = ",".join([v.id for v in self.versions]) or "-"
         return f"round={self.round_id} server={self.server_id} serves={served}"
-
-
-@dataclass(slots=True)
-class DispatchRetry:
-    kind: ClassVar[str] = "dispatch-retry"
-    ctx: object
-    flow: str
-
-    def summary(self) -> str:
-        return f"flow={self.flow} user={self.ctx.user_id}"
-
-
-@dataclass(slots=True)
-class EnrollJob:
-    kind: ClassVar[str] = "enroll-job"
-    ctx: object
-    server_id: str
-    samples: EnrollmentAudio
-    token: str
-
-    def summary(self) -> str:
-        return f"user={self.ctx.user_id} server={self.server_id} for={self.token}"
-
-
-@dataclass(slots=True)
-class EnrollJobDone:
-    kind: ClassVar[str] = "enroll-job-done"
-    ctx: object
-    server_id: str
-    profile: UserProfile
-    token: str
-
-    def summary(self) -> str:
-        return (
-            f"user={self.profile.user_id} server={self.server_id} "
-            f"version={self.profile.version.id} for={self.token}"
-        )
-
-
-@dataclass(slots=True)
-class JobRejected:
-    kind: ClassVar[str] = "job-rejected"
-    ctx: object
-    server_id: str
-    flow: str
-
-    def summary(self) -> str:
-        return f"flow={self.flow} server={self.server_id}"
-
-
-@dataclass(slots=True)
-class HandshakeReply:
-    kind: ClassVar[str] = "handshake-reply"
-    ctx: HandshakeCtx
-    versions: tuple[VersionId, ...]
-
-    def summary(self) -> str:
-        served = ",".join([v.id for v in self.versions]) or "-"
-        return f"user={self.ctx.user_id} serves={served}"
-
-
-@dataclass(slots=True)
-class DbStoreAudio:
-    """Store the enrollment audio of ``ctx``."""
-
-    kind: ClassVar[str] = "db-store-audio"
-    token: str
-    ctx: EnrollCtx
-
-    def summary(self) -> str:
-        return f"user={self.ctx.user_id} for={self.token}"
-
-
-@dataclass(slots=True)
-class DbAck:
-    """db-store-ack or db-put-ack: the database is done; ``token`` names the
-    flow step that continues."""
-
-    kind: str
-    token: str
-    ctx: object
-
-    def summary(self) -> str:
-        return f"for={self.token}"
-
-
-@dataclass(slots=True)
-class DbFetch:
-    kind: ClassVar[str] = "db-fetch"
-    user_id: str
-    token: str
-    ctx: object
-
-    def summary(self) -> str:
-        return f"users={self.user_id} for={self.token}"
-
-
-@dataclass(slots=True)
-class DbFetchReply:
-    """The fetched user's profiles and audio; both empty when the user has no
-    row yet. A row always has audio, so ``rows`` counts it by that."""
-
-    kind: ClassVar[str] = "db-fetch-reply"
-    profiles: tuple[UserProfile, ...]
-    audio: EnrollmentAudio | tuple[()]
-    token: str
-    ctx: object
-
-    def summary(self) -> str:
-        return f"rows={'1' if self.audio else '0'} for={self.token}"
-
-
-@dataclass(slots=True)
-class DbPutProfile:
-    kind: ClassVar[str] = "db-put-profile"
-    profile: UserProfile
-    token: str
-    ctx: object
-
-    def summary(self) -> str:
-        p = self.profile
-        return f"{p.user_id}@{p.version.id} for={self.token}"
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +465,7 @@ class CloudWorldBase(WorldBase):
         self._update_remaining: set[str] = set()
         self._index_served()
         # token -> step function, unbound for the same reason as ``_handlers``
-        self._conts: dict[str, Callable] = {self.leg_token: type(self)._enroll_leg_done}
+        self._conts: dict[str, Callable] = {self.leg_token: type(self)._store_leg}
 
     # -- one-hop sends: each hop goes out on its link through
     # ``Simulator.send``, which draws the latency from the sending node's
@@ -624,11 +551,11 @@ class CloudWorldBase(WorldBase):
 
     # -- cloud jobs; a server mid-update still serves on its old engine
 
-    def _on_enroll_job(self, target, msg: EnrollJob):
-        engine = self.clouds[msg.server_id].engine
-        profile = engine.enroll(msg.ctx.user_id, msg.samples)
-        done = EnrollJobDone(msg.ctx, msg.server_id, profile, msg.token)
-        self._cloud_to_frontend(msg.server_id, done, engine.enroll_duration_ms(len(msg.samples)))
+    def _on_enroll_job(self, target, ctx):
+        engine = self.clouds[ctx.server_id].engine
+        ctx.produced += (engine.enroll(ctx.user_id, ctx.audio),)
+        ctx.kind = "enroll-job-done"
+        self._cloud_to_frontend(ctx.server_id, ctx, engine.enroll_duration_ms(len(ctx.audio)))
 
     def _on_recognize_job(self, target, ctx: RuntimeCtx):
         work = self._service_runtime(self.clouds[ctx.server_id].engine, ctx)
@@ -701,13 +628,13 @@ class CloudWorldBase(WorldBase):
 
     def _next_enroll_leg(self, ctx: EnrollCtx) -> None:
         """Send the enroll job for the next leg of ``ctx.plan``: to the server
-        the runtime request it serves is pinned to, else to a live server of
-        the leg's version (of any version for None). A leg whose version no
+        that sent the runtime request it serves back, else to a live server
+        of the leg's version (of any version for None). A leg whose version no
         server serves is skipped. Once the plan is used up, answer the device."""
         while ctx.plan:
             version, ctx.plan = ctx.plan[0], ctx.plan[1:]
             if ctx.parent is not None:
-                server_id = ctx.parent.pinned_server
+                server_id = ctx.parent.server_id
             else:
                 eligible = (
                     self.frontend.server_ids if version is None else self.servers_serving(version)
@@ -715,24 +642,25 @@ class CloudWorldBase(WorldBase):
                 if not eligible:
                     continue
                 server_id = self.frontend.choose(ctx.user_id, eligible)
-            self._send_enroll_job(server_id, ctx, ctx.samples, self.leg_token)
+            self._send_enroll_job(server_id, ctx, self.leg_token)
             return
         self._respond_enroll(ctx, OK)
 
-    def _send_enroll_job(self, server_id: str, ctx, samples, token: str) -> None:
-        self._frontend_to_cloud(server_id, EnrollJob(ctx, server_id, samples, token))
+    def _send_enroll_job(self, server_id: str, ctx, token: str) -> None:
+        """Enroll ``ctx.audio`` on the server; ``token`` names the step that
+        takes the produced profile, the last of ``ctx.produced``."""
+        ctx.kind = "enroll-job"
+        ctx.server_id = server_id
+        ctx.token = token
+        self._frontend_to_cloud(server_id, ctx)
 
-    def _continue(self, target, msg) -> None:
+    def _continue(self, target, ctx) -> None:
         """Go on with the flow step that the reply's ``token`` names."""
-        self._conts[msg.token](self, msg)
+        self._conts[ctx.token](self, ctx)
 
     _on_enroll_job_done = _continue
 
-    def _enroll_leg_done(self, msg: EnrollJobDone) -> None:
-        msg.ctx.produced += (msg.profile,)
-        self._store_leg(msg.ctx, msg.profile)
-
-    def _store_leg(self, ctx: EnrollCtx, profile: UserProfile) -> None:
+    def _store_leg(self, ctx: EnrollCtx) -> None:
         self._next_enroll_leg(ctx)
 
     def _respond_enroll(self, ctx: EnrollCtx, outcome: Outcome) -> None:
@@ -774,9 +702,10 @@ class CloudWorldBase(WorldBase):
         self._frontend_to_cloud(server_id, ctx)
 
     def _dispatch_runtime(self, ctx: RuntimeCtx) -> None:
-        """Single-version dispatch: to the pinned server, else to any server."""
+        """Single-version dispatch: a retried request to the server it went
+        to, else to any server."""
         fe = self.frontend
-        self._send_recognize_job(ctx.pinned_server or fe.choose(ctx.user_id, fe.server_ids), ctx)
+        self._send_recognize_job(ctx.server_id or fe.choose(ctx.user_id, fe.server_ids), ctx)
 
     def _dispatch_to_common_version(self, ctx: RuntimeCtx) -> bool:
         """DOUBLE dispatch: send the request to a live server of the newest

@@ -26,7 +26,6 @@ from .common import (
     EnrollArrival,
     EnrollCtx,
     HandshakeCtx,
-    HandshakeReply,
     RuntimeArrival,
     RuntimeCtx,
     Tick,
@@ -57,8 +56,8 @@ class HybridWorldBase(CloudWorldBase):
         if user_id in self._bg_enrolling:
             return
         self._bg_enrolling.add(user_id)
-        samples, plan = self.devices[device_id].stored_audio[user_id], served[-self.retain :]
-        self._request_enroll(EnrollCtx(user_id, device_id, self.sim.now, samples, plan, True))
+        audio, plan = self.devices[device_id].stored_audio[user_id], served[-self.retain :]
+        self._request_enroll(EnrollCtx(user_id, device_id, self.sim.now, audio, plan, True))
 
     def _store_produced(self, ctx: EnrollCtx) -> None:
         # the device keeps the profiles; a background or in-path enrollment
@@ -89,12 +88,11 @@ class HybridWorldBase(CloudWorldBase):
         self._frontend_to_device(ctx.device_id, ctx)
 
     def _on_retry_needed(self, target, ctx: RuntimeCtx):
-        # re-enroll on the server that reported the mismatch, then retry there
-        ctx.pinned_server = ctx.server_id
-        samples = self.devices[ctx.device_id].stored_audio[ctx.user_id]
-        # one leg, not in the background, on the server ``ctx`` is pinned to
+        # re-enroll on the server that reported the mismatch, then retry
+        # there: one leg, not in the background, on ``ctx.server_id``
+        audio = self.devices[ctx.device_id].stored_audio[ctx.user_id]
         self._request_enroll(
-            EnrollCtx(ctx.user_id, ctx.device_id, self.sim.now, samples, (None,), False, ctx)
+            EnrollCtx(ctx.user_id, ctx.device_id, self.sim.now, audio, (None,), False, ctx)
         )
 
     # -- handshake
@@ -106,19 +104,20 @@ class HybridWorldBase(CloudWorldBase):
         self._device_to_frontend(device_id, ctx)
 
     def _on_handshake_request(self, target, ctx: HandshakeCtx):
-        self._frontend_to_device(ctx.device_id, HandshakeReply(ctx, self.served_versions))
+        ctx.kind = "handshake-reply"
+        ctx.versions = self.served_versions
+        self._frontend_to_device(ctx.device_id, ctx)
 
-    def _on_handshake_reply(self, target, msg: HandshakeReply):
-        ctx = msg.ctx
+    def _on_handshake_reply(self, target, ctx: HandshakeCtx):
         self.log.request_done("HANDSHAKE", ctx.user_id, ctx.submitted, self.sim.now, OK)
-        if not msg.versions:
+        if not ctx.versions:
             return
-        newest = msg.versions[-1]
+        newest = ctx.versions[-1]
         device = self.devices[ctx.device_id]
         for user in device.owner_users:
             held = device.profiles_for(user)
             if held and held[-1].version.seq < newest.seq:
-                self._start_background_enroll(ctx.device_id, user, msg.versions)
+                self._start_background_enroll(ctx.device_id, user, ctx.versions)
 
 
 class HybridSingleWorld(HybridWorldBase):

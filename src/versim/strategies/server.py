@@ -7,7 +7,10 @@ after its job. It also adds the runtime fetch and the one re-enrollment pump
 (fetch, enroll-job, put per stale user) behind the offline bulk pass and the
 DOUBLE sweep. A runtime request fetches its user's profiles (and audio, so a
 mismatch can be repaired without extra round trips), answers at once if
-there are none, else dispatches it.
+there are none, else dispatches it. Each of these flows sends its context
+(``EnrollCtx``, ``RuntimeCtx``, or a pump lane's ``_SweepCtx``) as the
+message of its database hops, and a database reply goes on with the flow
+step that the context's ``token`` names.
 
 The worlds differ in what a model release does:
 
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from ..domain import NoCommonVersionError, Outcome, UserProfile, VersionId
+from ..engine import EnrollmentAudio
 from ..kernel import node_stream
 from ..topology import DatabaseNode, DbRow, ModelRelease
 from .common import (
@@ -42,15 +46,8 @@ from .common import (
     SWEEP_STEP,
     SYNC_TICK,
     CloudWorldBase,
-    DbAck,
-    DbFetch,
-    DbFetchReply,
-    DbPutProfile,
-    DbStoreAudio,
-    DispatchRetry,
     EnrollCtx,
-    EnrollJobDone,
-    JobRejected,
+    FlowCtx,
     RuntimeCtx,
     SyncProbe,
     SyncReply,
@@ -58,13 +55,22 @@ from .common import (
 
 
 @dataclass(slots=True)
-class _SweepCtx:
-    """One re-enrollment from stored audio: the user a pump lane is on."""
+class _SweepCtx(FlowCtx):
+    """One re-enrollment from stored audio: the user a pump lane is on. It
+    is the message of the pump's db-fetch, which fills ``profiles`` and
+    ``audio``, of enroll-job and enroll-job-done, which adds the new profile
+    to ``produced``, of db-put-profile, and of their replies. The fetched
+    ``profiles`` tuple is never changed, so its newest is the version the
+    user is re-enrolled from."""
 
     user_id: str
     lane: int
-    from_version: VersionId | None = None
-    profile: UserProfile | None = None
+    kind: str = ""
+    server_id: str | None = None
+    token: str = ""
+    profiles: tuple[UserProfile, ...] = ()
+    audio: EnrollmentAudio | tuple[()] = ()
+    produced: tuple[UserProfile, ...] = ()
 
 
 class ServerWorldBase(CloudWorldBase):
@@ -85,8 +91,8 @@ class ServerWorldBase(CloudWorldBase):
         self._pump_lanes = 0
         cls = type(self)
         self._conts.update({
-            "enroll.stored": cls._audio_stored,
-            self.put_token: cls._leg_put,
+            "enroll.stored": cls._start_enroll,
+            self.put_token: cls._next_enroll_leg,
             "runtime.fetched": cls._runtime_fetched,
             "runtime.put": cls._runtime_put,
             f"{self.pump_token}.fetched": cls._pump_fetched,
@@ -94,52 +100,52 @@ class ServerWorldBase(CloudWorldBase):
             f"{self.pump_token}.put": cls._pump_put,
         })
 
-    # -- database hops and handlers
+    # -- database hops and handlers; a flow's reply goes on with the step
+    # its ``token`` names. A store-audio stores the flow's ``audio``, a fetch
+    # fills its ``profiles`` and ``audio``, and a put keeps the last profile
+    # it ``produced``.
 
-    def _frontend_to_db(self, payload) -> None:
-        self.sim.send(self._db_link, self.frontend.rng, "db", payload)
+    def _to_db(self, kind: str, token: str, ctx) -> None:
+        ctx.kind = kind
+        ctx.token = token
+        self.sim.send(self._db_link, self.frontend.rng, "db", ctx)
 
-    def _db_to_frontend(self, payload) -> None:
-        self.sim.send(self._db_link, self.db_rng, "frontend", payload)
+    def _db_reply(self, kind: str, ctx) -> None:
+        ctx.kind = kind
+        self.sim.send(self._db_link, self.db_rng, "frontend", ctx)
 
-    def _on_db_store_audio(self, target, msg: DbStoreAudio):
-        self.db.store_audio(msg.ctx.user_id, msg.ctx.samples)
-        self._db_to_frontend(DbAck("db-store-ack", msg.token, msg.ctx))
+    def _on_db_store_audio(self, target, ctx: EnrollCtx):
+        self.db.store_audio(ctx.user_id, ctx.audio)
+        self._db_reply("db-store-ack", ctx)
 
-    def _on_db_fetch(self, target, msg: DbFetch):
-        row = self.db.fetch(msg.user_id) or DbRow()
-        self._db_to_frontend(DbFetchReply(row.profiles, row.audio, msg.token, msg.ctx))
+    def _on_db_fetch(self, target, ctx):
+        row = self.db.fetch(ctx.user_id) or DbRow()
+        ctx.profiles = row.profiles
+        ctx.audio = row.audio
+        self._db_reply("db-fetch-reply", ctx)
 
-    def _on_db_put_profile(self, target, msg: DbPutProfile):
-        self._put(self.db, msg.profile)
-        self._db_to_frontend(DbAck("db-put-ack", msg.token, msg.ctx))
+    def _on_db_put_profile(self, target, ctx):
+        self._put(self.db, ctx.produced[-1])
+        self._db_reply("db-put-ack", ctx)
 
     _on_db_store_ack = _on_db_fetch_reply = _on_db_put_ack = CloudWorldBase._continue
 
     # -- the enrollment's hops to the database: the audio before the legs,
-    # one put after each leg
+    # one put after each leg; their acks go on with ``_start_enroll`` and
+    # ``_next_enroll_leg``
 
     def _store_audio(self, ctx: EnrollCtx) -> None:
-        self._frontend_to_db(DbStoreAudio("enroll.stored", ctx))
+        self._to_db("db-store-audio", "enroll.stored", ctx)
 
-    def _store_leg(self, ctx: EnrollCtx, profile: UserProfile) -> None:
-        self._frontend_to_db(DbPutProfile(profile, self.put_token, ctx))
-
-    def _audio_stored(self, msg: DbAck) -> None:
-        self._start_enroll(msg.ctx)
-
-    def _leg_put(self, msg: DbAck) -> None:
-        self._next_enroll_leg(msg.ctx)
+    def _store_leg(self, ctx: EnrollCtx) -> None:
+        self._to_db("db-put-profile", self.put_token, ctx)
 
     # -- runtime flow
 
     def _on_runtime_request(self, target, ctx: RuntimeCtx):
-        self._frontend_to_db(DbFetch(ctx.user_id, "runtime.fetched", ctx))
+        self._to_db("db-fetch", "runtime.fetched", ctx)
 
-    def _runtime_fetched(self, msg: DbFetchReply):
-        ctx: RuntimeCtx = msg.ctx
-        ctx.profiles = msg.profiles
-        ctx.audio = msg.audio
+    def _runtime_fetched(self, ctx: RuntimeCtx):
         if not ctx.profiles:
             # not enrolled: reject without engine work
             self._respond_runtime(ctx, OK)
@@ -147,13 +153,13 @@ class ServerWorldBase(CloudWorldBase):
         self._dispatch_runtime(ctx)
 
     def _on_recognize_job_done(self, target, ctx: RuntimeCtx):
-        if ctx.refreshed is not None:
-            self._frontend_to_db(DbPutProfile(ctx.refreshed, "runtime.put", ctx))
+        if ctx.produced:
+            self._to_db("db-put-profile", "runtime.put", ctx)
             return
         self._respond_runtime(ctx, OK)
 
-    def _runtime_put(self, msg: DbAck) -> None:
-        self._respond_runtime(msg.ctx, OK)
+    def _runtime_put(self, ctx: RuntimeCtx) -> None:
+        self._respond_runtime(ctx, OK)
 
     # -- the re-enrollment pump: each lane takes queued users one at a time
     # and does fetch, enroll-job on the newest served version, put. The
@@ -184,33 +190,28 @@ class ServerWorldBase(CloudWorldBase):
             self._pump_queued.discard(user)
             row = self.db.fetch(user)
             if row is not None and row.profiles and row.profiles[-1].version.seq < newest.seq:
-                token = f"{self.pump_token}.fetched"
-                self._frontend_to_db(DbFetch(user, token, _SweepCtx(user, lane)))
+                self._to_db("db-fetch", f"{self.pump_token}.fetched", _SweepCtx(user, lane))
                 return
         self._pump_lanes -= 1
         if not self._pump_lanes:
             self._pump_drained()
 
-    def _pump_fetched(self, msg: DbFetchReply):
-        ctx: _SweepCtx = msg.ctx
+    def _pump_fetched(self, ctx: _SweepCtx):
         # the lane saw a stored profile, and rows never lose audio or profiles
-        ctx.from_version = msg.profiles[-1].version
         newest_served = self.served_versions[-1]
-        if ctx.from_version.seq >= newest_served.seq:
+        if ctx.profiles[-1].version.seq >= newest_served.seq:
             self._pump_advance(ctx.lane)
             return
         # a version reported as served always has a live server behind it
         server_id = self._pump_server(ctx, self.servers_serving(newest_served))
-        self._send_enroll_job(server_id, ctx, msg.audio, f"{self.pump_token}.done")
+        self._send_enroll_job(server_id, ctx, f"{self.pump_token}.done")
 
-    def _pump_enrolled(self, msg: EnrollJobDone):
-        ctx: _SweepCtx = msg.ctx
-        ctx.profile = msg.profile
-        self._frontend_to_db(DbPutProfile(msg.profile, f"{self.pump_token}.put", ctx))
+    def _pump_enrolled(self, ctx: _SweepCtx):
+        self._to_db("db-put-profile", f"{self.pump_token}.put", ctx)
 
-    def _pump_put(self, msg: DbAck):
-        ctx: _SweepCtx = msg.ctx
-        self.log.reenrolled(self.sim.now, ctx.user_id, ctx.from_version, ctx.profile.version)
+    def _pump_put(self, ctx: _SweepCtx):
+        from_version, to_version = ctx.profiles[-1].version, ctx.produced[-1].version
+        self.log.reenrolled(self.sim.now, ctx.user_id, from_version, to_version)
         self._pump_advance(ctx.lane)
 
     def _pump_advance(self, lane: int) -> None:
@@ -227,7 +228,7 @@ class OnlineServerWorld(ServerWorldBase):
         # back before the response goes out
         fresh = engine.enroll(ctx.user_id, ctx.audio)
         self.log.reenrolled(self.sim.now, ctx.user_id, ctx.profiles[-1].version, fresh.version)
-        ctx.refreshed = fresh
+        ctx.produced = (fresh,)
         ctx.reenrolls += 1
         return fresh, engine.enroll_duration_ms(len(ctx.audio))
 
@@ -241,7 +242,7 @@ class _RefreshRound:
 
     def __init__(self, remaining: int):
         self.remaining = remaining
-        self.waiters: list[tuple[object, str]] = []
+        self.waiters: list[EnrollCtx | RuntimeCtx] = []
 
 
 class SyncTableServerWorld(OnlineServerWorld):
@@ -263,37 +264,32 @@ class SyncTableServerWorld(OnlineServerWorld):
 
     # -- a server mid-update refuses work
 
-    def _on_enroll_job(self, target, msg):
-        if not self._refused(msg.server_id, msg.ctx, "enroll"):
-            super()._on_enroll_job(target, msg)
+    def _on_enroll_job(self, target, ctx):
+        if not self._refused(ctx):
+            super()._on_enroll_job(target, ctx)
 
     def _on_recognize_job(self, target, ctx):
-        if not self._refused(ctx.server_id, ctx, "runtime"):
+        if not self._refused(ctx):
             super()._on_recognize_job(target, ctx)
 
-    def _refused(self, server_id: str, ctx, flow: str) -> bool:
-        if not self.clouds[server_id].updating:
+    def _refused(self, ctx) -> bool:
+        if not self.clouds[ctx.server_id].updating:
             return False
-        self._cloud_to_frontend(server_id, JobRejected(ctx, server_id, flow))
+        ctx.kind = "job-rejected"
+        self._cloud_to_frontend(ctx.server_id, ctx)
         return True
 
     # -- dispatch from the table: the enrollment's one leg and every runtime
     # request go where the table says
 
-    def _start_enroll(self, ctx: EnrollCtx) -> None:
-        self._select_and_dispatch(ctx, "enroll")
-
-    def _dispatch_runtime(self, ctx: RuntimeCtx) -> None:
-        self._select_and_dispatch(ctx, "runtime")
-
-    def _select_and_dispatch(self, ctx, flow: str, refreshed: bool = False) -> None:
+    def _select_and_dispatch(self, ctx, refreshed: bool = False) -> None:
         """Send the job to a server the table lists with the version it
         needs; ``refreshed`` when a probe round has just renewed the table
         for this request."""
         fe = self.frontend
         table = self.version_table
         # a runtime request needs the user's newest profile version
-        required = ctx.profiles[-1].version if flow == "runtime" else None
+        required = ctx.profiles[-1].version if ctx.flow == "runtime" else None
         eligible = [
             s
             for s in fe.server_ids
@@ -307,32 +303,33 @@ class SyncTableServerWorld(OnlineServerWorld):
                 newest_listed = max(versions, key=lambda v: v.seq)
                 eligible = [s for s in fe.server_ids if newest_listed in table[s]]
         if eligible:
-            self._send_job(ctx, flow, fe.choose(ctx.user_id, eligible))
+            server_id = fe.choose(ctx.user_id, eligible)
+            if ctx.flow == "runtime":
+                self._send_recognize_job(server_id, ctx)
+            else:
+                self._send_enroll_job(server_id, ctx, self.leg_token)
             return
         if not refreshed:
-            self._start_refresh(waiter=(ctx, flow))
+            self._start_refresh(waiter=ctx)
             return
         # every server is mid-update; try again after one sync period
-        self.sim.schedule_in(self.cfg.sync_table_period_ms, "frontend", DispatchRetry(ctx, flow))
+        ctx.kind = "dispatch-retry"
+        self.sim.schedule_in(self.cfg.sync_table_period_ms, "frontend", ctx)
 
-    def _send_job(self, ctx, flow: str, server_id: str) -> None:
-        if flow == "enroll":
-            self._send_enroll_job(server_id, ctx, ctx.samples, self.leg_token)
-        else:
-            self._send_recognize_job(server_id, ctx)
+    _start_enroll = _dispatch_runtime = _select_and_dispatch
 
-    def _on_job_rejected(self, target, msg: JobRejected):
+    def _on_job_rejected(self, target, ctx):
         # the table entry was stale; blank it and force a refresh before any
         # fallback decision
-        self.version_table[msg.server_id] = set()
-        self._select_and_dispatch(msg.ctx, msg.flow)
+        self.version_table[ctx.server_id] = set()
+        self._select_and_dispatch(ctx)
 
-    def _on_dispatch_retry(self, target, msg: DispatchRetry):
-        self._select_and_dispatch(msg.ctx, msg.flow)
+    def _on_dispatch_retry(self, target, ctx):
+        self._select_and_dispatch(ctx)
 
     # -- refresh rounds: probe every server, then dispatch the waiters
 
-    def _start_refresh(self, waiter: tuple[object, str] | None) -> None:
+    def _start_refresh(self, waiter: EnrollCtx | RuntimeCtx | None) -> None:
         self._round_seq += 1
         round_id = self._round_seq
         rnd = _RefreshRound(len(self.frontend.server_ids))
@@ -357,8 +354,8 @@ class SyncTableServerWorld(OnlineServerWorld):
         rnd.remaining -= 1
         if rnd.remaining == 0:
             del self._rounds[msg.round_id]
-            for ctx, flow in rnd.waiters:
-                self._select_and_dispatch(ctx, flow, refreshed=True)
+            for ctx in rnd.waiters:
+                self._select_and_dispatch(ctx, refreshed=True)
 
 
 class OfflineServerWorld(ServerWorldBase):

@@ -8,9 +8,10 @@ run measured with ``tracemalloc``, divided by the users:
   result alive. Storing the three samples of each user again costs about
   300 bytes a user and fails it.
 - at the peak, which comes during the t=0 enrollment burst, when every
-  user's enrollment is in flight. Flows and stores hold exact-size tuples
-  (about 1,015 bytes a user); with the lists they held before, the peak was
-  about 1,220 and fails it.
+  user's enrollment is in flight. Flows and stores hold exact-size tuples,
+  and each flow context is the message of its hops (about 975 bytes a user;
+  1,015 with a wrapper message per hop); with the lists they held before,
+  the peak was about 1,220 and fails it.
 """
 
 import tracemalloc

@@ -17,6 +17,7 @@ from versim.kernel import Simulator
 from versim.metrics import RequestKind
 from versim.runner import build, run
 from versim.scenario import load_scenario, scenario_from_dict
+from versim.strategies import server
 from versim.strategies.common import EnrollCtx, HandshakeCtx, RuntimeCtx
 
 SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
@@ -501,8 +502,8 @@ def test_flow_contexts_start_with_empty_tuples():
     [({}, "db-fetch-reply"), ({"deployment": "HYBRID"}, "runtime-request")],
 )
 def test_a_runtime_request_holds_the_store_tuple_itself(strategy, kind):
-    """A fetch reply, and the runtime ctx it fills, hold the database row's
-    own tuple; a hybrid request holds the device's."""
+    """The runtime ctx that a fetch reply fills holds the database row's own
+    tuple; a hybrid request holds the device's."""
     sim, world, _ = build(
         scenario_from_dict(
             {
@@ -518,15 +519,14 @@ def test_a_runtime_request_holds_the_store_tuple_itself(strategy, kind):
     handle, checked = world.handle, []
 
     def handle_and_check(target, payload):
-        # read before the handler runs: a flow context that is its own
-        # message carries its next hop's kind once the handler sends it on
-        hop, ctx = payload.kind, getattr(payload, "ctx", payload)
+        # read before the handler runs: a flow context, which is the message
+        # of every hop, carries its next hop's kind once the handler sends it on
+        hop = payload.kind
         handle(target, payload)
         if hop == kind:
             stored = store.profiles_for("u000")
             assert type(stored) is tuple and len(stored) == 1
-            assert ctx.profiles is stored
-            assert getattr(payload, "profiles", stored) is stored
+            assert payload.profiles is stored
             checked.append(payload)
 
     world.handle = handle_and_check
@@ -534,16 +534,13 @@ def test_a_runtime_request_holds_the_store_tuple_itself(strategy, kind):
     assert len(checked) == 2
 
 
-_FLOW_CONTEXTS = (EnrollCtx, RuntimeCtx, HandshakeCtx)
+_FLOW_CONTEXTS = (EnrollCtx, RuntimeCtx, HandshakeCtx, server._SweepCtx)
 
 
 def _flow_of(payload):
-    """The flow context an event moves: the payload itself on a request,
-    response or server hop, else the ``ctx`` the payload carries."""
-    for ctx in (payload, getattr(payload, "ctx", None)):
-        if type(ctx) in _FLOW_CONTEXTS:
-            return ctx
-    return None
+    """The flow context an event moves: the payload, which is the message of
+    every hop of its flow."""
+    return payload if type(payload) in _FLOW_CONTEXTS else None
 
 
 _QUEUE_RUNS = [
@@ -591,10 +588,9 @@ def _flows_queued_twice(monkeypatch, scenario) -> list[str]:
 def test_no_flow_context_is_queued_for_two_events_at_once(
     monkeypatch, strategy, initial, servers, seed
 ):
-    """A flow context is the message of its request, response and server
-    hops, and a handler sets its next hop's kind on it; that is sound only
-    while each flow has at most one event queued, as the message or as the
-    ``ctx`` of one."""
+    """A flow context, the sweep's included, is the message of every hop of
+    its flow, and a handler sets its next hop's kind on it; that is sound
+    only while each flow has at most one event queued."""
     scenario = replace(_sweep_scenario(strategy, initial, seed), cloud_servers=servers)
     assert _flows_queued_twice(monkeypatch, scenario) == []
 
