@@ -10,10 +10,13 @@ draw per runtime arrival; explicit arrivals draw nothing after the seeds.
 The seeds are the user's ``EnrollmentAudio``, which derives them when
 iterated, so the workload skips over them and over each discarded draw
 (``SimRng.skip``) instead of mixing them. A runtime request carries no
-audio: recognition is the engine's version check. The enrollment arrivals
-are scheduled as events. A runtime arrival is kept as one packed int (time,
-user, draw order). The simulator is fed the sorted ints as a stream, and the
-stream builds each arrival's payload only when the clock reaches it.
+audio: recognition is the engine's version check. Each request arrives as
+its flow context, at the device that the world's ownership rule
+(``WorldBase.device_of``) puts its user on. Each user's ``EnrollCtx`` is
+scheduled as its enroll-arrival. A runtime arrival is kept as one packed int
+(time, user, draw order). The simulator is fed the sorted ints as a stream,
+and the stream builds each arrival's ``RuntimeCtx`` only when the clock
+reaches it.
 
 The log folds the report while the run goes, so a run keeps no per-request
 state for it. The request records, re-enrollments and profile writes are
@@ -34,7 +37,7 @@ from .kernel import STALL_FACTOR, Simulator, TraceSink, node_stream
 from .metrics import ReenrollEvent, Report, RequestRecord, RunLog
 from .scenario import Scenario, strategy_row
 from .strategies import WorldBase
-from .strategies.common import USER_STREAM_BASE, EnrollArrival, ReleasePayload, RuntimeArrival
+from .strategies.common import USER_STREAM_BASE, EnrollCtx, ReleasePayload, RuntimeCtx
 from .topology import ModelStorageNode
 
 # bit offsets of the fields of a packed runtime arrival (see _generate_workload)
@@ -108,17 +111,20 @@ def _generate_workload(scenario: Scenario, user_ids: list[str]) -> tuple[list[in
 
 
 def _runtime_arrivals(
-    arrivals: list[int], users: list[str], targets: list[str]
-) -> Iterator[tuple[int, str, RuntimeArrival]]:
-    """The packed arrivals in order as (time, target, payload), with the
-    users and their devices' targets listed by rank. Each payload is built
-    only when the simulator reaches it, and each int is let go of then."""
+    arrivals: list[int], users: list[str], devices: list[str], targets: dict[str, str]
+) -> Iterator[tuple[int, str, RuntimeCtx]]:
+    """The packed arrivals in order as (time, target, context), with the
+    users and their devices listed by rank and each device's event target.
+    Each context is built only when the simulator reaches it, and each int
+    is let go of then."""
     arrivals.reverse()
     pop = arrivals.pop
     for _ in range(len(arrivals)):
         packed = pop()
+        at = packed >> _TIME_SHIFT
         r = packed >> _RANK_SHIFT & _MASK32
-        yield packed >> _TIME_SHIFT, targets[r], RuntimeArrival(users[r])
+        device = devices[r]
+        yield at, targets[device], RuntimeCtx(users[r], device, at)
 
 
 def build(
@@ -142,12 +148,14 @@ def build(
     sim.handler = world
 
     arrivals, by_rank = _generate_workload(scenario, world.user_ids)
+    targets = world.device_targets
     for user in world.user_ids:
         state = node_stream(scenario.seed, USER_STREAM_BASE + int(user[1:])).state
         audio = EnrollmentAudio(user, state, scenario.samples_per_user)
-        sim.schedule(0, world.device_targets[world.user_device[user]], EnrollArrival(user, audio))
-    targets = [world.device_targets[world.user_device[user]] for user in by_rank]
-    sim.feed(_runtime_arrivals(arrivals, by_rank, targets), len(arrivals))
+        device = world.device_of(user)
+        sim.schedule(0, targets[device], EnrollCtx(user, device, 0, audio))
+    devices = [world.device_of(user) for user in by_rank]
+    sim.feed(_runtime_arrivals(arrivals, by_rank, devices, targets), len(arrivals))
     for r in scenario.releases:
         payload = ReleasePayload(r.version_id, r.download_ms, r.server_update_ms)
         sim.schedule(r.time_ms, "storage", payload)

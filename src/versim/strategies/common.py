@@ -18,21 +18,26 @@ continuation ``token`` or the outcome the hop carries, and a handler writes
 what its node produced (a fetched row, an enrolled profile) onto it. That is
 sound because a flow has at most one message queued at a time, and its
 trace line is printed before the handler moves the context on to its next
-hop. The hops outside a flow (arrivals, releases, ticks, sync probes) have
-one message class per shape.
+hop. A request's context is also its arrival: the runner schedules each
+user's ``EnrollCtx`` as its enroll-arrival and feeds each ``RuntimeCtx`` as
+its runtime-arrival. The hops outside a flow (releases, ticks, sync probes)
+have one message class per shape.
 
-``WorldBase`` holds what every world has: devices, engines, handlers, and
-``_put``, the profile write into a store (``topology``'s database or device)
-under the world's one ``retain``; ``DeviceWorld`` (``device.py``) builds on
-it alone. ``CloudWorldBase`` is the cloud fleet of the SERVER and HYBRID
-worlds: servers and frontend, the served-version index, the rollout, the
-cloud jobs, runtime dispatch, and the one enrollment flow. That flow admits
-the device's request, plans its legs, sends one enroll job per leg, keeps
-each produced profile, answers enroll-response, and records the request or
-resumes the runtime request it re-enrolled for. The worlds differ only in
-where profiles are kept: ``server.py`` hops to the database (the audio
-first, then a put per leg), while in ``hybrid.py`` the device keeps the
-profiles when the response reaches it.
+``WorldBase`` holds what every world has: the users, each device's link
+stream and event target, the ownership rule ``device_of``, engines,
+handlers, and ``_put``, the profile write into a store (``topology``'s
+database or device) under the world's one ``retain``. Only the worlds that
+keep profiles on the devices build device nodes: the hybrid worlds and
+``DeviceWorld`` (``device.py``), which builds on the base alone.
+``CloudWorldBase`` is the cloud fleet of the SERVER and HYBRID worlds:
+servers and frontend, the served-version index, the rollout, the cloud
+jobs, runtime dispatch, and the one enrollment flow. That flow admits the
+device's request, plans its legs, sends one enroll job per leg, keeps each
+produced profile, answers enroll-response, and records the request. The
+worlds differ only in where profiles are kept: ``server.py`` hops to the
+database (the audio first, then a put per leg), while in ``hybrid.py`` the
+device keeps the profiles when the response reaches it, and resumes the
+runtime request that an in-path re-enrollment served.
 """
 
 from __future__ import annotations
@@ -129,6 +134,8 @@ def _acked(ctx) -> str:
 
 
 _SUMMARIES: dict[str, Callable[..., str]] = {
+    "enroll-arrival": lambda c: f"user={c.user_id} samples={len(c.audio)}",
+    "runtime-arrival": _user,
     "enroll-request": _user,
     "runtime-request": _user,
     "handshake-request": _user,
@@ -173,10 +180,10 @@ class FlowCtx:
 class EnrollCtx(FlowCtx):
     """One enrollment flow: its ``audio``, the versions of its legs still to
     send (None: any server), and the profiles made so far; tuples that a leg
-    replaces. It is the message of enroll-request, enroll-job and
-    enroll-job-done, job-rejected and dispatch-retry, the database's
-    store-audio and put hops and their acks, and enroll-response, the last
-    with the ``outcome`` answered."""
+    replaces. It is the message of enroll-arrival (a user's own request
+    only), enroll-request, enroll-job and enroll-job-done, job-rejected and
+    dispatch-retry, the database's store-audio and put hops and their acks,
+    and enroll-response, the last with the ``outcome`` answered."""
 
     flow: ClassVar[str] = "enroll"
     user_id: str
@@ -189,7 +196,7 @@ class EnrollCtx(FlowCtx):
     # leg goes to; None for a request of its own, which is recorded
     parent: "RuntimeCtx | None" = None
     produced: tuple[UserProfile, ...] = ()
-    kind: str = ""
+    kind: str = "enroll-arrival"
     server_id: str | None = None
     token: str = ""
     outcome: Outcome | None = None
@@ -200,11 +207,11 @@ class RuntimeCtx(FlowCtx):
     """One runtime request: the speaking user's profiles, oldest first, and
     on the server side the fetched audio and the profile ``produced`` from
     it by a repair. The profiles are the store's own tuple, shared and never
-    changed. It is the message of runtime-request, the database's fetch and
-    put hops and their replies, recognize-job and recognize-job-done,
-    job-rejected and dispatch-retry, the retry-signal and retry-needed that
-    send a stale hybrid profile back to its device, and runtime-response,
-    the last with the ``outcome`` answered."""
+    changed. It is the message of runtime-arrival and runtime-request, the
+    database's fetch and put hops and their replies, recognize-job and
+    recognize-job-done, job-rejected and dispatch-retry, the retry-signal and
+    retry-needed that send a stale hybrid profile back to its device, and
+    runtime-response, the last with the ``outcome`` answered."""
 
     flow: ClassVar[str] = "runtime"
     user_id: str
@@ -214,7 +221,7 @@ class RuntimeCtx(FlowCtx):
     audio: EnrollmentAudio | tuple[()] = ()
     produced: tuple[UserProfile, ...] = ()
     reenrolls: int = 0
-    kind: str = ""
+    kind: str = "runtime-arrival"
     server_id: str | None = None
     token: str = ""
     outcome: Outcome | None = None
@@ -236,25 +243,6 @@ class HandshakeCtx(FlowCtx):
 # the messages of the hops outside a flow: one class per hop shape. ``kind``
 # routes the event and is printed in its trace line; it is a field where one
 # shape serves several kinds and a class constant otherwise.
-
-@dataclass(slots=True)
-class EnrollArrival:
-    kind: ClassVar[str] = "enroll-arrival"
-    user_id: str
-    samples: EnrollmentAudio
-
-    def summary(self) -> str:
-        return f"user={self.user_id} samples={len(self.samples)}"
-
-
-@dataclass(slots=True)
-class RuntimeArrival:
-    kind: ClassVar[str] = "runtime-arrival"
-    user_id: str
-
-    def summary(self) -> str:
-        return f"user={self.user_id}"
-
 
 @dataclass(slots=True)
 class ReleasePayload:
@@ -353,12 +341,12 @@ class WorldBase:
     """One wired deployment. Subclasses implement the flows and handle each
     message kind ``K`` in a method ``_on_K`` (dashes written as underscores,
     as ``ast.NodeVisitor`` names its ``visit_<Name>`` methods); this base
-    owns the devices, engine caching, the handler table it derives from those
-    names, and the profile writes."""
+    owns the users and devices and the rule that puts each user on a device,
+    engine caching, the handler table it derives from those names, and the
+    profile writes."""
 
     # profiles the world's store keeps per user (None: unbounded)
     retain: int | None = 1
-    devices_store = True  # whether the devices keep audio and profiles
     # message kind -> handler function, one table per class; plain functions,
     # so no world refers to itself and a finished one is freed by refcount
     _handlers: ClassVar[dict[str, Callable[["WorldBase", str, object], None]]] = {}
@@ -379,23 +367,30 @@ class WorldBase:
         self._engines: dict[VersionId, EngineInstance] = {}
 
         self.user_ids = [f"u{i:03d}" for i in range(scenario.users)]
-        self.devices: dict[str, DeviceNode] = {}
-        self.device_rng: dict[str, SimRng] = {}
-        self.user_device: dict[str, str] = {}
-        device_ids = [f"d{i:02d}" for i in range(scenario.devices)]
-        # event targets, built once so scheduled events share one string each
-        self.device_targets = {device_id: f"device:{device_id}" for device_id in device_ids}
-        # and back, so that every flow of a device shares its one id string
-        self._device_ids = {target: d for d, target in self.device_targets.items()}
-        initial = storage.releases[0].version
-        for j, device_id in enumerate(device_ids):
-            # round-robin ownership: user i lives on device i % devices
-            owners = self.user_ids[j :: scenario.devices]
-            self.devices[device_id] = DeviceNode(device_id, owners, initial, self.devices_store)
-            self.device_rng[device_id] = node_stream(scenario.seed, DEVICE_STREAM_BASE + j)
-            for u in owners:
-                self.user_device[u] = device_id
+        self.device_ids = [f"d{i:02d}" for i in range(scenario.devices)]
+        # each device's event target, built once so scheduled events share
+        # one string each, and its link stream
+        self.device_targets = {device_id: f"device:{device_id}" for device_id in self.device_ids}
+        self.device_rng: dict[str, SimRng] = {
+            device_id: node_stream(scenario.seed, DEVICE_STREAM_BASE + j)
+            for j, device_id in enumerate(self.device_ids)
+        }
         self.storage_rng = node_stream(scenario.seed, STORAGE_STREAM)
+
+    def device_of(self, user_id: str) -> str:
+        """The ownership rule: user i lives on device i mod devices."""
+        return self.device_ids[int(user_id[1:]) % len(self.device_ids)]
+
+    def _build_devices(self) -> None:
+        """Build the device nodes of a world whose profiles live on the
+        devices, each owning the users ``device_of`` puts on it, in user
+        order; and map each event target back to its device's one id string."""
+        owners: dict[str, list[str]] = {device_id: [] for device_id in self.device_ids}
+        for user in self.user_ids:
+            owners[self.device_of(user)].append(user)
+        initial = self.storage.releases[0].version
+        self.devices = {d: DeviceNode(d, tuple(owners[d]), initial) for d in self.device_ids}
+        self._device_ids = {target: d for d, target in self.device_targets.items()}
 
     # -- wiring helpers
 
@@ -594,17 +589,16 @@ class CloudWorldBase(WorldBase):
     # -- enrollment, one flow for every cloud world: the frontend admits the
     # device's request, plans its legs and sends one enroll job per leg,
     # keeps each produced profile, and answers enroll-response; the device
-    # records the request, or resumes the runtime request it re-enrolled for.
+    # records the request (a hybrid device first keeps the profiles, and
+    # resumes the runtime request that an in-path re-enrollment served).
     # A world names where its profiles are kept by the hops it takes there:
-    # ``_store_audio`` before the legs, ``_store_leg`` after each one, and
-    # ``_store_produced`` at the response. By default each keeps nothing and
-    # the flow goes straight on.
+    # ``_store_audio`` before the legs and ``_store_leg`` after each one. By
+    # default each keeps nothing and the flow goes straight on.
 
     leg_token = "leg"  # the continuation of an enroll job, printed as ``for=``
 
-    def _on_enroll_arrival(self, target, msg: EnrollArrival):
-        device_id = self._device_ids[target]
-        self._request_enroll(EnrollCtx(msg.user_id, device_id, self.sim.now, msg.samples))
+    def _on_enroll_arrival(self, target, ctx: EnrollCtx):
+        self._request_enroll(ctx)
 
     def _request_enroll(self, ctx: EnrollCtx) -> None:
         """The device sends an enroll-request: a request of its own, or a
@@ -669,29 +663,15 @@ class CloudWorldBase(WorldBase):
         self._frontend_to_device(ctx.device_id, ctx)
 
     def _on_enroll_response(self, target, ctx: EnrollCtx):
-        self._store_produced(ctx)
-        if ctx.parent is None:
-            self.log.request_done("ENROLL", ctx.user_id, ctx.submitted, self.sim.now, ctx.outcome)
-            return
-        parent = ctx.parent
-        parent.reenrolls += 1
-        parent.profiles = self.devices[ctx.device_id].profiles_for(ctx.user_id)
-        parent.kind = "runtime-request"
-        self._device_to_frontend(ctx.device_id, parent)
+        self.log.request_done("ENROLL", ctx.user_id, ctx.submitted, self.sim.now, ctx.outcome)
 
-    def _store_produced(self, ctx: EnrollCtx) -> None:
-        """Keep the produced profiles when the response reaches the device."""
-
-    # -- runtime requests: the device sends the profiles it holds, which are
-    # none outside HYBRID; a world that keeps them elsewhere fetches them
+    # -- runtime requests: the device sends the request, with the profiles
+    # it holds under HYBRID; a world that keeps them elsewhere fetches them
     # before dispatch
 
-    def _on_runtime_arrival(self, target, msg: RuntimeArrival):
-        device_id = self._device_ids[target]
-        profiles = self.devices[device_id].profiles_for(msg.user_id)
-        ctx = RuntimeCtx(msg.user_id, device_id, self.sim.now, profiles)
+    def _on_runtime_arrival(self, target, ctx: RuntimeCtx):
         ctx.kind = "runtime-request"
-        self._device_to_frontend(device_id, ctx)
+        self._device_to_frontend(ctx.device_id, ctx)
 
     def _on_runtime_request(self, target, ctx: RuntimeCtx):
         self._dispatch_runtime(ctx)

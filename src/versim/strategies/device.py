@@ -15,9 +15,9 @@ from ..topology import DeviceNode
 from .common import (
     OK,
     DeviceTaskDone,
-    EnrollArrival,
+    EnrollCtx,
     ReleasePayload,
-    RuntimeArrival,
+    RuntimeCtx,
     Tick,
     VersionNotice,
     WorldBase,
@@ -27,40 +27,40 @@ from .common import (
 class DeviceWorld(WorldBase):
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
-        # per-device re-enroll cursor, and per device target the deferred
-        # runtime requests, while an update window is open
+        self._build_devices()
+        # per device id, the re-enroll cursor and the deferred runtime
+        # requests, while an update window is open
         self._reenroll_queue: dict[str, list[str]] = {}
-        self._deferred: dict[str, list[tuple[RuntimeArrival, int]]] = {}
+        self._deferred: dict[str, list[RuntimeCtx]] = {}
 
     def _device(self, target: str) -> DeviceNode:
         return self.devices[self._device_ids[target]]
 
     # -- local requests
 
-    def _on_enroll_arrival(self, target: str, msg: EnrollArrival) -> None:
+    def _on_enroll_arrival(self, target: str, ctx: EnrollCtx) -> None:
         # every enrollment arrives at t=0, before any release, so never mid-update
-        dev = self._device(target)
-        dev.stored_audio[msg.user_id] = msg.samples
+        dev = self.devices[ctx.device_id]
+        dev.stored_audio[ctx.user_id] = ctx.audio
         engine = self.engine_for(dev.local_model)
         self.sim.schedule_in(
-            engine.enroll_duration_ms(len(msg.samples)),
+            engine.enroll_duration_ms(len(ctx.audio)),
             target,
-            DeviceTaskDone("enroll", msg.user_id, self.sim.now, engine, msg.samples),
+            DeviceTaskDone("enroll", ctx.user_id, ctx.submitted, engine, ctx.audio),
         )
 
-    def _on_runtime_arrival(self, target: str, msg: RuntimeArrival, submitted: int | None = None) -> None:
-        dev = self._device(target)
-        submitted = self.sim.now if submitted is None else submitted
+    def _on_runtime_arrival(self, target: str, ctx: RuntimeCtx) -> None:
+        dev = self.devices[ctx.device_id]
         if dev.updating:
-            self._deferred.setdefault(target, []).append((msg, submitted))
+            self._deferred.setdefault(ctx.device_id, []).append(ctx)
             return
-        if not dev.profiles_for(msg.user_id):
+        profiles = dev.profiles_for(ctx.user_id)
+        if not profiles:
             # nothing enrolled: reject on the spot, no engine work
-            self.log.request_done("RUNTIME", msg.user_id, submitted, self.sim.now, OK)
+            self.log.request_done("RUNTIME", ctx.user_id, ctx.submitted, self.sim.now, OK)
             return
         engine = self.engine_for(dev.local_model)
-        profile = dev.profiles_for(msg.user_id)[-1]
-        task = DeviceTaskDone("runtime", msg.user_id, submitted, engine, (), profile)
+        task = DeviceTaskDone("runtime", ctx.user_id, ctx.submitted, engine, (), profiles[-1])
         self.sim.schedule_in(engine.runtime_cost_ms, target, task)
 
     def _on_device_task_done(self, target: str, task: DeviceTaskDone) -> None:
@@ -128,8 +128,8 @@ class DeviceWorld(WorldBase):
 
     def _close_update_window(self, target: str, dev: DeviceNode) -> None:
         dev.updating = False
-        for msg, submitted in self._deferred.pop(target, ()):
-            self._on_runtime_arrival(target, msg, submitted)
+        for ctx in self._deferred.pop(dev.device_id, ()):
+            self._on_runtime_arrival(target, ctx)
         if dev.recheck_after_update:
             dev.recheck_after_update = False
             self._maybe_download(target, dev)

@@ -23,10 +23,8 @@ from .common import (
     OK,
     STALE_PROFILES,
     CloudWorldBase,
-    EnrollArrival,
     EnrollCtx,
     HandshakeCtx,
-    RuntimeArrival,
     RuntimeCtx,
     Tick,
 )
@@ -35,6 +33,7 @@ from .common import (
 class HybridWorldBase(CloudWorldBase):
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)
+        self._build_devices()
         self._bg_enrolling: set[str] = set()  # users whose background enrollment is in flight
         period = self.cfg.handshake_period_ms
         if period is not None:
@@ -44,9 +43,9 @@ class HybridWorldBase(CloudWorldBase):
     # -- enrollment: the device keeps the audio, and the profiles that come
     # back in the enroll-response
 
-    def _on_enroll_arrival(self, target, msg: EnrollArrival):
-        self.devices[self._device_ids[target]].stored_audio[msg.user_id] = msg.samples
-        super()._on_enroll_arrival(target, msg)
+    def _on_enroll_arrival(self, target, ctx: EnrollCtx):
+        self.devices[ctx.device_id].stored_audio[ctx.user_id] = ctx.audio
+        self._request_enroll(ctx)
 
     def _start_background_enroll(
         self, device_id: str, user_id: str, served: tuple[VersionId, ...]
@@ -59,9 +58,23 @@ class HybridWorldBase(CloudWorldBase):
         audio, plan = self.devices[device_id].stored_audio[user_id], served[-self.retain :]
         self._request_enroll(EnrollCtx(user_id, device_id, self.sim.now, audio, plan, True))
 
+    def _on_enroll_response(self, target, ctx: EnrollCtx):
+        self._store_produced(ctx)
+        parent = ctx.parent
+        if parent is None:
+            super()._on_enroll_response(target, ctx)
+            return
+        # an in-path re-enrollment: retry the runtime request it served with
+        # the profiles the device holds now
+        parent.reenrolls += 1
+        parent.profiles = self.devices[ctx.device_id].profiles_for(ctx.user_id)
+        parent.kind = "runtime-request"
+        self._device_to_frontend(ctx.device_id, parent)
+
     def _store_produced(self, ctx: EnrollCtx) -> None:
-        # the device keeps the profiles; a background or in-path enrollment
-        # over a profile it held is a re-enrollment
+        """Keep the produced profiles when the response reaches the device; a
+        background or in-path enrollment over a profile it held is a
+        re-enrollment."""
         device = self.devices[ctx.device_id]
         before = device.profiles_for(ctx.user_id)[-1:]
         produced = sorted(ctx.produced, key=lambda p: p.version.seq)
@@ -75,13 +88,13 @@ class HybridWorldBase(CloudWorldBase):
 
     # -- runtime: the request carries the device's profiles
 
-    def _on_runtime_arrival(self, target, msg: RuntimeArrival):
-        if not self.devices[self._device_ids[target]].profiles_for(msg.user_id):
+    def _on_runtime_arrival(self, target, ctx: RuntimeCtx):
+        ctx.profiles = self.devices[ctx.device_id].profiles_for(ctx.user_id)
+        if not ctx.profiles:
             # not enrolled: the device can answer by itself
-            now = self.sim.now
-            self.log.request_done("RUNTIME", msg.user_id, now, now, OK)
+            self.log.request_done("RUNTIME", ctx.user_id, ctx.submitted, self.sim.now, OK)
             return
-        super()._on_runtime_arrival(target, msg)
+        super()._on_runtime_arrival(target, ctx)
 
     def _on_retry_signal(self, target, ctx: RuntimeCtx):
         ctx.kind = "retry-needed"

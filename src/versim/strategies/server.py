@@ -76,7 +76,6 @@ class _SweepCtx(FlowCtx):
 class ServerWorldBase(CloudWorldBase):
     # the enroll-leg continuations, printed in traces as ``for=``
     leg_token, put_token = "enroll.done", "enroll.put"
-    devices_store = False  # the database keeps the audio and profiles
 
     def __init__(self, scenario, sim, storage, log):
         super().__init__(scenario, sim, storage, log)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
 
 from .domain import (
     NoEligibleServerError,
@@ -189,16 +188,12 @@ class FrontendNode:
         raise NoEligibleServerError(f"no eligible server for {user_id!r}")
 
 
-# the stores of every device that keeps nothing: one empty, read-only mapping
-_NOTHING = MappingProxyType({})
-
-
 class DeviceNode:
-    """End-user device; it keeps the owner list it is given, unchanged.
-    Server-side deployments use it only as the request origin and build it
-    with ``stores`` off, so that its audio and profile stores are one shared
-    empty mapping. Device and hybrid deployments store audio and profiles on
-    it; the on-device strategy also keeps its model and update window there."""
+    """End-user device of the deployments that keep profiles on devices; it
+    keeps the owners it is given, unchanged. Device and hybrid deployments
+    store audio and profiles on it; the on-device strategy also keeps its
+    model and update window there. A server-side deployment builds none: a
+    device there is only a request origin, its link stream and event target."""
 
     __slots__ = (
         "device_id",
@@ -210,14 +205,12 @@ class DeviceNode:
         "recheck_after_update",
     )
 
-    def __init__(
-        self, device_id: str, owner_users: list[str], local_model: VersionId, stores: bool = True
-    ):
+    def __init__(self, device_id: str, owner_users: tuple[str, ...], local_model: VersionId):
         self.device_id = device_id
         self.owner_users = owner_users
         self.local_model = local_model
-        self.stored_audio: dict[str, EnrollmentAudio] = {} if stores else _NOTHING
-        self.stored_profiles: dict[str, tuple[UserProfile, ...]] = {} if stores else _NOTHING
+        self.stored_audio: dict[str, EnrollmentAudio] = {}
+        self.stored_profiles: dict[str, tuple[UserProfile, ...]] = {}
         self.updating = False
         self.recheck_after_update = False
 

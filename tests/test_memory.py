@@ -5,13 +5,16 @@ state and sample count), shared by the database row and every profile made
 from it, so a run stores no sample. The guard is a 4,000-user SERVER DOUBLE
 run measured with ``tracemalloc``, divided by the users:
 - at the end, everything the run allocated and still holds, with its
-  result alive. Storing the three samples of each user again costs about
+  result alive: about 600 bytes a user (630 on Python 3.10; 680 with a
+  device node and owner list per device and a user-to-device map in a
+  SERVER world). Storing the three samples of each user again costs about
   300 bytes a user and fails it.
 - at the peak, which comes during the t=0 enrollment burst, when every
   user's enrollment is in flight. Flows and stores hold exact-size tuples,
-  and each flow context is the message of its hops (about 975 bytes a user;
-  1,015 with a wrapper message per hop); with the lists they held before,
-  the peak was about 1,220 and fails it.
+  each flow context is the message of its hops, and each request arrives as
+  its context: about 895 bytes a user (920 on Python 3.10; 975 with an
+  arrival message of its own, 1,015 with a wrapper message per hop). With
+  the lists they held before, the peak was about 1,220.
 """
 
 import tracemalloc
@@ -22,8 +25,8 @@ from versim.runner import run
 from versim.scenario import scenario_from_dict
 
 USERS = 4_000
-MAX_LIVE_BYTES_PER_USER = 900
-MAX_PEAK_BYTES_PER_USER = 1_120
+MAX_LIVE_BYTES_PER_USER = 650
+MAX_PEAK_BYTES_PER_USER = 980
 
 GUARD = {
     "strategy": {"policy": "DOUBLE"},

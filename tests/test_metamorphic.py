@@ -1,0 +1,80 @@
+"""Metamorphic relations: two runs whose inputs differ in a way with a known
+effect on the output, compared byte for byte.
+
+A run is a pure function of (scenario, seed), so each relation asks for
+equal bytes, with no expected value written down:
+- Poisson arrivals, rewritten as the ``explicit`` list of the runtime
+  arrivals the run took, give the same trace and report, for every
+  strategy. The workload reaches the run only through its arrival times.
+- Under DEVICE the cloud fleet takes no part, so ``cloud_servers`` 1, 3 or
+  16 changes no byte.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from test_acceptance import _COMBOS
+from versim.metrics import report_to_json
+from versim.runner import run
+from versim.scenario import scenario_from_dict
+
+_SEEDS = (3, 31)
+
+
+def _scenario(strategy, initial, seed, **overrides):
+    """Thirty users on six devices, three releases, and jittered links, so
+    that the order of same-time events shows in the trace."""
+    return scenario_from_dict(
+        {
+            "strategy": dict(strategy),
+            "users": 30,
+            "devices": 6,
+            "cloud_servers": 3,
+            "initial_versions": list(initial),
+            "latency": {
+                "device_frontend": {"base_ms": 5, "jitter_ms": 20},
+                "device_storage": {"base_ms": 5, "jitter_ms": 200},
+                "frontend_cloud": {"base_ms": 2, "jitter_ms": 5},
+                "frontend_db": {"base_ms": 1, "jitter_ms": 2},
+            },
+            "releases": [
+                {"time_ms": 3000, "version_id": "R1", "server_update_ms": [200, 2000]},
+                {"time_ms": 6000, "version_id": "R2", "server_update_ms": [200, 2000]},
+                {"time_ms": 9000, "version_id": "R3", "server_update_ms": [200, 2000]},
+            ],
+            "runtime_arrivals": {"poisson_rate_per_user_per_s": 1.0},
+            "duration_ms": 12_000,
+            "seed": seed,
+            **overrides,
+        }
+    )
+
+
+def _outputs(scenario) -> tuple[str, list[str]]:
+    result = run(scenario, trace=True)
+    return report_to_json(result.report), result.trace
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("name, strategy, initial", _COMBOS, ids=[c[0] for c in _COMBOS])
+def test_poisson_arrivals_rewritten_as_explicit_ones_change_no_byte(name, strategy, initial, seed):
+    poisson = _scenario(strategy, initial, seed)
+    report, trace = _outputs(poisson)
+    explicit = []
+    for line in trace:
+        at, _, _, kind, summary = line.split("\t")
+        if kind == "runtime-arrival":
+            explicit.append({"time_ms": int(at), "user_id": summary.removeprefix("user=")})
+    assert len(explicit) > 200
+    rewritten = _scenario(strategy, initial, seed, runtime_arrivals={"explicit": explicit})
+    assert rewritten.runtime_arrivals != poisson.runtime_arrivals
+    assert _outputs(rewritten) == (report, trace)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_the_cloud_fleet_size_changes_no_byte_under_device(seed):
+    base = _scenario({"deployment": "DEVICE"}, ["V1"], seed)
+    outputs = [_outputs(replace(base, cloud_servers=n)) for n in (1, 3, 16)]
+    assert outputs[0][0] != "" and len(outputs[0][1]) > 100
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]

@@ -48,7 +48,7 @@ from versim.runner import RunFailedError, build, run
 from versim.scenario import load_scenario, scenario_from_dict
 from versim import metrics, runner
 from versim.strategies import SyncTableServerWorld
-from versim.strategies.common import USER_STREAM_BASE, RuntimeArrival
+from versim.strategies.common import USER_STREAM_BASE, RuntimeCtx
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "online_random_bounce.json"
 
@@ -200,11 +200,11 @@ def test_a_default_run_keeps_no_logs(monkeypatch):
 def test_runtime_arrivals_are_built_when_the_clock_reaches_them(monkeypatch):
     made = []
 
-    def counting(user_id):
+    def counting(user_id, device_id, submitted):
         made.append(user_id)
-        return RuntimeArrival(user_id)
+        return RuntimeCtx(user_id, device_id, submitted)
 
-    monkeypatch.setattr(runner, "RuntimeArrival", counting)
+    monkeypatch.setattr(runner, "RuntimeCtx", counting)
     scenario = load_scenario(str(SCENARIO))
     sim, world, log = build(scenario, trace=True)
     assert made == []
@@ -222,7 +222,7 @@ def test_one_user_id_string_serves_the_whole_run():
 
     def handler(target, payload):
         if payload.kind == "enroll-arrival":
-            seen.extend(sample.speaker_id for sample in payload.samples)
+            seen.extend(sample.speaker_id for sample in payload.audio)
         if payload.kind in ("enroll-arrival", "runtime-arrival"):
             seen.append(payload.user_id)
         world.handle(target, payload)
@@ -308,7 +308,7 @@ def _enrollment_audio(scenario):
 
     def handler(target, payload):
         if payload.kind == "enroll-arrival":
-            audio[payload.user_id] = payload.samples
+            audio[payload.user_id] = payload.audio
 
     sim.handler = handler
     sim.run_until(0)
@@ -345,7 +345,7 @@ def test_every_store_and_profile_shares_the_users_one_audio_value():
 
     def handler(target, payload):
         if payload.kind == "enroll-arrival":
-            audio[payload.user_id] = payload.samples
+            audio[payload.user_id] = payload.audio
         world.handle(target, payload)
 
     sim.handler = handler

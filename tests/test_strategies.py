@@ -17,7 +17,7 @@ from versim.kernel import Simulator
 from versim.metrics import RequestKind
 from versim.runner import build, run
 from versim.scenario import load_scenario, scenario_from_dict
-from versim.strategies import server
+from versim.strategies import common, server
 from versim.strategies.common import EnrollCtx, HandshakeCtx, RuntimeCtx
 
 SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
@@ -479,7 +479,7 @@ def test_hybrid_background_enrollment_starts_once_per_user_while_in_flight():
     served = world.served_versions
     for _ in range(2):
         for user in ("u000", "u001"):
-            world._start_background_enroll(world.user_device[user], user, served)
+            world._start_background_enroll(world.device_of(user), user, served)
     assert [ctx.user_id for ctx in started] == ["u000", "u001"]
     assert started[0].plan is served  # the two served versions, not a copy
     # the response reaches the device and ends the flight; the next start goes out
@@ -630,24 +630,59 @@ def test_sync_table_rollout_is_bounce_free():
 
 
 def test_users_are_dealt_round_robin_to_devices():
+    """User i lives on device i mod devices: the device worlds' owner lists
+    say so, and every user's arrivals in every world go to that device."""
     users, devices = 1003, 7
-    _, world, _ = build(
-        scenario_from_dict(
-            {
-                "strategy": {"deployment": "DEVICE"},
-                "users": users,
-                "devices": devices,
-                "runtime_arrivals": {"explicit": []},
-            }
+    for deployment in ("DEVICE", "HYBRID", "SERVER"):
+        sim, world, _ = build(
+            scenario_from_dict(
+                {
+                    "strategy": {"deployment": deployment},
+                    "users": users,
+                    "devices": devices,
+                    "runtime_arrivals": _arrivals({f"u{i:03d}": [50] for i in range(users)}),
+                    "duration_ms": 100,
+                }
+            )
         )
-    )
-    for j in range(devices):
-        device_id = f"d{j:02d}"
-        expected = [f"u{i:03d}" for i in range(users) if i % devices == j]
-        # list order, not id-string order: u993 comes before u1000 on d06
-        assert world.devices[device_id].owner_users == expected
-        assert all(world.user_device[u] == device_id for u in expected)
-    assert len(world.user_device) == users
+        if deployment != "SERVER":
+            for j in range(devices):
+                expected = tuple(f"u{i:03d}" for i in range(users) if i % devices == j)
+                # user order, not id-string order: u993 comes before u1000 on d06
+                assert world.devices[f"d{j:02d}"].owner_users == expected
+        # kind -> user -> (event target, the context's device id)
+        arrived = {"enroll-arrival": {}, "runtime-arrival": {}}
+
+        def handler(target, payload, world=world, arrived=arrived):
+            if payload.kind in arrived:
+                arrived[payload.kind][payload.user_id] = (target, payload.device_id)
+            world.handle(target, payload)
+
+        sim.handler = handler
+        sim.run_until(100)
+        for kind, by_user in arrived.items():
+            assert len(by_user) == users, (deployment, kind)
+            for user, (target, device_id) in by_user.items():
+                expected = f"d{int(user[1:]) % devices:02d}"
+                assert (target, device_id) == (f"device:{expected}", expected), (kind, user)
+
+
+@pytest.mark.parametrize(
+    "strategy, initial",
+    [(s, i) for _, s, i in _COMBOS if s.get("deployment", "SERVER") == "SERVER"],
+    ids=[n for n, s, _ in _COMBOS if s.get("deployment", "SERVER") == "SERVER"],
+)
+def test_a_server_world_holds_no_device_nodes_and_no_user_device_map(
+    monkeypatch, strategy, initial
+):
+    def refuse(*args):
+        raise AssertionError("a SERVER world built a device node")
+
+    monkeypatch.setattr(common, "DeviceNode", refuse)
+    world = run(_sweep_scenario(strategy, initial, 7)).world
+    assert not hasattr(world, "devices")
+    users = set(world.user_ids)
+    assert not any(isinstance(v, dict) and set(v) == users for v in vars(world).values())
 
 
 def test_double_sweep_visits_stale_users_in_id_string_order():

@@ -194,15 +194,6 @@ def test_device_profiles_empty_for_strangers():
     assert device.profiles_for("u999") == ()
 
 
-def test_a_device_without_stores_reads_empty_and_refuses_a_put():
-    owners = ["u000", "u001"]
-    device = DeviceNode("d00", owners, V1, stores=False)
-    assert device.owner_users is owners
-    assert device.profiles_for("u000") == ()
-    with pytest.raises(TypeError):
-        device.put_profile(_profile("u000", V1), retain=1)
-
-
 @pytest.mark.parametrize("retain", [1, 2, None])
 def test_database_and_devices_keep_profiles_by_one_rule(retain):
     db = DatabaseNode()
