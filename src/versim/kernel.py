@@ -6,21 +6,18 @@ integer milliseconds. Events execute in (time, insertion sequence) order, so
 ties resolve by who scheduled first. Every random draw comes from a named
 SplitMix64 stream, and the trace is a pure function of the executed events.
 
-The queue has two parts. The events queued before the first
-``Simulator.run_until`` form the run: the events scheduled then (enrollment
-arrivals, releases, world-init ticks) are sorted once, and merged by
-(time, seq) with at most one fed stream. A fed stream (``Simulator.feed``,
-the runtime arrivals) is a time-ordered iterator of events that reserves a
-block of seqs when it is fed and yields each event only when the run
-reaches it, so its events are not held in memory before they are due. Every
-event scheduled after the first ``run_until`` goes into a bucket for its
-millisecond: a dict from time to a list of events in seq order, plus a heap
-of the distinct bucket times. Appending keeps a bucket in seq order, and a
-burst of events at one time costs one heap push and pop, not one per event.
-Each step executes the earlier head of the two parts. Every event in the run
-was queued before every bucketed event, so a tie in time goes to the run, and
-the order is the one a single heap of (time, seq) would give. A run or bucket
-entry is dropped as soon as its event runs.
+Every queued event waits in a bucket for its millisecond: a dict from time
+to a list of events in seq order, plus a heap of the distinct bucket times.
+Appending keeps a bucket in seq order, and a burst of events at one time
+costs one heap push and pop, not one per event. The one other source is a
+fed stream (``Simulator.feed``, the runtime arrivals): a time-ordered
+iterator of events that reserves a block of seqs when it is fed and yields
+each event only when the run reaches it, so its events are not held in
+memory before they are due. Each step executes the earlier of the first
+bucket and the stream's next event. At a tie the fed event runs first,
+unless its bucket holds an event scheduled before the stream was fed; then
+it joins that bucket in seq order. So the order is the one a single heap of
+(time, seq) would give. A bucket entry is dropped as soon as its event runs.
 
 An event is queued at a time (``Simulator.schedule``) or one message hop
 from now (``Simulator.send``): at ``now + extra + latency``, the link's
@@ -40,6 +37,7 @@ it returns ``RunResult.trace = None``, so no line is kept in memory.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Iterator, Protocol
@@ -124,11 +122,10 @@ class TraceSink(Protocol):
 
 
 class Simulator:
-    """Event queue over a virtual clock: a run of the events queued before
-    the first ``run_until`` (scheduled, sent or fed), and per-millisecond
-    buckets of those queued since (see the module docstring). Events enter
-    through ``schedule`` at a time, ``send`` one link hop from now, or
-    ``feed`` as one stream.
+    """Event queue over a virtual clock: per-millisecond buckets and at most
+    one fed stream (see the module docstring). Events enter through
+    ``schedule`` at a time, ``send`` one link hop from now, or ``feed`` as
+    one stream.
 
     ``handler`` is either a callable taking (target, payload) or an object
     with a ``handle(target, payload)`` method; it is resolved once at each
@@ -140,28 +137,26 @@ class Simulator:
 
     ``stall_bound`` is the progress tripwire: a millisecond's bucket may run
     that many events plus ``STALL_FACTOR`` per event queued there when the
-    clock reaches it, and one more raises ``StalledClockError``. The run's
-    events, scheduled or fed before the first ``run_until``, are not
-    counted. By default there is no bound.
+    clock reaches it, and one more raises ``StalledClockError``. The events
+    queued before the first ``run_until`` (scheduled, sent or fed) are not
+    counted: a bucket runs its share of them first and takes its limit
+    then. By default there is no bound.
     """
 
     __slots__ = (
-        "handler", "_preload", "_fed", "_run", "_head", "_buckets", "_times", "_seq", "now",
-        "trace", "current", "stall_bound",
+        "handler", "_fed", "_next", "_counted", "_buckets", "_times", "_seq", "now", "trace",
+        "current", "stall_bound",
     )  # fmt: skip
 
     def __init__(self, handler, trace: TraceSink | None = None, stall_bound: int = sys.maxsize):
         self.handler = handler
         self.stall_bound = stall_bound
-        # events scheduled before the first run_until; None from then on
-        self._preload: list[tuple[int, int, str, Payload]] | None = []
-        # the fed stream, the first seq of its block and its event count
-        self._fed: tuple[Iterable[tuple[int, str, Payload]], int, int] | None = None
-        # the preload merged with the fed stream, and its next event (None
-        # once it is empty); every event in it has a lower seq than every
-        # bucketed event
-        self._run: Iterator[tuple[int, int, str, Payload]] = iter(())
-        self._head: tuple[int, int, str, Payload] | None = None
+        # the fed stream, numbered, and its next event (None once it is empty)
+        self._fed: Iterator[tuple[int, int, str, Payload]] | None = None
+        self._next: tuple[int, int, str, Payload] | None = None
+        # the first seq the progress bound counts: the seq count at the first
+        # run_until, None before it
+        self._counted: int | None = None
         # time -> (seq, target, payload) entries in seq order, and a heap of
         # those times
         self._buckets: dict[int, list[tuple[int, str, Payload] | None]] = {}
@@ -178,9 +173,6 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        if self._preload is not None:
-            self._preload.append((at, seq, target, payload))
-            return
         bucket = self._buckets.get(at)
         if bucket is None:
             self._buckets[at] = [(seq, target, payload)]
@@ -205,9 +197,6 @@ class Simulator:
             at = self.now + extra + link.base_ms
         seq = self._seq
         self._seq = seq + 1
-        if self._preload is not None:
-            self._preload.append((at, seq, target, payload))
-            return
         bucket = self._buckets.get(at)
         if bucket is None:
             self._buckets[at] = [(seq, target, payload)]
@@ -222,11 +211,11 @@ class Simulator:
         when the run reaches it. One stream per simulator, fed before the
         first ``run_until``; a stream out of time order, or of another
         length, raises ValueError when the run finds it out."""
-        if self._preload is None:
+        if self._counted is not None:
             raise ValueError("feed() after the first run_until")
         if self._fed is not None:
             raise ValueError("the simulator already has a fed stream")
-        self._fed = (events, self._seq, count)
+        self._fed = _numbered(events, self._seq, count)
         self._seq += count
 
     def run_until(self, t_end: int) -> None:
@@ -235,20 +224,20 @@ class Simulator:
         ValueError and changes nothing."""
         if t_end < self.now:
             raise ValueError(f"run_until({t_end}) is before the clock ({self.now})")
-        if self._preload is not None:
-            self._preload.sort(reverse=True)
-            self._run = _merge(self._preload, *(self._fed or ((), 0, 0)))
-            self._head = next(self._run, None)
-            self._preload = self._fed = None
-        run = self._run
-        head = self._head
+        if self._counted is None:
+            self._counted = self._seq
+            if self._fed is not None:
+                self._next = next(self._fed, None)
+        fed = self._fed
+        head = self._next
+        counted = self._counted
         buckets = self._buckets
         times = self._times
         trace = self.trace
         handle = getattr(self.handler, "handle", self.handler)
         bound = self.stall_bound
-        # a bucket before ``cut`` runs first: the run's head time, or
-        # t_end + 1 once the run is empty or past t_end; ties go to the run
+        # a bucket before ``cut`` runs first: the next fed event's time, or
+        # t_end + 1 once the stream is empty or past t_end
         stop = t_end + 1
         cut = head[0] if head is not None and head[0] < stop else stop
         seq = -1
@@ -261,14 +250,26 @@ class Simulator:
                     bucket = buckets[at]
                     if trace is not None:
                         stamp = f"{at}\t"  # formatted once for the whole bucket
-                    limit = bound + STALL_FACTOR * len(bucket)
+                    # the events queued before the first run_until lead the
+                    # bucket and are not counted: the limit is taken once
+                    # they have run
+                    if bucket[0][0] < counted:
+                        limit = bisect_left(bucket, (counted,))
+                    else:
+                        limit = bound + STALL_FACTOR * len(bucket)
                     # handlers may append to the bucket while it drains
                     while done < len(bucket):
                         if done == limit:
-                            raise StalledClockError(
-                                f"the clock stalled at t={at}ms: {done} events ran there and "
-                                f"more are queued; the last was {payload.kind!r}"
-                            )
+                            if seq >= counted:
+                                raise StalledClockError(
+                                    f"the clock stalled at t={at}ms: {done} events ran there and "
+                                    f"more are queued; the last was {payload.kind!r}"
+                                )
+                            # the last uncounted event has run
+                            del bucket[:done]
+                            done = 0
+                            limit = bound + STALL_FACTOR * len(bucket)
+                            continue
                         seq, target, payload = bucket[done]
                         bucket[done] = None
                         done += 1
@@ -283,8 +284,13 @@ class Simulator:
                     done = 0
                 elif cut < stop:
                     at, seq, target, payload = head
-                    head = next(run, None)
+                    head = next(fed, None)
                     cut = head[0] if head is not None and head[0] < stop else stop
+                    if times and times[0] == at and buckets[at][0][0] < seq:
+                        # an event scheduled before the stream was fed waits
+                        # at this time: join it in seq order
+                        insort(buckets[at], (seq, target, payload))
+                        continue
                     self.now = at
                     if trace is not None:
                         trace.append(
@@ -295,41 +301,31 @@ class Simulator:
                     break
         except BaseException:
             if bucket is not None:
-                # keep what the bucket has left for the next call
+                # keep what the bucket has left for the next call, and drop
+                # it if nothing is left
                 del bucket[:done]
+                if not bucket:
+                    del buckets[at]
+                    heappop(times)
             if seq >= 0:
                 self.current = (self.now, seq)
             raise
         finally:
-            self._head = head
+            self._next = head
         self.now = t_end
 
 
-def _merge(
-    run: list[tuple[int, int, str, Payload]],
-    fed: Iterable[tuple[int, str, Payload]],
-    first: int,
-    count: int,
+def _numbered(
+    events: Iterable[tuple[int, str, Payload]], first: int, count: int
 ) -> Iterator[tuple[int, int, str, Payload]]:
-    """The events of ``run`` (sorted descending, consumed from its end) and
-    the ``count`` events of ``fed``, numbered from seq ``first``, in
-    (time, seq) order."""
-    # the run's head goes before a fed event at ``at`` when ``at >= due``: a
-    # head at the same time goes first only if it was scheduled before the
-    # stream was fed
-    due = run[-1][0] + (run[-1][1] >= first) if run else sys.maxsize
+    """The ``count`` events of a fed stream, numbered from seq ``first``."""
     seq = first
     last = 0
-    for at, target, payload in fed:
+    for at, target, payload in events:
         if at < last:
             raise ValueError(f"fed event {seq - first} at t={at}ms is out of time order")
-        while at >= due:
-            yield run.pop()
-            due = run[-1][0] + (run[-1][1] >= first) if run else sys.maxsize
         yield at, seq, target, payload
         last = at
         seq += 1
     if seq != first + count:
         raise ValueError(f"the fed stream yielded {seq - first} events, not {count}")
-    while run:
-        yield run.pop()

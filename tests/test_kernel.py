@@ -133,7 +133,8 @@ def test_send_on_a_jittered_link_queues_at_now_extra_and_one_draw():
 
 
 def test_send_on_a_fixed_link_steps_the_stream_as_one_draw():
-    # sent before the first run_until, so the hops join the preloaded run
+    # sent before the first run_until, so the hops wait in their buckets
+    # before the clock first moves
     link = LatencyModel(4, 0)
     for seed in (0, 42, 2**64 - 1):
         rng, twin = SimRng(seed), SimRng(seed)
@@ -302,8 +303,8 @@ def test_a_clock_that_stops_moving_trips_after_the_bound():
     sim.schedule(5, "n", Ping("start"))
     with pytest.raises(StalledClockError, match=r"t=5ms: 74 events .* 'ping'"):
         sim.run_until(100)
-    # the preloaded event is not counted; it queued one event at t=5, so the
-    # bucket may run 10 + 64 x 1 and it queued a 75th
+    # the event queued before the first run_until is not counted; it queued
+    # one event at t=5, so the bucket may run 10 + 64 x 1 and it queued a 75th
     assert seen == [5] * 75
     assert sim.current == (5, 74)
 
@@ -338,6 +339,25 @@ def test_a_bucket_may_run_the_bound_plus_64_per_queued_event(queued, burst, trip
         assert order == ran + ["next"]
 
 
+def test_a_raise_that_empties_its_bucket_lets_the_next_call_go_on():
+    seen = []
+
+    def handler(target, payload):
+        seen.append((sim.now, payload.label))
+        if payload.label == "boom":
+            raise RuntimeError("boom")
+
+    sim = Simulator(handler)
+    sim.schedule(5, "n", Ping("boom"))
+    sim.schedule(7, "n", Ping("after"))
+    with pytest.raises(RuntimeError):
+        sim.run_until(10)
+    assert sim.current == (5, 0)
+    sim.run_until(10)
+    assert seen == [(5, "boom"), (7, "after")]
+    assert sim.now == 10
+
+
 def _fed(times, drawn=None):
     """A fed stream of Pings labelled f<i>, noting each one as it is drawn."""
     for i, at in enumerate(times):
@@ -367,6 +387,34 @@ def test_fed_and_scheduled_events_at_one_millisecond_run_in_seq_order():
         "5\t3\tn\tping\tafter",
         "5\t5\tn\tping\tin-run",
     ]
+
+
+@pytest.mark.parametrize("extra, counted", [(0, 74), (2, 202)])
+def test_a_stalled_bucket_does_not_count_the_events_queued_before_the_first_call(extra, counted):
+    # at t=5 wait an event scheduled before the feed, a fed event and one
+    # scheduled after the feed; the last starts a chain of zero-delay events,
+    # and the first queues ``extra`` more at t=5
+    calls = []
+
+    def handler(target, payload):
+        calls.append(payload.label)
+        if payload.label == "before":
+            for i in range(extra):
+                sim.schedule_in(0, "n", Ping(f"x{i}"))
+        elif payload.label in ("after", "again"):
+            sim.schedule_in(0, "n", Ping("again"))
+
+    sim = Simulator(handler, stall_bound=10)
+    sim.schedule(5, "n", Ping("before"))
+    sim.feed(_fed([5, 9]), 2)
+    sim.schedule(5, "n", Ping("after"))
+    with pytest.raises(StalledClockError, match=f"t=5ms: {counted} events"):
+        sim.run_until(100)
+    # the three run uncounted; then the bucket may run 10 + 64 per event
+    # they queued at t=5, and the chain queued one more
+    assert calls[:3] == ["before", "f0", "after"]
+    assert len(calls) == 3 + counted
+    assert sim.current == (5, 3 + counted)
 
 
 def test_a_fed_stream_is_drawn_as_the_clock_reaches_it_across_calls():
@@ -526,10 +574,11 @@ _delays = st.integers(min_value=0, max_value=15)
     ),
     boom=st.none() | st.integers(min_value=0, max_value=60),
 )
-def test_two_part_queue_runs_the_single_heap_order(pre, fed, followups, steps, boom):
+def test_buckets_and_fed_stream_run_the_single_heap_order(pre, fed, followups, steps, boom):
     # horizons climb by the drawn increments; in-run follow-ups with delay 0
-    # tie with preloaded and fed events at the same time, and a raise part
-    # way leaves the rest queued for the next call
+    # tie with events scheduled before and after the feed and with fed
+    # events at the same time, and a raise part way leaves the rest queued
+    # for the next call
     clock = 0
     climbing = []
     for step, between in steps:
@@ -594,8 +643,8 @@ _calls = st.tuples(
     steps=st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=5),
 )
 def test_send_runs_as_scheduling_at_now_plus_extra_plus_one_draw(pre, followups, steps):
-    # some calls come before the first run_until (the preloaded run), the
-    # rest from handlers (the buckets); sends and schedules share one seq count
+    # some calls come before the first run_until, the rest from handlers;
+    # sends and schedules share one seq count
     horizons = [sum(steps[: i + 1]) for i in range(len(steps))]
     expected = _hops(_HeapSim, pre, followups, horizons)
     assert _hops(Simulator, pre, followups, horizons) == expected

@@ -8,6 +8,11 @@ equal bytes, with no expected value written down:
   strategy. The workload reaches the run only through its arrival times.
 - Under DEVICE the cloud fleet takes no part, so ``cloud_servers`` 1, 3 or
   16 changes no byte.
+- Running the clock to the horizon in steps of 97 ms gives the trace and
+  report of one ``run_until`` call: a call boundary is not an event.
+- A run built with twice the horizon and run to T reports at T what the run
+  to T reports. Only the report is compared: the longer run feeds more
+  arrivals, so every later seq in its trace moves.
 """
 
 from dataclasses import replace
@@ -16,7 +21,7 @@ import pytest
 
 from test_acceptance import _COMBOS
 from versim.metrics import report_to_json
-from versim.runner import run
+from versim.runner import build, run
 from versim.scenario import scenario_from_dict
 
 _SEEDS = (3, 31)
@@ -78,3 +83,27 @@ def test_the_cloud_fleet_size_changes_no_byte_under_device(seed):
     outputs = [_outputs(replace(base, cloud_servers=n)) for n in (1, 3, 16)]
     assert outputs[0][0] != "" and len(outputs[0][1]) > 100
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("name, strategy, initial", _COMBOS, ids=[c[0] for c in _COMBOS])
+def test_running_the_clock_in_steps_changes_no_byte(name, strategy, initial, seed):
+    scenario = _scenario(strategy, initial, seed)
+    horizon = scenario.duration_ms
+    sim, _, log = build(scenario, trace=True)
+    for t in range(97, horizon, 97):
+        sim.run_until(t)
+    sim.run_until(horizon)
+    assert (report_to_json(log.report(horizon)), sim.trace) == _outputs(scenario)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("name, strategy, initial", _COMBOS, ids=[c[0] for c in _COMBOS])
+def test_a_longer_run_reports_at_the_horizon_what_the_run_to_it_reports(
+    name, strategy, initial, seed
+):
+    scenario = _scenario(strategy, initial, seed)
+    horizon = scenario.duration_ms
+    sim, _, log = build(_scenario(strategy, initial, seed, duration_ms=2 * horizon))
+    sim.run_until(horizon)
+    assert report_to_json(log.report(horizon)) == _outputs(scenario)[0]
