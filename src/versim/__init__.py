@@ -3,7 +3,8 @@ speaker-recognition fleets manage model and profile versions.
 
 ``run`` and ``scenario_from_dict`` are the library entry points; the report
 types, the scenario loader and the strategy configuration live in their own
-modules (``versim.metrics``, ``versim.scenario``, ``versim.strategies``).
+modules (``versim.metrics``, ``versim.scenario``, ``versim.strategies.common``),
+and each deployment's worlds in its module of ``versim.strategies``.
 """
 
 from .runner import run

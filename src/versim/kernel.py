@@ -283,8 +283,10 @@ class Simulator:
                     bucket = None
                     done = 0
                 elif cut < stop:
-                    at, seq, target, payload = head
-                    head = next(fed, None)
+                    # draw the next event first: a stream that raises
+                    # there leaves ``current`` on the last event that ran
+                    event, head = head, next(fed, None)
+                    at, seq, target, payload = event
                     cut = head[0] if head is not None and head[0] < stop else stop
                     if times and times[0] == at and buckets[at][0][0] < seq:
                         # an event scheduled before the stream was fed waits

@@ -36,8 +36,7 @@ from .engine import EnrollmentAudio
 from .kernel import STALL_FACTOR, Simulator, TraceSink, node_stream
 from .metrics import ReenrollEvent, Report, RequestRecord, RunLog
 from .scenario import Scenario, strategy_row
-from .strategies import WorldBase
-from .strategies.common import USER_STREAM_BASE, EnrollCtx, ReleasePayload, RuntimeCtx
+from .strategies.common import USER_STREAM_BASE, EnrollCtx, ReleasePayload, RuntimeCtx, WorldBase
 from .topology import ModelStorageNode
 
 # bit offsets of the fields of a packed runtime arrival (see _generate_workload)

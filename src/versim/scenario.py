@@ -18,7 +18,7 @@ from typing import Iterable, NoReturn
 
 from .domain import SimulationError
 from .kernel import LatencyModel
-from .strategies import Deployment, Mitigation, StrategyConfig, UpdatePolicy, WorldBase
+from .strategies.common import Deployment, Mitigation, StrategyConfig, UpdatePolicy, WorldBase
 from .strategies.device import DeviceWorld
 from .strategies.hybrid import HybridDoubleWorld, HybridSingleWorld
 from .strategies.server import (

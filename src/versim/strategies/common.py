@@ -10,18 +10,19 @@ the world's method named for it, dashes written as underscores: kind
 Request flows are chains of messages. Each hop is one traced event that
 ``Simulator.send`` queues on its link, with the latency drawn from the
 sending node's stream. A flow's context object (``EnrollCtx``,
-``RuntimeCtx``, ``HandshakeCtx``, and the re-enrollment pump's
-``server._SweepCtx``) is itself the message of every hop of the flow, so
-node handlers stay stateless between hops: just before it sends, the
-sender sets the hop's ``kind`` on the context, with the server id, the
-continuation ``token`` or the outcome the hop carries, and a handler writes
-what its node produced (a fetched row, an enrolled profile) onto it. That is
-sound because a flow has at most one message queued at a time, and its
-trace line is printed before the handler moves the context on to its next
-hop. A request's context is also its arrival: the runner schedules each
+``RuntimeCtx``, ``HandshakeCtx``, the sync table's ``SyncProbe``, and the
+re-enrollment pump's ``server._SweepCtx``) is itself the message of every
+hop of the flow, so node handlers stay stateless between hops: just before
+it sends, the sender sets the hop's ``kind`` on the context, with the server
+id, the continuation ``token`` or the outcome the hop carries, and a handler
+writes what its node produced (a fetched row, an enrolled profile) onto it.
+That is sound because a flow has at most one message queued at a time, and
+its trace line is printed before the handler moves the context on to its
+next hop. A request's context is also its arrival: the runner schedules each
 user's ``EnrollCtx`` as its enroll-arrival and feeds each ``RuntimeCtx`` as
-its runtime-arrival. The hops outside a flow (releases, ticks, sync probes)
-have one message class per shape.
+its runtime-arrival, and on a DEVICE it is also its device-task-done. The
+hops outside a flow (releases, server updates, ticks) have one message class
+per shape.
 
 ``WorldBase`` holds what every world has: the users, each device's link
 stream and event target, the ownership rule ``device_of``, engines,
@@ -133,6 +134,14 @@ def _acked(ctx) -> str:
     return f"for={ctx.token}"
 
 
+def _serves(ctx) -> str:
+    return ",".join([v.id for v in ctx.versions]) or "-"
+
+
+def _round(ctx) -> str:
+    return f"round={ctx.round_id} server={ctx.server_id}"
+
+
 _SUMMARIES: dict[str, Callable[..., str]] = {
     "enroll-arrival": lambda c: f"user={c.user_id} samples={len(c.audio)}",
     "runtime-arrival": _user,
@@ -147,9 +156,10 @@ _SUMMARIES: dict[str, Callable[..., str]] = {
     "recognize-job-done": lambda c: (
         f"user={c.user_id} server={c.server_id} reenrolled={'1' if c.produced else '0'}"
     ),
-    "handshake-reply": lambda c: (
-        f"user={c.user_id} serves={','.join([v.id for v in c.versions]) or '-'}"
-    ),
+    "handshake-reply": lambda c: f"user={c.user_id} serves={_serves(c)}",
+    "device-task-done": lambda c: f"task={c.flow} user={c.user_id}",
+    "sync-probe": _round,
+    "sync-reply": lambda c: f"{_round(c)} serves={_serves(c)}",
     "dispatch-retry": lambda c: f"flow={c.flow} user={c.user_id}",
     "job-rejected": lambda c: f"flow={c.flow} server={c.server_id}",
     "enroll-job": lambda c: f"user={c.user_id} server={c.server_id} for={c.token}",
@@ -183,7 +193,9 @@ class EnrollCtx(FlowCtx):
     replaces. It is the message of enroll-arrival (a user's own request
     only), enroll-request, enroll-job and enroll-job-done, job-rejected and
     dispatch-retry, the database's store-audio and put hops and their acks,
-    and enroll-response, the last with the ``outcome`` answered."""
+    and enroll-response, the last with the ``outcome`` answered. On a DEVICE
+    it is the message of enroll-arrival and of the device-task-done that
+    enrolls on its one leg's version."""
 
     flow: ClassVar[str] = "enroll"
     user_id: str
@@ -211,7 +223,8 @@ class RuntimeCtx(FlowCtx):
     database's fetch and put hops and their replies, recognize-job and
     recognize-job-done, job-rejected and dispatch-retry, the retry-signal and
     retry-needed that send a stale hybrid profile back to its device, and
-    runtime-response, the last with the ``outcome`` answered."""
+    runtime-response, the last with the ``outcome`` answered. On a DEVICE
+    it is the message of runtime-arrival and device-task-done."""
 
     flow: ClassVar[str] = "runtime"
     user_id: str
@@ -236,6 +249,18 @@ class HandshakeCtx(FlowCtx):
     device_id: str
     submitted: int
     kind: str = "handshake-request"
+    versions: tuple[VersionId, ...] = ()
+
+
+@dataclass(slots=True)
+class SyncProbe(FlowCtx):
+    """One server's part of a sync-table refresh round: the message of
+    sync-probe, and of the sync-reply that brings the ``versions`` it serves
+    back. A round builds one per server, so nothing else shares it."""
+
+    round_id: int
+    server_id: str
+    kind: str = "sync-probe"
     versions: tuple[VersionId, ...] = ()
 
 
@@ -267,25 +292,6 @@ class VersionNotice:
 
 
 @dataclass(slots=True)
-class DeviceTaskDone:
-    """Completion of a device-local engine task, ``task`` "enroll" or
-    "runtime". Either task uses the ``engine`` it started with, even if the
-    device switched models since: an enroll task enrolls its ``samples``,
-    and a runtime task checks the ``profile`` it started with."""
-
-    kind: ClassVar[str] = "device-task-done"
-    task: str
-    user_id: str
-    submitted: int
-    engine: EngineInstance
-    samples: EnrollmentAudio | tuple[()] = ()
-    profile: UserProfile | None = None
-
-    def summary(self) -> str:
-        return f"task={self.task} user={self.user_id}"
-
-
-@dataclass(slots=True)
 class ServerUpdateDone:
     kind: ClassVar[str] = "server-update-done"
     server_id: str
@@ -310,28 +316,6 @@ class Tick:
 
 SYNC_TICK = Tick("sync-tick", "periodic")
 SWEEP_STEP = Tick("sweep-step", "next-user")
-
-
-@dataclass(slots=True)
-class SyncProbe:
-    kind: ClassVar[str] = "sync-probe"
-    round_id: int
-    server_id: str
-
-    def summary(self) -> str:
-        return f"round={self.round_id} server={self.server_id}"
-
-
-@dataclass(slots=True)
-class SyncReply:
-    kind: ClassVar[str] = "sync-reply"
-    round_id: int
-    server_id: str
-    versions: tuple[VersionId, ...]
-
-    def summary(self) -> str:
-        served = ",".join([v.id for v in self.versions]) or "-"
-        return f"round={self.round_id} server={self.server_id} serves={served}"
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ runtime requests and answers them when the window closes; that wait is the
 strategy's downtime, and it is what keeps profiles and engine version in
 lockstep at every instant a request is served. Only runtime requests wait
 out the window: every enrollment arrives at t=0, ahead of any release.
+
+A request runs as one engine task on its device: its context, the message
+of its arrival, is queued again as its device-task-done once the task's
+compute time has passed, and the request is recorded then.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 from ..topology import DeviceNode
 from .common import (
     OK,
-    DeviceTaskDone,
     EnrollCtx,
     ReleasePayload,
     RuntimeCtx,
@@ -39,15 +42,15 @@ class DeviceWorld(WorldBase):
     # -- local requests
 
     def _on_enroll_arrival(self, target: str, ctx: EnrollCtx) -> None:
-        # every enrollment arrives at t=0, before any release, so never mid-update
+        # every enrollment arrives at t=0, before any release, so never
+        # mid-update. The task's one leg is the version it starts on: it
+        # enrolls there even if the device switched models since
         dev = self.devices[ctx.device_id]
         dev.stored_audio[ctx.user_id] = ctx.audio
-        engine = self.engine_for(dev.local_model)
-        self.sim.schedule_in(
-            engine.enroll_duration_ms(len(ctx.audio)),
-            target,
-            DeviceTaskDone("enroll", ctx.user_id, ctx.submitted, engine, ctx.audio),
-        )
+        ctx.plan = (dev.local_model,)
+        ctx.kind = "device-task-done"
+        duration = self.engine_for(dev.local_model).enroll_duration_ms(len(ctx.audio))
+        self.sim.schedule_in(duration, target, ctx)
 
     def _on_runtime_arrival(self, target: str, ctx: RuntimeCtx) -> None:
         dev = self.devices[ctx.device_id]
@@ -59,18 +62,21 @@ class DeviceWorld(WorldBase):
             # nothing enrolled: reject on the spot, no engine work
             self.log.request_done("RUNTIME", ctx.user_id, ctx.submitted, self.sim.now, OK)
             return
+        # the task checks the profile on the engine it starts with, even if
+        # the device switches models before it is done
         engine = self.engine_for(dev.local_model)
-        task = DeviceTaskDone("runtime", ctx.user_id, ctx.submitted, engine, (), profiles[-1])
-        self.sim.schedule_in(engine.runtime_cost_ms, target, task)
+        engine.recognize(profiles[-1])
+        ctx.kind = "device-task-done"
+        self.sim.schedule_in(engine.runtime_cost_ms, target, ctx)
 
-    def _on_device_task_done(self, target: str, task: DeviceTaskDone) -> None:
-        dev = self._device(target)
-        if task.task == "enroll":
-            self._put(dev, task.engine.enroll(task.user_id, task.samples))
-            self.log.request_done("ENROLL", task.user_id, task.submitted, self.sim.now, OK)
+    def _on_device_task_done(self, target: str, ctx: EnrollCtx | RuntimeCtx) -> None:
+        if ctx.flow == "enroll":
+            profile = self.engine_for(ctx.plan[0]).enroll(ctx.user_id, ctx.audio)
+            self._put(self._device(target), profile)
+            kind = "ENROLL"
         else:
-            task.engine.recognize(task.profile)
-            self.log.request_done("RUNTIME", task.user_id, task.submitted, self.sim.now, OK)
+            kind = "RUNTIME"
+        self.log.request_done(kind, ctx.user_id, ctx.submitted, self.sim.now, OK)
 
     # -- releases
 

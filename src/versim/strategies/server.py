@@ -50,7 +50,6 @@ from .common import (
     FlowCtx,
     RuntimeCtx,
     SyncProbe,
-    SyncReply,
 )
 
 
@@ -342,17 +341,18 @@ class SyncTableServerWorld(OnlineServerWorld):
         self._start_refresh(waiter=None)
         self.sim.schedule_in(self.cfg.sync_table_period_ms, "frontend", SYNC_TICK)
 
-    def _on_sync_probe(self, target, msg: SyncProbe):
-        server = self.clouds[msg.server_id]
-        versions = () if server.updating else (server.engine.model,)
-        self._cloud_to_frontend(msg.server_id, SyncReply(msg.round_id, msg.server_id, versions))
+    def _on_sync_probe(self, target, probe: SyncProbe):
+        server = self.clouds[probe.server_id]
+        probe.kind = "sync-reply"
+        probe.versions = () if server.updating else (server.engine.model,)
+        self._cloud_to_frontend(probe.server_id, probe)
 
-    def _on_sync_reply(self, target, msg: SyncReply):
-        self.version_table[msg.server_id] = set(msg.versions)
-        rnd = self._rounds[msg.round_id]
+    def _on_sync_reply(self, target, probe: SyncProbe):
+        self.version_table[probe.server_id] = set(probe.versions)
+        rnd = self._rounds[probe.round_id]
         rnd.remaining -= 1
         if rnd.remaining == 0:
-            del self._rounds[msg.round_id]
+            del self._rounds[probe.round_id]
             for ctx in rnd.waiters:
                 self._select_and_dispatch(ctx, refreshed=True)
 

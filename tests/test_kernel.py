@@ -65,6 +65,8 @@ def _frontend(rng: SimRng) -> FrontendNode:
 # (draw, the same value computed from one next_u64 of an equal stream)
 _ONE_DRAW = [
     (lambda rng: rng.randrange(7), lambda rng: rng.next_u64() % 7),
+    # a RANDOM pick between two servers: only a pick among one skips the mix
+    (lambda rng: rng.randrange(2), lambda rng: rng.next_u64() % 2),
     (lambda rng: rng.randrange(1), lambda rng: rng.next_u64() % 1),
     (
         lambda rng: _release(200, 3000).draw_update_duration(rng),
@@ -90,7 +92,7 @@ def test_randrange_and_update_draws_consume_one_draw_each():
         for seed in (0, 42, 2**64 - 1):
             a = SimRng(seed)
             b = SimRng(seed)
-            for _ in range(3):
+            for _ in range(64):
                 assert draw(a) == reference(b)
             assert a.next_u64() == b.next_u64()
 
@@ -473,6 +475,24 @@ def test_a_fed_stream_out_of_order_or_of_another_length_raises(times, count, mes
     sim.feed(_fed(times), count)
     with pytest.raises(ValueError, match=message):
         sim.run_until(10)
+
+
+@pytest.mark.parametrize(
+    "scheduled, current", [(0, None), (3, (1, 2))], ids=["stream-only", "after-three-at-t1"]
+)
+def test_a_fed_stream_out_of_order_leaves_current_on_the_last_event_that_ran(scheduled, current):
+    # the stream raises as its second event is drawn, before its first runs;
+    # ``scheduled`` events at t=1 take seqs 0.. and the stream the next two
+    trace = []
+    sim = Simulator(lambda target, p: None, trace=trace)
+    for i in range(scheduled):
+        sim.schedule(1, "n", Ping(f"s{i}"))
+    sim.feed(_fed([3, 2]), 2)
+    with pytest.raises(ValueError, match="^fed event 1 at t=2ms is out of time order$"):
+        sim.run_until(10)
+    assert sim.current == current
+    assert sim.now == (0 if current is None else current[0])
+    assert trace == [f"1\t{i}\tn\tping\ts{i}" for i in range(scheduled)]
 
 
 def test_identical_seeds_produce_identical_streams():

@@ -47,7 +47,7 @@ from versim.metrics import report_to_json, summarize
 from versim.runner import RunFailedError, build, run
 from versim.scenario import load_scenario, scenario_from_dict
 from versim import metrics, runner
-from versim.strategies import SyncTableServerWorld
+from versim.strategies.server import SyncTableServerWorld
 from versim.strategies.common import USER_STREAM_BASE, RuntimeCtx
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "online_random_bounce.json"

@@ -16,17 +16,14 @@ from versim.scenario import (
     load_scenario,
     scenario_from_dict,
 )
-from versim.strategies import (
-    Deployment,
-    DeviceWorld,
+from versim.strategies.common import Deployment, Mitigation, UpdatePolicy
+from versim.strategies.device import DeviceWorld
+from versim.strategies.hybrid import HybridDoubleWorld, HybridSingleWorld
+from versim.strategies.server import (
     DoubleServerWorld,
-    HybridDoubleWorld,
-    HybridSingleWorld,
-    Mitigation,
     OfflineServerWorld,
     OnlineServerWorld,
     SyncTableServerWorld,
-    UpdatePolicy,
 )
 from versim.topology import DispatchPolicy
 

@@ -534,7 +534,7 @@ def test_a_runtime_request_holds_the_store_tuple_itself(strategy, kind):
     assert len(checked) == 2
 
 
-_FLOW_CONTEXTS = (EnrollCtx, RuntimeCtx, HandshakeCtx, server._SweepCtx)
+_FLOW_CONTEXTS = (EnrollCtx, RuntimeCtx, HandshakeCtx, common.SyncProbe, server._SweepCtx)
 
 
 def _flow_of(payload):
@@ -588,9 +588,11 @@ def _flows_queued_twice(monkeypatch, scenario) -> list[str]:
 def test_no_flow_context_is_queued_for_two_events_at_once(
     monkeypatch, strategy, initial, servers, seed
 ):
-    """A flow context, the sweep's included, is the message of every hop of
-    its flow, and a handler sets its next hop's kind on it; that is sound
-    only while each flow has at most one event queued."""
+    """A flow context, the sweep's and each sync probe's included, is the
+    message of every hop of its flow, and a handler sets its next hop's kind
+    on it; that is sound only while each flow has at most one event queued.
+    The DEVICE runs count too: each request's context is queued again as its
+    device-task-done."""
     scenario = replace(_sweep_scenario(strategy, initial, seed), cloud_servers=servers)
     assert _flows_queued_twice(monkeypatch, scenario) == []
 
