@@ -31,13 +31,13 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .domain import SimulationError
+from .domain import SimulationError, VersionId
 from .engine import EnrollmentAudio
 from .kernel import STALL_FACTOR, Simulator, TraceSink, node_stream
 from .metrics import ReenrollEvent, Report, RequestRecord, RunLog
 from .scenario import Scenario, strategy_row
-from .strategies.common import USER_STREAM_BASE, EnrollCtx, ReleasePayload, RuntimeCtx, WorldBase
-from .topology import ModelStorageNode
+from .strategies.common import USER_STREAM_BASE, EnrollCtx, RuntimeCtx, WorldBase
+from .topology import ModelRelease
 
 # bit offsets of the fields of a packed runtime arrival (see _generate_workload)
 _RANK_SHIFT = 32
@@ -134,16 +134,13 @@ def build(
     as a stream. ``trace`` and ``logs`` are as for ``run``: for ``trace``,
     True collects the lines in a fresh list (``sim.trace``), a sink receives
     them, False traces nothing."""
-    storage = ModelStorageNode()
-    for version_id in scenario.initial_versions:
-        storage.register(version_id, 0, (0, 0))
     log = RunLog(keep=logs)
     sink: TraceSink | None = [] if trace is True else (None if trace is False else trace)
     # the progress tripwire: 64 events a millisecond per user, server and
     # device, so a release or sweep that reaches every node stays under it
     nodes = scenario.users + scenario.cloud_servers + scenario.devices
     sim = Simulator(None, trace=sink, stall_bound=STALL_FACTOR * nodes)
-    world = strategy_row(scenario.strategy).world(scenario, sim, storage, log)
+    world = strategy_row(scenario.strategy).world(scenario, sim, log)
     sim.handler = world
 
     arrivals, by_rank = _generate_workload(scenario, world.user_ids)
@@ -155,9 +152,12 @@ def build(
         sim.schedule(0, targets[device], EnrollCtx(user, device, 0, audio))
     devices = [world.device_of(user) for user in by_rank]
     sim.feed(_runtime_arrivals(arrivals, by_rank, devices, targets), len(arrivals))
-    for r in scenario.releases:
-        payload = ReleasePayload(r.version_id, r.download_ms, r.server_update_ms)
-        sim.schedule(r.time_ms, "storage", payload)
+    # each release numbered after the initial versions, in schedule order:
+    # the releases are sorted by time, and those at one millisecond run in
+    # the order they are scheduled
+    for i, r in enumerate(scenario.releases, len(world.initial) + 1):
+        release = ModelRelease(VersionId(r.version_id, i), r.download_ms, r.server_update_ms)
+        sim.schedule(r.time_ms, "storage", release)
     return sim, world, log
 
 

@@ -24,21 +24,24 @@ its runtime-arrival, and on a DEVICE it is also its device-task-done. The
 hops outside a flow (releases, server updates, ticks) have one message class
 per shape.
 
-``WorldBase`` holds what every world has: the users, each device's link
-stream and event target, the ownership rule ``device_of``, engines,
+``WorldBase`` holds what every world has: the users, the ``initial``
+versions, numbered 1..n, each device's link stream and event target, the
+ownership rule ``device_of`` and its inverse ``owners_of``, engines,
 handlers, and ``_put``, the profile write into a store (``topology``'s
 database or device) under the world's one ``retain``. Only the worlds that
 keep profiles on the devices build device nodes: the hybrid worlds and
 ``DeviceWorld`` (``device.py``), which builds on the base alone.
-``CloudWorldBase`` is the cloud fleet of the SERVER and HYBRID worlds:
-servers and frontend, the served-version index, the rollout, the cloud
-jobs, runtime dispatch, and the one enrollment flow. That flow admits the
-device's request, plans its legs, sends one enroll job per leg, keeps each
-produced profile, answers enroll-response, and records the request. The
-worlds differ only in where profiles are kept: ``server.py`` hops to the
-database (the audio first, then a put per leg), while in ``hybrid.py`` the
-device keeps the profiles when the response reaches it, and resumes the
-runtime request that an in-path re-enrollment served.
+``CloudWorldBase`` is the cloud fleet of the SERVER and HYBRID worlds: the
+servers, kept as two tables (each one's engine in ``engines``, the ones
+mid-update in ``updating``), the frontend, the served-version index, the
+rollout, the cloud jobs, runtime dispatch, and the one enrollment flow.
+That flow admits the device's request, plans its legs, sends one enroll job
+per leg, keeps each produced profile, answers enroll-response, and records
+the request. The worlds differ only in where profiles are kept:
+``server.py`` hops to the database (the audio first, then a put per leg),
+while in ``hybrid.py`` the device keeps the profiles when the response
+reaches it, and resumes the runtime request that an in-path re-enrollment
+served.
 """
 
 from __future__ import annotations
@@ -52,15 +55,7 @@ from ..domain import Outcome, UserProfile, VersionId
 from ..engine import EngineInstance, EnrollmentAudio
 from ..kernel import SimRng, Simulator, node_stream
 from ..metrics import RunLog
-from ..topology import (
-    CloudServerNode,
-    DatabaseNode,
-    DeviceNode,
-    DispatchPolicy,
-    FrontendNode,
-    ModelRelease,
-    ModelStorageNode,
-)
+from ..topology import DatabaseNode, DeviceNode, DispatchPolicy, FrontendNode, ModelRelease
 
 if TYPE_CHECKING:
     from ..scenario import Scenario
@@ -267,18 +262,8 @@ class SyncProbe(FlowCtx):
 # ---------------------------------------------------------------------------
 # the messages of the hops outside a flow: one class per hop shape. ``kind``
 # routes the event and is printed in its trace line; it is a field where one
-# shape serves several kinds and a class constant otherwise.
-
-@dataclass(slots=True)
-class ReleasePayload:
-    kind: ClassVar[str] = "release"
-    version_id: str
-    download_ms: int
-    server_update_ms: tuple[int, int]
-
-    def summary(self) -> str:
-        return f"version={self.version_id}"
-
+# shape serves several kinds and a class constant otherwise. A release's
+# message is its ``topology.ModelRelease``, numbered when the run is built.
 
 @dataclass(slots=True)
 class VersionNotice:
@@ -342,13 +327,15 @@ class WorldBase:
             for name in dir(cls) if name.startswith("_on_")
         }
 
-    def __init__(self, scenario: "Scenario", sim: Simulator, storage: ModelStorageNode, log: RunLog):
+    def __init__(self, scenario: "Scenario", sim: Simulator, log: RunLog):
         self.sc = scenario
         self.sim = sim
-        self.storage = storage
         self.log = log
         self.cfg = scenario.strategy
         self._engines: dict[VersionId, EngineInstance] = {}
+        # the initial versions, numbered 1..n; the runner numbers each
+        # release after them, in schedule order
+        self.initial = tuple(VersionId(v, i) for i, v in enumerate(scenario.initial_versions, 1))
 
         self.user_ids = [f"u{i:03d}" for i in range(scenario.users)]
         self.device_ids = [f"d{i:02d}" for i in range(scenario.devices)]
@@ -365,15 +352,14 @@ class WorldBase:
         """The ownership rule: user i lives on device i mod devices."""
         return self.device_ids[int(user_id[1:]) % len(self.device_ids)]
 
+    def owners_of(self, device_id: str) -> list[str]:
+        """The users ``device_of`` puts on ``device_id``, in user order."""
+        return self.user_ids[int(device_id[1:]) :: len(self.device_ids)]
+
     def _build_devices(self) -> None:
         """Build the device nodes of a world whose profiles live on the
-        devices, each owning the users ``device_of`` puts on it, in user
-        order; and map each event target back to its device's one id string."""
-        owners: dict[str, list[str]] = {device_id: [] for device_id in self.device_ids}
-        for user in self.user_ids:
-            owners[self.device_of(user)].append(user)
-        initial = self.storage.releases[0].version
-        self.devices = {d: DeviceNode(d, tuple(owners[d]), initial) for d in self.device_ids}
+        devices, and map each event target back to its device's one id string."""
+        self.devices = {d: DeviceNode(d, self.initial[0]) for d in self.device_ids}
         self._device_ids = {target: d for d, target in self.device_targets.items()}
 
     # -- wiring helpers
@@ -405,6 +391,11 @@ class CloudWorldBase(WorldBase):
     the rollout, the cloud job handlers, the enrollment flow, the runtime
     dispatch (single-version and DOUBLE) and the runtime response path.
 
+    A server is its id, the key of two tables: ``engines``, the engine it
+    serves on, and ``updating``, the servers mid-update. A server mid-update
+    keeps serving on its old engine, and its ``server-update-done`` swaps in
+    the release's engine. Every server hop carries the server's id.
+
     A single-version world runs one server group on the initial version, and
     a release updates every server at once, each for its own drawn duration.
     A ``double`` world (DOUBLE) splits the fleet into two fixed groups that
@@ -414,8 +405,8 @@ class CloudWorldBase(WorldBase):
 
     double = False
 
-    def __init__(self, scenario: "Scenario", sim: Simulator, storage: ModelStorageNode, log: RunLog):
-        super().__init__(scenario, sim, storage, log)
+    def __init__(self, scenario: "Scenario", sim: Simulator, log: RunLog):
+        super().__init__(scenario, sim, log)
         server_ids = [f"s{i:02d}" for i in range(scenario.cloud_servers)]
         if self.double:
             # the first group, one larger when the count is odd, starts on the
@@ -425,11 +416,11 @@ class CloudWorldBase(WorldBase):
         else:
             self.groups = [server_ids]
         self._cloud_targets = {sid: f"cloud:{sid}" for sid in server_ids}
-        self.clouds: dict[str, CloudServerNode] = {}
-        for g, members in enumerate(self.groups):
-            engine = self.engine_for(storage.releases[g].version)
-            for sid in members:
-                self.clouds[sid] = CloudServerNode(engine)
+        self.engines: dict[str, EngineInstance] = {
+            sid: self.engine_for(self.initial[g])
+            for g, members in enumerate(self.groups)
+            for sid in members
+        }
         self.cloud_rng: dict[str, SimRng] = {
             sid: node_stream(scenario.seed, CLOUD_STREAM_BASE + i)
             for i, sid in enumerate(server_ids)
@@ -441,7 +432,7 @@ class CloudWorldBase(WorldBase):
         self._cloud_link = scenario.latency.frontend_cloud
         self.pending_releases: list[ModelRelease] = []
         self.active_release: ModelRelease | None = None
-        self._update_remaining: set[str] = set()
+        self.updating: set[str] = set()
         self._index_served()
         # token -> step function, unbound for the same reason as ``_handlers``
         self._conts: dict[str, Callable] = {self.leg_token: type(self)._store_leg}
@@ -471,9 +462,8 @@ class CloudWorldBase(WorldBase):
         models: dict[int, VersionId] = {}
         serving: dict[int, list[str]] = {}
         for sid in self.frontend.server_ids:
-            server = self.clouds[sid]
-            if not server.updating:
-                model = server.engine.model
+            if sid not in self.updating:
+                model = self.engines[sid].model
                 models[model.seq] = model
                 serving.setdefault(model.seq, []).append(sid)
         # oldest first; the lists are shared with readers, who never mutate them
@@ -484,10 +474,9 @@ class CloudWorldBase(WorldBase):
         """Servers not mid-update that run ``version``, in server-id order."""
         return self._serving.get(version.seq, [])
 
-    # -- releases, rolled out one at a time in registration order
+    # -- releases, rolled out one at a time in schedule order
 
-    def _on_release(self, target, msg: ReleasePayload):
-        release = self.storage.register(msg.version_id, msg.download_ms, msg.server_update_ms)
+    def _on_release(self, target, release: ModelRelease):
         if self.active_release is not None:
             self.pending_releases.append(release)
             return
@@ -503,41 +492,33 @@ class CloudWorldBase(WorldBase):
     def _begin_release(self, release: ModelRelease) -> None:
         # releases are serialized, so no server is mid-update here and every
         # server of a group runs the group's version: roll the older group
-        members = min(self.groups, key=lambda group: self.clouds[group[0]].engine.model.seq)
-        self._update_remaining = set(members)
-        for sid in members:
-            self._start_server_update(sid, release)
-
-    def _start_server_update(self, server_id: str, release: ModelRelease) -> None:
-        duration = release.draw_update_duration(self.cloud_rng[server_id])
-        self.clouds[server_id].begin_update(self.engine_for(release.version))
+        members = min(self.groups, key=lambda group: self.engines[group[0]].model.seq)
+        self.updating = set(members)
         self._index_served()
-        self.sim.schedule(
-            self.sim.now + duration,
-            self._cloud_targets[server_id],
-            ServerUpdateDone(server_id, release.version),
-        )
+        for sid in members:
+            at = self.sim.now + release.draw_update_duration(self.cloud_rng[sid])
+            self.sim.schedule(at, self._cloud_targets[sid], ServerUpdateDone(sid, release.version))
 
     def _on_server_update_done(self, target, msg: ServerUpdateDone):
-        self.clouds[msg.server_id].complete_update()
+        self.engines[msg.server_id] = self.engine_for(msg.version)
+        self.updating.discard(msg.server_id)
         self._index_served()
-        self._update_remaining.discard(msg.server_id)
         self._after_server_updated()
 
     def _after_server_updated(self) -> None:
-        if not self._update_remaining:
+        if not self.updating:
             self.finish_release()
 
     # -- cloud jobs; a server mid-update still serves on its old engine
 
     def _on_enroll_job(self, target, ctx):
-        engine = self.clouds[ctx.server_id].engine
+        engine = self.engines[ctx.server_id]
         ctx.produced += (engine.enroll(ctx.user_id, ctx.audio),)
         ctx.kind = "enroll-job-done"
         self._cloud_to_frontend(ctx.server_id, ctx, engine.enroll_duration_ms(len(ctx.audio)))
 
     def _on_recognize_job(self, target, ctx: RuntimeCtx):
-        work = self._service_runtime(self.clouds[ctx.server_id].engine, ctx)
+        work = self._service_runtime(self.engines[ctx.server_id], ctx)
         ctx.kind = "retry-signal" if work is None else "recognize-job-done"
         self._cloud_to_frontend(ctx.server_id, ctx, work or 0)
 

@@ -15,22 +15,16 @@ compute time has passed, and the request is recorded then.
 
 from __future__ import annotations
 
-from ..topology import DeviceNode
-from .common import (
-    OK,
-    EnrollCtx,
-    ReleasePayload,
-    RuntimeCtx,
-    Tick,
-    VersionNotice,
-    WorldBase,
-)
+from ..topology import DeviceNode, ModelRelease
+from .common import OK, EnrollCtx, RuntimeCtx, Tick, VersionNotice, WorldBase
 
 
 class DeviceWorld(WorldBase):
-    def __init__(self, scenario, sim, storage, log):
-        super().__init__(scenario, sim, storage, log)
+    def __init__(self, scenario, sim, log):
+        super().__init__(scenario, sim, log)
         self._build_devices()
+        # the newest release handled, which every device moves to
+        self._latest: ModelRelease | None = None
         # per device id, the re-enroll cursor and the deferred runtime
         # requests, while an update window is open
         self._reenroll_queue: dict[str, list[str]] = {}
@@ -80,8 +74,8 @@ class DeviceWorld(WorldBase):
 
     # -- releases
 
-    def _on_release(self, target: str, msg: ReleasePayload) -> None:
-        release = self.storage.register(msg.version_id, msg.download_ms, msg.server_update_ms)
+    def _on_release(self, target: str, release: ModelRelease) -> None:
+        self._latest = release
         # push one notification per device; storage draws the link latency
         link = self.sc.latency.device_storage
         for device_id in sorted(self.devices):
@@ -96,18 +90,20 @@ class DeviceWorld(WorldBase):
         self._maybe_download(target, dev)
 
     def _maybe_download(self, target: str, dev: DeviceNode) -> None:
-        latest = self.storage.latest
-        if latest == dev.local_model:
+        # a notify-release came first, so a release has been handled
+        latest = self._latest
+        if latest.version == dev.local_model:
             return
         dev.updating = True
-        release = self.storage.releases[latest.seq - 1]
-        self.sim.schedule_in(release.download_ms, target, VersionNotice("download-done", latest))
+        notice = VersionNotice("download-done", latest.version)
+        self.sim.schedule_in(latest.download_ms, target, notice)
 
     def _on_download_done(self, target: str, msg: VersionNotice) -> None:
         dev = self._device(target)
         dev.local_model = msg.version
         # audio is stored before any profile is made from it, and never removed
-        self._reenroll_queue[dev.device_id] = [u for u in dev.owner_users if u in dev.stored_audio]
+        owners = self.owners_of(dev.device_id)
+        self._reenroll_queue[dev.device_id] = [u for u in owners if u in dev.stored_audio]
         self._next_reenroll(target, dev)
 
     def _next_reenroll(self, target: str, dev: DeviceNode) -> None:

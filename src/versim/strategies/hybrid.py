@@ -31,8 +31,8 @@ from .common import (
 
 
 class HybridWorldBase(CloudWorldBase):
-    def __init__(self, scenario, sim, storage, log):
-        super().__init__(scenario, sim, storage, log)
+    def __init__(self, scenario, sim, log):
+        super().__init__(scenario, sim, log)
         self._build_devices()
         self._bg_enrolling: set[str] = set()  # users whose background enrollment is in flight
         period = self.cfg.handshake_period_ms
@@ -127,7 +127,7 @@ class HybridWorldBase(CloudWorldBase):
             return
         newest = ctx.versions[-1]
         device = self.devices[ctx.device_id]
-        for user in device.owner_users:
+        for user in self.owners_of(ctx.device_id):
             held = device.profiles_for(user)
             if held and held[-1].version.seq < newest.seq:
                 self._start_background_enroll(ctx.device_id, user, ctx.versions)

@@ -76,8 +76,8 @@ class ServerWorldBase(CloudWorldBase):
     # the enroll-leg continuations, printed in traces as ``for=``
     leg_token, put_token = "enroll.done", "enroll.put"
 
-    def __init__(self, scenario, sim, storage, log):
-        super().__init__(scenario, sim, storage, log)
+    def __init__(self, scenario, sim, log):
+        super().__init__(scenario, sim, log)
         self.db = DatabaseNode()
         self.db_rng = node_stream(scenario.seed, DB_STREAM)
         self._db_link = scenario.latency.frontend_db
@@ -245,16 +245,17 @@ class _RefreshRound:
 
 class SyncTableServerWorld(OnlineServerWorld):
     """SINGLE_ONLINE with the SYNC_TABLE mitigation. The frontend keeps a
-    table of the versions each server serves and dispatches only to servers
+    table of the version each server serves and dispatches only to servers
     it lists with the version a request needs. A probe round every
     ``sync_table_period_ms``, and one whenever no listed server fits,
     refreshes the table. A server mid-update refuses jobs, which tells the
     frontend that its entry is stale."""
 
-    def __init__(self, scenario, sim, storage, log):
-        super().__init__(scenario, sim, storage, log)
-        self.version_table: dict[str, set[VersionId]] = {
-            sid: {server.engine.model} for sid, server in self.clouds.items()
+    def __init__(self, scenario, sim, log):
+        super().__init__(scenario, sim, log)
+        # each server's one served version; None while it is mid-update
+        self.version_table: dict[str, VersionId | None] = {
+            sid: engine.model for sid, engine in self.engines.items()
         }
         self._rounds: dict[int, _RefreshRound] = {}
         self._round_seq = 0
@@ -271,7 +272,7 @@ class SyncTableServerWorld(OnlineServerWorld):
             super()._on_recognize_job(target, ctx)
 
     def _refused(self, ctx) -> bool:
-        if not self.clouds[ctx.server_id].updating:
+        if ctx.server_id not in self.updating:
             return False
         ctx.kind = "job-rejected"
         self._cloud_to_frontend(ctx.server_id, ctx)
@@ -288,18 +289,17 @@ class SyncTableServerWorld(OnlineServerWorld):
         table = self.version_table
         # a runtime request needs the user's newest profile version
         required = ctx.profiles[-1].version if ctx.flow == "runtime" else None
-        eligible = [
-            s
-            for s in fe.server_ids
-            if table[s] and (required is None or required in table[s])
-        ]
+        if required is None:
+            eligible = [s for s in fe.server_ids if table[s] is not None]
+        else:
+            eligible = [s for s in fe.server_ids if table[s] == required]
         if not eligible and refreshed:
             # fresh table, required version served nowhere: the producer has
             # moved past it, so the newest table entry is a strict upgrade
-            versions = [v for s in fe.server_ids for v in table[s]]
+            versions = [table[s] for s in fe.server_ids if table[s] is not None]
             if versions:
                 newest_listed = max(versions, key=lambda v: v.seq)
-                eligible = [s for s in fe.server_ids if newest_listed in table[s]]
+                eligible = [s for s in fe.server_ids if table[s] == newest_listed]
         if eligible:
             server_id = fe.choose(ctx.user_id, eligible)
             if ctx.flow == "runtime":
@@ -319,7 +319,7 @@ class SyncTableServerWorld(OnlineServerWorld):
     def _on_job_rejected(self, target, ctx):
         # the table entry was stale; blank it and force a refresh before any
         # fallback decision
-        self.version_table[ctx.server_id] = set()
+        self.version_table[ctx.server_id] = None
         self._select_and_dispatch(ctx)
 
     def _on_dispatch_retry(self, target, ctx):
@@ -342,13 +342,13 @@ class SyncTableServerWorld(OnlineServerWorld):
         self.sim.schedule_in(self.cfg.sync_table_period_ms, "frontend", SYNC_TICK)
 
     def _on_sync_probe(self, target, probe: SyncProbe):
-        server = self.clouds[probe.server_id]
+        sid = probe.server_id
         probe.kind = "sync-reply"
-        probe.versions = () if server.updating else (server.engine.model,)
+        probe.versions = () if sid in self.updating else (self.engines[sid].model,)
         self._cloud_to_frontend(probe.server_id, probe)
 
     def _on_sync_reply(self, target, probe: SyncProbe):
-        self.version_table[probe.server_id] = set(probe.versions)
+        self.version_table[probe.server_id] = probe.versions[0] if probe.versions else None
         rnd = self._rounds[probe.round_id]
         rnd.remaining -= 1
         if rnd.remaining == 0:
@@ -365,8 +365,8 @@ class OfflineServerWorld(ServerWorldBase):
 
     pump_token = "bulk"
 
-    def __init__(self, scenario, sim, storage, log):
-        super().__init__(scenario, sim, storage, log)
+    def __init__(self, scenario, sim, log):
+        super().__init__(scenario, sim, log)
         # the release held back until every admitted request, counted by
         # ``_inflight``, has answered
         self._held: ModelRelease | None = None
@@ -418,7 +418,7 @@ class OfflineServerWorld(ServerWorldBase):
     def _after_server_updated(self) -> None:
         # after the drain only the bulk pass writes profiles, so one scan
         # finds every user it has to re-enroll
-        if self._update_remaining:
+        if self.updating:
             return
         self._queue_stale_users()
         self._pump_lanes = min(self.sc.reenroll_parallelism, len(self._pump_heap))
@@ -483,7 +483,7 @@ class DoubleServerWorld(ServerWorldBase):
     def _maybe_finish_rollout(self) -> None:
         if self.active_release is None:
             return
-        if self._update_remaining or self._pump_lanes or self._pump_heap:
+        if self.updating or self._pump_lanes or self._pump_heap:
             return
         self._queue_stale_users()
         if self._pump_heap:

@@ -1,20 +1,23 @@
 """Node state for the three deployment shapes.
 
 Topology is a star centered on the frontend: devices, cloud servers and the
-database all talk through it. Model storage is the release registry. Nodes
-hold state and local rules only; the multi-hop request flows live in
-``strategies``. The database and the devices are the two profile stores,
-with one interface: ``put_profile(profile, retain)`` keeps a profile under
-the one retention rule, ``_retain``, and ``profiles_for(user_id)`` reads
-one user's profiles, oldest first. The profiles are an exact-size tuple,
-``()`` for a user with none, that a put replaces and never changes, so a
-reader may keep the store's own tuple without a copy.
+database all talk through it. Nodes hold state and local rules only; the
+multi-hop request flows, the cloud servers' engines and the release order
+live in ``strategies``. A ``ModelRelease`` is one release as the run
+numbers it. The database and the devices are the two profile stores, with
+one interface: ``put_profile(profile, retain)`` keeps a profile under the
+one retention rule, ``_retain``. A database row's ``profiles`` and a
+device's ``profiles_for(user_id)`` hold one user's profiles, oldest first.
+The profiles are an exact-size tuple, ``()`` for a user with none, that a
+put replaces and never changes, so a reader may keep the store's own tuple
+without a copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 from .domain import (
     NoEligibleServerError,
@@ -22,7 +25,7 @@ from .domain import (
     UserProfile,
     VersionId,
 )
-from .engine import EngineInstance, EnrollmentAudio, fnv1a64
+from .engine import EnrollmentAudio, fnv1a64
 from .kernel import SimRng
 
 
@@ -41,6 +44,10 @@ HASH_BY_USER = DispatchPolicy.HASH_BY_USER
 
 @dataclass(frozen=True, slots=True)
 class ModelRelease:
+    """One release, numbered when the run is built: the message of its
+    release event. Everything downstream compares versions by seq only."""
+
+    kind: ClassVar[str] = "release"
     version: VersionId
     download_ms: int
     server_update_ms: tuple[int, int]
@@ -49,25 +56,8 @@ class ModelRelease:
         lo, hi = self.server_update_ms
         return lo + rng.randrange(hi - lo + 1)
 
-
-class ModelStorageNode:
-    """Release registry. Assigns the global sequence numbers that define
-    version ordering; everything downstream compares by seq only."""
-
-    def __init__(self) -> None:
-        self.releases: list[ModelRelease] = []
-
-    def register(
-        self, version_id: str, download_ms: int, server_update_ms: tuple[int, int]
-    ) -> ModelRelease:
-        version = VersionId(version_id, len(self.releases) + 1)
-        release = ModelRelease(version, download_ms, server_update_ms)
-        self.releases.append(release)
-        return release
-
-    @property
-    def latest(self) -> VersionId:
-        return self.releases[-1].version
+    def summary(self) -> str:
+        return f"version={self.version.id}"
 
 
 @dataclass(slots=True)
@@ -113,35 +103,6 @@ class DatabaseNode:
             raise UnknownUserError(f"profile put for unknown user {profile.user_id!r}")
         row.profiles = _retain(row.profiles, profile, retain)
 
-    def profiles_for(self, user_id: str) -> tuple[UserProfile, ...]:
-        row = self.rows.get(user_id)
-        return row.profiles if row is not None else ()
-
-
-class CloudServerNode:
-    """One cloud machine running one engine (double-version deployments give
-    each of the two fixed groups its own version). While an update is in
-    flight the old engine keeps running; the swap happens at the completion
-    event. A server's id is its key in the world's ``clouds``, and every
-    server hop carries it."""
-
-    __slots__ = ("engine", "pending_engine")
-
-    def __init__(self, engine: EngineInstance):
-        self.engine = engine
-        self.pending_engine: EngineInstance | None = None
-
-    @property
-    def updating(self) -> bool:
-        return self.pending_engine is not None
-
-    def begin_update(self, new_engine: EngineInstance) -> None:
-        self.pending_engine = new_engine
-
-    def complete_update(self) -> None:
-        assert self.pending_engine is not None
-        self.engine = self.pending_engine
-        self.pending_engine = None
 
 
 class FrontendNode:
@@ -189,15 +150,15 @@ class FrontendNode:
 
 
 class DeviceNode:
-    """End-user device of the deployments that keep profiles on devices; it
-    keeps the owners it is given, unchanged. Device and hybrid deployments
-    store audio and profiles on it; the on-device strategy also keeps its
-    model and update window there. A server-side deployment builds none: a
-    device there is only a request origin, its link stream and event target."""
+    """End-user device of the deployments that keep profiles on devices; its
+    owners are the users that the world's ownership rule puts on it. Device
+    and hybrid deployments store audio and profiles on it; the on-device
+    strategy also keeps its model and update window there. A server-side
+    deployment builds none: a device there is only a request origin, its
+    link stream and event target."""
 
     __slots__ = (
         "device_id",
-        "owner_users",
         "local_model",
         "stored_audio",
         "stored_profiles",
@@ -205,9 +166,8 @@ class DeviceNode:
         "recheck_after_update",
     )
 
-    def __init__(self, device_id: str, owner_users: tuple[str, ...], local_model: VersionId):
+    def __init__(self, device_id: str, local_model: VersionId):
         self.device_id = device_id
-        self.owner_users = owner_users
         self.local_model = local_model
         self.stored_audio: dict[str, EnrollmentAudio] = {}
         self.stored_profiles: dict[str, tuple[UserProfile, ...]] = {}

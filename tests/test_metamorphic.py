@@ -13,6 +13,12 @@ equal bytes, with no expected value written down:
 - A run built with twice the horizon and run to T reports at T what the run
   to T reports. Only the report is compared: the longer run feeds more
   arrivals, so every later seq in its trace moves.
+- Renaming every version gives the same report, and the same trace once the
+  new ids are read back as the old: versions are ordered by the seq the run
+  numbers them with, never by id. The new ids sort in reverse seq order.
+- A release after the horizon gives the same report, and the same trace
+  once the event seqs are dropped: a release takes part only when its event
+  runs, and the one event it queues moves every later seq by one.
 """
 
 from dataclasses import replace
@@ -107,3 +113,45 @@ def test_a_longer_run_reports_at_the_horizon_what_the_run_to_it_reports(
     sim, _, log = build(_scenario(strategy, initial, seed, duration_ms=2 * horizon))
     sim.run_until(horizon)
     assert report_to_json(log.report(horizon)) == _outputs(scenario)[0]
+
+
+def _release(time_ms, version_id):
+    return {"time_ms": time_ms, "version_id": version_id, "server_update_ms": [200, 2000]}
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("name, strategy, initial", _COMBOS, ids=[c[0] for c in _COMBOS])
+def test_renaming_every_version_changes_only_the_ids(name, strategy, initial, seed):
+    scenario = _scenario(strategy, initial, seed)
+    old = list(initial) + [r.version_id for r in scenario.releases]
+    new = [f"Z{9 - i}" for i in range(len(old))]  # Z9, Z8, ...: reverse string order
+    renamed = _scenario(
+        strategy,
+        new[: len(initial)],
+        seed,
+        releases=[_release(r.time_ms, v) for r, v in zip(scenario.releases, new[len(initial) :])],
+    )
+    report, trace = _outputs(renamed)
+    for n, o in zip(new, old):
+        trace = [line.replace(n, o) for line in trace]
+    assert (report, trace) == _outputs(scenario)
+
+
+def _without_seqs(trace: list[str]) -> list[str]:
+    """The trace lines without the event seq, their second field."""
+    return [f"{at}\t{rest}" for at, _, rest in (line.split("\t", 2) for line in trace)]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("name, strategy, initial", _COMBOS, ids=[c[0] for c in _COMBOS])
+def test_a_release_after_the_horizon_changes_no_report_byte(name, strategy, initial, seed):
+    scenario = _scenario(strategy, initial, seed)
+    releases = [_release(r.time_ms, r.version_id) for r in scenario.releases]
+    later = _scenario(
+        strategy, initial, seed, releases=releases + [_release(scenario.duration_ms + 1, "R9")]
+    )
+    report, trace = _outputs(later)
+    expected_report, expected_trace = _outputs(scenario)
+    assert report == expected_report
+    assert trace != expected_trace  # every seq after the build moved
+    assert _without_seqs(trace) == _without_seqs(expected_trace)

@@ -24,6 +24,10 @@ user's own stream draws. Each user's enrollment audio is derived from that
 stream, not drawn: it yields the samples that drawing every value gave, and
 the arrivals are those of a generator that mixes every draw.
 
+runner.build numbers every version once: the world's initial versions
+1..n, and each release after them in file order, which is schedule order,
+also for releases at one millisecond. The release event carries that number.
+
 runner.build also picks the world, and only the SYNC_TABLE world carries the
 sync-table machinery; only the SINGLE_OFFLINE world keeps a maintenance
 window and answers MAINTENANCE. Each world class handles exactly the
@@ -45,7 +49,7 @@ from versim.engine import EngineInstance, EnrollmentAudio
 from versim.kernel import StalledClockError, node_stream
 from versim.metrics import report_to_json, summarize
 from versim.runner import RunFailedError, build, run
-from versim.scenario import load_scenario, scenario_from_dict
+from versim.scenario import ReleaseSpec, load_scenario, scenario_from_dict
 from versim import metrics, runner
 from versim.strategies.server import SyncTableServerWorld
 from versim.strategies.common import USER_STREAM_BASE, RuntimeCtx
@@ -155,6 +159,31 @@ def test_each_world_handles_its_pinned_kinds(name, strategy, initial):
 def test_the_combinations_build_every_world_class():
     built = {type(build(_sweep_scenario(s, i, 1))[1]).__name__ for _, s, i in _COMBOS}
     assert built == set(HANDLED_KINDS)
+
+
+@pytest.mark.parametrize("name, strategy, initial", _COMBOS, ids=[c[0] for c in _COMBOS])
+def test_each_release_event_carries_the_seq_after_the_initial_versions(name, strategy, initial):
+    # two releases at one millisecond, ids out of string order
+    releases = [("R9", 1000), ("R1", 1000), ("Q5", 3000)]
+    scenario = replace(
+        _sweep_scenario(strategy, initial, 1),
+        releases=tuple(
+            ReleaseSpec(time_ms=t, version_id=v, server_update_ms=(100, 200)) for v, t in releases
+        ),
+    )
+    sim, world, _ = build(scenario)
+    assert world.initial == tuple(VersionId(v, i + 1) for i, v in enumerate(initial))
+    carried, handle = [], world.handle
+
+    def record(target, payload):
+        if payload.kind == "release":
+            carried.append(payload.version)
+        handle(target, payload)
+
+    world.handle = record
+    sim.run_until(scenario.duration_ms)
+    n = len(initial)
+    assert carried == [VersionId(v, n + i + 1) for i, (v, _) in enumerate(releases)]
 
 
 @pytest.mark.parametrize("name,strategy,initial", _COMBOS, ids=[c[0] for c in _COMBOS])

@@ -515,8 +515,12 @@ def test_a_runtime_request_holds_the_store_tuple_itself(strategy, kind):
             }
         )
     )
-    store = world.db if kind == "db-fetch-reply" else world.devices["d00"]
     handle, checked = world.handle, []
+
+    def stored_profiles():
+        if kind == "db-fetch-reply":
+            return world.db.fetch("u000").profiles
+        return world.devices["d00"].profiles_for("u000")
 
     def handle_and_check(target, payload):
         # read before the handler runs: a flow context, which is the message
@@ -524,7 +528,7 @@ def test_a_runtime_request_holds_the_store_tuple_itself(strategy, kind):
         hop = payload.kind
         handle(target, payload)
         if hop == kind:
-            stored = store.profiles_for("u000")
+            stored = stored_profiles()
             assert type(stored) is tuple and len(stored) == 1
             assert payload.profiles is stored
             checked.append(payload)
@@ -632,8 +636,8 @@ def test_sync_table_rollout_is_bounce_free():
 
 
 def test_users_are_dealt_round_robin_to_devices():
-    """User i lives on device i mod devices: the device worlds' owner lists
-    say so, and every user's arrivals in every world go to that device."""
+    """User i lives on device i mod devices: ``owners_of`` says so in every
+    world, and every user's arrivals in every world go to that device."""
     users, devices = 1003, 7
     for deployment in ("DEVICE", "HYBRID", "SERVER"):
         sim, world, _ = build(
@@ -647,11 +651,10 @@ def test_users_are_dealt_round_robin_to_devices():
                 }
             )
         )
-        if deployment != "SERVER":
-            for j in range(devices):
-                expected = tuple(f"u{i:03d}" for i in range(users) if i % devices == j)
-                # user order, not id-string order: u993 comes before u1000 on d06
-                assert world.devices[f"d{j:02d}"].owner_users == expected
+        for j in range(devices):
+            expected = [f"u{i:03d}" for i in range(users) if i % devices == j]
+            # user order, not id-string order: u993 comes before u1000 on d06
+            assert world.owners_of(f"d{j:02d}") == expected
         # kind -> user -> (event target, the context's device id)
         arrived = {"enroll-arrival": {}, "runtime-arrival": {}}
 
@@ -728,9 +731,9 @@ def test_double_sweep_visits_stale_users_in_id_string_order():
 def _served_by_scan(world):
     """Reference for the served-version index: scan every server."""
     live = [
-        (sid, world.clouds[sid].engine.model)
+        (sid, world.engines[sid].model)
         for sid in world.frontend.server_ids
-        if not world.clouds[sid].updating
+        if sid not in world.updating
     ]
     models = {model.seq: model for _, model in live}
     versions = tuple(models[seq] for seq in sorted(models))
@@ -738,17 +741,17 @@ def _served_by_scan(world):
     return versions, serving
 
 
-@pytest.mark.parametrize(
-    "strategy, initial",
-    [
-        ({"policy": "DOUBLE"}, ["V1", "V2"]),
-        ({"deployment": "HYBRID", "policy": "DOUBLE", "handshake_period_ms": 600}, ["V1", "V2"]),
-        ({"policy": "SINGLE_OFFLINE"}, ["V1"]),
-        ({"deployment": "HYBRID", "handshake_period_ms": 600}, ["V1"]),
-    ],
-)
-def test_served_index_matches_a_scan_after_every_event(strategy, initial):
-    scenario = scenario_from_dict(
+_FLEET_RUNS = [
+    ({"policy": "DOUBLE"}, ["V1", "V2"]),
+    ({"deployment": "HYBRID", "policy": "DOUBLE", "handshake_period_ms": 600}, ["V1", "V2"]),
+    ({"policy": "SINGLE_OFFLINE"}, ["V1"]),
+    ({"deployment": "HYBRID", "handshake_period_ms": 600}, ["V1"]),
+]
+
+
+def _fleet_scenario(strategy, initial):
+    """Five servers and three releases whose server updates overlap requests."""
+    return scenario_from_dict(
         {
             "strategy": strategy,
             "users": 40,
@@ -764,20 +767,64 @@ def test_served_index_matches_a_scan_after_every_event(strategy, initial):
             "seed": 5,
         }
     )
+
+
+@pytest.mark.parametrize("strategy, initial", _FLEET_RUNS)
+def test_served_index_matches_a_scan_after_every_event(strategy, initial):
+    scenario = _fleet_scenario(strategy, initial)
     sim, world, _ = build(scenario)
     handle = world.handle
     updates_done = 0
+    models = set()  # every model any server has served so far
 
     def handle_and_check(target, payload):
         nonlocal updates_done
         handle(target, payload)
         versions, serving = _served_by_scan(world)
         assert world.served_versions == versions
-        for release in world.storage.releases:
-            seq = release.version.seq
-            assert world.servers_serving(release.version) == serving.get(seq, [])
+        models.update(engine.model for engine in world.engines.values())
+        for model in models:
+            assert world.servers_serving(model) == serving.get(model.seq, [])
         updates_done += payload.kind == "server-update-done"
 
     world.handle = handle_and_check
     sim.run_until(scenario.duration_ms)
     assert updates_done >= 2 * len(scenario.releases)
+    assert len(models) == len(initial) + len(scenario.releases)
+
+
+@pytest.mark.parametrize(
+    "strategy, initial", _FLEET_RUNS + [({"mitigation": "SYNC_TABLE"}, ["V1"])]
+)
+def test_a_server_serves_its_old_engine_until_its_update_is_done(strategy, initial):
+    """A server in ``updating`` keeps the engine it had when its release
+    began; its ``server-update-done``, and no other event, swaps in the
+    release's engine and takes it out of ``updating``."""
+    scenario = _fleet_scenario(strategy, initial)
+    sim, world, _ = build(scenario)
+    handle = world.handle
+    # server mid-update -> (the engine it served when its update began, the
+    # version its release brings)
+    rolling = {}
+    swaps = 0
+
+    def handle_and_check(target, payload):
+        nonlocal swaps
+        before = dict(world.engines)
+        handle(target, payload)
+        for sid in world.updating.difference(rolling):
+            rolling[sid] = (before[sid], world.active_release.version)
+        for sid in world.updating:
+            assert world.engines[sid] is rolling[sid][0]
+        if payload.kind == "server-update-done":
+            sid = payload.server_id
+            old, new = rolling.pop(sid)
+            assert sid not in world.updating and payload.version == new
+            assert old.model.seq < new.seq and world.engines[sid].model == new
+            before[sid] = world.engines[sid]
+            swaps += 1
+        assert world.engines == before and set(rolling) == world.updating
+
+    world.handle = handle_and_check
+    sim.run_until(scenario.duration_ms)
+    assert swaps >= 2 * len(scenario.releases)

@@ -1,4 +1,4 @@
-"""Node behavior: release registry, profile store, dispatch, device storage."""
+"""Node behavior: release update draws, profile stores, dispatch, device storage."""
 
 import pytest
 
@@ -9,15 +9,14 @@ from versim.domain import (
     UserProfile,
     VersionId,
 )
-from versim.engine import EngineInstance, fnv1a64
+from versim.engine import fnv1a64
 from versim.kernel import SimRng
 from versim.topology import (
-    CloudServerNode,
     DatabaseNode,
     DeviceNode,
     DispatchPolicy,
     FrontendNode,
-    ModelStorageNode,
+    ModelRelease,
     _retain,
 )
 
@@ -30,22 +29,8 @@ def _profile(user, version, seed=0):
     return UserProfile(user_id=user, version=version, audio=(AudioSample(user, 1000, seed),))
 
 
-def _engine(version):
-    return EngineInstance(model=version, enroll_cost_ms_per_sample=10, runtime_cost_ms=5)
-
-
-def test_storage_assigns_release_order():
-    storage = ModelStorageNode()
-    a = storage.register("V1", 1000, (0, 0))
-    b = storage.register("R1", 1000, (100, 200))
-    assert a.version == VersionId("V1", 1)
-    assert b.version == VersionId("R1", 2)
-    assert storage.latest == b.version
-
-
 def test_update_duration_draw_stays_in_bounds():
-    storage = ModelStorageNode()
-    release = storage.register("V1", 0, (100, 105))
+    release = ModelRelease(V1, 0, (100, 105))
     rng = SimRng(3)
     seen = {release.draw_update_duration(rng) for _ in range(300)}
     assert seen == {100, 101, 102, 103, 104, 105}
@@ -110,17 +95,6 @@ def test_retain_returns_a_new_tuple_of_exactly_the_kept_profiles():
     assert _retain(kept, again, 2) == (again, p3)
 
 
-def test_server_keeps_old_engine_until_update_completes():
-    server = CloudServerNode(_engine(V1))
-    assert not server.updating
-    server.begin_update(_engine(V2))
-    assert server.updating
-    assert server.engine.model == V1  # still serving the old model
-    server.complete_update()
-    assert not server.updating
-    assert server.engine.model == V2
-
-
 def _frontend(policy):
     return FrontendNode(["s00", "s01", "s02"], policy, SimRng(1))
 
@@ -171,7 +145,7 @@ def test_choose_with_nothing_eligible_fails():
 
 
 def test_device_profile_cap_keeps_newest():
-    device = DeviceNode("d00", ["u000"], V1)
+    device = DeviceNode("d00", V1)
     device.put_profile(_profile("u000", V1), retain=2)
     device.put_profile(_profile("u000", V3), retain=2)
     device.put_profile(_profile("u000", V2), retain=2)
@@ -180,7 +154,7 @@ def test_device_profile_cap_keeps_newest():
 
 
 def test_device_store_replaces_same_version():
-    device = DeviceNode("d00", ["u000"], V1)
+    device = DeviceNode("d00", V1)
     first = _profile("u000", V1, seed=1)
     second = _profile("u000", V1, seed=2)
     device.put_profile(first, retain=1)
@@ -190,7 +164,7 @@ def test_device_store_replaces_same_version():
 
 
 def test_device_profiles_empty_for_strangers():
-    device = DeviceNode("d00", ["u000"], V1)
+    device = DeviceNode("d00", V1)
     assert device.profiles_for("u999") == ()
 
 
@@ -198,9 +172,9 @@ def test_device_profiles_empty_for_strangers():
 def test_database_and_devices_keep_profiles_by_one_rule(retain):
     db = DatabaseNode()
     db.store_audio("u000", (AudioSample("u000", 1000, 1),))
-    device = DeviceNode("d00", ["u000"], V1)
+    device = DeviceNode("d00", V1)
     for version in (V2, V1, V3, V2):
         for store in (db, device):
             store.put_profile(_profile("u000", version), retain)
-        assert db.profiles_for("u000") == device.profiles_for("u000")
-    assert db.profiles_for("nobody") == () == device.profiles_for("nobody")
+        assert db.fetch("u000").profiles == device.profiles_for("u000")
+    assert db.fetch("nobody") is None and device.profiles_for("nobody") == ()
