@@ -15,7 +15,7 @@ re-enrollment pump's ``server._SweepCtx``) is itself the message of every
 hop of the flow, so node handlers stay stateless between hops: just before
 it sends, the sender sets the hop's ``kind`` on the context, with the server
 id, the continuation ``token`` or the outcome the hop carries, and a handler
-writes what its node produced (a fetched row, an enrolled profile) onto it.
+writes what its node produced (fetched profiles, an enrolled profile) onto it.
 That is sound because a flow has at most one message queued at a time, and
 its trace line is printed before the handler moves the context on to its
 next hop. A request's context is also its arrival: the runner schedules each
@@ -154,7 +154,7 @@ _SUMMARIES: dict[str, Callable[..., str]] = {
     "handshake-reply": lambda c: f"user={c.user_id} serves={_serves(c)}",
     "device-task-done": lambda c: f"task={c.flow} user={c.user_id}",
     "sync-probe": _round,
-    "sync-reply": lambda c: f"{_round(c)} serves={_serves(c)}",
+    "sync-reply": lambda c: f"{_round(c)} serves={'-' if c.version is None else c.version.id}",
     "dispatch-retry": lambda c: f"flow={c.flow} user={c.user_id}",
     "job-rejected": lambda c: f"flow={c.flow} server={c.server_id}",
     "enroll-job": lambda c: f"user={c.user_id} server={c.server_id} for={c.token}",
@@ -166,7 +166,7 @@ _SUMMARIES: dict[str, Callable[..., str]] = {
     "db-store-ack": _acked,
     "db-put-ack": _acked,
     "db-fetch": lambda c: f"users={c.user_id} for={c.token}",
-    # a row always has audio, so ``rows`` counts it by that
+    # a stored user always has audio, so ``rows`` counts the user by that
     "db-fetch-reply": lambda c: f"rows={'1' if c.audio else '0'} for={c.token}",
     "db-put-profile": lambda c: f"{c.user_id}@{c.produced[-1].version.id} for={c.token}",
 }
@@ -249,14 +249,14 @@ class HandshakeCtx(FlowCtx):
 
 @dataclass(slots=True)
 class SyncProbe(FlowCtx):
-    """One server's part of a sync-table refresh round: the message of
-    sync-probe, and of the sync-reply that brings the ``versions`` it serves
-    back. A round builds one per server, so nothing else shares it."""
+    """One server's part of a sync-table refresh round, built for it alone:
+    the message of sync-probe, and of the sync-reply that brings back the
+    ``version`` it serves (None while it is mid-update)."""
 
     round_id: int
     server_id: str
     kind: str = "sync-probe"
-    versions: tuple[VersionId, ...] = ()
+    version: VersionId | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +346,6 @@ class WorldBase:
             device_id: node_stream(scenario.seed, DEVICE_STREAM_BASE + j)
             for j, device_id in enumerate(self.device_ids)
         }
-        self.storage_rng = node_stream(scenario.seed, STORAGE_STREAM)
 
     def device_of(self, user_id: str) -> str:
         """The ownership rule: user i lives on device i mod devices."""
@@ -359,7 +358,7 @@ class WorldBase:
     def _build_devices(self) -> None:
         """Build the device nodes of a world whose profiles live on the
         devices, and map each event target back to its device's one id string."""
-        self.devices = {d: DeviceNode(d, self.initial[0]) for d in self.device_ids}
+        self.devices = {d: DeviceNode() for d in self.device_ids}
         self._device_ids = {target: d for d, target in self.device_targets.items()}
 
     # -- wiring helpers

@@ -15,23 +15,27 @@ compute time has passed, and the request is recorded then.
 
 from __future__ import annotations
 
-from ..topology import DeviceNode, ModelRelease
-from .common import OK, EnrollCtx, RuntimeCtx, Tick, VersionNotice, WorldBase
+from ..kernel import node_stream
+from ..topology import ModelRelease
+from .common import OK, STORAGE_STREAM, EnrollCtx, RuntimeCtx, Tick, VersionNotice, WorldBase
 
 
 class DeviceWorld(WorldBase):
     def __init__(self, scenario, sim, log):
         super().__init__(scenario, sim, log)
         self._build_devices()
+        self.storage_rng = node_stream(scenario.seed, STORAGE_STREAM)
         # the newest release handled, which every device moves to
         self._latest: ModelRelease | None = None
-        # per device id, the re-enroll cursor and the deferred runtime
-        # requests, while an update window is open
-        self._reenroll_queue: dict[str, list[str]] = {}
+        # per device id: its model, which only its download-done switches
+        self.models = dict.fromkeys(self.device_ids, self.initial[0])
+        # the devices whose update window is open, each with the owners still
+        # to re-enroll (none until its download is done); the runtime requests
+        # an open window defers; and the devices notified of a release
+        # mid-window, which check again when it closes
+        self._window: dict[str, list[str]] = {}
         self._deferred: dict[str, list[RuntimeCtx]] = {}
-
-    def _device(self, target: str) -> DeviceNode:
-        return self.devices[self._device_ids[target]]
+        self._recheck: set[str] = set()
 
     # -- local requests
 
@@ -39,26 +43,24 @@ class DeviceWorld(WorldBase):
         # every enrollment arrives at t=0, before any release, so never
         # mid-update. The task's one leg is the version it starts on: it
         # enrolls there even if the device switched models since
-        dev = self.devices[ctx.device_id]
-        dev.stored_audio[ctx.user_id] = ctx.audio
-        ctx.plan = (dev.local_model,)
+        self.devices[ctx.device_id].store_audio(ctx.user_id, ctx.audio)
+        ctx.plan = (self.models[ctx.device_id],)
         ctx.kind = "device-task-done"
-        duration = self.engine_for(dev.local_model).enroll_duration_ms(len(ctx.audio))
+        duration = self.engine_for(ctx.plan[0]).enroll_duration_ms(len(ctx.audio))
         self.sim.schedule_in(duration, target, ctx)
 
     def _on_runtime_arrival(self, target: str, ctx: RuntimeCtx) -> None:
-        dev = self.devices[ctx.device_id]
-        if dev.updating:
+        if ctx.device_id in self._window:
             self._deferred.setdefault(ctx.device_id, []).append(ctx)
             return
-        profiles = dev.profiles_for(ctx.user_id)
+        profiles = self.devices[ctx.device_id].profiles_for(ctx.user_id)
         if not profiles:
             # nothing enrolled: reject on the spot, no engine work
             self.log.request_done("RUNTIME", ctx.user_id, ctx.submitted, self.sim.now, OK)
             return
         # the task checks the profile on the engine it starts with, even if
         # the device switches models before it is done
-        engine = self.engine_for(dev.local_model)
+        engine = self.engine_for(self.models[ctx.device_id])
         engine.recognize(profiles[-1])
         ctx.kind = "device-task-done"
         self.sim.schedule_in(engine.runtime_cost_ms, target, ctx)
@@ -66,7 +68,7 @@ class DeviceWorld(WorldBase):
     def _on_device_task_done(self, target: str, ctx: EnrollCtx | RuntimeCtx) -> None:
         if ctx.flow == "enroll":
             profile = self.engine_for(ctx.plan[0]).enroll(ctx.user_id, ctx.audio)
-            self._put(self._device(target), profile)
+            self._put(self.devices[ctx.device_id], profile)
             kind = "ENROLL"
         else:
             kind = "RUNTIME"
@@ -83,56 +85,56 @@ class DeviceWorld(WorldBase):
             self.sim.send(link, self.storage_rng, self.device_targets[device_id], notice)
 
     def _on_notify_release(self, target: str, msg: VersionNotice) -> None:
-        dev = self._device(target)
-        if dev.updating:
-            dev.recheck_after_update = True
+        device_id = self._device_ids[target]
+        if device_id in self._window:
+            self._recheck.add(device_id)
             return
-        self._maybe_download(target, dev)
+        self._maybe_download(target, device_id)
 
-    def _maybe_download(self, target: str, dev: DeviceNode) -> None:
+    def _maybe_download(self, target: str, device_id: str) -> None:
         # a notify-release came first, so a release has been handled
         latest = self._latest
-        if latest.version == dev.local_model:
+        if latest.version == self.models[device_id]:
             return
-        dev.updating = True
+        self._window[device_id] = []
         notice = VersionNotice("download-done", latest.version)
         self.sim.schedule_in(latest.download_ms, target, notice)
 
     def _on_download_done(self, target: str, msg: VersionNotice) -> None:
-        dev = self._device(target)
-        dev.local_model = msg.version
+        device_id = self._device_ids[target]
+        self.models[device_id] = msg.version
         # audio is stored before any profile is made from it, and never removed
-        owners = self.owners_of(dev.device_id)
-        self._reenroll_queue[dev.device_id] = [u for u in owners if u in dev.stored_audio]
-        self._next_reenroll(target, dev)
+        audio = self.devices[device_id].audio
+        self._window[device_id] = [u for u in self.owners_of(device_id) if u in audio]
+        self._next_reenroll(target, device_id)
 
-    def _next_reenroll(self, target: str, dev: DeviceNode) -> None:
-        queue = self._reenroll_queue[dev.device_id]
+    def _next_reenroll(self, target: str, device_id: str) -> None:
+        queue = self._window[device_id]
         if not queue:
-            self._close_update_window(target, dev)
+            self._close_update_window(target, device_id)
             return
-        engine = self.engine_for(dev.local_model)
+        engine = self.engine_for(self.models[device_id])
         self.sim.schedule_in(
-            engine.enroll_duration_ms(len(dev.stored_audio[queue[0]])),
+            engine.enroll_duration_ms(len(self.devices[device_id].audio[queue[0]])),
             target,
             Tick("device-reenroll-done", f"user={queue[0]}"),
         )
 
     def _on_device_reenroll_done(self, target: str, msg: Tick) -> None:
-        dev = self._device(target)
-        user = self._reenroll_queue[dev.device_id].pop(0)
+        device_id = self._device_ids[target]
+        dev = self.devices[device_id]
+        user = self._window[device_id].pop(0)
         old = dev.profiles_for(user)[-1:]
-        profile = self.engine_for(dev.local_model).enroll(user, dev.stored_audio[user])
+        profile = self.engine_for(self.models[device_id]).enroll(user, dev.audio[user])
         self._put(dev, profile)
         if old:
             self.log.reenrolled(self.sim.now, user, old[0].version, profile.version)
-        self._next_reenroll(target, dev)
+        self._next_reenroll(target, device_id)
 
-    def _close_update_window(self, target: str, dev: DeviceNode) -> None:
-        dev.updating = False
-        for ctx in self._deferred.pop(dev.device_id, ()):
+    def _close_update_window(self, target: str, device_id: str) -> None:
+        del self._window[device_id]
+        for ctx in self._deferred.pop(device_id, ()):
             self._on_runtime_arrival(target, ctx)
-        if dev.recheck_after_update:
-            dev.recheck_after_update = False
-            self._maybe_download(target, dev)
-
+        if device_id in self._recheck:
+            self._recheck.remove(device_id)
+            self._maybe_download(target, device_id)

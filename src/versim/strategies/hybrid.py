@@ -44,7 +44,7 @@ class HybridWorldBase(CloudWorldBase):
     # back in the enroll-response
 
     def _on_enroll_arrival(self, target, ctx: EnrollCtx):
-        self.devices[ctx.device_id].stored_audio[ctx.user_id] = ctx.audio
+        self.devices[ctx.device_id].store_audio(ctx.user_id, ctx.audio)
         self._request_enroll(ctx)
 
     def _start_background_enroll(
@@ -55,7 +55,7 @@ class HybridWorldBase(CloudWorldBase):
         if user_id in self._bg_enrolling:
             return
         self._bg_enrolling.add(user_id)
-        audio, plan = self.devices[device_id].stored_audio[user_id], served[-self.retain :]
+        audio, plan = self.devices[device_id].audio[user_id], served[-self.retain :]
         self._request_enroll(EnrollCtx(user_id, device_id, self.sim.now, audio, plan, True))
 
     def _on_enroll_response(self, target, ctx: EnrollCtx):
@@ -103,7 +103,7 @@ class HybridWorldBase(CloudWorldBase):
     def _on_retry_needed(self, target, ctx: RuntimeCtx):
         # re-enroll on the server that reported the mismatch, then retry
         # there: one leg, not in the background, on ``ctx.server_id``
-        audio = self.devices[ctx.device_id].stored_audio[ctx.user_id]
+        audio = self.devices[ctx.device_id].audio[ctx.user_id]
         self._request_enroll(
             EnrollCtx(ctx.user_id, ctx.device_id, self.sim.now, audio, (None,), False, ctx)
         )

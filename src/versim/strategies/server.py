@@ -38,7 +38,7 @@ from heapq import heappop, heappush
 from ..domain import NoCommonVersionError, Outcome, UserProfile, VersionId
 from ..engine import EnrollmentAudio
 from ..kernel import node_stream
-from ..topology import DatabaseNode, DbRow, ModelRelease
+from ..topology import DatabaseNode, ModelRelease
 from .common import (
     DB_STREAM,
     MAINTENANCE,
@@ -117,9 +117,8 @@ class ServerWorldBase(CloudWorldBase):
         self._db_reply("db-store-ack", ctx)
 
     def _on_db_fetch(self, target, ctx):
-        row = self.db.fetch(ctx.user_id) or DbRow()
-        ctx.profiles = row.profiles
-        ctx.audio = row.audio
+        ctx.profiles = self.db.profiles_for(ctx.user_id)
+        ctx.audio = self.db.audio.get(ctx.user_id, ())
         self._db_reply("db-fetch-reply", ctx)
 
     def _on_db_put_profile(self, target, ctx):
@@ -175,8 +174,8 @@ class ServerWorldBase(CloudWorldBase):
     def _queue_stale_users(self) -> None:
         """Queue every stored user whose newest profile predates the active release."""
         target = self.active_release.version.seq
-        for user, row in self.db.rows.items():
-            if row.profiles and row.profiles[-1].version.seq < target:
+        for user, profiles in self.db.profiles.items():
+            if profiles[-1].version.seq < target:
                 self._queue_reenroll(user)
 
     def _pump(self, lane: int) -> None:
@@ -186,8 +185,8 @@ class ServerWorldBase(CloudWorldBase):
         while self._pump_heap:
             user = heappop(self._pump_heap)
             self._pump_queued.discard(user)
-            row = self.db.fetch(user)
-            if row is not None and row.profiles and row.profiles[-1].version.seq < newest.seq:
+            profiles = self.db.profiles_for(user)
+            if profiles and profiles[-1].version.seq < newest.seq:
                 self._to_db("db-fetch", f"{self.pump_token}.fetched", _SweepCtx(user, lane))
                 return
         self._pump_lanes -= 1
@@ -195,7 +194,7 @@ class ServerWorldBase(CloudWorldBase):
             self._pump_drained()
 
     def _pump_fetched(self, ctx: _SweepCtx):
-        # the lane saw a stored profile, and rows never lose audio or profiles
+        # the lane saw a stored profile, and the store never loses audio or profiles
         newest_served = self.served_versions[-1]
         if ctx.profiles[-1].version.seq >= newest_served.seq:
             self._pump_advance(ctx.lane)
@@ -344,11 +343,11 @@ class SyncTableServerWorld(OnlineServerWorld):
     def _on_sync_probe(self, target, probe: SyncProbe):
         sid = probe.server_id
         probe.kind = "sync-reply"
-        probe.versions = () if sid in self.updating else (self.engines[sid].model,)
+        probe.version = None if sid in self.updating else self.engines[sid].model
         self._cloud_to_frontend(probe.server_id, probe)
 
     def _on_sync_reply(self, target, probe: SyncProbe):
-        self.version_table[probe.server_id] = probe.versions[0] if probe.versions else None
+        self.version_table[probe.server_id] = probe.version
         rnd = self._rounds[probe.round_id]
         rnd.remaining -= 1
         if rnd.remaining == 0:

@@ -2,15 +2,16 @@
 
 Topology is a star centered on the frontend: devices, cloud servers and the
 database all talk through it. Nodes hold state and local rules only; the
-multi-hop request flows, the cloud servers' engines and the release order
-live in ``strategies``. A ``ModelRelease`` is one release as the run
-numbers it. The database and the devices are the two profile stores, with
-one interface: ``put_profile(profile, retain)`` keeps a profile under the
-one retention rule, ``_retain``. A database row's ``profiles`` and a
-device's ``profiles_for(user_id)`` hold one user's profiles, oldest first.
-The profiles are an exact-size tuple, ``()`` for a user with none, that a
-put replaces and never changes, so a reader may keep the store's own tuple
-without a copy.
+multi-hop request flows, the cloud servers' engines, the devices' models and
+the release order live in ``strategies``. A ``ModelRelease`` is one release
+as the run numbers it. ``DatabaseNode`` is the one profile store: the
+database is one, and each device's store is its subclass ``DeviceNode``.
+A store keeps a user's enrollment audio in ``audio`` and profiles in
+``profiles``, and ``put_profile(profile, retain)`` keeps a profile under the
+one retention rule, ``store_profile``. ``profiles_for(user_id)`` holds one
+user's profiles, oldest first: an exact-size tuple, ``()`` for a user with
+none, that a put replaces and never changes, so a reader may keep the
+store's own tuple without a copy.
 """
 
 from __future__ import annotations
@@ -60,49 +61,40 @@ class ModelRelease:
         return f"version={self.version.id}"
 
 
-@dataclass(slots=True)
-class DbRow:
-    """One user's database row: the enrollment audio, and the profiles that
-    ``_retain`` kept, ascending by version seq with one per version."""
-
-    audio: EnrollmentAudio | tuple[()] = ()
-    profiles: tuple[UserProfile, ...] = ()
-
-
-def _retain(
-    profiles: tuple[UserProfile, ...], profile: UserProfile, cap: int | None
-) -> tuple[UserProfile, ...]:
-    """The one profile-retention rule of the database and the devices: a new
-    exact-size tuple with ``profile`` in place of any entry of its version,
-    ascending by seq, the lowest seqs dropped beyond ``cap`` (None: no cap)."""
-    kept = [p for p in profiles if p.version.seq != profile.version.seq]
-    kept.append(profile)
-    kept.sort(key=lambda p: p.version.seq)
-    return tuple(kept if cap is None else kept[-cap:])
-
-
 class DatabaseNode:
-    """Backend profile store. Operations are free in simulated time; the
-    network hops to reach it are not."""
+    """The profile store: the backend database of the server-side
+    deployments. Operations are free in simulated time; the network hops to
+    reach it are not."""
+
+    __slots__ = ("audio", "profiles")
 
     def __init__(self) -> None:
-        self.rows: dict[str, DbRow] = {}
+        self.audio: dict[str, EnrollmentAudio] = {}
+        self.profiles: dict[str, tuple[UserProfile, ...]] = {}
 
     def store_audio(self, user_id: str, samples: EnrollmentAudio) -> None:
-        row = self.rows.setdefault(user_id, DbRow())
-        row.audio = samples
+        self.audio[user_id] = samples
 
-    def fetch(self, user_id: str) -> DbRow | None:
-        return self.rows.get(user_id)
+    def profiles_for(self, user_id: str) -> tuple[UserProfile, ...]:
+        return self.profiles.get(user_id, ())
 
     def put_profile(self, profile: UserProfile, retain: int | None) -> None:
-        """Store ``profile`` under the retention rule of ``_retain``; the
-        user's row, made by its audio, must exist."""
-        row = self.rows.get(profile.user_id)
-        if row is None:
+        """Store ``profile`` under ``store_profile``'s rule; the user's audio
+        must be stored."""
+        if profile.user_id not in self.audio:
             raise UnknownUserError(f"profile put for unknown user {profile.user_id!r}")
-        row.profiles = _retain(row.profiles, profile, retain)
+        self.store_profile(profile, retain)
 
+    def store_profile(self, profile: UserProfile, retain: int | None) -> None:
+        """The one profile-retention rule: the user's profiles become a new
+        exact-size tuple with ``profile`` in place of any entry of its
+        version, ascending by seq, the lowest seqs dropped beyond ``retain``
+        (None: no cap)."""
+        user = profile.user_id
+        kept = [p for p in self.profiles_for(user) if p.version.seq != profile.version.seq]
+        kept.append(profile)
+        kept.sort(key=lambda p: p.version.seq)
+        self.profiles[user] = tuple(kept if retain is None else kept[-retain:])
 
 
 class FrontendNode:
@@ -149,39 +141,16 @@ class FrontendNode:
         raise NoEligibleServerError(f"no eligible server for {user_id!r}")
 
 
-class DeviceNode:
-    """End-user device of the deployments that keep profiles on devices; its
-    owners are the users that the world's ownership rule puts on it. Device
-    and hybrid deployments store audio and profiles on it; the on-device
-    strategy also keeps its model and update window there. A server-side
-    deployment builds none: a device there is only a request origin, its
-    link stream and event target."""
+class DeviceNode(DatabaseNode):
+    """The profile store of one end-user device, in the deployments that keep
+    profiles on devices; its owners are the users that the world's ownership
+    rule puts on it. A put needs no stored audio. A server-side deployment
+    builds none: a device there is only a request origin, its link stream
+    and event target."""
 
-    __slots__ = (
-        "device_id",
-        "local_model",
-        "stored_audio",
-        "stored_profiles",
-        "updating",
-        "recheck_after_update",
-    )
-
-    def __init__(self, device_id: str, local_model: VersionId):
-        self.device_id = device_id
-        self.local_model = local_model
-        self.stored_audio: dict[str, EnrollmentAudio] = {}
-        self.stored_profiles: dict[str, tuple[UserProfile, ...]] = {}
-        self.updating = False
-        self.recheck_after_update = False
+    __slots__ = ()
 
     def put_profile(self, profile: UserProfile, retain: int | None) -> None:
-        # the store itself keeps the name ``store_profile``, which bench/child.py times
+        # bench/child.py times the database's ``put_profile`` and this
+        # store's ``store_profile``, so a device put stays out of the former
         self.store_profile(profile, retain)
-
-    def store_profile(self, profile: UserProfile, retain: int | None) -> None:
-        """Store ``profile`` under the retention rule of ``_retain``."""
-        user = profile.user_id
-        self.stored_profiles[user] = _retain(self.profiles_for(user), profile, retain)
-
-    def profiles_for(self, user_id: str) -> tuple[UserProfile, ...]:
-        return self.stored_profiles.get(user_id, ())

@@ -306,7 +306,7 @@ def test_criterion_6_double_rollout_uninterrupted():
         logs=True,
     )
     final_ok = all(
-        {p.version.id for p in result.world.db.rows[f"u{i:03d}"].profiles} == {"V2", "V3"}
+        {p.version.id for p in result.world.db.profiles_for(f"u{i:03d}")} == {"V2", "V3"}
         for i in range(4)
     )
     ok = (

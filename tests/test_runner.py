@@ -379,10 +379,10 @@ def test_every_store_and_profile_shares_the_users_one_audio_value():
 
     sim.handler = handler
     sim.run_until(scenario.duration_ms)
-    assert set(world.db.rows) == set(audio) == set(world.user_ids)
-    for user, row in world.db.rows.items():
-        assert row.audio is audio[user]
-        assert row.profiles and all(p.audio is audio[user] for p in row.profiles)
+    assert set(world.db.audio) == set(world.db.profiles) == set(audio) == set(world.user_ids)
+    for user, profiles in world.db.profiles.items():
+        assert world.db.audio[user] is audio[user]
+        assert profiles and all(p.audio is audio[user] for p in profiles)
 
 
 @pytest.mark.parametrize("name, strategy, initial", _COMBOS, ids=[c[0] for c in _COMBOS])

@@ -162,6 +162,51 @@ def test_device_enroll_task_keeps_the_engine_it_started_with():
     assert [seq for _, _, seq in result.profile_puts] == [1] * 6 + [3] * 6
 
 
+_DEVICE_TABLE_RUNS = {
+    "device-rollout": load_scenario(str(SCENARIOS[0].parent / "device_rollout.json")),
+    "edge-device-update-window": scenario_from_dict(EDGES["edge-device-update-window/1"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEVICE_TABLE_RUNS))
+def test_device_models_switch_at_download_done_and_no_task_starts_in_a_window(monkeypatch, name):
+    """After every event, a device's entry in ``models`` has changed only if
+    the event was its own download-done, and then to that notice's version.
+    No runtime task starts on a device in ``_window``: a request that
+    arrives while the window is open starts once it has closed."""
+    scenario = _DEVICE_TABLE_RUNS[name]
+    sim, world, _ = build(scenario)
+    handle, schedule_in = world.handle, Simulator.schedule_in
+    downloads, switches, deferred, started = 0, [], [], []
+
+    def schedule_and_check(simulator, delay, target, payload):
+        if payload.kind == "device-task-done" and payload.flow == "runtime":
+            assert payload.device_id not in world._window, payload
+            started.append(payload)
+        schedule_in(simulator, delay, target, payload)
+
+    def handle_and_check(target, payload):
+        nonlocal downloads
+        before = dict(world.models)
+        handle(target, payload)
+        for device_id, model in world.models.items():
+            if model != before[device_id]:
+                assert payload.kind == "download-done", (device_id, payload)
+                assert target == world.device_targets[device_id]
+                assert model == payload.version
+                switches.append(device_id)
+        downloads += payload.kind == "download-done"
+        if payload.kind == "runtime-arrival" and payload.device_id in world._window:
+            deferred.append(payload)
+
+    monkeypatch.setattr(Simulator, "schedule_in", schedule_and_check)
+    world.handle = handle_and_check
+    sim.run_until(scenario.duration_ms)
+    assert sorted(switches) == world.device_ids and downloads == len(switches)
+    assert deferred and all(any(ctx is s for s in started) for ctx in deferred)
+    assert not world._window
+
+
 # -- server, single version, online swap
 
 
@@ -338,7 +383,7 @@ def test_double_rollout_stays_available_with_no_inline_reenrolls():
     assert result.report.stale_profile_events == 0
     assert all(r.reenrollments_in_path == 0 for r in result.records)
     for user in (f"u{i:03d}" for i in range(4)):
-        held = {p.version.id for p in result.world.db.rows[user].profiles}
+        held = {p.version.id for p in result.world.db.profiles_for(user)}
         assert held == {"V2", "V3"}
     assert result.report.bounce_count == 0
 
@@ -502,7 +547,7 @@ def test_flow_contexts_start_with_empty_tuples():
     [({}, "db-fetch-reply"), ({"deployment": "HYBRID"}, "runtime-request")],
 )
 def test_a_runtime_request_holds_the_store_tuple_itself(strategy, kind):
-    """The runtime ctx that a fetch reply fills holds the database row's own
+    """The runtime ctx that a fetch reply fills holds the database's own
     tuple; a hybrid request holds the device's."""
     sim, world, _ = build(
         scenario_from_dict(
@@ -519,7 +564,7 @@ def test_a_runtime_request_holds_the_store_tuple_itself(strategy, kind):
 
     def stored_profiles():
         if kind == "db-fetch-reply":
-            return world.db.fetch("u000").profiles
+            return world.db.profiles_for("u000")
         return world.devices["d00"].profiles_for("u000")
 
     def handle_and_check(target, payload):

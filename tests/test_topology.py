@@ -17,7 +17,6 @@ from versim.topology import (
     DispatchPolicy,
     FrontendNode,
     ModelRelease,
-    _retain,
 )
 
 V1 = VersionId("V1", 1)
@@ -36,14 +35,13 @@ def test_update_duration_draw_stays_in_bounds():
     assert seen == {100, 101, 102, 103, 104, 105}
 
 
-def test_db_store_then_fetch():
+def test_db_store_then_read():
     db = DatabaseNode()
     samples = (AudioSample("u000", 1000, 7),)
     db.store_audio("u000", samples)
-    row = db.fetch("u000")
-    assert row.audio == samples
-    assert row.profiles == ()
-    assert db.fetch("nobody") is None
+    assert db.audio["u000"] == samples
+    assert db.profiles_for("u000") == ()
+    assert db.audio.get("nobody") is None and db.profiles_for("nobody") == ()
 
 
 def test_db_put_requires_known_user():
@@ -57,10 +55,9 @@ def test_db_put_keeps_ascending_and_drops_oldest():
     db.store_audio("u000", (AudioSample("u000", 1000, 1),))
     db.put_profile(_profile("u000", V2), retain=2)
     db.put_profile(_profile("u000", V1), retain=2)
-    row = db.fetch("u000")
-    assert [p.version for p in row.profiles] == [V1, V2]
+    assert [p.version for p in db.profiles_for("u000")] == [V1, V2]
     db.put_profile(_profile("u000", V3), retain=2)
-    assert [p.version for p in row.profiles] == [V2, V3]
+    assert [p.version for p in db.profiles_for("u000")] == [V2, V3]
 
 
 def test_db_put_same_version_replaces():
@@ -70,9 +67,9 @@ def test_db_put_same_version_replaces():
     second = _profile("u000", V1, seed=20)
     db.put_profile(first, retain=1)
     db.put_profile(second, retain=1)
-    row = db.fetch("u000")
-    assert len(row.profiles) == 1
-    assert row.profiles[0] is second
+    profiles = db.profiles_for("u000")
+    assert len(profiles) == 1
+    assert profiles[0] is second
 
 
 def test_db_retain_none_is_unbounded():
@@ -80,19 +77,29 @@ def test_db_retain_none_is_unbounded():
     db.store_audio("u000", (AudioSample("u000", 1000, 1),))
     for version in (V1, V2, V3):
         db.put_profile(_profile("u000", version), retain=None)
-    assert [p.version for p in db.fetch("u000").profiles] == [V1, V2, V3]
+    assert [p.version for p in db.profiles_for("u000")] == [V1, V2, V3]
 
 
-def test_retain_returns_a_new_tuple_of_exactly_the_kept_profiles():
+def _stored_after(profiles, profile, retain):
+    """The user's profiles once ``profile`` is stored over ``profiles``."""
+    device = DeviceNode()
+    device.profiles["u000"] = profiles
+    device.store_profile(profile, retain)
+    return device.profiles_for("u000")
+
+
+def test_store_profile_keeps_a_new_tuple_of_exactly_the_kept_profiles():
     p1, p2, p3 = (_profile("u000", v) for v in (V1, V2, V3))
-    stored = (p1, p3)
-    kept = _retain(stored, p2, 2)
+    device = DeviceNode()
+    device.profiles["u000"] = stored = (p1, p3)
+    device.store_profile(p2, 2)
+    kept = device.profiles_for("u000")
     assert type(kept) is tuple and kept == (p2, p3)
     assert stored == (p1, p3)  # a put replaces the stored tuple, never changes it
-    assert _retain(kept, p1, 1) == (p3,)
-    assert _retain(kept, p1, None) == (p1, p2, p3)
+    assert _stored_after(kept, p1, 1) == (p3,)
+    assert _stored_after(kept, p1, None) == (p1, p2, p3)
     again = _profile("u000", V2, seed=9)
-    assert _retain(kept, again, 2) == (again, p3)
+    assert _stored_after(kept, again, 2) == (again, p3)
 
 
 def _frontend(policy):
@@ -145,7 +152,7 @@ def test_choose_with_nothing_eligible_fails():
 
 
 def test_device_profile_cap_keeps_newest():
-    device = DeviceNode("d00", V1)
+    device = DeviceNode()
     device.put_profile(_profile("u000", V1), retain=2)
     device.put_profile(_profile("u000", V3), retain=2)
     device.put_profile(_profile("u000", V2), retain=2)
@@ -154,7 +161,7 @@ def test_device_profile_cap_keeps_newest():
 
 
 def test_device_store_replaces_same_version():
-    device = DeviceNode("d00", V1)
+    device = DeviceNode()
     first = _profile("u000", V1, seed=1)
     second = _profile("u000", V1, seed=2)
     device.put_profile(first, retain=1)
@@ -164,7 +171,7 @@ def test_device_store_replaces_same_version():
 
 
 def test_device_profiles_empty_for_strangers():
-    device = DeviceNode("d00", V1)
+    device = DeviceNode()
     assert device.profiles_for("u999") == ()
 
 
@@ -172,9 +179,10 @@ def test_device_profiles_empty_for_strangers():
 def test_database_and_devices_keep_profiles_by_one_rule(retain):
     db = DatabaseNode()
     db.store_audio("u000", (AudioSample("u000", 1000, 1),))
-    device = DeviceNode("d00", V1)
+    device = DeviceNode()
     for version in (V2, V1, V3, V2):
         for store in (db, device):
             store.put_profile(_profile("u000", version), retain)
-        assert db.fetch("u000").profiles == device.profiles_for("u000")
-    assert db.fetch("nobody") is None and device.profiles_for("nobody") == ()
+        assert db.profiles_for("u000") == device.profiles_for("u000")
+    assert db.audio.get("nobody") is None and db.profiles_for("nobody") == ()
+    assert device.profiles_for("nobody") == ()
