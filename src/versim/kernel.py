@@ -6,24 +6,24 @@ integer milliseconds. Events execute in (time, insertion sequence) order, so
 ties resolve by who scheduled first. Every random draw comes from a named
 SplitMix64 stream, and the trace is a pure function of the executed events.
 
-Every queued event waits in a bucket for its millisecond: a dict from time
-to a list of events in seq order, plus a heap of the distinct bucket times.
+Every queued event waits in a bucket for its millisecond: a dict from time to
+a list of events in seq order, plus a heap of the distinct bucket times.
 Appending keeps a bucket in seq order, and a burst of events at one time
-costs one heap push and pop, not one per event. The one other source is a
-fed stream (``Simulator.feed``, the runtime arrivals): a time-ordered
-iterator of events that reserves a block of seqs when it is fed and yields
-each event only when the run reaches it, so its events are not held in
-memory before they are due. Each step executes the earlier of the first
-bucket and the stream's next event. At a tie the fed event runs first,
-unless its bucket holds an event scheduled before the stream was fed; then
-it joins that bucket in seq order. So the order is the one a single heap of
-(time, seq) would give. A bucket entry is dropped as soon as its event runs.
+costs one heap push and pop, not one per event. The one other source is a fed
+stream (``Simulator.feed``, the runtime arrivals): a time-ordered iterator of
+events that reserves a block of seqs when it is fed. The run draws and
+numbers each event only when it reaches it, so none is held in memory before
+it is due. Each step executes the earlier of the first bucket and the
+stream's next event. At a tie the fed event runs first, unless its bucket
+holds an event scheduled before the stream was fed; then it joins that bucket
+in seq order. So the order is the one a single heap of (time, seq) would
+give. A bucket entry is dropped as soon as its event runs.
 
-An event is queued at a time (``Simulator.schedule``) or one message hop
-from now (``Simulator.send``): at ``now + extra + latency``, the link's
-latency drawn from the sender's stream, ``base + next_u64() % (jitter + 1)``
-on a jittered link. A draw with only one possible value (a link without
-jitter, an update duration with ``lo == hi``, a random pick among one
+An event is queued at a time (``Simulator.schedule``) or one message hop from
+now (``Simulator.send``, a hop's one call): at ``now + extra + latency``, the
+link's latency drawn from the sender's stream, ``base + next_u64() %
+(jitter + 1)`` on a jittered link. A draw with only one possible value (a link
+without jitter, an update duration with ``lo == hi``, a random pick among one
 server) or that nothing reads (``SimRng.skip``) steps the SplitMix64 state
 without the output mix, to the position ``next_u64`` would leave it at, so
 stream positions never depend on whether a link has jitter.
@@ -131,9 +131,9 @@ class Simulator:
     with a ``handle(target, payload)`` method; it is resolved once at each
     ``run_until`` entry, so a method patched after construction is honoured.
     When a trace sink is supplied, one tab-separated line is appended per
-    executed event before its handler runs. If a handler raises, ``current``
-    holds the (time, seq) of that event, and the next ``run_until`` goes on
-    with the events after it.
+    executed event before its handler runs. If a handler or the fed stream
+    raises, ``current`` holds the (time, seq) of the last event that ran, and
+    the next ``run_until`` goes on from there.
 
     ``stall_bound`` is the progress tripwire: a millisecond's bucket may run
     that many events plus ``STALL_FACTOR`` per event queued there when the
@@ -144,16 +144,17 @@ class Simulator:
     """
 
     __slots__ = (
-        "handler", "_fed", "_next", "_counted", "_buckets", "_times", "_seq", "now", "trace",
-        "current", "stall_bound",
+        "handler", "_fed", "_next", "_fed_seq", "_fed_first", "_fed_end", "_counted", "_buckets",
+        "_times", "_seq", "now", "trace", "current", "stall_bound",
     )  # fmt: skip
 
     def __init__(self, handler, trace: TraceSink | None = None, stall_bound: int = sys.maxsize):
         self.handler = handler
         self.stall_bound = stall_bound
-        # the fed stream, numbered, and its next event (None once it is empty)
-        self._fed: Iterator[tuple[int, int, str, Payload]] | None = None
-        self._next: tuple[int, int, str, Payload] | None = None
+        # the fed stream, its next event (None: none left) and that one's seq, its seqs [first, end)
+        self._fed: Iterator[tuple[int, str, Payload]] | None = None
+        self._next: tuple[int, str, Payload] | None = None
+        self._fed_seq = self._fed_first = self._fed_end = 0
         # the first seq the progress bound counts: the seq count at the first
         # run_until, None before it
         self._counted: int | None = None
@@ -187,9 +188,9 @@ class Simulator:
         self, link: LatencyModel, rng: SimRng, target: str, payload: Payload, extra: int = 0
     ) -> None:
         """Queue ``payload`` for ``target`` at ``now + extra + latency``, the
-        latency drawn on ``link`` from the sender's ``rng`` in one step. The
-        queueing is ``schedule``'s, inline so that a hop costs one call;
-        ``extra`` and latencies are never negative: no past-time check."""
+        latency drawn on ``link`` from the sender's ``rng`` in one step. A hop
+        is this one call from its handler: the queueing is ``schedule``'s,
+        inline. ``extra`` and latencies are never negative: no past-time check."""
         if link.jitter_ms:
             at = self.now + extra + link.base_ms + rng.next_u64() % (link.jitter_ms + 1)
         else:
@@ -207,16 +208,27 @@ class Simulator:
     def feed(self, events: Iterable[tuple[int, str, Payload]], count: int) -> None:
         """Queue ``count`` events that ``events`` yields as (at, target,
         payload) in time order. They take the next ``count`` seqs, as if each
-        were scheduled here in turn, but each is drawn from ``events`` only
-        when the run reaches it. One stream per simulator, fed before the
-        first ``run_until``; a stream out of time order, or of another
-        length, raises ValueError when the run finds it out."""
+        were scheduled here in turn, but ``run_until`` draws and numbers each
+        only when the run reaches it. One stream per simulator, fed before the
+        first ``run_until``; a stream out of time order, or of another length,
+        raises ValueError when the run finds it out, and ends there."""
         if self._counted is not None:
             raise ValueError("feed() after the first run_until")
         if self._fed is not None:
             raise ValueError("the simulator already has a fed stream")
-        self._fed = _numbered(events, self._seq, count)
-        self._seq += count
+        self._fed = iter(events)
+        self._fed_seq = self._fed_first = self._seq
+        self._fed_end = self._seq = self._seq + count
+
+    def _check_drawn(self, drawn: tuple[int, str, Payload] | None, last: int, seq: int) -> None:
+        """End the fed stream at ``drawn``, drawn as ``seq``: raise ValueError if
+        it is before ``last``, or if it is the end (None) of a stream short or long."""
+        first, end = self._fed_first, self._fed_end
+        self._fed, self._fed_end = iter(()), seq
+        if drawn is not None:
+            raise ValueError(f"fed event {seq - first} at t={drawn[0]}ms is out of time order")
+        if seq != end:
+            raise ValueError(f"the fed stream yielded {seq - first} events, not {end - first}")
 
     def run_until(self, t_end: int) -> None:
         """Execute every event with time <= t_end, then set the clock to
@@ -225,11 +237,14 @@ class Simulator:
         if t_end < self.now:
             raise ValueError(f"run_until({t_end}) is before the clock ({self.now})")
         if self._counted is None:
-            self._counted = self._seq
             if self._fed is not None:
-                self._next = next(self._fed, None)
-        fed = self._fed
+                head = next(self._fed, None)
+                if head is None or head[0] < 0:
+                    self._check_drawn(head, 0, self._fed_seq)
+                self._next = head
+            self._counted = self._seq
         head = self._next
+        fed_seq = self._fed_seq
         counted = self._counted
         buckets = self._buckets
         times = self._times
@@ -254,11 +269,24 @@ class Simulator:
                     # bucket and are not counted: the limit is taken once
                     # they have run
                     if bucket[0][0] < counted:
-                        limit = bisect_left(bucket, (counted,))
+                        end = limit = bisect_left(bucket, (counted,))
                     else:
-                        limit = bound + STALL_FACTOR * len(bucket)
-                    # handlers may append to the bucket while it drains
-                    while done < len(bucket):
+                        end = len(bucket)
+                        limit = bound + STALL_FACTOR * end
+                    # run to ``end`` (length or limit, the lower) until handlers stop appending
+                    while True:
+                        while done < end:
+                            seq, target, payload = bucket[done]
+                            bucket[done] = None
+                            done += 1
+                            if trace is not None:
+                                trace.append(
+                                    f"{stamp}{seq}\t{target}\t{payload.kind}\t{payload.summary()}"
+                                )
+                            handle(target, payload)
+                        end = len(bucket)
+                        if done == end:
+                            break
                         if done == limit:
                             if seq >= counted:
                                 raise StalledClockError(
@@ -268,31 +296,30 @@ class Simulator:
                             # the last uncounted event has run
                             del bucket[:done]
                             done = 0
-                            limit = bound + STALL_FACTOR * len(bucket)
-                            continue
-                        seq, target, payload = bucket[done]
-                        bucket[done] = None
-                        done += 1
-                        if trace is not None:
-                            trace.append(
-                                f"{stamp}{seq}\t{target}\t{payload.kind}\t{payload.summary()}"
-                            )
-                        handle(target, payload)
+                            end = len(bucket)
+                            limit = bound + STALL_FACTOR * end
+                        elif end > limit:
+                            end = limit
                     del buckets[at]
                     heappop(times)
                     bucket = None
                     done = 0
                 elif cut < stop:
-                    # draw the next event first: a stream that raises
-                    # there leaves ``current`` on the last event that ran
-                    event, head = head, next(fed, None)
-                    at, seq, target, payload = event
+                    # draw the next event first: a draw that raises leaves
+                    # ``current`` on the last event that ran, and this one queued
+                    drawn = next(self._fed, None)
+                    if drawn is None or drawn[0] < head[0]:
+                        self._check_drawn(drawn, head[0], fed_seq + 1)
+                    at, target, payload = head
+                    head = drawn
                     cut = head[0] if head is not None and head[0] < stop else stop
-                    if times and times[0] == at and buckets[at][0][0] < seq:
+                    number, fed_seq = fed_seq, fed_seq + 1
+                    if times and times[0] == at and buckets[at][0][0] < number:
                         # an event scheduled before the stream was fed waits
                         # at this time: join it in seq order
-                        insort(buckets[at], (seq, target, payload))
+                        insort(buckets[at], (number, target, payload))
                         continue
+                    seq = number
                     self.now = at
                     if trace is not None:
                         trace.append(
@@ -314,20 +341,5 @@ class Simulator:
             raise
         finally:
             self._next = head
+            self._fed_seq = fed_seq
         self.now = t_end
-
-
-def _numbered(
-    events: Iterable[tuple[int, str, Payload]], first: int, count: int
-) -> Iterator[tuple[int, int, str, Payload]]:
-    """The ``count`` events of a fed stream, numbered from seq ``first``."""
-    seq = first
-    last = 0
-    for at, target, payload in events:
-        if at < last:
-            raise ValueError(f"fed event {seq - first} at t={at}ms is out of time order")
-        yield at, seq, target, payload
-        last = at
-        seq += 1
-    if seq != first + count:
-        raise ValueError(f"the fed stream yielded {seq - first} events, not {count}")

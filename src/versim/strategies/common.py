@@ -4,25 +4,25 @@ that wire nodes to the simulator. The worlds tell ``metrics.RunLog`` what
 happens; what is counted or kept is decided there.
 
 A "world" is one deployment wired up: nodes, their rng streams, and the
-handler table that routes every executed event by its message ``kind`` to
-the world's method named for it, dashes written as underscores: kind
-``recognize-job-done`` goes to ``_on_recognize_job_done``.
-Request flows are chains of messages. Each hop is one traced event that
-``Simulator.send`` queues on its link, with the latency drawn from the
-sending node's stream. A flow's context object (``EnrollCtx``,
-``RuntimeCtx``, ``HandshakeCtx``, the sync table's ``SyncProbe``, and the
-re-enrollment pump's ``server._SweepCtx``) is itself the message of every
-hop of the flow, so node handlers stay stateless between hops: just before
-it sends, the sender sets the hop's ``kind`` on the context, with the server
-id, the continuation ``token`` or the outcome the hop carries, and a handler
-writes what its node produced (fetched profiles, an enrolled profile) onto it.
-That is sound because a flow has at most one message queued at a time, and
-its trace line is printed before the handler moves the context on to its
-next hop. A request's context is also its arrival: the runner schedules each
-user's ``EnrollCtx`` as its enroll-arrival and feeds each ``RuntimeCtx`` as
-its runtime-arrival, and on a DEVICE it is also its device-task-done. The
-hops outside a flow (releases, server updates, ticks) have one message class
-per shape.
+handler table that routes every executed event by its message ``kind`` to the
+world's method named for it, dashes written as underscores: kind
+``recognize-job-done`` goes to ``_on_recognize_job_done``. Request flows are
+chains of messages. Each hop is one traced event, queued by one
+``Simulator.send`` call from the handler that sends it, with the latency drawn
+from the sender's stream (``CloudWorldBase.__init__`` names each hop's). A
+flow's context object (``EnrollCtx``, ``RuntimeCtx``, ``HandshakeCtx``, the
+sync table's ``SyncProbe``, and the re-enrollment pump's ``server._SweepCtx``)
+is itself the message of every hop of the flow, so node handlers stay
+stateless between hops: just before it sends, the sender sets the hop's
+``kind`` on the context, with the server id, the continuation ``token`` or the
+outcome the hop carries, and a handler writes what its node produced (fetched
+profiles, an enrolled profile) onto it. That is sound because a flow has at
+most one message queued at a time, and its trace line is printed before the
+handler moves the context on to its next hop. A request's context is also its
+arrival: the runner schedules each user's ``EnrollCtx`` as its enroll-arrival
+and feeds each ``RuntimeCtx`` as its runtime-arrival, and on a DEVICE it is
+also its device-task-done. The hops outside a flow (releases, server updates,
+ticks) have one message class per shape.
 
 ``WorldBase`` holds what every world has: the users, the ``initial``
 versions, numbered 1..n, each device's link stream and event target, the
@@ -316,8 +316,8 @@ class WorldBase:
 
     # profiles the world's store keeps per user (None: unbounded)
     retain: int | None = 1
-    # message kind -> handler function, one table per class; plain functions,
-    # so no world refers to itself and a finished one is freed by refcount
+    # message kind -> handler function, one table per class (bound on each world
+    # for ``handle``); plain functions, so a finished world is freed by refcount
     _handlers: ClassVar[dict[str, Callable[["WorldBase", str, object], None]]] = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -332,6 +332,7 @@ class WorldBase:
         self.sim = sim
         self.log = log
         self.cfg = scenario.strategy
+        self._handlers = type(self)._handlers
         self._engines: dict[VersionId, EngineInstance] = {}
         # the initial versions, numbered 1..n; the runner numbers each
         # release after them, in schedule order
@@ -427,6 +428,10 @@ class CloudWorldBase(WorldBase):
         self.frontend = FrontendNode(
             server_ids, self.cfg.dispatch, node_stream(scenario.seed, FRONTEND_STREAM)
         )
+        # a hop's latency is drawn from its sender's stream: the device's
+        # ``device_rng`` to the frontend, ``frontend.rng`` to a device or server,
+        # the server's ``cloud_rng`` back, and for the database hops (server.py)
+        # ``frontend.rng`` out and ``db_rng`` back
         self._device_link = scenario.latency.device_frontend
         self._cloud_link = scenario.latency.frontend_cloud
         self.pending_releases: list[ModelRelease] = []
@@ -435,24 +440,6 @@ class CloudWorldBase(WorldBase):
         self._index_served()
         # token -> step function, unbound for the same reason as ``_handlers``
         self._conts: dict[str, Callable] = {self.leg_token: type(self)._store_leg}
-
-    # -- one-hop sends: each hop goes out on its link through
-    # ``Simulator.send``, which draws the latency from the sending node's
-    # stream; ``extra`` is the sender's compute time before it sends
-
-    def _device_to_frontend(self, device_id: str, payload) -> None:
-        self.sim.send(self._device_link, self.device_rng[device_id], "frontend", payload)
-
-    def _frontend_to_device(self, device_id: str, payload) -> None:
-        target = self.device_targets[device_id]
-        self.sim.send(self._device_link, self.frontend.rng, target, payload)
-
-    def _frontend_to_cloud(self, server_id: str, payload) -> None:
-        target = self._cloud_targets[server_id]
-        self.sim.send(self._cloud_link, self.frontend.rng, target, payload)
-
-    def _cloud_to_frontend(self, server_id: str, payload, extra: int = 0) -> None:
-        self.sim.send(self._cloud_link, self.cloud_rng[server_id], "frontend", payload, extra)
 
     # -- served-version index; rebuilt whenever a server begins or completes
     # an update, so readers never scan the fleet
@@ -514,12 +501,13 @@ class CloudWorldBase(WorldBase):
         engine = self.engines[ctx.server_id]
         ctx.produced += (engine.enroll(ctx.user_id, ctx.audio),)
         ctx.kind = "enroll-job-done"
-        self._cloud_to_frontend(ctx.server_id, ctx, engine.enroll_duration_ms(len(ctx.audio)))
+        extra = engine.enroll_duration_ms(len(ctx.audio))
+        self.sim.send(self._cloud_link, self.cloud_rng[ctx.server_id], "frontend", ctx, extra)
 
     def _on_recognize_job(self, target, ctx: RuntimeCtx):
         work = self._service_runtime(self.engines[ctx.server_id], ctx)
         ctx.kind = "retry-signal" if work is None else "recognize-job-done"
-        self._cloud_to_frontend(ctx.server_id, ctx, work or 0)
+        self.sim.send(self._cloud_link, self.cloud_rng[ctx.server_id], "frontend", ctx, work or 0)
 
     def _service_runtime(self, engine: EngineInstance, ctx: RuntimeCtx) -> int | None:
         """Recognize the request on ``engine`` with the user's profile for the
@@ -568,7 +556,7 @@ class CloudWorldBase(WorldBase):
         """The device sends an enroll-request: a request of its own, or a
         background or in-path re-enrollment."""
         ctx.kind = "enroll-request"
-        self._device_to_frontend(ctx.device_id, ctx)
+        self.sim.send(self._device_link, self.device_rng[ctx.device_id], "frontend", ctx)
 
     def _on_enroll_request(self, target, ctx: EnrollCtx):
         self._store_audio(ctx)
@@ -610,7 +598,7 @@ class CloudWorldBase(WorldBase):
         ctx.kind = "enroll-job"
         ctx.server_id = server_id
         ctx.token = token
-        self._frontend_to_cloud(server_id, ctx)
+        self.sim.send(self._cloud_link, self.frontend.rng, self._cloud_targets[server_id], ctx)
 
     def _continue(self, target, ctx) -> None:
         """Go on with the flow step that the reply's ``token`` names."""
@@ -624,7 +612,7 @@ class CloudWorldBase(WorldBase):
     def _respond_enroll(self, ctx: EnrollCtx, outcome: Outcome) -> None:
         ctx.kind = "enroll-response"
         ctx.outcome = outcome
-        self._frontend_to_device(ctx.device_id, ctx)
+        self.sim.send(self._device_link, self.frontend.rng, self.device_targets[ctx.device_id], ctx)
 
     def _on_enroll_response(self, target, ctx: EnrollCtx):
         self.log.request_done("ENROLL", ctx.user_id, ctx.submitted, self.sim.now, ctx.outcome)
@@ -635,7 +623,7 @@ class CloudWorldBase(WorldBase):
 
     def _on_runtime_arrival(self, target, ctx: RuntimeCtx):
         ctx.kind = "runtime-request"
-        self._device_to_frontend(ctx.device_id, ctx)
+        self.sim.send(self._device_link, self.device_rng[ctx.device_id], "frontend", ctx)
 
     def _on_runtime_request(self, target, ctx: RuntimeCtx):
         self._dispatch_runtime(ctx)
@@ -643,7 +631,7 @@ class CloudWorldBase(WorldBase):
     def _send_recognize_job(self, server_id: str, ctx: RuntimeCtx) -> None:
         ctx.kind = "recognize-job"
         ctx.server_id = server_id
-        self._frontend_to_cloud(server_id, ctx)
+        self.sim.send(self._cloud_link, self.frontend.rng, self._cloud_targets[server_id], ctx)
 
     def _dispatch_runtime(self, ctx: RuntimeCtx) -> None:
         """Single-version dispatch: a retried request to the server it went
@@ -671,7 +659,7 @@ class CloudWorldBase(WorldBase):
     def _respond_runtime(self, ctx: RuntimeCtx, outcome: Outcome) -> None:
         ctx.kind = "runtime-response"
         ctx.outcome = outcome
-        self._frontend_to_device(ctx.device_id, ctx)
+        self.sim.send(self._device_link, self.frontend.rng, self.device_targets[ctx.device_id], ctx)
 
     def _on_runtime_response(self, target, ctx: RuntimeCtx):
         self.log.request_done(

@@ -69,7 +69,7 @@ class HybridWorldBase(CloudWorldBase):
         parent.reenrolls += 1
         parent.profiles = self.devices[ctx.device_id].profiles_for(ctx.user_id)
         parent.kind = "runtime-request"
-        self._device_to_frontend(ctx.device_id, parent)
+        self.sim.send(self._device_link, self.device_rng[ctx.device_id], "frontend", parent)
 
     def _store_produced(self, ctx: EnrollCtx) -> None:
         """Keep the produced profiles when the response reaches the device; a
@@ -98,7 +98,7 @@ class HybridWorldBase(CloudWorldBase):
 
     def _on_retry_signal(self, target, ctx: RuntimeCtx):
         ctx.kind = "retry-needed"
-        self._frontend_to_device(ctx.device_id, ctx)
+        self.sim.send(self._device_link, self.frontend.rng, self.device_targets[ctx.device_id], ctx)
 
     def _on_retry_needed(self, target, ctx: RuntimeCtx):
         # re-enroll on the server that reported the mismatch, then retry
@@ -114,12 +114,12 @@ class HybridWorldBase(CloudWorldBase):
         self.sim.schedule_in(self.cfg.handshake_period_ms, target, msg)
         device_id = self._device_ids[target]
         ctx = HandshakeCtx(device_id, device_id, self.sim.now)
-        self._device_to_frontend(device_id, ctx)
+        self.sim.send(self._device_link, self.device_rng[device_id], "frontend", ctx)
 
     def _on_handshake_request(self, target, ctx: HandshakeCtx):
         ctx.kind = "handshake-reply"
         ctx.versions = self.served_versions
-        self._frontend_to_device(ctx.device_id, ctx)
+        self.sim.send(self._device_link, self.frontend.rng, self.device_targets[ctx.device_id], ctx)
 
     def _on_handshake_reply(self, target, ctx: HandshakeCtx):
         self.log.request_done("HANDSHAKE", ctx.user_id, ctx.submitted, self.sim.now, OK)

@@ -108,22 +108,21 @@ class ServerWorldBase(CloudWorldBase):
         ctx.token = token
         self.sim.send(self._db_link, self.frontend.rng, "db", ctx)
 
-    def _db_reply(self, kind: str, ctx) -> None:
-        ctx.kind = kind
-        self.sim.send(self._db_link, self.db_rng, "frontend", ctx)
-
     def _on_db_store_audio(self, target, ctx: EnrollCtx):
         self.db.store_audio(ctx.user_id, ctx.audio)
-        self._db_reply("db-store-ack", ctx)
+        ctx.kind = "db-store-ack"
+        self.sim.send(self._db_link, self.db_rng, "frontend", ctx)
 
     def _on_db_fetch(self, target, ctx):
         ctx.profiles = self.db.profiles_for(ctx.user_id)
         ctx.audio = self.db.audio.get(ctx.user_id, ())
-        self._db_reply("db-fetch-reply", ctx)
+        ctx.kind = "db-fetch-reply"
+        self.sim.send(self._db_link, self.db_rng, "frontend", ctx)
 
     def _on_db_put_profile(self, target, ctx):
         self._put(self.db, ctx.produced[-1])
-        self._db_reply("db-put-ack", ctx)
+        ctx.kind = "db-put-ack"
+        self.sim.send(self._db_link, self.db_rng, "frontend", ctx)
 
     _on_db_store_ack = _on_db_fetch_reply = _on_db_put_ack = CloudWorldBase._continue
 
@@ -274,7 +273,7 @@ class SyncTableServerWorld(OnlineServerWorld):
         if ctx.server_id not in self.updating:
             return False
         ctx.kind = "job-rejected"
-        self._cloud_to_frontend(ctx.server_id, ctx)
+        self.sim.send(self._cloud_link, self.cloud_rng[ctx.server_id], "frontend", ctx)
         return True
 
     # -- dispatch from the table: the enrollment's one leg and every runtime
@@ -333,8 +332,8 @@ class SyncTableServerWorld(OnlineServerWorld):
         if waiter is not None:
             rnd.waiters.append(waiter)
         self._rounds[round_id] = rnd
-        for sid in self.frontend.server_ids:
-            self._frontend_to_cloud(sid, SyncProbe(round_id, sid))
+        for sid, target in self._cloud_targets.items():
+            self.sim.send(self._cloud_link, self.frontend.rng, target, SyncProbe(round_id, sid))
 
     def _on_sync_tick(self, target, msg):
         self._start_refresh(waiter=None)
@@ -344,7 +343,7 @@ class SyncTableServerWorld(OnlineServerWorld):
         sid = probe.server_id
         probe.kind = "sync-reply"
         probe.version = None if sid in self.updating else self.engines[sid].model
-        self._cloud_to_frontend(probe.server_id, probe)
+        self.sim.send(self._cloud_link, self.cloud_rng[sid], "frontend", probe)
 
     def _on_sync_reply(self, target, probe: SyncProbe):
         self.version_table[probe.server_id] = probe.version

@@ -1,0 +1,85 @@
+"""Python calls per executed event, as JSON.
+
+Counts the Python-level calls (``sys.setprofile``'s ``call`` events, which
+include each generator resumption) made inside ``Simulator.run_until`` of
+every scenario of a bench workload, and the events executed there, which
+are the calls of ``WorldBase.handle``. Builtins and C methods are not
+counted. Prints one JSON object per (workload, seed) with the totals and
+their ratio, and each scenario's own ratio.
+
+Pytest does not collect this file. Run it from the repository root:
+
+    PYTHONPATH=src python3 tests/calls_per_event.py --workload rollout-matrix --seed 1
+
+The counts are of the interpreter that runs it: a figure quoted from it
+should name the Python version.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from workloads import WORKLOADS, generate  # noqa: E402
+
+from versim.runner import build  # noqa: E402
+from versim.scenario import scenario_from_dict  # noqa: E402
+from versim.strategies.common import WorldBase  # noqa: E402
+
+
+def count(scenario) -> tuple[int, int]:
+    """(Python calls, events) of one run's event loop, without a trace."""
+    sim, _, _ = build(scenario)
+    handle = WorldBase.handle.__code__
+    calls = events = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls, events
+        if event == "call":
+            calls += 1
+            if frame.f_code is handle:
+                events += 1
+
+    sys.setprofile(profile)
+    try:
+        sim.run_until(scenario.duration_ms)
+    finally:
+        sys.setprofile(None)
+    # the first call counted is run_until's own
+    return calls - 1, events
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=WORKLOADS, action="append")
+    parser.add_argument("--seed", type=int, action="append")
+    args = parser.parse_args(argv)
+    for workload in args.workload or ["rollout-matrix"]:
+        for seed in args.seed or [1]:
+            rows = {}
+            for name, raw in generate(workload, seed):
+                calls, events = count(scenario_from_dict(raw))
+                ratio = round(calls / events, 3)
+                rows[name] = {"calls": calls, "events": events, "per_event": ratio}
+            calls = sum(row["calls"] for row in rows.values())
+            events = sum(row["events"] for row in rows.values())
+            print(json.dumps({
+                "workload": workload,
+                "seed": seed,
+                "python": platform.python_version(),
+                "calls": calls,
+                "events": events,
+                "calls_per_event": round(calls / events, 3),
+                "scenarios": rows,
+            }))  # fmt: skip
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

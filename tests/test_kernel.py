@@ -495,6 +495,41 @@ def test_a_fed_stream_out_of_order_leaves_current_on_the_last_event_that_ran(sch
     assert trace == [f"1\t{i}\tn\tping\ts{i}" for i in range(scheduled)]
 
 
+def _breaking(times, broken):
+    """A fed stream that raises RuntimeError as its item ``broken`` is drawn."""
+    for i, at in enumerate(times):
+        if i == broken:
+            raise RuntimeError("the stream broke")
+        yield at, "n", Ping(f"f{i}")
+
+
+@pytest.mark.parametrize(
+    "pre_at, current", [(0, (2, 1)), (2, None)], ids=["pre-before", "pre-at-the-tie"]
+)
+def test_a_fed_stream_that_raises_its_own_error_is_drawn_again_by_the_next_call(pre_at, current):
+    # "pre" takes seq 0 and the stream seqs 1-4; at the tie, f0 joins pre's
+    # bucket without running before the third draw raises
+    seen = []
+    sim = Simulator(lambda target, p: seen.append((sim.now, p.label)))
+    sim.schedule(pre_at, "n", Ping("pre"))
+    sim.feed(_breaking([2, 2, 6, 8], broken=2), 4)
+    sim.schedule(5, "n", Ping("post"))
+    with pytest.raises(RuntimeError, match="the stream broke"):
+        sim.run_until(10)
+    assert sim.current == current
+    assert seen == ([(0, "pre"), (2, "f0")] if pre_at == 0 else [])
+    # the dead stream ends short at the next draw; f1, drawn before it broke,
+    # stays queued and runs on the call after
+    ran = len(seen)
+    with pytest.raises(ValueError, match="^the fed stream yielded 2 events, not 4$"):
+        sim.run_until(10)
+    assert sim.current == current
+    assert len(seen) == ran
+    sim.run_until(10)
+    assert seen == [(pre_at, "pre"), (2, "f0"), (2, "f1"), (5, "post")]
+    assert sim.now == 10
+
+
 def test_identical_seeds_produce_identical_streams():
     for seed in (0, 1, 2**63, 2**64 - 1):
         a = SimRng(seed)

@@ -19,6 +19,11 @@ equal bytes, with no expected value written down:
 - A release after the horizon gives the same report, and the same trace
   once the event seqs are dropped: a release takes part only when its event
   runs, and the one event it queues moves every later seq by one.
+- Under HYBRID, a handshake period past the horizon gives the report of no
+  handshake, and its trace once the seqs are dropped: each device's first
+  tick is queued at the build, past the horizon, and never runs.
+- ``reenroll_parallelism`` above the user count changes no byte: the
+  offline bulk pass never runs more lanes than it has users to re-enroll.
 """
 
 from dataclasses import replace
@@ -142,6 +147,16 @@ def _without_seqs(trace: list[str]) -> list[str]:
     return [f"{at}\t{rest}" for at, _, rest in (line.split("\t", 2) for line in trace)]
 
 
+def _assert_only_seqs_move(changed, scenario) -> None:
+    """``changed`` queues events that never run: the report is the same, and
+    the trace too once the seqs, which those events move, are dropped."""
+    report, trace = _outputs(changed)
+    expected_report, expected_trace = _outputs(scenario)
+    assert report == expected_report
+    assert trace != expected_trace  # every seq after the build moved
+    assert _without_seqs(trace) == _without_seqs(expected_trace)
+
+
 @pytest.mark.parametrize("seed", _SEEDS)
 @pytest.mark.parametrize("name, strategy, initial", _COMBOS, ids=[c[0] for c in _COMBOS])
 def test_a_release_after_the_horizon_changes_no_report_byte(name, strategy, initial, seed):
@@ -150,8 +165,23 @@ def test_a_release_after_the_horizon_changes_no_report_byte(name, strategy, init
     later = _scenario(
         strategy, initial, seed, releases=releases + [_release(scenario.duration_ms + 1, "R9")]
     )
-    report, trace = _outputs(later)
-    expected_report, expected_trace = _outputs(scenario)
-    assert report == expected_report
-    assert trace != expected_trace  # every seq after the build moved
-    assert _without_seqs(trace) == _without_seqs(expected_trace)
+    _assert_only_seqs_move(later, scenario)
+
+
+_HYBRID = [c for c in _COMBOS if c[0] in ("hybrid-single", "hybrid-double")]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("name, strategy, initial", _HYBRID, ids=[c[0] for c in _HYBRID])
+def test_a_handshake_period_past_the_horizon_changes_no_report_byte(name, strategy, initial, seed):
+    scenario = _scenario(strategy, initial, seed)
+    late = {**strategy, "handshake_period_ms": scenario.duration_ms + 1}
+    _assert_only_seqs_move(_scenario(late, initial, seed), scenario)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+@pytest.mark.parametrize("name, strategy, initial", _COMBOS, ids=[c[0] for c in _COMBOS])
+def test_reenroll_parallelism_above_the_user_count_changes_no_byte(name, strategy, initial, seed):
+    scenario = _scenario(strategy, initial, seed, reenroll_parallelism=500)
+    assert scenario.reenroll_parallelism > scenario.users
+    assert _outputs(scenario) == _outputs(replace(scenario, reenroll_parallelism=scenario.users))
