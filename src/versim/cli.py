@@ -15,6 +15,7 @@ be written).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import replace
@@ -97,14 +98,11 @@ def _write_text(path: str | None, text: str) -> None:
             f.write(text)
 
 
-class _LineWriter:
-    """Trace sink that writes each line to a text file as the run makes it."""
-
-    __slots__ = ("append",)
+class _BlockWriter:
+    """Trace sink that writes each block of lines to a text file in one call."""
 
     def __init__(self, file):
-        write = file.write
-        self.append = lambda line: write(line + "\n")
+        self.extend = lambda lines: file.write("\n".join(lines) + "\n")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -117,7 +115,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # opened only once the scenario is known good, so bad input leaves
         # an existing trace file alone
         with _open_output(args.trace) as f:
-            result = run(scenario, trace=_LineWriter(f))
+            result = run(scenario, trace=_BlockWriter(f))
     _write_text(args.out, report_to_json(result.report))
     return 0
 
@@ -174,8 +172,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             f"{row['total_reenrollments']:>6} {row['bounce_count']:>6} {row['maintenance_ms']:>9}"
         )
     if args.out is not None:
-        import json
-
         _write_text(args.out, json.dumps(rows, indent=2, sort_keys=True) + "\n")
     return 1 if failed else 0
 

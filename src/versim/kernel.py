@@ -28,10 +28,11 @@ server) or that nothing reads (``SimRng.skip``) steps the SplitMix64 state
 without the output mix, to the position ``next_u64`` would leave it at, so
 stream positions never depend on whether a link has jitter.
 
-Trace lines go to a sink as each event executes. ``runner.run(trace=True)``
-passes a list and returns it as ``RunResult.trace``; given any other sink
-(the command line passes one that writes each line to the ``--trace`` file)
-it returns ``RunResult.trace = None``, so no line is kept in memory.
+Each executed event's trace line is made before its handler runs; a sink
+gets the lines in order, at most ``TRACE_BLOCK`` to an ``extend`` call, all
+before ``run_until`` returns or raises. ``runner.run(trace=True)`` returns
+its list sink as ``RunResult.trace``; the command line's sink writes each
+block to the ``--trace`` file at once, so at most a block is held in memory.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # events a millisecond may run per event queued for it (and per node, in runner)
 STALL_FACTOR = 64
+TRACE_BLOCK = 256  # the most trace lines one sink extend call gets
 
 
 class ScheduleInPastError(SimulationError):
@@ -114,11 +116,11 @@ class Payload(Protocol):
 
 
 class TraceSink(Protocol):
-    """Where trace lines go: a ``list[str]``, or any object whose
-    ``append`` takes one line (without its newline), such as a writer that
-    puts each line in a file as it arrives."""
+    """Where trace lines go: a ``list[str]``, or any object whose ``extend``
+    takes them (without newlines) in order, at most ``TRACE_BLOCK`` at a time,
+    all before ``run_until`` returns or raises, in a list it must not keep."""
 
-    def append(self, line: str) -> None: ...
+    def extend(self, lines: list[str]) -> None: ...
 
 
 class Simulator:
@@ -130,10 +132,10 @@ class Simulator:
     ``handler`` is either a callable taking (target, payload) or an object
     with a ``handle(target, payload)`` method; it is resolved once at each
     ``run_until`` entry, so a method patched after construction is honoured.
-    When a trace sink is supplied, one tab-separated line is appended per
-    executed event before its handler runs. If a handler or the fed stream
-    raises, ``current`` holds the (time, seq) of the last event that ran, and
-    the next ``run_until`` goes on from there.
+    A trace sink gets one tab-separated line per executed event, in blocks
+    of at most ``TRACE_BLOCK``, all before ``run_until`` returns or raises.
+    If a handler or the fed stream raises, ``current`` holds the (time, seq)
+    of the last event that ran, and the next ``run_until`` goes on from there.
 
     ``stall_bound`` is the progress tripwire: a millisecond's bucket may run
     that many events plus ``STALL_FACTOR`` per event queued there when the
@@ -249,6 +251,8 @@ class Simulator:
         buckets = self._buckets
         times = self._times
         trace = self.trace
+        lines: list[str] = []  # not yet handed to the sink
+        emit = lines.append
         handle = getattr(self.handler, "handle", self.handler)
         bound = self.stall_bound
         # a bucket before ``cut`` runs first: the next fed event's time, or
@@ -280,9 +284,10 @@ class Simulator:
                             bucket[done] = None
                             done += 1
                             if trace is not None:
-                                trace.append(
-                                    f"{stamp}{seq}\t{target}\t{payload.kind}\t{payload.summary()}"
-                                )
+                                if len(lines) == TRACE_BLOCK:
+                                    trace.extend(lines)
+                                    lines.clear()
+                                emit(f"{stamp}{seq}\t{target}\t{payload.kind}\t{payload.summary()}")
                             handle(target, payload)
                         end = len(bucket)
                         if done == end:
@@ -322,9 +327,10 @@ class Simulator:
                     seq = number
                     self.now = at
                     if trace is not None:
-                        trace.append(
-                            f"{at}\t{seq}\t{target}\t{payload.kind}\t{payload.summary()}"
-                        )
+                        if len(lines) == TRACE_BLOCK:
+                            trace.extend(lines)
+                            lines.clear()
+                        emit(f"{at}\t{seq}\t{target}\t{payload.kind}\t{payload.summary()}")
                     handle(target, payload)
                 else:
                     break
@@ -342,4 +348,6 @@ class Simulator:
         finally:
             self._next = head
             self._fed_seq = fed_seq
+            if lines:
+                trace.extend(lines)
         self.now = t_end

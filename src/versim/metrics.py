@@ -179,14 +179,10 @@ def summarize(records: Iterable[RequestRecord]) -> Report:
     return log.report(0)
 
 
-def report_to_dict(report: Report) -> dict:
-    return asdict(report)
-
-
 def report_to_json(report: Report) -> str:
     """Canonical encoding: UTF-8, alphabetical keys, two-space indent, one
     trailing newline. Parsing and re-encoding is byte-identical."""
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
 
 
 def report_from_dict(data: dict) -> Report:

@@ -133,7 +133,7 @@ def build(
     enrollment arrivals and releases scheduled, and the runtime arrivals fed
     as a stream. ``trace`` and ``logs`` are as for ``run``: for ``trace``,
     True collects the lines in a fresh list (``sim.trace``), a sink receives
-    them, False traces nothing."""
+    them in blocks, False traces nothing."""
     log = RunLog(keep=logs)
     sink: TraceSink | None = [] if trace is True else (None if trace is False else trace)
     # the progress tripwire: 64 events a millisecond per user, server and
@@ -166,10 +166,10 @@ def run(scenario: Scenario, trace: bool | TraceSink = False, logs: bool = False)
 
     ``trace`` selects the event trace. False (the default) records none.
     True collects one line per executed event in a list, returned as
-    ``RunResult.trace``. Any other value is a sink whose ``append`` gets each
-    line as the event executes, so the trace never has to fit in memory; then
-    ``RunResult.trace`` is None. If the run fails, the sink already holds
-    every line up to and including the event that failed.
+    ``RunResult.trace``. Any other value is a ``kernel.TraceSink``, which
+    gets the lines in order, at most ``kernel.TRACE_BLOCK`` at a time, as the
+    run goes; then ``RunResult.trace`` is None. If the run fails, the sink
+    has every line through the failed event's before ``run`` raises.
 
     ``logs=True`` keeps every request record, re-enrollment and profile write
     in ``RunResult.records``, ``.reenrolls`` and ``.profile_puts``. By default

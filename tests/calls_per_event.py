@@ -5,11 +5,13 @@ include each generator resumption) made inside ``Simulator.run_until`` of
 every scenario of a bench workload, and the events executed there, which
 are the calls of ``WorldBase.handle``. Builtins and C methods are not
 counted. Prints one JSON object per (workload, seed) with the totals and
-their ratio, and each scenario's own ratio.
+their ratio, and each scenario's own ratio. With ``--trace``, each run has
+the command line's trace sink attached, writing to a temporary file.
 
 Pytest does not collect this file. Run it from the repository root:
 
     PYTHONPATH=src python3 tests/calls_per_event.py --workload rollout-matrix --seed 1
+    PYTHONPATH=src python3 tests/calls_per_event.py --workload traced-cli --trace
 
 The counts are of the interpreter that runs it: a figure quoted from it
 should name the Python version.
@@ -21,6 +23,7 @@ import argparse
 import json
 import platform
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,14 +31,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from workloads import WORKLOADS, generate  # noqa: E402
 
+from versim.cli import _BlockWriter  # noqa: E402
 from versim.runner import build  # noqa: E402
 from versim.scenario import scenario_from_dict  # noqa: E402
 from versim.strategies.common import WorldBase  # noqa: E402
 
 
-def count(scenario) -> tuple[int, int]:
-    """(Python calls, events) of one run's event loop, without a trace."""
-    sim, _, _ = build(scenario)
+def count(scenario, trace: bool = False) -> tuple[int, int]:
+    """(Python calls, events) of one run's event loop, with the command
+    line's trace sink writing to a temporary file if ``trace``."""
     handle = WorldBase.handle.__code__
     calls = events = 0
 
@@ -46,11 +50,13 @@ def count(scenario) -> tuple[int, int]:
             if frame.f_code is handle:
                 events += 1
 
-    sys.setprofile(profile)
-    try:
-        sim.run_until(scenario.duration_ms)
-    finally:
-        sys.setprofile(None)
+    with tempfile.TemporaryFile("w", encoding="utf-8") as f:
+        sim, _, _ = build(scenario, trace=_BlockWriter(f) if trace else False)
+        sys.setprofile(profile)
+        try:
+            sim.run_until(scenario.duration_ms)
+        finally:
+            sys.setprofile(None)
     # the first call counted is run_until's own
     return calls - 1, events
 
@@ -59,12 +65,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=WORKLOADS, action="append")
     parser.add_argument("--seed", type=int, action="append")
+    parser.add_argument("--trace", action="store_true", help="attach the CLI's trace sink")
     args = parser.parse_args(argv)
     for workload in args.workload or ["rollout-matrix"]:
         for seed in args.seed or [1]:
             rows = {}
             for name, raw in generate(workload, seed):
-                calls, events = count(scenario_from_dict(raw))
+                calls, events = count(scenario_from_dict(raw), args.trace)
                 ratio = round(calls / events, 3)
                 rows[name] = {"calls": calls, "events": events, "per_event": ratio}
             calls = sum(row["calls"] for row in rows.values())
@@ -72,6 +79,7 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps({
                 "workload": workload,
                 "seed": seed,
+                "trace": args.trace,
                 "python": platform.python_version(),
                 "calls": calls,
                 "events": events,

@@ -4,11 +4,13 @@ import weakref
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import ClassVar
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from versim import kernel
 from versim.domain import VersionId
 from versim.kernel import (
     LatencyModel,
@@ -233,6 +235,20 @@ def test_trace_line_format():
     sim.schedule(42, "cloud:s00", Ping("hello"))
     sim.run_until(42)
     assert trace == ["42\t0\tcloud:s00\tping\thello"]
+
+
+def test_a_burst_reaches_the_sink_in_full_blocks_and_a_remainder():
+    # 600 events in one millisecond: the block bound holds inside a bucket
+    sink = _BlockSink()
+    sim = Simulator(lambda target, p: None, trace=sink)
+    for i in range(600):
+        sim.schedule(3, "n", Ping(str(i)))
+    sim.run_until(3)
+    blocks = [lines for _, lines in sink.blocks]
+    assert [len(block) for block in blocks] == [256, 256, 88]
+    assert [line.split("\t")[1] for block in blocks for line in block] == [
+        str(i) for i in range(600)
+    ]
 
 
 def test_trace_written_before_handler_runs():
@@ -703,3 +719,93 @@ def test_send_runs_as_scheduling_at_now_plus_extra_plus_one_draw(pre, followups,
     horizons = [sum(steps[: i + 1]) for i in range(len(steps))]
     expected = _hops(_HeapSim, pre, followups, horizons)
     assert _hops(Simulator, pre, followups, horizons) == expected
+
+
+class _BlockSink:
+    """A trace sink that records the lines of each ``extend`` call, with the
+    index of the ``run_until`` call that made it."""
+
+    def __init__(self):
+        self.blocks = []
+        self.call = 0
+
+    def extend(self, lines):
+        self.blocks.append((self.call, list(lines)))
+
+
+def _blocks(pre, fed, followups, horizons, boom):
+    """Run a mix of scheduled, sent and fed events with a ``_BlockSink``: one
+    ``run_until`` call per horizon, then two more to the last horizon, so the
+    run ends with one call that returns whether or not ``boom`` raised.
+    Return the sink's blocks and, per call, the (time, label) of each event
+    its handler saw."""
+    sink = _BlockSink()
+    ran = []
+    made = [0]
+    link, rng = LatencyModel(1, 3), SimRng(7)
+
+    def handler(target, payload):
+        ran[-1].append((sim.now, payload.label))
+        label = int(payload.label)
+        for how, delay in followups[label] if label < len(followups) else ():
+            if how == "send":
+                sim.send(link, rng, "n", Ping(str(made[0])), delay)
+            else:
+                sim.schedule_in(delay, "n", Ping(str(made[0])))
+            made[0] += 1
+        if label == boom:
+            raise RuntimeError("boom")
+
+    sim = Simulator(handler, trace=sink)
+    half = len(pre) // 2
+    for at in pre[:half]:
+        sim.schedule(at, "n", Ping(str(made[0])))
+        made[0] += 1
+    first = made[0]
+    sim.feed(((at, "n", Ping(str(first + i))) for i, at in enumerate(fed)), len(fed))
+    made[0] += len(fed)
+    for at in pre[half:]:
+        sim.schedule(at, "n", Ping(str(made[0])))
+        made[0] += 1
+    for horizon in horizons + horizons[-1:] * 2:
+        ran.append([])
+        try:
+            sim.run_until(horizon)
+        except RuntimeError:
+            pass
+        sink.call += 1
+    return sink.blocks, ran
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pre=st.lists(st.integers(min_value=0, max_value=60), max_size=30),
+    fed=st.lists(st.integers(min_value=0, max_value=60), max_size=20).map(sorted),
+    followups=st.lists(
+        st.lists(st.tuples(st.sampled_from(["send", "schedule"]), _delays), max_size=3),
+        max_size=60,
+    ),
+    steps=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=6),
+    boom=st.none() | st.integers(min_value=0, max_value=60),
+    block=st.integers(min_value=1, max_value=6),
+)
+def test_trace_blocks_carry_each_line_once_before_run_until_ends(
+    pre, fed, followups, steps, boom, block
+):
+    horizons = [sum(steps[: i + 1]) for i in range(len(steps))]
+    with mock.patch.object(kernel, "TRACE_BLOCK", block):
+        blocks, ran = _blocks(pre, fed, followups, horizons, boom)
+        whole, _ = _blocks(pre, fed, followups, horizons[-1:], boom)
+    for call, events in enumerate(ran):
+        sizes = [len(lines) for made_in, lines in blocks if made_in == call]
+        # full blocks and one remainder, handed over before the call ended
+        full, rest = divmod(len(events), block)
+        assert sizes == [block] * full + [rest] * (rest > 0)
+        made = [line.split("\t") for made_in, lines in blocks if made_in == call for line in lines]
+        assert [(int(f[0]), f[4]) for f in made] == events
+    keys = [tuple(map(int, line.split("\t")[:2])) for _, lines in blocks for line in lines]
+    assert keys == sorted(set(keys))
+    # the same lines, however the run is cut into calls
+    assert [line for _, lines in blocks for line in lines] == [
+        line for _, lines in whole for line in lines
+    ]

@@ -22,18 +22,32 @@ users:
   list sorted at the first ``run_until``, 975 with an arrival message of
   each request's own, 1,015 with a wrapper message per hop). With the lists
   the flows held before, the peak was about 1,220.
+
+A third guard runs the same scenario through ``versim run`` with and without
+``--trace``: the run hands its trace lines to the file in blocks of at most
+``kernel.TRACE_BLOCK``, so tracing may raise the peak by about one block,
+not by the trace (79,124 lines, about 10 MB as Python strings).
 """
 
+import json
 import tracemalloc
 
 import pytest
 
+from versim import cli
+from versim.kernel import TRACE_BLOCK
 from versim.runner import run
 from versim.scenario import scenario_from_dict
 
 USERS = 4_000
 MAX_LIVE_BYTES_PER_USER = 593
 MAX_PEAK_BYTES_PER_USER = 918
+# bytes a traced run may add per line of a block: the held line (a str of
+# under 100 ASCII characters, about 150 bytes with its header and list slot)
+# and its share of the block's joined, newline-ended and encoded copies that
+# the write makes. A 256-line block then allows 128 KiB; a run measured
+# 58 KB over the untraced one (Python 3.11)
+TRACE_BYTES_PER_BLOCK_LINE = 512
 
 GUARD = {
     "strategy": {"policy": "DOUBLE"},
@@ -69,3 +83,26 @@ def test_live_memory_per_user_at_the_end_of_a_run_stays_bounded(traced):
 def test_live_memory_per_user_at_the_peak_of_a_run_stays_bounded(traced):
     _, _, peak = traced
     assert peak / USERS <= MAX_PEAK_BYTES_PER_USER, f"{peak / USERS:.0f} B per user"
+
+
+def _cli_peak(argv: list[str]) -> int:
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_traced_cli_run_holds_at_most_a_block_of_trace_lines(tmp_path):
+    path = tmp_path / "guard.json"
+    path.write_text(json.dumps(GUARD), encoding="utf-8")
+    plain = ["run", "--scenario", str(path), "--out", str(tmp_path / "report.json")]
+    traced = plain + ["--trace", str(tmp_path / "trace.tsv")]
+    # an untraced run first, so that what a first run in the process
+    # allocates and keeps is outside both measurements
+    assert cli.main(plain) == 0
+    extra = _cli_peak(traced) - _cli_peak(plain)
+    with open(tmp_path / "trace.tsv", encoding="utf-8") as f:
+        assert sum(1 for _ in f) >= 50_000
+    assert extra <= TRACE_BLOCK * TRACE_BYTES_PER_BLOCK_LINE, f"{extra} B over the untraced run"

@@ -19,7 +19,6 @@ from versim.metrics import (
     RequestRecord,
     RunLog,
     report_from_dict,
-    report_to_dict,
     report_to_json,
     summarize,
 )
@@ -155,7 +154,7 @@ def test_summarize_is_order_free():
 
 def test_report_dict_keys_are_alphabetical():
     report = summarize([_runtime(Outcome.OK, 21)])
-    keys = list(report_to_dict(report))
+    keys = list(dataclasses.asdict(report))
     assert keys == sorted(keys)
 
 
