@@ -8,10 +8,10 @@ is computed. What the engine models faithfully is the single property under
 study: a profile can only be consumed by the model version that produced it,
 and feeding it to any other version is a hard failure, not a degraded score.
 
-The simulated cost of an enrollment is charged as simulated time, so
-``enroll`` does no hashing: the profile keeps the audio and derives its
-digest when read (see ``UserProfile``); the audio derives its samples (see
-``EnrollmentAudio``). ``fnv1a64`` and ``profile_digest`` are re-exported.
+The engine charges no time: the world charges the scenario's enrollment
+and runtime costs as simulated time. ``enroll`` does no hashing either: the
+profile keeps the audio and derives its digest when read (see
+``UserProfile``); the audio derives its samples (see ``EnrollmentAudio``).
 """
 
 from __future__ import annotations
@@ -26,12 +26,10 @@ from .domain import (
     UserProfile,
     VersionId,
     VersionMismatchError,
-    fnv1a64,
-    profile_digest,
 )
 from .kernel import SimRng
 
-__all__ = ["EngineInstance", "EnrollmentAudio", "fnv1a64", "profile_digest"]
+__all__ = ["EngineInstance", "EnrollmentAudio"]
 
 
 @dataclass(slots=True)
@@ -54,13 +52,10 @@ class EnrollmentAudio:
 
 @dataclass(frozen=True, slots=True)
 class EngineInstance:
-    """One loaded model. Server nodes hold one (or two) of these; devices hold
-    exactly one. Costs are carried here so callers can charge simulated time
-    without reaching back into the scenario."""
+    """One loaded model: a server or device runs one at a time. It is the
+    version check alone; the world charges the scenario's costs."""
 
     model: VersionId
-    enroll_cost_ms_per_sample: int
-    runtime_cost_ms: int
 
     def enroll(self, user_id: str, samples: Collection[AudioSample]) -> UserProfile:
         if not user_id:
@@ -68,9 +63,6 @@ class EngineInstance:
         if not samples:
             raise EmptyAudioError(f"enroll for {user_id!r} called with no audio")
         return UserProfile(user_id, self.model, samples)
-
-    def enroll_duration_ms(self, sample_count: int) -> int:
-        return sample_count * self.enroll_cost_ms_per_sample
 
     def recognize(self, profile: UserProfile) -> None:
         """Check a runtime request's ``profile``: raises VersionMismatchError

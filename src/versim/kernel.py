@@ -285,8 +285,11 @@ class Simulator:
                             done += 1
                             if trace is not None:
                                 if len(lines) == TRACE_BLOCK:
-                                    trace.extend(lines)
+                                    # out of ``lines`` first: if the sink
+                                    # raises, ``finally`` must not repeat it
+                                    block = lines[:]
                                     lines.clear()
+                                    trace.extend(block)
                                 emit(f"{stamp}{seq}\t{target}\t{payload.kind}\t{payload.summary()}")
                             handle(target, payload)
                         end = len(bucket)
@@ -328,8 +331,9 @@ class Simulator:
                     self.now = at
                     if trace is not None:
                         if len(lines) == TRACE_BLOCK:
-                            trace.extend(lines)
+                            block = lines[:]
                             lines.clear()
+                            trace.extend(block)
                         emit(f"{at}\t{seq}\t{target}\t{payload.kind}\t{payload.summary()}")
                     handle(target, payload)
                 else:

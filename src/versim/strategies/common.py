@@ -26,11 +26,12 @@ ticks) have one message class per shape.
 
 ``WorldBase`` holds what every world has: the users, the ``initial``
 versions, numbered 1..n, each device's link stream and event target, the
-ownership rule ``device_of`` and its inverse ``owners_of``, engines,
-handlers, and ``_put``, the profile write into a store (``topology``'s
-database or device) under the world's one ``retain``. Only the worlds that
-keep profiles on the devices build device nodes: the hybrid worlds and
-``DeviceWorld`` (``device.py``), which builds on the base alone.
+ownership rule ``device_of`` and its inverse ``owners_of``, the compute
+times ``enroll_ms`` and ``runtime_ms``, handlers, and ``_put``, the profile
+write into a store (``topology``'s database or device) under the world's one
+``retain``. Only the worlds that keep profiles on the devices build device
+nodes: the hybrid worlds and ``DeviceWorld`` (``device.py``), which builds
+on the base alone.
 ``CloudWorldBase`` is the cloud fleet of the SERVER and HYBRID worlds: the
 servers, kept as two tables (each one's engine in ``engines``, the ones
 mid-update in ``updating``), the frontend, the served-version index, the
@@ -311,7 +312,7 @@ class WorldBase:
     message kind ``K`` in a method ``_on_K`` (dashes written as underscores,
     as ``ast.NodeVisitor`` names its ``visit_<Name>`` methods); this base
     owns the users and devices and the rule that puts each user on a device,
-    engine caching, the handler table it derives from those names, and the
+    the compute costs, the handler table it derives from those names, and the
     profile writes."""
 
     # profiles the world's store keeps per user (None: unbounded)
@@ -333,7 +334,10 @@ class WorldBase:
         self.log = log
         self.cfg = scenario.strategy
         self._handlers = type(self)._handlers
-        self._engines: dict[VersionId, EngineInstance] = {}
+        # the compute time of an enrollment and of a recognition: every
+        # enrollment audio of a run has ``samples_per_user`` samples
+        self.enroll_ms = scenario.samples_per_user * scenario.enroll_cost_ms_per_sample
+        self.runtime_ms = scenario.runtime_cost_ms
         # the initial versions, numbered 1..n; the runner numbers each
         # release after them, in schedule order
         self.initial = tuple(VersionId(v, i) for i, v in enumerate(scenario.initial_versions, 1))
@@ -366,17 +370,6 @@ class WorldBase:
 
     def handle(self, target: str, payload) -> None:
         self._handlers[payload.kind](self, target, payload)
-
-    def engine_for(self, version: VersionId) -> EngineInstance:
-        engine = self._engines.get(version)
-        if engine is None:
-            engine = EngineInstance(
-                model=version,
-                enroll_cost_ms_per_sample=self.sc.enroll_cost_ms_per_sample,
-                runtime_cost_ms=self.sc.runtime_cost_ms,
-            )
-            self._engines[version] = engine
-        return engine
 
     def _put(self, store: "DatabaseNode | DeviceNode", profile: UserProfile) -> None:
         """Keep ``profile`` in the world's store under ``retain`` and log the write."""
@@ -417,7 +410,7 @@ class CloudWorldBase(WorldBase):
             self.groups = [server_ids]
         self._cloud_targets = {sid: f"cloud:{sid}" for sid in server_ids}
         self.engines: dict[str, EngineInstance] = {
-            sid: self.engine_for(self.initial[g])
+            sid: EngineInstance(self.initial[g])
             for g, members in enumerate(self.groups)
             for sid in members
         }
@@ -439,7 +432,7 @@ class CloudWorldBase(WorldBase):
         self.updating: set[str] = set()
         self._index_served()
         # token -> step function, unbound for the same reason as ``_handlers``
-        self._conts: dict[str, Callable] = {self.leg_token: type(self)._store_leg}
+        self._conts: dict[str, Callable] = {self.leg_token: type(self)._next_enroll_leg}
 
     # -- served-version index; rebuilt whenever a server begins or completes
     # an update, so readers never scan the fleet
@@ -486,7 +479,7 @@ class CloudWorldBase(WorldBase):
             self.sim.schedule(at, self._cloud_targets[sid], ServerUpdateDone(sid, release.version))
 
     def _on_server_update_done(self, target, msg: ServerUpdateDone):
-        self.engines[msg.server_id] = self.engine_for(msg.version)
+        self.engines[msg.server_id] = EngineInstance(msg.version)
         self.updating.discard(msg.server_id)
         self._index_served()
         self._after_server_updated()
@@ -501,8 +494,9 @@ class CloudWorldBase(WorldBase):
         engine = self.engines[ctx.server_id]
         ctx.produced += (engine.enroll(ctx.user_id, ctx.audio),)
         ctx.kind = "enroll-job-done"
-        extra = engine.enroll_duration_ms(len(ctx.audio))
-        self.sim.send(self._cloud_link, self.cloud_rng[ctx.server_id], "frontend", ctx, extra)
+        self.sim.send(
+            self._cloud_link, self.cloud_rng[ctx.server_id], "frontend", ctx, self.enroll_ms
+        )
 
     def _on_recognize_job(self, target, ctx: RuntimeCtx):
         work = self._service_runtime(self.engines[ctx.server_id], ctx)
@@ -515,7 +509,7 @@ class CloudWorldBase(WorldBase):
         (a request without any is answered before dispatch). Without one for
         this version the request goes through ``_stale_profile``, and None
         from there sends it back to the device."""
-        work = engine.runtime_cost_ms
+        work = self.runtime_ms
         model = engine.model
         for profile in ctx.profiles:
             if profile.version == model:
@@ -543,9 +537,10 @@ class CloudWorldBase(WorldBase):
     # keeps each produced profile, and answers enroll-response; the device
     # records the request (a hybrid device first keeps the profiles, and
     # resumes the runtime request that an in-path re-enrollment served).
-    # A world names where its profiles are kept by the hops it takes there:
-    # ``_store_audio`` before the legs and ``_store_leg`` after each one. By
-    # default each keeps nothing and the flow goes straight on.
+    # By default an enroll job's reply, the ``leg_token`` step, sends the
+    # next leg; a world that keeps profiles in its database (``server.py``)
+    # stores the audio before the legs and registers a put after each one
+    # under that token.
 
     leg_token = "leg"  # the continuation of an enroll job, printed as ``for=``
 
@@ -559,9 +554,6 @@ class CloudWorldBase(WorldBase):
         self.sim.send(self._device_link, self.device_rng[ctx.device_id], "frontend", ctx)
 
     def _on_enroll_request(self, target, ctx: EnrollCtx):
-        self._store_audio(ctx)
-
-    def _store_audio(self, ctx: EnrollCtx) -> None:
         self._start_enroll(ctx)
 
     def _start_enroll(self, ctx: EnrollCtx) -> None:
@@ -605,9 +597,6 @@ class CloudWorldBase(WorldBase):
         self._conts[ctx.token](self, ctx)
 
     _on_enroll_job_done = _continue
-
-    def _store_leg(self, ctx: EnrollCtx) -> None:
-        self._next_enroll_leg(ctx)
 
     def _respond_enroll(self, ctx: EnrollCtx, outcome: Outcome) -> None:
         ctx.kind = "enroll-response"

@@ -15,6 +15,7 @@ compute time has passed, and the request is recorded then.
 
 from __future__ import annotations
 
+from ..engine import EngineInstance
 from ..kernel import node_stream
 from ..topology import ModelRelease
 from .common import OK, STORAGE_STREAM, EnrollCtx, RuntimeCtx, Tick, VersionNotice, WorldBase
@@ -46,8 +47,7 @@ class DeviceWorld(WorldBase):
         self.devices[ctx.device_id].store_audio(ctx.user_id, ctx.audio)
         ctx.plan = (self.models[ctx.device_id],)
         ctx.kind = "device-task-done"
-        duration = self.engine_for(ctx.plan[0]).enroll_duration_ms(len(ctx.audio))
-        self.sim.schedule_in(duration, target, ctx)
+        self.sim.schedule_in(self.enroll_ms, target, ctx)
 
     def _on_runtime_arrival(self, target: str, ctx: RuntimeCtx) -> None:
         if ctx.device_id in self._window:
@@ -60,14 +60,13 @@ class DeviceWorld(WorldBase):
             return
         # the task checks the profile on the engine it starts with, even if
         # the device switches models before it is done
-        engine = self.engine_for(self.models[ctx.device_id])
-        engine.recognize(profiles[-1])
+        EngineInstance(self.models[ctx.device_id]).recognize(profiles[-1])
         ctx.kind = "device-task-done"
-        self.sim.schedule_in(engine.runtime_cost_ms, target, ctx)
+        self.sim.schedule_in(self.runtime_ms, target, ctx)
 
     def _on_device_task_done(self, target: str, ctx: EnrollCtx | RuntimeCtx) -> None:
         if ctx.flow == "enroll":
-            profile = self.engine_for(ctx.plan[0]).enroll(ctx.user_id, ctx.audio)
+            profile = EngineInstance(ctx.plan[0]).enroll(ctx.user_id, ctx.audio)
             self._put(self.devices[ctx.device_id], profile)
             kind = "ENROLL"
         else:
@@ -113,19 +112,15 @@ class DeviceWorld(WorldBase):
         if not queue:
             self._close_update_window(target, device_id)
             return
-        engine = self.engine_for(self.models[device_id])
-        self.sim.schedule_in(
-            engine.enroll_duration_ms(len(self.devices[device_id].audio[queue[0]])),
-            target,
-            Tick("device-reenroll-done", f"user={queue[0]}"),
-        )
+        tick = Tick("device-reenroll-done", f"user={queue[0]}")
+        self.sim.schedule_in(self.enroll_ms, target, tick)
 
     def _on_device_reenroll_done(self, target: str, msg: Tick) -> None:
         device_id = self._device_ids[target]
         dev = self.devices[device_id]
         user = self._window[device_id].pop(0)
         old = dev.profiles_for(user)[-1:]
-        profile = self.engine_for(self.models[device_id]).enroll(user, dev.audio[user])
+        profile = EngineInstance(self.models[device_id]).enroll(user, dev.audio[user])
         self._put(dev, profile)
         if old:
             self.log.reenrolled(self.sim.now, user, old[0].version, profile.version)

@@ -90,6 +90,7 @@ class ServerWorldBase(CloudWorldBase):
         cls = type(self)
         self._conts.update({
             "enroll.stored": cls._start_enroll,
+            self.leg_token: cls._put_leg,
             self.put_token: cls._next_enroll_leg,
             "runtime.fetched": cls._runtime_fetched,
             "runtime.put": cls._runtime_put,
@@ -127,13 +128,13 @@ class ServerWorldBase(CloudWorldBase):
     _on_db_store_ack = _on_db_fetch_reply = _on_db_put_ack = CloudWorldBase._continue
 
     # -- the enrollment's hops to the database: the audio before the legs,
-    # one put after each leg; their acks go on with ``_start_enroll`` and
-    # ``_next_enroll_leg``
+    # one put after each leg (its ``leg_token`` step); their acks go on with
+    # ``_start_enroll`` and ``_next_enroll_leg``
 
-    def _store_audio(self, ctx: EnrollCtx) -> None:
+    def _on_enroll_request(self, target, ctx: EnrollCtx):
         self._to_db("db-store-audio", "enroll.stored", ctx)
 
-    def _store_leg(self, ctx: EnrollCtx) -> None:
+    def _put_leg(self, ctx: EnrollCtx) -> None:
         self._to_db("db-put-profile", self.put_token, ctx)
 
     # -- runtime flow
@@ -210,9 +211,8 @@ class ServerWorldBase(CloudWorldBase):
         self.log.reenrolled(self.sim.now, ctx.user_id, from_version, to_version)
         self._pump_advance(ctx.lane)
 
-    def _pump_advance(self, lane: int) -> None:
-        """The lane is done with its user: go on to the next."""
-        self._pump(lane)
+    # the lane is done with its user: go on to the next
+    _pump_advance = _pump
 
 
 class OnlineServerWorld(ServerWorldBase):
@@ -226,7 +226,7 @@ class OnlineServerWorld(ServerWorldBase):
         self.log.reenrolled(self.sim.now, ctx.user_id, ctx.profiles[-1].version, fresh.version)
         ctx.produced = (fresh,)
         ctx.reenrolls += 1
-        return fresh, engine.enroll_duration_ms(len(ctx.audio))
+        return fresh, self.enroll_ms
 
 
 class MultiProfileServerWorld(OnlineServerWorld):

@@ -20,13 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar
 
-from .domain import (
-    NoEligibleServerError,
-    UnknownUserError,
-    UserProfile,
-    VersionId,
-)
-from .engine import EnrollmentAudio, fnv1a64
+from .domain import NoEligibleServerError, UnknownUserError, UserProfile, VersionId, fnv1a64
+from .engine import EnrollmentAudio
 from .kernel import SimRng
 
 

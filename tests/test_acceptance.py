@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from versim.engine import EngineInstance, profile_digest
-from versim.domain import AudioSample, Outcome, VersionId
+from versim.domain import AudioSample, Outcome, VersionId, profile_digest
+from versim.engine import EngineInstance
 from versim.metrics import RequestKind, report_to_json
 from versim.runner import RunFailedError, run
 from versim.scenario import scenario_from_dict
@@ -445,11 +445,7 @@ def test_criterion_9_engine_purity():
     for i in range(1000):
         model = f"M{rng.randrange(50)}"
         user = f"u{rng.randrange(200):03d}"
-        engine = EngineInstance(
-            model=VersionId(model, rng.randrange(1, 100)),
-            enroll_cost_ms_per_sample=10,
-            runtime_cost_ms=5,
-        )
+        engine = EngineInstance(model=VersionId(model, rng.randrange(1, 100)))
         samples = tuple(
             AudioSample(speaker_id=user, duration_ms=1000, seed=rng.randrange(2**32))
             for _ in range(rng.randrange(1, 6))

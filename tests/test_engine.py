@@ -16,8 +16,10 @@ from versim.domain import (
     EmptyUserIdError,
     VersionId,
     VersionMismatchError,
+    fnv1a64,
+    profile_digest,
 )
-from versim.engine import EngineInstance, fnv1a64, profile_digest
+from versim.engine import EngineInstance
 
 V1 = VersionId("V1", 1)
 V2 = VersionId("V2", 2)
@@ -25,7 +27,7 @@ V3 = VersionId("V3", 3)
 
 
 def _engine(model=V1):
-    return EngineInstance(model=model, enroll_cost_ms_per_sample=10, runtime_cost_ms=5)
+    return EngineInstance(model=model)
 
 
 def _sample(speaker, seed):
@@ -85,12 +87,6 @@ def test_enroll_rejects_empty_inputs():
         engine.enroll("", (_sample("u1", 7),))
     with pytest.raises(EmptyAudioError):
         engine.enroll("u1", ())
-
-
-def test_enroll_duration_scales_with_samples():
-    engine = _engine()
-    assert engine.enroll_duration_ms(0) == 0
-    assert engine.enroll_duration_ms(3) == 30
 
 
 def test_version_mismatch_is_a_hard_failure():

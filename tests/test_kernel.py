@@ -723,23 +723,49 @@ def test_send_runs_as_scheduling_at_now_plus_extra_plus_one_draw(pre, followups,
 
 class _BlockSink:
     """A trace sink that records the lines of each ``extend`` call, with the
-    index of the ``run_until`` call that made it."""
+    index of the ``run_until`` call that made it. Its extend call number
+    ``fail`` (from 0) records its lines and then raises ``OSError(fail)``, as
+    a sink whose disk fills up after a partial write would."""
 
-    def __init__(self):
+    def __init__(self, fail=None):
         self.blocks = []
         self.call = 0
+        self.fail = fail
 
     def extend(self, lines):
         self.blocks.append((self.call, list(lines)))
+        if len(self.blocks) - 1 == self.fail:
+            raise OSError(self.fail)
 
 
-def _blocks(pre, fed, followups, horizons, boom):
-    """Run a mix of scheduled, sent and fed events with a ``_BlockSink``: one
-    ``run_until`` call per horizon, then two more to the last horizon, so the
-    run ends with one call that returns whether or not ``boom`` raised.
-    Return the sink's blocks and, per call, the (time, label) of each event
-    its handler saw."""
-    sink = _BlockSink()
+@pytest.mark.parametrize("fed", [False, True], ids=["scheduled", "fed"])
+@pytest.mark.parametrize("fail, sizes", [(0, [256]), (1, [256, 44])], ids=["block", "remainder"])
+def test_a_raising_sink_is_handed_each_line_once_and_its_error_is_raised(fed, fail, sizes):
+    # 300 events at t=1: one full block from the loop, the 44 left from
+    # ``finally``. A sink that raises on the full block gets no remainder:
+    # the hand-over comes before the 257th event's line, and that event is
+    # consumed without running
+    sink = _BlockSink(fail)
+    sim = Simulator(lambda target, payload: None, trace=sink)
+    events = [(1, "n", Ping(str(i))) for i in range(300)]
+    if fed:
+        sim.feed(iter(events), len(events))
+    else:
+        for event in events:
+            sim.schedule(*event)
+    with pytest.raises(OSError) as raised:
+        sim.run_until(1)
+    assert [len(lines) for _, lines in sink.blocks] == sizes
+    assert raised.value.args == (fail,) and raised.value.__context__ is None
+
+
+def _blocks(pre, fed, followups, horizons, boom, fail=None):
+    """Run a mix of scheduled, sent and fed events with a ``_BlockSink`` that
+    raises on its extend call ``fail``: one ``run_until`` call per horizon,
+    then two more to the last horizon, so the run ends with one call that
+    returns whether or not ``boom`` or the sink raised. Return the sink's
+    blocks and, per call, the (time, label) of each event its handler saw."""
+    sink = _BlockSink(fail)
     ran = []
     made = [0]
     link, rng = LatencyModel(1, 3), SimRng(7)
@@ -771,7 +797,7 @@ def _blocks(pre, fed, followups, horizons, boom):
         ran.append([])
         try:
             sim.run_until(horizon)
-        except RuntimeError:
+        except (RuntimeError, OSError):
             pass
         sink.call += 1
     return sink.blocks, ran
@@ -788,13 +814,14 @@ def _blocks(pre, fed, followups, horizons, boom):
     steps=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=6),
     boom=st.none() | st.integers(min_value=0, max_value=60),
     block=st.integers(min_value=1, max_value=6),
+    fail=st.none() | st.integers(min_value=0, max_value=30),
 )
 def test_trace_blocks_carry_each_line_once_before_run_until_ends(
-    pre, fed, followups, steps, boom, block
+    pre, fed, followups, steps, boom, block, fail
 ):
     horizons = [sum(steps[: i + 1]) for i in range(len(steps))]
     with mock.patch.object(kernel, "TRACE_BLOCK", block):
-        blocks, ran = _blocks(pre, fed, followups, horizons, boom)
+        blocks, ran = _blocks(pre, fed, followups, horizons, boom, fail)
         whole, _ = _blocks(pre, fed, followups, horizons[-1:], boom)
     for call, events in enumerate(ran):
         sizes = [len(lines) for made_in, lines in blocks if made_in == call]
@@ -803,9 +830,11 @@ def test_trace_blocks_carry_each_line_once_before_run_until_ends(
         assert sizes == [block] * full + [rest] * (rest > 0)
         made = [line.split("\t") for made_in, lines in blocks if made_in == call for line in lines]
         assert [(int(f[0]), f[4]) for f in made] == events
+    # no line is handed over twice, not even to a sink that raised
     keys = [tuple(map(int, line.split("\t")[:2])) for _, lines in blocks for line in lines]
     assert keys == sorted(set(keys))
-    # the same lines, however the run is cut into calls
-    assert [line for _, lines in blocks for line in lines] == [
-        line for _, lines in whole for line in lines
-    ]
+    if fail is None or fail >= len(blocks):
+        # the same lines, however the run is cut into calls
+        assert [line for _, lines in blocks for line in lines] == [
+            line for _, lines in whole for line in lines
+        ]

@@ -207,6 +207,66 @@ def test_device_models_switch_at_download_done_and_no_task_starts_in_a_window(mo
     assert not world._window
 
 
+# -- engine costs: every timing test above runs at the default 3 samples x
+# 10 ms and 5 ms; these pin the hops at other costs, so an enrollment is
+# 4 x 7 = 28 ms of compute and a recognition 9 ms
+
+
+def _costly(strategy, times, release):
+    return scenario_from_dict(
+        {
+            "strategy": strategy,
+            "users": 1,
+            "devices": 1,
+            "cloud_servers": 1,
+            "samples_per_user": 4,
+            "enroll_cost_ms_per_sample": 7,
+            "runtime_cost_ms": 9,
+            "latency": {
+                "device_frontend": {"base_ms": 3, "jitter_ms": 0},
+                "device_storage": {"base_ms": 4, "jitter_ms": 0},
+                "frontend_cloud": {"base_ms": 2, "jitter_ms": 0},
+                "frontend_db": {"base_ms": 1, "jitter_ms": 0},
+            },
+            "releases": [{"time_ms": 2000, "version_id": "V2", **release}],
+            "runtime_arrivals": _arrivals({"u000": times}),
+            "duration_ms": 4000,
+        }
+    )
+
+
+def test_device_tasks_and_reenrollment_charge_the_scenario_costs():
+    # the notice lands at 2004 and the download at 2104; the one owner
+    # re-enrolls for 28 ms to 2132, and the 2050 request is held to then
+    result = run(
+        _costly({"deployment": "DEVICE"}, [1000, 2050], {"download_ms": 100}), logs=True
+    )
+    assert [r.latency_ms for r in _enroll_records(result)] == [28]
+    assert [(r.submitted, r.completed) for r in _runtime_records(result)] == [
+        (1000, 1009),
+        (2050, 2132 + 9),
+    ]
+    assert [e.at for e in result.reenrolls] == [2132]
+
+
+def test_server_online_repair_and_offline_bulk_pass_charge_the_scenario_costs():
+    # enroll: device 3, store-audio 1 + 1, job 2 + 28 + 2, put 1 + 1, device 3
+    update = {"server_update_ms": [100, 100]}
+    online = run(_costly({}, [1000, 3000], update), logs=True)
+    assert [r.latency_ms for r in _enroll_records(online)] == [3 + 2 + 32 + 2 + 3]
+    # runtime: device 3, fetch 1 + 1, job 2 + 9 + 2, device 3; the repair
+    # after the swap adds 28 ms to the job and a put of 1 + 1
+    records = sorted(_runtime_records(online), key=lambda r: r.submitted)
+    assert [r.latency_ms for r in records] == [21, 21 + 28 + 2]
+    # logged when the job reaches the server
+    assert [e.at for e in online.reenrolls] == [3000 + 3 + 2 + 2]
+    # the window opens at 2000 and the update runs to 2100; the bulk pass
+    # fetches (1 + 1), enrolls (2 + 28 + 2) and puts (1 + 1) the one user
+    offline = run(_costly({"policy": "SINGLE_OFFLINE"}, [1000], update), logs=True)
+    assert [e.at for e in offline.reenrolls] == [2100 + 2 + 32 + 2]
+    assert offline.report.maintenance_ms == 100 + 36
+
+
 # -- server, single version, online swap
 
 

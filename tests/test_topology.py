@@ -8,8 +8,8 @@ from versim.domain import (
     UnknownUserError,
     UserProfile,
     VersionId,
+    fnv1a64,
 )
-from versim.engine import fnv1a64
 from versim.kernel import SimRng
 from versim.topology import (
     DatabaseNode,
