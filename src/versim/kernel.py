@@ -30,9 +30,11 @@ stream positions never depend on whether a link has jitter.
 
 Each executed event's trace line is made before its handler runs; a sink
 gets the lines in order, at most ``TRACE_BLOCK`` to an ``extend`` call, all
-before ``run_until`` returns or raises. ``runner.run(trace=True)`` returns
-its list sink as ``RunResult.trace``; the command line's sink writes each
-block to the ``--trace`` file at once, so at most a block is held in memory.
+before ``run_until`` returns or raises. A full block goes out once the event
+that fills it has run, so a sink that raises stops the run between two
+events and loses none. ``runner.run(trace=True)`` returns its list sink as
+``RunResult.trace``; the command line's sink writes each block to the
+``--trace`` file at once, so at most a block is held in memory.
 """
 
 from __future__ import annotations
@@ -132,10 +134,10 @@ class Simulator:
     ``handler`` is either a callable taking (target, payload) or an object
     with a ``handle(target, payload)`` method; it is resolved once at each
     ``run_until`` entry, so a method patched after construction is honoured.
-    A trace sink gets one tab-separated line per executed event, in blocks
-    of at most ``TRACE_BLOCK``, all before ``run_until`` returns or raises.
-    If a handler or the fed stream raises, ``current`` holds the (time, seq)
-    of the last event that ran, and the next ``run_until`` goes on from there.
+    A trace sink gets one tab-separated line per executed event, in the
+    blocks that the module docstring describes. If a handler, the fed stream
+    or a full block's ``extend`` raises, ``current`` holds the (time, seq) of
+    the last event that ran, and the next ``run_until`` goes on from there.
 
     ``stall_bound`` is the progress tripwire: a millisecond's bucket may run
     that many events plus ``STALL_FACTOR`` per event queued there when the
@@ -284,14 +286,16 @@ class Simulator:
                             bucket[done] = None
                             done += 1
                             if trace is not None:
+                                emit(f"{stamp}{seq}\t{target}\t{payload.kind}\t{payload.summary()}")
+                                handle(target, payload)
                                 if len(lines) == TRACE_BLOCK:
                                     # out of ``lines`` first: if the sink
                                     # raises, ``finally`` must not repeat it
                                     block = lines[:]
                                     lines.clear()
                                     trace.extend(block)
-                                emit(f"{stamp}{seq}\t{target}\t{payload.kind}\t{payload.summary()}")
-                            handle(target, payload)
+                            else:
+                                handle(target, payload)
                         end = len(bucket)
                         if done == end:
                             break
@@ -330,12 +334,14 @@ class Simulator:
                     seq = number
                     self.now = at
                     if trace is not None:
+                        emit(f"{at}\t{seq}\t{target}\t{payload.kind}\t{payload.summary()}")
+                        handle(target, payload)
                         if len(lines) == TRACE_BLOCK:
                             block = lines[:]
                             lines.clear()
                             trace.extend(block)
-                        emit(f"{at}\t{seq}\t{target}\t{payload.kind}\t{payload.summary()}")
-                    handle(target, payload)
+                    else:
+                        handle(target, payload)
                 else:
                     break
         except BaseException:

@@ -427,8 +427,8 @@ class CloudWorldBase(WorldBase):
         # ``frontend.rng`` out and ``db_rng`` back
         self._device_link = scenario.latency.device_frontend
         self._cloud_link = scenario.latency.frontend_cloud
-        self.pending_releases: list[ModelRelease] = []
-        self.active_release: ModelRelease | None = None
+        # the releases not yet done, in schedule order: the head is rolling out
+        self.releases: list[ModelRelease] = []
         self.updating: set[str] = set()
         self._index_served()
         # token -> step function, unbound for the same reason as ``_handlers``
@@ -456,17 +456,14 @@ class CloudWorldBase(WorldBase):
     # -- releases, rolled out one at a time in schedule order
 
     def _on_release(self, target, release: ModelRelease):
-        if self.active_release is not None:
-            self.pending_releases.append(release)
-            return
-        self.active_release = release
-        self._begin_release(release)
+        self.releases.append(release)
+        if len(self.releases) == 1:
+            self._begin_release(release)
 
     def finish_release(self) -> None:
-        self.active_release = None
-        if self.pending_releases:
-            self.active_release = self.pending_releases.pop(0)
-            self._begin_release(self.active_release)
+        del self.releases[0]
+        if self.releases:
+            self._begin_release(self.releases[0])
 
     def _begin_release(self, release: ModelRelease) -> None:
         # releases are serialized, so no server is mid-update here and every
@@ -499,16 +496,12 @@ class CloudWorldBase(WorldBase):
         )
 
     def _on_recognize_job(self, target, ctx: RuntimeCtx):
-        work = self._service_runtime(self.engines[ctx.server_id], ctx)
-        ctx.kind = "retry-signal" if work is None else "recognize-job-done"
-        self.sim.send(self._cloud_link, self.cloud_rng[ctx.server_id], "frontend", ctx, work or 0)
-
-    def _service_runtime(self, engine: EngineInstance, ctx: RuntimeCtx) -> int | None:
-        """Recognize the request on ``engine`` with the user's profile for the
-        engine's version; returns the compute time. The user has profiles
-        (a request without any is answered before dispatch). Without one for
-        this version the request goes through ``_stale_profile``, and None
-        from there sends it back to the device."""
+        """Recognize the request on the server's engine with the user's
+        profile for the engine's version, and reply after the compute time.
+        The user has profiles (a request without any is answered before
+        dispatch). Without one for this version the request goes through
+        ``_stale_profile``, and None from there sends a retry-signal at once."""
+        engine = self.engines[ctx.server_id]
         work = self.runtime_ms
         model = engine.model
         for profile in ctx.profiles:
@@ -517,11 +510,14 @@ class CloudWorldBase(WorldBase):
         else:
             repaired = self._stale_profile(engine, ctx)
             if repaired is None:
-                return None
+                ctx.kind = "retry-signal"
+                self.sim.send(self._cloud_link, self.cloud_rng[ctx.server_id], "frontend", ctx)
+                return
             profile, cost = repaired
             work += cost
         engine.recognize(profile)
-        return work
+        ctx.kind = "recognize-job-done"
+        self.sim.send(self._cloud_link, self.cloud_rng[ctx.server_id], "frontend", ctx, work)
 
     def _stale_profile(
         self, engine: EngineInstance, ctx: RuntimeCtx

@@ -44,7 +44,7 @@ class DeviceWorld(WorldBase):
         # every enrollment arrives at t=0, before any release, so never
         # mid-update. The task's one leg is the version it starts on: it
         # enrolls there even if the device switched models since
-        self.devices[ctx.device_id].store_audio(ctx.user_id, ctx.audio)
+        self.devices[ctx.device_id].audio[ctx.user_id] = ctx.audio
         ctx.plan = (self.models[ctx.device_id],)
         ctx.kind = "device-task-done"
         self.sim.schedule_in(self.enroll_ms, target, ctx)
@@ -53,7 +53,7 @@ class DeviceWorld(WorldBase):
         if ctx.device_id in self._window:
             self._deferred.setdefault(ctx.device_id, []).append(ctx)
             return
-        profiles = self.devices[ctx.device_id].profiles_for(ctx.user_id)
+        profiles = self.devices[ctx.device_id].profiles.get(ctx.user_id, ())
         if not profiles:
             # nothing enrolled: reject on the spot, no engine work
             self.log.request_done("RUNTIME", ctx.user_id, ctx.submitted, self.sim.now, OK)
@@ -119,7 +119,7 @@ class DeviceWorld(WorldBase):
         device_id = self._device_ids[target]
         dev = self.devices[device_id]
         user = self._window[device_id].pop(0)
-        old = dev.profiles_for(user)[-1:]
+        old = dev.profiles.get(user, ())[-1:]
         profile = EngineInstance(self.models[device_id]).enroll(user, dev.audio[user])
         self._put(dev, profile)
         if old:

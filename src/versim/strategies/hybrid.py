@@ -44,7 +44,7 @@ class HybridWorldBase(CloudWorldBase):
     # back in the enroll-response
 
     def _on_enroll_arrival(self, target, ctx: EnrollCtx):
-        self.devices[ctx.device_id].store_audio(ctx.user_id, ctx.audio)
+        self.devices[ctx.device_id].audio[ctx.user_id] = ctx.audio
         self._request_enroll(ctx)
 
     def _start_background_enroll(
@@ -67,7 +67,7 @@ class HybridWorldBase(CloudWorldBase):
         # an in-path re-enrollment: retry the runtime request it served with
         # the profiles the device holds now
         parent.reenrolls += 1
-        parent.profiles = self.devices[ctx.device_id].profiles_for(ctx.user_id)
+        parent.profiles = self.devices[ctx.device_id].profiles.get(ctx.user_id, ())
         parent.kind = "runtime-request"
         self.sim.send(self._device_link, self.device_rng[ctx.device_id], "frontend", parent)
 
@@ -76,7 +76,7 @@ class HybridWorldBase(CloudWorldBase):
         background or in-path enrollment over a profile it held is a
         re-enrollment."""
         device = self.devices[ctx.device_id]
-        before = device.profiles_for(ctx.user_id)[-1:]
+        before = device.profiles.get(ctx.user_id, ())[-1:]
         produced = sorted(ctx.produced, key=lambda p: p.version.seq)
         for profile in produced:
             self._put(device, profile)
@@ -89,7 +89,7 @@ class HybridWorldBase(CloudWorldBase):
     # -- runtime: the request carries the device's profiles
 
     def _on_runtime_arrival(self, target, ctx: RuntimeCtx):
-        ctx.profiles = self.devices[ctx.device_id].profiles_for(ctx.user_id)
+        ctx.profiles = self.devices[ctx.device_id].profiles.get(ctx.user_id, ())
         if not ctx.profiles:
             # not enrolled: the device can answer by itself
             self.log.request_done("RUNTIME", ctx.user_id, ctx.submitted, self.sim.now, OK)
@@ -128,7 +128,7 @@ class HybridWorldBase(CloudWorldBase):
         newest = ctx.versions[-1]
         device = self.devices[ctx.device_id]
         for user in self.owners_of(ctx.device_id):
-            held = device.profiles_for(user)
+            held = device.profiles.get(user, ())
             if held and held[-1].version.seq < newest.seq:
                 self._start_background_enroll(ctx.device_id, user, ctx.versions)
 
@@ -156,5 +156,5 @@ class HybridDoubleWorld(HybridWorldBase):
 
     def _on_runtime_response(self, target, ctx: RuntimeCtx):
         super()._on_runtime_response(target, ctx)
-        if ctx.outcome is STALE_PROFILES and self.served_versions:
+        if ctx.outcome is STALE_PROFILES:
             self._start_background_enroll(ctx.device_id, ctx.user_id, self.served_versions)

@@ -110,12 +110,12 @@ class ServerWorldBase(CloudWorldBase):
         self.sim.send(self._db_link, self.frontend.rng, "db", ctx)
 
     def _on_db_store_audio(self, target, ctx: EnrollCtx):
-        self.db.store_audio(ctx.user_id, ctx.audio)
+        self.db.audio[ctx.user_id] = ctx.audio
         ctx.kind = "db-store-ack"
         self.sim.send(self._db_link, self.db_rng, "frontend", ctx)
 
     def _on_db_fetch(self, target, ctx):
-        ctx.profiles = self.db.profiles_for(ctx.user_id)
+        ctx.profiles = self.db.profiles.get(ctx.user_id, ())
         ctx.audio = self.db.audio.get(ctx.user_id, ())
         ctx.kind = "db-fetch-reply"
         self.sim.send(self._db_link, self.db_rng, "frontend", ctx)
@@ -172,8 +172,8 @@ class ServerWorldBase(CloudWorldBase):
             heappush(self._pump_heap, user)
 
     def _queue_stale_users(self) -> None:
-        """Queue every stored user whose newest profile predates the active release."""
-        target = self.active_release.version.seq
+        """Queue every stored user whose newest profile predates the rolling release."""
+        target = self.releases[0].version.seq
         for user, profiles in self.db.profiles.items():
             if profiles[-1].version.seq < target:
                 self._queue_reenroll(user)
@@ -185,7 +185,7 @@ class ServerWorldBase(CloudWorldBase):
         while self._pump_heap:
             user = heappop(self._pump_heap)
             self._pump_queued.discard(user)
-            profiles = self.db.profiles_for(user)
+            profiles = self.db.profiles.get(user, ())
             if profiles and profiles[-1].version.seq < newest.seq:
                 self._to_db("db-fetch", f"{self.pump_token}.fetched", _SweepCtx(user, lane))
                 return
@@ -365,23 +365,21 @@ class OfflineServerWorld(ServerWorldBase):
 
     def __init__(self, scenario, sim, log):
         super().__init__(scenario, sim, log)
-        # the release held back until every admitted request, counted by
-        # ``_inflight``, has answered
-        self._held: ModelRelease | None = None
+        # the admitted requests not yet answered; the rollout waits for them
         self._inflight = 0
 
-    # -- the window is open while a release is active: it refuses new
+    # -- the window is open while a release is queued: it refuses new
     # requests; an admitted one is counted until its answer
 
     def _on_enroll_request(self, target, ctx):
-        if self.active_release is not None:
+        if self.releases:
             self._respond_enroll(ctx, MAINTENANCE)
             return
         self._inflight += 1
         super()._on_enroll_request(target, ctx)
 
     def _on_runtime_request(self, target, ctx):
-        if self.active_release is not None:
+        if self.releases:
             self._respond_runtime(ctx, MAINTENANCE)
             return
         self._inflight += 1
@@ -403,15 +401,14 @@ class OfflineServerWorld(ServerWorldBase):
 
     def _begin_release(self, release: ModelRelease) -> None:
         self.log.window_open(self.sim.now)
-        self._held = release
         self._roll_out_if_drained()
 
     def _roll_out_if_drained(self) -> None:
         # the rollout waits for the last admitted request: a request that
-        # started before the window may still write an old-version profile
-        if self._held is not None and not self._inflight:
-            release, self._held = self._held, None
-            super()._begin_release(release)
+        # started before the window may still write an old-version profile.
+        # The open window admits none, so this rolls each release out once
+        if self.releases and not self._inflight:
+            super()._begin_release(self.releases[0])
 
     def _after_server_updated(self) -> None:
         # after the drain only the bulk pass writes profiles, so one scan
@@ -479,7 +476,7 @@ class DoubleServerWorld(ServerWorldBase):
         self._maybe_finish_rollout()
 
     def _maybe_finish_rollout(self) -> None:
-        if self.active_release is None:
+        if not self.releases:
             return
         if self.updating or self._pump_lanes or self._pump_heap:
             return
@@ -509,5 +506,4 @@ class DoubleServerWorld(ServerWorldBase):
         else:
             self._pump(lane)
 
-    def _pump_drained(self) -> None:
-        self._maybe_finish_rollout()
+    _pump_drained = _maybe_finish_rollout

@@ -6,12 +6,12 @@ multi-hop request flows, the cloud servers' engines, the devices' models and
 the release order live in ``strategies``. A ``ModelRelease`` is one release
 as the run numbers it. ``DatabaseNode`` is the one profile store: the
 database is one, and each device's store is its subclass ``DeviceNode``.
-A store keeps a user's enrollment audio in ``audio`` and profiles in
-``profiles``, and ``put_profile(profile, retain)`` keeps a profile under the
-one retention rule, ``store_profile``. ``profiles_for(user_id)`` holds one
-user's profiles, oldest first: an exact-size tuple, ``()`` for a user with
-none, that a put replaces and never changes, so a reader may keep the
-store's own tuple without a copy.
+A store is two dicts, read and written in place: a user's enrollment audio
+in ``audio``, and in ``profiles`` the user's profiles, oldest first, as an
+exact-size tuple (``profiles.get(user_id, ())`` for a user with none) that a
+put replaces and never changes, so a reader may keep the store's own tuple
+without a copy. ``put_profile(profile, retain)`` keeps a profile under the
+one retention rule, ``store_profile``.
 """
 
 from __future__ import annotations
@@ -67,12 +67,6 @@ class DatabaseNode:
         self.audio: dict[str, EnrollmentAudio] = {}
         self.profiles: dict[str, tuple[UserProfile, ...]] = {}
 
-    def store_audio(self, user_id: str, samples: EnrollmentAudio) -> None:
-        self.audio[user_id] = samples
-
-    def profiles_for(self, user_id: str) -> tuple[UserProfile, ...]:
-        return self.profiles.get(user_id, ())
-
     def put_profile(self, profile: UserProfile, retain: int | None) -> None:
         """Store ``profile`` under ``store_profile``'s rule; the user's audio
         must be stored."""
@@ -86,7 +80,7 @@ class DatabaseNode:
         version, ascending by seq, the lowest seqs dropped beyond ``retain``
         (None: no cap)."""
         user = profile.user_id
-        kept = [p for p in self.profiles_for(user) if p.version.seq != profile.version.seq]
+        kept = [p for p in self.profiles.get(user, ()) if p.version.seq != profile.version.seq]
         kept.append(profile)
         kept.sort(key=lambda p: p.version.seq)
         self.profiles[user] = tuple(kept if retain is None else kept[-retain:])

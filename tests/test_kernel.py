@@ -742,11 +742,12 @@ class _BlockSink:
 @pytest.mark.parametrize("fail, sizes", [(0, [256]), (1, [256, 44])], ids=["block", "remainder"])
 def test_a_raising_sink_is_handed_each_line_once_and_its_error_is_raised(fed, fail, sizes):
     # 300 events at t=1: one full block from the loop, the 44 left from
-    # ``finally``. A sink that raises on the full block gets no remainder:
-    # the hand-over comes before the 257th event's line, and that event is
-    # consumed without running
+    # ``finally``. The full block goes out right after the 256th event ran,
+    # so a sink that raises there stops the run before the 257th is taken:
+    # that event and the rest run in the next call, and their lines go out then
     sink = _BlockSink(fail)
-    sim = Simulator(lambda target, payload: None, trace=sink)
+    seen = []
+    sim = Simulator(lambda target, payload: seen.append(payload.label), trace=sink)
     events = [(1, "n", Ping(str(i))) for i in range(300)]
     if fed:
         sim.feed(iter(events), len(events))
@@ -757,6 +758,14 @@ def test_a_raising_sink_is_handed_each_line_once_and_its_error_is_raised(fed, fa
         sim.run_until(1)
     assert [len(lines) for _, lines in sink.blocks] == sizes
     assert raised.value.args == (fail,) and raised.value.__context__ is None
+    assert len(seen) == sum(sizes)
+    if fail == 0:
+        assert sim.current == (1, 255)
+    sim.run_until(1)
+    # every handler ran once and in order, and each line went out once,
+    # the failed block's included
+    assert seen == [str(i) for i in range(300)]
+    assert [line.split("\t")[1] for _, lines in sink.blocks for line in lines] == seen
 
 
 def _blocks(pre, fed, followups, horizons, boom, fail=None):
@@ -822,7 +831,7 @@ def test_trace_blocks_carry_each_line_once_before_run_until_ends(
     horizons = [sum(steps[: i + 1]) for i in range(len(steps))]
     with mock.patch.object(kernel, "TRACE_BLOCK", block):
         blocks, ran = _blocks(pre, fed, followups, horizons, boom, fail)
-        whole, _ = _blocks(pre, fed, followups, horizons[-1:], boom)
+        whole, whole_ran = _blocks(pre, fed, followups, horizons[-1:], boom)
     for call, events in enumerate(ran):
         sizes = [len(lines) for made_in, lines in blocks if made_in == call]
         # full blocks and one remainder, handed over before the call ended
@@ -833,8 +842,11 @@ def test_trace_blocks_carry_each_line_once_before_run_until_ends(
     # no line is handed over twice, not even to a sink that raised
     keys = [tuple(map(int, line.split("\t")[:2])) for _, lines in blocks for line in lines]
     assert keys == sorted(set(keys))
-    if fail is None or fail >= len(blocks):
-        # the same lines, however the run is cut into calls
-        assert [line for _, lines in blocks for line in lines] == [
-            line for _, lines in whole for line in lines
-        ]
+    # the same lines and handler calls, however the run is cut into calls
+    # and whether or not the sink raised
+    assert [line for _, lines in blocks for line in lines] == [
+        line for _, lines in whole for line in lines
+    ]
+    assert [event for events in ran for event in events] == [
+        event for events in whole_ran for event in events
+    ]

@@ -443,7 +443,7 @@ def test_double_rollout_stays_available_with_no_inline_reenrolls():
     assert result.report.stale_profile_events == 0
     assert all(r.reenrollments_in_path == 0 for r in result.records)
     for user in (f"u{i:03d}" for i in range(4)):
-        held = {p.version.id for p in result.world.db.profiles_for(user)}
+        held = {p.version.id for p in result.world.db.profiles.get(user, ())}
         assert held == {"V2", "V3"}
     assert result.report.bounce_count == 0
 
@@ -536,7 +536,7 @@ def test_hybrid_double_goes_stale_after_two_releases():
     assert result.report.stale_profile_events == 1
     # the stale answer triggers one background rebuild to the served pair
     device = result.world.devices["d00"]
-    assert {p.version.id for p in device.profiles_for("u000")} == {"V3", "V4"}
+    assert {p.version.id for p in device.profiles.get("u000", ())} == {"V3", "V4"}
 
 
 def test_hybrid_double_dedupes_concurrent_stale_rebuilds():
@@ -624,8 +624,8 @@ def test_a_runtime_request_holds_the_store_tuple_itself(strategy, kind):
 
     def stored_profiles():
         if kind == "db-fetch-reply":
-            return world.db.profiles_for("u000")
-        return world.devices["d00"].profiles_for("u000")
+            return world.db.profiles.get("u000", ())
+        return world.devices["d00"].profiles.get("u000", ())
 
     def handle_and_check(target, payload):
         # read before the handler runs: a flow context, which is the message
@@ -918,7 +918,7 @@ def test_a_server_serves_its_old_engine_until_its_update_is_done(strategy, initi
         before = dict(world.engines)
         handle(target, payload)
         for sid in world.updating.difference(rolling):
-            rolling[sid] = (before[sid], world.active_release.version)
+            rolling[sid] = (before[sid], world.releases[0].version)
         for sid in world.updating:
             assert world.engines[sid] is rolling[sid][0]
         if payload.kind == "server-update-done":

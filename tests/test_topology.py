@@ -38,10 +38,10 @@ def test_update_duration_draw_stays_in_bounds():
 def test_db_store_then_read():
     db = DatabaseNode()
     samples = (AudioSample("u000", 1000, 7),)
-    db.store_audio("u000", samples)
+    db.audio["u000"] = samples
     assert db.audio["u000"] == samples
-    assert db.profiles_for("u000") == ()
-    assert db.audio.get("nobody") is None and db.profiles_for("nobody") == ()
+    assert "u000" not in db.profiles
+    assert "nobody" not in db.audio and "nobody" not in db.profiles
 
 
 def test_db_put_requires_known_user():
@@ -52,32 +52,32 @@ def test_db_put_requires_known_user():
 
 def test_db_put_keeps_ascending_and_drops_oldest():
     db = DatabaseNode()
-    db.store_audio("u000", (AudioSample("u000", 1000, 1),))
+    db.audio["u000"] = (AudioSample("u000", 1000, 1),)
     db.put_profile(_profile("u000", V2), retain=2)
     db.put_profile(_profile("u000", V1), retain=2)
-    assert [p.version for p in db.profiles_for("u000")] == [V1, V2]
+    assert [p.version for p in db.profiles["u000"]] == [V1, V2]
     db.put_profile(_profile("u000", V3), retain=2)
-    assert [p.version for p in db.profiles_for("u000")] == [V2, V3]
+    assert [p.version for p in db.profiles["u000"]] == [V2, V3]
 
 
 def test_db_put_same_version_replaces():
     db = DatabaseNode()
-    db.store_audio("u000", (AudioSample("u000", 1000, 1),))
+    db.audio["u000"] = (AudioSample("u000", 1000, 1),)
     first = _profile("u000", V1, seed=10)
     second = _profile("u000", V1, seed=20)
     db.put_profile(first, retain=1)
     db.put_profile(second, retain=1)
-    profiles = db.profiles_for("u000")
+    profiles = db.profiles["u000"]
     assert len(profiles) == 1
     assert profiles[0] is second
 
 
 def test_db_retain_none_is_unbounded():
     db = DatabaseNode()
-    db.store_audio("u000", (AudioSample("u000", 1000, 1),))
+    db.audio["u000"] = (AudioSample("u000", 1000, 1),)
     for version in (V1, V2, V3):
         db.put_profile(_profile("u000", version), retain=None)
-    assert [p.version for p in db.profiles_for("u000")] == [V1, V2, V3]
+    assert [p.version for p in db.profiles["u000"]] == [V1, V2, V3]
 
 
 def _stored_after(profiles, profile, retain):
@@ -85,7 +85,7 @@ def _stored_after(profiles, profile, retain):
     device = DeviceNode()
     device.profiles["u000"] = profiles
     device.store_profile(profile, retain)
-    return device.profiles_for("u000")
+    return device.profiles["u000"]
 
 
 def test_store_profile_keeps_a_new_tuple_of_exactly_the_kept_profiles():
@@ -93,7 +93,7 @@ def test_store_profile_keeps_a_new_tuple_of_exactly_the_kept_profiles():
     device = DeviceNode()
     device.profiles["u000"] = stored = (p1, p3)
     device.store_profile(p2, 2)
-    kept = device.profiles_for("u000")
+    kept = device.profiles["u000"]
     assert type(kept) is tuple and kept == (p2, p3)
     assert stored == (p1, p3)  # a put replaces the stored tuple, never changes it
     assert _stored_after(kept, p1, 1) == (p3,)
@@ -156,8 +156,8 @@ def test_device_profile_cap_keeps_newest():
     device.put_profile(_profile("u000", V1), retain=2)
     device.put_profile(_profile("u000", V3), retain=2)
     device.put_profile(_profile("u000", V2), retain=2)
-    assert [p.version for p in device.profiles_for("u000")] == [V2, V3]
-    assert device.profiles_for("u000")[-1].version == V3
+    assert [p.version for p in device.profiles["u000"]] == [V2, V3]
+    assert device.profiles["u000"][-1].version == V3
 
 
 def test_device_store_replaces_same_version():
@@ -166,23 +166,23 @@ def test_device_store_replaces_same_version():
     second = _profile("u000", V1, seed=2)
     device.put_profile(first, retain=1)
     device.put_profile(second, retain=1)
-    profiles = device.profiles_for("u000")
+    profiles = device.profiles["u000"]
     assert len(profiles) == 1 and profiles[0] is second
 
 
 def test_device_profiles_empty_for_strangers():
     device = DeviceNode()
-    assert device.profiles_for("u999") == ()
+    assert "u999" not in device.profiles
 
 
 @pytest.mark.parametrize("retain", [1, 2, None])
 def test_database_and_devices_keep_profiles_by_one_rule(retain):
     db = DatabaseNode()
-    db.store_audio("u000", (AudioSample("u000", 1000, 1),))
+    db.audio["u000"] = (AudioSample("u000", 1000, 1),)
     device = DeviceNode()
     for version in (V2, V1, V3, V2):
         for store in (db, device):
             store.put_profile(_profile("u000", version), retain)
-        assert db.profiles_for("u000") == device.profiles_for("u000")
-    assert db.audio.get("nobody") is None and db.profiles_for("nobody") == ()
-    assert device.profiles_for("nobody") == ()
+        assert db.profiles["u000"] == device.profiles["u000"]
+    assert "nobody" not in db.audio and "nobody" not in db.profiles
+    assert "nobody" not in device.profiles
