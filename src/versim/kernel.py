@@ -32,8 +32,9 @@ Each executed event's trace line is made before its handler runs; a sink
 gets the lines in order, at most ``TRACE_BLOCK`` to an ``extend`` call, all
 before ``run_until`` returns or raises. A full block goes out once the event
 that fills it has run, so a sink that raises stops the run between two
-events and loses none. ``runner.run(trace=True)`` returns its list sink as
-``RunResult.trace``; the command line's sink writes each block to the
+events and loses none. A block handed over is the sink's to keep: the
+kernel never touches it again. ``runner.run(trace=lines)`` with a list
+collects every line; the command line's sink writes each block to the
 ``--trace`` file at once, so at most a block is held in memory.
 """
 
@@ -120,7 +121,7 @@ class Payload(Protocol):
 class TraceSink(Protocol):
     """Where trace lines go: a ``list[str]``, or any object whose ``extend``
     takes them (without newlines) in order, at most ``TRACE_BLOCK`` at a time,
-    all before ``run_until`` returns or raises, in a list it must not keep."""
+    all before ``run_until`` returns or raises. It may keep a list it gets."""
 
     def extend(self, lines: list[str]) -> None: ...
 
@@ -136,8 +137,8 @@ class Simulator:
     ``run_until`` entry, so a method patched after construction is honoured.
     A trace sink gets one tab-separated line per executed event, in the
     blocks that the module docstring describes. If a handler, the fed stream
-    or a full block's ``extend`` raises, ``current`` holds the (time, seq) of
-    the last event that ran, and the next ``run_until`` goes on from there.
+    or the sink's ``extend`` raises, ``current`` holds the (time, seq) of the
+    last event that ran, and the next ``run_until`` goes on from there.
 
     ``stall_bound`` is the progress tripwire: a millisecond's bucket may run
     that many events plus ``STALL_FACTOR`` per event queued there when the
@@ -224,9 +225,9 @@ class Simulator:
         self._fed_seq = self._fed_first = self._seq
         self._fed_end = self._seq = self._seq + count
 
-    def _check_drawn(self, drawn: tuple[int, str, Payload] | None, last: int, seq: int) -> None:
-        """End the fed stream at ``drawn``, drawn as ``seq``: raise ValueError if
-        it is before ``last``, or if it is the end (None) of a stream short or long."""
+    def _check_drawn(self, drawn: tuple[int, str, Payload] | None, seq: int) -> None:
+        """End the fed stream at ``drawn``, drawn as ``seq``: raise ValueError for an
+        event (found out of time order), or at the end (None) of a stream short or long."""
         first, end = self._fed_first, self._fed_end
         self._fed, self._fed_end = iter(()), seq
         if drawn is not None:
@@ -244,7 +245,7 @@ class Simulator:
             if self._fed is not None:
                 head = next(self._fed, None)
                 if head is None or head[0] < 0:
-                    self._check_drawn(head, 0, self._fed_seq)
+                    self._check_drawn(head, self._fed_seq)
                 self._next = head
             self._counted = self._seq
         head = self._next
@@ -321,7 +322,7 @@ class Simulator:
                     # ``current`` on the last event that ran, and this one queued
                     drawn = next(self._fed, None)
                     if drawn is None or drawn[0] < head[0]:
-                        self._check_drawn(drawn, head[0], fed_seq + 1)
+                        self._check_drawn(drawn, fed_seq + 1)
                     at, target, payload = head
                     head = drawn
                     cut = head[0] if head is not None and head[0] < stop else stop
@@ -344,6 +345,11 @@ class Simulator:
                         handle(target, payload)
                 else:
                     break
+            if lines:
+                # out of ``lines`` first: if the sink raises, ``except`` sets
+                # ``current`` and ``finally`` hands nothing over twice
+                block, lines = lines, []
+                trace.extend(block)
         except BaseException:
             if bucket is not None:
                 # keep what the bucket has left for the next call, and drop

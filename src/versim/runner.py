@@ -14,14 +14,12 @@ audio: recognition is the engine's version check. Each request arrives as
 its flow context, at the device that the world's ownership rule
 (``WorldBase.device_of``) puts its user on. Each user's ``EnrollCtx`` is
 scheduled as its enroll-arrival. A runtime arrival is kept as one packed int
-(time, user, draw order). The simulator is fed the sorted ints as a stream,
-and the stream builds each arrival's ``RuntimeCtx`` only when the clock
-reaches it.
+(time, user). The simulator is fed the sorted ints as a stream, and the
+stream builds each arrival's ``RuntimeCtx`` only when the clock reaches it.
 
 The log folds the report while the run goes, so a run keeps no per-request
 state for it. The request records, re-enrollments and profile writes are
-kept only with ``logs=True``; otherwise those ``RunResult`` fields are None,
-as ``trace`` is without ``trace=True``.
+kept only with ``logs=True``; otherwise those ``RunResult`` fields are None.
 """
 
 from __future__ import annotations
@@ -39,9 +37,8 @@ from .scenario import Scenario, strategy_row
 from .strategies.common import USER_STREAM_BASE, EnrollCtx, RuntimeCtx, WorldBase
 from .topology import ModelRelease
 
-# bit offsets of the fields of a packed runtime arrival (see _generate_workload)
-_RANK_SHIFT = 32
-_TIME_SHIFT = 64
+# a packed runtime arrival is time << _TIME_SHIFT | rank (see _generate_workload)
+_TIME_SHIFT = 32
 _MASK32 = (1 << 32) - 1
 
 
@@ -61,7 +58,6 @@ class RunResult:
     records: list[RequestRecord] | None
     reenrolls: list[ReenrollEvent] | None
     profile_puts: list[tuple[int, str, int]] | None
-    trace: list[str] | None
     world: WorldBase
 
 
@@ -70,11 +66,11 @@ def _generate_workload(scenario: Scenario, user_ids: list[str]) -> tuple[list[in
     ``user_ids`` (the world's, so one string per user serves the run) in
     string order.
 
-    One arrival is one int, high bits to low: its time, the user's rank in
-    user-id string order (``u1000`` before ``u999``) and the user's arrival
-    index. Sorting the ints sorts by (time, user id, the user's draw order).
-    32 bits each for the rank and the index hold more users and arrivals
-    than memory could."""
+    One arrival is one int, high bits to low: its time and the user's rank
+    in user-id string order (``u1000`` before ``u999``). Sorting the ints
+    sorts by (time, user id); two arrivals of one user in one millisecond
+    are equal ints, and build equal contexts. 32 bits for the rank hold more
+    users than memory could."""
     # each user draws from a stream of its own, so the users can go in rank order
     users = sorted(user_ids)
     arrivals: list[int] = []
@@ -84,27 +80,24 @@ def _generate_workload(scenario: Scenario, user_ids: list[str]) -> tuple[list[in
         for a in spec.explicit:
             explicit_by_user.setdefault(a.user_id, []).append(a.time_ms)
     for rank, user in enumerate(users):
-        key = rank << _RANK_SHIFT
         if spec.explicit is not None:
-            for i, t in enumerate(explicit_by_user.get(user, [])):
-                arrivals.append(t << _TIME_SHIFT | key | i)
+            arrivals += [t << _TIME_SHIFT | rank for t in explicit_by_user.get(user, [])]
         else:
             stream = node_stream(scenario.seed, USER_STREAM_BASE + int(user[1:]))
             stream.skip(scenario.samples_per_user)  # the EnrollmentAudio's seeds
             draw, skip = stream.next_u64, stream.skip
             rate = spec.poisson_rate_per_user_per_s
-            t = i = 0
+            t = 0
             while True:
                 # uniform in (0, 1]: 1 - the top 53 bits of one draw over 2**53
                 u = 1.0 - (draw() >> 11) * (2.0 ** -53)
                 t += int(-math.log(u) / rate * 1000.0)
                 if t > scenario.duration_ms:
                     break
-                arrivals.append(t << _TIME_SHIFT | key | i)
+                arrivals.append(t << _TIME_SHIFT | rank)
                 # a draw that nothing reads: dropping it would move every later
                 # gap to another place in the stream, and so every later time
                 skip(1)
-                i += 1
     arrivals.sort()
     return arrivals, users
 
@@ -121,25 +114,22 @@ def _runtime_arrivals(
     for _ in range(len(arrivals)):
         packed = pop()
         at = packed >> _TIME_SHIFT
-        r = packed >> _RANK_SHIFT & _MASK32
+        r = packed & _MASK32
         device = devices[r]
         yield at, targets[device], RuntimeCtx(users[r], device, at)
 
 
 def build(
-    scenario: Scenario, trace: bool | TraceSink = False, logs: bool = False
+    scenario: Scenario, trace: TraceSink | None = None, logs: bool = False
 ) -> tuple[Simulator, WorldBase, RunLog]:
     """World, simulator and log with the whole workload queued: the
     enrollment arrivals and releases scheduled, and the runtime arrivals fed
-    as a stream. ``trace`` and ``logs`` are as for ``run``: for ``trace``,
-    True collects the lines in a fresh list (``sim.trace``), a sink receives
-    them in blocks, False traces nothing."""
+    as a stream. ``trace`` and ``logs`` are as for ``run``."""
     log = RunLog(keep=logs)
-    sink: TraceSink | None = [] if trace is True else (None if trace is False else trace)
     # the progress tripwire: 64 events a millisecond per user, server and
     # device, so a release or sweep that reaches every node stays under it
     nodes = scenario.users + scenario.cloud_servers + scenario.devices
-    sim = Simulator(None, trace=sink, stall_bound=STALL_FACTOR * nodes)
+    sim = Simulator(None, trace=trace, stall_bound=STALL_FACTOR * nodes)
     world = strategy_row(scenario.strategy).world(scenario, sim, log)
     sim.handler = world
 
@@ -161,15 +151,14 @@ def build(
     return sim, world, log
 
 
-def run(scenario: Scenario, trace: bool | TraceSink = False, logs: bool = False) -> RunResult:
+def run(scenario: Scenario, trace: TraceSink | None = None, logs: bool = False) -> RunResult:
     """Simulate ``scenario`` to its horizon and return the report.
 
-    ``trace`` selects the event trace. False (the default) records none.
-    True collects one line per executed event in a list, returned as
-    ``RunResult.trace``. Any other value is a ``kernel.TraceSink``, which
-    gets the lines in order, at most ``kernel.TRACE_BLOCK`` at a time, as the
-    run goes; then ``RunResult.trace`` is None. If the run fails, the sink
-    has every line through the failed event's before ``run`` raises.
+    ``trace`` is where the event trace goes, a ``kernel.TraceSink``: a list,
+    or any object whose ``extend`` takes one line per executed event, in
+    order, at most ``kernel.TRACE_BLOCK`` at a time, as the run goes. None
+    (the default) traces nothing. If the run fails, the sink has every line
+    through the failed event's before ``run`` raises.
 
     ``logs=True`` keeps every request record, re-enrollment and profile write
     in ``RunResult.records``, ``.reenrolls`` and ``.profile_puts``. By default
@@ -204,6 +193,5 @@ def run(scenario: Scenario, trace: bool | TraceSink = False, logs: bool = False)
         records=log.records,
         reenrolls=log.reenrolls,
         profile_puts=log.profile_puts,
-        trace=sim.trace if trace is True else None,
         world=world,
     )

@@ -143,7 +143,7 @@ _SUMMARIES: dict[str, Callable[..., str]] = {
     "runtime-arrival": _user,
     "enroll-request": _user,
     "runtime-request": _user,
-    "handshake-request": _user,
+    "handshake-request": lambda c: f"user={c.device_id}",
     "enroll-response": _answered,
     "runtime-response": _answered,
     "recognize-job": _on_server,
@@ -152,7 +152,7 @@ _SUMMARIES: dict[str, Callable[..., str]] = {
     "recognize-job-done": lambda c: (
         f"user={c.user_id} server={c.server_id} reenrolled={'1' if c.produced else '0'}"
     ),
-    "handshake-reply": lambda c: f"user={c.user_id} serves={_serves(c)}",
+    "handshake-reply": lambda c: f"user={c.device_id} serves={_serves(c)}",
     "device-task-done": lambda c: f"task={c.flow} user={c.user_id}",
     "sync-probe": _round,
     "sync-reply": lambda c: f"{_round(c)} serves={'-' if c.version is None else c.version.id}",
@@ -241,7 +241,6 @@ class HandshakeCtx(FlowCtx):
     """One handshake: the message of handshake-request, and of the
     handshake-reply that brings the served ``versions`` back."""
 
-    user_id: str
     device_id: str
     submitted: int
     kind: str = "handshake-request"

@@ -113,7 +113,7 @@ class HybridWorldBase(CloudWorldBase):
     def _on_handshake_tick(self, target, msg: Tick):
         self.sim.schedule_in(self.cfg.handshake_period_ms, target, msg)
         device_id = self._device_ids[target]
-        ctx = HandshakeCtx(device_id, device_id, self.sim.now)
+        ctx = HandshakeCtx(device_id, self.sim.now)
         self.sim.send(self._device_link, self.device_rng[device_id], "frontend", ctx)
 
     def _on_handshake_request(self, target, ctx: HandshakeCtx):
@@ -122,7 +122,7 @@ class HybridWorldBase(CloudWorldBase):
         self.sim.send(self._device_link, self.frontend.rng, self.device_targets[ctx.device_id], ctx)
 
     def _on_handshake_reply(self, target, ctx: HandshakeCtx):
-        self.log.request_done("HANDSHAKE", ctx.user_id, ctx.submitted, self.sim.now, OK)
+        self.log.request_done("HANDSHAKE", ctx.device_id, ctx.submitted, self.sim.now, OK)
         if not ctx.versions:
             return
         newest = ctx.versions[-1]

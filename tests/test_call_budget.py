@@ -9,24 +9,16 @@ dataclass-generated ``__init__``s, whose file is ``<string>``, so the figure
 is the same on 3.10, 3.11 and 3.12. The executed events are the calls of
 ``WorldBase.handle``. The scenarios are the bench's 11 strategy combinations
 at 30 users, 10 devices and 3 servers, with three releases, at seed 7. A
-change that cuts calls lowers ``CALL_BUDGET`` to the new figure;
-``tests/calls_per_event.py`` breaks a workload's figure down by scenario.
+change that cuts calls lowers ``CALL_BUDGET`` to the new figure. The counter
+is ``tests/calls_per_event.py``'s, which also breaks a workload's figure
+down by scenario.
 """
 
-import os
-import sys
-from pathlib import Path
-
-import versim
-from versim.runner import build
+from calls_per_event import count  # it also puts bench/ on sys.path
 from versim.scenario import scenario_from_dict
-from versim.strategies.common import WorldBase
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from workloads import COMBOS  # noqa: E402
+from workloads import COMBOS
 
 CALL_BUDGET = 4.793
-PACKAGE = os.path.realpath(os.path.dirname(versim.__file__)) + os.sep
 
 
 def _scenario(strategy: dict, initial: list[str]) -> dict:
@@ -49,34 +41,11 @@ def _scenario(strategy: dict, initial: list[str]) -> dict:
 def calls_per_event() -> float:
     """Named ``versim`` calls made inside ``run_until``, over the events it
     executed, summed over the 11 scenarios."""
-    handle = WorldBase.handle.__code__
-    named: dict = {}  # code object -> whether it is a named versim function
     calls = events = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls, events
-        if event != "call":
-            return
-        code = frame.f_code
-        counted = named.get(code)
-        if counted is None:
-            counted = named[code] = not code.co_name.startswith("<") and (
-                os.path.realpath(code.co_filename).startswith(PACKAGE)
-            )
-        if counted:
-            calls += 1
-            if code is handle:
-                events += 1
-
     for _, strategy, initial in COMBOS:
-        scenario = scenario_from_dict(_scenario(strategy, initial))
-        sim, _, _ = build(scenario)
-        sys.setprofile(profile)
-        try:
-            sim.run_until(scenario.duration_ms)
-        finally:
-            sys.setprofile(None)
-        calls -= 1  # run_until's own call
+        _, named, ran = count(scenario_from_dict(_scenario(strategy, initial)))
+        calls += named
+        events += ran
     return calls / events
 
 

@@ -741,8 +741,8 @@ class _BlockSink:
 @pytest.mark.parametrize("fed", [False, True], ids=["scheduled", "fed"])
 @pytest.mark.parametrize("fail, sizes", [(0, [256]), (1, [256, 44])], ids=["block", "remainder"])
 def test_a_raising_sink_is_handed_each_line_once_and_its_error_is_raised(fed, fail, sizes):
-    # 300 events at t=1: one full block from the loop, the 44 left from
-    # ``finally``. The full block goes out right after the 256th event ran,
+    # 300 events at t=1: one full block from the loop, the 44 left once it
+    # ends. The full block goes out right after the 256th event ran,
     # so a sink that raises there stops the run before the 257th is taken:
     # that event and the rest run in the next call, and their lines go out then
     sink = _BlockSink(fail)
@@ -759,8 +759,8 @@ def test_a_raising_sink_is_handed_each_line_once_and_its_error_is_raised(fed, fa
     assert [len(lines) for _, lines in sink.blocks] == sizes
     assert raised.value.args == (fail,) and raised.value.__context__ is None
     assert len(seen) == sum(sizes)
-    if fail == 0:
-        assert sim.current == (1, 255)
+    # the last event that ran, whether a full block or the remainder raised
+    assert sim.current == (1, sum(sizes) - 1)
     sim.run_until(1)
     # every handler ran once and in order, and each line went out once,
     # the failed block's included

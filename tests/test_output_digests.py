@@ -25,8 +25,8 @@ takes a second release notice and holds a runtime request, and a maintenance
 window still open when the run ends.
 
 The arrival-order case pins how runtime arrivals at one millisecond are
-ordered and numbered: by user id as a string (``u1000`` before ``u999``),
-then in the user's own draw order, with 1,001 users so that a sort by the
+ordered and numbered: by user id as a string (``u1000`` before ``u999``;
+one user's arrivals there are alike), with 1,001 users so that a sort by the
 numeric user index would differ.
 
 Regenerate the table (only for an intended behaviour change) with
@@ -153,13 +153,14 @@ def digests(strategy, initial, seed, variant="") -> dict[str, str]:
 
 
 def scenario_digests(scenario) -> dict[str, str]:
-    result = run(scenario, trace=True, logs=True)
+    lines: list[str] = []
+    result = run(scenario, trace=lines, logs=True)
     reenrolls = [
         [e.at, e.user_id, e.from_seq, e.to_version.seq, e.to_version.id] for e in result.reenrolls
     ]
     return {
         "report": _sha(report_to_json(result.report)),
-        "trace": _sha("\n".join(result.trace)),
+        "trace": _sha("\n".join(lines)),
         "reenrolls": _sha(json.dumps(reenrolls)),
         "profile_puts": _sha(json.dumps([list(p) for p in result.profile_puts])),
     }

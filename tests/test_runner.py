@@ -235,10 +235,11 @@ def test_runtime_arrivals_are_built_when_the_clock_reaches_them(monkeypatch):
 
     monkeypatch.setattr(runner, "RuntimeCtx", counting)
     scenario = load_scenario(str(SCENARIO))
-    sim, world, log = build(scenario, trace=True)
+    lines: list[str] = []
+    sim, world, log = build(scenario, trace=lines)
     assert made == []
     sim.run_until(scenario.duration_ms)
-    ran = [line.split("\t")[4] for line in sim.trace if "\truntime-arrival\t" in line]
+    ran = [line.split("\t")[4] for line in lines if "\truntime-arrival\t" in line]
     assert len(ran) > 0
     assert [f"user={user}" for user in made] == ran
 
@@ -326,7 +327,7 @@ def _drawn_workload(scenario):
                     break
                 times.append(t)
                 draw()
-        arrivals += [t << 64 | rank << 32 | i for i, t in enumerate(times)]
+        arrivals += [t << 32 | rank for t in times]
     return samples, sorted(arrivals)
 
 

@@ -122,7 +122,8 @@ def test_device_update_window_takes_a_second_notice_and_holds_a_request():
     # device re-enrolls its two owners (30 ms each) to 365, so u001's 150
     # request is held to 365 plus 5 ms work. u000's t=0 request comes before
     # its enrollment is done, so the device answers it at once.
-    result = run(scenario_from_dict(EDGES["edge-device-update-window/1"]), trace=True, logs=True)
+    lines: list[str] = []
+    result = run(scenario_from_dict(EDGES["edge-device-update-window/1"]), trace=lines, logs=True)
     records = sorted(_runtime_records(result), key=lambda r: r.submitted)
     assert [(r.user_id, r.submitted, r.completed) for r in records] == [
         ("u000", 0, 0),
@@ -130,7 +131,7 @@ def test_device_update_window_takes_a_second_notice_and_holds_a_request():
         ("u002", 400, 405),
     ]
     assert all(r.outcome is Outcome.OK for r in result.records)
-    kinds = [line.split("\t")[3:] for line in result.trace]
+    kinds = [line.split("\t")[3:] for line in lines]
     assert kinds.count(["notify-release", "version=R1"]) == 2
     assert kinds.count(["notify-release", "version=R2"]) == 2
     assert [k for k in kinds if k[0] == "download-done"] == [["download-done", "version=R2"]] * 2
@@ -344,6 +345,7 @@ def test_offline_swap_rejects_during_maintenance():
 def test_offline_window_length_is_update_plus_serial_reenrolls():
     zero = {"base_ms": 0, "jitter_ms": 0}
     for lanes, servers, window_ms in ((1, 1, 500), (3, 1, 320), (4, 2, 290), (12, 3, 230)):
+        lines: list[str] = []
         result = run(
             scenario_from_dict(
                 {
@@ -365,7 +367,7 @@ def test_offline_window_length_is_update_plus_serial_reenrolls():
                     "duration_ms": 4000,
                 }
             ),
-            trace=True,
+            trace=lines,
             logs=True,
         )
         # 200ms update, then 10 users x (30ms re-enroll), min(lanes, 10) at a time
@@ -375,7 +377,7 @@ def test_offline_window_length_is_update_plus_serial_reenrolls():
         # lane i sends its jobs to server i modulo the fleet
         bulk_servers = {
             line.split("server=")[1].split()[0]
-            for line in result.trace
+            for line in lines
             if "\tenroll-job\t" in line and "for=bulk" in line
         }
         assert bulk_servers == {f"s{i:02d}" for i in range(min(lanes, servers))}, (lanes, servers)
