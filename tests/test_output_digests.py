@@ -10,6 +10,12 @@ The wide variant runs the same combinations and seeds at 16 servers and 4
 re-enrollment lanes, which the 3-server sweep never reaches: the offline bulk
 pass with several lanes, 16-probe sync rounds, and 8-server DOUBLE groups.
 
+The jitter variant runs them with every link jittered and Poisson arrivals,
+so the streams mix drawn steps (a jittered hop, an arrival gap) with steps
+that skip the mix (a user's enrollment seeds, the discarded draw after each
+gap). The entries were generated before the streams counted their skipped
+steps, so that change had to reproduce them.
+
 The no-row case sends runtime requests at t=0, so their database fetches
 arrive before the user's row exists (``db-fetch-reply rows=0``) or before its
 first profile; the sweep's first runtime arrival comes long after enrollment.
@@ -42,13 +48,21 @@ import pytest
 
 from test_acceptance import _COMBOS, _sweep_scenario
 from versim.metrics import report_to_json
+from versim.kernel import LatencyModel
 from versim.runner import run
-from versim.scenario import scenario_from_dict
+from versim.scenario import ArrivalSpec, LinkLatencies, scenario_from_dict
 
 TABLE = Path(__file__).parent / "goldens" / "sweep_digests.json"
 SEEDS = (1, 2)
 # suffix of the table key -> scenario fields that differ from the sweep
-VARIANTS = {"": {}, "/wide": {"cloud_servers": 16, "reenroll_parallelism": 4}}
+VARIANTS = {
+    "": {},
+    "/wide": {"cloud_servers": 16, "reenroll_parallelism": 4},
+    "/jitter": {
+        "latency": LinkLatencies(*[LatencyModel(5, 20)] * 4),
+        "runtime_arrivals": ArrivalSpec(poisson_rate_per_user_per_s=0.5),
+    },
+}
 
 
 def _sha(text: str) -> str:
@@ -191,6 +205,13 @@ def test_outputs_match_the_pinned_digests(name, strategy, initial, seed):
 def test_wide_outputs_match_the_pinned_digests(name, strategy, initial, seed):
     table = json.loads(TABLE.read_text())
     assert digests(strategy, initial, seed, "/wide") == table[f"{name}/{seed}/wide"]
+
+
+@pytest.mark.parametrize("name,strategy,initial", _COMBOS, ids=[c[0] for c in _COMBOS])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_jittered_outputs_match_the_pinned_digests(name, strategy, initial, seed):
+    table = json.loads(TABLE.read_text())
+    assert digests(strategy, initial, seed, "/jitter") == table[f"{name}/{seed}/jitter"]
 
 
 def test_no_row_outputs_match_the_pinned_digest():
