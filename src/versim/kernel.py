@@ -24,9 +24,9 @@ now (``Simulator.send``, a hop's one call): at ``now + extra + latency``, the
 link's latency drawn from the sender's stream, ``base + next_u64() %
 (jitter + 1)`` on a jittered link. A draw with only one possible value (a link
 without jitter, an update duration with ``lo == hi``, a random pick among one
-server) or that nothing reads (``SimRng.skip``) steps the SplitMix64 state
-without the output mix, to the position ``next_u64`` would leave it at, so
-stream positions never depend on whether a link has jitter.
+server) or that nothing reads (``SimRng.skip``) is a step that ``SimRng`` only
+counts, to the position ``next_u64`` would leave it at, so stream positions
+never depend on whether a link has jitter.
 
 Each executed event's trace line is made before its handler runs; a sink
 gets the lines in order, at most ``TRACE_BLOCK`` to an ``extend`` call, all
@@ -66,29 +66,35 @@ class StalledClockError(SimulationError):
 
 class SimRng:
     """SplitMix64 stream. Small, fast, and easy to reproduce in any language,
-    which is what keeps golden traces portable."""
+    which is what keeps golden traces portable. The state after n steps is
+    ``seed + n * gamma`` mod 2**64, so a stream keeps its ``seed`` and counts
+    its ``steps``, and ``next_u64`` folds the count in when it mixes."""
 
-    __slots__ = ("state",)
+    __slots__ = ("seed", "steps")
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        self.seed = seed & _MASK64
+        self.steps = 0
+
+    @property
+    def state(self) -> int:
+        return (self.seed + self.steps * _GOLDEN) & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + _GOLDEN) & _MASK64
-        z = self.state
+        self.steps = n = self.steps + 1
+        z = (self.seed + n * _GOLDEN) & _MASK64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
     def skip(self, n: int) -> None:
         """Step past ``n`` draws without the mix, as ``n`` calls of ``next_u64`` would."""
-        self.state = (self.state + n * _GOLDEN) & _MASK64
+        self.steps += n
 
     def randrange(self, n: int) -> int:
-        """Uniform in [0, n), one stream step. For n == 1 the value is fixed,
-        so the state steps without the mix."""
+        """Uniform in [0, n), one stream step; for n == 1, a step without the mix."""
         if n == 1:
-            self.state = (self.state + _GOLDEN) & _MASK64
+            self.steps += 1
             return 0
         return self.next_u64() % n
 
@@ -199,7 +205,7 @@ class Simulator:
         if link.jitter_ms:
             at = self.now + extra + link.base_ms + rng.next_u64() % (link.jitter_ms + 1)
         else:
-            rng.state = (rng.state + _GOLDEN) & _MASK64
+            rng.steps += 1
             at = self.now + extra + link.base_ms
         seq = self._seq
         self._seq = seq + 1

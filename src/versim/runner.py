@@ -61,29 +61,30 @@ class RunResult:
     world: WorldBase
 
 
-def _generate_workload(scenario: Scenario, user_ids: list[str]) -> tuple[list[int], list[str]]:
-    """The runtime arrivals as packed ints sorted by (time, user id), and
-    ``user_ids`` (the world's, so one string per user serves the run) in
-    string order.
+def _generate_workload(
+    scenario: Scenario, user_ids: list[str]
+) -> tuple[list[int], list[EnrollmentAudio | None], list[int]]:
+    """The runtime arrivals as packed ints sorted by (time, user id), the
+    users' enrollment audio in ``user_ids`` order, and the user indices by
+    rank: in user-id string order (``u1000`` before ``u999``). User i draws
+    from ``node_stream(seed, USER_STREAM_BASE + i)``.
 
-    One arrival is one int, high bits to low: its time and the user's rank
-    in user-id string order (``u1000`` before ``u999``). Sorting the ints
-    sorts by (time, user id); two arrivals of one user in one millisecond
-    are equal ints, and build equal contexts. 32 bits for the rank hold more
-    users than memory could."""
+    One arrival is one int, high bits to low: its time and the user's rank.
+    Sorting the ints sorts by (time, user id); two arrivals of one user in
+    one millisecond are equal ints, and build equal contexts. 32 bits for
+    the rank hold more users than memory could."""
     # each user draws from a stream of its own, so the users can go in rank order
-    users = sorted(user_ids)
+    order = sorted(range(len(user_ids)), key=user_ids.__getitem__)
+    audios: list[EnrollmentAudio | None] = [None] * len(user_ids)
     arrivals: list[int] = []
     spec = scenario.runtime_arrivals
-    explicit_by_user: dict[str, list[int]] = {}
     if spec.explicit is not None:
-        for a in spec.explicit:
-            explicit_by_user.setdefault(a.user_id, []).append(a.time_ms)
-    for rank, user in enumerate(users):
-        if spec.explicit is not None:
-            arrivals += [t << _TIME_SHIFT | rank for t in explicit_by_user.get(user, [])]
-        else:
-            stream = node_stream(scenario.seed, USER_STREAM_BASE + int(user[1:]))
+        rank_of = {user_ids[i]: rank for rank, i in enumerate(order)}
+        arrivals = [a.time_ms << _TIME_SHIFT | rank_of[a.user_id] for a in spec.explicit]
+    for rank, i in enumerate(order):
+        stream = node_stream(scenario.seed, USER_STREAM_BASE + i)
+        audios[i] = EnrollmentAudio(user_ids[i], stream.seed, scenario.samples_per_user)
+        if spec.explicit is None:
             stream.skip(scenario.samples_per_user)  # the EnrollmentAudio's seeds
             draw, skip = stream.next_u64, stream.skip
             rate = spec.poisson_rate_per_user_per_s
@@ -99,7 +100,7 @@ def _generate_workload(scenario: Scenario, user_ids: list[str]) -> tuple[list[in
                 # gap to another place in the stream, and so every later time
                 skip(1)
     arrivals.sort()
-    return arrivals, users
+    return arrivals, audios, order
 
 
 def _runtime_arrivals(
@@ -133,15 +134,14 @@ def build(
     world = strategy_row(scenario.strategy).world(scenario, sim, log)
     sim.handler = world
 
-    arrivals, by_rank = _generate_workload(scenario, world.user_ids)
+    users = world.user_ids
+    arrivals, audios, order = _generate_workload(scenario, users)
     targets = world.device_targets
-    for user in world.user_ids:
-        state = node_stream(scenario.seed, USER_STREAM_BASE + int(user[1:])).state
-        audio = EnrollmentAudio(user, state, scenario.samples_per_user)
-        device = world.device_of(user)
+    devices = list(map(world.device_of, users))
+    for user, device, audio in zip(users, devices, audios):
         sim.schedule(0, targets[device], EnrollCtx(user, device, 0, audio))
-    devices = [world.device_of(user) for user in by_rank]
-    sim.feed(_runtime_arrivals(arrivals, by_rank, devices, targets), len(arrivals))
+    by_rank = [users[i] for i in order], [devices[i] for i in order]
+    sim.feed(_runtime_arrivals(arrivals, *by_rank, targets), len(arrivals))
     # each release numbered after the initial versions, in schedule order:
     # the releases are sorted by time, and those at one millisecond run in
     # the order they are scheduled

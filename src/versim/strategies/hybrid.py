@@ -19,6 +19,7 @@ Two flavors:
 from __future__ import annotations
 
 from ..domain import VersionId
+from ..topology import VERSION_SEQ
 from .common import (
     OK,
     STALE_PROFILES,
@@ -77,7 +78,7 @@ class HybridWorldBase(CloudWorldBase):
         re-enrollment."""
         device = self.devices[ctx.device_id]
         before = device.profiles.get(ctx.user_id, ())[-1:]
-        produced = sorted(ctx.produced, key=lambda p: p.version.seq)
+        produced = sorted(ctx.produced, key=VERSION_SEQ)
         for profile in produced:
             self._put(device, profile)
         if ctx.background:

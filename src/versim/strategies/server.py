@@ -476,9 +476,7 @@ class DoubleServerWorld(ServerWorldBase):
         self._maybe_finish_rollout()
 
     def _maybe_finish_rollout(self) -> None:
-        if not self.releases:
-            return
-        if self.updating or self._pump_lanes or self._pump_heap:
+        if not self.releases or self.updating or self._pump_lanes or self._pump_heap:
             return
         self._queue_stale_users()
         if self._pump_heap:

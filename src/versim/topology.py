@@ -16,8 +16,10 @@ one retention rule, ``store_profile``.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import ClassVar
 
 from .domain import NoEligibleServerError, UnknownUserError, UserProfile, VersionId, fnv1a64
@@ -36,6 +38,7 @@ class DispatchPolicy(Enum):
 # about 10x a plain name
 RANDOM = DispatchPolicy.RANDOM
 HASH_BY_USER = DispatchPolicy.HASH_BY_USER
+VERSION_SEQ = attrgetter("version.seq")  # a profile's sort key, without a Python frame
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,14 +78,15 @@ class DatabaseNode:
         self.store_profile(profile, retain)
 
     def store_profile(self, profile: UserProfile, retain: int | None) -> None:
-        """The one profile-retention rule: the user's profiles become a new
-        exact-size tuple with ``profile`` in place of any entry of its
-        version, ascending by seq, the lowest seqs dropped beyond ``retain``
-        (None: no cap)."""
-        user = profile.user_id
-        kept = [p for p in self.profiles.get(user, ()) if p.version.seq != profile.version.seq]
-        kept.append(profile)
-        kept.sort(key=lambda p: p.version.seq)
+        """The one profile-retention rule: ``profile`` is spliced into a copy
+        of the user's profiles, ascending by seq, in place of any entry of its
+        version, and the result is a new exact-size tuple, the lowest seqs
+        dropped beyond ``retain`` (None: no cap)."""
+        user, seq = profile.user_id, profile.version.seq
+        held = self.profiles.get(user, ())
+        i = bisect_left(held, seq, key=VERSION_SEQ)
+        kept = list(held)  # a list, not tuple slices, which raised peak RSS
+        kept[i : bisect_right(held, seq, i, key=VERSION_SEQ)] = (profile,)
         self.profiles[user] = tuple(kept if retain is None else kept[-retain:])
 
 
@@ -92,12 +96,7 @@ class FrontendNode:
     window and the sync-table mitigation's served-version table belong to
     their worlds, ``OfflineServerWorld`` and ``SyncTableServerWorld``.)"""
 
-    def __init__(
-        self,
-        server_ids: list[str],
-        policy: DispatchPolicy,
-        rng: SimRng,
-    ):
+    def __init__(self, server_ids: list[str], policy: DispatchPolicy, rng: SimRng):
         self.server_ids = list(server_ids)
         self.policy = policy
         self.rng = rng
@@ -110,13 +109,9 @@ class FrontendNode:
         if not eligible:
             raise NoEligibleServerError(f"no eligible server for {user_id!r}")
         if self.policy is HASH_BY_USER:
-            pick = self.server_ids[
-                fnv1a64(user_id.encode("utf-8")) % len(self.server_ids)
-            ]
+            pick = self.server_ids[fnv1a64(user_id.encode("utf-8")) % len(self.server_ids)]
             if pick not in eligible:
-                raise NoEligibleServerError(
-                    f"hash pick {pick!r} is not eligible for {user_id!r}"
-                )
+                raise NoEligibleServerError(f"hash pick {pick!r} is not eligible for {user_id!r}")
             return pick
         if self.policy is RANDOM:
             return eligible[self.rng.randrange(len(eligible))]

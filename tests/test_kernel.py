@@ -152,6 +152,60 @@ def test_send_on_a_fixed_link_steps_the_stream_as_one_draw():
         assert rng.next_u64() == twin.next_u64()
 
 
+class _AdditiveSplitMix64:
+    """Reference stream: SplitMix64 as published, adding the gamma to the
+    state on every step, mixed or not."""
+
+    def __init__(self, seed: int):
+        self.state = seed % 2**64
+
+    def step(self, n: int = 1) -> None:
+        self.state = (self.state + n * 0x9E3779B97F4A7C15) % 2**64
+
+    def next_u64(self) -> int:
+        self.step()
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        return z ^ (z >> 31)
+
+
+_rng_ops = st.one_of(
+    st.tuples(st.just("next_u64")),
+    # 0, a few steps, and counts past the state's 2**64 period
+    st.tuples(st.just("skip"), st.integers(0, 3) | st.integers(0, 2**66)),
+    st.tuples(st.just("randrange"), st.integers(1, 3) | st.integers(1, 2**64)),
+    # a hop on a link without jitter (0) or with it
+    st.tuples(st.just("send"), st.integers(0, 3) | st.integers(0, 2**40)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1) | st.integers(0, 2**66), ops=st.lists(_rng_ops, max_size=40))
+def test_simrng_matches_an_additive_splitmix64(seed, ops):
+    # the stream counts the steps it does not mix and folds them in at the
+    # next mix; every output and every position must be the reference's,
+    # which mixes every step (a draw among one value reads 0 either way)
+    rng, reference = SimRng(seed), _AdditiveSplitMix64(seed)
+    sim, arrived = _arrivals()
+    expected = {}
+    assert rng.state == reference.state
+    for i, (op, *arg) in enumerate(ops):
+        if op == "next_u64":
+            assert rng.next_u64() == reference.next_u64()
+        elif op == "skip":
+            rng.skip(arg[0])
+            reference.step(arg[0])
+        elif op == "randrange":
+            assert rng.randrange(arg[0]) == reference.next_u64() % arg[0]
+        else:
+            sim.send(LatencyModel(2, arg[0]), rng, "n", Ping(str(i)))
+            expected[str(i)] = 2 + reference.next_u64() % (arg[0] + 1)
+        assert rng.state == reference.state
+    sim.run_until(2**41)
+    assert arrived == expected
+
+
 @pytest.mark.parametrize("base_ms, jitter_ms", [(-1, 0), (0, -1)])
 def test_a_negative_latency_is_refused(base_ms, jitter_ms):
     with pytest.raises(ValueError, match="negative latency"):

@@ -1,7 +1,7 @@
 """``src/versim/`` stays within its line budgets.
 
 The strategy controllers hold the most code in the package and the most
-duplication to remove. Their budget is 1,456 lines counted as ``wc -l``
+duplication to remove. Their budget is 1,455 lines counted as ``wc -l``
 counts them, 39% below the 2,374 of the first version; the run log, which
 counts what the worlds report, lives in ``metrics.py``. The whole package
 is capped at 3,204 lines, so that code moved out of ``strategies/`` still
@@ -12,7 +12,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "versim"
 STRATEGIES = PACKAGE / "strategies"
-BUDGET = 1_456
+BUDGET = 1_455
 PACKAGE_BUDGET = 3_204
 
 

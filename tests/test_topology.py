@@ -1,6 +1,8 @@
 """Node behavior: release update draws, profile stores, dispatch, device storage."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from versim.domain import (
     AudioSample,
@@ -100,6 +102,34 @@ def test_store_profile_keeps_a_new_tuple_of_exactly_the_kept_profiles():
     assert _stored_after(kept, p1, None) == (p1, p2, p3)
     again = _profile("u000", V2, seed=9)
     assert _stored_after(kept, again, 2) == (again, p3)
+
+
+def _listed_rule(held, profile, retain):
+    """The store rule as a filter, append and sort: the reference for the
+    splice that ``store_profile`` makes into the held tuple."""
+    kept = [p for p in held if p.version.seq != profile.version.seq]
+    kept.append(profile)
+    kept.sort(key=lambda p: p.version.seq)
+    return tuple(kept if retain is None else kept[-retain:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    retain=st.sampled_from([None, 1, 2]),
+    # (user, version seq) per put: new, older and same-version puts interleaved
+    puts=st.lists(st.tuples(st.sampled_from(["u000", "u001"]), st.integers(1, 6)), max_size=30),
+)
+def test_store_profile_splices_as_filter_append_and_sort_would(retain, puts):
+    store = DeviceNode()
+    reference: dict[str, tuple] = {}
+    for i, (user, seq) in enumerate(puts):
+        # a new object per put, so a replaced profile is told from the one it replaced
+        profile = _profile(user, VersionId(f"V{seq}", seq), seed=i)
+        reference[user] = _listed_rule(reference.get(user, ()), profile, retain)
+        store.store_profile(profile, retain)
+        kept = store.profiles[user]
+        assert type(kept) is tuple
+        assert [id(p) for p in kept] == [id(p) for p in reference[user]]
 
 
 def _frontend(policy):
