@@ -76,10 +76,6 @@ class SimRng:
         self.seed = seed & _MASK64
         self.steps = 0
 
-    @property
-    def state(self) -> int:
-        return (self.seed + self.steps * _GOLDEN) & _MASK64
-
     def next_u64(self) -> int:
         self.steps = n = self.steps + 1
         z = (self.seed + n * _GOLDEN) & _MASK64

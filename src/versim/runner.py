@@ -33,7 +33,7 @@ from .domain import SimulationError, VersionId
 from .engine import EnrollmentAudio
 from .kernel import STALL_FACTOR, Simulator, TraceSink, node_stream
 from .metrics import ReenrollEvent, Report, RequestRecord, RunLog
-from .scenario import Scenario, strategy_row
+from .scenario import Scenario, strategy_row, validate
 from .strategies.common import USER_STREAM_BASE, EnrollCtx, RuntimeCtx, WorldBase
 from .topology import ModelRelease
 
@@ -125,7 +125,9 @@ def build(
 ) -> tuple[Simulator, WorldBase, RunLog]:
     """World, simulator and log with the whole workload queued: the
     enrollment arrivals and releases scheduled, and the runtime arrivals fed
-    as a stream. ``trace`` and ``logs`` are as for ``run``."""
+    as a stream. ``trace`` and ``logs`` are as for ``run``. A scenario that
+    breaks a rule of ``scenario.validate`` raises ``ScenarioValidationError``."""
+    validate(scenario)
     log = RunLog(keep=logs)
     # the progress tripwire: 64 events a millisecond per user, server and
     # device, so a release or sweep that reaches every node stays under it

@@ -191,13 +191,13 @@ def _check_version_id(version_id: str, name: str) -> None:
         _fail(name, "must be printable, with no whitespace and no comma")
 
 
-def _is_user_id(user: object, users: int) -> bool:
-    """Whether ``user`` is one of u000 .. u{users - 1:03d}, checked without
-    building that set, since a scenario may declare any number of users."""
+def _check_user_id(user: object, users: int, name: str) -> None:
+    """Fail unless ``user`` is one of u000 .. u{users - 1:03d}, checked
+    without building that set, since a scenario may declare any number of users."""
     digits = user[1:] if isinstance(user, str) and user[:1] == "u" else ""
-    if not (digits.isascii() and digits.isdigit()) or len(digits) > 4000:
-        return False
-    return int(digits) < users and f"u{int(digits):03d}" == user
+    well_formed = digits.isascii() and digits.isdigit() and len(digits) <= 4000
+    if not (well_formed and int(digits) < users and f"u{int(digits):03d}" == user):
+        _fail(name, f"unknown user {user!r} (users are u000..u{users - 1:03d})")
 
 
 def _parse_latency(obj: object) -> LinkLatencies:
@@ -311,16 +311,19 @@ def _parse_arrivals(obj: object, users: int) -> ArrivalSpec:
     for i, raw in enumerate(raw_explicit):
         where = f"runtime_arrivals.explicit[{i}]"
         arrival = _given(raw, ExplicitArrival, where)
-        user = arrival.get("user_id")
-        if not _is_user_id(user, users):
-            _fail(f"{where}.user_id", f"unknown user {user!r} (users are u000..u{users - 1:03d})")
+        _check_user_id(arrival.get("user_id"), users, f"{where}.user_id")
         explicit.append(ExplicitArrival(**arrival))
     explicit.sort(key=lambda a: (a.time_ms, a.user_id))
     return ArrivalSpec(explicit=tuple(explicit))
 
 
-def _validate(sc: Scenario) -> None:
-    """The rules that tie fields of different levels together."""
+def validate(sc: Scenario) -> None:
+    """The rules that tie fields of different levels together.
+    ``scenario_from_dict`` applies them to what it parses, and
+    ``runner.build`` to every scenario it runs, so a ``Scenario`` made or
+    changed in code (``dataclasses.replace``) is held to them too."""
+    for i, arrival in enumerate(sc.runtime_arrivals.explicit or ()):
+        _check_user_id(arrival.user_id, sc.users, f"runtime_arrivals.explicit[{i}].user_id")
     all_versions = sc.initial_versions + tuple(r.version_id for r in sc.releases)
     if len(set(all_versions)) != len(all_versions):
         _fail("releases", "version ids must be unique across initial versions and releases")
@@ -358,7 +361,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     if "latency" in given:
         given["latency"] = _parse_latency(given["latency"])
     scenario = Scenario(**given)
-    _validate(scenario)
+    validate(scenario)
     return scenario
 
 

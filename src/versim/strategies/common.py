@@ -35,14 +35,15 @@ on the base alone.
 ``CloudWorldBase`` is the cloud fleet of the SERVER and HYBRID worlds: the
 servers, kept as two tables (each one's engine in ``engines``, the ones
 mid-update in ``updating``), the frontend, the served-version index, the
-rollout, the cloud jobs, runtime dispatch, and the one enrollment flow.
-That flow admits the device's request, plans its legs, sends one enroll job
-per leg, keeps each produced profile, answers enroll-response, and records
-the request. The worlds differ only in where profiles are kept:
-``server.py`` hops to the database (the audio first, then a put per leg),
-while in ``hybrid.py`` the device keeps the profiles when the response
-reaches it, and resumes the runtime request that an in-path re-enrollment
-served.
+rollout, the cloud jobs, runtime dispatch, and the one enrollment flow:
+admit the device's request, plan the legs, send one enroll job per leg,
+keep each produced profile, answer, and record. Both request flows share
+the job, answer and record hops, with one method each, since each flow
+context names its kinds of them (``job``, ``response``, ``record``). The
+worlds differ only in where profiles are kept: ``server.py`` hops to the
+database (the audio first, then a put per leg), while in ``hybrid.py`` the
+device keeps the profiles when the response reaches it, and resumes the
+runtime request that an in-path re-enrollment served.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def _user(ctx) -> str:
     return f"user={ctx.user_id}"
 
 
-def _answered(ctx) -> str:
+def _outcome(ctx) -> str:
     # ``_value_`` is a plain attribute; ``Enum.value`` is a slower property
     return f"user={ctx.user_id} outcome={ctx.outcome._value_}"
 
@@ -144,8 +145,8 @@ _SUMMARIES: dict[str, Callable[..., str]] = {
     "enroll-request": _user,
     "runtime-request": _user,
     "handshake-request": lambda c: f"user={c.device_id}",
-    "enroll-response": _answered,
-    "runtime-response": _answered,
+    "enroll-response": _outcome,
+    "runtime-response": _outcome,
     "recognize-job": _on_server,
     "retry-signal": _on_server,
     "retry-needed": _on_server,
@@ -194,6 +195,10 @@ class EnrollCtx(FlowCtx):
     enrolls on its one leg's version."""
 
     flow: ClassVar[str] = "enroll"
+    job: ClassVar[str] = "enroll-job"
+    response: ClassVar[str] = "enroll-response"
+    record: ClassVar[str] = "ENROLL"
+    reenrolls: ClassVar[int] = 0  # an enrollment's record counts no in-path repair
     user_id: str
     device_id: str
     submitted: int
@@ -223,6 +228,9 @@ class RuntimeCtx(FlowCtx):
     it is the message of runtime-arrival and device-task-done."""
 
     flow: ClassVar[str] = "runtime"
+    job: ClassVar[str] = "recognize-job"
+    response: ClassVar[str] = "runtime-response"
+    record: ClassVar[str] = "RUNTIME"
     user_id: str
     device_id: str
     submitted: int
@@ -381,7 +389,7 @@ class CloudWorldBase(WorldBase):
     SERVER and HYBRID deployments share. It owns the servers and their rng
     streams, the frontend, the served-version index, release serialization,
     the rollout, the cloud job handlers, the enrollment flow, the runtime
-    dispatch (single-version and DOUBLE) and the runtime response path.
+    dispatch (single-version and DOUBLE) and both flows' response path.
 
     A server is its id, the key of two tables: ``engines``, the engine it
     serves on, and ``updating``, the servers mid-update. A server mid-update
@@ -390,17 +398,15 @@ class CloudWorldBase(WorldBase):
 
     A single-version world runs one server group on the initial version, and
     a release updates every server at once, each for its own drawn duration.
-    A ``double`` world (DOUBLE) splits the fleet into two fixed groups that
+    A DOUBLE world (``retain`` 2) splits the fleet into two fixed groups that
     serve two consecutive versions, and a release rolls the older group. A
     release is done when its last server is, unless the world holds it open.
     """
 
-    double = False
-
     def __init__(self, scenario: "Scenario", sim: Simulator, log: RunLog):
         super().__init__(scenario, sim, log)
         server_ids = [f"s{i:02d}" for i in range(scenario.cloud_servers)]
-        if self.double:
+        if self.retain == 2:
             # the first group, one larger when the count is odd, starts on the
             # older initial version
             half = (len(server_ids) + 1) // 2
@@ -556,7 +562,7 @@ class CloudWorldBase(WorldBase):
         first. The plan is one leg on any server for the single-version
         policies, and one leg per served version, oldest first, for DOUBLE."""
         if not ctx.plan:
-            ctx.plan = self.served_versions[-2:] if self.double else (None,)
+            ctx.plan = self.served_versions[-2:] if self.retain == 2 else (None,)
         self._next_enroll_leg(ctx)
 
     def _next_enroll_leg(self, ctx: EnrollCtx) -> None:
@@ -575,14 +581,15 @@ class CloudWorldBase(WorldBase):
                 if not eligible:
                     continue
                 server_id = self.frontend.choose(ctx.user_id, eligible)
-            self._send_enroll_job(server_id, ctx, self.leg_token)
+            self._send_job(server_id, ctx, self.leg_token)
             return
-        self._respond_enroll(ctx, OK)
+        self._respond(ctx)
 
-    def _send_enroll_job(self, server_id: str, ctx, token: str) -> None:
-        """Enroll ``ctx.audio`` on the server; ``token`` names the step that
-        takes the produced profile, the last of ``ctx.produced``."""
-        ctx.kind = "enroll-job"
+    def _send_job(self, server_id: str, ctx, token: str = "") -> None:
+        """Send the flow's job (``ctx.job``) to the server. An enroll job's
+        ``token`` names the step that takes the produced profile, the last of
+        ``ctx.produced``; no step reads a recognize job's."""
+        ctx.kind = ctx.job
         ctx.server_id = server_id
         ctx.token = token
         self.sim.send(self._cloud_link, self.frontend.rng, self._cloud_targets[server_id], ctx)
@@ -592,14 +599,6 @@ class CloudWorldBase(WorldBase):
         self._conts[ctx.token](self, ctx)
 
     _on_enroll_job_done = _continue
-
-    def _respond_enroll(self, ctx: EnrollCtx, outcome: Outcome) -> None:
-        ctx.kind = "enroll-response"
-        ctx.outcome = outcome
-        self.sim.send(self._device_link, self.frontend.rng, self.device_targets[ctx.device_id], ctx)
-
-    def _on_enroll_response(self, target, ctx: EnrollCtx):
-        self.log.request_done("ENROLL", ctx.user_id, ctx.submitted, self.sim.now, ctx.outcome)
 
     # -- runtime requests: the device sends the request, with the profiles
     # it holds under HYBRID; a world that keeps them elsewhere fetches them
@@ -612,16 +611,11 @@ class CloudWorldBase(WorldBase):
     def _on_runtime_request(self, target, ctx: RuntimeCtx):
         self._dispatch_runtime(ctx)
 
-    def _send_recognize_job(self, server_id: str, ctx: RuntimeCtx) -> None:
-        ctx.kind = "recognize-job"
-        ctx.server_id = server_id
-        self.sim.send(self._cloud_link, self.frontend.rng, self._cloud_targets[server_id], ctx)
-
     def _dispatch_runtime(self, ctx: RuntimeCtx) -> None:
         """Single-version dispatch: a retried request to the server it went
         to, else to any server."""
         fe = self.frontend
-        self._send_recognize_job(ctx.server_id or fe.choose(ctx.user_id, fe.server_ids), ctx)
+        self._send_job(ctx.server_id or fe.choose(ctx.user_id, fe.server_ids), ctx)
 
     def _dispatch_to_common_version(self, ctx: RuntimeCtx) -> bool:
         """DOUBLE dispatch: send the request to a live server of the newest
@@ -632,20 +626,23 @@ class CloudWorldBase(WorldBase):
         if not usable:
             return False
         server_id = self.frontend.choose(ctx.user_id, self.servers_serving(usable[-1]))
-        self._send_recognize_job(server_id, ctx)
+        self._send_job(server_id, ctx)
         return True
 
-    # -- runtime responses
-
     def _on_recognize_job_done(self, target, ctx: RuntimeCtx):
-        self._respond_runtime(ctx, OK)
+        self._respond(ctx)
 
-    def _respond_runtime(self, ctx: RuntimeCtx, outcome: Outcome) -> None:
-        ctx.kind = "runtime-response"
+    # -- responses, one path for both flows: the frontend answers with the
+    # flow's ``response`` kind, and the device records its ``record`` kind
+
+    def _respond(self, ctx: EnrollCtx | RuntimeCtx, outcome: Outcome = OK) -> None:
+        ctx.kind = ctx.response
         ctx.outcome = outcome
         self.sim.send(self._device_link, self.frontend.rng, self.device_targets[ctx.device_id], ctx)
 
-    def _on_runtime_response(self, target, ctx: RuntimeCtx):
+    def _on_enroll_response(self, target, ctx: EnrollCtx | RuntimeCtx):
         self.log.request_done(
-            "RUNTIME", ctx.user_id, ctx.submitted, self.sim.now, ctx.outcome, ctx.reenrolls
+            ctx.record, ctx.user_id, ctx.submitted, self.sim.now, ctx.outcome, ctx.reenrolls
         )
+
+    _on_runtime_response = _on_enroll_response

@@ -68,10 +68,7 @@ class DeviceWorld(WorldBase):
         if ctx.flow == "enroll":
             profile = EngineInstance(ctx.plan[0]).enroll(ctx.user_id, ctx.audio)
             self._put(self.devices[ctx.device_id], profile)
-            kind = "ENROLL"
-        else:
-            kind = "RUNTIME"
-        self.log.request_done(kind, ctx.user_id, ctx.submitted, self.sim.now, OK)
+        self.log.request_done(ctx.record, ctx.user_id, ctx.submitted, self.sim.now, OK)
 
     # -- releases
 

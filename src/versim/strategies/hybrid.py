@@ -149,11 +149,10 @@ class HybridDoubleWorld(HybridWorldBase):
     engine work, and the device re-enrolls in the background."""
 
     retain = 2
-    double = True
 
     def _dispatch_runtime(self, ctx: RuntimeCtx) -> None:
         if not self._dispatch_to_common_version(ctx):
-            self._respond_runtime(ctx, STALE_PROFILES)
+            self._respond(ctx, STALE_PROFILES)
 
     def _on_runtime_response(self, target, ctx: RuntimeCtx):
         super()._on_runtime_response(target, ctx)

@@ -34,8 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import ClassVar
 
-from ..domain import NoCommonVersionError, Outcome, UserProfile, VersionId
+from ..domain import NoCommonVersionError, UserProfile, VersionId
 from ..engine import EnrollmentAudio
 from ..kernel import node_stream
 from ..topology import DatabaseNode, ModelRelease
@@ -62,6 +63,7 @@ class _SweepCtx(FlowCtx):
     ``profiles`` tuple is never changed, so its newest is the version the
     user is re-enrolled from."""
 
+    job: ClassVar[str] = "enroll-job"
     user_id: str
     lane: int
     kind: str = ""
@@ -93,7 +95,7 @@ class ServerWorldBase(CloudWorldBase):
             self.leg_token: cls._put_leg,
             self.put_token: cls._next_enroll_leg,
             "runtime.fetched": cls._runtime_fetched,
-            "runtime.put": cls._runtime_put,
+            "runtime.put": cls._respond,
             f"{self.pump_token}.fetched": cls._pump_fetched,
             f"{self.pump_token}.done": cls._pump_enrolled,
             f"{self.pump_token}.put": cls._pump_put,
@@ -145,7 +147,7 @@ class ServerWorldBase(CloudWorldBase):
     def _runtime_fetched(self, ctx: RuntimeCtx):
         if not ctx.profiles:
             # not enrolled: reject without engine work
-            self._respond_runtime(ctx, OK)
+            self._respond(ctx)
             return
         self._dispatch_runtime(ctx)
 
@@ -153,10 +155,7 @@ class ServerWorldBase(CloudWorldBase):
         if ctx.produced:
             self._to_db("db-put-profile", "runtime.put", ctx)
             return
-        self._respond_runtime(ctx, OK)
-
-    def _runtime_put(self, ctx: RuntimeCtx) -> None:
-        self._respond_runtime(ctx, OK)
+        self._respond(ctx)
 
     # -- the re-enrollment pump: each lane takes queued users one at a time
     # and does fetch, enroll-job on the newest served version, put. The
@@ -201,7 +200,7 @@ class ServerWorldBase(CloudWorldBase):
             return
         # a version reported as served always has a live server behind it
         server_id = self._pump_server(ctx, self.servers_serving(newest_served))
-        self._send_enroll_job(server_id, ctx, f"{self.pump_token}.done")
+        self._send_job(server_id, ctx, f"{self.pump_token}.done")
 
     def _pump_enrolled(self, ctx: _SweepCtx):
         self._to_db("db-put-profile", f"{self.pump_token}.put", ctx)
@@ -259,22 +258,17 @@ class SyncTableServerWorld(OnlineServerWorld):
         self._round_seq = 0
         self.sim.schedule(self.cfg.sync_table_period_ms, "frontend", SYNC_TICK)
 
-    # -- a server mid-update refuses work
+    # -- a server mid-update refuses work; otherwise the job runs as in
+    # any online world
 
     def _on_enroll_job(self, target, ctx):
-        if not self._refused(ctx):
-            super()._on_enroll_job(target, ctx)
+        if ctx.server_id in self.updating:
+            ctx.kind = "job-rejected"
+            self.sim.send(self._cloud_link, self.cloud_rng[ctx.server_id], "frontend", ctx)
+            return
+        OnlineServerWorld._handlers[ctx.kind](self, target, ctx)
 
-    def _on_recognize_job(self, target, ctx):
-        if not self._refused(ctx):
-            super()._on_recognize_job(target, ctx)
-
-    def _refused(self, ctx) -> bool:
-        if ctx.server_id not in self.updating:
-            return False
-        ctx.kind = "job-rejected"
-        self.sim.send(self._cloud_link, self.cloud_rng[ctx.server_id], "frontend", ctx)
-        return True
+    _on_recognize_job = _on_enroll_job
 
     # -- dispatch from the table: the enrollment's one leg and every runtime
     # request go where the table says
@@ -299,11 +293,8 @@ class SyncTableServerWorld(OnlineServerWorld):
                 newest_listed = max(versions, key=lambda v: v.seq)
                 eligible = [s for s in fe.server_ids if table[s] == newest_listed]
         if eligible:
-            server_id = fe.choose(ctx.user_id, eligible)
-            if ctx.flow == "runtime":
-                self._send_recognize_job(server_id, ctx)
-            else:
-                self._send_enroll_job(server_id, ctx, self.leg_token)
+            # the leg token is inert on a recognize job
+            self._send_job(fe.choose(ctx.user_id, eligible), ctx, self.leg_token)
             return
         if not refreshed:
             self._start_refresh(waiter=ctx)
@@ -373,27 +364,15 @@ class OfflineServerWorld(ServerWorldBase):
 
     def _on_enroll_request(self, target, ctx):
         if self.releases:
-            self._respond_enroll(ctx, MAINTENANCE)
+            self._respond(ctx, MAINTENANCE)
             return
         self._inflight += 1
-        super()._on_enroll_request(target, ctx)
+        ServerWorldBase._handlers[ctx.kind](self, target, ctx)
 
-    def _on_runtime_request(self, target, ctx):
-        if self.releases:
-            self._respond_runtime(ctx, MAINTENANCE)
-            return
-        self._inflight += 1
-        super()._on_runtime_request(target, ctx)
+    _on_runtime_request = _on_enroll_request
 
-    def _respond_enroll(self, ctx, outcome):
-        super()._respond_enroll(ctx, outcome)
-        self._answered(outcome)
-
-    def _respond_runtime(self, ctx, outcome):
-        super()._respond_runtime(ctx, outcome)
-        self._answered(outcome)
-
-    def _answered(self, outcome: Outcome) -> None:
+    def _respond(self, ctx, outcome=OK):
+        super()._respond(ctx, outcome)
         # only a refused request is answered MAINTENANCE
         if outcome is not MAINTENANCE:
             self._inflight -= 1
@@ -438,17 +417,18 @@ class DoubleServerWorld(ServerWorldBase):
     the background sweep has given every stored user a profile for it."""
 
     retain = 2
-    double = True
     leg_token, put_token = "enroll2.done", "enroll2.put"
     pump_token = "sweep"
 
-    def _respond_enroll(self, ctx: EnrollCtx, outcome: Outcome) -> None:
-        if len({p.version.seq for p in ctx.produced}) < 2:
+    def _respond(self, ctx, outcome=OK):
+        # an enrollment is checked before its answer is sent, so the
+        # sweep-step queued here takes the earlier seq
+        if ctx.flow == "enroll" and len({p.version.seq for p in ctx.produced}) < 2:
             # one group was mid-update at planning, or a release took a leg's
             # version out of service; the sweep will produce the second profile
             self._queue_reenroll(ctx.user_id)
             self._kick_sweep()
-        super()._respond_enroll(ctx, outcome)
+        super()._respond(ctx, outcome)
 
     # runtime: version intersection, no inline repair
 
@@ -463,7 +443,8 @@ class DoubleServerWorld(ServerWorldBase):
         if ctx.profiles[-1].version.seq < self.served_versions[-1].seq:
             self._queue_reenroll(ctx.user_id)
         self._kick_sweep()
-        super()._on_recognize_job_done(target, ctx)
+        # no inline repair, so no put; the answer skips the enroll check above
+        super()._respond(ctx)
 
     # release rollout: the base rolls the older group; the release stays open
     # until the sweep is done

@@ -107,7 +107,7 @@ def test_skip_leaves_the_stream_where_n_draws_would(n):
         skipped.skip(n)
         for _ in range(n):
             drawn.next_u64()
-        assert skipped.state == drawn.state
+        assert skipped.steps == drawn.steps == n
         assert [skipped.next_u64() for _ in range(3)] == [drawn.next_u64() for _ in range(3)]
 
 
@@ -131,7 +131,7 @@ def test_send_on_a_jittered_link_queues_at_now_extra_and_one_draw():
             for i, extra in enumerate((0, 0, 7, 30, 0)):
                 sim.send(link, rng, "n", Ping(str(i)), extra)
                 expected[str(i)] = 10 + extra + 5 + twin.next_u64() % (jitter_ms + 1)
-            assert rng.state == twin.state
+            assert rng.steps == twin.steps
             sim.run_until(10_000)
             assert arrived == expected
 
@@ -146,7 +146,7 @@ def test_send_on_a_fixed_link_steps_the_stream_as_one_draw():
         for i in range(3):
             sim.send(link, rng, "n", Ping(str(i)), i)
             twin.next_u64()
-            assert rng.state == twin.state
+            assert rng.steps == twin.steps
         sim.run_until(100)
         assert arrived == {"0": 4, "1": 5, "2": 6}
         assert rng.next_u64() == twin.next_u64()
@@ -170,6 +170,11 @@ class _AdditiveSplitMix64:
         return z ^ (z >> 31)
 
 
+def _state(rng: SimRng) -> int:
+    """The additive state of ``rng``: its seed plus one gamma per counted step."""
+    return (rng.seed + rng.steps * 0x9E3779B97F4A7C15) % 2**64
+
+
 _rng_ops = st.one_of(
     st.tuples(st.just("next_u64")),
     # 0, a few steps, and counts past the state's 2**64 period
@@ -189,7 +194,7 @@ def test_simrng_matches_an_additive_splitmix64(seed, ops):
     rng, reference = SimRng(seed), _AdditiveSplitMix64(seed)
     sim, arrived = _arrivals()
     expected = {}
-    assert rng.state == reference.state
+    assert _state(rng) == reference.state
     for i, (op, *arg) in enumerate(ops):
         if op == "next_u64":
             assert rng.next_u64() == reference.next_u64()
@@ -201,7 +206,7 @@ def test_simrng_matches_an_additive_splitmix64(seed, ops):
         else:
             sim.send(LatencyModel(2, arg[0]), rng, "n", Ping(str(i)))
             expected[str(i)] = 2 + reference.next_u64() % (arg[0] + 1)
-        assert rng.state == reference.state
+        assert _state(rng) == reference.state
     sim.run_until(2**41)
     assert arrived == expected
 
@@ -750,7 +755,7 @@ def _hops(sim_class, pre, followups, horizons):
     for horizon in horizons:
         sim.run_until(horizon)
         seen.append(("clock", sim.now))
-    return trace, seen, [rng.state for rng in rngs]
+    return trace, seen, [rng.steps for rng in rngs]
 
 
 _calls = st.tuples(

@@ -28,6 +28,10 @@ runner.build numbers every version once: the world's initial versions
 1..n, and each release after them in file order, which is schedule order,
 also for releases at one millisecond. The release event carries that number.
 
+runner.build holds every scenario to the cross-field rules of
+scenario.validate, also one made with ``dataclasses.replace``: a broken one
+raises ScenarioValidationError naming the field before any world is built.
+
 runner.build also picks the world, and only the SYNC_TABLE world carries the
 sync-table machinery; only the SINGLE_OFFLINE world keeps a maintenance
 window and answers MAINTENANCE. Each world class handles exactly the
@@ -49,7 +53,12 @@ from versim.engine import EngineInstance, EnrollmentAudio
 from versim.kernel import StalledClockError, node_stream
 from versim.metrics import report_to_json, summarize
 from versim.runner import RunFailedError, build, run
-from versim.scenario import ReleaseSpec, load_scenario, scenario_from_dict
+from versim.scenario import (
+    ReleaseSpec,
+    ScenarioValidationError,
+    load_scenario,
+    scenario_from_dict,
+)
 from versim import metrics, runner
 from versim.strategies.server import SyncTableServerWorld
 from versim.strategies.common import USER_STREAM_BASE, RuntimeCtx
@@ -467,3 +476,23 @@ def test_a_burst_at_one_millisecond_raises_its_own_bound(name, strategy, initial
         }
     )
     assert run(scenario).report.total_requests["RUNTIME"]["OK"] == 600
+
+
+def test_build_refuses_an_explicit_arrival_for_a_user_the_scenario_lacks():
+    explicit = {"explicit": [{"time_ms": 5, "user_id": "u003"}]}
+    parsed = scenario_from_dict({"users": 4, "runtime_arrivals": explicit, "duration_ms": 100})
+    with pytest.raises(ScenarioValidationError, match=r"explicit\[0\]\.user_id: unknown user"):
+        build(replace(parsed, users=2))
+
+
+def test_build_refuses_a_double_scenario_with_one_server():
+    parsed = scenario_from_dict(
+        {
+            "strategy": {"policy": "DOUBLE"},
+            "initial_versions": ["V1", "V2"],
+            "releases": [{"time_ms": 50, "version_id": "R1"}],
+            "duration_ms": 100,
+        }
+    )
+    with pytest.raises(ScenarioValidationError, match="^cloud_servers: "):
+        run(replace(parsed, cloud_servers=1))
