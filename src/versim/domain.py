@@ -17,7 +17,7 @@ order a set of those tuples would; ``UserProfile`` has its own eq and hash.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Collection, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 FNV64_OFFSET = 14695981039346656037
 FNV64_PRIME = 1099511628211
@@ -120,7 +120,7 @@ class UserProfile(NamedTuple):
 
     user_id: str
     version: VersionId
-    audio: Collection[AudioSample]
+    audio: Iterable[AudioSample]
 
     @property
     def digest(self) -> int:

@@ -16,7 +16,7 @@ profile keeps the audio and derives its digest when read (see
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .domain import (
@@ -36,14 +36,13 @@ __all__ = ["EngineInstance", "EnrollmentAudio"]
 class EnrollmentAudio:
     """A user's ``count`` enrollment samples of 1 s, kept as the SplitMix64
     stream ``state`` that draws their seeds: iterating derives the samples,
-    so the stores, the flows and the profiles share this one small value."""
+    so the stores, the flows and the profiles share this one small value.
+    It has no ``len``: a run's audio has ``samples_per_user`` >= 1 samples,
+    so it is true without a Python call where ``enroll`` tests for none."""
 
     speaker_id: str
     state: int
     count: int
-
-    def __len__(self) -> int:
-        return self.count
 
     def __iter__(self) -> Iterator[AudioSample]:
         draw = SimRng(self.state).next_u64
@@ -57,7 +56,7 @@ class EngineInstance:
 
     model: VersionId
 
-    def enroll(self, user_id: str, samples: Collection[AudioSample]) -> UserProfile:
+    def enroll(self, user_id: str, samples: Iterable[AudioSample]) -> UserProfile:
         if not user_id:
             raise EmptyUserIdError("enroll called with an empty user id")
         if not samples:

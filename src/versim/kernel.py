@@ -28,14 +28,17 @@ server) or that nothing reads (``SimRng.skip``) is a step that ``SimRng`` only
 counts, to the position ``next_u64`` would leave it at, so stream positions
 never depend on whether a link has jitter.
 
-Each executed event's trace line is made before its handler runs; a sink
-gets the lines in order, at most ``TRACE_BLOCK`` to an ``extend`` call, all
-before ``run_until`` returns or raises. A full block goes out once the event
-that fills it has run, so a sink that raises stops the run between two
-events and loses none. A block handed over is the sink's to keep: the
-kernel never touches it again. ``runner.run(trace=lines)`` with a list
-collects every line; the command line's sink writes each block to the
-``--trace`` file at once, so at most a block is held in memory.
+Each executed event's trace line is made before its handler runs, in one
+call: ``formats[kind](stamp, seq, target, message)`` builds the whole line,
+its stamp (the time and a tab) made once per bucket; the worlds' table is
+``strategies.common.TRACE_LINES``. A sink gets the lines in order, at most
+``TRACE_BLOCK`` to an ``extend`` call, all before ``run_until`` returns or
+raises. A full block goes out once the event that fills it has run, so a
+sink that raises stops the run between two events and loses none. A block
+handed over is the sink's to keep: the kernel never touches it again.
+``runner.run(trace=lines)`` with a list collects every line; the command
+line's sink writes each block to the ``--trace`` file at once, so at most a
+block is held in memory.
 """
 
 from __future__ import annotations
@@ -117,13 +120,12 @@ class LatencyModel:
 class Payload(Protocol):
     kind: str
 
-    def summary(self) -> str: ...
-
 
 class TraceSink(Protocol):
-    """Where trace lines go: a ``list[str]``, or any object whose ``extend``
-    takes them (without newlines) in order, at most ``TRACE_BLOCK`` at a time,
-    all before ``run_until`` returns or raises. It may keep a list it gets."""
+    """Where the trace lines that ``Simulator.formats`` builds go: a
+    ``list[str]``, or any object whose ``extend`` takes them (without
+    newlines) in order, at most ``TRACE_BLOCK`` at a time, all before
+    ``run_until`` returns or raises. It may keep a list it gets."""
 
     def extend(self, lines: list[str]) -> None: ...
 
@@ -137,10 +139,11 @@ class Simulator:
     ``handler`` is either a callable taking (target, payload) or an object
     with a ``handle(target, payload)`` method; it is resolved once at each
     ``run_until`` entry, so a method patched after construction is honoured.
-    A trace sink gets one tab-separated line per executed event, in the
-    blocks that the module docstring describes. If a handler, the fed stream
-    or the sink's ``extend`` raises, ``current`` holds the (time, seq) of the
-    last event that ran, and the next ``run_until`` goes on from there.
+    A trace sink gets one tab-separated line per executed event, which the
+    ``formats`` table builds by message kind, in the blocks that the module
+    docstring describes. If a handler, the fed stream or the sink's
+    ``extend`` raises, ``current`` holds the (time, seq) of the last event
+    that ran, and the next ``run_until`` goes on from there.
 
     ``stall_bound`` is the progress tripwire: a millisecond's bucket may run
     that many events plus ``STALL_FACTOR`` per event queued there when the
@@ -152,10 +155,12 @@ class Simulator:
 
     __slots__ = (
         "handler", "_fed", "_next", "_fed_seq", "_fed_first", "_fed_end", "_counted", "_buckets",
-        "_times", "_seq", "now", "trace", "current", "stall_bound",
+        "_times", "_seq", "now", "trace", "formats", "current", "stall_bound",
     )  # fmt: skip
 
-    def __init__(self, handler, trace: TraceSink | None = None, stall_bound: int = sys.maxsize):
+    def __init__(
+        self, handler, trace: TraceSink | None = None, stall_bound: int = sys.maxsize, formats=None
+    ):
         self.handler = handler
         self.stall_bound = stall_bound
         # the fed stream, its next event (None: none left) and that one's seq, its seqs [first, end)
@@ -172,6 +177,7 @@ class Simulator:
         self._seq = 0
         self.now = 0
         self.trace = trace
+        self.formats = formats
         self.current: tuple[int, int] | None = None
 
     def schedule(self, at: int, target: str, payload: Payload) -> None:
@@ -256,6 +262,7 @@ class Simulator:
         buckets = self._buckets
         times = self._times
         trace = self.trace
+        formats = self.formats
         lines: list[str] = []  # not yet handed to the sink
         emit = lines.append
         handle = getattr(self.handler, "handle", self.handler)
@@ -289,7 +296,7 @@ class Simulator:
                             bucket[done] = None
                             done += 1
                             if trace is not None:
-                                emit(f"{stamp}{seq}\t{target}\t{payload.kind}\t{payload.summary()}")
+                                emit(formats[payload.kind](stamp, seq, target, payload))
                                 handle(target, payload)
                                 if len(lines) == TRACE_BLOCK:
                                     # out of ``lines`` first: if the sink
@@ -337,7 +344,7 @@ class Simulator:
                     seq = number
                     self.now = at
                     if trace is not None:
-                        emit(f"{at}\t{seq}\t{target}\t{payload.kind}\t{payload.summary()}")
+                        emit(formats[payload.kind](f"{at}\t", seq, target, payload))
                         handle(target, payload)
                         if len(lines) == TRACE_BLOCK:
                             block = lines[:]

@@ -34,7 +34,7 @@ from .engine import EnrollmentAudio
 from .kernel import STALL_FACTOR, Simulator, TraceSink, node_stream
 from .metrics import ReenrollEvent, Report, RequestRecord, RunLog
 from .scenario import Scenario, strategy_row, validate
-from .strategies.common import USER_STREAM_BASE, EnrollCtx, RuntimeCtx, WorldBase
+from .strategies.common import TRACE_LINES, USER_STREAM_BASE, EnrollCtx, RuntimeCtx, WorldBase
 from .topology import ModelRelease
 
 # a packed runtime arrival is time << _TIME_SHIFT | rank (see _generate_workload)
@@ -71,8 +71,8 @@ def _generate_workload(
 
     One arrival is one int, high bits to low: its time and the user's rank.
     Sorting the ints sorts by (time, user id); two arrivals of one user in
-    one millisecond are equal ints, and build equal contexts. 32 bits for
-    the rank hold more users than memory could."""
+    one millisecond are equal ints, and build equal contexts. 32 bits hold
+    the rank of every user count that a scenario admits (``users`` < 2**32)."""
     # each user draws from a stream of its own, so the users can go in rank order
     order = sorted(range(len(user_ids)), key=user_ids.__getitem__)
     audios: list[EnrollmentAudio | None] = [None] * len(user_ids)
@@ -132,7 +132,7 @@ def build(
     # the progress tripwire: 64 events a millisecond per user, server and
     # device, so a release or sweep that reaches every node stays under it
     nodes = scenario.users + scenario.cloud_servers + scenario.devices
-    sim = Simulator(None, trace=trace, stall_bound=STALL_FACTOR * nodes)
+    sim = Simulator(None, trace=trace, stall_bound=STALL_FACTOR * nodes, formats=TRACE_LINES)
     world = strategy_row(scenario.strategy).world(scenario, sim, log)
     sim.handler = world
 

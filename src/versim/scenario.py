@@ -136,6 +136,8 @@ _MINIMUM = {
     "time_ms": 0,
     "users": 1,
 }
+# the most of an integer key: a runtime arrival packs the user's rank in 32 bits
+_MAXIMUM = {"users": 2**32 - 1}
 
 # Poisson arrival rates per user per second. Above one request per user per
 # millisecond, the clock's resolution, gaps truncate to 0 ms (from about
@@ -157,8 +159,9 @@ def check_seed(seed: object, name: str) -> int:
 
 def _given(obj: object, cls: type, where: str) -> dict:
     """The keys ``obj`` gives, each a field of the dataclass ``cls``: integers
-    checked against ``_MINIMUM``, enum members looked up by value, other
-    values as they are. An absent key is left to the field's default."""
+    checked against ``_MINIMUM`` and ``_MAXIMUM``, enum members looked up by
+    value, other values as they are. An absent key is left to the field's
+    default."""
     names = {f.name for f in fields(cls)}
     if not isinstance(obj, dict):
         _fail(where or "scenario", "must be an object")
@@ -174,6 +177,8 @@ def _given(obj: object, cls: type, where: str) -> dict:
                 _fail(name, "must be an integer")
             if value < _MINIMUM[f.name]:
                 _fail(name, f"must be >= {_MINIMUM[f.name]}")
+            if f.name in _MAXIMUM and value > _MAXIMUM[f.name]:
+                _fail(name, f"must be <= {_MAXIMUM[f.name]}")
         elif isinstance(f.default, Enum):
             try:
                 value = type(f.default)(value)
@@ -251,17 +256,7 @@ def _parse_strategy(obj: object) -> StrategyConfig:
     given = _given(obj, StrategyConfig, "strategy")
     cfg = StrategyConfig(**given)
     row = strategy_row(cfg)
-    if "dispatch" not in given:
-        cfg = replace(cfg, dispatch=row.dispatch[0])
-    elif cfg.dispatch not in row.dispatch:
-        _fail(
-            "strategy.dispatch",
-            f"{strategy_label(cfg)} admits {_join(d.value for d in row.dispatch)} dispatch only",
-        )
-    if cfg.handshake_period_ms is not None and not row.handshake:
-        deployments = _join(d.value for (d, _, _), r in STRATEGIES.items() if r.handshake)
-        _fail("strategy.handshake_period_ms", f"only {deployments} deployments handshake")
-    return cfg
+    return cfg if "dispatch" in given else replace(cfg, dispatch=row.dispatch[0])
 
 
 def _parse_releases(raw_releases: object) -> tuple[ReleaseSpec, ...]:
@@ -322,6 +317,14 @@ def validate(sc: Scenario) -> None:
     ``scenario_from_dict`` applies them to what it parses, and
     ``runner.build`` to every scenario it runs, so a ``Scenario`` made or
     changed in code (``dataclasses.replace``) is held to them too."""
+    cfg = sc.strategy
+    row = strategy_row(cfg)
+    if cfg.dispatch not in row.dispatch:
+        dispatch = _join(d.value for d in row.dispatch)
+        _fail("strategy.dispatch", f"{strategy_label(cfg)} admits {dispatch} dispatch only")
+    if cfg.handshake_period_ms is not None and not row.handshake:
+        deployments = _join(d.value for (d, _, _), r in STRATEGIES.items() if r.handshake)
+        _fail("strategy.handshake_period_ms", f"only {deployments} deployments handshake")
     for i, arrival in enumerate(sc.runtime_arrivals.explicit or ()):
         _check_user_id(arrival.user_id, sc.users, f"runtime_arrivals.explicit[{i}].user_id")
     all_versions = sc.initial_versions + tuple(r.version_id for r in sc.releases)

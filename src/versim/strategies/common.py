@@ -17,12 +17,13 @@ stateless between hops: just before it sends, the sender sets the hop's
 ``kind`` on the context, with the server id, the continuation ``token`` or the
 outcome the hop carries, and a handler writes what its node produced (fetched
 profiles, an enrolled profile) onto it. That is sound because a flow has at
-most one message queued at a time, and its trace line is printed before the
-handler moves the context on to its next hop. A request's context is also its
-arrival: the runner schedules each user's ``EnrollCtx`` as its enroll-arrival
-and feeds each ``RuntimeCtx`` as its runtime-arrival, and on a DEVICE it is
-also its device-task-done. The hops outside a flow (releases, server updates,
-ticks) have one message class per shape.
+most one message queued at a time, and its trace line, which ``TRACE_LINES``
+builds by kind, is printed before the handler moves the context on to its
+next hop. A request's context is also its arrival: the runner schedules each
+user's ``EnrollCtx`` as its enroll-arrival and feeds each ``RuntimeCtx`` as
+its runtime-arrival, and on a DEVICE it is also its device-task-done. The
+hops outside a flow (releases, server updates, ticks) have one message class
+per shape.
 
 ``WorldBase`` holds what every world has: the users, the ``initial``
 versions, numbered 1..n, each device's link stream and event target, the
@@ -110,81 +111,11 @@ STALE_PROFILES = Outcome.STALE_PROFILES
 # ---------------------------------------------------------------------------
 # flow contexts. Each is the message of every hop of its flow: the sender
 # sets the hop's ``kind`` on it, with the ``server_id`` and the continuation
-# ``token`` the hop carries, and the trace prints the summary that
-# ``_SUMMARIES`` gives for the kind.
-
-
-def _user(ctx) -> str:
-    return f"user={ctx.user_id}"
-
-
-def _outcome(ctx) -> str:
-    # ``_value_`` is a plain attribute; ``Enum.value`` is a slower property
-    return f"user={ctx.user_id} outcome={ctx.outcome._value_}"
-
-
-def _on_server(ctx) -> str:
-    return f"user={ctx.user_id} server={ctx.server_id}"
-
-
-def _acked(ctx) -> str:
-    return f"for={ctx.token}"
-
-
-def _serves(ctx) -> str:
-    return ",".join([v.id for v in ctx.versions]) or "-"
-
-
-def _round(ctx) -> str:
-    return f"round={ctx.round_id} server={ctx.server_id}"
-
-
-_SUMMARIES: dict[str, Callable[..., str]] = {
-    "enroll-arrival": lambda c: f"user={c.user_id} samples={len(c.audio)}",
-    "runtime-arrival": _user,
-    "enroll-request": _user,
-    "runtime-request": _user,
-    "handshake-request": lambda c: f"user={c.device_id}",
-    "enroll-response": _outcome,
-    "runtime-response": _outcome,
-    "recognize-job": _on_server,
-    "retry-signal": _on_server,
-    "retry-needed": _on_server,
-    "recognize-job-done": lambda c: (
-        f"user={c.user_id} server={c.server_id} reenrolled={'1' if c.produced else '0'}"
-    ),
-    "handshake-reply": lambda c: f"user={c.device_id} serves={_serves(c)}",
-    "device-task-done": lambda c: f"task={c.flow} user={c.user_id}",
-    "sync-probe": _round,
-    "sync-reply": lambda c: f"{_round(c)} serves={'-' if c.version is None else c.version.id}",
-    "dispatch-retry": lambda c: f"flow={c.flow} user={c.user_id}",
-    "job-rejected": lambda c: f"flow={c.flow} server={c.server_id}",
-    "enroll-job": lambda c: f"user={c.user_id} server={c.server_id} for={c.token}",
-    "enroll-job-done": lambda c: (
-        f"user={c.user_id} server={c.server_id} "
-        f"version={c.produced[-1].version.id} for={c.token}"
-    ),
-    "db-store-audio": lambda c: f"user={c.user_id} for={c.token}",
-    "db-store-ack": _acked,
-    "db-put-ack": _acked,
-    "db-fetch": lambda c: f"users={c.user_id} for={c.token}",
-    # a stored user always has audio, so ``rows`` counts the user by that
-    "db-fetch-reply": lambda c: f"rows={'1' if c.audio else '0'} for={c.token}",
-    "db-put-profile": lambda c: f"{c.user_id}@{c.produced[-1].version.id} for={c.token}",
-}
-
-
-class FlowCtx:
-    """A flow context, traced by the summary of its hop's kind."""
-
-    __slots__ = ()
-
-    def summary(self) -> str:
-        return _SUMMARIES[self.kind](self)
+# ``token`` the hop carries, and ``TRACE_LINES`` prints it by that kind.
 
 
 @dataclass(slots=True)
-class EnrollCtx(FlowCtx):
+class EnrollCtx:
     """One enrollment flow: its ``audio``, the versions of its legs still to
     send (None: any server), and the profiles made so far; tuples that a leg
     replaces. It is the message of enroll-arrival (a user's own request
@@ -216,7 +147,7 @@ class EnrollCtx(FlowCtx):
 
 
 @dataclass(slots=True)
-class RuntimeCtx(FlowCtx):
+class RuntimeCtx:
     """One runtime request: the speaking user's profiles, oldest first, and
     on the server side the fetched audio and the profile ``produced`` from
     it by a repair. The profiles are the store's own tuple, shared and never
@@ -245,7 +176,7 @@ class RuntimeCtx(FlowCtx):
 
 
 @dataclass(slots=True)
-class HandshakeCtx(FlowCtx):
+class HandshakeCtx:
     """One handshake: the message of handshake-request, and of the
     handshake-reply that brings the served ``versions`` back."""
 
@@ -256,7 +187,7 @@ class HandshakeCtx(FlowCtx):
 
 
 @dataclass(slots=True)
-class SyncProbe(FlowCtx):
+class SyncProbe:
     """One server's part of a sync-table refresh round, built for it alone:
     the message of sync-probe, and of the sync-reply that brings back the
     ``version`` it serves (None while it is mid-update)."""
@@ -280,9 +211,6 @@ class VersionNotice:
     kind: str
     version: VersionId
 
-    def summary(self) -> str:
-        return f"version={self.version.id}"
-
 
 @dataclass(slots=True)
 class ServerUpdateDone:
@@ -290,25 +218,86 @@ class ServerUpdateDone:
     server_id: str
     version: VersionId
 
-    def summary(self) -> str:
-        return f"server={self.server_id} version={self.version.id}"
-
 
 @dataclass(slots=True)
 class Tick:
-    """A step whose only data is its summary ``note``: sync-tick, sweep-step,
+    """A step whose only data is its trace ``note``: sync-tick, sweep-step,
     handshake-tick (its target names the device) or device-reenroll-done (the
     device's re-enroll queue names the user)."""
 
     kind: str
     note: str
 
-    def summary(self) -> str:
-        return self.note
-
 
 SYNC_TICK = Tick("sync-tick", "periodic")
 SWEEP_STEP = Tick("sweep-step", "next-user")
+
+
+# ---------------------------------------------------------------------------
+# the trace: message kind -> the function that builds an executed event's
+# whole line from its stamp (``"<ms>\t"``), seq, target and message, in one
+# f-string, so a line costs one Python frame. A stored user always has audio,
+# so db-fetch-reply's ``rows`` counts the user by that; ``_value_`` is a plain
+# attribute, where ``Enum.value`` is a slower property.
+
+TRACE_LINES: dict[str, Callable[..., str]] = {
+    "enroll-arrival": lambda s, n, t, c:
+        f"{s}{n}\t{t}\tenroll-arrival\tuser={c.user_id} samples={c.audio.count}",
+    "runtime-arrival": lambda s, n, t, c: f"{s}{n}\t{t}\truntime-arrival\tuser={c.user_id}",
+    "enroll-request": lambda s, n, t, c: f"{s}{n}\t{t}\tenroll-request\tuser={c.user_id}",
+    "runtime-request": lambda s, n, t, c: f"{s}{n}\t{t}\truntime-request\tuser={c.user_id}",
+    "handshake-request": lambda s, n, t, c: f"{s}{n}\t{t}\thandshake-request\tuser={c.device_id}",
+    "handshake-reply": lambda s, n, t, c:
+        f"{s}{n}\t{t}\thandshake-reply\tuser={c.device_id} "
+        f"serves={','.join([v.id for v in c.versions]) or '-'}",
+    "enroll-response": lambda s, n, t, c:
+        f"{s}{n}\t{t}\tenroll-response\tuser={c.user_id} outcome={c.outcome._value_}",
+    "runtime-response": lambda s, n, t, c:
+        f"{s}{n}\t{t}\truntime-response\tuser={c.user_id} outcome={c.outcome._value_}",
+    "recognize-job": lambda s, n, t, c:
+        f"{s}{n}\t{t}\trecognize-job\tuser={c.user_id} server={c.server_id}",
+    "recognize-job-done": lambda s, n, t, c:
+        f"{s}{n}\t{t}\trecognize-job-done\tuser={c.user_id} server={c.server_id} "
+        f"reenrolled={'1' if c.produced else '0'}",
+    "retry-signal": lambda s, n, t, c:
+        f"{s}{n}\t{t}\tretry-signal\tuser={c.user_id} server={c.server_id}",
+    "retry-needed": lambda s, n, t, c:
+        f"{s}{n}\t{t}\tretry-needed\tuser={c.user_id} server={c.server_id}",
+    "device-task-done": lambda s, n, t, c:
+        f"{s}{n}\t{t}\tdevice-task-done\ttask={c.flow} user={c.user_id}",
+    "sync-probe": lambda s, n, t, c:
+        f"{s}{n}\t{t}\tsync-probe\tround={c.round_id} server={c.server_id}",
+    "sync-reply": lambda s, n, t, c:
+        f"{s}{n}\t{t}\tsync-reply\tround={c.round_id} server={c.server_id} "
+        f"serves={'-' if c.version is None else c.version.id}",
+    "dispatch-retry": lambda s, n, t, c:
+        f"{s}{n}\t{t}\tdispatch-retry\tflow={c.flow} user={c.user_id}",
+    "job-rejected": lambda s, n, t, c:
+        f"{s}{n}\t{t}\tjob-rejected\tflow={c.flow} server={c.server_id}",
+    "enroll-job": lambda s, n, t, c:
+        f"{s}{n}\t{t}\tenroll-job\tuser={c.user_id} server={c.server_id} for={c.token}",
+    "enroll-job-done": lambda s, n, t, c:
+        f"{s}{n}\t{t}\tenroll-job-done\tuser={c.user_id} server={c.server_id} "
+        f"version={c.produced[-1].version.id} for={c.token}",
+    "db-store-audio": lambda s, n, t, c:
+        f"{s}{n}\t{t}\tdb-store-audio\tuser={c.user_id} for={c.token}",
+    "db-store-ack": lambda s, n, t, c: f"{s}{n}\t{t}\tdb-store-ack\tfor={c.token}",
+    "db-fetch": lambda s, n, t, c: f"{s}{n}\t{t}\tdb-fetch\tusers={c.user_id} for={c.token}",
+    "db-fetch-reply": lambda s, n, t, c:
+        f"{s}{n}\t{t}\tdb-fetch-reply\trows={'1' if c.audio else '0'} for={c.token}",
+    "db-put-profile": lambda s, n, t, c:
+        f"{s}{n}\t{t}\tdb-put-profile\t{c.user_id}@{c.produced[-1].version.id} for={c.token}",
+    "db-put-ack": lambda s, n, t, c: f"{s}{n}\t{t}\tdb-put-ack\tfor={c.token}",
+    "release": lambda s, n, t, m: f"{s}{n}\t{t}\trelease\tversion={m.version.id}",
+    "notify-release": lambda s, n, t, m: f"{s}{n}\t{t}\tnotify-release\tversion={m.version.id}",
+    "download-done": lambda s, n, t, m: f"{s}{n}\t{t}\tdownload-done\tversion={m.version.id}",
+    "server-update-done": lambda s, n, t, m:
+        f"{s}{n}\t{t}\tserver-update-done\tserver={m.server_id} version={m.version.id}",
+    "sync-tick": lambda s, n, t, m: f"{s}{n}\t{t}\tsync-tick\t{m.note}",
+    "sweep-step": lambda s, n, t, m: f"{s}{n}\t{t}\tsweep-step\t{m.note}",
+    "handshake-tick": lambda s, n, t, m: f"{s}{n}\t{t}\thandshake-tick\t{m.note}",
+    "device-reenroll-done": lambda s, n, t, m: f"{s}{n}\t{t}\tdevice-reenroll-done\t{m.note}",
+}  # fmt: skip
 
 
 # ---------------------------------------------------------------------------

@@ -48,14 +48,13 @@ from .common import (
     SYNC_TICK,
     CloudWorldBase,
     EnrollCtx,
-    FlowCtx,
     RuntimeCtx,
     SyncProbe,
 )
 
 
 @dataclass(slots=True)
-class _SweepCtx(FlowCtx):
+class _SweepCtx:
     """One re-enrollment from stored audio: the user a pump lane is on. It
     is the message of the pump's db-fetch, which fills ``profiles`` and
     ``audio``, of enroll-job and enroll-job-done, which adds the new profile

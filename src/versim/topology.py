@@ -55,9 +55,6 @@ class ModelRelease:
         lo, hi = self.server_update_ms
         return lo + rng.randrange(hi - lo + 1)
 
-    def summary(self) -> str:
-        return f"version={self.version.id}"
-
 
 class DatabaseNode:
     """The profile store: the backend database of the server-side

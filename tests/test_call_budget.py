@@ -12,13 +12,19 @@ at 30 users, 10 devices and 3 servers, with three releases, at seed 7. A
 change that cuts calls lowers ``CALL_BUDGET`` to the new figure. The counter
 is ``tests/calls_per_event.py``'s, which also breaks a workload's figure
 down by scenario.
+
+The traced figure is the same count with the command line's trace sink
+attached, under ``TRACED_CALL_BUDGET``. Each line is built by one lambda of
+``strategies.common.TRACE_LINES``, which the count leaves out, so it reads
+as the untraced figure: a named function per traced event would show.
 """
 
 from calls_per_event import count  # it also puts bench/ on sys.path
 from versim.scenario import scenario_from_dict
 from workloads import COMBOS
 
-CALL_BUDGET = 4.750
+CALL_BUDGET = 4.707
+TRACED_CALL_BUDGET = 4.707
 
 
 def _scenario(strategy: dict, initial: list[str]) -> dict:
@@ -38,12 +44,12 @@ def _scenario(strategy: dict, initial: list[str]) -> dict:
     }
 
 
-def calls_per_event() -> float:
+def calls_per_event(trace: bool = False) -> float:
     """Named ``versim`` calls made inside ``run_until``, over the events it
-    executed, summed over the 11 scenarios."""
+    executed, summed over the 11 scenarios, with the trace sink if ``trace``."""
     calls = events = 0
     for _, strategy, initial in COMBOS:
-        _, named, ran = count(scenario_from_dict(_scenario(strategy, initial)))
+        _, named, ran = count(scenario_from_dict(_scenario(strategy, initial)), trace)
         calls += named
         events += ran
     return calls / events
@@ -52,3 +58,10 @@ def calls_per_event() -> float:
 def test_named_calls_per_event_stay_within_the_budget():
     per_event = calls_per_event()
     assert per_event <= CALL_BUDGET, f"{per_event:.4f} calls per event, budget {CALL_BUDGET}"
+
+
+def test_named_calls_per_traced_event_stay_within_the_budget():
+    per_event = calls_per_event(trace=True)
+    assert per_event <= TRACED_CALL_BUDGET, (
+        f"{per_event:.4f} calls per traced event, budget {TRACED_CALL_BUDGET}"
+    )

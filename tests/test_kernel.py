@@ -28,8 +28,12 @@ class Ping:
     kind: ClassVar[str] = "ping"
     label: str
 
-    def summary(self) -> str:
-        return self.label
+
+# the trace line of each payload kind these tests queue
+LINES = {
+    "ping": lambda s, n, t, p: f"{s}{n}\t{t}\tping\t{p.label}",
+    "note": lambda s, n, t, p: f"{s}{n}\t{t}\tnote\t{p.label}",
+}
 
 
 def test_splitmix64_reference_stream():
@@ -290,7 +294,7 @@ def test_scheduling_in_the_past_fails():
 
 def test_trace_line_format():
     trace = []
-    sim = Simulator(lambda target, p: None, trace=trace)
+    sim = Simulator(lambda target, p: None, trace=trace, formats=LINES)
     sim.schedule(42, "cloud:s00", Ping("hello"))
     sim.run_until(42)
     assert trace == ["42\t0\tcloud:s00\tping\thello"]
@@ -299,7 +303,7 @@ def test_trace_line_format():
 def test_a_burst_reaches_the_sink_in_full_blocks_and_a_remainder():
     # 600 events in one millisecond: the block bound holds inside a bucket
     sink = _BlockSink()
-    sim = Simulator(lambda target, p: None, trace=sink)
+    sim = Simulator(lambda target, p: None, trace=sink, formats=LINES)
     for i in range(600):
         sim.schedule(3, "n", Ping(str(i)))
     sim.run_until(3)
@@ -316,7 +320,7 @@ def test_trace_written_before_handler_runs():
     def exploding(target, payload):
         raise RuntimeError("boom")
 
-    sim = Simulator(exploding, trace=trace)
+    sim = Simulator(exploding, trace=trace, formats=LINES)
     sim.schedule(1, "n", Ping("doomed"))
     with pytest.raises(RuntimeError):
         sim.run_until(5)
@@ -331,9 +335,6 @@ class Note:
 
     def __init__(self, label: str):
         self.label = label
-
-    def summary(self) -> str:
-        return self.label
 
 
 def test_a_raise_mid_burst_leaves_the_rest_of_the_burst_queued():
@@ -355,7 +356,7 @@ def test_a_raise_mid_burst_leaves_the_rest_of_the_burst_queued():
         elif label == "b2":
             raise RuntimeError("boom")
 
-    sim = Simulator(handler, trace=trace)
+    sim = Simulator(handler, trace=trace, formats=LINES)
     sim.schedule(5, "n", Note("start"))
     sim.schedule(10, "n", Note("pre"))
     with pytest.raises(RuntimeError):
@@ -450,7 +451,7 @@ def test_fed_and_scheduled_events_at_one_millisecond_run_in_seq_order():
         if payload.label == "early":
             sim.schedule_in(1, "n", Ping("in-run"))
 
-    sim = Simulator(handler, trace=trace)
+    sim = Simulator(handler, trace=trace, formats=LINES)
     sim.schedule(5, "n", Ping("before"))
     sim.feed(_fed([5, 5]), 2)
     sim.schedule(5, "n", Ping("after"))
@@ -559,7 +560,7 @@ def test_a_fed_stream_out_of_order_leaves_current_on_the_last_event_that_ran(sch
     # the stream raises as its second event is drawn, before its first runs;
     # ``scheduled`` events at t=1 take seqs 0.. and the stream the next two
     trace = []
-    sim = Simulator(lambda target, p: None, trace=trace)
+    sim = Simulator(lambda target, p: None, trace=trace, formats=LINES)
     for i in range(scheduled):
         sim.schedule(1, "n", Ping(f"s{i}"))
     sim.feed(_fed([3, 2]), 2)
@@ -615,7 +616,8 @@ def test_identical_seeds_produce_identical_streams():
 class _HeapSim:
     """Reference queue: one heap of (time, seq) for every event."""
 
-    def __init__(self, handler, trace):
+    def __init__(self, handler, trace, formats):
+        # the reference writes its lines itself, not through ``formats``
         self.handler = handler
         self.trace = trace
         self.queue = []
@@ -640,7 +642,7 @@ class _HeapSim:
         while self.queue and self.queue[0][0] <= t_end:
             at, seq, target, payload = heappop(self.queue)
             self.now = at
-            self.trace.append(f"{at}\t{seq}\t{target}\t{payload.kind}\t{payload.summary()}")
+            self.trace.append(f"{at}\t{seq}\t{target}\t{payload.kind}\t{payload.label}")
             try:
                 self.handler(target, payload)
             except BaseException:
@@ -666,7 +668,7 @@ def _drive(make_sim, pre, fed, followups, steps, boom):
         if label == boom:
             raise RuntimeError("boom")
 
-    sim = make_sim(handler, trace)
+    sim = make_sim(handler, trace, formats=LINES)
     half = len(pre) // 2
     for at in pre[:half]:
         sim.schedule(at, "n", Ping(str(made[0])))
@@ -749,7 +751,7 @@ def _hops(sim_class, pre, followups, horizons):
         for args in followups[label] if label < len(followups) else ():
             call(*args)
 
-    sim = sim_class(handler, trace)
+    sim = sim_class(handler, trace, formats=LINES)
     for args in pre:
         call(*args)
     for horizon in horizons:
@@ -806,7 +808,7 @@ def test_a_raising_sink_is_handed_each_line_once_and_its_error_is_raised(fed, fa
     # that event and the rest run in the next call, and their lines go out then
     sink = _BlockSink(fail)
     seen = []
-    sim = Simulator(lambda target, payload: seen.append(payload.label), trace=sink)
+    sim = Simulator(lambda target, payload: seen.append(payload.label), trace=sink, formats=LINES)
     events = [(1, "n", Ping(str(i))) for i in range(300)]
     if fed:
         sim.feed(iter(events), len(events))
@@ -850,7 +852,7 @@ def _blocks(pre, fed, followups, horizons, boom, fail=None):
         if label == boom:
             raise RuntimeError("boom")
 
-    sim = Simulator(handler, trace=sink)
+    sim = Simulator(handler, trace=sink, formats=LINES)
     half = len(pre) // 2
     for at in pre[:half]:
         sim.schedule(at, "n", Ping(str(made[0])))

@@ -43,6 +43,7 @@ import math
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -54,6 +55,7 @@ from versim.kernel import StalledClockError, node_stream
 from versim.metrics import report_to_json, summarize
 from versim.runner import RunFailedError, build, run
 from versim.scenario import (
+    STRATEGIES,
     ReleaseSpec,
     ScenarioValidationError,
     load_scenario,
@@ -61,7 +63,8 @@ from versim.scenario import (
 )
 from versim import metrics, runner
 from versim.strategies.server import SyncTableServerWorld
-from versim.strategies.common import USER_STREAM_BASE, RuntimeCtx
+from versim.strategies.common import TRACE_LINES, USER_STREAM_BASE, RuntimeCtx
+from versim.topology import DispatchPolicy
 
 SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "online_random_bounce.json"
 
@@ -168,6 +171,23 @@ def test_each_world_handles_its_pinned_kinds(name, strategy, initial):
 def test_the_combinations_build_every_world_class():
     built = {type(build(_sweep_scenario(s, i, 1))[1]).__name__ for _, s, i in _COMBOS}
     assert built == set(HANDLED_KINDS)
+
+
+def test_the_trace_lines_cover_exactly_the_kinds_the_worlds_handle():
+    # a kind without a line would raise KeyError in traced runs only
+    handled = set().union(*(row.world._handlers for row in STRATEGIES.values()))
+    assert set(TRACE_LINES) == handled
+
+
+def test_each_trace_line_names_its_kind():
+    version = VersionId("V1", 1)
+    msg = SimpleNamespace(
+        user_id="u000", device_id="d00", server_id="s00", token="leg", flow="enroll",
+        round_id=1, note="periodic", version=version, versions=(version,), outcome=Outcome.OK,
+        audio=EnrollmentAudio("u000", 1, 3), produced=(UserProfile("u000", version, ()),),
+    )  # fmt: skip
+    for kind, line in TRACE_LINES.items():
+        assert line("7\t", 3, "n", msg).split("\t")[:4] == ["7", "3", "n", kind]
 
 
 @pytest.mark.parametrize("name, strategy, initial", _COMBOS, ids=[c[0] for c in _COMBOS])
@@ -368,7 +388,7 @@ def test_derived_enrollment_audio_is_what_drawing_every_value_gave(scenario):
     for user, samples in drawn.items():
         value = audio[user]
         assert isinstance(value, EnrollmentAudio)
-        assert len(value) == scenario.samples_per_user
+        assert value.count == scenario.samples_per_user
         assert tuple(value) == tuple(value) == samples
         derived, explicit = UserProfile(user, version, value), UserProfile(user, version, samples)
         assert derived.digest == explicit.digest
@@ -496,3 +516,28 @@ def test_build_refuses_a_double_scenario_with_one_server():
     )
     with pytest.raises(ScenarioValidationError, match="^cloud_servers: "):
         run(replace(parsed, cloud_servers=1))
+
+
+def test_build_refuses_a_dispatch_that_the_strategy_row_does_not_admit():
+    # a hash pick need not serve the version a request needs: this run died
+    # on the exit-1 tripwire at its first enrollment
+    parsed = scenario_from_dict(
+        {
+            "strategy": {"policy": "DOUBLE"},
+            "users": 4,
+            "initial_versions": ["V1", "V2"],
+            "releases": [{"time_ms": 50, "version_id": "R1"}],
+            "duration_ms": 200,
+        }
+    )
+    hashed = replace(parsed.strategy, dispatch=DispatchPolicy.HASH_BY_USER)
+    with pytest.raises(ScenarioValidationError, match="^strategy.dispatch: "):
+        run(replace(parsed, strategy=hashed))
+
+
+def test_build_refuses_a_handshake_outside_hybrid():
+    # this run went on and ignored the handshake
+    parsed = scenario_from_dict({"users": 4, "duration_ms": 200})
+    shaking = replace(parsed.strategy, handshake_period_ms=100)
+    with pytest.raises(ScenarioValidationError, match="^strategy.handshake_period_ms: "):
+        run(replace(parsed, strategy=shaking))

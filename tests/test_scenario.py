@@ -377,6 +377,9 @@ def test_load_scenario_round_trip(tmp_path):
         ({"releases": [{"time_ms": 1, "version_id": "V\u00a02"}]}, "releases[0].version_id"),
         ({"releases": [{"time_ms": 1, "version_id": "V\x002"}]}, "releases[0].version_id"),
         ({"initial_versions": ["V\n1"]}, "initial_versions[0]"),
+        # a runtime arrival packs the user's rank in 32 bits; parsed only, so
+        # no world or per-user value is built
+        ({"users": 2**32}, "users"),
         (
             {"strategy": {"policy": "DOUBLE"}, "initial_versions": ["V1", "V,2"]},
             "initial_versions[1]",
@@ -466,11 +469,11 @@ def test_parser_takes_a_valid_file_with_one_field_replaced(data):
 
 
 def test_explicit_user_ids_are_checked_without_listing_every_user():
-    # a scenario may declare any number of users; the check must not build
+    # a scenario may declare up to 2**32 - 1 users; the check must not build
     # a set of all their ids
-    arrival = {"time_ms": 0, "user_id": "u999999999999"}
-    sc = scenario_from_dict({"users": 10**12, "runtime_arrivals": {"explicit": [arrival]}})
-    assert sc.runtime_arrivals.explicit[0].user_id == "u999999999999"
-    arrival["user_id"] = "u1000000000000"
-    with pytest.raises(ScenarioValidationError, match="unknown user 'u1000000000000'"):
-        scenario_from_dict({"users": 10**12, "runtime_arrivals": {"explicit": [arrival]}})
+    arrival = {"time_ms": 0, "user_id": "u4294967294"}
+    sc = scenario_from_dict({"users": 2**32 - 1, "runtime_arrivals": {"explicit": [arrival]}})
+    assert sc.runtime_arrivals.explicit[0].user_id == "u4294967294"
+    arrival["user_id"] = "u4294967295"
+    with pytest.raises(ScenarioValidationError, match="unknown user 'u4294967295'"):
+        scenario_from_dict({"users": 2**32 - 1, "runtime_arrivals": {"explicit": [arrival]}})
