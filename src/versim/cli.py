@@ -43,13 +43,6 @@ def _reason(exc: OSError) -> str:
     return (exc.strerror or type(exc).__name__).lower()
 
 
-def _read_scenario(path: str) -> Scenario:
-    try:
-        return load_scenario(path)
-    except OSError as exc:
-        raise _PathError(f"cannot read {path}: {_reason(exc)}") from exc
-
-
 def _open_output(path: str):
     try:
         return open(path, "w", encoding="utf-8")
@@ -68,11 +61,12 @@ def _check_output(path: str) -> None:
         raise _PathError(f"cannot write {path}: no such directory")
 
 
-def _load(path: str, seed_override: int | None) -> Scenario:
-    scenario = _read_scenario(path)
-    if seed_override is not None:
-        scenario = replace(scenario, seed=seed_override)
-    return scenario
+def _load(path: str, seed_override: int | None = None) -> Scenario:
+    try:
+        scenario = load_scenario(path)
+    except OSError as exc:
+        raise _PathError(f"cannot read {path}: {_reason(exc)}") from exc
+    return scenario if seed_override is None else replace(scenario, seed=seed_override)
 
 
 def _resolve_seed(args: argparse.Namespace) -> int | None:
@@ -121,7 +115,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    scenario = _read_scenario(args.scenario)
+    scenario = _load(args.scenario)
     print(
         f"ok: {strategy_label(scenario.strategy)}, {scenario.users} users, "
         f"{scenario.cloud_servers} servers, {len(scenario.releases)} releases, "

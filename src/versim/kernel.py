@@ -24,9 +24,10 @@ now (``Simulator.send``, a hop's one call): at ``now + extra + latency``, the
 link's latency drawn from the sender's stream, ``base + next_u64() %
 (jitter + 1)`` on a jittered link. A draw with only one possible value (a link
 without jitter, an update duration with ``lo == hi``, a random pick among one
-server) or that nothing reads (``SimRng.skip``) is a step that ``SimRng`` only
-counts, to the position ``next_u64`` would leave it at, so stream positions
-never depend on whether a link has jitter.
+server) is a step that ``SimRng`` only counts, to the position ``next_u64``
+would leave it at, so stream positions never depend on whether a link has
+jitter. The state after n steps is ``seed + n * GAMMA``, and ``mix64`` of it
+is the n-th draw: the runner draws the workload so, with no stream object.
 
 Each executed event's trace line is made before its handler runs, in one
 call: ``formats[kind](stamp, seq, target, message)`` builds the whole line,
@@ -52,7 +53,7 @@ from typing import Iterable, Iterator, Protocol
 from .domain import SimulationError
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment per step
 # events a millisecond may run per event queued for it (and per node, in runner)
 STALL_FACTOR = 64
 TRACE_BLOCK = 256  # the most trace lines one sink extend call gets
@@ -80,15 +81,12 @@ class SimRng:
         self.steps = 0
 
     def next_u64(self) -> int:
+        # ``mix64`` inline: a call would add a frame to every draw of the run
         self.steps = n = self.steps + 1
-        z = (self.seed + n * _GOLDEN) & _MASK64
+        z = (self.seed + n * GAMMA) & _MASK64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
-
-    def skip(self, n: int) -> None:
-        """Step past ``n`` draws without the mix, as ``n`` calls of ``next_u64`` would."""
-        self.steps += n
 
     def randrange(self, n: int) -> int:
         """Uniform in [0, n), one stream step; for n == 1, a step without the mix."""
@@ -98,9 +96,17 @@ class SimRng:
         return self.next_u64() % n
 
 
-def node_stream(root_seed: int, node_index: int) -> SimRng:
-    """Per-node stream: SplitMix64 seeded with root_seed XOR node_index."""
-    return SimRng((root_seed ^ node_index) & _MASK64)
+def mix64(state: int) -> int:
+    """SplitMix64's output function: the draw at the step whose state is ``state`` mod 2**64."""
+    z = state & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def node_seed(root_seed: int, node_index: int) -> int:
+    """A node's stream seed, for ``SimRng``: root_seed XOR node_index, as 64 bits."""
+    return (root_seed ^ node_index) & _MASK64
 
 
 @dataclass(frozen=True, slots=True)

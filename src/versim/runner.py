@@ -8,11 +8,11 @@ during the run. Each user stream is consumed in a fixed order: enrollment
 sample seeds first, then, for Poisson arrivals, one gap and one discarded
 draw per runtime arrival; explicit arrivals draw nothing after the seeds.
 The seeds are the user's ``EnrollmentAudio``, which derives them when
-iterated, so the workload skips over them and over each discarded draw
-(``SimRng.skip``) instead of mixing them. A runtime request carries no
-audio: recognition is the engine's version check. Each request arrives as
-its flow context, at the device that the world's ownership rule
-(``WorldBase.device_of``) puts its user on. Each user's ``EnrollCtx`` is
+iterated. The gaps are mixed (``kernel.mix64``) straight from the stream's
+state, ``seed + step * kernel.GAMMA``, two steps apart. A runtime request
+carries no audio: recognition is the engine's version check. Each request
+arrives as its flow context, at the device that the world's ownership rule
+(``WorldBase.user_devices``) puts its user on. Each user's ``EnrollCtx`` is
 scheduled as its enroll-arrival. A runtime arrival is kept as one packed int
 (time, user). The simulator is fed the sorted ints as a stream, and the
 stream builds each arrival's ``RuntimeCtx`` only when the clock reaches it.
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .domain import SimulationError, VersionId
 from .engine import EnrollmentAudio
-from .kernel import STALL_FACTOR, Simulator, TraceSink, node_stream
+from .kernel import GAMMA, STALL_FACTOR, Simulator, TraceSink, mix64, node_seed
 from .metrics import ReenrollEvent, Report, RequestRecord, RunLog
 from .scenario import Scenario, strategy_row, validate
 from .strategies.common import TRACE_LINES, USER_STREAM_BASE, EnrollCtx, RuntimeCtx, WorldBase
@@ -67,7 +67,7 @@ def _generate_workload(
     """The runtime arrivals as packed ints sorted by (time, user id), the
     users' enrollment audio in ``user_ids`` order, and the user indices by
     rank: in user-id string order (``u1000`` before ``u999``). User i draws
-    from ``node_stream(seed, USER_STREAM_BASE + i)``.
+    from the stream of ``node_seed(seed, USER_STREAM_BASE + i)``.
 
     One arrival is one int, high bits to low: its time and the user's rank.
     Sorting the ints sorts by (time, user id); two arrivals of one user in
@@ -81,24 +81,23 @@ def _generate_workload(
     if spec.explicit is not None:
         rank_of = {user_ids[i]: rank for rank, i in enumerate(order)}
         arrivals = [a.time_ms << _TIME_SHIFT | rank_of[a.user_id] for a in spec.explicit]
+    horizon, rate = scenario.duration_ms, spec.poisson_rate_per_user_per_s
+    # a user's first gap is the step after its enrollment seeds; each gap's
+    # draw is followed by one that nothing reads, so the next is two steps on
+    first, stride = (scenario.samples_per_user + 1) * GAMMA, 2 * GAMMA
     for rank, i in enumerate(order):
-        stream = node_stream(scenario.seed, USER_STREAM_BASE + i)
-        audios[i] = EnrollmentAudio(user_ids[i], stream.seed, scenario.samples_per_user)
+        seed = node_seed(scenario.seed, USER_STREAM_BASE + i)
+        audios[i] = EnrollmentAudio(user_ids[i], seed, scenario.samples_per_user)
         if spec.explicit is None:
-            stream.skip(scenario.samples_per_user)  # the EnrollmentAudio's seeds
-            draw, skip = stream.next_u64, stream.skip
-            rate = spec.poisson_rate_per_user_per_s
-            t = 0
+            state, t = seed + first, 0
             while True:
                 # uniform in (0, 1]: 1 - the top 53 bits of one draw over 2**53
-                u = 1.0 - (draw() >> 11) * (2.0 ** -53)
+                u = 1.0 - (mix64(state) >> 11) * (2.0 ** -53)
                 t += int(-math.log(u) / rate * 1000.0)
-                if t > scenario.duration_ms:
+                if t > horizon:
                     break
                 arrivals.append(t << _TIME_SHIFT | rank)
-                # a draw that nothing reads: dropping it would move every later
-                # gap to another place in the stream, and so every later time
-                skip(1)
+                state += stride
     arrivals.sort()
     return arrivals, audios, order
 
@@ -139,7 +138,7 @@ def build(
     users = world.user_ids
     arrivals, audios, order = _generate_workload(scenario, users)
     targets = world.device_targets
-    devices = list(map(world.device_of, users))
+    devices = world.user_devices()
     for user, device, audio in zip(users, devices, audios):
         sim.schedule(0, targets[device], EnrollCtx(user, device, 0, audio))
     by_rank = [users[i] for i in order], [devices[i] for i in order]

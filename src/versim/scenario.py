@@ -136,8 +136,9 @@ _MINIMUM = {
     "time_ms": 0,
     "users": 1,
 }
-# the most of an integer key: a runtime arrival packs the user's rank in 32 bits
-_MAXIMUM = {"users": 2**32 - 1}
+# the most of an integer key: a runtime arrival packs the user's rank in 32 bits,
+# and a node's stream index (its kind's base + i) stays below the next kind's base
+_MAXIMUM = {"cloud_servers": 4080, "devices": 61_440, "users": 2**32 - 1}
 
 # Poisson arrival rates per user per second. Above one request per user per
 # millisecond, the clock's resolution, gaps truncate to 0 ms (from about

@@ -27,7 +27,7 @@ per shape.
 
 ``WorldBase`` holds what every world has: the users, the ``initial``
 versions, numbered 1..n, each device's link stream and event target, the
-ownership rule ``device_of`` and its inverse ``owners_of``, the compute
+ownership rule ``user_devices`` and its inverse ``owners_of``, the compute
 times ``enroll_ms`` and ``runtime_ms``, handlers, and ``_put``, the profile
 write into a store (``topology``'s database or device) under the world's one
 ``retain``. Only the worlds that keep profiles on the devices build device
@@ -52,11 +52,12 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from itertools import cycle, islice
 from typing import TYPE_CHECKING, Callable, ClassVar
 
 from ..domain import Outcome, UserProfile, VersionId
 from ..engine import EngineInstance, EnrollmentAudio
-from ..kernel import SimRng, Simulator, node_stream
+from ..kernel import SimRng, Simulator, node_seed
 from ..metrics import RunLog
 from ..topology import DatabaseNode, DeviceNode, DispatchPolicy, FrontendNode, ModelRelease
 
@@ -344,21 +345,20 @@ class WorldBase:
         # one string each, and its link stream
         self.device_targets = {device_id: f"device:{device_id}" for device_id in self.device_ids}
         self.device_rng: dict[str, SimRng] = {
-            device_id: node_stream(scenario.seed, DEVICE_STREAM_BASE + j)
+            device_id: SimRng(node_seed(scenario.seed, DEVICE_STREAM_BASE + j))
             for j, device_id in enumerate(self.device_ids)
         }
 
-    def device_of(self, user_id: str) -> str:
-        """The ownership rule: user i lives on device i mod devices."""
-        return self.device_ids[int(user_id[1:]) % len(self.device_ids)]
+    def user_devices(self) -> list[str]:
+        """The ownership rule: user i lives on device i mod devices, listed in user order."""
+        return list(islice(cycle(self.device_ids), len(self.user_ids)))
 
     def owners_of(self, device_id: str) -> list[str]:
-        """The users ``device_of`` puts on ``device_id``, in user order."""
+        """The users ``user_devices`` puts on ``device_id``, in user order."""
         return self.user_ids[int(device_id[1:]) :: len(self.device_ids)]
 
     def _build_devices(self) -> None:
-        """Build the device nodes of a world whose profiles live on the
-        devices, and map each event target back to its device's one id string."""
+        """Build the device nodes, and map each event target back to its device's one id string."""
         self.devices = {d: DeviceNode() for d in self.device_ids}
         self._device_ids = {target: d for d, target in self.device_targets.items()}
 
@@ -409,11 +409,11 @@ class CloudWorldBase(WorldBase):
             for sid in members
         }
         self.cloud_rng: dict[str, SimRng] = {
-            sid: node_stream(scenario.seed, CLOUD_STREAM_BASE + i)
+            sid: SimRng(node_seed(scenario.seed, CLOUD_STREAM_BASE + i))
             for i, sid in enumerate(server_ids)
         }
         self.frontend = FrontendNode(
-            server_ids, self.cfg.dispatch, node_stream(scenario.seed, FRONTEND_STREAM)
+            server_ids, self.cfg.dispatch, SimRng(node_seed(scenario.seed, FRONTEND_STREAM))
         )
         # a hop's latency is drawn from its sender's stream: the device's
         # ``device_rng`` to the frontend, ``frontend.rng`` to a device or server,

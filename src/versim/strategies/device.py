@@ -16,7 +16,7 @@ compute time has passed, and the request is recorded then.
 from __future__ import annotations
 
 from ..engine import EngineInstance
-from ..kernel import node_stream
+from ..kernel import SimRng, node_seed
 from ..topology import ModelRelease
 from .common import OK, STORAGE_STREAM, EnrollCtx, RuntimeCtx, Tick, VersionNotice, WorldBase
 
@@ -25,7 +25,7 @@ class DeviceWorld(WorldBase):
     def __init__(self, scenario, sim, log):
         super().__init__(scenario, sim, log)
         self._build_devices()
-        self.storage_rng = node_stream(scenario.seed, STORAGE_STREAM)
+        self.storage_rng = SimRng(node_seed(scenario.seed, STORAGE_STREAM))
         # the newest release handled, which every device moves to
         self._latest: ModelRelease | None = None
         # per device id: its model, which only its download-done switches

@@ -38,7 +38,7 @@ from typing import ClassVar
 
 from ..domain import NoCommonVersionError, UserProfile, VersionId
 from ..engine import EnrollmentAudio
-from ..kernel import node_stream
+from ..kernel import SimRng, node_seed
 from ..topology import DatabaseNode, ModelRelease
 from .common import (
     DB_STREAM,
@@ -80,7 +80,7 @@ class ServerWorldBase(CloudWorldBase):
     def __init__(self, scenario, sim, log):
         super().__init__(scenario, sim, log)
         self.db = DatabaseNode()
-        self.db_rng = node_stream(scenario.seed, DB_STREAM)
+        self.db_rng = SimRng(node_seed(scenario.seed, DB_STREAM))
         self._db_link = scenario.latency.frontend_db
         # users awaiting the re-enrollment pump: a min-heap of ids plus the
         # same ids as a set, so the pump visits them in ascending id order,

@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from versim import kernel
 from versim.domain import VersionId
 from versim.kernel import (
+    GAMMA,
     LatencyModel,
     ScheduleInPastError,
     SimRng,
     Simulator,
     StalledClockError,
-    node_stream,
+    mix64,
+    node_seed,
 )
 from versim.topology import DispatchPolicy, FrontendNode, ModelRelease
 
@@ -52,12 +54,13 @@ def test_splitmix64_seed_zero():
     rng = SimRng(0)
     assert rng.next_u64() == 16294208416658607535
     assert rng.next_u64() == 7960286522194355700
+    assert [mix64(GAMMA), mix64(2 * GAMMA)] == [16294208416658607535, 7960286522194355700]
+    assert mix64(1234567 + 5 * GAMMA) == 16408922859458223821
 
 
-def test_node_stream_is_seed_xor_index():
-    a = node_stream(5, 3)
-    b = SimRng(5 ^ 3)
-    assert [a.next_u64() for _ in range(4)] == [b.next_u64() for _ in range(4)]
+def test_node_seed_is_seed_xor_index():
+    assert node_seed(5, 3) == 5 ^ 3
+    assert node_seed(2**64 + 5, 3) == 5 ^ 3  # the seed is 64 bits
 
 
 def _release(lo: int, hi: int) -> ModelRelease:
@@ -103,16 +106,24 @@ def test_randrange_and_update_draws_consume_one_draw_each():
             assert a.next_u64() == b.next_u64()
 
 
-@pytest.mark.parametrize("n", [0, 1, 3, 10_000])
-def test_skip_leaves_the_stream_where_n_draws_would(n):
-    for seed in (0, 42, 2**64 - 1):
-        skipped = SimRng(seed)
-        drawn = SimRng(seed)
-        skipped.skip(n)
-        for _ in range(n):
-            drawn.next_u64()
-        assert skipped.steps == drawn.steps == n
-        assert [skipped.next_u64() for _ in range(3)] == [drawn.next_u64() for _ in range(3)]
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**64 - 1]),
+    n=st.integers(1, 40) | st.integers(1, 2**66),
+)
+def test_mix64_of_a_streams_state_is_its_draw_there(seed, n):
+    # the state after n steps is seed + n * GAMMA, and its mix is the n-th
+    # draw; mix64 reduces the state mod 2**64 itself, so one past the period
+    # reads as its remainder
+    state = seed + n * GAMMA
+    assert mix64(state) == mix64(state % 2**64)
+    rng = SimRng(seed)
+    if n <= 40:
+        drawn = [rng.next_u64() for _ in range(n)]
+        assert drawn == [mix64(seed + k * GAMMA) for k in range(1, n + 1)]
+    else:
+        rng.steps = n - 1
+        assert rng.next_u64() == mix64(state)
 
 
 def _arrivals() -> tuple[Simulator, dict[str, int]]:
@@ -158,16 +169,13 @@ def test_send_on_a_fixed_link_steps_the_stream_as_one_draw():
 
 class _AdditiveSplitMix64:
     """Reference stream: SplitMix64 as published, adding the gamma to the
-    state on every step, mixed or not."""
+    state and mixing on every step."""
 
     def __init__(self, seed: int):
         self.state = seed % 2**64
 
-    def step(self, n: int = 1) -> None:
-        self.state = (self.state + n * 0x9E3779B97F4A7C15) % 2**64
-
     def next_u64(self) -> int:
-        self.step()
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2**64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
@@ -181,8 +189,6 @@ def _state(rng: SimRng) -> int:
 
 _rng_ops = st.one_of(
     st.tuples(st.just("next_u64")),
-    # 0, a few steps, and counts past the state's 2**64 period
-    st.tuples(st.just("skip"), st.integers(0, 3) | st.integers(0, 2**66)),
     st.tuples(st.just("randrange"), st.integers(1, 3) | st.integers(1, 2**64)),
     # a hop on a link without jitter (0) or with it
     st.tuples(st.just("send"), st.integers(0, 3) | st.integers(0, 2**40)),
@@ -202,9 +208,6 @@ def test_simrng_matches_an_additive_splitmix64(seed, ops):
     for i, (op, *arg) in enumerate(ops):
         if op == "next_u64":
             assert rng.next_u64() == reference.next_u64()
-        elif op == "skip":
-            rng.skip(arg[0])
-            reference.step(arg[0])
         elif op == "randrange":
             assert rng.randrange(arg[0]) == reference.next_u64() % arg[0]
         else:

@@ -46,16 +46,19 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_acceptance import _COMBOS, _sweep_scenario
 from test_output_digests import EDGES
 from versim.domain import AudioSample, Outcome, UserProfile, VersionId, VersionMismatchError
 from versim.engine import EngineInstance, EnrollmentAudio
-from versim.kernel import StalledClockError, node_stream
+from versim.kernel import SimRng, StalledClockError, node_seed
 from versim.metrics import report_to_json, summarize
 from versim.runner import RunFailedError, build, run
 from versim.scenario import (
     STRATEGIES,
+    ArrivalSpec,
     ReleaseSpec,
     ScenarioValidationError,
     load_scenario,
@@ -318,7 +321,7 @@ def test_runtime_arrivals_run_in_user_id_order_with_each_users_draws():
     poisson = _runtime_arrivals_seen(scenario)
     assert poisson == sorted(poisson)
     rate = scenario.runtime_arrivals.poisson_rate_per_user_per_s
-    draw = node_stream(scenario.seed, USER_STREAM_BASE + 1).next_u64
+    draw = SimRng(node_seed(scenario.seed, USER_STREAM_BASE + 1)).next_u64
     for _ in range(scenario.samples_per_user):
         draw()
     expected, t = [], 0
@@ -341,7 +344,7 @@ def _drawn_workload(scenario):
     spec = scenario.runtime_arrivals
     samples, arrivals = {}, []
     for rank, user in enumerate(users):
-        draw = node_stream(scenario.seed, USER_STREAM_BASE + int(user[1:])).next_u64
+        draw = SimRng(node_seed(scenario.seed, USER_STREAM_BASE + int(user[1:]))).next_u64
         samples[user] = tuple(
             AudioSample(user, 1000, draw()) for _ in range(scenario.samples_per_user)
         )
@@ -376,10 +379,22 @@ def _enrollment_audio(scenario):
 
 _DERIVED = [
     replace(load_scenario(str(SCENARIO)), seed=seed, users=40, devices=8) for seed in (7, 2**64 - 3)
-] + [scenario_from_dict(EDGES["edge-arrival-order/1"])]
+] + [
+    scenario_from_dict(EDGES["edge-arrival-order/1"]),
+    # from u1000 on, rank order is not index order: u1000 sorts before u101
+    replace(
+        load_scenario(str(SCENARIO)),
+        users=1001,
+        runtime_arrivals=ArrivalSpec(poisson_rate_per_user_per_s=2.0),
+        duration_ms=1500,
+        seed=2**64 - 1,
+    ),
+]
 
 
-@pytest.mark.parametrize("scenario", _DERIVED, ids=["poisson-7", "poisson-max", "explicit"])
+@pytest.mark.parametrize(
+    "scenario", _DERIVED, ids=["poisson-7", "poisson-max", "explicit", "poisson-1001"]
+)
 def test_derived_enrollment_audio_is_what_drawing_every_value_gave(scenario):
     drawn, arrivals = _drawn_workload(scenario)
     world, audio = _enrollment_audio(scenario)
@@ -395,6 +410,36 @@ def test_derived_enrollment_audio_is_what_drawing_every_value_gave(scenario):
         assert derived == explicit
         assert hash(derived) == hash(explicit)
     assert runner._generate_workload(scenario, world.user_ids)[0] == arrivals
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**64 - 1]),
+    samples=st.integers(1, 5),
+    rate=st.floats(0.05, 50),
+    horizon=st.integers(0, 2000),
+    users=st.integers(1, 40),
+)
+def test_the_generated_workload_is_the_one_drawn_value_by_value(
+    seed, samples, rate, horizon, users
+):
+    # the generator mixes only each gap's step, from the step after the
+    # enrollment seeds, two steps a gap; a horizon of 0 ms goes in through
+    # ``replace``, since the generator does not validate
+    scenario = replace(
+        load_scenario(str(SCENARIO)),
+        users=users,
+        samples_per_user=samples,
+        runtime_arrivals=ArrivalSpec(poisson_rate_per_user_per_s=rate),
+        duration_ms=horizon,
+        seed=seed,
+    )
+    user_ids = [f"u{i:03d}" for i in range(users)]
+    drawn, expected = _drawn_workload(scenario)
+    arrivals, audios, order = runner._generate_workload(scenario, user_ids)
+    assert arrivals == expected
+    assert [user_ids[i] for i in order] == sorted(user_ids)
+    assert {user: tuple(audio) for user, audio in zip(user_ids, audios)} == drawn
 
 
 def test_every_store_and_profile_shares_the_users_one_audio_value():

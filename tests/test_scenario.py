@@ -16,7 +16,17 @@ from versim.scenario import (
     load_scenario,
     scenario_from_dict,
 )
-from versim.strategies.common import Deployment, Mitigation, UpdatePolicy
+from versim.strategies.common import (
+    CLOUD_STREAM_BASE,
+    DB_STREAM,
+    DEVICE_STREAM_BASE,
+    FRONTEND_STREAM,
+    STORAGE_STREAM,
+    USER_STREAM_BASE,
+    Deployment,
+    Mitigation,
+    UpdatePolicy,
+)
 from versim.strategies.device import DeviceWorld
 from versim.strategies.hybrid import HybridDoubleWorld, HybridSingleWorld
 from versim.strategies.server import (
@@ -380,6 +390,10 @@ def test_load_scenario_round_trip(tmp_path):
         # a runtime arrival packs the user's rank in 32 bits; parsed only, so
         # no world or per-user value is built
         ({"users": 2**32}, "users"),
+        # one more device or server would take the next node kind's first
+        # stream (test_node_stream_indices_are_disjoint_at_the_fleet_maxima)
+        ({"devices": 61_441}, "devices"),
+        ({"cloud_servers": 4081}, "cloud_servers"),
         (
             {"strategy": {"policy": "DOUBLE"}, "initial_versions": ["V1", "V,2"]},
             "initial_versions[1]",
@@ -466,6 +480,24 @@ def test_parser_takes_a_valid_file_with_one_field_replaced(data):
         node = node[key]
     node[where[-1]] = data.draw(_json)
     _parses_or_names_a_field(scenario)
+
+
+def test_node_stream_indices_are_disjoint_at_the_fleet_maxima():
+    # a node's stream seed is the root seed XOR its index, so nodes with
+    # distinct indices have distinct streams. Parsed only: no world is built
+    sc = scenario_from_dict({"users": 2**32 - 1, "devices": 61_440, "cloud_servers": 4080})
+    kinds = [
+        range(FRONTEND_STREAM, STORAGE_STREAM + 1),
+        range(CLOUD_STREAM_BASE, CLOUD_STREAM_BASE + sc.cloud_servers),
+        range(DEVICE_STREAM_BASE, DEVICE_STREAM_BASE + sc.devices),
+        range(USER_STREAM_BASE, USER_STREAM_BASE + sc.users),
+    ]
+    assert sorted({FRONTEND_STREAM, DB_STREAM, STORAGE_STREAM}) == list(kinds[0])
+    for lower, upper in zip(kinds, kinds[1:]):
+        assert lower.stop <= upper.start
+    # the maxima leave no gap: one more server or device reaches the next base
+    assert kinds[1].stop == DEVICE_STREAM_BASE and kinds[2].stop == USER_STREAM_BASE
+    assert kinds[3].stop <= 2**64
 
 
 def test_explicit_user_ids_are_checked_without_listing_every_user():

@@ -585,8 +585,8 @@ def test_hybrid_background_enrollment_starts_once_per_user_while_in_flight():
     world._request_enroll = started.append
     served = world.served_versions
     for _ in range(2):
-        for user in ("u000", "u001"):
-            world._start_background_enroll(world.device_of(user), user, served)
+        for user, device in zip(world.user_ids, world.user_devices()):
+            world._start_background_enroll(device, user, served)
     assert [ctx.user_id for ctx in started] == ["u000", "u001"]
     assert started[0].plan is served  # the two served versions, not a copy
     # the response reaches the device and ends the flight; the next start goes out
@@ -743,8 +743,9 @@ def test_sync_table_rollout_is_bounce_free():
 
 
 def test_users_are_dealt_round_robin_to_devices():
-    """User i lives on device i mod devices: ``owners_of`` says so in every
-    world, and every user's arrivals in every world go to that device."""
+    """User i lives on device i mod devices: ``user_devices`` and its inverse
+    ``owners_of`` say so in every world, and every user's arrivals in every
+    world go to that device."""
     users, devices = 1003, 7
     for deployment in ("DEVICE", "HYBRID", "SERVER"):
         sim, world, _ = build(
@@ -762,6 +763,7 @@ def test_users_are_dealt_round_robin_to_devices():
             expected = [f"u{i:03d}" for i in range(users) if i % devices == j]
             # user order, not id-string order: u993 comes before u1000 on d06
             assert world.owners_of(f"d{j:02d}") == expected
+        assert world.user_devices() == [f"d{i % devices:02d}" for i in range(users)]
         # kind -> user -> (event target, the context's device id)
         arrived = {"enroll-arrival": {}, "runtime-arrival": {}}
 
